@@ -79,47 +79,47 @@ impl CacheStats {
     }
 }
 
-/// One line's bookkeeping: the tag it holds and an LRU timestamp.
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    last_use: u64,
-}
-
 /// A set-associative LRU cache over a 64-bit byte address space.
 ///
 /// Only presence is tracked (no data): the simulators compute values
 /// functionally and use the cache purely for timing.
+///
+/// Each set is kept in recency order: its valid tags, most recently used
+/// first, then zeroed empty ways. Which physical way holds a tag is
+/// unobservable (a hit scans every way, the victim is the least recently
+/// used), so this layout is canonical: two caches respond identically to
+/// every future access sequence exactly when their tag and fill arrays are
+/// equal.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    /// `num_sets × associativity` tags. Set `s` holds its `fill[s]` valid
+    /// tags at `tags[s * associativity..]`, most recently used first.
+    tags: Vec<u64>,
+    /// Valid ways per set.
+    fill: Vec<u32>,
     stats: CacheStats,
     line_shift: u32,
+    /// With a power-of-two set count, the set index is `block & set_mask`
+    /// and the tag is `block >> set_shift`; otherwise both take a division.
     set_mask: u64,
+    set_shift: Option<u32>,
 }
 
 impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         let num_sets = config.num_sets();
-        let lines = vec![
-            Line {
-                tag: 0,
-                valid: false,
-                last_use: 0,
-            };
-            config.associativity
-        ];
         Self {
             config,
-            sets: vec![lines; num_sets],
-            clock: 0,
+            tags: vec![0; num_sets * config.associativity],
+            fill: vec![0; num_sets],
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (num_sets as u64).next_power_of_two() - 1,
+            set_shift: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
         }
     }
 
@@ -137,104 +137,89 @@ impl Cache {
 
     /// Flush all lines (e.g. between experiment repetitions).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-            }
-        }
+        self.tags.fill(0);
+        self.fill.fill(0);
     }
 
     #[inline]
     fn index_tag(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.line_shift;
-        let num_sets = self.sets.len() as u64;
-        let idx = if num_sets.is_power_of_two() {
-            (block & self.set_mask) as usize
-        } else {
-            (block % num_sets) as usize
-        };
-        (idx, block / num_sets.max(1))
+        match self.set_shift {
+            Some(shift) => ((block & self.set_mask) as usize, block >> shift),
+            None => {
+                let num_sets = self.fill.len() as u64;
+                ((block % num_sets) as usize, block / num_sets)
+            }
+        }
     }
 
-    /// Access one byte address. Returns `true` on hit. A miss allocates the
-    /// line, evicting the LRU way if the set is full.
+    /// Access one byte address. Returns `true` on hit. A hit moves the line
+    /// to the front of its set; a miss inserts it there, evicting the least
+    /// recently used (last) way if the set is full.
+    #[inline]
     pub fn access(&mut self, addr: u64, _kind: AccessKind) -> bool {
-        self.clock += 1;
         let (idx, tag) = self.index_tag(addr);
-        let set = &mut self.sets[idx];
+        let ways = self.config.associativity;
+        let fill = self.fill[idx] as usize;
+        let set = &mut self.tags[idx * ways..(idx + 1) * ways];
 
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.last_use = self.clock;
-                self.stats.hits += 1;
-                return true;
-            }
+        if let Some(pos) = set[..fill].iter().position(|&t| t == tag) {
+            move_to_front(set, pos, tag);
+            self.stats.hits += 1;
+            return true;
         }
 
         self.stats.misses += 1;
-        // Prefer an invalid way; otherwise evict the least recently used.
-        let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
-            pos
+        // Shift the set down one way: into an empty way if there is one,
+        // otherwise over the least recently used line.
+        let kept = if fill < ways {
+            self.fill[idx] += 1;
+            fill
         } else {
             self.stats.evictions += 1;
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("associativity >= 1")
+            ways - 1
         };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            last_use: self.clock,
-        };
+        move_to_front(set, kept, tag);
         false
     }
 
     /// Check for presence without updating LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_tag(addr);
-        self.sets[idx].iter().any(|l| l.valid && l.tag == tag)
+        let ways = self.config.associativity;
+        self.tags[idx * ways..][..self.fill[idx] as usize].contains(&tag)
     }
 
     /// Timing-normalized replacement-state equality: true iff the two caches
     /// respond identically (hit/miss outcome and LRU victim choice) to every
-    /// possible future access sequence.
-    ///
-    /// The canonical per-set state is the sequence of valid tags ordered by
-    /// recency plus the count of invalid ways. *Which physical way* holds a
-    /// tag is unobservable — hits scan every way and the LRU victim is chosen
-    /// by timestamp, not position — and the absolute `last_use` clocks are
-    /// irrelevant because LRU only ever compares them.
+    /// possible future access sequence. Statistics are ignored. With the
+    /// recency-ordered layout this is plain array equality.
     pub(crate) fn replacement_state_eq(&self, other: &Cache) -> bool {
-        if self.config != other.config {
-            return false;
-        }
-        // Two scratch buffers reused across sets: this check runs once per
-        // memoized replay, and per-set allocation would dominate it.
-        let ways = self.config.associativity;
-        let mut va: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        let mut vb: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        for (a, b) in self.sets.iter().zip(&other.sets) {
-            va.clear();
-            vb.clear();
-            va.extend(a.iter().filter(|l| l.valid).map(|l| (l.last_use, l.tag)));
-            vb.extend(b.iter().filter(|l| l.valid).map(|l| (l.last_use, l.tag)));
-            if va.len() != vb.len() {
-                return false;
-            }
-            va.sort_unstable();
-            vb.sort_unstable();
-            if va.iter().zip(&vb).any(|(x, y)| x.1 != y.1) {
-                return false;
-            }
-        }
-        true
+        self.config == other.config && self.fill == other.fill && self.tags == other.tags
+    }
+
+    /// Adopt `other`'s replacement state (tags and recency order), keeping
+    /// this cache's statistics. Both caches must share one geometry.
+    pub(crate) fn copy_state_from(&mut self, other: &Cache) {
+        assert_eq!(self.config, other.config, "cache geometries differ");
+        self.tags.copy_from_slice(&other.tags);
+        self.fill.copy_from_slice(&other.fill);
     }
 
     pub(crate) fn set_stats(&mut self, stats: CacheStats) {
         self.stats = stats;
     }
+}
+
+/// Shift `set[..pos]` down one way and put `tag` in front. A plain loop:
+/// sets are a few ways long, where a `memmove` call costs more than the
+/// moves, and most hits are already at the front.
+#[inline]
+fn move_to_front(set: &mut [u64], pos: usize, tag: u64) {
+    for k in (1..=pos).rev() {
+        set[k] = set[k - 1];
+    }
+    set[0] = tag;
 }
 
 #[cfg(test)]
@@ -319,6 +304,7 @@ mod tests {
         assert!(c.probe(0));
         c.invalidate_all();
         assert!(!c.probe(0));
+        assert!(c.replacement_state_eq(&tiny()), "flushed == cold");
     }
 
     #[test]
@@ -350,12 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn replacement_state_eq_ignores_absolute_clocks_and_stats() {
+    fn replacement_state_eq_ignores_stats() {
         let mut a = tiny();
         a.access(0, AccessKind::Read);
         a.access(64, AccessKind::Read);
-        // Same tags in the same ways, same LRU order, but shifted clocks and
-        // different hit/miss history.
+        // Same tags in the same LRU order, different hit/miss history.
         let mut b = tiny();
         b.access(0, AccessKind::Read);
         b.access(0, AccessKind::Read);
@@ -370,8 +355,8 @@ mod tests {
         let mut a = tiny();
         a.access(0, AccessKind::Read);
         a.access(64, AccessKind::Read);
-        // Same tags in the same ways but the opposite recency order: a future
-        // conflict miss would evict different lines.
+        // Same tags but the opposite recency order: a future conflict miss
+        // would evict different lines.
         let mut b = tiny();
         b.access(0, AccessKind::Read);
         b.access(64, AccessKind::Read);
@@ -381,6 +366,78 @@ mod tests {
         let mut c = tiny();
         c.access(0, AccessKind::Read);
         assert!(!a.replacement_state_eq(&c));
+    }
+
+    #[test]
+    fn copy_state_from_keeps_own_stats() {
+        let mut a = tiny();
+        a.access(0, AccessKind::Read);
+        a.access(64, AccessKind::Read);
+        let mut b = tiny();
+        b.copy_state_from(&a);
+        assert!(b.replacement_state_eq(&a));
+        assert_eq!(b.stats(), CacheStats::default());
+        assert!(b.access(0, AccessKind::Read), "installed line hits");
+    }
+
+    /// A timestamp LRU: every line carries its last-use time and a full set
+    /// evicts the oldest. The recency-ordered cache must match it access
+    /// for access.
+    struct TimestampLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        clock: u64,
+        evictions: u64,
+    }
+
+    impl TimestampLru {
+        fn access(&mut self, set: usize, tag: u64) -> bool {
+            self.clock += 1;
+            let lines = &mut self.sets[set];
+            if let Some(l) = lines.iter_mut().find(|l| l.1 == tag) {
+                l.0 = self.clock;
+                return true;
+            }
+            if lines.len() == self.ways {
+                self.evictions += 1;
+                let lru = (0..lines.len())
+                    .min_by_key(|&i| lines[i].0)
+                    .expect("a full set has ways");
+                lines.swap_remove(lru);
+            }
+            lines.push((self.clock, tag));
+            false
+        }
+    }
+
+    #[test]
+    fn matches_timestamp_lru_reference() {
+        for ways in [1usize, 2, 4, 16] {
+            let config = CacheConfig {
+                size_bytes: 64 * 4 * ways,
+                line_bytes: 64,
+                associativity: ways,
+            };
+            let mut c = Cache::new(config);
+            let mut r = TimestampLru {
+                sets: vec![Vec::new(); 4],
+                ways,
+                clock: 0,
+                evictions: 0,
+            };
+            let mut x: u64 = 0x9e3779b97f4a7c15;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Footprint of 2x capacity: hits, fills and evictions all occur.
+                let addr = x % (2 * 64 * 4 * ways as u64);
+                let block = addr >> 6;
+                let hit = r.access((block % 4) as usize, block / 4);
+                assert_eq!(c.access(addr, AccessKind::Read), hit, "{ways}-way");
+            }
+            assert_eq!(c.stats().evictions, r.evictions, "{ways}-way");
+        }
     }
 
     #[test]

@@ -54,13 +54,15 @@ impl HierarchyStats {
 /// Misses in L1 consult L2; misses in L2 go to DRAM and fill both levels.
 /// Latencies are additive along the miss path, matching how a blocking load
 /// would see them.
+///
+/// Every access looks up L1 and every L1 miss looks up L2, so the access
+/// count and the cycle total follow from the two levels' counters; they are
+/// derived in [`stats`](MemoryHierarchy::stats) rather than counted.
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
     l1: Cache,
     l2: Cache,
-    total_cycles: u64,
-    accesses: u64,
 }
 
 impl MemoryHierarchy {
@@ -69,8 +71,6 @@ impl MemoryHierarchy {
             config,
             l1: Cache::new(config.l1),
             l2: Cache::new(config.l2),
-            total_cycles: 0,
-            accesses: 0,
         }
     }
 
@@ -83,8 +83,8 @@ impl MemoryHierarchy {
     }
 
     /// Replay one memory reference; returns the cycles it costs.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> u64 {
-        self.accesses += 1;
         let mut cycles = self.config.l1_hit_cycles;
         if !self.l1.access(addr, kind) {
             cycles += self.config.l2_hit_cycles;
@@ -92,7 +92,6 @@ impl MemoryHierarchy {
                 cycles += self.config.dram_cycles;
             }
         }
-        self.total_cycles += cycles;
         cycles
     }
 
@@ -110,11 +109,15 @@ impl MemoryHierarchy {
     }
 
     pub fn stats(&self) -> HierarchyStats {
+        let (l1, l2) = (self.l1.stats(), self.l2.stats());
+        let c = self.config;
         HierarchyStats {
-            l1: self.l1.stats(),
-            l2: self.l2.stats(),
-            total_cycles: self.total_cycles,
-            accesses: self.accesses,
+            l1,
+            l2,
+            total_cycles: l1.accesses() * c.l1_hit_cycles
+                + l2.accesses() * c.l2_hit_cycles
+                + l2.misses * c.dram_cycles,
+            accesses: l1.accesses(),
         }
     }
 
@@ -123,8 +126,6 @@ impl MemoryHierarchy {
         self.l2.invalidate_all();
         self.l1.reset_stats();
         self.l2.reset_stats();
-        self.total_cycles = 0;
-        self.accesses = 0;
     }
 
     /// Timing-normalized state equality: true iff the two hierarchies return
@@ -151,8 +152,8 @@ impl MemoryHierarchy {
         let own = self.stats();
         let e = entry.stats();
         let x = exit.stats();
-        self.l1.clone_from(&exit.l1);
-        self.l2.clone_from(&exit.l2);
+        self.l1.copy_state_from(&exit.l1);
+        self.l2.copy_state_from(&exit.l2);
         let delta = |mine: CacheStats, from: CacheStats, to: CacheStats| CacheStats {
             hits: mine.hits + (to.hits - from.hits),
             misses: mine.misses + (to.misses - from.misses),
@@ -160,8 +161,6 @@ impl MemoryHierarchy {
         };
         self.l1.set_stats(delta(own.l1, e.l1, x.l1));
         self.l2.set_stats(delta(own.l2, e.l2, x.l2));
-        self.total_cycles = own.total_cycles + (x.total_cycles - e.total_cycles);
-        self.accesses = own.accesses + (x.accesses - e.accesses);
     }
 }
 

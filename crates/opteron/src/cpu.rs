@@ -62,6 +62,16 @@ impl MemFrontend {
         }
     }
 
+    /// Replay one force evaluation's reference stream; returns its demand
+    /// cycles. Matching once here, not per access, keeps the O(N²) loop
+    /// monomorphic.
+    fn replay_eval(&mut self, n: usize, pos_r: &ArrayRegion, acc_r: &ArrayRegion) -> u64 {
+        match self {
+            MemFrontend::Plain(h) => eval_stream(n, pos_r, acc_r, |a, k| h.access(a, k)),
+            MemFrontend::Prefetching(h) => eval_stream(n, pos_r, acc_r, |a, k| h.access(a, k)),
+        }
+    }
+
     fn stats(&self) -> HierarchyStats {
         match self {
             MemFrontend::Plain(h) => h.stats(),
@@ -112,10 +122,12 @@ impl MemFrontend {
 /// trace. The hierarchy is a deterministic automaton, so whenever it
 /// re-enters a state replay-equivalent to `entry`, replaying the stream
 /// *must* cost the same demand cycles and land in a state equivalent to
-/// `exit`. The steady-state MD loop re-enters the same pre-evaluation cache
-/// state every step, so after the first two evaluations the O(N²) replay
-/// collapses to an O(cache-size) equality check plus a state install —
-/// without changing a single reported number.
+/// `exit`. A run enters the evaluation from just two states: cold (the
+/// priming evaluation, right after the run's reset) and the steady state
+/// every later step re-enters. The device keeps a record per entry state,
+/// so it replays the O(N²) trace at most twice — later evaluations, runs
+/// and checkpointed segments collapse to an O(cache-size) equality check
+/// plus a state install, without changing a single reported number.
 struct TraceMemo {
     /// Stream identity: the memo only applies to the exact same reference
     /// sequence (same atom count, same simulated array bases).
@@ -125,9 +137,12 @@ struct TraceMemo {
     entry: MemFrontend,
     exit: MemFrontend,
     demand: f64,
-    loads: u64,
-    stores: u64,
 }
+
+/// Most replay records a device keeps: the cold and the steady-state entry
+/// of the one atom count a device runs. The oldest record goes first once
+/// the memo is full.
+const TRACE_MEMO_RECORDS: usize = 2;
 
 /// The simulated CPU. Holds the cache hierarchy so repeated calls can model
 /// warm or cold caches as the caller chooses.
@@ -141,11 +156,11 @@ pub struct OpteronCpu {
     /// Pure event counts: they never feed back into the cycle accounting.
     loads: u64,
     stores: u64,
-    /// Last force-evaluation replay, reused when the cache re-enters the
-    /// same state ([`TraceMemo`]). `None` disables memoization (the
-    /// benchmark baseline) — results are identical either way, only the
-    /// host wall-clock differs.
-    trace_memo: Option<TraceMemo>,
+    /// Recorded force-evaluation replays, oldest first, reused when the
+    /// cache re-enters a recorded entry state ([`TraceMemo`]). Disabling
+    /// memoization (the benchmark baseline) empties it — results are
+    /// identical either way, only the host wall-clock differs.
+    trace_memo: Vec<TraceMemo>,
     trace_memo_enabled: bool,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
     #[cfg(feature = "fault-inject")]
@@ -165,7 +180,7 @@ impl OpteronCpu {
             demand_cycles: 0.0,
             loads: 0,
             stores: 0,
-            trace_memo: None,
+            trace_memo: Vec::new(),
             trace_memo_enabled: true,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
@@ -179,7 +194,7 @@ impl OpteronCpu {
     pub fn set_trace_memo(&mut self, enabled: bool) {
         self.trace_memo_enabled = enabled;
         if !enabled {
-            self.trace_memo = None;
+            self.trace_memo.clear();
         }
     }
 
@@ -395,7 +410,7 @@ impl OpteronCpu {
         enum Lane<'a> {
             Trace {
                 h: &'a mut MemFrontend,
-                memo: &'a mut Option<TraceMemo>,
+                memo: &'a mut Vec<TraceMemo>,
                 memo_enabled: bool,
             },
             Rows {
@@ -404,11 +419,7 @@ impl OpteronCpu {
             },
         }
         enum LaneOut {
-            Trace {
-                demand: f64,
-                loads: u64,
-                stores: u64,
-            },
+            Trace { demand: f64 },
             Rows(Vec<GatherRow<f64>>),
         }
 
@@ -443,63 +454,38 @@ impl OpteronCpu {
                 memo_enabled,
             } => {
                 let h: &mut MemFrontend = h;
-                let memo: &mut Option<TraceMemo> = memo;
+                let memo: &mut Vec<TraceMemo> = memo;
                 let memo_enabled = *memo_enabled;
                 // Same stream, same entry state: reuse the recorded replay
                 // (see [`TraceMemo`] for why this cannot change any number).
-                if let Some(m) = memo.as_ref() {
-                    if memo_enabled
-                        && m.n == n
+                let recorded = memo.iter().find(|m| {
+                    m.n == n
                         && m.pos_base == pos_r.addr(0)
                         && m.acc_base == acc_r.addr(0)
                         && h.replay_state_eq(&m.entry)
-                    {
-                        h.apply_replay(&m.entry, &m.exit);
-                        return LaneOut::Trace {
-                            demand: m.demand,
-                            loads: m.loads,
-                            stores: m.stores,
-                        };
-                    }
+                });
+                if let Some(m) = recorded {
+                    h.apply_replay(&m.entry, &m.exit);
+                    return LaneOut::Trace { demand: m.demand };
                 }
                 let entry = memo_enabled.then(|| h.clone());
-                // The exact reference stream of the scalar kernel: read
-                // pos[i], read every pos[j] in the inner loop, write acc[i].
-                let mut demand = 0.0f64;
-                let mut loads = 0u64;
-                let mut stores = 0u64;
-                for i in 0..n {
-                    demand += h.access(pos_r.addr(i), AccessKind::Read) as f64;
-                    loads += 1;
-                    for j in 0..n {
-                        if j == i {
-                            continue;
-                        }
-                        // The inner loop's only memory traffic: the j-th
-                        // position.
-                        demand += h.access(pos_r.addr(j), AccessKind::Read) as f64;
-                        loads += 1;
-                    }
-                    demand += h.access(acc_r.addr(i), AccessKind::Write) as f64;
-                    stores += 1;
-                }
+                // Per-access cycle counts are integers summed far below
+                // 2^53, so one conversion equals a per-access f64 sum.
+                let demand = h.replay_eval(n, pos_r, acc_r) as f64;
                 if let Some(entry) = entry {
-                    *memo = Some(TraceMemo {
+                    if memo.len() == TRACE_MEMO_RECORDS {
+                        memo.remove(0);
+                    }
+                    memo.push(TraceMemo {
                         n,
                         pos_base: pos_r.addr(0),
                         acc_base: acc_r.addr(0),
                         entry,
                         exit: h.clone(),
                         demand,
-                        loads,
-                        stores,
                     });
                 }
-                LaneOut::Trace {
-                    demand,
-                    loads,
-                    stores,
-                }
+                LaneOut::Trace { demand }
             }
             Lane::Rows { lo, hi } => LaneOut::Rows(
                 (*lo..*hi)
@@ -521,14 +507,11 @@ impl OpteronCpu {
         let mut row_cursor = 0usize;
         for out in outs {
             match out {
-                LaneOut::Trace {
-                    demand,
-                    loads,
-                    stores,
-                } => {
+                LaneOut::Trace { demand } => {
                     // Per-access cycle counts are integers, so this one f64
                     // add reproduces the per-access accumulation exactly.
                     self.demand_cycles += demand;
+                    let (loads, stores) = eval_stream_traffic(n);
                     self.loads += loads;
                     self.stores += stores;
                 }
@@ -564,6 +547,33 @@ impl OpteronCpu {
         }
         EnergyReport::measure(&sys, pe)
     }
+}
+
+/// Loads and stores in one [`eval_stream`] over `n` atoms: n² reads
+/// (pos[i] plus the n − 1 other positions, per row) and n writes.
+fn eval_stream_traffic(n: usize) -> (u64, u64) {
+    ((n * n) as u64, n as u64)
+}
+
+/// Replay the exact reference stream of the scalar kernel's force
+/// evaluation — read pos[i], read every other pos[j] in the inner loop,
+/// write acc[i] — and return its demand cycles. Its access counts are
+/// [`eval_stream_traffic`].
+fn eval_stream(
+    n: usize,
+    pos_r: &ArrayRegion,
+    acc_r: &ArrayRegion,
+    mut access: impl FnMut(u64, AccessKind) -> u64,
+) -> u64 {
+    let mut demand = 0u64;
+    for i in 0..n {
+        demand += access(pos_r.addr(i), AccessKind::Read);
+        for j in (0..n).filter(|&j| j != i) {
+            demand += access(pos_r.addr(j), AccessKind::Read);
+        }
+        demand += access(acc_r.addr(i), AccessKind::Write);
+    }
+    demand
 }
 
 /// Registered handles for the Opteron's counter set (memsim per-level cache
@@ -885,6 +895,56 @@ mod tests {
         assert_eq!(seg_sys.positions, whole_sys.positions);
         assert_eq!(seg_sys.velocities, whole_sys.velocities);
         assert_eq!(seg_sys.accelerations, whole_sys.accelerations);
+    }
+
+    #[test]
+    fn trace_is_replayed_at_most_twice_per_device() {
+        // Five checkpointed segments on one device: the first replays the
+        // cold and the steady-state entry, every later one reuses them.
+        let cfg = SimConfig::reduced_lj(256);
+        let mut cpu = OpteronCpu::paper_reference();
+        let mut sys: ParticleSystem<f64> = init::initialize(&cfg);
+        let segments: Vec<OpteronRun> = (0..5)
+            .map(|_| run_md_from(&mut cpu, &mut sys, &cfg, 2))
+            .collect();
+        assert_eq!(cpu.trace_memo.len(), 2, "cold + steady-state replay");
+
+        // Each memoized segment reports what a full replay of it reports.
+        let mut base = OpteronCpu::paper_reference();
+        base.set_trace_memo(false);
+        let mut base_sys: ParticleSystem<f64> = init::initialize(&cfg);
+        for seg in &segments {
+            let full = run_md_from(&mut base, &mut base_sys, &cfg, 2);
+            assert_eq!(full.sim_seconds, seg.sim_seconds);
+            assert_eq!(full.memory_cycles, seg.memory_cycles);
+            assert_eq!(full.memory.l1, seg.memory.l1);
+            assert_eq!(full.memory.l2, seg.memory.l2);
+            assert_eq!(full.memory.total_cycles, seg.memory.total_cycles);
+            assert_eq!(full.memory.accesses, seg.memory.accesses);
+            assert_eq!((full.loads, full.stores), (seg.loads, seg.stores));
+        }
+        assert_eq!(base_sys.positions, sys.positions);
+        assert!(base.trace_memo.is_empty(), "memo off records nothing");
+    }
+
+    #[test]
+    fn prefetching_memo_matches_full_replay() {
+        let cfg = SimConfig::reduced_lj(256);
+        let mut memo = OpteronCpu::new(OpteronConfig::with_prefetcher());
+        let mut full = OpteronCpu::new(OpteronConfig::with_prefetcher());
+        full.set_trace_memo(false);
+        for _ in 0..2 {
+            let a = run_md(&mut memo, &cfg, 3);
+            let b = run_md(&mut full, &cfg, 3);
+            assert_eq!(a.sim_seconds, b.sim_seconds);
+            assert_eq!(a.memory.l1, b.memory.l1);
+            assert_eq!(a.memory.l2, b.memory.l2);
+        }
+        assert!(
+            memo.trace_memo.len() <= 2,
+            "{} records",
+            memo.trace_memo.len()
+        );
     }
 
     #[cfg(feature = "fault-inject")]
