@@ -41,6 +41,6 @@ pub use perf::{
 };
 pub use report::{emit_figure, write_csv, Table};
 pub use supervisor::{
-    run_supervised, run_supervised_ledger, run_supervised_strict, RecoveryEvent, RecoveryReport,
-    SegmentCounters, SupervisedRun, SupervisorConfig, SUPERVISOR_TRACK,
+    run_supervised, run_supervised_ledger, RecoveryEvent, RecoveryReport, SegmentCounters,
+    SupervisedRun, SupervisorConfig, SUPERVISOR_TRACK,
 };

@@ -17,7 +17,6 @@
 //! The supervisor drives any [`MdDevice`] — it holds a `&mut dyn MdDevice`
 //! and never knows which architecture is underneath (DESIGN.md §11).
 
-use crate::error::HarnessError;
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{MdDevice, RunOptions};
 use md_core::init;
@@ -29,6 +28,7 @@ use opteron::OpteronCpu;
 use sim_fault::FaultStats;
 use sim_obs::{EventKind, LedgerEvent, RunLedger};
 use sim_perf::PerfMonitor;
+use std::sync::{Mutex, PoisonError};
 
 /// The trace track supervisor events are emitted on.
 pub const SUPERVISOR_TRACK: TraceTrack = TraceTrack(200);
@@ -47,7 +47,9 @@ pub struct SupervisorConfig {
     pub watchdog_s_per_step: f64,
     /// Relative total-energy drift vs the untimed f64 reference that is
     /// tolerated before the whole run is redone on the reference device.
-    /// Loose enough for the f32 devices' genuine precision gap.
+    /// Loose enough for the f32 devices' genuine precision gap. The reference
+    /// is computed once per `(SimConfig, steps)` per process and reused by
+    /// back-to-back runs on the same input; the check itself runs every time.
     pub energy_drift_tol: f64,
 }
 
@@ -456,9 +458,11 @@ pub fn run_supervised_ledger(
     // Safety net: a recovered run whose energies drifted from the untimed
     // f64 reference beyond tolerance is redone on the reference device. By
     // construction (faults never touch data) this should never fire; it
-    // guards the invariant rather than assuming it.
+    // guards the invariant rather than assuming it. The reference is a pure
+    // function of `(sim, steps)`, so it is computed once per input and
+    // remembered (`reference_energies`); the comparison runs on every run.
     if !report.fell_back && steps > 0 {
-        let reference = OpteronCpu::untimed_energies(sim, steps);
+        let reference = reference_energies(sim, steps);
         let drifted = energies.is_none_or(|e| {
             (e.total - reference.total).abs() > cfg.energy_drift_tol * reference.total.abs()
         });
@@ -532,22 +536,26 @@ fn reference_remainder(
     )
 }
 
-/// Convenience: supervised run that must not have fallen back — used where
-/// the experiment's point is the device's own timing.
-pub fn run_supervised_strict(
-    device: &mut dyn MdDevice,
-    sim: &SimConfig,
-    steps: usize,
-    cfg: &SupervisorConfig,
-) -> Result<SupervisedRun, HarnessError> {
-    let run = run_supervised(device, sim, steps, cfg, None);
-    if run.report.fell_back {
-        return Err(HarnessError::InvalidInput(format!(
-            "supervised run degraded to the reference device after {} restores",
-            run.report.restores
-        )));
+/// [`OpteronCpu::untimed_energies`] for `steps` steps of `sim`, remembering
+/// the most recent input. Callers supervise the same `(sim, steps)` several
+/// times in a row (a clean run and then a faulted one, or several devices per
+/// size), and the reference is a deterministic scalar f64 trajectory, so a hit
+/// returns exactly the bits a fresh computation would. The reference stays on
+/// the scalar kernel, independent of the shared evaluator it guards.
+fn reference_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
+    // The slot is only ever replaced whole, so a guard recovered from a
+    // poisoned lock still holds a consistent entry (or none). The lock is
+    // not held while the reference is computed.
+    static LAST: Mutex<Option<(SimConfig, usize, EnergyReport)>> = Mutex::new(None);
+    let last = *LAST.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((s, n, e)) = last {
+        if s == *sim && n == steps {
+            return e;
+        }
     }
-    Ok(run)
+    let e = OpteronCpu::untimed_energies(sim, steps);
+    *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some((*sim, steps, e));
+    e
 }
 
 #[cfg(test)]
@@ -555,6 +563,7 @@ mod tests {
     use super::*;
     use cell_be::{CellMd, CellRunConfig};
     use gpu::GpuMdSimulation;
+    use md_core::scenario::ScenarioSpec;
     use mta::{MtaMd, ThreadingMode};
 
     fn small() -> SimConfig {
@@ -640,16 +649,51 @@ mod tests {
         assert_eq!(run.report.segments[0].start_step, 0);
     }
 
+    fn assert_same_bits(a: EnergyReport, b: EnergyReport) {
+        assert_eq!(a.kinetic.to_bits(), b.kinetic.to_bits());
+        assert_eq!(a.potential.to_bits(), b.potential.to_bits());
+        assert_eq!(a.total.to_bits(), b.total.to_bits());
+    }
+
     #[test]
-    fn strict_mode_rejects_fallback() {
-        let sim = small();
-        let mut dev = OpteronCpu::paper_reference();
-        let cfg = SupervisorConfig {
-            watchdog_s_per_step: 1e-30,
-            ..SupervisorConfig::default()
+    fn reference_memo_hits_exactly_and_misses_on_any_input_change() {
+        let base = SimConfig {
+            seed: 0x5EED_0013,
+            ..small()
         };
-        let err = run_supervised_strict(&mut dev, &sim, 2, &cfg);
-        assert!(err.is_err());
+        // Other tests in this binary share the memo; each assertion below
+        // holds whatever they store in between.
+        let fresh = OpteronCpu::untimed_energies(&base, 3);
+        // Miss, then hit: both carry the bits of a fresh computation.
+        assert_same_bits(reference_energies(&base, 3), fresh);
+        assert_same_bits(reference_energies(&base, 3), fresh);
+        // Each changed input must recompute, not return the stored report.
+        let variants = [
+            (
+                SimConfig {
+                    n_atoms: 256,
+                    ..base
+                },
+                3,
+            ),
+            (SimConfig { seed: 7, ..base }, 3),
+            (SimConfig { dt: 0.004, ..base }, 3),
+            (
+                SimConfig {
+                    scenario: ScenarioSpec::morse_nvt(),
+                    ..base
+                },
+                3,
+            ),
+            (base, 2),
+        ];
+        for (sim, steps) in variants {
+            let want = OpteronCpu::untimed_energies(&sim, steps);
+            assert_ne!(want.total.to_bits(), fresh.total.to_bits());
+            // Store `base` first, so a wrong hit would return `fresh`.
+            reference_energies(&base, 3);
+            assert_same_bits(reference_energies(&sim, steps), want);
+        }
     }
 
     #[test]
