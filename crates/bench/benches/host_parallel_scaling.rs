@@ -1,8 +1,8 @@
 //! Host wall-clock scaling of a *single* device run (DESIGN.md §12).
 //!
-//! Unlike the `fig*` benches this measures real host time, not simulated
-//! seconds: the quantity under test is how fast the host can execute one
-//! Opteron-reference 2048-atom / 10-step run. The baseline is the same run
+//! This measures real host time, not simulated seconds: the quantity under
+//! test is how fast the host can execute one Opteron-reference 2048-atom /
+//! 10-step run. The baseline is the same run
 //! with the force-evaluation replay memo disabled — the full O(N²) cache
 //! replay per evaluation — which is what the host-parallel work optimizes
 //! away. Every configuration returns bitwise-identical simulated results

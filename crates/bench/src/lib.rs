@@ -2,16 +2,18 @@
 //!
 //! Two kinds of benches coexist here:
 //!
-//! - **Host benches** (`kernels`, `ablation_neighbor`): ordinary Criterion
+//! - **Host benches** (`kernels`, `kernel_simd_width`,
+//!   `host_parallel_scaling`, `ablation_neighbor`): ordinary Criterion
 //!   wall-clock measurements of the real `md_core` kernels on the machine
 //!   running the suite.
-//! - **Simulated-device benches** (`fig5_*`, `fig6_*`, `table1_*`, `fig7_*`,
-//!   `fig8_*`, `fig9_*`, `ablation_devices`): the measured quantity is the
-//!   *simulated* runtime the device model produces, injected into Criterion
-//!   through `iter_custom`. Criterion then renders per-figure comparisons in
-//!   the units the paper plots (device seconds), with the usual statistical
-//!   machinery degenerating gracefully because the simulators are exactly
-//!   deterministic.
+//! - **Simulated-device ablations** (`ablation_devices`,
+//!   `ablation_gpu_reduction`): configurations outside the paper's grid,
+//!   measured in *simulated* device seconds injected into Criterion through
+//!   `iter_custom`, with the usual statistical machinery degenerating
+//!   gracefully because the simulators are exactly deterministic.
+//!
+//! The paper's own figures are not benched here: their simulated seconds
+//! come from the sweep specs (`sweep run <spec>`, `bench_seed`).
 
 use criterion::Criterion;
 use std::time::Duration;

@@ -17,7 +17,7 @@
 
 use harness::perf;
 use harness::report::{secs, Table};
-use harness::{experiments, HarnessError};
+use harness::{HarnessError, PAPER_ATOMS, PAPER_STEPS};
 use md_core::params::SimConfig;
 use mta::ThreadingMode;
 use sim_perf::{format_quantity, JsonValue};
@@ -39,8 +39,8 @@ fn run(args: &[String]) -> Result<(), HarnessError> {
         return validate(&args[1..]);
     }
 
-    let mut atoms = experiments::PAPER_ATOMS;
-    let mut steps = experiments::PAPER_STEPS;
+    let mut atoms = PAPER_ATOMS;
+    let mut steps = PAPER_STEPS;
     let mut ledger_path: Option<String> = None;
     let mut only_device: Option<harness::DeviceKind> = None;
     let mut it = args.iter();

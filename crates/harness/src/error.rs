@@ -5,7 +5,6 @@
 //! harness never panics on a failure it can describe.
 
 use std::fmt;
-use std::process::ExitStatus;
 
 /// Any failure of an experiment run.
 #[derive(Debug)]
@@ -23,12 +22,6 @@ pub enum HarnessError {
     MissingRow(&'static str),
     /// Writing a CSV artifact failed.
     Io(std::io::Error),
-    /// A child experiment process could not be spawned or exited nonzero
-    /// (only `all_experiments` runs children).
-    ExperimentFailed {
-        name: &'static str,
-        status: ExitStatus,
-    },
 }
 
 impl fmt::Display for HarnessError {
@@ -41,9 +34,6 @@ impl fmt::Display for HarnessError {
                 write!(f, "experiment produced no row for {what}")
             }
             HarnessError::Io(e) => write!(f, "I/O error: {e}"),
-            HarnessError::ExperimentFailed { name, status } => {
-                write!(f, "experiment {name} failed with {status}")
-            }
         }
     }
 }

@@ -1,19 +1,18 @@
-//! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation section from the simulated devices.
+//! Experiment harness: device construction, supervised and cluster runs,
+//! perf collection and report formatting for the simulated devices.
 //!
-//! Each experiment is a plain function returning a typed result, used by
-//! three consumers: the `sweep` engine and its per-figure binaries
-//! (`crates/sim-sweep`), the workspace integration tests (shape assertions),
-//! and EXPERIMENTS.md.
+//! The paper's evaluation grid itself lives in `crates/sim-sweep`: each
+//! artifact is a sweep spec whose report a pure `sim_sweep::figures::figN`
+//! turns into rows, and `sweep run <spec>` renders it.
 //!
-//! | Paper artifact | Function | Binary (sim-sweep) |
+//! | Paper artifact | Sweep spec and rows | Command |
 //! |---|---|---|
-//! | Figure 5 (SPE SIMD ladder) | [`experiments::fig5`] | `fig5` |
-//! | Figure 6 (SPE launch overhead) | [`experiments::fig6`] | `fig6` |
-//! | Table 1 (Cell vs Opteron) | [`experiments::table1`] | `table1` |
-//! | Figure 7 (GPU vs Opteron sweep) | [`experiments::fig7`] | `fig7` |
-//! | Figure 8 (MTA full vs partial MT) | [`experiments::fig8`] | `fig8` |
-//! | Figure 9 (relative scaling) | [`experiments::fig9`] | `fig9` |
+//! | Figure 5 (SPE SIMD ladder) | `spec::fig5`, `figures::fig5` | `sweep run fig5` |
+//! | Figure 6 (SPE launch overhead) | `spec::fig6`, `figures::fig6` | `sweep run fig6` |
+//! | Table 1 (Cell vs Opteron) | `spec::table1`, `figures::table1` | `sweep run table1` |
+//! | Figure 7 (GPU vs Opteron sweep) | `spec::fig7`, `figures::fig7` | `sweep run fig7` |
+//! | Figure 8 (MTA full vs partial MT) | `spec::fig8`, `figures::fig8` | `sweep run fig8` |
+//! | Figure 9 (relative scaling) | `spec::fig9`, `figures::fig9` | `sweep run fig9` |
 //!
 //! Devices are named by [`device::DeviceKind`] and driven uniformly through
 //! [`md_core::device::MdDevice`]; [`device::DeviceKind::build`] is the single
@@ -22,17 +21,17 @@
 pub mod cluster;
 pub mod device;
 pub mod error;
-pub mod experiments;
 pub mod perf;
 pub mod report;
 pub mod supervisor;
 
+/// The paper's standard workload: 2048 atoms, 10 time steps.
+pub const PAPER_ATOMS: usize = 2048;
+pub const PAPER_STEPS: usize = 10;
+
 pub use cluster::{run_cluster_supervised, ClusterKind, ClusterRecovery};
 pub use device::{DeviceKind, GpuModel};
 pub use error::HarnessError;
-pub use experiments::{
-    fig5, fig6, fig7, fig8, fig9, table1, Fig5Row, Fig6Case, Fig7Row, Fig8Row, Fig9Row, Table1Data,
-};
 pub use perf::{
     cell_metrics, cluster_ledger, cluster_metrics, device_baseline_metrics_host, device_ledger,
     device_metrics, device_metrics_host, device_metrics_par, gpu_metrics, mta_metrics,

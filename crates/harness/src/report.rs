@@ -82,11 +82,11 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// Emit one figure artifact the way every per-figure binary does: title,
+/// Emit one figure artifact the way every figure renderer does: title,
 /// blank line, aligned table, the paper-vs-measured shape-check lines, then
 /// the CSV under `results/` with a trailing "wrote <path>" note. Centralizing
-/// the sequence keeps the binaries byte-compatible with each other (and with
-/// their recorded baselines in EXPERIMENTS.md).
+/// the sequence keeps the renderers byte-compatible with each other (and
+/// with their recorded baselines in EXPERIMENTS.md).
 pub fn emit_figure(
     title: &str,
     table: &Table,

@@ -33,7 +33,6 @@
 //! assert!(((e1 - e0) / e0).abs() < 1e-2, "NVE energy is conserved");
 //! ```
 
-pub mod analysis;
 pub mod bonded;
 pub mod celllist;
 pub mod checkpoint;
@@ -56,7 +55,6 @@ pub mod verlet;
 
 pub mod prelude {
     //! Glob-import surface for the common types.
-    pub use crate::analysis::{BlockAverage, DisplacementTracker, VelocityAutocorrelation};
     pub use crate::bonded::{Angle, Bond, BondedTopology};
     pub use crate::celllist::CellListKernel;
     pub use crate::checkpoint::SystemCheckpoint;

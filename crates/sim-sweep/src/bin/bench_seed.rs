@@ -20,8 +20,7 @@
 //! single snapshot. `obs check` gates regressions against `BENCH_host.json`;
 //! the trajectory is the longitudinal record behind that gate.
 
-use harness::experiments::PAPER_STEPS;
-use harness::DeviceKind;
+use harness::{DeviceKind, PAPER_STEPS};
 use md_core::device::HostParallelism;
 use md_core::params::SimConfig;
 use sim_sweep::figures::{DeviceHostBench, HostBenchRun};

@@ -1,5 +1,9 @@
-//! Renderers: turn a [`SweepReport`]'s metrics records back into the paper
-//! artifacts — aligned table, shape-check lines, CSV under `results/`.
+//! The paper's artifacts from a [`SweepReport`]'s metrics records. Each one
+//! is a pure `figN(&report)` that extracts its typed rows, plus a
+//! `render_figN` that prints the aligned table and shape-check lines and
+//! writes the CSV under `results/`. `sweep run` renders every spec
+//! [`renderer`] names; `tests/paper_shapes.rs` asserts the paper's shapes on
+//! the same rows.
 //!
 //! Byte-compatibility contract: every renderer reproduces the exact stdout
 //! and CSV bytes of the pre-sweep-engine figure binaries (the recorded
@@ -8,49 +12,81 @@
 //! render equals a cold one.
 
 use crate::engine::{PointResult, SweepError, SweepReport};
-use cell_be::SpawnPolicy;
-use harness::experiments::{PAPER_ATOMS, PAPER_STEPS};
+use cell_be::{SpawnPolicy, SpeKernelVariant};
 use harness::report::{emit_figure, secs, Table};
-use harness::{DeviceKind, Fig6Case, HarnessError, Table1Data};
+use harness::{DeviceKind, HarnessError, PAPER_ATOMS, PAPER_STEPS};
 use std::fmt::Write as _;
 
 /// Schema of `BENCH_seed.json` (moved here from the harness with the
 /// `bench_seed` binary).
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
+/// Prints one figure and writes its CSV.
+pub type Render = fn(&SweepReport) -> Result<(), SweepError>;
+
+/// The renderer of a registry spec, or `None` for a spec that is not one of
+/// the paper's artifacts (`bench_seed`, `scenario_matrix`).
+pub fn renderer(spec_name: &str) -> Option<Render> {
+    match spec_name {
+        "fig5" => Some(render_fig5),
+        "fig6" => Some(render_fig6),
+        "table1" => Some(render_table1),
+        "fig7" => Some(render_fig7),
+        "fig8" => Some(render_fig8),
+        "fig9" => Some(render_fig9),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------- Figure 5
+
+/// One bar of Figure 5: an optimization stage and the simulated runtime of
+/// one acceleration-function invocation on one SPE.
+#[derive(Clone, Debug)]
+pub struct Fig5Row {
+    pub variant: SpeKernelVariant,
+    pub seconds: f64,
+}
+
+/// Figure 5: the SIMD optimization ladder, one row per probe point.
+pub fn fig5(report: &SweepReport) -> Result<Vec<Fig5Row>, SweepError> {
+    report
+        .results
+        .iter()
+        .map(|r| match r.point.device {
+            DeviceKind::CellAccel { variant } => Ok(Fig5Row {
+                variant,
+                seconds: r.metrics.sim_seconds,
+            }),
+            _ => Err(HarnessError::MissingRow("a fig5 single-SPE probe point").into()),
+        })
+        .collect()
+}
+
 /// Figure 5: SIMD optimization ladder.
 pub fn render_fig5(report: &SweepReport) -> Result<(), SweepError> {
     let n = PAPER_ATOMS;
     let title =
         format!("Figure 5 — SIMD optimization for the MD kernel ({n} atoms, 1 SPE, 1 force eval)");
-    let rows: Vec<(&'static str, f64)> = report
-        .results
-        .iter()
-        .map(|r| match r.point.device {
-            DeviceKind::CellAccel { variant } => Ok((variant.label(), r.metrics.sim_seconds)),
-            _ => Err(HarnessError::MissingRow("a fig5 single-SPE probe point")),
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut table = Table::new(&["optimization stage", "simulated runtime", "vs original"]);
-    let base = rows
-        .first()
-        .ok_or(HarnessError::MissingRow("the original (scalar) stage"))?
-        .1;
-    let mut csv = Vec::new();
-    for &(label, seconds) in &rows {
-        table.row(&[
-            label.to_string(),
-            secs(seconds),
-            format!("{:.2}x", base / seconds),
-        ]);
-        csv.push(vec![label.to_string(), format!("{seconds:.9}")]);
-    }
-
+    let rows = fig5(report)?;
     if rows.len() < 6 {
         return Err(HarnessError::MissingRow("all six optimization stages").into());
     }
-    let v = |i: usize| rows[i].1;
+
+    let mut table = Table::new(&["optimization stage", "simulated runtime", "vs original"]);
+    let base = rows[0].seconds;
+    let mut csv = Vec::new();
+    for r in &rows {
+        let label = r.variant.label();
+        table.row(&[
+            label.to_string(),
+            secs(r.seconds),
+            format!("{:.2}x", base / r.seconds),
+        ]);
+        csv.push(vec![label.to_string(), format!("{:.9}", r.seconds)]);
+    }
+
+    let v = |i: usize| rows[i].seconds;
     let checks = vec![
         format!(
             "  copysign gives a small speedup:            {:.1}%  (paper: 'small')",
@@ -84,11 +120,28 @@ pub fn render_fig5(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Figure 6: SPE thread-launch overhead.
-pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
-    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
-    let title = format!("Figure 6 — SPE launch overhead on MD ({n} atoms, {steps} time steps)");
-    let cases: Vec<Fig6Case> = report
+// ---------------------------------------------------------------- Figure 6
+
+/// One bar pair of Figure 6: total runtime and the part spent launching SPE
+/// threads.
+#[derive(Clone, Debug)]
+pub struct Fig6Case {
+    pub label: String,
+    pub n_spes: usize,
+    pub policy: SpawnPolicy,
+    pub total_seconds: f64,
+    pub launch_seconds: f64,
+}
+
+impl Fig6Case {
+    pub fn launch_fraction(&self) -> f64 {
+        self.launch_seconds / self.total_seconds
+    }
+}
+
+/// Figure 6: SPE thread-launch overhead, one case per Cell configuration.
+pub fn fig6(report: &SweepReport) -> Result<Vec<Fig6Case>, SweepError> {
+    report
         .results
         .iter()
         .map(|r| match r.point.device {
@@ -108,9 +161,16 @@ pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
                     launch_seconds: r.metrics.attribution_seconds("spe_spawn"),
                 })
             }
-            _ => Err(HarnessError::MissingRow("a fig6 Cell configuration point")),
+            _ => Err(HarnessError::MissingRow("a fig6 Cell configuration point").into()),
         })
-        .collect::<Result<_, _>>()?;
+        .collect()
+}
+
+/// Figure 6: SPE thread-launch overhead.
+pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
+    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
+    let title = format!("Figure 6 — SPE launch overhead on MD ({n} atoms, {steps} time steps)");
+    let cases = fig6(report)?;
 
     let mut table = Table::new(&[
         "configuration",
@@ -173,11 +233,36 @@ pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Table 1: Cell vs Opteron.
-pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
-    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
-    let title =
-        format!("Table 1 — performance comparison of MD calculations ({n} atoms, {steps} steps)");
+// ---------------------------------------------------------------- Table 1
+
+/// Table 1: total runtime of each system on one workload.
+#[derive(Clone, Debug)]
+pub struct Table1Data {
+    pub n_atoms: usize,
+    pub steps: usize,
+    pub opteron_seconds: f64,
+    pub cell_1spe_seconds: f64,
+    pub cell_8spe_seconds: f64,
+    pub cell_ppe_seconds: f64,
+}
+
+impl Table1Data {
+    /// Paper: "better than 5x performance improvement relative to the Opteron".
+    pub fn speedup_8spe_vs_opteron(&self) -> f64 {
+        self.opteron_seconds / self.cell_8spe_seconds
+    }
+    /// Paper: "26x faster than the PPE alone".
+    pub fn speedup_8spe_vs_ppe(&self) -> f64 {
+        self.cell_ppe_seconds / self.cell_8spe_seconds
+    }
+    /// Paper: "even a single SPE just edges out the Opteron".
+    pub fn speedup_1spe_vs_opteron(&self) -> f64 {
+        self.opteron_seconds / self.cell_1spe_seconds
+    }
+}
+
+/// Table 1: Cell vs Opteron, the workload taken from the spec's points.
+pub fn table1(report: &SweepReport) -> Result<Table1Data, SweepError> {
     let seconds_of = |label: &str| {
         report
             .results
@@ -186,14 +271,28 @@ pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
             .map(|r| r.metrics.sim_seconds)
             .ok_or(HarnessError::MissingRow("a table1 system row"))
     };
-    let t = Table1Data {
-        n_atoms: n,
-        steps,
+    let workload = report
+        .results
+        .first()
+        .ok_or(HarnessError::MissingRow("a table1 system row"))?
+        .point;
+    Ok(Table1Data {
+        n_atoms: workload.n_atoms,
+        steps: workload.steps,
         opteron_seconds: seconds_of("opteron")?,
         cell_1spe_seconds: seconds_of("cell-1spe")?,
         cell_8spe_seconds: seconds_of("cell-8spe")?,
         cell_ppe_seconds: seconds_of("cell-ppe")?,
-    };
+    })
+}
+
+/// Table 1: Cell vs Opteron.
+pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
+    let t = table1(report)?;
+    let title = format!(
+        "Table 1 — performance comparison of MD calculations ({} atoms, {} steps)",
+        t.n_atoms, t.steps
+    );
 
     let mut table = Table::new(&["system", "simulated runtime"]);
     table.row(&["Opteron (2.2 GHz)".into(), secs(t.opteron_seconds)]);
@@ -251,36 +350,62 @@ fn paired_series(report: &SweepReport) -> Result<Vec<(usize, f64, f64)>, SweepEr
         .collect())
 }
 
+// ---------------------------------------------------------------- Figure 7
+
+/// One x-position of Figure 7: runtimes at a given atom count.
+#[derive(Clone, Debug)]
+pub struct Fig7Row {
+    pub n_atoms: usize,
+    pub opteron_seconds: f64,
+    pub gpu_seconds: f64,
+}
+
+/// Figure 7: GPU vs Opteron total runtime across atom counts (GPU startup
+/// excluded, per-step transfer costs included — exactly the paper's
+/// accounting).
+pub fn fig7(report: &SweepReport) -> Result<Vec<Fig7Row>, SweepError> {
+    // Spec order per size: Opteron then GPU.
+    Ok(paired_series(report)?
+        .into_iter()
+        .map(|(n_atoms, opteron_seconds, gpu_seconds)| Fig7Row {
+            n_atoms,
+            opteron_seconds,
+            gpu_seconds,
+        })
+        .collect())
+}
+
 /// Figure 7: GPU vs Opteron across atom counts.
 pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     let steps = PAPER_STEPS;
     let title = format!("Figure 7 — performance results on GPU vs Opteron ({steps} time steps)");
-    // Spec order per size: Opteron then GPU.
-    let rows: Vec<(usize, f64, f64)> = paired_series(report)?;
+    let rows = fig7(report)?;
 
     let mut table = Table::new(&["atoms", "Opteron", "NVIDIA GPU", "GPU speedup"]);
     let mut csv = Vec::new();
-    for &(n_atoms, opteron_seconds, gpu_seconds) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            secs(opteron_seconds),
-            secs(gpu_seconds),
-            format!("{:.2}x", opteron_seconds / gpu_seconds),
+            r.n_atoms.to_string(),
+            secs(r.opteron_seconds),
+            secs(r.gpu_seconds),
+            format!("{:.2}x", r.opteron_seconds / r.gpu_seconds),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{opteron_seconds:.9}"),
-            format!("{gpu_seconds:.9}"),
+            r.n_atoms.to_string(),
+            format!("{:.9}", r.opteron_seconds),
+            format!("{:.9}", r.gpu_seconds),
         ]);
     }
 
     let crossover = rows
         .windows(2)
-        .find(|w| w[0].2 >= w[0].1 && w[1].2 < w[1].1)
-        .map(|w| (w[0].0, w[1].0));
-    let &(_, opteron_2048, gpu_2048) = rows
+        .find(|w| {
+            w[0].gpu_seconds >= w[0].opteron_seconds && w[1].gpu_seconds < w[1].opteron_seconds
+        })
+        .map(|w| (w[0].n_atoms, w[1].n_atoms));
+    let at_2048 = rows
         .iter()
-        .find(|r| r.0 == 2048)
+        .find(|r| r.n_atoms == 2048)
         .ok_or(HarnessError::MissingRow("the 2048-atom point"))?;
 
     let mut checks = Vec::new();
@@ -290,7 +415,7 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
         )),
         None => checks.push(format!(
             "  crossover: GPU {} at the smallest size measured",
-            if rows[0].2 > rows[0].1 {
+            if rows[0].gpu_seconds > rows[0].opteron_seconds {
                 "slower"
             } else {
                 "faster"
@@ -299,7 +424,7 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     }
     checks.push(format!(
         "  GPU speedup at 2048 atoms: {:.2}x  (paper: 'almost 6x faster than the CPU')",
-        opteron_2048 / gpu_2048
+        at_2048.opteron_seconds / at_2048.gpu_seconds
     ));
     emit_figure(
         &title,
@@ -312,14 +437,38 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
+// ---------------------------------------------------------------- Figure 8
+
+/// One x-position of Figure 8.
+#[derive(Clone, Debug)]
+pub struct Fig8Row {
+    pub n_atoms: usize,
+    pub fully_mt_seconds: f64,
+    pub partially_mt_seconds: f64,
+}
+
+/// Figure 8: fully vs partially multithreaded MD kernel on the MTA-2.
+pub fn fig8(report: &SweepReport) -> Result<Vec<Fig8Row>, SweepError> {
+    // Spec order per size: fully-MT then partially-MT.
+    Ok(paired_series(report)?
+        .into_iter()
+        .map(
+            |(n_atoms, fully_mt_seconds, partially_mt_seconds)| Fig8Row {
+                n_atoms,
+                fully_mt_seconds,
+                partially_mt_seconds,
+            },
+        )
+        .collect())
+}
+
 /// Figure 8: fully vs partially multithreaded MTA-2 kernel.
 pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
     let steps = PAPER_STEPS;
     let title = format!(
         "Figure 8 — fully vs partially multithreaded MD kernel on the MTA-2 ({steps} steps)"
     );
-    // Spec order per size: fully-MT then partially-MT.
-    let rows: Vec<(usize, f64, f64)> = paired_series(report)?;
+    let rows = fig8(report)?;
 
     let mut table = Table::new(&[
         "atoms",
@@ -328,17 +477,17 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
         "gap",
     ]);
     let mut csv = Vec::new();
-    for &(n_atoms, fully, partially) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            secs(fully),
-            secs(partially),
-            format!("{:.1}x", partially / fully),
+            r.n_atoms.to_string(),
+            secs(r.fully_mt_seconds),
+            secs(r.partially_mt_seconds),
+            format!("{:.1}x", r.partially_mt_seconds / r.fully_mt_seconds),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{fully:.9}"),
-            format!("{partially:.9}"),
+            r.n_atoms.to_string(),
+            format!("{:.9}", r.fully_mt_seconds),
+            format!("{:.9}", r.partially_mt_seconds),
         ]);
     }
 
@@ -346,12 +495,13 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
         (Some(f), Some(l)) => (f, l),
         _ => return Err(HarnessError::MissingRow("any atom-count row").into()),
     };
-    let first_gap = first.2 - first.1;
-    let last_gap = last.2 - last.1;
+    let first_gap = first.partially_mt_seconds - first.fully_mt_seconds;
+    let last_gap = last.partially_mt_seconds - last.fully_mt_seconds;
     let checks = vec![
         format!(
             "  fully MT faster everywhere: {}",
-            rows.iter().all(|&(_, fully, partially)| fully < partially)
+            rows.iter()
+                .all(|r| r.fully_mt_seconds < r.partially_mt_seconds)
         ),
         format!(
             "  performance difference grows with atoms: {first_gap:.3} s -> {last_gap:.3} s (paper: 'increases with the increase in the number of atoms')"
@@ -368,57 +518,81 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Figure 9: runtime growth relative to the 256-atom run. The sweep stores
-/// absolute runtimes (so points are shared with fig7/fig8); normalization
-/// happens here, exactly as the experiment function did it.
-pub fn render_fig9(report: &SweepReport) -> Result<(), SweepError> {
-    let steps = PAPER_STEPS;
-    let title =
-        format!("Figure 9 — increase in runtime with respect to the 256-atom run ({steps} steps)");
+// ---------------------------------------------------------------- Figure 9
+
+/// One x-position of Figure 9: runtime relative to the 256-atom run.
+#[derive(Clone, Debug)]
+pub struct Fig9Row {
+    pub n_atoms: usize,
+    pub mta_relative: f64,
+    pub opteron_relative: f64,
+}
+
+/// Figure 9: increase in runtime with respect to the 256-atom run, MTA vs
+/// Opteron. The sweep stores absolute runtimes (so points are shared with
+/// fig7/fig8); normalization happens here.
+pub fn fig9(report: &SweepReport) -> Result<Vec<Fig9Row>, SweepError> {
     // Spec order per size: MTA fully-MT then Opteron.
-    let runs: Vec<(usize, f64, f64)> = paired_series(report)?;
-    if runs.first().map(|r| r.0) != Some(256) {
+    let runs = paired_series(report)?;
+    let &(n0, mta0, opt0) = runs
+        .first()
+        .ok_or(HarnessError::MissingRow("any atom-count row"))?;
+    if n0 != 256 {
         return Err(HarnessError::InvalidInput(
             "figure 9 normalizes to the 256-atom run; pass counts starting at 256".into(),
         )
         .into());
     }
-    let (_, mta0, opt0) = runs[0];
-    let rows: Vec<(usize, f64, f64)> = runs
-        .iter()
-        .map(|&(n, mta, opt)| (n, mta / mta0, opt / opt0))
-        .collect();
+    Ok(runs
+        .into_iter()
+        .map(|(n_atoms, mta, opt)| Fig9Row {
+            n_atoms,
+            mta_relative: mta / mta0,
+            opteron_relative: opt / opt0,
+        })
+        .collect())
+}
+
+/// Figure 9: runtime growth relative to the 256-atom run. The paper's
+/// point: the MTA's growth tracks the floating-point work; the Opteron's
+/// grows faster once the arrays outgrow its caches.
+pub fn render_fig9(report: &SweepReport) -> Result<(), SweepError> {
+    let steps = PAPER_STEPS;
+    let title =
+        format!("Figure 9 — increase in runtime with respect to the 256-atom run ({steps} steps)");
+    let rows = fig9(report)?;
 
     let mut table = Table::new(&["atoms", "MTA (relative)", "Opteron (relative)"]);
     let mut csv = Vec::new();
-    for &(n_atoms, mta_relative, opteron_relative) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            format!("{mta_relative:.1}"),
-            format!("{opteron_relative:.1}"),
+            r.n_atoms.to_string(),
+            format!("{:.1}", r.mta_relative),
+            format!("{:.1}", r.opteron_relative),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{mta_relative:.4}"),
-            format!("{opteron_relative:.4}"),
+            r.n_atoms.to_string(),
+            format!("{:.4}", r.mta_relative),
+            format!("{:.4}", r.opteron_relative),
         ]);
     }
 
     // The two curves track each other while the Opteron's arrays still fit
     // in cache; the divergence appears "as the array sizes become larger
     // than the cache capacities" (24·N bytes > 64 KB L1 at N ≳ 2700).
-    let &(last_n, last_mta, last_opt) = rows
+    let last = rows
         .last()
         .ok_or(HarnessError::MissingRow("any atom-count row"))?;
     let checks = vec![
         format!(
             "  Opteron grows faster than MTA past cache capacity: {}",
             rows.iter()
-                .filter(|r| r.0 >= 4096)
-                .all(|&(_, mta, opt)| opt > mta)
+                .filter(|r| r.n_atoms >= 4096)
+                .all(|r| r.opteron_relative > r.mta_relative)
         ),
         format!(
-            "  at {last_n} atoms: Opteron x{last_opt:.0} vs MTA x{last_mta:.0} (paper: 'runtime on the Opteron increases at a relatively faster rate ... the effect of cache misses')"
+            "  at {} atoms: Opteron x{:.0} vs MTA x{:.0} (paper: 'runtime on the Opteron increases at a relatively faster rate ... the effect of cache misses')",
+            last.n_atoms, last.opteron_relative, last.mta_relative
         ),
         "  MTA growth tracks flop growth (proportional to N² work), no cache knee".to_string(),
     ];
@@ -578,4 +752,42 @@ pub fn bench_host_json(
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    //! The paper-scale shape assertions on these rows live in
+    //! `tests/paper_shapes.rs`.
+    use super::*;
+    use crate::engine::{run_sweep, EngineConfig};
+    use crate::spec;
+
+    #[test]
+    fn every_paper_artifact_has_a_renderer() {
+        let rendered: Vec<&str> = spec::registry()
+            .iter()
+            .map(|s| s.name)
+            .filter(|name| renderer(name).is_some())
+            .collect();
+        assert_eq!(rendered, ["fig5", "fig6", "table1", "fig7", "fig8", "fig9"]);
+    }
+
+    #[test]
+    fn fig9_requires_256_baseline() {
+        let mut spec = spec::fig9();
+        spec.points.retain_mut(|p| {
+            p.steps = 1;
+            p.n_atoms == 512
+        });
+        let cfg = EngineConfig {
+            use_cache: false,
+            ..EngineConfig::default()
+        };
+        let report = run_sweep(&spec, &cfg).expect("small workloads run");
+        let err = fig9(&report).expect_err("baseline rule must be enforced");
+        assert!(
+            err.to_string().contains("256"),
+            "error should name the required baseline: {err}"
+        );
+    }
 }

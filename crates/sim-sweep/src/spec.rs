@@ -7,8 +7,7 @@
 //! pre-sweep-engine versions.
 
 use cell_be::{SpawnPolicy, SpeKernelVariant};
-use harness::experiments::{PAPER_ATOMS, PAPER_STEPS};
-use harness::{DeviceKind, GpuModel};
+use harness::{DeviceKind, GpuModel, PAPER_ATOMS, PAPER_STEPS};
 use md_core::scenario::ScenarioSpec;
 use mta::ThreadingMode;
 

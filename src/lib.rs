@@ -24,7 +24,7 @@
 //! | [`opteron`] | reference CPU: the kernel replayed through a K8 cache hierarchy |
 //! | [`memsim`] | set-associative LRU cache hierarchy simulator |
 //! | [`vecmath`] | `Real` abstraction, `Vec3`, software 4-lane SIMD, periodic boundaries |
-//! | [`harness`] | per-figure experiment functions and shape checks |
+//! | [`harness`] | device construction, supervised and cluster runs, perf collection, report formatting |
 //!
 //! ## Quick start
 //!
@@ -36,12 +36,12 @@
 //! assert!(report.potential < 0.0); // a cohesive LJ liquid
 //! ```
 //!
-//! Run the paper's experiments with the sweep binaries (results are
-//! memoized under `results/cache/`, so a second run replays instantly):
+//! Regenerate the paper's tables and figures with the sweep CLI (results
+//! are memoized under `results/cache/`, so a second run replays instantly):
 //!
 //! ```text
-//! cargo run --release -p mdea-sim-sweep --bin all_experiments
 //! cargo run --release -p mdea-sim-sweep --bin sweep -- run --all
+//! cargo run --release -p mdea-sim-sweep --bin sweep -- run fig7
 //! ```
 
 pub mod cli;

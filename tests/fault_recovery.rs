@@ -14,7 +14,6 @@
 
 #![cfg(feature = "fault-inject")]
 
-use harness::experiments::faulted::FaultedExperiments;
 use harness::{run_supervised, DeviceKind, GpuModel, SupervisorConfig};
 use md_core::device::{DeviceRun, RunOptions};
 use md_core::params::SimConfig;
@@ -156,28 +155,54 @@ fn supervised_recovery_is_bit_identical_and_strictly_slower() {
     );
 }
 
-/// Every paper experiment completes under nonzero fault rates — retries,
-/// checkpoints, and fallbacks included — with zero panics. Reduced sizes
-/// keep the suite fast; the mechanisms exercised are the same.
+/// Every device the paper's figures run completes under nonzero fault
+/// rates — retries, checkpoints, and fallbacks included — with zero panics.
+/// The kinds are the distinct devices of the six figure specs; a reduced
+/// size keeps the suite fast, the mechanisms exercised are the same.
 #[test]
 fn all_paper_experiments_complete_under_faults() {
-    let faulted = FaultedExperiments::new(99, 0.05);
-    let fig5 = faulted.fig5(512).expect("fig5 completes under faults");
-    assert_eq!(fig5.len(), 6);
-    let fig6 = faulted.fig6(512, 3).expect("fig6 completes under faults");
-    assert_eq!(fig6.len(), 4);
-    let t1 = faulted
-        .table1(512, 4)
-        .expect("table1 completes under faults");
-    assert!(t1.opteron_seconds > 0.0 && t1.cell_8spe_seconds > 0.0);
-    let fig7 = faulted.fig7(&[128, 256], 2);
-    assert!(fig7.iter().all(|r| r.gpu_seconds > 0.0));
-    let fig8 = faulted.fig8(&[256, 512], 2);
-    assert!(fig8.iter().all(|r| r.fully_mt_seconds > 0.0));
-    let fig9 = faulted
-        .fig9(&[256, 512], 2)
-        .expect("fig9 completes under faults");
-    assert_eq!(fig9[0].mta_relative, 1.0);
+    let mut kinds: Vec<DeviceKind> = Vec::new();
+    for spec in sim_sweep::registry() {
+        if sim_sweep::figures::renderer(spec.name).is_none() {
+            continue;
+        }
+        for p in spec.points {
+            if !kinds.contains(&p.device) {
+                kinds.push(p.device);
+            }
+        }
+    }
+    let count = |f: fn(&DeviceKind) -> bool| kinds.iter().filter(|k| f(k)).count();
+    assert_eq!(count(|k| matches!(k, DeviceKind::CellAccel { .. })), 6);
+    assert_eq!(count(|k| matches!(k, DeviceKind::Cell { .. })), 4);
+    assert_eq!(count(|k| matches!(k, DeviceKind::Mta { .. })), 2);
+    assert!(kinds.contains(&DeviceKind::CellPpe));
+    assert!(kinds.contains(&DeviceKind::Opteron));
+    assert!(kinds.contains(&DeviceKind::Gpu {
+        model: GpuModel::GeForce7900Gtx
+    }));
+
+    let sim = SimConfig::reduced_lj(512);
+    let steps = 3;
+    let plan = FaultPlan::new(99, 0.05);
+    for kind in kinds {
+        let sim_seconds = match kind {
+            // The single-SPE acceleration probe times one force evaluation
+            // and the PPE-only path has no fault sites: both run plain.
+            DeviceKind::CellAccel { .. } => clean_run(kind, &sim, 0).sim_seconds,
+            DeviceKind::CellPpe => clean_run(kind, &sim, steps).sim_seconds,
+            _ => {
+                let mut dev = kind.build_faulted(plan);
+                let cfg = SupervisorConfig::default();
+                run_supervised(dev.as_mut(), &sim, steps, &cfg, None).sim_seconds
+            }
+        };
+        assert!(
+            sim_seconds.is_finite() && sim_seconds > 0.0,
+            "{}: {sim_seconds} s under faults",
+            kind.label()
+        );
+    }
 }
 
 /// A hopeless fault rate cannot break completion either: the supervisor

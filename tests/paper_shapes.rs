@@ -1,13 +1,26 @@
 //! Integration tests asserting the paper's headline results — the shapes of
 //! every table and figure — hold in the reproduction. This is the executable
-//! form of EXPERIMENTS.md.
+//! form of EXPERIMENTS.md: each test runs a figure's sweep spec (uncached)
+//! and asserts on the same rows `sweep run` renders.
 
-use harness::experiments;
+use sim_sweep::{figures, run_sweep, spec, EngineConfig, SweepReport, SweepSpec};
+
+/// Run `spec` without the result cache, keeping only the points of at most
+/// `max_atoms` atoms.
+fn sweep(mut spec: SweepSpec, max_atoms: usize) -> SweepReport {
+    spec.points.retain(|p| p.n_atoms <= max_atoms);
+    let cfg = EngineConfig {
+        use_cache: false,
+        ..EngineConfig::default()
+    };
+    run_sweep(&spec, &cfg).expect("paper workloads run on every device")
+}
 
 /// Table 1: Opteron vs Cell (2048 atoms, 10 steps).
 #[test]
 fn table1_cell_vs_opteron_ratios() {
-    let t = experiments::table1(2048, 10).expect("paper workload fits the local store");
+    let t = figures::table1(&sweep(spec::table1(), 2048)).expect("all four systems ran");
+    assert_eq!((t.n_atoms, t.steps), (2048, 10));
 
     // "Thanks to its effective use of SIMD intrinsics on the SPE, even a
     // single SPE just edges out the Opteron in total performance."
@@ -36,7 +49,8 @@ fn table1_cell_vs_opteron_ratios() {
 /// Figure 5: the SPE SIMD optimization ladder (2048 atoms, 1 SPE).
 #[test]
 fn fig5_simd_ladder_ratios() {
-    let rows = experiments::fig5(2048).expect("paper workload fits the local store");
+    let rows = figures::fig5(&sweep(spec::fig5(), 2048)).expect("six probe points");
+    assert_eq!(rows.len(), 6);
     let v = |i: usize| rows[i].seconds;
 
     // Strictly decreasing runtimes along the ladder.
@@ -73,7 +87,11 @@ fn fig5_simd_ladder_ratios() {
 /// Figure 6: SPE thread-launch overhead (2048 atoms, 10 steps).
 #[test]
 fn fig6_launch_overhead_shapes() {
-    let cases = experiments::fig6(2048, 10).expect("paper workload fits the local store");
+    let cases = figures::fig6(&sweep(spec::fig6(), 2048)).expect("four Cell configurations");
+    assert_eq!(cases.len(), 4);
+    for c in &cases {
+        assert!(c.launch_seconds < c.total_seconds, "{}", c.label);
+    }
     let find = |spes: usize, once: bool| {
         cases
             .iter()
@@ -113,7 +131,8 @@ fn fig6_launch_overhead_shapes() {
 /// Figure 7: GPU vs Opteron across atom counts.
 #[test]
 fn fig7_gpu_crossover_and_speedup() {
-    let rows = experiments::fig7(&[128, 256, 512, 1024, 2048], 10);
+    let rows = figures::fig7(&sweep(spec::fig7(), 2048)).expect("paired series");
+    assert_eq!(rows.len(), 5, "128..=2048 atoms");
 
     // "It is these costs which make the GPU implementation take longer to run
     // than the CPU version at very small numbers of atoms."
@@ -141,7 +160,8 @@ fn fig7_gpu_crossover_and_speedup() {
 /// Figure 8: fully vs partially multithreaded MTA-2 runs.
 #[test]
 fn fig8_mta_threading_gap_grows() {
-    let rows = experiments::fig8(&[256, 512, 1024, 2048], 10);
+    let rows = figures::fig8(&sweep(spec::fig8(), 2048)).expect("paired series");
+    assert_eq!(rows.len(), 4, "256..=2048 atoms");
     for r in &rows {
         assert!(
             r.fully_mt_seconds < r.partially_mt_seconds,
@@ -163,8 +183,7 @@ fn fig8_mta_threading_gap_grows() {
 /// Figure 9: relative runtime growth, MTA vs Opteron.
 #[test]
 fn fig9_opteron_grows_faster_past_cache() {
-    let rows =
-        experiments::fig9(&[256, 512, 1024, 2048, 4096], 10).expect("256-atom baseline present");
+    let rows = figures::fig9(&sweep(spec::fig9(), 4096)).expect("256-atom baseline present");
     // Both normalized to 1 at 256.
     assert_eq!(rows[0].mta_relative, 1.0);
     assert_eq!(rows[0].opteron_relative, 1.0);
