@@ -9,9 +9,6 @@ use std::fmt;
 /// Any failure of an experiment run.
 #[derive(Debug)]
 pub enum HarnessError {
-    /// The Cell device model rejected the run (sizing, DMA protocol, or an
-    /// injected fault that exhausted its retry budget).
-    Cell(cell_be::CellError),
     /// A device driven through the unified [`md_core::device::MdDevice`] run
     /// API failed or rejected its options.
     Device(md_core::device::DeviceError),
@@ -27,7 +24,6 @@ pub enum HarnessError {
 impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HarnessError::Cell(e) => write!(f, "Cell device error: {e}"),
             HarnessError::Device(e) => write!(f, "device error: {e}"),
             HarnessError::InvalidInput(msg) => write!(f, "invalid experiment input: {msg}"),
             HarnessError::MissingRow(what) => {
@@ -41,17 +37,10 @@ impl fmt::Display for HarnessError {
 impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            HarnessError::Cell(e) => Some(e),
             HarnessError::Device(e) => Some(e),
             HarnessError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<cell_be::CellError> for HarnessError {
-    fn from(e: cell_be::CellError) -> Self {
-        HarnessError::Cell(e)
     }
 }
 
@@ -80,13 +69,5 @@ mod tests {
             .contains("2048"));
         let io = HarnessError::from(std::io::Error::other("disk on fire"));
         assert!(io.to_string().contains("disk on fire"));
-    }
-
-    #[test]
-    fn wraps_cell_errors() {
-        let cell = cell_be::CellError::Dma(cell_be::DmaError::UnalignedLength { len: 20 });
-        let e = HarnessError::from(cell);
-        assert!(e.to_string().contains("multiple of 16"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -21,6 +21,7 @@
 //! neighbor structures (those live in [`crate::neighbor`]/[`crate::celllist`]
 //! as the extensions the paper names but does not use).
 
+use crate::cull::BlockCull;
 use crate::scenario::Substrate;
 use crate::system::ParticleSystem;
 use vecmath::{pbc, Real, Vec3};
@@ -70,11 +71,16 @@ pub fn interacting_pair_count<T: Real>(sys: &ParticleSystem<T>, cutoff: T) -> us
 /// independently, which is the layout every device port models (SPE quadword
 /// lanes, GPU texture channels, MTA stream vectors) and the one the host
 /// vectorizes well.
+///
+/// The coordinates are read-only after construction, so the shared
+/// evaluator's lazily built j-block index (`md_core::cull`) can never go
+/// stale.
 #[derive(Clone, Debug)]
 pub struct SoaPositions<T> {
-    pub x: Vec<T>,
-    pub y: Vec<T>,
-    pub z: Vec<T>,
+    pub(crate) x: Vec<T>,
+    pub(crate) y: Vec<T>,
+    pub(crate) z: Vec<T>,
+    pub(crate) cull: BlockCull,
 }
 
 impl<T: Real> SoaPositions<T> {
@@ -84,7 +90,20 @@ impl<T: Real> SoaPositions<T> {
             x: positions.iter().map(|p| p.x).collect(),
             y: positions.iter().map(|p| p.y).collect(),
             z: positions.iter().map(|p| p.z).collect(),
+            cull: BlockCull::default(),
         }
+    }
+
+    pub fn x(&self) -> &[T] {
+        &self.x
+    }
+
+    pub fn y(&self) -> &[T] {
+        &self.y
+    }
+
+    pub fn z(&self) -> &[T] {
+        &self.z
     }
 
     pub fn len(&self) -> usize {

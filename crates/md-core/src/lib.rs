@@ -36,6 +36,7 @@
 pub mod bonded;
 pub mod celllist;
 pub mod checkpoint;
+mod cull;
 pub mod device;
 pub mod forces;
 pub mod init;

@@ -37,15 +37,74 @@
 //! paths are bitwise-equal to the scalar interpretive loops (pinned by unit
 //! tests here and by `tests/shared_eval.rs` per device).
 //!
+//! Each row walks j in aligned blocks of 8 atoms. When the box spans at least
+//! four cutoffs and every coordinate lies in `[0, L]`, the row visits only
+//! the blocks the SoA's lazily built j-block index lists (`crate::cull`):
+//! those whose minimum-image gap to the row's own block can reach the
+//! cutoff, with a rounding margin so that no skipped block holds a pair whose
+//! computed `r2` passes the cutoff test. The surviving pairs, their
+//! arithmetic and their ascending-j order are those of the full scan, so a
+//! culled row is bitwise the all-pairs row. This saves host time only: the
+//! device cost replays still charge all N² pair tests. The unit tests below
+//! compare every flavor with its scalar tail run from `j = 0`.
+//!
 //! This module evaluates physics only. It never charges simulated time or
 //! cycles — sim-vet's eval-purity rule denies cost-charging calls here, so
 //! the eval/cost split stays machine-enforced.
 
+use crate::cull::{BlockCull, BLOCK};
 use crate::forces::{GatherRow, SoaPositions};
 use crate::scenario::Substrate;
 use std::ops::{Add, Mul, Sub};
 use vecmath::{pbc, Real, Vec3};
 use vecmath::{F32x8, F64x4};
+
+/// One row's wide distance pass: runs `$body` once per group of `$w` j-atoms
+/// starting at `$k`. When the row's j-block list engages (`crate::cull`),
+/// only the listed 8-atom blocks run, in ascending order; otherwise every
+/// full group does. The groups of a trailing partial block run either way.
+/// Evaluates to the first j of the scalar tail.
+///
+/// One `$body` serves both iterations, so a culled row and a full-scan row
+/// share every pair's arithmetic and differ only in the blocks they skip —
+/// blocks that hold no pair passing the cutoff test. A macro rather than a
+/// closure: the body must inline into the AVX2 functions' target features.
+/// The full scan keeps its own plain loop: at small N the per-block
+/// bookkeeping of the culled loop costs more than the row's pair tests.
+macro_rules! for_each_group {
+    ($blocks:expr, $n:expr, $w:expr, |$k:ident| $body:block) => {{
+        let n: usize = $n;
+        let mut $k = 0usize;
+        if let Some(blocks) = $blocks {
+            // The AVX2 bodies load `$w` lanes at `$k` unchecked: every listed
+            // block must lie inside `0..n`. Lists ascend, so the last bounds
+            // them all.
+            assert!(blocks.last().is_none_or(|&b| (b as usize + 1) * BLOCK <= n));
+            for &b in blocks {
+                $k = b as usize * BLOCK;
+                for _ in 0..BLOCK / $w {
+                    $body
+                    $k += $w;
+                }
+            }
+            $k = n / BLOCK * BLOCK;
+        }
+        while $k + $w <= n {
+            $body
+            $k += $w;
+        }
+        $k
+    }};
+}
+
+impl SoaPositions<f64> {
+    /// Atom `i`'s j-block list, or `None` for a full scan.
+    #[inline(always)]
+    fn blocks(&self, i: usize, box_len: f64, cutoff2: f64) -> Option<&[u32]> {
+        self.cull
+            .blocks([&self.x, &self.y, &self.z], i, box_len, cutoff2)
+    }
+}
 
 /// Do the fused AVX2 kernels run on this host? (Cached feature probe;
 /// portable wide lanes are used when false. Both paths are bitwise-equal, so
@@ -112,8 +171,7 @@ fn host_row_batched(
     let pyi = F64x4::splat(yi);
     let pzi = F64x4::splat(zi);
 
-    let mut k = 0;
-    while k + 4 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 4, |k| {
         // Select-form minimum image, per lane exactly
         // `pbc::min_image_coord_select`.
         let fold = |pi: F64x4, src: &[f64]| -> F64x4 {
@@ -144,8 +202,7 @@ fn host_row_batched(
                 }
             }
         }
-        k += 4;
-    }
+    });
     host_row_tail(
         soa,
         k,
@@ -235,8 +292,7 @@ unsafe fn host_row_avx2(
     let mut dzs = [0.0f64; 4];
     let mut r2s = [0.0f64; 4];
 
-    let mut k = 0;
-    while k + 4 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 4, |k| {
         macro_rules! axis {
             ($pi:expr, $src:expr) => {{
                 let pj = _mm256_loadu_pd($src.as_ptr().add(k));
@@ -277,8 +333,7 @@ unsafe fn host_row_avx2(
                 }
             }
         }
-        k += 4;
-    }
+    });
     host_row_tail(
         soa,
         k,
@@ -304,11 +359,15 @@ unsafe fn host_row_avx2(
 /// Positions in f32 structure-of-arrays layout, as the single-precision
 /// device flavors consume them (built from local-store quads or position
 /// texels; the fourth quad lane is padding on both devices).
+///
+/// Like [`SoaPositions`], the coordinates are read-only after construction
+/// so the lazily built j-block index can never go stale.
 #[derive(Clone, Debug, Default)]
 pub struct SoaPositionsF32 {
-    pub x: Vec<f32>,
-    pub y: Vec<f32>,
-    pub z: Vec<f32>,
+    x: Vec<f32>,
+    y: Vec<f32>,
+    z: Vec<f32>,
+    cull: BlockCull,
 }
 
 impl SoaPositionsF32 {
@@ -329,6 +388,25 @@ impl SoaPositionsF32 {
 
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
+    }
+
+    pub fn x(&self) -> &[f32] {
+        &self.x
+    }
+
+    pub fn y(&self) -> &[f32] {
+        &self.y
+    }
+
+    pub fn z(&self) -> &[f32] {
+        &self.z
+    }
+
+    /// Atom `i`'s j-block list, or `None` for a full scan.
+    #[inline(always)]
+    fn blocks(&self, i: usize, box_len: f32, cutoff2: f32) -> Option<&[u32]> {
+        self.cull
+            .blocks([&self.x, &self.y, &self.z], i, box_len, cutoff2)
     }
 }
 
@@ -493,8 +571,7 @@ fn cell_row_batched(
         F32x8::splat(pi[2]),
     ];
 
-    let mut k = 0;
-    while k + 8 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         let axis = |pa: F32x8, src: &[f32]| -> F32x8 {
             let pj = F32x8::from_slice(&src[k..]);
             let d = pa.sub(pj);
@@ -520,8 +597,7 @@ fn cell_row_batched(
                 }
             }
         }
-        k += 8;
-    }
+    });
     cell_row_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
     st.finish()
 }
@@ -562,8 +638,7 @@ unsafe fn cell_row_avx2(
     let mut dzs = [0.0f32; 8];
     let mut r2s = [0.0f32; 8];
 
-    let mut k = 0;
-    while k + 8 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         macro_rules! axis {
             ($pa:expr, $src:expr) => {{
                 let pj = _mm256_loadu_ps($src.as_ptr().add(k));
@@ -599,8 +674,7 @@ unsafe fn cell_row_avx2(
                 }
             }
         }
-        k += 8;
-    }
+    });
     cell_row_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
     st.finish()
 }
@@ -735,8 +809,7 @@ fn gpu_texel_batched(
         F32x8::splat(pi[2]),
     ];
 
-    let mut k = 0;
-    while k + 8 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         let axis = |pa: F32x8, src: &[f32]| -> F32x8 {
             let pj = F32x8::from_slice(&src[k..]);
             let c = pa.sub(pj);
@@ -760,8 +833,7 @@ fn gpu_texel_batched(
                 }
             }
         }
-        k += 8;
-    }
+    });
     gpu_texel_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
     st.finish()
 }
@@ -803,8 +875,7 @@ unsafe fn gpu_texel_avx2(
     let mut dzs = [0.0f32; 8];
     let mut r2s = [0.0f32; 8];
 
-    let mut k = 0;
-    while k + 8 <= n {
+    let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         macro_rules! axis {
             ($pa:expr, $src:expr) => {{
                 let pj = _mm256_loadu_ps($src.as_ptr().add(k));
@@ -838,8 +909,7 @@ unsafe fn gpu_texel_avx2(
                 }
             }
         }
-        k += 8;
-    }
+    });
     gpu_texel_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
     st.finish()
 }
@@ -962,6 +1032,400 @@ mod tests {
                 );
             }
             assert!((c.pe - g[3]).abs() <= 1e-3 * c.pe.abs().max(1.0));
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // j-block culling is exact: every culled row equals the all-pairs row,
+    // taken from the scalar tails run from j = 0 (the per-lane arithmetic
+    // of each flavor with nothing skipped).
+
+    /// Bit patterns of a row, so NaN and signed zeros compare exactly.
+    fn host_bits(r: GatherRow<f64>) -> [u64; 5] {
+        [
+            r.acc.x.to_bits(),
+            r.acc.y.to_bits(),
+            r.acc.z.to_bits(),
+            r.pe.to_bits(),
+            r.interactions,
+        ]
+    }
+
+    fn cell_bits(r: CellRow) -> [u64; 5] {
+        let [x, y, z] = r.acc.map(|v| u64::from(v.to_bits()));
+        [x, y, z, u64::from(r.pe.to_bits()), r.interactions]
+    }
+
+    fn gpu_bits(t: [f32; 4]) -> [u32; 4] {
+        t.map(f32::to_bits)
+    }
+
+    fn host_all_pairs(
+        soa: &SoaPositions<f64>,
+        i: usize,
+        l: f64,
+        sub: &Substrate<f64>,
+    ) -> GatherRow<f64> {
+        let mut row = GatherRow::default();
+        let pi = (soa.x()[i], soa.y()[i], soa.z()[i]);
+        let c2 = sub.cutoff2();
+        host_row_tail(
+            soa,
+            0,
+            pi,
+            l,
+            c2,
+            sub,
+            1.0,
+            &mut row.acc,
+            &mut row.pe,
+            &mut row.interactions,
+        );
+        row
+    }
+
+    fn cell_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> CellRow {
+        let mut st = CellAccum::new(sub.accumulate_f64);
+        let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
+        cell_row_tail(soa, 0, pi, l, sub.cutoff2(), sub, 1.0, &mut st);
+        st.finish()
+    }
+
+    fn gpu_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> [f32; 4] {
+        let mut st = GpuAccum::new(sub.accumulate_f64);
+        let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
+        gpu_texel_tail(soa, 0, pi, l, sub.cutoff2(), sub, 1.0, &mut st);
+        st.finish()
+    }
+
+    /// Which SoAs the cull index engaged on, for tests that pin it.
+    #[derive(Debug, PartialEq)]
+    struct Engaged {
+        f64: bool,
+        f32: bool,
+    }
+
+    /// Every row of every flavor, native and portable, against the
+    /// all-pairs reference, bit for bit. Returns whether culling engaged
+    /// and whether it skipped at least one block.
+    fn assert_rows_exact(
+        pos: &[[f64; 3]],
+        l: f64,
+        spec: ScenarioSpec,
+        cutoff: f64,
+    ) -> (Engaged, bool) {
+        let soa = SoaPositions::from_positions(
+            &pos.iter()
+                .map(|p| Vec3::new(p[0], p[1], p[2]))
+                .collect::<Vec<_>>(),
+        );
+        let soa32 = SoaPositionsF32::from_quads(
+            pos.iter()
+                .map(|p| [p[0] as f32, p[1] as f32, p[2] as f32, 0.0]),
+        );
+        let l32 = l as f32;
+        let sub: Substrate<f64> = spec.substrate(cutoff);
+        let sub32: Substrate<f32> = spec.substrate(cutoff);
+        let full = pos.len() / BLOCK;
+        let mut skipped = false;
+        for i in 0..pos.len() {
+            let want = host_bits(host_all_pairs(&soa, i, l, &sub));
+            assert_eq!(
+                want,
+                host_bits(host_row(&soa, i, l, &sub, 1.0)),
+                "host row {i}"
+            );
+            assert_eq!(
+                want,
+                host_bits(host_row_batched(&soa, i, l, &sub, 1.0)),
+                "host row {i} portable"
+            );
+            let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
+            assert_eq!(
+                want,
+                cell_bits(cell_row(&soa32, i, l32, &sub32, 1.0)),
+                "cell row {i}"
+            );
+            assert_eq!(
+                want,
+                cell_bits(cell_row_batched(&soa32, i, l32, &sub32, 1.0)),
+                "cell row {i} portable"
+            );
+            let want = gpu_bits(gpu_all_pairs(&soa32, i, l32, &sub32));
+            assert_eq!(
+                want,
+                gpu_bits(gpu_texel(&soa32, i, l32, &sub32, 1.0)),
+                "gpu texel {i}"
+            );
+            assert_eq!(
+                want,
+                gpu_bits(gpu_texel_batched(&soa32, i, l32, &sub32, 1.0)),
+                "gpu texel {i} portable"
+            );
+            for list in [
+                soa.blocks(i, l, sub.cutoff2()),
+                soa32.blocks(i, l32, sub32.cutoff2()),
+            ]
+            .into_iter()
+            .flatten()
+            {
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "row {i}: list ascends"
+                );
+                skipped |= list.len() < full;
+            }
+        }
+        let engaged = Engaged {
+            f64: soa.blocks(0, l, sub.cutoff2()).is_some(),
+            f32: soa32.blocks(0, l32, sub32.cutoff2()).is_some(),
+        };
+        (engaged, skipped)
+    }
+
+    const ON: Engaged = Engaged {
+        f64: true,
+        f32: true,
+    };
+    const OFF: Engaged = Engaged {
+        f64: false,
+        f32: false,
+    };
+
+    #[test]
+    fn culled_rows_are_all_pairs_rows_after_verlet_steps() {
+        use crate::sim::Simulation;
+        for n in [864, 2048] {
+            for spec in [
+                ScenarioSpec::default(),
+                ScenarioSpec::morse_nvt(),
+                ScenarioSpec::coulomb_cutoff(),
+            ] {
+                for precision in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
+                    let cfg =
+                        SimConfig::reduced_lj(n).with_scenario(spec.with_precision(precision));
+                    let mut sim = Simulation::<f64>::prepare(cfg);
+                    sim.run(10);
+                    let sys = &sim.system;
+                    let pos: Vec<[f64; 3]> =
+                        sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
+                    let ctx = format!("{n} atoms, {}", cfg.scenario_token());
+                    let (engaged, skipped) =
+                        assert_rows_exact(&pos, sys.box_len, cfg.scenario, cfg.cutoff);
+                    assert_eq!(engaged, ON, "{ctx}");
+                    assert!(skipped, "{ctx}: culling skipped nothing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn culled_rows_are_exact_on_uniform_random_positions() {
+        let mut rng = crate::rng::SplitMix64::new(15);
+        let l = 12.0;
+        let pos: Vec<[f64; 3]> = (0..1003)
+            .map(|_| {
+                [
+                    rng.uniform(0.0, l),
+                    rng.uniform(0.0, l),
+                    rng.uniform(0.0, l),
+                ]
+            })
+            .collect();
+        let (engaged, _) = assert_rows_exact(&pos, l, ScenarioSpec::default(), 2.5);
+        assert_eq!(engaged, ON);
+    }
+
+    /// Compact 8-atom clusters far apart, so culling skips most blocks,
+    /// around pairs within `cutoff·(1 ∓ 2⁻²⁰)` of each other across the
+    /// periodic x face, each pair split over a block boundary, plus
+    /// coordinates exactly at 0 and at L.
+    fn edge_case_positions(n: usize, l: f64, cutoff: f64) -> Vec<[f64; 3]> {
+        let mut rng = crate::rng::SplitMix64::new(n as u64);
+        let mut pos: Vec<[f64; 3]> = (0..n)
+            .map(|j| {
+                let c = (j / BLOCK) as f64 * 1.618;
+                [c, c * 1.3, c * 1.7].map(|v| v % (l - 0.3) + rng.uniform(0.0, 0.3))
+            })
+            .collect();
+        let inside = cutoff * (1.0 - 2f64.powi(-20));
+        let outside = cutoff * (1.0 + 2f64.powi(-20));
+        for (j, reach) in [(7, inside), (15, outside), (23, inside)] {
+            pos[j] = [l - 0.5 * reach, 3.0, 3.0];
+            pos[j + 1] = [0.5 * reach, 3.0, 3.0];
+        }
+        pos[2] = [0.0, 0.0, l];
+        pos[3] = [l, l, 0.0];
+        pos
+    }
+
+    #[test]
+    fn cutoff_edge_pairs_across_a_face_and_a_block_boundary_are_exact() {
+        let (l, cutoff) = (14.0, 2.5);
+        for n in [40, 43, 45] {
+            let pos = edge_case_positions(n, l, cutoff);
+            let (engaged, skipped) = assert_rows_exact(&pos, l, ScenarioSpec::default(), cutoff);
+            assert_eq!(engaged, ON, "{n} atoms");
+            assert!(skipped, "{n} atoms: culling skipped nothing");
+            // The f64 pair at cutoff·(1 − 2⁻²⁰) interacts, the one at
+            // cutoff·(1 + 2⁻²⁰) does not.
+            let sub: Substrate<f64> = ScenarioSpec::default().substrate(cutoff);
+            let soa = SoaPositions::from_positions(
+                &pos.iter()
+                    .map(|p| Vec3::new(p[0], p[1], p[2]))
+                    .collect::<Vec<_>>(),
+            );
+            let near = |i: usize, j: usize| {
+                let one = SoaPositions::from_positions(&[
+                    Vec3::new(pos[i][0], pos[i][1], pos[i][2]),
+                    Vec3::new(pos[j][0], pos[j][1], pos[j][2]),
+                ]);
+                host_all_pairs(&one, 0, l, &sub).interactions == 1
+            };
+            assert!(near(7, 8) && near(23, 24) && !near(15, 16), "{n} atoms");
+            assert!(host_row(&soa, 7, l, &sub, 1.0).interactions >= 1);
+        }
+    }
+
+    /// Two blocks of 8 coincident atoms: `A` at `x = xa`, just inside the
+    /// `x = L` face, and `B` at `x = xb`, just past `x = 0`. The block gap is
+    /// then the pair distance itself, so only the block test's rounding
+    /// allowances decide whether `B`'s block is visited.
+    fn point_blocks(xa: f64, xb: f64) -> Vec<[f64; 3]> {
+        let mut pos = vec![[xa, 1.0, 1.0]; BLOCK];
+        pos.extend([[xb, 1.0, 1.0]; BLOCK]);
+        pos
+    }
+
+    #[test]
+    fn tight_block_gaps_keep_every_pair_that_passes() {
+        let lj = ScenarioSpec::default();
+        // f64: a pair 2⁻⁴⁰ inside the cutoff interacts.
+        let (l, cutoff) = (14.0, 2.5);
+        let half = 0.5 * cutoff * (1.0 - 2f64.powi(-40));
+        let pos = point_blocks(l - half, half);
+        assert_eq!(assert_rows_exact(&pos, l, lj, cutoff).0, ON);
+        let sub: Substrate<f64> = lj.substrate(cutoff);
+        let soa = SoaPositions::from_positions(
+            &pos.iter()
+                .map(|p| Vec3::new(p[0], p[1], p[2]))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(host_row(&soa, 0, l, &sub, 1.0).interactions, 8);
+
+        // f32 at L = 10⁵σ: one ulp of L is 2⁻⁷σ, so rounding the fold can pull
+        // a pair from beyond cutoff·(1 + 10⁻³) to inside the cutoff. The
+        // per-axis slack must keep its block. The cutoff sits 7·10⁻⁴σ above
+        // a grid point of the fold, which is where such pairs land.
+        let (l, cutoff) = (1e5, 2.5007);
+        let xa = f64::from((l - 1.25) as f32);
+        let mut witnessed = false;
+        for k in 0..200 {
+            let xb = f64::from((1.2530 + 1e-5 * f64::from(k)) as f32);
+            let pos = point_blocks(xa, xb);
+            assert_eq!(assert_rows_exact(&pos, l, lj, cutoff).0, ON, "xb = {xb}");
+            let soa32 = SoaPositionsF32::from_quads(
+                pos.iter()
+                    .map(|p| [p[0] as f32, p[1] as f32, p[2] as f32, 0.0]),
+            );
+            let sub32: Substrate<f32> = lj.substrate(cutoff);
+            let exact = l - xa + xb;
+            witnessed |= exact > cutoff * (1.0 + 1e-3)
+                && gpu_all_pairs(&soa32, 0, l as f32, &sub32)[3] != 0.0;
+        }
+        assert!(
+            witnessed,
+            "no f32 pair beyond the margin rounded inside the cutoff"
+        );
+    }
+
+    #[test]
+    fn nan_or_out_of_box_coordinates_force_the_full_scan() {
+        let (l, cutoff) = (14.0, 2.5);
+        for bad in [f64::NAN, -1e-3, l + 1e-3, f64::INFINITY] {
+            let mut pos = edge_case_positions(45, l, cutoff);
+            pos[30][1] = bad;
+            let (engaged, _) = assert_rows_exact(&pos, l, ScenarioSpec::default(), cutoff);
+            assert_eq!(engaged, OFF, "coordinate {bad}");
+        }
+    }
+
+    #[test]
+    fn a_second_box_or_cutoff_on_the_same_soa_runs_the_full_scan() {
+        let (l, cutoff) = (14.0, 2.5);
+        let pos = edge_case_positions(43, l, cutoff);
+        let soa = SoaPositions::from_positions(
+            &pos.iter()
+                .map(|p| Vec3::new(p[0], p[1], p[2]))
+                .collect::<Vec<_>>(),
+        );
+        let soa32 = SoaPositionsF32::from_quads(
+            pos.iter()
+                .map(|p| [p[0] as f32, p[1] as f32, p[2] as f32, 0.0]),
+        );
+        let lj = ScenarioSpec::default();
+        let (sub, sub32): (Substrate<f64>, Substrate<f32>) =
+            (lj.substrate(cutoff), lj.substrate(cutoff));
+        // The first call builds the index for (14, 2.5).
+        assert!(soa.blocks(0, l, sub.cutoff2()).is_some());
+        assert!(soa32.blocks(0, l as f32, sub32.cutoff2()).is_some());
+        for (l2, cut2) in [(15.0, cutoff), (l, 3.0)] {
+            let (sub, sub32): (Substrate<f64>, Substrate<f32>) =
+                (lj.substrate(cut2), lj.substrate(cut2));
+            let l32 = l2 as f32;
+            assert!(soa.blocks(0, l2, sub.cutoff2()).is_none());
+            assert!(soa32.blocks(0, l32, sub32.cutoff2()).is_none());
+            for i in 0..pos.len() {
+                let want = host_bits(host_all_pairs(&soa, i, l2, &sub));
+                assert_eq!(
+                    want,
+                    host_bits(host_row(&soa, i, l2, &sub, 1.0)),
+                    "host {i}"
+                );
+                let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
+                assert_eq!(
+                    want,
+                    cell_bits(cell_row(&soa32, i, l32, &sub32, 1.0)),
+                    "cell {i}"
+                );
+                let want = gpu_bits(gpu_all_pairs(&soa32, i, l32, &sub32));
+                assert_eq!(
+                    want,
+                    gpu_bits(gpu_texel(&soa32, i, l32, &sub32, 1.0)),
+                    "gpu {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_boxes_never_engage() {
+        // Below 4·cutoff the rows run the full scan with no index at all.
+        let pos = edge_case_positions(43, 9.99, 2.5);
+        let (engaged, _) = assert_rows_exact(&pos, 9.99, ScenarioSpec::default(), 2.5);
+        assert_eq!(engaged, OFF);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn culled_rows_are_all_pairs_rows(
+                l in 3.0f64..40.0,
+                cutoff in 0.5f64..4.0,
+                frac in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..140),
+            ) {
+                // Sorted along x, so blocks are compact on one axis and the
+                // index has something to skip.
+                let mut pos: Vec<[f64; 3]> = frac.iter().map(|&(x, y, z)| [x * l, y * l, z * l]).collect();
+                pos.sort_by(|a, b| a[0].total_cmp(&b[0]));
+                let (engaged, _) = assert_rows_exact(&pos, l, ScenarioSpec::default(), cutoff);
+                let wide = l >= 4.0 * cutoff;
+                prop_assert_eq!(engaged.f64, wide);
+            }
         }
     }
 

@@ -111,17 +111,29 @@ fn memoized_runs_match_interpretive_baseline_bitwise() {
 }
 
 /// Scenario flavors exercise every branch of the shared evaluator: the
-/// Morse/NVT substrate (different pair expression, thermostat pass) and the
-/// mixed-precision policy (f64 accumulators on the f32 devices).
+/// Morse/NVT substrate (different pair expression, thermostat pass), the
+/// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
+/// the f32 devices). At 512 atoms the box is under four cutoffs and the rows
+/// scan every j; at 864 atoms it is over, and the memoized rows skip the
+/// j-blocks that cannot reach the cutoff.
 #[test]
 fn scenario_flavors_match_bitwise() {
-    for spec in [
-        ScenarioSpec::morse_nvt(),
-        ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-    ] {
-        let sim = SimConfig::reduced_lj(512).with_scenario(spec);
+    for (n, spec) in [512, 864].into_iter().flat_map(|n| {
+        [
+            ScenarioSpec::morse_nvt(),
+            ScenarioSpec::coulomb_cutoff(),
+            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
+        ]
+        .map(|spec| (n, spec))
+    }) {
+        let sim = SimConfig::reduced_lj(n).with_scenario(spec);
+        assert_eq!(
+            sim.box_len() >= 4.0 * sim.cutoff,
+            n == 864,
+            "culling premise"
+        );
         for kind in all_devices() {
-            let ctx = format!("{} @ {}", kind.label(), sim.scenario_token());
+            let ctx = format!("{} @ {n} atoms, {}", kind.label(), sim.scenario_token());
             let (base, base_counters) = run_with(kind.build_baseline(), &sim, 5, 1);
             let (memo, memo_counters) = run_with(kind.build(), &sim, 5, 2);
             assert_bitwise_equal(&base, &memo, &ctx);
