@@ -1,30 +1,50 @@
-//! Physics-once execution gate (DESIGN.md §17) at paper scale
-//! (2048 atoms, 10 steps).
+//! Golden device matrix (DESIGN.md §17): every simulated observable of the
+//! device runs below, pinned bit for bit in `tests/golden/device_matrix.json`.
 //!
-//! The contract under test: every device's eval memo — the shared wide
-//! evaluator that computes each evaluation's physics once and replays the
-//! cost interpretation — is purely a host wall-clock knob. Positions,
-//! velocities, energies, simulated seconds, time attribution, perf
-//! counters, and fault ledgers are bit-identical between a memoized run
-//! (the default, [`DeviceKind::build`]) and the interpretive per-pair
-//! baseline ([`DeviceKind::build_baseline`]), at every host thread count,
-//! under fault injection, and across scenario flavors (Morse/NVT, mixed
-//! precision). f32 devices widen losslessly to f64 at checkpoint capture,
-//! so [`SystemCheckpoint`](md_core::checkpoint::SystemCheckpoint) equality
-//! is a bitwise trajectory comparison.
+//! Each device has one production force path — the shared wide evaluator
+//! that computes each evaluation's physics once and replays the device's
+//! cost interpretation in closed form. The matrix was captured from the
+//! interpretive per-pair loops that path replaced, so it is the contract
+//! that the replay is purely a host wall-clock matter: positions,
+//! velocities, energies, simulated seconds, time attribution, derived
+//! metrics, perf counters and fault ledgers must match at every host thread
+//! count, under fault injection, and across scenario flavors (Morse/NVT,
+//! Coulomb, mixed precision). The Cell's tiled and double-precision SPE
+//! ports are pinned the same way through their `CellRun` (breakdown and
+//! kernel stats).
+//!
+//! Every f64 is stored as its hex bit pattern; the final state is one
+//! FNV-1a hash over the checkpoint's coordinate payload, as in
+//! `tests/substrate.rs`. Regenerate — only when a drift is *intended* — with
+//! `UPDATE_GOLDEN=1 cargo test --release --features fault-inject --test
+//! shared_eval golden_matrix_is_complete`.
 
+use cell_be::{CellBeDevice, CellRun, CellRunConfig};
 use harness::{DeviceKind, GpuModel};
+use md_core::checkpoint::fnv1a;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
 use md_core::params::SimConfig;
 use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 use mta::ThreadingMode;
+use sim_obs::{escape_json_string, parse_json, JsonValue};
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/device_matrix.json"
+);
+const SCHEMA: &str = "device-matrix-v1";
 
 const PAPER_ATOMS: usize = 2048;
 const PAPER_STEPS: usize = 10;
-/// Thread counts to pit against the serial memo-off baseline. 1 exercises
-/// the `from_threads` collapse to the serial path; 8 oversubscribes most
-/// hosts, which must change nothing.
+/// Host thread counts every paper-scale run is checked at. 1 exercises the
+/// `from_threads` collapse to the serial path; 8 oversubscribes most hosts,
+/// which must change nothing.
 const THREADS: [usize; 3] = [1, 2, 8];
+/// Scenario-flavor sizes: at 512 atoms the box is under four cutoffs and the
+/// shared-eval rows scan every j; at 864 it is over, and they skip the
+/// j-blocks that cannot reach the cutoff.
+const SCENARIO_ATOMS: [usize; 2] = [512, 864];
+const SCENARIO_STEPS: usize = 5;
 
 fn all_devices() -> [DeviceKind; 4] {
     [
@@ -39,12 +59,131 @@ fn all_devices() -> [DeviceKind; 4] {
     ]
 }
 
-fn run_with(
-    mut dev: Box<dyn MdDevice>,
-    sim: &SimConfig,
-    steps: usize,
-    threads: usize,
-) -> (DeviceRun, Vec<(String, f64)>) {
+fn scenario_flavors() -> [ScenarioSpec; 3] {
+    [
+        ScenarioSpec::morse_nvt(),
+        ScenarioSpec::coulomb_cutoff(),
+        ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
+    ]
+}
+
+/// One pinned run: named fields in a fixed order, each value an exact hex
+/// bit pattern (f64) or a decimal count.
+#[derive(Debug, PartialEq, Eq)]
+struct Record(Vec<(String, String)>);
+
+impl Record {
+    fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    fn bits(&mut self, name: impl Into<String>, v: f64) {
+        self.hex(name, v.to_bits());
+    }
+
+    fn hex(&mut self, name: impl Into<String>, v: u64) {
+        self.0.push((name.into(), format!("{v:#018x}")));
+    }
+
+    fn count(&mut self, name: impl Into<String>, v: u64) {
+        self.0.push((name.into(), v.to_string()));
+    }
+
+    fn energies(&mut self, e: &md_core::observables::EnergyReport) {
+        self.bits("energies.kinetic", e.kinetic);
+        self.bits("energies.potential", e.potential);
+        self.bits("energies.total", e.total);
+        self.bits("energies.temperature", e.temperature);
+    }
+
+    fn faults(&mut self, f: &sim_fault::FaultStats) {
+        self.count("faults.injected", f.injected);
+        self.count("faults.retries", f.retries);
+        self.count("faults.exhausted", f.exhausted);
+        self.bits("faults.extra_seconds", f.extra_seconds);
+    }
+
+    /// Everything a [`DeviceRun`] and its perf monitor report.
+    fn device_run(run: &DeviceRun, perf: &PerfMonitor) -> Self {
+        let mut r = Self::new();
+        r.bits("sim_seconds", run.sim_seconds);
+        r.energies(&run.energies);
+        r.count("state.step", run.checkpoint.step);
+        r.hex(
+            "state.fnv1a",
+            fnv1a(&run.checkpoint.encode_domain(0, run.checkpoint.n())),
+        );
+        for (label, v) in &run.attribution {
+            r.bits(format!("attribution.{label}"), *v);
+        }
+        for (label, v) in &run.derived {
+            r.bits(format!("derived.{label}"), *v);
+        }
+        r.bits("ops", run.ops);
+        r.bits("bytes_moved", run.bytes_moved);
+        r.faults(&run.faults);
+        for c in perf.counters() {
+            r.bits(format!("counter.{}", c.name), c.value());
+            let series: Vec<u8> = c
+                .samples()
+                .iter()
+                .flat_map(|&(t, v)| {
+                    t.to_bits()
+                        .to_le_bytes()
+                        .into_iter()
+                        .chain(v.to_bits().to_le_bytes())
+                })
+                .collect();
+            r.hex(format!("counter.{}.samples", c.name), fnv1a(&series));
+        }
+        r
+    }
+
+    /// Everything a Cell tiled or double-precision [`CellRun`] reports.
+    fn cell_run(run: &CellRun) -> Self {
+        let mut r = Self::new();
+        r.bits("sim_seconds", run.sim_seconds);
+        r.energies(&run.energies);
+        let b = &run.breakdown;
+        r.bits("breakdown.spawn", b.spawn);
+        r.bits("breakdown.dma", b.dma);
+        r.bits("breakdown.compute", b.compute);
+        r.bits("breakdown.mailbox", b.mailbox);
+        r.bits("breakdown.ppe", b.ppe);
+        r.count("kernel.pairs_tested", run.kernel_stats.pairs_tested);
+        r.count("kernel.interactions", run.kernel_stats.interactions);
+        r.bits("kernel.cycles", run.kernel_stats.cycles);
+        r
+    }
+
+    fn to_json(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("\"{}\": \"{v}\"", escape_json_string(k)))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    fn from_json(doc: &JsonValue, key: &str) -> Self {
+        let pairs = doc
+            .as_object()
+            .unwrap_or_else(|| panic!("golden record {key} is not an object"));
+        Self(
+            pairs
+                .iter()
+                .map(|(k, v)| {
+                    let v = v
+                        .as_str()
+                        .unwrap_or_else(|| panic!("{key}.{k}: expected a string"));
+                    (k.clone(), v.to_string())
+                })
+                .collect(),
+        )
+    }
+}
+
+fn run_device(mut dev: Box<dyn MdDevice>, sim: &SimConfig, steps: usize, threads: usize) -> Record {
     let mut perf = PerfMonitor::new();
     let run = dev
         .run(
@@ -54,58 +193,135 @@ fn run_with(
                 .with_host_threads(threads),
         )
         .expect("run succeeds");
-    let counters = perf
-        .counters()
-        .iter()
-        .map(|c| (c.name.clone(), c.value()))
-        .collect();
-    (run, counters)
+    assert!(run.sim_seconds > 0.0);
+    Record::device_run(&run, &perf)
 }
 
-/// Every observable of the run must be *equal*, not merely close.
-fn assert_bitwise_equal(baseline: &DeviceRun, memo: &DeviceRun, ctx: &str) {
-    assert_eq!(
-        baseline.sim_seconds.to_bits(),
-        memo.sim_seconds.to_bits(),
-        "{ctx}: simulated seconds drifted"
-    );
-    assert_eq!(baseline.energies, memo.energies, "{ctx}: energies drifted");
-    assert_eq!(
-        baseline.checkpoint, memo.checkpoint,
-        "{ctx}: trajectory drifted"
-    );
-    assert_eq!(
-        baseline.attribution, memo.attribution,
-        "{ctx}: time attribution drifted"
-    );
-    assert_eq!(
-        baseline.derived, memo.derived,
-        "{ctx}: derived metrics drifted"
-    );
-    assert_eq!(
-        baseline.ops.to_bits(),
-        memo.ops.to_bits(),
-        "{ctx}: ops drifted"
-    );
-    assert_eq!(
-        baseline.bytes_moved.to_bits(),
-        memo.bytes_moved.to_bits(),
-        "{ctx}: bytes_moved drifted"
-    );
-    assert_eq!(baseline.faults, memo.faults, "{ctx}: fault ledger drifted");
+fn paper_key(kind: DeviceKind) -> String {
+    format!("paper/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
 }
 
+fn scenario_sim(n: usize, spec: ScenarioSpec) -> SimConfig {
+    SimConfig::reduced_lj(n).with_scenario(spec)
+}
+
+fn scenario_key(kind: DeviceKind, sim: &SimConfig) -> String {
+    format!(
+        "scenario/{}@{}x{SCENARIO_STEPS}/{}",
+        kind.label(),
+        sim.n_atoms,
+        sim.scenario_token()
+    )
+}
+
+#[cfg(feature = "fault-inject")]
+fn fault_plan() -> sim_fault::FaultPlan {
+    sim_fault::FaultPlan::new(2024, 0.02)
+}
+
+#[cfg(feature = "fault-inject")]
+fn faulted_key(kind: DeviceKind) -> String {
+    format!("faulted/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
+}
+
+/// Tiled-port cases: `(atoms, steps, tile_atoms)`.
+const TILED: [(usize, usize, usize); 5] = [
+    (512, 3, 128),
+    (256, 2, 32),
+    (256, 2, 100),
+    (256, 2, 256),
+    (256, 2, 511),
+];
+/// Double-precision-port cases: `(atoms, steps)`.
+const DOUBLE: [(usize, usize); 2] = [(256, 3), (512, 4)];
+
+fn tiled_key(n: usize, steps: usize, tile: usize) -> String {
+    format!("cell-tiled@{n}x{steps}/tile{tile}")
+}
+
+fn tiled_record(n: usize, steps: usize, tile: usize) -> Record {
+    let run = CellBeDevice::paper_blade()
+        .run_md_tiled(
+            &SimConfig::reduced_lj(n),
+            steps,
+            CellRunConfig::best(),
+            tile,
+        )
+        .expect("tiled port runs");
+    Record::cell_run(&run)
+}
+
+fn double_key(n: usize, steps: usize) -> String {
+    format!("cell-double@{n}x{steps}")
+}
+
+fn double_record(n: usize, steps: usize) -> Record {
+    let run = CellBeDevice::paper_blade()
+        .run_md_double(&SimConfig::reduced_lj(n), steps, CellRunConfig::best())
+        .expect("double-precision port fits the local store");
+    Record::cell_run(&run)
+}
+
+fn render_golden(records: &[(String, Record)]) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
+    out.push_str("  \"records\": {\n");
+    for (i, (key, rec)) in records.iter().enumerate() {
+        let comma = if i + 1 == records.len() { "" } else { "," };
+        out.push_str(&format!(
+            "    \"{}\": {}{comma}\n",
+            escape_json_string(key),
+            rec.to_json()
+        ));
+    }
+    out.push_str("  }\n");
+    out.push_str("}\n");
+    out
+}
+
+fn golden() -> JsonValue {
+    let text = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("read tests/golden/device_matrix.json (generate with UPDATE_GOLDEN=1)");
+    let doc = parse_json(&text).expect("golden parses");
+    assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
+    doc
+}
+
+/// Compare field by field so a drift names the first observable that moved.
+fn assert_matches_golden(doc: &JsonValue, key: &str, measured: &Record, ctx: &str) {
+    let pinned = doc
+        .get("records")
+        .and_then(|r| r.get(key))
+        .unwrap_or_else(|| panic!("golden has no record {key}"));
+    let pinned = Record::from_json(pinned, key);
+    for (m, p) in measured.0.iter().zip(&pinned.0) {
+        assert_eq!(
+            m, p,
+            "{key} ({ctx}): observable drifted from the golden matrix"
+        );
+    }
+    assert_eq!(
+        measured.0.len(),
+        pinned.0.len(),
+        "{key} ({ctx}): field set differs from the golden matrix"
+    );
+}
+
+/// The four paper devices at 2048 × 10 through the interpretive per-pair
+/// loops (the capture the matrix records) and through the shared-eval path
+/// at every host thread count.
 #[test]
-fn memoized_runs_match_interpretive_baseline_bitwise() {
+fn paper_scale_runs_match_the_golden_matrix() {
+    let doc = golden();
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     for kind in all_devices() {
-        let (base, base_counters) = run_with(kind.build_baseline(), &sim, PAPER_STEPS, 1);
-        assert!(base.sim_seconds > 0.0, "{}", kind.label());
+        let key = paper_key(kind);
+        let base = run_device(kind.build_baseline(), &sim, PAPER_STEPS, 1);
+        assert_matches_golden(&doc, &key, &base, "memo off");
         for t in THREADS {
-            let ctx = format!("{} memo-on at {t} host threads", kind.label());
-            let (memo, memo_counters) = run_with(kind.build(), &sim, PAPER_STEPS, t);
-            assert_bitwise_equal(&base, &memo, &ctx);
-            assert_eq!(base_counters, memo_counters, "{ctx}: counters drifted");
+            let memo = run_device(kind.build(), &sim, PAPER_STEPS, t);
+            assert_matches_golden(&doc, &key, &memo, &format!("{t} host threads"));
         }
     }
 }
@@ -113,55 +329,137 @@ fn memoized_runs_match_interpretive_baseline_bitwise() {
 /// Scenario flavors exercise every branch of the shared evaluator: the
 /// Morse/NVT substrate (different pair expression, thermostat pass), the
 /// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
-/// the f32 devices). At 512 atoms the box is under four cutoffs and the rows
-/// scan every j; at 864 atoms it is over, and the memoized rows skip the
-/// j-blocks that cannot reach the cutoff.
+/// the f32 devices), below and above the j-block culling threshold.
 #[test]
-fn scenario_flavors_match_bitwise() {
-    for (n, spec) in [512, 864].into_iter().flat_map(|n| {
-        [
-            ScenarioSpec::morse_nvt(),
-            ScenarioSpec::coulomb_cutoff(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ]
-        .map(|spec| (n, spec))
-    }) {
-        let sim = SimConfig::reduced_lj(n).with_scenario(spec);
-        assert_eq!(
-            sim.box_len() >= 4.0 * sim.cutoff,
-            n == 864,
-            "culling premise"
-        );
-        for kind in all_devices() {
-            let ctx = format!("{} @ {n} atoms, {}", kind.label(), sim.scenario_token());
-            let (base, base_counters) = run_with(kind.build_baseline(), &sim, 5, 1);
-            let (memo, memo_counters) = run_with(kind.build(), &sim, 5, 2);
-            assert_bitwise_equal(&base, &memo, &ctx);
-            assert_eq!(base_counters, memo_counters, "{ctx}: counters drifted");
+fn scenario_flavors_match_the_golden_matrix() {
+    let doc = golden();
+    for n in SCENARIO_ATOMS {
+        for spec in scenario_flavors() {
+            let sim = scenario_sim(n, spec);
+            assert_eq!(
+                sim.box_len() >= 4.0 * sim.cutoff,
+                n == 864,
+                "culling premise"
+            );
+            for kind in all_devices() {
+                let key = scenario_key(kind, &sim);
+                let base = run_device(kind.build_baseline(), &sim, SCENARIO_STEPS, 1);
+                assert_matches_golden(&doc, &key, &base, "memo off");
+                let memo = run_device(kind.build(), &sim, SCENARIO_STEPS, 2);
+                assert_matches_golden(&doc, &key, &memo, "2 host threads");
+            }
         }
     }
 }
 
-/// Fault schedules key off the simulated run structure (eval/lane/site),
-/// which the memo never changes: the injected-fault ledger and the
-/// recovered trajectory must be identical with the memo on or off.
+/// Fault schedules key off the simulated run structure (eval/lane/site):
+/// the injected-fault ledger and the recovered trajectory are pinned too.
 #[cfg(feature = "fault-inject")]
 #[test]
-fn fault_injected_memoized_runs_match_baseline() {
-    use sim_fault::FaultPlan;
+fn fault_injected_runs_match_the_golden_matrix() {
+    let doc = golden();
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     for kind in all_devices() {
-        let plan = FaultPlan::new(2024, 0.02);
-        let ctx = format!("faulted {}", kind.label());
-        let (base, base_counters) =
-            run_with(kind.build_baseline_faulted(plan), &sim, PAPER_STEPS, 1);
-        let (memo, memo_counters) = run_with(kind.build_faulted(plan), &sim, PAPER_STEPS, 2);
-        assert_bitwise_equal(&base, &memo, &ctx);
-        assert_eq!(base_counters, memo_counters, "{ctx}: counters drifted");
+        let key = faulted_key(kind);
+        let base = run_device(
+            kind.build_baseline_faulted(fault_plan()),
+            &sim,
+            PAPER_STEPS,
+            1,
+        );
+        assert_matches_golden(&doc, &key, &base, "memo off");
+        let memo = run_device(kind.build_faulted(fault_plan()), &sim, PAPER_STEPS, 2);
+        assert_matches_golden(&doc, &key, &memo, "2 host threads");
         assert!(
-            memo.faults.injected > 0,
+            memo.0
+                .iter()
+                .any(|(k, v)| k == "faults.injected" && v != "0"),
             "{}: plan injected nothing — the comparison is vacuous",
             kind.label()
         );
     }
+}
+
+/// The Cell's streaming (tiled, double-buffered) and double-precision SPE
+/// ports, at several tile sizes.
+#[test]
+fn cell_tiled_and_double_ports_match_the_golden_matrix() {
+    let doc = golden();
+    for (n, steps, tile) in TILED {
+        let rec = tiled_record(n, steps, tile);
+        assert_matches_golden(&doc, &tiled_key(n, steps, tile), &rec, "tiled");
+    }
+    for (n, steps) in DOUBLE {
+        let rec = double_record(n, steps);
+        assert_matches_golden(&doc, &double_key(n, steps), &rec, "double");
+    }
+}
+
+/// Under `UPDATE_GOLDEN=1` (with `--features fault-inject`, so the faulted
+/// records exist) rewrite the matrix from the interpretive per-pair loops;
+/// otherwise check that the file holds exactly the records the tests above
+/// look up, in order.
+#[test]
+fn golden_matrix_is_complete() {
+    let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
+    for n in SCENARIO_ATOMS {
+        for spec in scenario_flavors() {
+            let sim = scenario_sim(n, spec);
+            keys.extend(all_devices().into_iter().map(|k| scenario_key(k, &sim)));
+        }
+    }
+    #[cfg(feature = "fault-inject")]
+    keys.extend(all_devices().into_iter().map(faulted_key));
+
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        assert!(
+            cfg!(feature = "fault-inject"),
+            "regenerate with --features fault-inject so the faulted records are written"
+        );
+        let mut records = Vec::new();
+        let sim = SimConfig::reduced_lj(PAPER_ATOMS);
+        for kind in all_devices() {
+            let rec = run_device(kind.build_baseline(), &sim, PAPER_STEPS, 1);
+            records.push((paper_key(kind), rec));
+        }
+        for n in SCENARIO_ATOMS {
+            for spec in scenario_flavors() {
+                let sim = scenario_sim(n, spec);
+                for kind in all_devices() {
+                    let rec = run_device(kind.build_baseline(), &sim, SCENARIO_STEPS, 1);
+                    records.push((scenario_key(kind, &sim), rec));
+                }
+            }
+        }
+        #[cfg(feature = "fault-inject")]
+        for kind in all_devices() {
+            let rec = run_device(
+                kind.build_baseline_faulted(fault_plan()),
+                &sim,
+                PAPER_STEPS,
+                1,
+            );
+            records.push((faulted_key(kind), rec));
+        }
+        for (n, steps, tile) in TILED {
+            records.push((tiled_key(n, steps, tile), tiled_record(n, steps, tile)));
+        }
+        for (n, steps) in DOUBLE {
+            records.push((double_key(n, steps), double_record(n, steps)));
+        }
+        std::fs::write(GOLDEN_PATH, render_golden(&records)).expect("write golden");
+    }
+
+    keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
+    keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
+    let doc = golden();
+    let pinned: Vec<&str> = doc
+        .get("records")
+        .and_then(JsonValue::as_object)
+        .expect("records object")
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| cfg!(feature = "fault-inject") || !k.starts_with("faulted/"))
+        .collect();
+    assert_eq!(pinned, keys, "golden matrix keys");
 }
