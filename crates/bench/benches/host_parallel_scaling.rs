@@ -2,14 +2,11 @@
 //!
 //! This measures real host time, not simulated seconds: the quantity under
 //! test is how fast the host can execute one Opteron-reference 2048-atom /
-//! 10-step run. The baseline is the same run
-//! with the force-evaluation replay memo disabled — the full O(N²) cache
-//! replay per evaluation — which is what the host-parallel work optimizes
-//! away. Every configuration returns bitwise-identical simulated results
-//! (`tests/host_parallel.rs`); only wall-clock differs here.
+//! 10-step run at each host thread count. Every configuration returns
+//! bitwise-identical simulated results (`tests/host_parallel.rs`); only
+//! wall-clock differs here.
 //!
-//! On single-core hosts the `threads` series is flat: the win comes from the
-//! replay memo and the tiled gather kernel, not from thread fan-out.
+//! On single-core hosts the `threads` series is flat.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use md_core::device::{MdDevice, RunOptions};
@@ -23,14 +20,6 @@ const STEPS: usize = 10;
 fn host_parallel_scaling(c: &mut Criterion) {
     let sim = SimConfig::reduced_lj(N_ATOMS);
     let mut group = c.benchmark_group("host_parallel_scaling");
-    group.bench_function("baseline_memo_off_serial", |b| {
-        b.iter(|| {
-            let mut cpu = OpteronCpu::paper_reference();
-            cpu.set_trace_memo(false);
-            cpu.run(&sim, RunOptions::steps(STEPS))
-                .expect("reference CPU runs")
-        });
-    });
     for t in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
             b.iter(|| {

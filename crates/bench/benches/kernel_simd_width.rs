@@ -5,8 +5,9 @@
 //! Both paths compute bitwise-identical rows (`md_core::shared_eval`'s
 //! contract, pinned in its unit tests); what this bench measures is the
 //! wall-clock value of batching the distance pass across lanes and
-//! early-skipping non-interacting blocks — i.e. the host-side speedup the
-//! eval memo buys every device at a given atom count.
+//! early-skipping non-interacting blocks — i.e. the host-side speedup of
+//! every device's shared-eval force path over the per-pair scalar row at a
+//! given atom count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use md_core::forces::{gather_row, SoaPositions};
@@ -60,7 +61,7 @@ fn kernel_simd_width(c: &mut Criterion) {
             b.iter(|| black_box(eval_host_wide(&soa, n, l, &sub)));
         });
 
-        // The f32 flavors the Cell and GPU memos ride on (8 lanes wide).
+        // The f32 flavors the Cell and GPU force paths ride on (8 lanes wide).
         let sys32: ParticleSystem<f32> = sys.convert();
         let sub32 = cfg.substrate::<f32>();
         let l32 = sys32.box_len;

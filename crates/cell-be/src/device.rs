@@ -1,20 +1,25 @@
 //! The full Cell BE device: PPE orchestration of SPE offload, with the
 //! Asynchronous Thread Runtime model the paper uses (section 5.1).
 
-use crate::config::CellConfig;
+use crate::config::{CellConfig, SpeCostModel};
 use crate::dma::DmaEngine;
 use crate::error::CellError;
 #[cfg(feature = "hazard-check")]
 use crate::hazard::{Dir, HazardChecker};
-use crate::kernel::{compute_accelerations, KernelStats, SpeKernelVariant, SpeLanePhysics};
+use crate::kernel::{
+    compute_accelerations, compute_accelerations_f64, compute_accelerations_shared,
+    compute_accelerations_tiled, KernelStats, SpeKernelVariant, SpeLanePhysics, SpeLanePhysicsF64,
+};
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
-use crate::spe::Spe;
+use crate::spe::{LsOverflow, Spe};
+use md_core::device::HostParallelism;
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
+use vecmath::{Real, Vec3};
 
 /// How SPE threads are managed across time steps (Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,14 +103,6 @@ impl CellRun {
 /// The simulated Cell blade.
 pub struct CellBeDevice {
     pub config: CellConfig,
-    /// Physics-once replay memo (DESIGN.md §17): when enabled (the default)
-    /// and the run uses the fully SIMDized kernel variant, each SPE slice's
-    /// physics is evaluated once through the shared batched kernel and the
-    /// per-pair cost loop is replayed in closed form. Bitwise identical to
-    /// the interpretive path in state, energies, sim-seconds, and counters;
-    /// disabling it (`set_eval_memo(false)`) restores the interpretive loop
-    /// for baseline timing.
-    eval_memo: bool,
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
@@ -115,24 +112,17 @@ impl CellBeDevice {
     pub fn new(config: CellConfig) -> Self {
         Self {
             config,
-            eval_memo: true,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
-    }
-
-    /// Enable or disable the shared-eval replay memo.
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
     }
 
     pub fn paper_blade() -> Self {
         Self::new(CellConfig::paper_blade())
     }
 
-    /// Arm a deterministic fault schedule for subsequent runs (primary
-    /// resident path only; the tiled/double/PPE-only paths stay
-    /// fault-free).
+    /// Arm a deterministic fault schedule for subsequent runs (every
+    /// SPE-offload port; the PPE-only run stays fault-free).
     #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
@@ -172,10 +162,13 @@ impl CellBeDevice {
             run,
             Some(tracer),
             None,
-            md_core::device::HostParallelism::Serial,
+            HostParallelism::Serial,
         )
     }
 
+    /// The paper's resident SPE-offload port, continuing from caller-owned
+    /// state: every SPE holds all positions plus its slice's accelerations
+    /// in its local store.
     #[allow(clippy::too_many_arguments)]
     fn run_md_impl(
         &self,
@@ -183,9 +176,98 @@ impl CellBeDevice {
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
+        tracer: Option<&mut mdea_trace::Tracer>,
+        perf: Option<&mut sim_perf::PerfMonitor>,
+        par: HostParallelism,
+    ) -> Result<CellRun, CellError> {
+        let port = Resident {
+            params: Self::lane_physics(sim, sys),
+            variant: run.variant,
+        };
+        self.run_offload(&port, sys, sim, steps, run, tracer, perf, par)
+    }
+
+    /// Tiled, double-buffered SPE offload — the production formulation for
+    /// systems too large for the resident port: each SPE keeps only its own
+    /// atom slice and two j-tile buffers in the local store, streaming the
+    /// position array through tile-sized DMA transfers. Double buffering
+    /// overlaps each tile's DMA with the previous tile's compute, so the
+    /// critical path per tile is `max(compute, dma)`, not their sum.
+    ///
+    /// Physics matches the resident port to f32 rounding (partial
+    /// accelerations accumulate per tile); use this when the resident port
+    /// returns [`LsOverflow`]. Requires the fully optimized kernel variant.
+    pub fn run_md_tiled(
+        &self,
+        sim: &SimConfig,
+        steps: usize,
+        run: CellRunConfig,
+        tile_atoms: usize,
+    ) -> Result<CellRun, CellError> {
+        assert!(tile_atoms >= 1, "tile must hold at least one atom");
+        assert!(
+            run.variant == SpeKernelVariant::SimdAcceleration,
+            "the tiled port is built on the fully optimized kernel"
+        );
+        self.run_fresh(sim, steps, run, |sys| Tiled {
+            params: Self::lane_physics(sim, sys),
+            tile_atoms,
+        })
+    }
+
+    /// Double-precision SPE offload — the capability the paper flags as the
+    /// Cell's open question ("the outstanding issues are the availability and
+    /// support for double-precision floating-point calculations"). Physics is
+    /// f64; the DP unit's ~7x arithmetic penalty and the doubled local-store
+    /// footprint (two quadwords per atom per array) are both modeled, so this
+    /// run both costs more time *and* hits the 256 KB wall at half the atom
+    /// count of the f32 port.
+    pub fn run_md_double(
+        &self,
+        sim: &SimConfig,
+        steps: usize,
+        run: CellRunConfig,
+    ) -> Result<CellRun, CellError> {
+        self.run_fresh(sim, steps, run, |sys: &ParticleSystem<f64>| Double {
+            params: SpeLanePhysicsF64 {
+                sub: sim.substrate(),
+                box_len: sys.box_len,
+                inv_mass: 1.0 / sys.mass,
+            },
+        })
+    }
+
+    /// A serial, unobserved [`Self::run_offload`] from a fresh lattice, with
+    /// the port built for that lattice.
+    fn run_fresh<P: OffloadPort>(
+        &self,
+        sim: &SimConfig,
+        steps: usize,
+        run: CellRunConfig,
+        port: impl FnOnce(&ParticleSystem<P::Real>) -> P,
+    ) -> Result<CellRun, CellError> {
+        let mut sys = init::initialize(sim);
+        let port = port(&sys);
+        let par = HostParallelism::Serial;
+        self.run_offload(&port, &mut sys, sim, steps, run, None, None, par)
+    }
+
+    /// The one SPE-offload time-step loop every port shares: thread
+    /// management per Figure 6, position serialization, the SPE fan-out,
+    /// the serial in-order fold, PPE integration and [`CellRun`] assembly.
+    /// The port supplies only its local-store layout and its per-SPE
+    /// transfer-plus-compute step.
+    #[allow(clippy::too_many_arguments)]
+    fn run_offload<P: OffloadPort>(
+        &self,
+        port: &P,
+        sys: &mut ParticleSystem<P::Real>,
+        sim: &SimConfig,
+        steps: usize,
+        run: CellRunConfig,
         mut tracer: Option<&mut mdea_trace::Tracer>,
         mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: md_core::device::HostParallelism,
+        par: HostParallelism,
     ) -> Result<CellRun, CellError> {
         assert!(
             run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
@@ -193,33 +275,35 @@ impl CellBeDevice {
             self.config.n_spes
         );
         let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
+        let vv = VelocityVerlet::new(P::Real::from_f64(sim.dt));
         let ppe = PpeModel::new(&self.config);
         let dma = DmaEngine::new(&self.config);
-        let params = Self::lane_physics(sim, sys);
+        let sub = sim.substrate::<P::Real>();
         // Ensemble upkeep (thermostat) runs on the PPE after the final kick;
         // zero cycles under NVE, so the seed cost model is untouched.
-        let ens_cycles = sys.n() as f64 * params.sub.extra_step_ops_per_atom();
+        let ens_cycles = n as f64 * sub.extra_step_ops_per_atom();
+        let mbox = self.config.mailbox_cycles;
 
         // One fault session per run: the plan decides, the session keeps the
         // retry/exhaustion ledger and the simulated-time cost of recovery.
         #[cfg(feature = "fault-inject")]
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
 
-        // Main memory image: positions then accelerations, quadword layout.
-        let mut main_memory = vec![0u8; 2 * n * 16];
+        // Main memory image: positions then accelerations, one
+        // `atom_bytes` record per atom in each array.
+        let atom_bytes = 4 * size_of::<P::Real>();
+        let mut main_memory = vec![0u8; 2 * n * atom_bytes];
 
         // Bring up the SPEs and their local-store layouts.
+        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
         let mut spes: Vec<Spe> = (0..run.n_spes)
             .map(|id| Spe::new(id, &self.config))
             .collect();
-        let mut regions: Vec<(LsRegion, LsRegion)> = Vec::with_capacity(run.n_spes);
-        for spe in &mut spes {
-            let pos = spe.alloc_quads(n)?;
-            let acc = spe.alloc_quads(n)?;
-            regions.push((pos, acc));
-        }
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
+        let regions = spes
+            .iter_mut()
+            .zip(&slices)
+            .map(|(spe, &slice)| port.alloc(spe, n, slice))
+            .collect::<Result<Vec<_>, LsOverflow>>()?;
 
         // Under hazard-check, shadow every DMA command, tag wait, compute
         // access, and blocking mailbox op with the asynchronous-hardware race
@@ -242,7 +326,7 @@ impl CellBeDevice {
         let ppe_track = mdea_trace::TraceTrack(0);
         let spe_track = |s: usize| mdea_trace::TraceTrack(1 + s as u32);
 
-        let mut pe_total = 0.0f32;
+        let mut pe_total = P::Real::ZERO;
         // `evals` = 1 priming force evaluation + one per time step.
         for eval in 0..=steps {
             if eval > 0 {
@@ -255,161 +339,116 @@ impl CellBeDevice {
                 vv.kick_drift(sys);
             }
 
-            // Thread management per Figure 6.
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for (s, spe) in spes.iter_mut().enumerate() {
-                        #[cfg(feature = "fault-inject")]
-                        {
-                            // A failed spe_create_thread is repeated at full
-                            // launch cost.
-                            let extra = resolve_fault_site(
-                                &mut fault,
-                                sim_fault::FaultSite::new(
-                                    sim_fault::FaultKind::SpeLaunch,
-                                    eval as u64,
-                                    s as u32,
-                                    0,
-                                ),
-                                self.config.spawn_cycles,
-                                clk,
-                            )?;
-                            if extra > 0.0 {
-                                if let Some(tr) = tracer.as_deref_mut() {
-                                    tr.instant(
-                                        ppe_track,
-                                        format!("fault: spe-launch retry (SPE {s})"),
-                                        "fault",
-                                        t_now,
-                                    );
-                                }
-                                breakdown.spawn += extra;
-                                t_now += extra / clk;
-                            }
-                        }
-                        spe.start_thread();
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.span(
-                                ppe_track,
-                                format!("spawn SPE {s} thread"),
-                                "spawn",
-                                t_now,
-                                self.config.spawn_cycles / clk,
-                            );
-                        }
-                        t_now += self.config.spawn_cycles / clk;
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for (s, spe) in spes.iter_mut().enumerate() {
-                            #[cfg(feature = "fault-inject")]
-                            {
-                                let extra = resolve_fault_site(
-                                    &mut fault,
-                                    sim_fault::FaultSite::new(
-                                        sim_fault::FaultKind::SpeLaunch,
-                                        eval as u64,
-                                        s as u32,
-                                        0,
-                                    ),
-                                    self.config.spawn_cycles,
-                                    clk,
-                                )?;
-                                if extra > 0.0 {
-                                    if let Some(tr) = tracer.as_deref_mut() {
-                                        tr.instant(
-                                            ppe_track,
-                                            format!("fault: spe-launch retry (SPE {s})"),
-                                            "fault",
-                                            t_now,
-                                        );
-                                    }
-                                    breakdown.spawn += extra;
-                                    t_now += extra / clk;
-                                }
-                            }
-                            spe.start_thread();
+            // Thread management per Figure 6: fresh SPE threads for every
+            // evaluation, or once and then a mailbox signal per step.
+            if run.policy == SpawnPolicy::RespawnEveryStep || !launched {
+                for (s, spe) in spes.iter_mut().enumerate() {
+                    #[cfg(feature = "fault-inject")]
+                    {
+                        // A failed spe_create_thread is repeated at full
+                        // launch cost.
+                        let extra = resolve_fault_site(
+                            &mut fault,
+                            sim_fault::FaultSite::new(
+                                sim_fault::FaultKind::SpeLaunch,
+                                eval as u64,
+                                s as u32,
+                                0,
+                            ),
+                            self.config.spawn_cycles,
+                            clk,
+                        )?;
+                        if extra > 0.0 {
                             if let Some(tr) = tracer.as_deref_mut() {
-                                tr.span(
+                                tr.instant(
                                     ppe_track,
-                                    format!("spawn SPE {s} thread"),
-                                    "spawn",
+                                    format!("fault: spe-launch retry (SPE {s})"),
+                                    "fault",
                                     t_now,
-                                    self.config.spawn_cycles / clk,
                                 );
                             }
-                            t_now += self.config.spawn_cycles / clk;
+                            breakdown.spawn += extra;
+                            t_now += extra / clk;
                         }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        // "Signal them using mailboxes when there is more
-                        // data to process."
-                        #[allow(clippy::unused_enumerate_index)]
-                        // index feeds the hazard checker when the feature is on
-                        for (_s, spe) in spes.iter_mut().enumerate() {
-                            #[cfg(feature = "fault-inject")]
-                            {
-                                // A dropped mailbox message costs a fresh
-                                // PPE service round plus the SPE-side read.
-                                let extra = resolve_fault_site(
-                                    &mut fault,
-                                    sim_fault::FaultSite::new(
-                                        sim_fault::FaultKind::MailboxDrop,
-                                        eval as u64,
-                                        _s as u32,
-                                        0,
-                                    ),
-                                    self.config.ppe_service_cycles + self.config.mailbox_cycles,
-                                    clk,
-                                )?;
-                                if extra > 0.0 {
-                                    if let Some(tr) = tracer.as_deref_mut() {
-                                        tr.instant(
-                                            ppe_track,
-                                            format!("fault: mailbox-drop resend (SPE {_s})"),
-                                            "fault",
-                                            t_now,
-                                        );
-                                    }
-                                    breakdown.mailbox += extra;
-                                    t_now += extra / clk;
-                                }
-                            }
-                            #[cfg(feature = "hazard-check")]
-                            hazard[_s].note_mailbox_write(_s, spe.inbox.is_full());
-                            spe.inbox.write(eval as u32);
-                        }
-                        let dur = run.n_spes as f64 * self.config.ppe_service_cycles / clk;
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.span(ppe_track, "mailbox handshake", "mailbox", t_now, dur);
-                        }
-                        t_now += dur;
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
                     }
+                    spe.start_thread();
+                    if let Some(tr) = tracer.as_deref_mut() {
+                        tr.span(
+                            ppe_track,
+                            format!("spawn SPE {s} thread"),
+                            "spawn",
+                            t_now,
+                            self.config.spawn_cycles / clk,
+                        );
+                    }
+                    t_now += self.config.spawn_cycles / clk;
                 }
+                breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
+                launched = true;
+            } else {
+                // "Signal them using mailboxes when there is more data to
+                // process."
+                #[allow(clippy::unused_enumerate_index)]
+                // index feeds the hazard checker when the feature is on
+                for (_s, spe) in spes.iter_mut().enumerate() {
+                    #[cfg(feature = "fault-inject")]
+                    {
+                        // A dropped mailbox message costs a fresh PPE service
+                        // round plus the SPE-side read.
+                        let extra = resolve_fault_site(
+                            &mut fault,
+                            sim_fault::FaultSite::new(
+                                sim_fault::FaultKind::MailboxDrop,
+                                eval as u64,
+                                _s as u32,
+                                0,
+                            ),
+                            self.config.ppe_service_cycles + mbox,
+                            clk,
+                        )?;
+                        if extra > 0.0 {
+                            if let Some(tr) = tracer.as_deref_mut() {
+                                tr.instant(
+                                    ppe_track,
+                                    format!("fault: mailbox-drop resend (SPE {_s})"),
+                                    "fault",
+                                    t_now,
+                                );
+                            }
+                            breakdown.mailbox += extra;
+                            t_now += extra / clk;
+                        }
+                    }
+                    #[cfg(feature = "hazard-check")]
+                    hazard[_s].note_mailbox_write(_s, spe.inbox.is_full());
+                    spe.inbox.write(eval as u32);
+                }
+                let dur = run.n_spes as f64 * self.config.ppe_service_cycles / clk;
+                if let Some(tr) = tracer.as_deref_mut() {
+                    tr.span(ppe_track, "mailbox handshake", "mailbox", t_now, dur);
+                }
+                t_now += dur;
+                breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
             }
 
             // Serialize current positions into main memory.
             for (i, p) in sys.positions.iter().enumerate() {
-                write_quad(&mut main_memory, i, [p.x, p.y, p.z, 0.0]);
+                write_atom(&mut main_memory, i, *p);
             }
 
-            // Each SPE: DMA in all positions, compute its slice, DMA out.
-            // SPEs run concurrently; the step's wall time is the slowest SPE.
+            // Each SPE: DMA its inputs in, compute its slice, DMA out. SPEs
+            // run concurrently; the step's wall time is the slowest SPE.
             //
             // The simulated concurrency maps onto host threads: the main
             // memory image splits into the shared position half (read by
-            // every SPE's get) and per-SPE acceleration windows (each SPE
+            // every SPE's gets) and per-SPE acceleration windows (each SPE
             // puts only its own slice), so each lane owns disjoint state.
             // Fault sites are peeked in-lane (pure) and committed below in
             // SPE order; every reduction — cost maxima, kernel stats, PE,
             // perf counters, tracer spans — happens in the serial fold, so
             // the run is bitwise identical to the serial loop at any host
             // thread count.
-            let (pos_mem, acc_mem) = main_memory.split_at_mut(n * 16);
+            let (pos_mem, acc_mem) = main_memory.split_at_mut(n * atom_bytes);
             let pos_mem: &[u8] = pos_mem;
             let mut lanes: Vec<SpeLane> = Vec::with_capacity(run.n_spes);
             {
@@ -418,7 +457,8 @@ impl CellBeDevice {
                 let mut hz_iter = hazard.iter_mut();
                 for (s, spe) in spes.iter_mut().enumerate() {
                     let (lo, hi) = slices[s];
-                    let (window, rest) = std::mem::take(&mut acc_rest).split_at_mut((hi - lo) * 16);
+                    let (window, rest) =
+                        std::mem::take(&mut acc_rest).split_at_mut((hi - lo) * atom_bytes);
                     acc_rest = rest;
                     lanes.push(SpeLane {
                         spe,
@@ -427,124 +467,34 @@ impl CellBeDevice {
                         // a few lines up; the iterator cannot run dry.
                         #[cfg(feature = "hazard-check")]
                         hazard: hz_iter.next().expect("one checker per SPE"), // sim-vet: allow(panic-discipline)
+                        #[cfg(feature = "fault-inject")]
+                        faults: LaneFaults::new(fault.as_ref(), eval, s),
                     });
                 }
             }
-            #[cfg(feature = "fault-inject")]
-            let fault_peek = fault.as_ref();
             let lane_outs = md_core::parallel::map_lanes(
                 par,
                 &mut lanes,
-                |s, lane: &mut SpeLane| -> Result<SpeLaneOut, CellError> {
-                    let spe = &mut *lane.spe;
+                |s, lane: &mut SpeLane| -> Result<SpeLaneOut<P::Real>, CellError> {
                     let mut round_trips = 0u64;
                     if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
                         #[cfg(feature = "hazard-check")]
-                        lane.hazard.note_mailbox_read(s, spe.inbox.is_empty());
-                        let _go = spe.inbox.read();
-                        spe.charge(self.config.mailbox_cycles);
+                        lane.hazard.note_mailbox_read(s, lane.spe.inbox.is_empty());
+                        let _go = lane.spe.inbox.read();
+                        lane.spe.charge(mbox);
                         round_trips += 1;
                     }
-                    let (pos_r, acc_r) = regions[s];
-                    let (lo, hi) = slices[s];
-
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.dma_issue(0, Dir::Get, pos_r);
-                    let dma_in = dma.get(pos_mem, &mut spe.local_store, pos_r, 0, n * 16)?;
-                    // The functional transfer above always lands pristine data;
-                    // injected failures only re-model the transfer's cost, so
-                    // physics is untouched by construction. Failed transfer →
-                    // full re-issue of the get; tag-group wait spins out → spin
-                    // window plus a fresh issue-and-wait (two transfers' worth).
-                    #[cfg(feature = "fault-inject")]
-                    let (dma_in, fault_get, fault_tag) = {
-                        let site_get = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::DmaTransfer,
-                            eval as u64,
-                            s as u32,
-                            0,
-                        );
-                        let site_tag = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::TagWaitTimeout,
-                            eval as u64,
-                            s as u32,
-                            0,
-                        );
-                        let out_get = peek_fault_site(fault_peek, site_get);
-                        let out_tag = peek_fault_site(fault_peek, site_tag);
-                        let reissue = peeked_extra_cycles(out_get, dma_in);
-                        let spin = peeked_extra_cycles(out_tag, 2.0 * dma_in);
-                        (
-                            dma_in + reissue + spin,
-                            (site_get, out_get, dma_in),
-                            (site_tag, out_tag, 2.0 * dma_in),
-                        )
+                    let cx = StepCx {
+                        pos_mem,
+                        n,
+                        slice: slices[s],
+                        dma: &dma,
+                        costs: &self.config.costs,
+                        mailbox_cycles: mbox,
                     };
-                    #[cfg(feature = "hazard-check")]
-                    {
-                        // The functional engine transfers synchronously; the
-                        // modeled hardware pattern is issue → tag wait → compute.
-                        lane.hazard.tag_wait(0);
-                        lane.hazard.compute_read(pos_r);
-                        lane.hazard.compute_write(acc_r);
-                    }
-                    // Physics-once split (DESIGN.md §17): under the memo the
-                    // slice's physics comes from the shared batched kernel
-                    // and the cycle charge is the closed-form replay — both
-                    // bitwise the interpretive loop's results.
-                    let (pe_slice, stats) =
-                        if self.eval_memo && run.variant == SpeKernelVariant::SimdAcceleration {
-                            crate::kernel::compute_accelerations_shared(
-                                &mut spe.local_store,
-                                pos_r,
-                                acc_r,
-                                lo..hi,
-                                n,
-                                params,
-                                &self.config.costs,
-                            )
-                        } else {
-                            compute_accelerations(
-                                &mut spe.local_store,
-                                pos_r,
-                                acc_r,
-                                lo..hi,
-                                n,
-                                params,
-                                run.variant,
-                                &self.config.costs,
-                            )
-                        };
-                    // DMA the computed slice back (a sub-range of the acc region,
-                    // landing in this SPE's window of the acceleration image).
-                    let slice_view = LsRegion {
-                        offset: acc_r.offset + lo * 16,
-                        len: (hi - lo) * 16,
-                    };
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.dma_issue(1, Dir::Put, slice_view);
-                    let dma_out = dma.put(
-                        &spe.local_store,
-                        lane.acc_out,
-                        slice_view,
-                        0,
-                        (hi - lo) * 16,
-                    )?;
-                    #[cfg(feature = "fault-inject")]
-                    let (dma_out, fault_put) = {
-                        let site = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::DmaTransfer,
-                            eval as u64,
-                            s as u32,
-                            1,
-                        );
-                        let out = peek_fault_site(fault_peek, site);
-                        let reissue = peeked_extra_cycles(out, dma_out);
-                        (dma_out + reissue, (site, out, dma_out))
-                    };
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.tag_wait(1);
+                    let step = port.step(lane, regions[s], &cx)?;
                     // Completion notification to the PPE.
+                    let spe = &mut *lane.spe;
                     #[cfg(feature = "hazard-check")]
                     lane.hazard.note_mailbox_write(s, spe.outbox.is_full());
                     spe.outbox.write(1);
@@ -553,18 +503,15 @@ impl CellBeDevice {
                     let _ = spe.outbox.read();
                     round_trips += 1;
 
-                    spe.charge(dma_in + stats.cycles + self.config.mailbox_cycles + dma_out);
+                    spe.charge(step.compute_path + step.dma_path);
                     if run.policy == SpawnPolicy::RespawnEveryStep {
                         spe.stop_thread();
                     }
                     Ok(SpeLaneOut {
-                        dma_in,
-                        dma_out,
-                        stats,
-                        pe_slice,
+                        step,
                         round_trips,
                         #[cfg(feature = "fault-inject")]
-                        faults: [fault_get, fault_tag, fault_put],
+                        faults: lane.faults.sites,
                     })
                 },
             );
@@ -572,12 +519,17 @@ impl CellBeDevice {
             // Serial fold in SPE order: fault ledger, reductions, timeline.
             let mut max_spe_cycles = 0.0f64;
             let mut max_spe_dma = 0.0f64;
-            pe_total = 0.0;
+            pe_total = P::Real::ZERO;
             for (s, lane_out) in lane_outs.into_iter().enumerate() {
-                let out = lane_out?;
+                let SpeLaneOut {
+                    step: out,
+                    round_trips,
+                    #[cfg(feature = "fault-inject")]
+                    faults,
+                } = lane_out?;
                 #[cfg(feature = "fault-inject")]
                 {
-                    let [g, t, p] = out.faults;
+                    let [g, t, p] = faults;
                     let reissue = commit_fault_site(&mut fault, g.0, g.1, g.2, clk)?;
                     let spin = commit_fault_site(&mut fault, t.0, t.1, t.2, clk)?;
                     if reissue + spin > 0.0 {
@@ -593,9 +545,7 @@ impl CellBeDevice {
                     }
                 }
                 let (lo, hi) = slices[s];
-                let mbox = self.config.mailbox_cycles;
-                let spe_cycles = out.stats.cycles + mbox;
-                mailbox_round_trips += out.round_trips;
+                mailbox_round_trips += round_trips;
                 if let Some(tr) = tracer.as_deref_mut() {
                     // The SPEs run concurrently: each track starts at the
                     // same phase-begin time.
@@ -626,16 +576,16 @@ impl CellBeDevice {
                         out.dma_out / clk,
                     );
                 }
-                max_spe_cycles = max_spe_cycles.max(spe_cycles);
-                max_spe_dma = max_spe_dma.max(out.dma_in + out.dma_out);
+                max_spe_cycles = max_spe_cycles.max(out.compute_path);
+                max_spe_dma = max_spe_dma.max(out.dma_path);
                 stats_total.pairs_tested += out.stats.pairs_tested;
                 stats_total.interactions += out.stats.interactions;
                 pe_total += out.pe_slice;
                 if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles.as_ref()) {
-                    p.add_u64(h.spe_dma_bytes[s], ((n + hi - lo) * 16) as u64);
+                    p.add_u64(h.spe_dma_bytes[s], (out.bytes_in + out.bytes_out) as u64);
                     p.add(h.spe_dma_stall[s], out.dma_in + out.dma_out);
-                    p.add_u64(h.dma_bytes_in, (n * 16) as u64);
-                    p.add_u64(h.dma_bytes_out, ((hi - lo) * 16) as u64);
+                    p.add_u64(h.dma_bytes_in, out.bytes_in as u64);
+                    p.add_u64(h.dma_bytes_out, out.bytes_out as u64);
                 }
             }
             breakdown.compute += max_spe_cycles;
@@ -643,9 +593,9 @@ impl CellBeDevice {
             t_now += (max_spe_cycles + max_spe_dma) / clk;
 
             // Read accelerations back into the host-side system.
-            for i in 0..n {
-                let q = read_quad(&main_memory, n + i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
+            let acc_mem = &main_memory[n * atom_bytes..];
+            for (i, a) in sys.accelerations.iter_mut().enumerate() {
+                *a = read_atom(acc_mem, i);
             }
 
             if eval > 0 {
@@ -656,7 +606,7 @@ impl CellBeDevice {
                 }
                 t_now += dur;
                 vv.kick(sys);
-                params.sub.apply_thermostat(sys);
+                sub.apply_thermostat(sys);
                 breakdown.ppe += ens_cycles;
                 t_now += ens_cycles / clk;
             }
@@ -684,375 +634,14 @@ impl CellBeDevice {
         }
 
         stats_total.cycles = breakdown.compute;
-        let pe = (pe_total * 0.5) as f64;
         Ok(CellRun {
             sim_seconds: breakdown.total() / self.config.clock_hz,
             breakdown,
-            energies: EnergyReport::measure(sys, pe),
+            energies: EnergyReport::measure(sys, (pe_total * P::Real::HALF).to_f64()),
             kernel_stats: stats_total,
             config: run,
             #[cfg(feature = "fault-inject")]
             faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
-        })
-    }
-
-    /// Tiled, double-buffered SPE offload — the production formulation for
-    /// systems too large for the resident port: each SPE keeps only its own
-    /// atom slice and two j-tile buffers in the local store, streaming the
-    /// position array through tile-sized DMA transfers. Double buffering
-    /// overlaps each tile's DMA with the previous tile's compute, so the
-    /// critical path per tile is `max(compute, dma)`, not their sum.
-    ///
-    /// Physics is identical to [`Self::run_md`]; use this when `run_md`
-    /// returns [`LsOverflow`]. Requires the fully optimized kernel variant.
-    pub fn run_md_tiled(
-        &self,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-        tile_atoms: usize,
-    ) -> Result<CellRun, CellError> {
-        assert!(
-            run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
-            "n_spes must be in 1..={}",
-            self.config.n_spes
-        );
-        assert!(tile_atoms >= 1, "tile must hold at least one atom");
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let ppe = PpeModel::new(&self.config);
-        let dma = DmaEngine::new(&self.config);
-        let params = Self::lane_physics(sim, &sys);
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        let mut main_memory = vec![0u8; 2 * n * 16];
-        let mut spes: Vec<Spe> = (0..run.n_spes)
-            .map(|id| Spe::new(id, &self.config))
-            .collect();
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
-
-        // Local-store layout per SPE: own positions + own accelerations +
-        // two j-tile buffers.
-        struct TiledRegions {
-            pos_i: LsRegion,
-            acc: LsRegion,
-            tiles: [LsRegion; 2],
-        }
-        let mut regions: Vec<TiledRegions> = Vec::with_capacity(run.n_spes);
-        for (s, spe) in spes.iter_mut().enumerate() {
-            let (lo, hi) = slices[s];
-            regions.push(TiledRegions {
-                pos_i: spe.alloc_quads(hi - lo)?,
-                acc: spe.alloc_quads(hi - lo)?,
-                tiles: [spe.alloc_quads(tile_atoms)?, spe.alloc_quads(tile_atoms)?],
-            });
-        }
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut launched = false;
-        let mut pe_total = 0.0f32;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(&mut sys);
-            }
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for spe in &mut spes {
-                        spe.start_thread();
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for spe in &mut spes {
-                            spe.start_thread();
-                        }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        for spe in &mut spes {
-                            spe.inbox.write(eval as u32);
-                        }
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
-                    }
-                }
-            }
-
-            for (i, p) in sys.positions.iter().enumerate() {
-                write_quad(&mut main_memory, i, [p.x, p.y, p.z, 0.0]);
-            }
-
-            let mut max_spe_path = 0.0f64;
-            pe_total = 0.0;
-            for (s, spe) in spes.iter_mut().enumerate() {
-                if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
-                    let _ = spe.inbox.read();
-                    spe.charge(self.config.mailbox_cycles);
-                }
-                let r = &regions[s];
-                let (lo, hi) = slices[s];
-                let slice_len = hi - lo;
-
-                // Own positions in; accumulator zeroed.
-                let dma_i = dma.get(
-                    &main_memory,
-                    &mut spe.local_store,
-                    r.pos_i,
-                    lo * 16,
-                    slice_len * 16,
-                )?;
-                for ii in 0..slice_len {
-                    spe.local_store.store_quad(r.acc, ii, [0.0; 4]);
-                }
-                let zero_cycles = slice_len as f64;
-
-                // Stream j tiles with double buffering: DMA of tile t+1
-                // overlaps compute of tile t, so the path is
-                // dma(0) + Σ max(compute(t), dma(t+1)) + compute(last).
-                let n_tiles = n.div_ceil(tile_atoms);
-                let mut compute_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
-                let mut dma_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
-                for t in 0..n_tiles {
-                    let j_lo = t * tile_atoms;
-                    let j_hi = (j_lo + tile_atoms).min(n);
-                    let count = j_hi - j_lo;
-                    let buf = r.tiles[t % 2];
-                    let d = dma.get(
-                        &main_memory,
-                        &mut spe.local_store,
-                        buf,
-                        j_lo * 16,
-                        count * 16,
-                    )?;
-                    let (_, stats) = crate::kernel::compute_accelerations_tiled(
-                        &mut spe.local_store,
-                        r.pos_i,
-                        lo,
-                        slice_len,
-                        buf,
-                        j_lo,
-                        count,
-                        r.acc,
-                        params,
-                        run.variant,
-                        &self.config.costs,
-                    );
-                    dma_cycles.push(d);
-                    compute_cycles.push(stats.cycles);
-                    stats_total.pairs_tested += stats.pairs_tested;
-                    stats_total.interactions += stats.interactions;
-                }
-                let mut path = dma_i + zero_cycles + dma_cycles[0];
-                for t in 0..n_tiles {
-                    let next_dma = if t + 1 < n_tiles {
-                        dma_cycles[t + 1]
-                    } else {
-                        0.0
-                    };
-                    path += compute_cycles[t].max(next_dma);
-                }
-
-                // Results out; PE slice read from the accumulator lanes.
-                let mut pe_slice = 0.0f32;
-                for ii in 0..slice_len {
-                    let q = spe.local_store.load_quad(r.acc, ii);
-                    write_quad(&mut main_memory, n + lo + ii, q);
-                    pe_slice += q[3];
-                }
-                let dma_out = dma.transfer_cycles(slice_len * 16);
-                spe.outbox.write(1);
-                let _ = spe.outbox.read();
-                path += dma_out + self.config.mailbox_cycles;
-
-                spe.charge(path);
-                max_spe_path = max_spe_path.max(path);
-                pe_total += pe_slice;
-                if run.policy == SpawnPolicy::RespawnEveryStep {
-                    spe.stop_thread();
-                }
-            }
-            breakdown.compute += max_spe_path;
-
-            for i in 0..n {
-                let q = read_quad(&main_memory, n + i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
-            }
-
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(&mut sys);
-                params.sub.apply_thermostat(&mut sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        Ok(CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(&sys, (pe_total * 0.5) as f64),
-            kernel_stats: stats_total,
-            config: run,
-            #[cfg(feature = "fault-inject")]
-            faults: sim_fault::FaultStats::default(),
-        })
-    }
-
-    /// Double-precision SPE offload — the capability the paper flags as the
-    /// Cell's open question ("the outstanding issues are the availability and
-    /// support for double-precision floating-point calculations"). Physics is
-    /// f64; the DP unit's ~7x arithmetic penalty and the doubled local-store
-    /// footprint (two quadwords per atom per array) are both modeled, so this
-    /// run both costs more time *and* hits the 256 KB wall at half the atom
-    /// count of the f32 port.
-    pub fn run_md_double(
-        &self,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-    ) -> Result<CellRun, CellError> {
-        assert!(
-            run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
-            "n_spes must be in 1..={}",
-            self.config.n_spes
-        );
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt);
-        let ppe = PpeModel::new(&self.config);
-        let dma = DmaEngine::new(&self.config);
-        let params = crate::kernel::SpeLanePhysicsF64 {
-            sub: sim.substrate::<f64>(),
-            box_len: sys.box_len,
-            inv_mass: 1.0 / sys.mass,
-        };
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        // Two quadwords per atom per array.
-        let mut main_memory = vec![0u8; 4 * n * 16];
-        let mut spes: Vec<Spe> = (0..run.n_spes)
-            .map(|id| Spe::new(id, &self.config))
-            .collect();
-        let mut regions: Vec<(LsRegion, LsRegion)> = Vec::with_capacity(run.n_spes);
-        for spe in &mut spes {
-            let pos = spe.alloc_quads(2 * n)?;
-            let acc = spe.alloc_quads(2 * n)?;
-            regions.push((pos, acc));
-        }
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut launched = false;
-        let mut pe_total = 0.0f64;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(&mut sys);
-            }
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for spe in &mut spes {
-                        spe.start_thread();
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for spe in &mut spes {
-                            spe.start_thread();
-                        }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        for spe in &mut spes {
-                            spe.inbox.write(eval as u32);
-                        }
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
-                    }
-                }
-            }
-
-            for (i, p) in sys.positions.iter().enumerate() {
-                write_dquad(&mut main_memory, 2 * i, [p.x, p.y]);
-                write_dquad(&mut main_memory, 2 * i + 1, [p.z, 0.0]);
-            }
-
-            let mut max_spe_cycles = 0.0f64;
-            let mut max_spe_dma = 0.0f64;
-            pe_total = 0.0;
-            for (s, spe) in spes.iter_mut().enumerate() {
-                if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
-                    let _ = spe.inbox.read();
-                    spe.charge(self.config.mailbox_cycles);
-                }
-                let (pos_r, acc_r) = regions[s];
-                let (lo, hi) = slices[s];
-                let dma_in = dma.get(&main_memory, &mut spe.local_store, pos_r, 0, 2 * n * 16)?;
-                let (pe_slice, stats) = crate::kernel::compute_accelerations_f64(
-                    &mut spe.local_store,
-                    pos_r,
-                    acc_r,
-                    lo..hi,
-                    n,
-                    params,
-                    &self.config.costs,
-                );
-                let slice_view = LsRegion {
-                    offset: acc_r.offset + 2 * lo * 16,
-                    len: 2 * (hi - lo) * 16,
-                };
-                let dma_out = dma.put(
-                    &spe.local_store,
-                    &mut main_memory,
-                    slice_view,
-                    (2 * n + 2 * lo) * 16,
-                    2 * (hi - lo) * 16,
-                )?;
-                spe.outbox.write(1);
-                let _ = spe.outbox.read();
-                let spe_cycles = stats.cycles + self.config.mailbox_cycles;
-                spe.charge(dma_in + spe_cycles + dma_out);
-                max_spe_cycles = max_spe_cycles.max(spe_cycles);
-                max_spe_dma = max_spe_dma.max(dma_in + dma_out);
-                stats_total.pairs_tested += stats.pairs_tested;
-                stats_total.interactions += stats.interactions;
-                pe_total += pe_slice;
-                if run.policy == SpawnPolicy::RespawnEveryStep {
-                    spe.stop_thread();
-                }
-            }
-            breakdown.compute += max_spe_cycles;
-            breakdown.dma += max_spe_dma;
-
-            for i in 0..n {
-                let [ax, ay] = read_dquad(&main_memory, 2 * n + 2 * i);
-                let [az, _] = read_dquad(&main_memory, 2 * n + 2 * i + 1);
-                sys.accelerations[i] = vecmath::Vec3::new(ax, ay, az);
-            }
-
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(&mut sys);
-                params.sub.apply_thermostat(&mut sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        Ok(CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(&sys, pe_total * 0.5),
-            kernel_stats: stats_total,
-            config: run,
-            #[cfg(feature = "fault-inject")]
-            faults: sim_fault::FaultStats::default(),
         })
     }
 
@@ -1117,7 +706,7 @@ impl CellBeDevice {
             pe_total = pe;
             for i in 0..n {
                 let q = scratch.load_quad(acc_r, i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
+                sys.accelerations[i] = Vec3::new(q[0], q[1], q[2]);
             }
             if eval > 0 {
                 breakdown.ppe += ppe.integration_cycles(n);
@@ -1162,7 +751,7 @@ impl CellBeDevice {
         let acc_r = spe.alloc_quads(n)?;
         let mut main_memory = vec![0u8; 2 * n * 16];
         for (i, p) in sys.positions.iter().enumerate() {
-            write_quad(&mut main_memory, i, [p.x, p.y, p.z, 0.0]);
+            write_atom(&mut main_memory, i, *p);
         }
         let dma_in = dma.get(&main_memory, &mut spe.local_store, pos_r, 0, n * 16)?;
         let (_, stats) = compute_accelerations(
@@ -1237,57 +826,466 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site: walk the plan's
-/// per-retry decisions, charge `unit_cycles` of simulated recovery time per
-/// failure, and return the total extra cycles — or the typed exhaustion
-/// error once the retry budget is spent, so the harness supervisor can
-/// restore a checkpoint or fall back to the reference device.
+/// Main-memory layout of one atom's 3-vector: four lanes `[x, y, z, 0]` of
+/// the port's precision — one f32 quadword, or two f64 quadwords `[x, y]`,
+/// `[z, 0]` (two doubles per 128-bit register). Little-endian, as the
+/// local store reads it.
+trait SpeReal: Real {
+    fn store(self, out: &mut [u8]);
+    fn load(bytes: &[u8]) -> Self;
+}
+
+macro_rules! spe_real {
+    ($($t:ty),*) => {$(
+        impl SpeReal for $t {
+            fn store(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+
+            fn load(bytes: &[u8]) -> Self {
+                let mut b = [0u8; size_of::<$t>()];
+                b.copy_from_slice(bytes);
+                <$t>::from_le_bytes(b)
+            }
+        }
+    )*};
+}
+spe_real!(f32, f64);
+
+fn write_atom<T: SpeReal>(mem: &mut [u8], i: usize, v: Vec3<T>) {
+    let w = size_of::<T>();
+    for (k, x) in [v.x, v.y, v.z, T::ZERO].into_iter().enumerate() {
+        x.store(&mut mem[(4 * i + k) * w..][..w]);
+    }
+}
+
+fn read_atom<T: SpeReal>(mem: &[u8], i: usize) -> Vec3<T> {
+    let w = size_of::<T>();
+    let lane = |k: usize| T::load(&mem[(4 * i + k) * w..][..w]);
+    Vec3::new(lane(0), lane(1), lane(2))
+}
+
+/// What one SPE's step sees besides its own lane: the shared position half
+/// of main memory and the run's constants.
+struct StepCx<'a> {
+    pos_mem: &'a [u8],
+    n: usize,
+    /// This SPE's atom slice `[lo, hi)`.
+    slice: (usize, usize),
+    dma: &'a DmaEngine,
+    costs: &'a SpeCostModel,
+    mailbox_cycles: f64,
+}
+
+/// What one SPE's evaluation reports back for the serial in-order fold.
+struct SpeStep<T> {
+    /// Fault-adjusted cycles of the input get and the result put.
+    dma_in: f64,
+    dma_out: f64,
+    stats: KernelStats,
+    /// Critical-path cycles of this SPE's evaluation, completion mailbox
+    /// included: compute, and the DMA the compute does not hide.
+    compute_path: f64,
+    dma_path: f64,
+    pe_slice: T,
+    /// Main-memory bytes moved in and out.
+    bytes_in: usize,
+    bytes_out: usize,
+}
+
+/// One SPE-offload port: its local-store layout and its per-SPE
+/// transfer-plus-compute step. Everything around the step is
+/// [`CellBeDevice::run_offload`].
+trait OffloadPort: Sync {
+    type Real: SpeReal;
+    /// One SPE's local-store regions.
+    type Regions: Copy + Sync;
+    fn alloc(
+        &self,
+        spe: &mut Spe,
+        n: usize,
+        slice: (usize, usize),
+    ) -> Result<Self::Regions, LsOverflow>;
+    fn step(
+        &self,
+        lane: &mut SpeLane<'_>,
+        regions: Self::Regions,
+        cx: &StepCx<'_>,
+    ) -> Result<SpeStep<Self::Real>, CellError>;
+}
+
+/// The resident step shared by the f32 and f64 ports: get every position,
+/// compute the slice into the local-store acceleration array, put the slice
+/// back. DMA and compute serialize, so both sit on the critical path.
+fn resident_step<T: SpeReal>(
+    lane: &mut SpeLane<'_>,
+    (pos_r, acc_r): (LsRegion, LsRegion),
+    cx: &StepCx<'_>,
+    kernel: impl FnOnce(&mut LocalStore) -> (T, KernelStats),
+) -> Result<SpeStep<T>, CellError> {
+    let (lo, hi) = cx.slice;
+    let atom_bytes = 4 * size_of::<T>();
+    let bytes_in = cx.n * atom_bytes;
+    let bytes_out = (hi - lo) * atom_bytes;
+    let dma_in = cx
+        .dma
+        .get(cx.pos_mem, &mut lane.spe.local_store, pos_r, 0, bytes_in)?;
+    let dma_in = lane.got(pos_r, dma_in);
+    lane.computes(pos_r, acc_r);
+    let (pe_slice, stats) = kernel(&mut lane.spe.local_store);
+    // DMA the computed slice back (a sub-range of the acc region, landing
+    // in this SPE's window of the acceleration image).
+    let slice_view = LsRegion {
+        offset: acc_r.offset + lo * atom_bytes,
+        len: bytes_out,
+    };
+    let dma_out = cx.dma.put(
+        &lane.spe.local_store,
+        lane.acc_out,
+        slice_view,
+        0,
+        bytes_out,
+    )?;
+    let dma_out = lane.put(slice_view, dma_out);
+    Ok(SpeStep {
+        dma_in,
+        dma_out,
+        stats,
+        compute_path: stats.cycles + cx.mailbox_cycles,
+        dma_path: dma_in + dma_out,
+        pe_slice,
+        bytes_in,
+        bytes_out,
+    })
+}
+
+/// The paper's port: all positions resident in every local store, f32.
+struct Resident {
+    params: SpeLanePhysics,
+    variant: SpeKernelVariant,
+}
+
+impl OffloadPort for Resident {
+    type Real = f32;
+    type Regions = (LsRegion, LsRegion);
+
+    fn alloc(
+        &self,
+        spe: &mut Spe,
+        n: usize,
+        _: (usize, usize),
+    ) -> Result<Self::Regions, LsOverflow> {
+        Ok((spe.alloc_quads(n)?, spe.alloc_quads(n)?))
+    }
+
+    fn step(
+        &self,
+        lane: &mut SpeLane<'_>,
+        (pos_r, acc_r): Self::Regions,
+        cx: &StepCx<'_>,
+    ) -> Result<SpeStep<f32>, CellError> {
+        let (lo, hi) = cx.slice;
+        resident_step(lane, (pos_r, acc_r), cx, |ls| {
+            // Physics-once split (DESIGN.md §17): the fully SIMDized kernel's
+            // physics comes from the shared batched kernel and its cycle
+            // charge is the closed-form replay — both bitwise the per-pair
+            // kernel's results. The Figure 5 ladder variants run per pair.
+            if self.variant == SpeKernelVariant::SimdAcceleration {
+                compute_accelerations_shared(ls, pos_r, acc_r, lo..hi, cx.n, self.params, cx.costs)
+            } else {
+                compute_accelerations(
+                    ls,
+                    pos_r,
+                    acc_r,
+                    lo..hi,
+                    cx.n,
+                    self.params,
+                    self.variant,
+                    cx.costs,
+                )
+            }
+        })
+    }
+}
+
+/// The double-precision resident port: two quadwords per atom per array.
+struct Double {
+    params: SpeLanePhysicsF64,
+}
+
+impl OffloadPort for Double {
+    type Real = f64;
+    type Regions = (LsRegion, LsRegion);
+
+    fn alloc(
+        &self,
+        spe: &mut Spe,
+        n: usize,
+        _: (usize, usize),
+    ) -> Result<Self::Regions, LsOverflow> {
+        Ok((spe.alloc_quads(2 * n)?, spe.alloc_quads(2 * n)?))
+    }
+
+    fn step(
+        &self,
+        lane: &mut SpeLane<'_>,
+        (pos_r, acc_r): Self::Regions,
+        cx: &StepCx<'_>,
+    ) -> Result<SpeStep<f64>, CellError> {
+        let (lo, hi) = cx.slice;
+        resident_step(lane, (pos_r, acc_r), cx, |ls| {
+            compute_accelerations_f64(ls, pos_r, acc_r, lo..hi, cx.n, self.params, cx.costs)
+        })
+    }
+}
+
+/// The streaming port: own slice plus two j-tile buffers per local store.
+struct Tiled {
+    params: SpeLanePhysics,
+    tile_atoms: usize,
+}
+
+/// One SPE's local-store layout in the tiled port: own positions, own
+/// accelerations, two j-tile buffers.
+#[derive(Clone, Copy)]
+struct TiledRegions {
+    pos_i: LsRegion,
+    acc: LsRegion,
+    tiles: [LsRegion; 2],
+}
+
+impl OffloadPort for Tiled {
+    type Real = f32;
+    type Regions = TiledRegions;
+
+    fn alloc(
+        &self,
+        spe: &mut Spe,
+        _: usize,
+        (lo, hi): (usize, usize),
+    ) -> Result<TiledRegions, LsOverflow> {
+        Ok(TiledRegions {
+            pos_i: spe.alloc_quads(hi - lo)?,
+            acc: spe.alloc_quads(hi - lo)?,
+            tiles: [
+                spe.alloc_quads(self.tile_atoms)?,
+                spe.alloc_quads(self.tile_atoms)?,
+            ],
+        })
+    }
+
+    fn step(
+        &self,
+        lane: &mut SpeLane<'_>,
+        r: TiledRegions,
+        cx: &StepCx<'_>,
+    ) -> Result<SpeStep<f32>, CellError> {
+        let (lo, hi) = cx.slice;
+        let slice_len = hi - lo;
+        let n = cx.n;
+
+        // Own positions in; accumulator zeroed.
+        let dma_in = cx.dma.get(
+            cx.pos_mem,
+            &mut lane.spe.local_store,
+            r.pos_i,
+            lo * 16,
+            slice_len * 16,
+        )?;
+        let dma_in = lane.got(r.pos_i, dma_in);
+        lane.computes(r.pos_i, r.acc);
+        let ls = &mut lane.spe.local_store;
+        for ii in 0..slice_len {
+            ls.store_quad(r.acc, ii, [0.0; 4]);
+        }
+        let zero_cycles = slice_len as f64;
+
+        // Stream j tiles with double buffering: the get of tile t+1 is
+        // issued into the other buffer while tile t computes, so the path is
+        // dma(0) + Σ max(compute(t), dma(t+1)) + compute(last).
+        let tile = |t: usize| {
+            let j_lo = t * self.tile_atoms;
+            (j_lo, (j_lo + self.tile_atoms).min(n) - j_lo, r.tiles[t % 2])
+        };
+        let fetch = |ls: &mut LocalStore, t: usize| {
+            let (j_lo, count, buf) = tile(t);
+            cx.dma.get(cx.pos_mem, ls, buf, j_lo * 16, count * 16)
+        };
+        let n_tiles = n.div_ceil(self.tile_atoms);
+        let mut path = dma_in + zero_cycles + fetch(ls, 0)?;
+        let mut stats = KernelStats::default();
+        for t in 0..n_tiles {
+            let (j_lo, count, buf) = tile(t);
+            let (_, tile_stats) = compute_accelerations_tiled(
+                ls,
+                r.pos_i,
+                lo,
+                slice_len,
+                buf,
+                j_lo,
+                count,
+                r.acc,
+                self.params,
+                cx.costs,
+            );
+            stats.pairs_tested += tile_stats.pairs_tested;
+            stats.interactions += tile_stats.interactions;
+            stats.cycles += tile_stats.cycles;
+            let next_dma = if t + 1 < n_tiles {
+                fetch(ls, t + 1)?
+            } else {
+                0.0
+            };
+            path += tile_stats.cycles.max(next_dma);
+        }
+
+        // PE slice read from the accumulator lanes; results out.
+        let mut pe_slice = 0.0f32;
+        for ii in 0..slice_len {
+            pe_slice += ls.load_quad(r.acc, ii)[3];
+        }
+        let dma_out = cx.dma.put(
+            &lane.spe.local_store,
+            lane.acc_out,
+            r.acc,
+            0,
+            slice_len * 16,
+        )?;
+        let dma_out = lane.put(r.acc, dma_out);
+        path += dma_out + cx.mailbox_cycles;
+        Ok(SpeStep {
+            dma_in,
+            dma_out,
+            stats,
+            // The streamed DMA hides behind compute; the whole path is
+            // charged as compute.
+            compute_path: path,
+            dma_path: 0.0,
+            pe_slice,
+            bytes_in: (n + slice_len) * 16,
+            bytes_out: slice_len * 16,
+        })
+    }
+}
+
 /// Mutable state one simulated SPE owns during the force phase: the SPE
 /// itself (local store, mailboxes, cycle counter), its window of the main
-/// memory acceleration image, and — under hazard-check — its race detector.
-/// Lanes are disjoint, so the phase can run on host threads.
+/// memory acceleration image, and — under hazard-check and fault-inject —
+/// its race detector and its peeked fault sites. Lanes are disjoint, so
+/// the phase can run on host threads.
 struct SpeLane<'a> {
     spe: &'a mut Spe,
     acc_out: &'a mut [u8],
     #[cfg(feature = "hazard-check")]
     hazard: &'a mut HazardChecker,
+    #[cfg(feature = "fault-inject")]
+    faults: LaneFaults<'a>,
+}
+
+impl SpeLane<'_> {
+    /// The step's input get into `region` has landed (tag 0 issued and
+    /// waited on). Returns its cycles plus any injected recovery: a failed
+    /// transfer is re-issued in full; a tag-group wait that spins out costs
+    /// the spin window plus a fresh issue-and-wait (two transfers' worth).
+    /// The functional transfer always lands pristine data, so physics is
+    /// untouched by construction.
+    fn got(&mut self, _region: LsRegion, cycles: f64) -> f64 {
+        #[cfg(feature = "hazard-check")]
+        {
+            // The functional engine transfers synchronously; the modeled
+            // hardware pattern is issue → tag wait → compute.
+            self.hazard.dma_issue(0, Dir::Get, _region);
+            self.hazard.tag_wait(0);
+        }
+        #[cfg(feature = "fault-inject")]
+        let cycles = {
+            let reissue = self.faults.peek(0, cycles);
+            let spin = self.faults.peek(1, 2.0 * cycles);
+            cycles + reissue + spin
+        };
+        cycles
+    }
+
+    /// The kernel reads `read` and writes `write` in the local store.
+    fn computes(&mut self, _read: LsRegion, _write: LsRegion) {
+        #[cfg(feature = "hazard-check")]
+        {
+            self.hazard.compute_read(_read);
+            self.hazard.compute_write(_write);
+        }
+    }
+
+    /// The step's result put from `region` has completed (tag 1 issued and
+    /// waited on). Returns its cycles plus any injected re-issue.
+    fn put(&mut self, _region: LsRegion, cycles: f64) -> f64 {
+        #[cfg(feature = "hazard-check")]
+        {
+            self.hazard.dma_issue(1, Dir::Put, _region);
+            self.hazard.tag_wait(1);
+        }
+        #[cfg(feature = "fault-inject")]
+        let cycles = cycles + self.faults.peek(2, cycles);
+        cycles
+    }
+}
+
+/// One SPE evaluation's injection sites in resolution order — input get,
+/// its tag-group wait, result put — each as `(site, outcome, unit recovery
+/// cycles)`. Peeked in-lane (pure); the serial fold commits them to the
+/// session's ledger in SPE order.
+#[cfg(feature = "fault-inject")]
+type PeekedSites = [(sim_fault::FaultSite, sim_fault::SiteOutcome, f64); 3];
+
+#[cfg(feature = "fault-inject")]
+struct LaneFaults<'a> {
+    session: Option<&'a sim_fault::FaultSession>,
+    sites: PeekedSites,
+}
+
+#[cfg(feature = "fault-inject")]
+impl<'a> LaneFaults<'a> {
+    fn new(session: Option<&'a sim_fault::FaultSession>, eval: usize, spe: usize) -> Self {
+        use sim_fault::{FaultKind, FaultSite, SiteOutcome};
+        let site = |kind, sub| {
+            (
+                FaultSite::new(kind, eval as u64, spe as u32, sub),
+                SiteOutcome::clean(),
+                0.0,
+            )
+        };
+        Self {
+            session,
+            sites: [
+                site(FaultKind::DmaTransfer, 0),
+                site(FaultKind::TagWaitTimeout, 0),
+                site(FaultKind::DmaTransfer, 1),
+            ],
+        }
+    }
+
+    /// Peek site `k` with `unit` recovery cycles per failure; returns the
+    /// extra cycles it will charge.
+    fn peek(&mut self, k: usize, unit: f64) -> f64 {
+        let (site, out, unit_cycles) = &mut self.sites[k];
+        *out = peek_fault_site(self.session, *site);
+        *unit_cycles = unit;
+        // An exhausting site aborts the run instead of paying for the
+        // failed attempts.
+        if out.exhausted {
+            0.0
+        } else {
+            unit * f64::from(out.failures)
+        }
+    }
 }
 
 /// What one SPE lane reports back for the serial in-order fold.
-struct SpeLaneOut {
-    /// Fault-adjusted cycle cost of the position get.
-    dma_in: f64,
-    /// Fault-adjusted cycle cost of the acceleration put.
-    dma_out: f64,
-    stats: KernelStats,
-    pe_slice: f32,
+struct SpeLaneOut<T> {
+    step: SpeStep<T>,
     /// Mailbox round trips this SPE performed this evaluation (1 or 2).
     round_trips: u64,
-    /// Peeked injection sites in resolution order (get, tag wait, put):
-    /// `(site, outcome, unit recovery cycles)`, committed to the session's
-    /// ledger in SPE order by the fold.
     #[cfg(feature = "fault-inject")]
-    faults: [(sim_fault::FaultSite, sim_fault::SiteOutcome, f64); 3],
-}
-
-/// Lane-side half of [`resolve_fault_site`]: the pure plan walk.
-#[cfg(feature = "fault-inject")]
-fn peek_fault_site(
-    fault: Option<&sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-) -> sim_fault::SiteOutcome {
-    fault.map_or_else(sim_fault::SiteOutcome::clean, |f| f.peek(site))
-}
-
-/// Recovery cycles a peeked outcome will charge (0 when the site exhausts —
-/// the run aborts instead of paying for the failed attempts).
-#[cfg(feature = "fault-inject")]
-fn peeked_extra_cycles(out: sim_fault::SiteOutcome, unit_cycles: f64) -> f64 {
-    if out.exhausted {
-        0.0
-    } else {
-        unit_cycles * f64::from(out.failures)
-    }
+    faults: PeekedSites,
 }
 
 /// Fold-side half of [`resolve_fault_site`]: replay a peeked outcome into
@@ -1319,9 +1317,13 @@ fn commit_fault_site(
     Ok(extra)
 }
 
-/// Apply the armed fault schedule to one injection site in place (the serial
-/// peek-and-commit walk; see [`peek_fault_site`] / [`commit_fault_site`] for
-/// the split the host-parallel SPE lanes use).
+/// Apply the armed fault schedule to one injection site in place: walk the
+/// plan's per-retry decisions, charge `unit_cycles` of simulated recovery
+/// time per failure, and return the total extra cycles — or the typed
+/// exhaustion error once the retry budget is spent, so the harness
+/// supervisor can restore a checkpoint or fall back to the reference
+/// device. (The SPE lanes split this into a pure in-lane peek and
+/// [`commit_fault_site`] in the fold.)
 #[cfg(feature = "fault-inject")]
 fn resolve_fault_site(
     fault: &mut Option<sim_fault::FaultSession>,
@@ -1329,22 +1331,17 @@ fn resolve_fault_site(
     unit_cycles: f64,
     clock_hz: f64,
 ) -> Result<f64, CellError> {
-    let Some(sess) = fault.as_mut() else {
-        return Ok(0.0);
-    };
-    let out = sess.outcome(site);
-    if out.exhausted {
-        return Err(CellError::FaultExhausted {
-            kind: site.kind,
-            eval: site.eval,
-            unit: site.unit,
-        });
-    }
-    let extra = unit_cycles * f64::from(out.failures);
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    Ok(extra)
+    let out = peek_fault_site(fault.as_ref(), site);
+    commit_fault_site(fault, site, out, unit_cycles, clock_hz)
+}
+
+/// The pure plan walk for one site (a clean outcome when no plan is armed).
+#[cfg(feature = "fault-inject")]
+fn peek_fault_site(
+    fault: Option<&sim_fault::FaultSession>,
+    site: sim_fault::FaultSite,
+) -> sim_fault::SiteOutcome {
+    fault.map_or_else(sim_fault::SiteOutcome::clean, |f| f.peek(site))
 }
 
 /// Split `n` items into `k` contiguous, balanced slices.
@@ -1359,46 +1356,6 @@ fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
         lo += len;
     }
     out
-}
-
-#[inline]
-fn write_quad(mem: &mut [u8], quad_index: usize, q: [f32; 4]) {
-    let off = quad_index * 16;
-    for (k, v) in q.iter().enumerate() {
-        mem[off + 4 * k..off + 4 * k + 4].copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-#[inline]
-fn write_dquad(mem: &mut [u8], quad_index: usize, q: [f64; 2]) {
-    let off = quad_index * 16;
-    mem[off..off + 8].copy_from_slice(&q[0].to_le_bytes());
-    mem[off + 8..off + 16].copy_from_slice(&q[1].to_le_bytes());
-}
-
-#[inline]
-fn read_dquad(mem: &[u8], quad_index: usize) -> [f64; 2] {
-    let off = quad_index * 16;
-    let lane = |o: usize| {
-        f64::from_le_bytes([
-            mem[o],
-            mem[o + 1],
-            mem[o + 2],
-            mem[o + 3],
-            mem[o + 4],
-            mem[o + 5],
-            mem[o + 6],
-            mem[o + 7],
-        ])
-    };
-    [lane(off), lane(off + 8)]
-}
-
-#[inline]
-fn read_quad(mem: &[u8], quad_index: usize) -> [f32; 4] {
-    let off = quad_index * 16;
-    let lane = |o: usize| f32::from_le_bytes([mem[o], mem[o + 1], mem[o + 2], mem[o + 3]]);
-    [lane(off), lane(off + 4), lane(off + 8), lane(off + 12)]
 }
 
 /// Each SPE retires up to a 4-wide single-precision FMA per cycle.
@@ -1647,7 +1604,6 @@ impl md_core::device::MdDevice for CellAccelProbe {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::device::HostParallelism;
     use md_core::forces::{AllPairsFullKernel, ForceKernel};
 
     fn workload(n: usize) -> SimConfig {

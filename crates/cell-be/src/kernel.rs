@@ -354,7 +354,8 @@ pub fn compute_accelerations_shared(
 /// full position array no longer fits the 256 KB local store: j-atoms arrive
 /// in DMA-sized tiles (double-buffered by the device layer) and partial
 /// accelerations accumulate across tiles. The caller zeroes `acc` before the
-/// first tile.
+/// first tile. The tiled port is built on the fully optimized
+/// ([`SpeKernelVariant::SimdAcceleration`]) kernel and charges its costs.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_accelerations_tiled(
     ls: &mut LocalStore,
@@ -366,13 +367,8 @@ pub fn compute_accelerations_tiled(
     j_count: usize,
     acc: LsRegion,
     params: SpeLanePhysics,
-    variant: SpeKernelVariant,
     costs: &SpeCostModel,
 ) -> (f32, KernelStats) {
-    assert!(
-        variant == SpeKernelVariant::SimdAcceleration,
-        "the tiled port is built on the fully optimized kernel"
-    );
     let mut stats = KernelStats::default();
     let mut pe_added = 0.0f32;
 

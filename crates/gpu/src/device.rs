@@ -3,15 +3,6 @@
 use crate::config::GpuConfig;
 use crate::shader::{Shader, ShaderConstants, ShaderOps};
 use crate::texture::Texture;
-use md_core::device::HostParallelism;
-use md_core::parallel::map_indexed;
-
-/// Host-parallel dispatch granularity: output texels are processed in fixed
-/// batches of this many fragments. The batch decomposition depends only on
-/// the output length — never on the thread count — so every batch computes
-/// the same texels and retires the same ops no matter how the batches are
-/// scheduled across host threads.
-pub const FRAGMENT_BATCH: usize = 256;
 
 /// Outcome of one dispatch: the output texture plus timing/ops accounting.
 #[derive(Clone, Debug)]
@@ -83,32 +74,17 @@ impl GpuDevice {
     /// our shader program exactly once for each location in the output
     /// array"). Inputs are immutable, the output is a fresh texture: the
     /// stream-processing input/output separation cannot be violated.
+    ///
+    /// This is the interpretive per-fragment walk the multi-pass reduction
+    /// runs and the kernel tests check against; the MD force pass goes
+    /// through [`LjAccelShader::dispatch_shared`].
+    ///
+    /// [`LjAccelShader::dispatch_shared`]: crate::mdshader::LjAccelShader::dispatch_shared
     pub fn dispatch(
         &self,
         shader: &dyn Shader,
         inputs: &[&Texture],
         out_len: usize,
-    ) -> DispatchResult {
-        self.dispatch_par(shader, inputs, out_len, HostParallelism::Serial)
-    }
-
-    /// [`dispatch`] with the fragment loop fanned out over host threads.
-    ///
-    /// Texels are grouped into fixed [`FRAGMENT_BATCH`]-sized batches; each
-    /// batch runs as one lane of an order-preserving indexed map with its own
-    /// [`ShaderOps`] tally, and the per-batch texels and op counts are folded
-    /// serially in batch order. Shader instances cannot communicate (the
-    /// stream-processing restriction), so the output texture, op totals, and
-    /// hence the charged pipeline time are bitwise identical to the serial
-    /// dispatch at any thread count.
-    ///
-    /// [`dispatch`]: GpuDevice::dispatch
-    pub fn dispatch_par(
-        &self,
-        shader: &dyn Shader,
-        inputs: &[&Texture],
-        out_len: usize,
-        par: HostParallelism,
     ) -> DispatchResult {
         let constants = self
             .constants
@@ -120,26 +96,10 @@ impl GpuDevice {
             inputs.len(),
             self.config.max_input_textures
         );
-        let n_batches = out_len.div_ceil(FRAGMENT_BATCH);
-        let batches = map_indexed(par, n_batches, |b| {
-            let lo = b * FRAGMENT_BATCH;
-            let hi = (lo + FRAGMENT_BATCH).min(out_len);
-            let mut ops = ShaderOps::default();
-            let texels: Vec<[f32; 4]> = (lo..hi)
-                .map(|i| shader.execute(inputs, i, &constants, &mut ops))
-                .collect();
-            (texels, ops)
-        });
         let mut output = Texture::new(out_len);
         let mut ops = ShaderOps::default();
-        let mut cursor = 0usize;
-        for (texels, batch_ops) in batches {
-            for texel in texels {
-                output.texels_mut()[cursor] = texel;
-                cursor += 1;
-            }
-            ops.alu += batch_ops.alu;
-            ops.fetches += batch_ops.fetches;
+        for (i, texel) in output.texels_mut().iter_mut().enumerate() {
+            *texel = shader.execute(inputs, i, &constants, &mut ops);
         }
         self.finish_dispatch(output, ops)
     }
@@ -200,50 +160,6 @@ mod tests {
         let dev = GpuDevice::geforce_7900gtx();
         let input = Texture::new(1);
         dev.dispatch(&Doubler, &[&input], 1);
-    }
-
-    /// A gather shader whose texels read across batch boundaries, so a
-    /// batching bug (wrong offsets, reordered fold) would corrupt the output.
-    struct CrossGather;
-    impl Shader for CrossGather {
-        fn execute(
-            &self,
-            inputs: &[&Texture],
-            out_index: usize,
-            _c: &ShaderConstants,
-            ops: &mut ShaderOps,
-        ) -> [f32; 4] {
-            let t = inputs[0];
-            let a = t.fetch(out_index);
-            let b = t.fetch(t.len() - 1 - out_index);
-            ops.fetches += 2;
-            ops.alu += 3;
-            [a[0] + b[0], a[1] * b[1], a[2] - b[2], out_index as f32]
-        }
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_serial_bitwise() {
-        // 700 texels: three batches, the last one partial.
-        let pts: Vec<[f32; 3]> = (0..700)
-            .map(|i| [i as f32 * 0.31, (i as f32).sin(), 700.0 - i as f32])
-            .collect();
-        let input = Texture::from_xyz(&pts);
-        let mut dev = GpuDevice::geforce_7900gtx();
-        dev.compile(ShaderConstants::default());
-        let serial = dev.dispatch(&CrossGather, &[&input], 700);
-        for threads in [1usize, 2, 4, 8] {
-            let par = dev.dispatch_par(
-                &CrossGather,
-                &[&input],
-                700,
-                HostParallelism::Threads(threads),
-            );
-            assert_eq!(par.output.texels(), serial.output.texels(), "{threads}");
-            assert_eq!(par.ops.alu, serial.ops.alu);
-            assert_eq!(par.ops.fetches, serial.ops.fetches);
-            assert_eq!(par.shader_seconds, serial.shader_seconds);
-        }
     }
 
     #[test]

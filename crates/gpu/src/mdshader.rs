@@ -19,7 +19,7 @@
 //! and alternative potentials charge extra ALU slots per pair — on this
 //! hardware a longer pair expression is simply a longer fragment program.
 
-use crate::device::{DispatchResult, GpuDevice, FRAGMENT_BATCH};
+use crate::device::{DispatchResult, GpuDevice};
 use crate::shader::{Shader, ShaderConstants, ShaderOps};
 use crate::texture::Texture;
 use md_core::device::HostParallelism;
@@ -58,6 +58,12 @@ pub mod constants {
 pub const ALU_PER_PAIR: u64 = 21;
 /// Texture fetches per examined pair (the j-atom position).
 pub const FETCH_PER_PAIR: u64 = 1;
+/// Host-parallel dispatch granularity: output texels are evaluated in fixed
+/// batches of this many fragments. The batch decomposition depends only on
+/// the output length — never on the thread count — so every batch computes
+/// the same texels and retires the same ops no matter how the batches are
+/// scheduled across host threads.
+pub const FRAGMENT_BATCH: usize = 256;
 /// Per-instance fixed ALU (own position fetch handled in fetches).
 pub const ALU_PER_INSTANCE: u64 = 6;
 
@@ -110,7 +116,7 @@ impl LjAccelShader {
     /// Physics-once dispatch: the fragment-batch row replay (DESIGN.md §17).
     ///
     /// Computes the same output texture as
-    /// [`GpuDevice::dispatch_par`]`(self, ..)` through the shared wide
+    /// [`GpuDevice::dispatch`]`(self, ..)` through the shared wide
     /// evaluator ([`shared_eval::gpu_texel`], which reproduces [`execute`]'s
     /// per-pair arithmetic bit for bit), and *replays* the op tally as a
     /// closed form instead of counting fetch/ALU slots pair by pair.
@@ -118,9 +124,10 @@ impl LjAccelShader {
     /// shader charges every examined pair identically regardless of the
     /// cutoff outcome, so each texel retires exactly
     /// `1 + N·FETCH_PER_PAIR` fetches and
-    /// `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU slots, and the
-    /// per-batch u64 sums — folded in the same batch order — are equal by
-    /// construction. Identical ops mean identical `shader_seconds`.
+    /// `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU slots, and N
+    /// times that is exact in u64. Identical ops mean identical
+    /// `shader_seconds`. Fragment batches ([`FRAGMENT_BATCH`]) fan out over
+    /// host threads and are committed in batch order.
     ///
     /// The compile-before-dispatch JIT contract still holds: the kernel
     /// constants come from the device's compiled block, exactly as the
@@ -143,36 +150,20 @@ impl LjAccelShader {
         let soa = SoaPositionsF32::from_quads(positions.texels().iter().copied());
 
         // The interpretive shader's per-texel retirement, as a closed form.
-        let per_texel_fetches = 1 + n as u64 * FETCH_PER_PAIR;
-        let per_texel_alu = ALU_PER_INSTANCE + n as u64 * (ALU_PER_PAIR + self.extra_alu);
-
-        // Same fixed batch decomposition as the interpretive dispatch: the
-        // batches depend only on the output length, and the serial fold below
-        // commits texels and op tallies in batch order.
-        let n_batches = n.div_ceil(FRAGMENT_BATCH);
-        let batches = map_indexed(par, n_batches, |b| {
+        let ops = ShaderOps {
+            fetches: n as u64 * (1 + n as u64 * FETCH_PER_PAIR),
+            alu: n as u64 * (ALU_PER_INSTANCE + n as u64 * (ALU_PER_PAIR + self.extra_alu)),
+        };
+        // The batches depend only on the output length, and the texels are
+        // committed in batch order.
+        let batches = map_indexed(par, n.div_ceil(FRAGMENT_BATCH), |b| {
             let lo = b * FRAGMENT_BATCH;
             let hi = (lo + FRAGMENT_BATCH).min(n);
-            let ops = ShaderOps {
-                alu: (hi - lo) as u64 * per_texel_alu,
-                fetches: (hi - lo) as u64 * per_texel_fetches,
-            };
-            let texels: Vec<[f32; 4]> = (lo..hi)
+            (lo..hi)
                 .map(|i| shared_eval::gpu_texel(&soa, i, l, &self.sub, inv_mass))
-                .collect();
-            (texels, ops)
+                .collect::<Vec<_>>()
         });
-        let mut output = Texture::new(n);
-        let mut ops = ShaderOps::default();
-        let mut cursor = 0usize;
-        for (texels, batch_ops) in batches {
-            for texel in texels {
-                output.texels_mut()[cursor] = texel;
-                cursor += 1;
-            }
-            ops.alu += batch_ops.alu;
-            ops.fetches += batch_ops.fetches;
-        }
+        let output = Texture::from_texels(batches.concat());
         device.finish_dispatch(output, ops)
     }
 }

@@ -70,12 +70,6 @@ pub struct GpuMdSimulation {
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
-    /// Physics-once execution (DESIGN.md §17): when set, each evaluation's
-    /// texels come from the shared wide evaluator and the op tally is
-    /// replayed in closed form ([`LjAccelShader::dispatch_shared`]) instead
-    /// of the interpretive per-pair shader walk. Bitwise-identical output
-    /// either way; on by default.
-    eval_memo: bool,
 }
 
 impl GpuMdSimulation {
@@ -84,14 +78,7 @@ impl GpuMdSimulation {
             config,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
-            eval_memo: true,
         }
-    }
-
-    /// Toggle the shared-eval replay path (the memo-off baseline runs the
-    /// interpretive per-pair shader walk).
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
     }
 
     /// Arm a deterministic fault schedule for subsequent `run_md*` calls.
@@ -193,11 +180,10 @@ impl GpuMdSimulation {
                 );
             }
 
-            let result = if self.eval_memo {
-                shader.dispatch_shared(&device, &positions, par)
-            } else {
-                device.dispatch_par(&shader, &[&positions], n, par)
-            };
+            // Physics-once execution (DESIGN.md §17): the texels come from
+            // the shared wide evaluator and the op tally is replayed in
+            // closed form — bitwise the interpretive per-pair shader walk.
+            let result = shader.dispatch_shared(&device, &positions, par);
             breakdown.shader += result.shader_seconds;
             breakdown.dispatch_overhead += result.overhead_seconds;
             total_ops += result.ops.total();
@@ -664,26 +650,6 @@ mod tests {
         let (a, b) = (mk(), mk());
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.sim_seconds, b.sim_seconds);
-    }
-
-    /// Physics-once at the run level: a full memoized run is bitwise
-    /// indistinguishable from the interpretive baseline — trajectory,
-    /// energies, sim-seconds, retired ops.
-    #[test]
-    fn eval_memo_run_is_bitwise_identical_to_baseline() {
-        let sim = SimConfig::reduced_lj(256);
-        let memoized = GpuMdSimulation::geforce_7900gtx();
-        let mut baseline = GpuMdSimulation::geforce_7900gtx();
-        baseline.set_eval_memo(false);
-        let mut sys_m: ParticleSystem<f32> = init::initialize(&sim);
-        let mut sys_b: ParticleSystem<f32> = init::initialize(&sim);
-        let m = run_md_from(&memoized, &mut sys_m, &sim, 5);
-        let b = run_md_from(&baseline, &mut sys_b, &sim, 5);
-        assert_eq!(sys_m.positions, sys_b.positions);
-        assert_eq!(sys_m.velocities, sys_b.velocities);
-        assert_eq!(m.energies.total, b.energies.total);
-        assert_eq!(m.sim_seconds, b.sim_seconds);
-        assert_eq!(m.total_ops, b.total_ops);
     }
 
     #[test]

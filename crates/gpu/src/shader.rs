@@ -32,14 +32,7 @@ impl ShaderOps {
 /// read-only input textures and their pre-designated output index, and return
 /// exactly one texel. There is no mechanism to write anywhere else, to read
 /// the output array, or to communicate with another instance.
-///
-/// `Sync` is a supertrait because the same restriction is what lets the host
-/// fan fragment batches out over threads ([`GpuDevice::dispatch_par`]):
-/// instances share nothing, so a shader must be safe to call from many
-/// threads at once.
-///
-/// [`GpuDevice::dispatch_par`]: crate::device::GpuDevice::dispatch_par
-pub trait Shader: Sync {
+pub trait Shader {
     /// Compute the texel at `out_index`.
     fn execute(
         &self,

@@ -278,39 +278,6 @@ impl DeviceKind {
         }
     }
 
-    /// [`DeviceKind::build`] with the device's physics-once replay memo
-    /// disabled (DESIGN.md §17): every evaluation runs the interpretive
-    /// per-pair walk instead of the shared wide evaluator. Simulated results
-    /// are bitwise identical to [`DeviceKind::build`] — only host wall-clock
-    /// differs — which is what makes these the denominators of the
-    /// single-run speedups `BENCH_host.json` records. The PPE-only and
-    /// Figure 5 probe paths have no memo; they build unchanged.
-    pub fn build_baseline(self) -> Box<dyn MdDevice> {
-        match self {
-            DeviceKind::Cell { .. } => {
-                let mut md = CellMd::paper_blade(self.cell_run_config().expect("cell variant"));
-                md.device.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::CellPpe | DeviceKind::CellAccel { .. } => self.build(),
-            DeviceKind::Gpu { model } => {
-                let mut md = GpuMdSimulation::new(model.config());
-                md.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Mta { mode } => {
-                let mut md = MtaMd::paper_mta2(mode);
-                md.sim.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Opteron => {
-                let mut cpu = OpteronCpu::paper_reference();
-                cpu.set_trace_memo(false);
-                Box::new(cpu)
-            }
-        }
-    }
-
     /// [`DeviceKind::build`] with a deterministic fault schedule armed.
     /// The PPE-only and Figure 5 probe paths are fault-free by design; the
     /// plan is ignored there.
@@ -330,44 +297,6 @@ impl DeviceKind {
                 mode,
             )),
             DeviceKind::Opteron => Box::new(OpteronCpu::paper_reference().with_fault_plan(plan)),
-        }
-    }
-
-    /// [`DeviceKind::build_faulted`] with the eval memo disabled — the
-    /// fault-injected interpretive baseline `tests/shared_eval.rs` pits the
-    /// memoized path against. Fault schedules key off the simulated run
-    /// structure, which the memo never changes, so the two must agree on
-    /// every injected site.
-    #[cfg(feature = "fault-inject")]
-    pub fn build_baseline_faulted(self, plan: sim_fault::FaultPlan) -> Box<dyn MdDevice> {
-        match self {
-            DeviceKind::Cell { .. } => {
-                let mut md = CellMd::new(
-                    CellBeDevice::paper_blade().with_fault_plan(plan),
-                    self.cell_run_config().expect("cell variant"),
-                );
-                md.device.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::CellPpe | DeviceKind::CellAccel { .. } => self.build(),
-            DeviceKind::Gpu { model } => {
-                let mut md = GpuMdSimulation::new(model.config()).with_fault_plan(plan);
-                md.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Mta { mode } => {
-                let mut md = MtaMd::new(
-                    mta::MtaMdSimulation::paper_mta2().with_fault_plan(plan),
-                    mode,
-                );
-                md.sim.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Opteron => {
-                let mut cpu = OpteronCpu::paper_reference().with_fault_plan(plan);
-                cpu.set_trace_memo(false);
-                Box::new(cpu)
-            }
         }
     }
 }

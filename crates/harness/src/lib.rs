@@ -33,10 +33,10 @@ pub use cluster::{run_cluster_supervised, ClusterKind, ClusterRecovery};
 pub use device::{DeviceKind, GpuModel};
 pub use error::HarnessError;
 pub use perf::{
-    cell_metrics, cluster_ledger, cluster_metrics, device_baseline_metrics_host, device_ledger,
-    device_metrics, device_metrics_host, device_metrics_par, gpu_metrics, mta_metrics,
-    opteron_baseline_metrics_host, opteron_metrics, record_host_throughput_ledger,
-    standard_metrics, workload_label, write_metrics_json, write_metrics_json_in,
+    cell_metrics, cluster_ledger, cluster_metrics, device_ledger, device_metrics,
+    device_metrics_host, device_metrics_par, gpu_metrics, mta_metrics, opteron_metrics,
+    record_host_throughput_ledger, standard_metrics, workload_label, write_metrics_json,
+    write_metrics_json_in,
 };
 pub use report::{emit_figure, write_csv, Table};
 pub use supervisor::{

@@ -192,42 +192,6 @@ pub fn device_metrics_host(
     Ok((m, perf))
 }
 
-/// [`device_metrics_host`] for the wall-clock *baseline* configuration: the
-/// device with its physics-once replay memo disabled
-/// ([`DeviceKind::build_baseline`]), i.e. the interpretive per-pair path on
-/// every evaluation. Simulated results are bitwise identical to
-/// [`device_metrics_host`] — only host wall-clock differs — which is what
-/// makes these the denominators of the single-run speedups
-/// `BENCH_host.json` records.
-pub fn device_baseline_metrics_host(
-    kind: DeviceKind,
-    sim: &SimConfig,
-    steps: usize,
-    par: HostParallelism,
-) -> Result<(RunMetrics, PerfMonitor), HarnessError> {
-    let mut dev = kind.build_baseline();
-    let mut perf = PerfMonitor::new();
-    let t0 = std::time::Instant::now();
-    let r = dev.run(
-        sim,
-        RunOptions::steps(steps)
-            .with_perf(&mut perf)
-            .with_host_parallelism(par),
-    )?;
-    let mut m = collect_metrics(dev.as_ref(), &r, sim.n_atoms, steps, &perf);
-    m.record_host_throughput(t0.elapsed().as_secs_f64());
-    Ok((m, perf))
-}
-
-/// [`device_baseline_metrics_host`] for the Opteron reference (the original
-/// memo-off baseline; kept as a named shorthand for its callers).
-pub fn opteron_baseline_metrics_host(
-    sim: &SimConfig,
-    steps: usize,
-) -> Result<(RunMetrics, PerfMonitor), HarnessError> {
-    device_baseline_metrics_host(DeviceKind::Opteron, sim, steps, HostParallelism::Serial)
-}
-
 /// Counters + attribution for a Cell run at `run.n_spes` SPEs.
 pub fn cell_metrics(
     sim: &SimConfig,

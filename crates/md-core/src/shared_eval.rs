@@ -4,23 +4,24 @@
 //!
 //! 1. **Physics evaluation** — the actual forces/energies each simulated
 //!    lane (SPE slice, fragment batch, MTA stream, Opteron row chunk) would
-//!    compute. Under the replay memo this runs *once per step* through the
-//!    kernels in this module, which batch the distance pass across 4 (f64)
-//!    or 8 (f32) pair lanes.
+//!    compute. This runs *once per step* through the kernels in this
+//!    module, which batch the distance pass across 4 (f64) or 8 (f32) pair
+//!    lanes. It is every device's one production force path.
 //! 2. **Cost interpretation** — the device crate replays its cost model
 //!    (cycles, DMA, mailboxes, fragment ops, stream schedules) against the
 //!    evaluated row without re-touching positions or forces.
 //!
-//! The contract is the PR 5 observability guarantee extended to the memo:
-//! memo-on and memo-off runs are **bitwise identical** in positions,
-//! velocities, energies, sim-seconds, and perf counters at every thread
-//! count. The kernels here guarantee their half of that contract by
-//! construction: the batched distance pass performs exactly the per-pair
-//! IEEE operations of each device's interpretive loop (same operations, same
-//! associativity, same rounding), and the data-dependent accumulation runs
-//! serially in ascending-j order over the surviving lanes. Restructuring
-//! *across* pairs never changes *per-pair* rounding, so equality is an
-//! identity, not a tolerance.
+//! The contract: a device run through these kernels is **bitwise
+//! identical** to the per-pair interpretive loop it replaced — positions,
+//! velocities, energies, sim-seconds, and perf counters, at every thread
+//! count (pinned end to end by the golden device matrix,
+//! `tests/golden/device_matrix.json`). The kernels here guarantee their half
+//! of that contract by construction: the batched distance pass performs
+//! exactly the per-pair IEEE operations of each device's scalar reference
+//! (same operations, same associativity, same rounding), and the
+//! data-dependent accumulation runs serially in ascending-j order over the
+//! surviving lanes. Restructuring *across* pairs never changes *per-pair*
+//! rounding, so equality is an identity, not a tolerance.
 //!
 //! Three per-device arithmetic flavors are provided:
 //!
@@ -34,8 +35,8 @@
 //! On x86-64 hosts with AVX2 each flavor runs hand-written intrinsics with a
 //! movemask early-skip of non-interacting lane groups; elsewhere the
 //! portable [`vecmath::wide`] lanes execute the same batched structure. Both
-//! paths are bitwise-equal to the scalar interpretive loops (pinned by unit
-//! tests here and by `tests/shared_eval.rs` per device).
+//! paths are bitwise-equal to the scalar references (pinned by unit tests
+//! here and by `tests/shared_eval.rs` per device).
 //!
 //! Each row walks j in aligned blocks of 8 atoms. When the box spans at least
 //! four cutoffs and every coordinate lies in `[0, L]`, the row visits only
@@ -915,8 +916,8 @@ unsafe fn gpu_texel_avx2(
 }
 
 #[cfg(test)]
-// Bitwise assertions are the point: the memo contract is exact equality,
-// not tolerance (DESIGN.md §4, §17).
+// Bitwise assertions are the point: the shared-eval contract is exact
+// equality, not tolerance (DESIGN.md §4, §17).
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;

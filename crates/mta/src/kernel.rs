@@ -87,13 +87,6 @@ pub struct MtaRun {
 /// MD on the simulated MTA.
 pub struct MtaMdSimulation {
     pub processor: MtaProcessor,
-    /// Physics-once replay memo (DESIGN.md §17): when enabled (the default)
-    /// each stream chunk's gather row is evaluated through the shared
-    /// batched kernel instead of the scalar interpretive row. The loop cost
-    /// model is untouched — it is already a closed form in the interaction
-    /// count, which the shared kernel reproduces exactly — so sim-seconds,
-    /// energies, and counters are bitwise identical either way.
-    eval_memo: bool,
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
@@ -103,15 +96,9 @@ impl MtaMdSimulation {
     pub fn new(config: MtaConfig) -> Self {
         Self {
             processor: MtaProcessor::new(config),
-            eval_memo: true,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
-    }
-
-    /// Enable or disable the shared-eval replay memo.
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
     }
 
     pub fn paper_mta2() -> Self {
@@ -218,16 +205,12 @@ impl MtaMdSimulation {
             let box_len = sys.box_len;
             let inv_m = sys.mass.recip();
             let soa = md_core::forces::SoaPositions::from_positions(&sys.positions);
-            // Physics-once split (DESIGN.md §17): under the memo each
-            // stream's row runs the shared batched kernel — bitwise the
-            // scalar row, so the closed-form loop charge below replays
-            // unchanged.
+            // Physics-once split (DESIGN.md §17): each stream's row runs the
+            // shared batched kernel — bitwise the scalar gather row, and the
+            // loop charge below is already a closed form in the interaction
+            // count.
             let rows = md_core::parallel::map_indexed(par, n, |i| {
-                if self.eval_memo {
-                    md_core::shared_eval::host_row(&soa, i, box_len, &sub, inv_m)
-                } else {
-                    md_core::forces::gather_row(&soa, i, box_len, &sub, inv_m)
-                }
+                md_core::shared_eval::host_row(&soa, i, box_len, &sub, inv_m)
             });
             for (i, row) in rows.into_iter().enumerate() {
                 interactions += row.interactions;

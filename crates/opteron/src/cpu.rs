@@ -2,12 +2,13 @@
 
 use crate::config::OpteronConfig;
 use md_core::device::HostParallelism;
-use md_core::forces::{gather_row, GatherRow, SoaPositions};
 use md_core::forces::{AllPairsFullKernel, ForceKernel};
+use md_core::forces::{GatherRow, SoaPositions};
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::parallel::map_lanes;
 use md_core::params::SimConfig;
+use md_core::shared_eval::host_row;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use memsim::{AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
@@ -55,6 +56,14 @@ enum MemFrontend {
 }
 
 impl MemFrontend {
+    fn new(config: &OpteronConfig) -> Self {
+        if config.prefetch {
+            MemFrontend::Prefetching(memsim::PrefetchingHierarchy::new(config.memory))
+        } else {
+            MemFrontend::Plain(MemoryHierarchy::new(config.memory))
+        }
+    }
+
     fn access(&mut self, addr: u64, kind: AccessKind) -> u64 {
         match self {
             MemFrontend::Plain(h) => h.access(addr, kind),
@@ -157,11 +166,8 @@ pub struct OpteronCpu {
     loads: u64,
     stores: u64,
     /// Recorded force-evaluation replays, oldest first, reused when the
-    /// cache re-enters a recorded entry state ([`TraceMemo`]). Disabling
-    /// memoization (the benchmark baseline) empties it — results are
-    /// identical either way, only the host wall-clock differs.
+    /// cache re-enters a recorded entry state ([`TraceMemo`]).
     trace_memo: Vec<TraceMemo>,
-    trace_memo_enabled: bool,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
@@ -169,32 +175,15 @@ pub struct OpteronCpu {
 
 impl OpteronCpu {
     pub fn new(config: OpteronConfig) -> Self {
-        let hierarchy = if config.prefetch {
-            MemFrontend::Prefetching(memsim::PrefetchingHierarchy::new(config.memory))
-        } else {
-            MemFrontend::Plain(MemoryHierarchy::new(config.memory))
-        };
         Self {
-            hierarchy,
+            hierarchy: MemFrontend::new(&config),
             config,
             demand_cycles: 0.0,
             loads: 0,
             stores: 0,
             trace_memo: Vec::new(),
-            trace_memo_enabled: true,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
-        }
-    }
-
-    /// Disable (or re-enable) the force-evaluation replay memo. Every
-    /// reported number is identical either way; turning it off restores the
-    /// full O(N²) cache replay per evaluation, which the scaling benchmark
-    /// uses as its wall-clock baseline.
-    pub fn set_trace_memo(&mut self, enabled: bool) {
-        self.trace_memo_enabled = enabled;
-        if !enabled {
-            self.trace_memo.clear();
         }
     }
 
@@ -383,9 +372,11 @@ impl OpteronCpu {
     ///
     /// The evaluation is split into heterogeneous lanes run through
     /// [`map_lanes`]: one lane replays the run's exact memory-reference
-    /// sequence through the cache hierarchy (inherently serial — every access
-    /// mutates cache state), and the remaining lanes compute the per-atom
-    /// physics rows via the shared tiled [`gather_row`]. The cache replay
+    /// sequence through the cache hierarchy, or reuses a recorded replay
+    /// ([`TraceMemo`]) — inherently serial, every access mutates cache
+    /// state — and the remaining lanes compute the per-atom physics rows
+    /// through the shared wide evaluator ([`host_row`], bitwise the scalar
+    /// [`gather_row`](md_core::forces::gather_row)). The cache replay
     /// never reads the physics and the physics never reads the cache, so the
     /// two halves overlap on host threads while the serial fold below keeps
     /// every accumulator in the same order as a serial run — demand cycles,
@@ -411,7 +402,6 @@ impl OpteronCpu {
             Trace {
                 h: &'a mut MemFrontend,
                 memo: &'a mut Vec<TraceMemo>,
-                memo_enabled: bool,
             },
             Rows {
                 lo: usize,
@@ -429,16 +419,10 @@ impl OpteronCpu {
         // the lane count only shapes the wall-clock overlap.
         let row_lanes = par.threads().saturating_sub(1).max(1);
         let chunk = n.div_ceil(row_lanes).max(1);
-        // Hoisted before lane construction: `self.trace_memo` is mutably
-        // borrowed into the trace lane, so the rows arm reads a copy. When the
-        // memo is on, rows go through the shared wide evaluator — bitwise
-        // identical to [`gather_row`] per the shared-eval contract.
-        let eval_memo = self.trace_memo_enabled;
         let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(row_lanes + 1);
         lanes.push(Lane::Trace {
             h: &mut self.hierarchy,
             memo: &mut self.trace_memo,
-            memo_enabled: self.trace_memo_enabled,
         });
         let mut lo = 0;
         while lo < n {
@@ -448,14 +432,9 @@ impl OpteronCpu {
         }
 
         let outs = map_lanes(par, &mut lanes, |_, lane| match lane {
-            Lane::Trace {
-                h,
-                memo,
-                memo_enabled,
-            } => {
+            Lane::Trace { h, memo } => {
                 let h: &mut MemFrontend = h;
                 let memo: &mut Vec<TraceMemo> = memo;
-                let memo_enabled = *memo_enabled;
                 // Same stream, same entry state: reuse the recorded replay
                 // (see [`TraceMemo`] for why this cannot change any number).
                 let recorded = memo.iter().find(|m| {
@@ -468,34 +447,26 @@ impl OpteronCpu {
                     h.apply_replay(&m.entry, &m.exit);
                     return LaneOut::Trace { demand: m.demand };
                 }
-                let entry = memo_enabled.then(|| h.clone());
+                let entry = h.clone();
                 // Per-access cycle counts are integers summed far below
                 // 2^53, so one conversion equals a per-access f64 sum.
                 let demand = h.replay_eval(n, pos_r, acc_r) as f64;
-                if let Some(entry) = entry {
-                    if memo.len() == TRACE_MEMO_RECORDS {
-                        memo.remove(0);
-                    }
-                    memo.push(TraceMemo {
-                        n,
-                        pos_base: pos_r.addr(0),
-                        acc_base: acc_r.addr(0),
-                        entry,
-                        exit: h.clone(),
-                        demand,
-                    });
+                if memo.len() == TRACE_MEMO_RECORDS {
+                    memo.remove(0);
                 }
+                memo.push(TraceMemo {
+                    n,
+                    pos_base: pos_r.addr(0),
+                    acc_base: acc_r.addr(0),
+                    entry,
+                    exit: h.clone(),
+                    demand,
+                });
                 LaneOut::Trace { demand }
             }
             Lane::Rows { lo, hi } => LaneOut::Rows(
                 (*lo..*hi)
-                    .map(|i| {
-                        if eval_memo {
-                            md_core::shared_eval::host_row(&soa, i, l, sub, inv_m)
-                        } else {
-                            gather_row(&soa, i, l, sub, inv_m)
-                        }
-                    })
+                    .map(|i| host_row(&soa, i, l, sub, inv_m))
                     .collect(),
             ),
         });
@@ -897,6 +868,64 @@ mod tests {
         assert_eq!(seg_sys.accelerations, whole_sys.accelerations);
     }
 
+    /// What a run's cache replay costs without the memo.
+    struct FullReplay {
+        demand: f64,
+        stats: HierarchyStats,
+        loads: u64,
+        stores: u64,
+    }
+
+    /// The memo-free reference for a `steps`-step run over `n` atoms: a
+    /// fresh front-end driven through [`MemFrontend::replay_eval`] once per
+    /// evaluation, with the run's integration traffic in between.
+    fn full_replay(config: &OpteronConfig, n: usize, steps: usize) -> FullReplay {
+        let mut h = MemFrontend::new(config);
+        let elem = size_of::<Vec3<f64>>();
+        let mut space = AddressSpace::new();
+        let pos_r = space.alloc_array(n, elem);
+        let vel_r = space.alloc_array(n, elem);
+        let acc_r = space.alloc_array(n, elem);
+        let mut demand = h.replay_eval(n, &pos_r, &acc_r);
+        for _ in 0..steps {
+            for i in 0..n {
+                demand += h.access(acc_r.addr(i), AccessKind::Read);
+                demand += h.access(vel_r.addr(i), AccessKind::Write);
+                demand += h.access(pos_r.addr(i), AccessKind::Write);
+            }
+            demand += h.replay_eval(n, &pos_r, &acc_r);
+            for i in 0..n {
+                demand += h.access(acc_r.addr(i), AccessKind::Read);
+                demand += h.access(vel_r.addr(i), AccessKind::Write);
+            }
+        }
+        let (eval_loads, eval_stores) = eval_stream_traffic(n);
+        let evals = steps as u64 + 1;
+        let steps = steps as u64;
+        let n = n as u64;
+        FullReplay {
+            // Integer cycle counts far below 2^53: exact in f64.
+            demand: demand as f64,
+            stats: h.stats(),
+            loads: evals * eval_loads + steps * 2 * n,
+            stores: evals * eval_stores + steps * 3 * n,
+        }
+    }
+
+    impl FullReplay {
+        fn assert_reproduced_by(&self, run: &OpteronRun, config: &OpteronConfig) {
+            assert_eq!(run.memory_cycles, self.demand);
+            assert_eq!(
+                run.sim_seconds,
+                (run.flop_cycles + self.demand) / config.clock_hz
+            );
+            assert_eq!(run.memory.l1, self.stats.l1);
+            assert_eq!(run.memory.l2, self.stats.l2);
+            assert_eq!(run.memory.total_cycles, self.stats.total_cycles);
+            assert_eq!(run.memory.accesses, self.stats.accesses);
+        }
+    }
+
     #[test]
     fn trace_is_replayed_at_most_twice_per_device() {
         // Five checkpointed segments on one device: the first replays the
@@ -910,35 +939,21 @@ mod tests {
         assert_eq!(cpu.trace_memo.len(), 2, "cold + steady-state replay");
 
         // Each memoized segment reports what a full replay of it reports.
-        let mut base = OpteronCpu::paper_reference();
-        base.set_trace_memo(false);
-        let mut base_sys: ParticleSystem<f64> = init::initialize(&cfg);
+        let full = full_replay(&cpu.config, cfg.n_atoms, 2);
         for seg in &segments {
-            let full = run_md_from(&mut base, &mut base_sys, &cfg, 2);
-            assert_eq!(full.sim_seconds, seg.sim_seconds);
-            assert_eq!(full.memory_cycles, seg.memory_cycles);
-            assert_eq!(full.memory.l1, seg.memory.l1);
-            assert_eq!(full.memory.l2, seg.memory.l2);
-            assert_eq!(full.memory.total_cycles, seg.memory.total_cycles);
-            assert_eq!(full.memory.accesses, seg.memory.accesses);
-            assert_eq!((full.loads, full.stores), (seg.loads, seg.stores));
+            full.assert_reproduced_by(seg, &cpu.config);
+            assert_eq!((seg.loads, seg.stores), (full.loads, full.stores));
         }
-        assert_eq!(base_sys.positions, sys.positions);
-        assert!(base.trace_memo.is_empty(), "memo off records nothing");
     }
 
     #[test]
     fn prefetching_memo_matches_full_replay() {
         let cfg = SimConfig::reduced_lj(256);
         let mut memo = OpteronCpu::new(OpteronConfig::with_prefetcher());
-        let mut full = OpteronCpu::new(OpteronConfig::with_prefetcher());
-        full.set_trace_memo(false);
+        let full = full_replay(&memo.config, cfg.n_atoms, 3);
         for _ in 0..2 {
-            let a = run_md(&mut memo, &cfg, 3);
-            let b = run_md(&mut full, &cfg, 3);
-            assert_eq!(a.sim_seconds, b.sim_seconds);
-            assert_eq!(a.memory.l1, b.memory.l1);
-            assert_eq!(a.memory.l2, b.memory.l2);
+            let run = run_md(&mut memo, &cfg, 3);
+            full.assert_reproduced_by(&run, &memo.config);
         }
         assert!(
             memo.trace_memo.len() <= 2,

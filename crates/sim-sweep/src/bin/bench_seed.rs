@@ -7,12 +7,10 @@
 //!   unintended timing drift.
 //! - `BENCH_host.json` — the *host wall-clock* snapshot for every device
 //!   (Cell best-config, GPU, MTA full-MT, Opteron) at the reference
-//!   workload (2048 atoms × 10 steps): a memo-off serial baseline plus
-//!   memoized rows at host thread counts {1, 2, 4, 8}, with speedups
-//!   against each device's own baseline (DESIGN.md §17). Simulated results
-//!   are bitwise identical across every row of a device; only wall time
-//!   varies, so this file is provenance (which host, how fast), not a
-//!   CI-diffable artifact.
+//!   workload (2048 atoms × 10 steps): one row per host thread count in
+//!   {1, 2, 4, 8}. Simulated results are bitwise identical across every row
+//!   of a device (asserted here); only wall time varies, so this file is
+//!   provenance (which host, how fast), not a CI-diffable artifact.
 //!
 //! Each invocation also *appends* one best host row per device to
 //! `BENCH_trajectory.json` (schema-versioned, append-only), so the repo
@@ -114,8 +112,7 @@ fn best_of(
     ))
 }
 
-/// The devices the host bench covers: the paper's four ports, each with a
-/// physics-once eval memo and a memo-off interpretive baseline.
+/// The devices the host bench covers: the paper's four ports.
 fn host_bench_kinds() -> [DeviceKind; 4] {
     [
         DeviceKind::cell_best(),
@@ -129,21 +126,13 @@ fn host_bench_kinds() -> [DeviceKind; 4] {
     ]
 }
 
-/// Bench one device: memo-off serial baseline plus memoized rows per host
-/// thread count, with the physics-once bitwise contract asserted between
-/// every pair of rows.
+/// Bench one device: one row per host thread count, with the host-parallel
+/// bitwise contract asserted between every pair of rows.
 fn host_bench_device(kind: DeviceKind, sim: &SimConfig) -> Result<DeviceHostBench, SweepError> {
-    let label = kind.label();
-    let (mut baseline, base_sim_seconds) = best_of(|| {
-        harness::device_baseline_metrics_host(kind, sim, HOST_BENCH_STEPS, HostParallelism::Serial)
-            .map(|(m, _)| m)
-            .map_err(SweepError::Render)
-    })?;
-    baseline.host_threads = 1;
-
     let mut runs = Vec::new();
+    let mut sim_seconds = Vec::new();
     for t in [1usize, 2, 4, 8] {
-        let (mut r, sim_seconds) = best_of(|| {
+        let (mut r, s) = best_of(|| {
             harness::device_metrics_host(
                 kind,
                 sim,
@@ -154,27 +143,19 @@ fn host_bench_device(kind: DeviceKind, sim: &SimConfig) -> Result<DeviceHostBenc
             .map_err(SweepError::Render)
         })?;
         r.host_threads = t;
-        // The whole point of the document: every configuration — memo on or
-        // off, at any thread count — simulates the identical run.
-        assert_eq!(
-            sim_seconds.to_bits(),
-            base_sim_seconds.to_bits(),
-            "{label} threads={t}: simulated seconds drifted from the memo-off baseline"
-        );
         runs.push(r);
+        sim_seconds.push(s.to_bits());
     }
-    let best = runs
-        .iter()
-        .map(|r| baseline.wall_seconds / r.wall_seconds)
-        .fold(0.0f64, f64::max);
-    println!(
-        "  {label}: baseline {:.3}s, best single-run speedup {best:.2}x",
-        baseline.wall_seconds
+    // The whole point of the document: every host thread count simulates
+    // the identical run.
+    assert!(
+        sim_seconds.iter().all(|&s| s == sim_seconds[0]),
+        "{}: simulated seconds drifted across host thread counts",
+        kind.label()
     );
     Ok(DeviceHostBench {
-        device: label,
-        sim_seconds: base_sim_seconds,
-        baseline,
+        device: kind.label(),
+        sim_seconds: f64::from_bits(sim_seconds[0]),
         runs,
     })
 }
@@ -188,12 +169,7 @@ fn host_bench() -> Result<Vec<sim_obs::TrajectoryEntry>, SweepError> {
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let note = format!(
-        "best of {HOST_BENCH_REPEATS} repetitions per row; measured on a {cores}-core host{}",
-        if cores == 1 {
-            " (thread scaling is flat on one core: the speedup over each baseline comes from the physics-once shared evaluator)"
-        } else {
-            ""
-        }
+        "best of {HOST_BENCH_REPEATS} repetitions per row; measured on a {cores}-core host"
     );
     let json = figures::bench_host_json(HOST_BENCH_ATOMS, HOST_BENCH_STEPS, &devices, &note);
     std::fs::write("BENCH_host.json", &json)?;

@@ -645,8 +645,8 @@ pub fn bench_seed_json(report: &SweepReport, steps: usize) -> String {
 
 /// Schema of `BENCH_host.json`. Version 2 (physics-once execution,
 /// DESIGN.md §17) replaces the single Opteron `runs` array with a `devices`
-/// array carrying a memo-off baseline plus memoized thread rows for every
-/// device; `obs check` reads both versions.
+/// array carrying host-thread rows for every device; `obs check` reads both
+/// versions.
 pub const BENCH_HOST_SCHEMA_VERSION: u32 = 2;
 
 /// One measured wall-clock point for [`bench_host_json`]: how fast the host
@@ -663,28 +663,24 @@ pub struct HostBenchRun {
 }
 
 /// One device's section of `BENCH_host.json`: its simulated clock for the
-/// workload, the memo-off (interpretive per-pair path) serial baseline, and
-/// the memoized shared-eval rows per host thread count.
+/// workload and one wall-clock row per host thread count.
 #[derive(Clone, Debug)]
 pub struct DeviceHostBench {
     /// Device label ([`harness::DeviceKind::label`] grammar).
     pub device: String,
     /// Simulated seconds — bitwise identical across every row of this
-    /// device, baseline included (the physics-once contract).
+    /// device (the host-parallel contract).
     pub sim_seconds: f64,
-    /// Serial run with the device's eval memo disabled.
-    pub baseline: HostBenchRun,
-    /// Memoized runs, one per host thread count.
+    /// One run per host thread count.
     pub runs: Vec<HostBenchRun>,
 }
 
 /// The `BENCH_host.json` document: host wall-clock per device per host
-/// thread count, with speedups against each device's own memo-off serial
-/// baseline.
+/// thread count.
 ///
 /// Simulated results are bitwise identical across every row of a device
-/// (the host-parallel contract, `tests/host_parallel.rs`, and the
-/// physics-once contract, `tests/shared_eval.rs`); this document records
+/// (the host-parallel contract, `tests/host_parallel.rs`, and the golden
+/// device matrix, `tests/shared_eval.rs`); this document records
 /// the only quantity that *does* change between configurations — and
 /// between hosts, which is why the recorded numbers are a provenance
 /// snapshot, not a CI-diffable baseline like `BENCH_seed.json`.
@@ -698,7 +694,7 @@ pub fn bench_host_json(
     let _ = writeln!(out, "  \"schema_version\": {BENCH_HOST_SCHEMA_VERSION},");
     let _ = writeln!(
         out,
-        "  \"description\": \"Host wall-clock per device; simulated results are bitwise identical across all rows of a device. Speedups are against each device's own memo-off serial baseline. Regenerate with the bench_seed binary.\","
+        "  \"description\": \"Host wall-clock per device; simulated results are bitwise identical across all rows of a device. Regenerate with the bench_seed binary.\","
     );
     let _ = writeln!(
         out,
@@ -711,11 +707,6 @@ pub fn bench_host_json(
     );
     out.push_str("  \"devices\": [\n");
     for (d, dev) in devices.iter().enumerate() {
-        assert!(
-            dev.baseline.wall_seconds.is_finite() && dev.baseline.wall_seconds > 0.0,
-            "{}: baseline wall-clock must be positive",
-            dev.device
-        );
         let _ = writeln!(out, "    {{");
         let _ = writeln!(
             out,
@@ -723,11 +714,6 @@ pub fn bench_host_json(
             mdea_trace::escape_json_string(&dev.device)
         );
         let _ = writeln!(out, "      \"sim_seconds\": {},", dev.sim_seconds);
-        let _ = writeln!(
-            out,
-            "      \"baseline\": {{\"label\": \"serial, eval memo off\", \"host_wall_seconds\": {}, \"host_atom_steps_per_s\": {}}},",
-            dev.baseline.wall_seconds, dev.baseline.atom_steps_per_s
-        );
         out.push_str("      \"runs\": [\n");
         for (i, r) in dev.runs.iter().enumerate() {
             assert!(
@@ -739,11 +725,10 @@ pub fn bench_host_json(
             let comma = if i + 1 < dev.runs.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "        {{\"host_threads\": {}, \"host_wall_seconds\": {}, \"host_atom_steps_per_s\": {}, \"speedup_vs_baseline\": {}}}{comma}",
+                "        {{\"host_threads\": {}, \"host_wall_seconds\": {}, \"host_atom_steps_per_s\": {}}}{comma}",
                 r.host_threads,
                 r.wall_seconds,
                 r.atom_steps_per_s,
-                dev.baseline.wall_seconds / r.wall_seconds,
             );
         }
         let comma = if d + 1 < devices.len() { "," } else { "" };

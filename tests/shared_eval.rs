@@ -16,8 +16,8 @@
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
 //! `tests/substrate.rs`. Regenerate — only when a drift is *intended* — with
-//! `UPDATE_GOLDEN=1 cargo test --release --features fault-inject --test
-//! shared_eval golden_matrix_is_complete`.
+//! `UPDATE_GOLDEN=1 cargo test --features fault-inject --test shared_eval
+//! golden_matrix_is_complete`.
 
 use cell_be::{CellBeDevice, CellRun, CellRunConfig};
 use harness::{DeviceKind, GpuModel};
@@ -201,6 +201,11 @@ fn paper_key(kind: DeviceKind) -> String {
     format!("paper/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
 }
 
+fn paper_record(kind: DeviceKind, threads: usize) -> Record {
+    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
+    run_device(kind.build(), &sim, PAPER_STEPS, threads)
+}
+
 fn scenario_sim(n: usize, spec: ScenarioSpec) -> SimConfig {
     SimConfig::reduced_lj(n).with_scenario(spec)
 }
@@ -215,13 +220,15 @@ fn scenario_key(kind: DeviceKind, sim: &SimConfig) -> String {
 }
 
 #[cfg(feature = "fault-inject")]
-fn fault_plan() -> sim_fault::FaultPlan {
-    sim_fault::FaultPlan::new(2024, 0.02)
+fn faulted_key(kind: DeviceKind) -> String {
+    format!("faulted/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
 }
 
 #[cfg(feature = "fault-inject")]
-fn faulted_key(kind: DeviceKind) -> String {
-    format!("faulted/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
+fn faulted_record(kind: DeviceKind, threads: usize) -> Record {
+    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
+    let plan = sim_fault::FaultPlan::new(2024, 0.02);
+    run_device(kind.build_faulted(plan), &sim, PAPER_STEPS, threads)
 }
 
 /// Tiled-port cases: `(atoms, steps, tile_atoms)`.
@@ -308,20 +315,14 @@ fn assert_matches_golden(doc: &JsonValue, key: &str, measured: &Record, ctx: &st
     );
 }
 
-/// The four paper devices at 2048 × 10 through the interpretive per-pair
-/// loops (the capture the matrix records) and through the shared-eval path
-/// at every host thread count.
+/// The four paper devices at 2048 × 10, at every host thread count.
 #[test]
 fn paper_scale_runs_match_the_golden_matrix() {
     let doc = golden();
-    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     for kind in all_devices() {
-        let key = paper_key(kind);
-        let base = run_device(kind.build_baseline(), &sim, PAPER_STEPS, 1);
-        assert_matches_golden(&doc, &key, &base, "memo off");
         for t in THREADS {
-            let memo = run_device(kind.build(), &sim, PAPER_STEPS, t);
-            assert_matches_golden(&doc, &key, &memo, &format!("{t} host threads"));
+            let rec = paper_record(kind, t);
+            assert_matches_golden(&doc, &paper_key(kind), &rec, &format!("{t} host threads"));
         }
     }
 }
@@ -342,11 +343,8 @@ fn scenario_flavors_match_the_golden_matrix() {
                 "culling premise"
             );
             for kind in all_devices() {
-                let key = scenario_key(kind, &sim);
-                let base = run_device(kind.build_baseline(), &sim, SCENARIO_STEPS, 1);
-                assert_matches_golden(&doc, &key, &base, "memo off");
-                let memo = run_device(kind.build(), &sim, SCENARIO_STEPS, 2);
-                assert_matches_golden(&doc, &key, &memo, "2 host threads");
+                let rec = run_device(kind.build(), &sim, SCENARIO_STEPS, 2);
+                assert_matches_golden(&doc, &scenario_key(kind, &sim), &rec, "2 host threads");
             }
         }
     }
@@ -358,20 +356,11 @@ fn scenario_flavors_match_the_golden_matrix() {
 #[test]
 fn fault_injected_runs_match_the_golden_matrix() {
     let doc = golden();
-    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     for kind in all_devices() {
-        let key = faulted_key(kind);
-        let base = run_device(
-            kind.build_baseline_faulted(fault_plan()),
-            &sim,
-            PAPER_STEPS,
-            1,
-        );
-        assert_matches_golden(&doc, &key, &base, "memo off");
-        let memo = run_device(kind.build_faulted(fault_plan()), &sim, PAPER_STEPS, 2);
-        assert_matches_golden(&doc, &key, &memo, "2 host threads");
+        let rec = faulted_record(kind, 2);
+        assert_matches_golden(&doc, &faulted_key(kind), &rec, "2 host threads");
         assert!(
-            memo.0
+            rec.0
                 .iter()
                 .any(|(k, v)| k == "faults.injected" && v != "0"),
             "{}: plan injected nothing — the comparison is vacuous",
@@ -395,10 +384,37 @@ fn cell_tiled_and_double_ports_match_the_golden_matrix() {
     }
 }
 
+/// Every record the matrix holds, measured serially, in file order.
+fn measure_matrix() -> Vec<(String, Record)> {
+    let mut records = Vec::new();
+    for kind in all_devices() {
+        records.push((paper_key(kind), paper_record(kind, 1)));
+    }
+    for n in SCENARIO_ATOMS {
+        for spec in scenario_flavors() {
+            let sim = scenario_sim(n, spec);
+            for kind in all_devices() {
+                let rec = run_device(kind.build(), &sim, SCENARIO_STEPS, 1);
+                records.push((scenario_key(kind, &sim), rec));
+            }
+        }
+    }
+    #[cfg(feature = "fault-inject")]
+    for kind in all_devices() {
+        records.push((faulted_key(kind), faulted_record(kind, 1)));
+    }
+    for (n, steps, tile) in TILED {
+        records.push((tiled_key(n, steps, tile), tiled_record(n, steps, tile)));
+    }
+    for (n, steps) in DOUBLE {
+        records.push((double_key(n, steps), double_record(n, steps)));
+    }
+    records
+}
+
 /// Under `UPDATE_GOLDEN=1` (with `--features fault-inject`, so the faulted
-/// records exist) rewrite the matrix from the interpretive per-pair loops;
-/// otherwise check that the file holds exactly the records the tests above
-/// look up, in order.
+/// records exist) rewrite the matrix; otherwise check that the file holds
+/// exactly the records the tests above look up, in order.
 #[test]
 fn golden_matrix_is_complete() {
     let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
@@ -410,48 +426,17 @@ fn golden_matrix_is_complete() {
     }
     #[cfg(feature = "fault-inject")]
     keys.extend(all_devices().into_iter().map(faulted_key));
+    keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
+    keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         assert!(
-            cfg!(feature = "fault-inject"),
+            keys.iter().any(|k| k.starts_with("faulted/")),
             "regenerate with --features fault-inject so the faulted records are written"
         );
-        let mut records = Vec::new();
-        let sim = SimConfig::reduced_lj(PAPER_ATOMS);
-        for kind in all_devices() {
-            let rec = run_device(kind.build_baseline(), &sim, PAPER_STEPS, 1);
-            records.push((paper_key(kind), rec));
-        }
-        for n in SCENARIO_ATOMS {
-            for spec in scenario_flavors() {
-                let sim = scenario_sim(n, spec);
-                for kind in all_devices() {
-                    let rec = run_device(kind.build_baseline(), &sim, SCENARIO_STEPS, 1);
-                    records.push((scenario_key(kind, &sim), rec));
-                }
-            }
-        }
-        #[cfg(feature = "fault-inject")]
-        for kind in all_devices() {
-            let rec = run_device(
-                kind.build_baseline_faulted(fault_plan()),
-                &sim,
-                PAPER_STEPS,
-                1,
-            );
-            records.push((faulted_key(kind), rec));
-        }
-        for (n, steps, tile) in TILED {
-            records.push((tiled_key(n, steps, tile), tiled_record(n, steps, tile)));
-        }
-        for (n, steps) in DOUBLE {
-            records.push((double_key(n, steps), double_record(n, steps)));
-        }
-        std::fs::write(GOLDEN_PATH, render_golden(&records)).expect("write golden");
+        std::fs::write(GOLDEN_PATH, render_golden(&measure_matrix())).expect("write golden");
     }
 
-    keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
-    keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
     let doc = golden();
     let pinned: Vec<&str> = doc
         .get("records")
