@@ -8,7 +8,7 @@ use crate::error::CellError;
 use crate::hazard::{Dir, HazardChecker};
 use crate::kernel::{
     compute_accelerations, compute_accelerations_f64, compute_accelerations_shared,
-    compute_accelerations_tiled, KernelStats, SpeKernelVariant, SpeLanePhysics, SpeLanePhysicsF64,
+    compute_accelerations_tiled, KernelStats, SpeKernelVariant, SpeLanePhysics,
 };
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
@@ -130,11 +130,11 @@ impl CellBeDevice {
         self
     }
 
-    fn lane_physics(sim: &SimConfig, sys: &ParticleSystem<f32>) -> SpeLanePhysics {
+    fn lane_physics<T: Real>(sim: &SimConfig, sys: &ParticleSystem<T>) -> SpeLanePhysics<T> {
         SpeLanePhysics {
-            sub: sim.substrate::<f32>(),
+            sub: sim.substrate::<T>(),
             box_len: sys.box_len,
-            inv_mass: 1.0 / sys.mass,
+            inv_mass: T::ONE / sys.mass,
         }
     }
 
@@ -181,7 +181,6 @@ impl CellBeDevice {
         par: HostParallelism,
     ) -> Result<CellRun, CellError> {
         let port = Resident {
-            params: Self::lane_physics(sim, sys),
             variant: run.variant,
         };
         self.run_offload(&port, sys, sim, steps, run, tracer, perf, par)
@@ -209,10 +208,7 @@ impl CellBeDevice {
             run.variant == SpeKernelVariant::SimdAcceleration,
             "the tiled port is built on the fully optimized kernel"
         );
-        self.run_fresh(sim, steps, run, |sys| Tiled {
-            params: Self::lane_physics(sim, sys),
-            tile_atoms,
-        })
+        self.run_fresh(&Tiled { tile_atoms }, sim, steps, run)
     }
 
     /// Double-precision SPE offload — the capability the paper flags as the
@@ -228,28 +224,20 @@ impl CellBeDevice {
         steps: usize,
         run: CellRunConfig,
     ) -> Result<CellRun, CellError> {
-        self.run_fresh(sim, steps, run, |sys: &ParticleSystem<f64>| Double {
-            params: SpeLanePhysicsF64 {
-                sub: sim.substrate(),
-                box_len: sys.box_len,
-                inv_mass: 1.0 / sys.mass,
-            },
-        })
+        self.run_fresh(&Double, sim, steps, run)
     }
 
-    /// A serial, unobserved [`Self::run_offload`] from a fresh lattice, with
-    /// the port built for that lattice.
+    /// A serial, unobserved [`Self::run_offload`] from a fresh lattice.
     fn run_fresh<P: OffloadPort>(
         &self,
+        port: &P,
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-        port: impl FnOnce(&ParticleSystem<P::Real>) -> P,
     ) -> Result<CellRun, CellError> {
         let mut sys = init::initialize(sim);
-        let port = port(&sys);
         let par = HostParallelism::Serial;
-        self.run_offload(&port, &mut sys, sim, steps, run, None, None, par)
+        self.run_offload(port, &mut sys, sim, steps, run, None, None, par)
     }
 
     /// The one SPE-offload time-step loop every port shares: thread
@@ -278,10 +266,10 @@ impl CellBeDevice {
         let vv = VelocityVerlet::new(P::Real::from_f64(sim.dt));
         let ppe = PpeModel::new(&self.config);
         let dma = DmaEngine::new(&self.config);
-        let sub = sim.substrate::<P::Real>();
+        let params = Self::lane_physics(sim, sys);
         // Ensemble upkeep (thermostat) runs on the PPE after the final kick;
         // zero cycles under NVE, so the seed cost model is untouched.
-        let ens_cycles = n as f64 * sub.extra_step_ops_per_atom();
+        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
         let mbox = self.config.mailbox_cycles;
 
         // One fault session per run: the plan decides, the session keeps the
@@ -488,6 +476,7 @@ impl CellBeDevice {
                         pos_mem,
                         n,
                         slice: slices[s],
+                        params,
                         dma: &dma,
                         costs: &self.config.costs,
                         mailbox_cycles: mbox,
@@ -606,7 +595,7 @@ impl CellBeDevice {
                 }
                 t_now += dur;
                 vv.kick(sys);
-                sub.apply_thermostat(sys);
+                params.sub.apply_thermostat(sys);
                 breakdown.ppe += ens_cycles;
                 t_now += ens_cycles / clk;
             }
@@ -867,11 +856,12 @@ fn read_atom<T: SpeReal>(mem: &[u8], i: usize) -> Vec3<T> {
 
 /// What one SPE's step sees besides its own lane: the shared position half
 /// of main memory and the run's constants.
-struct StepCx<'a> {
+struct StepCx<'a, T: Real> {
     pos_mem: &'a [u8],
     n: usize,
     /// This SPE's atom slice `[lo, hi)`.
     slice: (usize, usize),
+    params: SpeLanePhysics<T>,
     dma: &'a DmaEngine,
     costs: &'a SpeCostModel,
     mailbox_cycles: f64,
@@ -910,7 +900,7 @@ trait OffloadPort: Sync {
         &self,
         lane: &mut SpeLane<'_>,
         regions: Self::Regions,
-        cx: &StepCx<'_>,
+        cx: &StepCx<'_, Self::Real>,
     ) -> Result<SpeStep<Self::Real>, CellError>;
 }
 
@@ -920,7 +910,7 @@ trait OffloadPort: Sync {
 fn resident_step<T: SpeReal>(
     lane: &mut SpeLane<'_>,
     (pos_r, acc_r): (LsRegion, LsRegion),
-    cx: &StepCx<'_>,
+    cx: &StepCx<'_, T>,
     kernel: impl FnOnce(&mut LocalStore) -> (T, KernelStats),
 ) -> Result<SpeStep<T>, CellError> {
     let (lo, hi) = cx.slice;
@@ -961,7 +951,6 @@ fn resident_step<T: SpeReal>(
 
 /// The paper's port: all positions resident in every local store, f32.
 struct Resident {
-    params: SpeLanePhysics,
     variant: SpeKernelVariant,
 }
 
@@ -982,7 +971,7 @@ impl OffloadPort for Resident {
         &self,
         lane: &mut SpeLane<'_>,
         (pos_r, acc_r): Self::Regions,
-        cx: &StepCx<'_>,
+        cx: &StepCx<'_, Self::Real>,
     ) -> Result<SpeStep<f32>, CellError> {
         let (lo, hi) = cx.slice;
         resident_step(lane, (pos_r, acc_r), cx, |ls| {
@@ -991,7 +980,7 @@ impl OffloadPort for Resident {
             // charge is the closed-form replay — both bitwise the per-pair
             // kernel's results. The Figure 5 ladder variants run per pair.
             if self.variant == SpeKernelVariant::SimdAcceleration {
-                compute_accelerations_shared(ls, pos_r, acc_r, lo..hi, cx.n, self.params, cx.costs)
+                compute_accelerations_shared(ls, pos_r, acc_r, lo..hi, cx.n, cx.params, cx.costs)
             } else {
                 compute_accelerations(
                     ls,
@@ -999,7 +988,7 @@ impl OffloadPort for Resident {
                     acc_r,
                     lo..hi,
                     cx.n,
-                    self.params,
+                    cx.params,
                     self.variant,
                     cx.costs,
                 )
@@ -1009,9 +998,7 @@ impl OffloadPort for Resident {
 }
 
 /// The double-precision resident port: two quadwords per atom per array.
-struct Double {
-    params: SpeLanePhysicsF64,
-}
+struct Double;
 
 impl OffloadPort for Double {
     type Real = f64;
@@ -1030,18 +1017,17 @@ impl OffloadPort for Double {
         &self,
         lane: &mut SpeLane<'_>,
         (pos_r, acc_r): Self::Regions,
-        cx: &StepCx<'_>,
+        cx: &StepCx<'_, Self::Real>,
     ) -> Result<SpeStep<f64>, CellError> {
         let (lo, hi) = cx.slice;
         resident_step(lane, (pos_r, acc_r), cx, |ls| {
-            compute_accelerations_f64(ls, pos_r, acc_r, lo..hi, cx.n, self.params, cx.costs)
+            compute_accelerations_f64(ls, pos_r, acc_r, lo..hi, cx.n, cx.params, cx.costs)
         })
     }
 }
 
 /// The streaming port: own slice plus two j-tile buffers per local store.
 struct Tiled {
-    params: SpeLanePhysics,
     tile_atoms: usize,
 }
 
@@ -1078,7 +1064,7 @@ impl OffloadPort for Tiled {
         &self,
         lane: &mut SpeLane<'_>,
         r: TiledRegions,
-        cx: &StepCx<'_>,
+        cx: &StepCx<'_, Self::Real>,
     ) -> Result<SpeStep<f32>, CellError> {
         let (lo, hi) = cx.slice;
         let slice_len = hi - lo;
@@ -1117,16 +1103,7 @@ impl OffloadPort for Tiled {
         for t in 0..n_tiles {
             let (j_lo, count, buf) = tile(t);
             let (_, tile_stats) = compute_accelerations_tiled(
-                ls,
-                r.pos_i,
-                lo,
-                slice_len,
-                buf,
-                j_lo,
-                count,
-                r.acc,
-                self.params,
-                cx.costs,
+                ls, r.pos_i, lo, slice_len, buf, j_lo, count, r.acc, cx.params, cx.costs,
             );
             stats.pairs_tested += tile_stats.pairs_tested;
             stats.interactions += tile_stats.interactions;
@@ -2094,6 +2071,32 @@ mod tests {
             faulty.sim_seconds - clean.sim_seconds,
             faulty.faults.extra_seconds
         );
+    }
+
+    /// The tiled and double-precision ports share the resident port's loop,
+    /// fault hooks included: same physics, more simulated time.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn tiled_and_double_ports_honour_the_fault_plan() {
+        let sim = workload(256);
+        let clean = CellBeDevice::paper_blade();
+        let faulty = CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(7, 0.1));
+        let best = CellRunConfig::best();
+        let runs = [
+            (
+                clean.run_md_tiled(&sim, 4, best, 100).unwrap(),
+                faulty.run_md_tiled(&sim, 4, best, 100).unwrap(),
+            ),
+            (
+                clean.run_md_double(&sim, 4, best).unwrap(),
+                faulty.run_md_double(&sim, 4, best).unwrap(),
+            ),
+        ];
+        for (clean, faulty) in runs {
+            assert_eq!(clean.energies, faulty.energies);
+            assert!(faulty.faults.any());
+            assert!(faulty.sim_seconds > clean.sim_seconds);
+        }
     }
 
     #[cfg(feature = "fault-inject")]

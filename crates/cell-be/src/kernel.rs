@@ -108,16 +108,16 @@ impl KernelStats {
     // sim-vet: end-allow(precision-discipline)
 }
 
-/// Per-lane physics as the SPE sees it (single precision, matching the
-/// paper's Cell port): the resolved scenario substrate — potential,
-/// precision policy, thermostat — plus the geometry constants every pair
-/// evaluation needs. Replaces the old hard-coded `SpeLjParams` so the same
-/// SPE kernel serves every scenario (DESIGN.md §16).
+/// Per-lane physics as the SPE sees it (single precision by default,
+/// matching the paper's Cell port): the resolved scenario substrate —
+/// potential, precision policy, thermostat — plus the geometry constants
+/// every pair evaluation needs. Replaces the old hard-coded `SpeLjParams` so
+/// the same SPE kernel serves every scenario (DESIGN.md §16).
 #[derive(Clone, Copy, Debug)]
-pub struct SpeLanePhysics {
-    pub sub: Substrate<f32>,
-    pub box_len: f32,
-    pub inv_mass: f32,
+pub struct SpeLanePhysics<T: Real = f32> {
+    pub sub: Substrate<T>,
+    pub box_len: T,
+    pub inv_mass: T,
 }
 
 /// Compute accelerations for atoms `i_range`, scanning all `n_atoms`
@@ -446,12 +446,7 @@ pub fn compute_accelerations_tiled(
 // sim-vet: begin-allow(precision-discipline): explicit double-precision section — models the SPE's DP unit (the paper's "outstanding issue"), not the f32 datapath
 
 /// Double-precision lane physics for the DP kernel extension.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeLanePhysicsF64 {
-    pub sub: Substrate<f64>,
-    pub box_len: f64,
-    pub inv_mass: f64,
-}
+pub type SpeLanePhysicsF64 = SpeLanePhysics<f64>;
 
 /// Double-precision acceleration kernel — the capability the paper lists as
 /// the Cell's "outstanding issue". Data layout: each atom occupies two

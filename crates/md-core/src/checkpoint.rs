@@ -144,12 +144,19 @@ impl SystemCheckpoint {
             f64::from_le_bytes(b)
         };
         let step = read_u64(5);
+        // Checked arithmetic: a hostile atom count whose payload length does
+        // not fit a usize can match no buffer.
         let n_u64 = read_u64(13);
-        let n = usize::try_from(n_u64).map_err(|_| CheckpointError::Truncated {
-            expected: usize::MAX,
-            got: bytes.len(),
-        })?;
-        let expected = HEADER_BYTES + 3 * 24 * n;
+        let sized = usize::try_from(n_u64).ok().and_then(|n| {
+            let len = n.checked_mul(3 * 24)?.checked_add(HEADER_BYTES)?;
+            Some((n, len))
+        });
+        let Some((n, expected)) = sized else {
+            return Err(CheckpointError::Truncated {
+                expected: usize::MAX,
+                got: bytes.len(),
+            });
+        };
         if bytes.len() != expected {
             return Err(CheckpointError::Truncated {
                 expected,
@@ -281,6 +288,23 @@ mod tests {
         assert!(matches!(
             SystemCheckpoint::decode(&bytes[..10]),
             Err(CheckpointError::Truncated { .. })
+        ));
+    }
+
+    /// A 37-byte header claiming 2⁶¹ atoms: `72 · 2⁶¹` wraps to 0 in u64,
+    /// so unchecked arithmetic would expect exactly the header and then ask
+    /// `reserve_exact` for 2⁶¹ atoms (a capacity-overflow panic).
+    #[test]
+    fn decode_rejects_an_overflowing_atom_count() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        bytes.extend_from_slice(&10.0f64.to_le_bytes());
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        assert_eq!(bytes.len(), HEADER_BYTES);
+        assert!(matches!(
+            SystemCheckpoint::decode(&bytes),
+            Err(CheckpointError::Truncated { got: 37, .. })
         ));
     }
 

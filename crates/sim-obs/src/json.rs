@@ -82,9 +82,17 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The documents the
+/// workspace writes (ledgers, metrics, cache entries, BENCH files, traces)
+/// nest fewer than ten levels; the limit keeps the recursive descent's stack
+/// bounded on hostile input instead of overflowing it.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -118,8 +126,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -128,6 +139,16 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.fail(&format!("unexpected {:?}", other as char))),
             None => Err(self.fail("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -276,6 +297,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -332,6 +354,40 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape_json_string(original));
         let parsed = parse_json(&doc).expect("escaped string parses");
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(original));
+    }
+
+    /// `depth` nested arrays (or objects) around a scalar.
+    fn nested_doc(depth: usize, open: &str, close: &str) -> String {
+        format!("{}1{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = nested_doc(MAX_DEPTH, "[", "]");
+        assert!(parse_json(&ok).is_ok(), "the limit itself parses");
+        let deep = nested_doc(MAX_DEPTH + 1, "[", "]");
+        assert!(parse_json(&deep).is_err());
+        assert!(parse_json(&nested_doc(10_000, "[", "]")).is_err());
+        assert!(parse_json(&nested_doc(10_000, "{\"k\":", "}")).is_err());
+    }
+
+    /// Without the limit, one line of 50,000 `[` overflows the stack and
+    /// aborts the process. A 2 MiB stack is the default for spawned threads.
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_small_stack() {
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                [
+                    parse_json(&"[".repeat(50_000)).is_err(),
+                    parse_json(&nested_doc(50_000, "[", "]")).is_err(),
+                    parse_json(&nested_doc(50_000, "{\"k\":", "}")).is_err(),
+                ]
+            })
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread did not overflow");
+        assert_eq!(outcome, [true; 3]);
     }
 
     proptest! {
