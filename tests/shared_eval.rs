@@ -9,9 +9,10 @@
 //! velocities, energies, simulated seconds, time attribution, derived
 //! metrics, perf counters and fault ledgers must match at every host thread
 //! count, under fault injection, and across scenario flavors (Morse/NVT,
-//! Coulomb, mixed precision). The Cell's tiled and double-precision SPE
-//! ports are pinned the same way through their `CellRun` (breakdown and
-//! kernel stats).
+//! Coulomb, mixed precision). The Opteron is also pinned past its L1 cliff
+//! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
+//! The Cell's tiled and double-precision SPE ports are pinned the same way
+//! through their `CellRun` (breakdown and kernel stats).
 //!
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
@@ -45,6 +46,11 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// j-blocks that cannot reach the cutoff.
 const SCENARIO_ATOMS: [usize; 2] = [512, 864];
 const SCENARIO_STEPS: usize = 5;
+/// Opteron cache-cliff sizes: the position array (24 B per atom) outgrows
+/// the 64 KB L1 from about 2,731 atoms, so these runs pin the L1 and L2
+/// counters where L1 conflict misses dominate (Figure 9's regime).
+const CLIFF_ATOMS: [usize; 2] = [3000, 4096];
+const CLIFF_STEPS: usize = 2;
 
 fn all_devices() -> [DeviceKind; 4] {
     [
@@ -206,6 +212,15 @@ fn paper_record(kind: DeviceKind, threads: usize) -> Record {
     run_device(kind.build(), &sim, PAPER_STEPS, threads)
 }
 
+fn cliff_key(n: usize) -> String {
+    format!("cliff/{}@{n}x{CLIFF_STEPS}", DeviceKind::Opteron.label())
+}
+
+fn cliff_record(n: usize, threads: usize) -> Record {
+    let sim = SimConfig::reduced_lj(n);
+    run_device(DeviceKind::Opteron.build(), &sim, CLIFF_STEPS, threads)
+}
+
 fn scenario_sim(n: usize, spec: ScenarioSpec) -> SimConfig {
     SimConfig::reduced_lj(n).with_scenario(spec)
 }
@@ -327,6 +342,18 @@ fn paper_scale_runs_match_the_golden_matrix() {
     }
 }
 
+/// The Opteron past its L1 cliff, at every host thread count.
+#[test]
+fn opteron_cache_cliff_runs_match_the_golden_matrix() {
+    let doc = golden();
+    for n in CLIFF_ATOMS {
+        for t in THREADS {
+            let rec = cliff_record(n, t);
+            assert_matches_golden(&doc, &cliff_key(n), &rec, &format!("{t} host threads"));
+        }
+    }
+}
+
 /// Scenario flavors exercise every branch of the shared evaluator: the
 /// Morse/NVT substrate (different pair expression, thermostat pass), the
 /// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
@@ -390,6 +417,9 @@ fn measure_matrix() -> Vec<(String, Record)> {
     for kind in all_devices() {
         records.push((paper_key(kind), paper_record(kind, 1)));
     }
+    for n in CLIFF_ATOMS {
+        records.push((cliff_key(n), cliff_record(n, 1)));
+    }
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
@@ -418,6 +448,7 @@ fn measure_matrix() -> Vec<(String, Record)> {
 #[test]
 fn golden_matrix_is_complete() {
     let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
+    keys.extend(CLIFF_ATOMS.map(cliff_key));
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
