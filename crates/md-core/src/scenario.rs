@@ -86,9 +86,9 @@ impl Potential {
     fn try_validate(&self) -> Result<(), String> {
         match *self {
             Potential::LennardJones { epsilon, sigma } => {
-                if epsilon <= 0.0 || sigma <= 0.0 {
+                if !(positive_finite(epsilon) && positive_finite(sigma)) {
                     return Err(format!(
-                        "LJ needs positive epsilon/sigma, got e={epsilon}, s={sigma}"
+                        "LJ needs finite positive epsilon/sigma, got e={epsilon}, s={sigma}"
                     ));
                 }
             }
@@ -97,9 +97,9 @@ impl Potential {
                 stiffness,
                 r0,
             } => {
-                if depth <= 0.0 || stiffness <= 0.0 || r0 <= 0.0 {
+                if !(positive_finite(depth) && positive_finite(stiffness) && positive_finite(r0)) {
                     return Err(format!(
-                        "Morse needs positive depth/stiffness/r0, got d={depth}, a={stiffness}, r={r0}"
+                        "Morse needs finite positive depth/stiffness/r0, got d={depth}, a={stiffness}, r={r0}"
                     ));
                 }
             }
@@ -427,6 +427,12 @@ impl FromStr for ScenarioSpec {
         out.try_validate()?;
         Ok(out)
     }
+}
+
+/// Whether a potential parameter is usable: not zero, negative, infinite
+/// or NaN (which no `<= 0.0` comparison catches).
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 /// Parse `"e1,s2"`-style field lists: each comma-separated piece must start
@@ -792,7 +798,10 @@ mod tests {
             "lj:e1,s1/nve/quantum",
             "lj:e1,s1/nve/native/extra",
             "lj:e0,s1",
+            "lj:eNaN,s1",
+            "lj:e1,sinf",
             "morse:d1,a-2,r1",
+            "morse:dNaN,a2,r1",
             "coul:q0",
             "lj:e1,s1/nvt:t-1,k0.5",
             "lj:e1,s1/nvt:t1,k0",

@@ -66,6 +66,15 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// `times` copies of the counts accumulated from `then` to `self`.
+    pub(crate) fn delta_since(self, then: CacheStats, times: u64) -> CacheStats {
+        CacheStats {
+            hits: (self.hits - then.hits) * times,
+            misses: (self.misses - then.misses) * times,
+            evictions: (self.evictions - then.evictions) * times,
+        }
+    }
+
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
@@ -206,8 +215,17 @@ impl Cache {
         self.fill.copy_from_slice(&other.fill);
     }
 
-    pub(crate) fn set_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
+    /// Set `idx`'s valid tags, most recently used first: its whole
+    /// replacement state.
+    pub(crate) fn set_tags(&self, idx: usize) -> &[u64] {
+        &self.tags[idx * self.config.associativity..][..self.fill[idx] as usize]
+    }
+
+    /// Advance the counters by `delta`.
+    pub(crate) fn add_stats(&mut self, delta: CacheStats) {
+        self.stats.hits += delta.hits;
+        self.stats.misses += delta.misses;
+        self.stats.evictions += delta.evictions;
     }
 }
 

@@ -10,16 +10,23 @@
 //! comparison) and a two-level hierarchy with per-level latencies, plus
 //! address-space bookkeeping for the logical arrays the MD kernel touches.
 //!
-//! The simulated CPU (`mdea-opteron`) replays every memory reference of the
-//! MD kernel through [`MemoryHierarchy::access`], which returns the number of
-//! cycles that reference costs.
+//! The simulated CPU (`mdea-opteron`) charges every memory reference of the
+//! MD kernel. Its O(N) integration passes go through
+//! [`MemoryHierarchy::access`], which returns the cycles one reference
+//! costs. Its O(N²) force evaluations go through
+//! [`MemoryHierarchy::replay_row_sweep`], which replays the evaluation's
+//! whole reference stream one cache set at a time and leaves every counter
+//! and every set exactly where the reference-by-reference [`eval_stream`]
+//! would.
 
 mod addr;
 mod cache;
 mod hierarchy;
 mod prefetch;
+mod sweep;
 
 pub use addr::{AddressSpace, ArrayRegion};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use prefetch::{PrefetchStats, PrefetchingHierarchy};
+pub use sweep::eval_stream;

@@ -2,16 +2,15 @@
 
 use crate::config::OpteronConfig;
 use md_core::device::HostParallelism;
-use md_core::forces::{AllPairsFullKernel, ForceKernel};
-use md_core::forces::{GatherRow, SoaPositions};
+use md_core::forces::{AllPairsFullKernel, ForceKernel, SoaPositions};
 use md_core::init;
 use md_core::observables::EnergyReport;
-use md_core::parallel::map_lanes;
+use md_core::parallel::map_indexed;
 use md_core::params::SimConfig;
 use md_core::shared_eval::host_row;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
-use memsim::{AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
+use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
 use vecmath::Vec3;
 
 /// Per-pair flop counts for the scalar kernel (displacement + minimum image +
@@ -71,12 +70,13 @@ impl MemFrontend {
         }
     }
 
-    /// Replay one force evaluation's reference stream; returns its demand
-    /// cycles. Matching once here, not per access, keeps the O(N²) loop
-    /// monomorphic.
+    /// Replay one force evaluation's reference stream ([`eval_stream`]);
+    /// returns its demand cycles. The plain hierarchy replays it one cache
+    /// set at a time in O(N) rows per set; the prefetcher's stream detector
+    /// couples the sets, so it replays the N² references one by one.
     fn replay_eval(&mut self, n: usize, pos_r: &ArrayRegion, acc_r: &ArrayRegion) -> u64 {
         match self {
-            MemFrontend::Plain(h) => eval_stream(n, pos_r, acc_r, |a, k| h.access(a, k)),
+            MemFrontend::Plain(h) => h.replay_row_sweep(n, pos_r, acc_r),
             MemFrontend::Prefetching(h) => eval_stream(n, pos_r, acc_r, |a, k| h.access(a, k)),
         }
     }
@@ -134,9 +134,12 @@ impl MemFrontend {
 /// `exit`. A run enters the evaluation from just two states: cold (the
 /// priming evaluation, right after the run's reset) and the steady state
 /// every later step re-enters. The device keeps a record per entry state,
-/// so it replays the O(N²) trace at most twice — later evaluations, runs
-/// and checkpointed segments collapse to an O(cache-size) equality check
-/// plus a state install, without changing a single reported number.
+/// so it replays the trace at most twice — later evaluations, runs and
+/// checkpointed segments collapse to an O(cache-size) equality check plus a
+/// state install, without changing a single reported number. The per-set
+/// row replay already makes each replay O(N) rows per cache set, but a
+/// recorded one is still cheaper from about 256 atoms up: at 2,048 it is
+/// worth ~6% of a supervised cluster run.
 struct TraceMemo {
     /// Stream identity: the memo only applies to the exact same reference
     /// sequence (same atom count, same simulated array bases).
@@ -370,18 +373,16 @@ impl OpteronCpu {
     /// The step-2 gather loop with interleaved cache accesses. Numerics are
     /// identical to [`AllPairsFullKernel`].
     ///
-    /// The evaluation is split into heterogeneous lanes run through
-    /// [`map_lanes`]: one lane replays the run's exact memory-reference
-    /// sequence through the cache hierarchy, or reuses a recorded replay
-    /// ([`TraceMemo`]) — inherently serial, every access mutates cache
-    /// state — and the remaining lanes compute the per-atom physics rows
-    /// through the shared wide evaluator ([`host_row`], bitwise the scalar
-    /// [`gather_row`](md_core::forces::gather_row)). The cache replay
-    /// never reads the physics and the physics never reads the cache, so the
-    /// two halves overlap on host threads while the serial fold below keeps
-    /// every accumulator in the same order as a serial run — demand cycles,
-    /// reference counts, flops, PE, and accelerations are bitwise identical
-    /// at any thread count.
+    /// The cache replay and the physics never read each other, so they run
+    /// one after the other. First the evaluation's exact memory-reference
+    /// sequence goes through the cache hierarchy
+    /// ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per cache set), or
+    /// a recorded replay is reused ([`TraceMemo`]). Then the per-atom
+    /// physics rows run through the shared wide evaluator ([`host_row`],
+    /// bitwise the scalar [`gather_row`](md_core::forces::gather_row)) as an
+    /// order-preserving indexed map, folded serially in atom order — demand
+    /// cycles, reference counts, flops, PE, and accelerations are bitwise
+    /// identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     fn traced_forces(
         &mut self,
@@ -394,107 +395,21 @@ impl OpteronCpu {
         par: HostParallelism,
     ) -> f64 {
         let n = sys.n();
+        self.demand_cycles += self.replay_or_reuse(n, pos_r, acc_r);
+        let (loads, stores) = eval_stream_traffic(n);
+        self.loads += loads;
+        self.stores += stores;
+
         let l = sys.box_len;
         let inv_m = sys.mass.recip();
         let soa = SoaPositions::from_positions(&sys.positions);
-
-        enum Lane<'a> {
-            Trace {
-                h: &'a mut MemFrontend,
-                memo: &'a mut Vec<TraceMemo>,
-            },
-            Rows {
-                lo: usize,
-                hi: usize,
-            },
-        }
-        enum LaneOut {
-            Trace { demand: f64 },
-            Rows(Vec<GatherRow<f64>>),
-        }
-
-        // Lane 0 owns the cache replay; the row range is split over the
-        // remaining workers. The split never changes any value — rows are
-        // pure per-atom functions folded in ascending-atom order below — so
-        // the lane count only shapes the wall-clock overlap.
-        let row_lanes = par.threads().saturating_sub(1).max(1);
-        let chunk = n.div_ceil(row_lanes).max(1);
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(row_lanes + 1);
-        lanes.push(Lane::Trace {
-            h: &mut self.hierarchy,
-            memo: &mut self.trace_memo,
-        });
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            lanes.push(Lane::Rows { lo, hi });
-            lo = hi;
-        }
-
-        let outs = map_lanes(par, &mut lanes, |_, lane| match lane {
-            Lane::Trace { h, memo } => {
-                let h: &mut MemFrontend = h;
-                let memo: &mut Vec<TraceMemo> = memo;
-                // Same stream, same entry state: reuse the recorded replay
-                // (see [`TraceMemo`] for why this cannot change any number).
-                let recorded = memo.iter().find(|m| {
-                    m.n == n
-                        && m.pos_base == pos_r.addr(0)
-                        && m.acc_base == acc_r.addr(0)
-                        && h.replay_state_eq(&m.entry)
-                });
-                if let Some(m) = recorded {
-                    h.apply_replay(&m.entry, &m.exit);
-                    return LaneOut::Trace { demand: m.demand };
-                }
-                let entry = h.clone();
-                // Per-access cycle counts are integers summed far below
-                // 2^53, so one conversion equals a per-access f64 sum.
-                let demand = h.replay_eval(n, pos_r, acc_r) as f64;
-                if memo.len() == TRACE_MEMO_RECORDS {
-                    memo.remove(0);
-                }
-                memo.push(TraceMemo {
-                    n,
-                    pos_base: pos_r.addr(0),
-                    acc_base: acc_r.addr(0),
-                    entry,
-                    exit: h.clone(),
-                    demand,
-                });
-                LaneOut::Trace { demand }
-            }
-            Lane::Rows { lo, hi } => LaneOut::Rows(
-                (*lo..*hi)
-                    .map(|i| host_row(&soa, i, l, sub, inv_m))
-                    .collect(),
-            ),
-        });
-        drop(lanes);
-
-        // Serial fold in lane order (trace first, then rows ascending).
+        let rows = map_indexed(par, n, |i| host_row(&soa, i, l, sub, inv_m));
         let mut pe_twice = 0.0f64;
         let mut interactions = 0u64;
-        let mut row_cursor = 0usize;
-        for out in outs {
-            match out {
-                LaneOut::Trace { demand } => {
-                    // Per-access cycle counts are integers, so this one f64
-                    // add reproduces the per-access accumulation exactly.
-                    self.demand_cycles += demand;
-                    let (loads, stores) = eval_stream_traffic(n);
-                    self.loads += loads;
-                    self.stores += stores;
-                }
-                LaneOut::Rows(rows) => {
-                    for row in rows {
-                        sys.accelerations[row_cursor] = row.acc;
-                        pe_twice += row.pe;
-                        interactions += row.interactions;
-                        row_cursor += 1;
-                    }
-                }
-            }
+        for (i, row) in rows.into_iter().enumerate() {
+            sys.accelerations[i] = row.acc;
+            pe_twice += row.pe;
+            interactions += row.interactions;
         }
 
         let dist_evals = (n as f64) * (n as f64 - 1.0);
@@ -504,6 +419,39 @@ impl OpteronCpu {
             + interactions as f64 * (FLOPS_INTERACT + sub.extra_eval_ops());
         *loop_iters += dist_evals;
         pe_twice * 0.5
+    }
+
+    /// Charge one force evaluation's cache replay, reusing a recorded one
+    /// when the cache re-enters its entry state ([`TraceMemo`]); returns
+    /// its demand cycles.
+    fn replay_or_reuse(&mut self, n: usize, pos_r: &ArrayRegion, acc_r: &ArrayRegion) -> f64 {
+        let h = &mut self.hierarchy;
+        let recorded = self.trace_memo.iter().find(|m| {
+            m.n == n
+                && m.pos_base == pos_r.addr(0)
+                && m.acc_base == acc_r.addr(0)
+                && h.replay_state_eq(&m.entry)
+        });
+        if let Some(m) = recorded {
+            h.apply_replay(&m.entry, &m.exit);
+            return m.demand;
+        }
+        let entry = h.clone();
+        // Per-access cycle counts are integers summed far below 2^53, so
+        // one conversion equals a per-access f64 sum.
+        let demand = h.replay_eval(n, pos_r, acc_r) as f64;
+        if self.trace_memo.len() == TRACE_MEMO_RECORDS {
+            self.trace_memo.remove(0);
+        }
+        self.trace_memo.push(TraceMemo {
+            n,
+            pos_base: pos_r.addr(0),
+            acc_base: acc_r.addr(0),
+            entry,
+            exit: h.clone(),
+            demand,
+        });
+        demand
     }
 
     /// Reference check: the same workload run through the untimed kernel.
@@ -524,27 +472,6 @@ impl OpteronCpu {
 /// (pos[i] plus the n − 1 other positions, per row) and n writes.
 fn eval_stream_traffic(n: usize) -> (u64, u64) {
     ((n * n) as u64, n as u64)
-}
-
-/// Replay the exact reference stream of the scalar kernel's force
-/// evaluation — read pos[i], read every other pos[j] in the inner loop,
-/// write acc[i] — and return its demand cycles. Its access counts are
-/// [`eval_stream_traffic`].
-fn eval_stream(
-    n: usize,
-    pos_r: &ArrayRegion,
-    acc_r: &ArrayRegion,
-    mut access: impl FnMut(u64, AccessKind) -> u64,
-) -> u64 {
-    let mut demand = 0u64;
-    for i in 0..n {
-        demand += access(pos_r.addr(i), AccessKind::Read);
-        for j in (0..n).filter(|&j| j != i) {
-            demand += access(pos_r.addr(j), AccessKind::Read);
-        }
-        demand += access(acc_r.addr(i), AccessKind::Write);
-    }
-    demand
 }
 
 /// Registered handles for the Opteron's counter set (memsim per-level cache
@@ -868,32 +795,32 @@ mod tests {
         assert_eq!(seg_sys.accelerations, whole_sys.accelerations);
     }
 
-    /// What a run's cache replay costs without the memo.
-    struct FullReplay {
+    /// What a run's cache replay costs reference by reference.
+    struct StraightReplay {
         demand: f64,
         stats: HierarchyStats,
         loads: u64,
         stores: u64,
     }
 
-    /// The memo-free reference for a `steps`-step run over `n` atoms: a
-    /// fresh front-end driven through [`MemFrontend::replay_eval`] once per
+    /// The reference-by-reference replay of a `steps`-step run over `n`
+    /// atoms: a fresh front-end driven through [`eval_stream`] once per
     /// evaluation, with the run's integration traffic in between.
-    fn full_replay(config: &OpteronConfig, n: usize, steps: usize) -> FullReplay {
+    fn straight_replay(config: &OpteronConfig, n: usize, steps: usize) -> StraightReplay {
         let mut h = MemFrontend::new(config);
         let elem = size_of::<Vec3<f64>>();
         let mut space = AddressSpace::new();
         let pos_r = space.alloc_array(n, elem);
         let vel_r = space.alloc_array(n, elem);
         let acc_r = space.alloc_array(n, elem);
-        let mut demand = h.replay_eval(n, &pos_r, &acc_r);
+        let mut demand = eval_stream(n, &pos_r, &acc_r, |a, k| h.access(a, k));
         for _ in 0..steps {
             for i in 0..n {
                 demand += h.access(acc_r.addr(i), AccessKind::Read);
                 demand += h.access(vel_r.addr(i), AccessKind::Write);
                 demand += h.access(pos_r.addr(i), AccessKind::Write);
             }
-            demand += h.replay_eval(n, &pos_r, &acc_r);
+            demand += eval_stream(n, &pos_r, &acc_r, |a, k| h.access(a, k));
             for i in 0..n {
                 demand += h.access(acc_r.addr(i), AccessKind::Read);
                 demand += h.access(vel_r.addr(i), AccessKind::Write);
@@ -903,7 +830,7 @@ mod tests {
         let evals = steps as u64 + 1;
         let steps = steps as u64;
         let n = n as u64;
-        FullReplay {
+        StraightReplay {
             // Integer cycle counts far below 2^53: exact in f64.
             demand: demand as f64,
             stats: h.stats(),
@@ -912,7 +839,7 @@ mod tests {
         }
     }
 
-    impl FullReplay {
+    impl StraightReplay {
         fn assert_reproduced_by(&self, run: &OpteronRun, config: &OpteronConfig) {
             assert_eq!(run.memory_cycles, self.demand);
             assert_eq!(
@@ -923,42 +850,42 @@ mod tests {
             assert_eq!(run.memory.l2, self.stats.l2);
             assert_eq!(run.memory.total_cycles, self.stats.total_cycles);
             assert_eq!(run.memory.accesses, self.stats.accesses);
+            assert_eq!((run.loads, run.stores), (self.loads, self.stores));
         }
     }
 
     #[test]
     fn trace_is_replayed_at_most_twice_per_device() {
-        // Five checkpointed segments on one device: the first replays the
-        // cold and the steady-state entry, every later one reuses them.
-        let cfg = SimConfig::reduced_lj(256);
-        let mut cpu = OpteronCpu::paper_reference();
-        let mut sys: ParticleSystem<f64> = init::initialize(&cfg);
-        let segments: Vec<OpteronRun> = (0..5)
-            .map(|_| run_md_from(&mut cpu, &mut sys, &cfg, 2))
-            .collect();
-        assert_eq!(cpu.trace_memo.len(), 2, "cold + steady-state replay");
-
-        // Each memoized segment reports what a full replay of it reports.
-        let full = full_replay(&cpu.config, cfg.n_atoms, 2);
-        for seg in &segments {
-            full.assert_reproduced_by(seg, &cpu.config);
-            assert_eq!((seg.loads, seg.stores), (full.loads, full.stores));
+        // Checkpointed segments on one device, below and past the L1 cliff:
+        // the first replays the cold and the steady-state entry, every later
+        // one reuses them, and each reports what a reference-by-reference
+        // replay of it reports.
+        for (n, segments) in [(256, 5), (3000, 2)] {
+            let cfg = SimConfig::reduced_lj(n);
+            let mut cpu = OpteronCpu::paper_reference();
+            let mut sys: ParticleSystem<f64> = init::initialize(&cfg);
+            let straight = straight_replay(&cpu.config, n, 2);
+            for _ in 0..segments {
+                let seg = run_md_from(&mut cpu, &mut sys, &cfg, 2);
+                straight.assert_reproduced_by(&seg, &cpu.config);
+            }
+            assert_eq!(cpu.trace_memo.len(), 2, "cold + steady-state replay");
         }
     }
 
     #[test]
-    fn prefetching_memo_matches_full_replay() {
+    fn prefetching_memo_matches_the_straight_replay() {
         let cfg = SimConfig::reduced_lj(256);
-        let mut memo = OpteronCpu::new(OpteronConfig::with_prefetcher());
-        let full = full_replay(&memo.config, cfg.n_atoms, 3);
+        let mut cpu = OpteronCpu::new(OpteronConfig::with_prefetcher());
+        let straight = straight_replay(&cpu.config, cfg.n_atoms, 3);
         for _ in 0..2 {
-            let run = run_md(&mut memo, &cfg, 3);
-            full.assert_reproduced_by(&run, &memo.config);
+            let run = run_md(&mut cpu, &cfg, 3);
+            straight.assert_reproduced_by(&run, &cpu.config);
         }
         assert!(
-            memo.trace_memo.len() <= 2,
+            cpu.trace_memo.len() <= 2,
             "{} records",
-            memo.trace_memo.len()
+            cpu.trace_memo.len()
         );
     }
 

@@ -1,14 +1,21 @@
-//! Loaders never panic on hostile input: `SystemCheckpoint::decode` and the
+//! Loaders never panic on hostile input: `SystemCheckpoint::decode`, the
 //! JSON layer (`parse_json`, `RunLedger::parse_jsonl`, and the sweep cache
-//! built on them) return typed errors for anything they cannot read.
+//! built on them) and the two text parsers (`ScenarioSpec::from_str`,
+//! `DeviceKind::from_str`) return typed errors for anything they cannot
+//! read.
 //!
 //! The fuzz properties mutate seed inputs — valid encodings plus the two
 //! inputs an unguarded decoder crashes on: a 37-byte MDCP1 header claiming
 //! 2⁶¹ atoms (length overflow, then a capacity-overflow panic) and one line
-//! of 50,000 `[` (stack overflow in the recursive-descent parser).
+//! of 50,000 `[` (stack overflow in the recursive-descent parser). The text
+//! parsers are seeded with every valid label and canonical spec, plus specs
+//! whose parameters are NaN or infinite, and must round-trip every input
+//! they accept through `Display`.
 
+use harness::DeviceKind;
 use md_core::checkpoint::{SystemCheckpoint, HEADER_BYTES, MAGIC};
 use md_core::params::SimConfig;
+use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sim_obs::{parse_json, RunLedger};
@@ -86,7 +93,7 @@ fn json_seeds() -> &'static [String] {
     static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
     SEEDS.get_or_init(|| {
         let sim = SimConfig::reduced_lj(108);
-        let (_, ledger) = harness::device_ledger(harness::DeviceKind::Opteron, &sim, 1)
+        let (_, ledger) = harness::device_ledger(DeviceKind::Opteron, &sim, 1)
             .expect("the Opteron reference device is infallible");
         let jsonl = ledger.to_jsonl();
         let first = jsonl.lines().next().expect("ledger has a header line");
@@ -113,7 +120,7 @@ fn deeply_nested_cache_entry_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::new(&dir);
     let sim = SimConfig::reduced_lj(108);
-    let (metrics, _) = harness::device_metrics(harness::DeviceKind::Opteron, &sim, 1)
+    let (metrics, _) = harness::device_metrics(DeviceKind::Opteron, &sim, 1)
         .expect("the Opteron reference device is infallible");
     let key = point_key(
         CODE_VERSION_SALT,
@@ -138,8 +145,97 @@ fn deeply_nested_cache_entry_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every canonical scenario spec, the named default, and specs with NaN
+/// or infinite parameters; then every parseable device label and alias.
+fn text_seeds() -> Vec<String> {
+    let mut seeds: Vec<String> = [
+        ScenarioSpec::default(),
+        ScenarioSpec::morse_nvt(),
+        ScenarioSpec::coulomb_cutoff(),
+        ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
+        ScenarioSpec::morse_nvt().with_precision(PrecisionPolicy::ForceF64),
+        ScenarioSpec::coulomb_cutoff().with_precision(PrecisionPolicy::ForceF32),
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    seeds.extend(
+        [
+            "default",
+            "lj:eNaN,s1",
+            "morse:d1,ainf,r1.2/nvt:t0.7,k0.5",
+            "coul:q-inf/nve/native",
+            "lj:e1,s1/nvt:tNaN,k0.5",
+        ]
+        .map(String::from),
+    );
+    seeds.extend(
+        DeviceKind::parseable_roster()
+            .iter()
+            .map(ToString::to_string),
+    );
+    seeds.extend(["cell", "gpu", "mta", "mta-full", "mta-partial"].map(String::from));
+    seeds
+}
+
+/// Both text parsers return `Ok` or `Err` on `text`, and whatever they
+/// accept prints back to text that parses to the same value.
+fn text_parsers_are_total(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(spec) = text.parse::<ScenarioSpec>() {
+        prop_assert_eq!(spec.to_string().parse::<ScenarioSpec>(), Ok(spec));
+    }
+    if let Ok(kind) = text.parse::<DeviceKind>() {
+        prop_assert_eq!(kind.to_string().parse::<DeviceKind>(), Ok(kind));
+    }
+    Ok(())
+}
+
+#[test]
+fn text_seeds_parse_or_fail_cleanly() {
+    let seeds = text_seeds();
+    for seed in &seeds {
+        text_parsers_are_total(seed).unwrap_or_else(|e| panic!("{seed:?}: {e}"));
+    }
+    for bad in ["lj:eNaN,s1", "morse:d1,ainf,r1.2/nvt:t0.7,k0.5"] {
+        assert!(bad.parse::<ScenarioSpec>().is_err(), "{bad:?} must fail");
+    }
+    assert!(seeds.iter().any(|s| s.parse::<ScenarioSpec>().is_ok()));
+    assert!(seeds.iter().any(|s| s.parse::<DeviceKind>().is_ok()));
+    // Very long inputs: a huge number, many segments, a huge SPE count.
+    for long in [
+        format!("lj:e{},s1", "9".repeat(100_000)),
+        format!("lj:e0.{}1,s1", "0".repeat(100_000)),
+        "lj:e1,s1/".repeat(20_000),
+        ",".repeat(100_000),
+        format!("cell-{}spe", "9".repeat(10_000)),
+    ] {
+        text_parsers_are_total(&long).unwrap_or_else(|e| panic!("{} bytes: {e}", long.len()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn text_parsers_never_panic_on_mutated_seeds(
+        seed in 0usize..64,
+        edits in edits(),
+        repeats in (0usize..4, 1usize..2000),
+    ) {
+        let seeds = text_seeds();
+        let seed = &seeds[seed % seeds.len()];
+        let text = String::from_utf8_lossy(&mutate(seed.as_bytes(), &edits)).into_owned();
+        // One case in four repeats the mutant into a long input.
+        let text = if repeats.0 == 0 { text.repeat(repeats.1) } else { text };
+        text_parsers_are_total(&text)?;
+    }
+
+    #[test]
+    fn text_parsers_never_panic_on_random_bytes(
+        bytes in vec((0u16..256).prop_map(|b| b as u8), 0..200),
+    ) {
+        text_parsers_are_total(&String::from_utf8_lossy(&bytes))?;
+    }
 
     #[test]
     fn checkpoint_decode_never_panics_on_random_bytes(
