@@ -604,6 +604,15 @@ pub enum EvalPrecision {
     ForceF64,
 }
 
+/// A computation over one resolved pair function, handed to
+/// [`Substrate::with_energy_force`]: `with` receives a function bitwise
+/// equal to [`Substrate::energy_force`], monomorphized per potential and
+/// evaluation precision.
+pub(crate) trait PairFnUser<T> {
+    type Out;
+    fn with(self, energy_force: impl Fn(T) -> (T, T)) -> Self::Out;
+}
+
 /// A [`ScenarioSpec`] resolved into one precision: the object force kernels
 /// evaluate against and integrators take their thermostat from. `Copy`, so
 /// device lanes can carry it by value like the old per-device param structs.
@@ -679,16 +688,42 @@ impl<T: Real> Substrate<T> {
     /// [`LjParams::energy_force`].
     #[inline(always)]
     pub fn energy_force(&self, r2: T) -> (T, T) {
+        struct One<T>(T);
+        impl<T> PairFnUser<T> for One<T> {
+            type Out = (T, T);
+            #[inline(always)]
+            fn with(self, energy_force: impl Fn(T) -> (T, T)) -> (T, T) {
+                energy_force(self.0)
+            }
+        }
+        self.with_energy_force(One(r2))
+    }
+
+    /// Run `user` with [`Self::energy_force`] resolved: the precision policy
+    /// and the potential are matched once, here, so a loop inside `user`
+    /// evaluates its pairs with no per-pair dispatch. `energy_force` itself
+    /// goes through this match, so the two are bitwise the same.
+    #[inline(always)]
+    pub(crate) fn with_energy_force<U: PairFnUser<T>>(&self, user: U) -> U::Out {
+        macro_rules! per_potential {
+            ($pot:expr, |$p:ident, $r2:ident| $eval:expr) => {
+                match $pot {
+                    PairPotential::LennardJones($p) => user.with(move |$r2: T| $eval),
+                    PairPotential::Morse($p) => user.with(move |$r2: T| $eval),
+                    PairPotential::Coulomb($p) => user.with(move |$r2: T| $eval),
+                }
+            };
+        }
         match self.eval {
-            EvalPrecision::Native => self.pot.energy_force(r2),
-            EvalPrecision::ForceF32 => {
-                let (e, f) = self.pot32.energy_force(f32::from_f64(r2.to_f64()));
+            EvalPrecision::Native => per_potential!(self.pot, |p, r2| p.energy_force(r2)),
+            EvalPrecision::ForceF32 => per_potential!(self.pot32, |p, r2| {
+                let (e, f) = p.energy_force(f32::from_f64(r2.to_f64()));
                 (T::from_f64(f64::from(e)), T::from_f64(f64::from(f)))
-            }
-            EvalPrecision::ForceF64 => {
-                let (e, f) = self.pot64.energy_force(r2.to_f64());
+            }),
+            EvalPrecision::ForceF64 => per_potential!(self.pot64, |p, r2| {
+                let (e, f) = p.energy_force(r2.to_f64());
                 (T::from_f64(e), T::from_f64(f))
-            }
+            }),
         }
     }
 

@@ -20,7 +20,7 @@
 //! exactly the per-pair IEEE operations of each device's scalar reference
 //! (same operations, same associativity, same rounding), and the
 //! data-dependent accumulation runs serially in ascending-j order over the
-//! surviving lanes. Restructuring *across* pairs never changes *per-pair*
+//! surviving pairs. Restructuring *across* pairs never changes *per-pair*
 //! rounding, so equality is an identity, not a tolerance.
 //!
 //! Three per-device arithmetic flavors are provided:
@@ -32,11 +32,24 @@
 //! - [`gpu_texel`] — the fragment shader's predicated sequential-conditional
 //!   minimum image and `(d * f_over_r) * inv_mass` accumulate.
 //!
-//! On x86-64 hosts with AVX2 each flavor runs hand-written intrinsics with a
-//! movemask early-skip of non-interacting lane groups; elsewhere the
-//! portable [`vecmath::wide`] lanes execute the same batched structure. Both
-//! paths are bitwise-equal to the scalar references (pinned by unit tests
-//! here and by `tests/shared_eval.rs` per device).
+//! Every row runs in two steps, **pack then drain**. The wide distance pass
+//! writes each pair that passes the cutoff test — its displacement and `r2`
+//! — into a fixed-size stack chunk, in ascending j, with no branch on the
+//! data. One dense loop per flavor then drains the chunk: it evaluates
+//! `energy_force` and accumulates the pairs in order, with the precision
+//! policy and the potential resolved once per drain, not per pair. A full
+//! chunk is drained mid-row and refilled, so the pair set, the per-pair
+//! arithmetic and the summation order are those of the scalar loop.
+//!
+//! On x86-64 hosts with AVX2 and FMA each flavor's distance pass runs
+//! hand-written intrinsics (its selects as bit masks, which round
+//! identically) and packs survivors with a permute table; the drain is
+//! compiled with FMA, so the Cell's `mul_add` is one `vfmadd` (exactly
+//! rounded, as the portable build's `fmaf` call is). Elsewhere the
+//! portable [`vecmath::wide`] lanes run the same distance pass and pack by
+//! writing every lane and advancing by its predicate bit. Both paths share
+//! the drain and are bitwise-equal to the scalar references (pinned by unit
+//! tests here and by `tests/shared_eval.rs` per device).
 //!
 //! Each row walks j in aligned blocks of 8 atoms. When the box spans at least
 //! four cutoffs and every coordinate lies in `[0, L]`, the row visits only
@@ -55,9 +68,10 @@
 
 use crate::cull::{BlockCull, BLOCK};
 use crate::forces::{GatherRow, SoaPositions};
-use crate::scenario::Substrate;
+use crate::scenario::{PairFnUser, Substrate};
+use std::mem::MaybeUninit;
 use std::ops::{Add, Mul, Sub};
-use vecmath::{pbc, Real, Vec3};
+use vecmath::{pbc, Real};
 use vecmath::{F32x8, F64x4};
 
 /// One row's wide distance pass: runs `$body` once per group of `$w` j-atoms
@@ -107,19 +121,251 @@ impl SoaPositions<f64> {
     }
 }
 
-/// Do the fused AVX2 kernels run on this host? (Cached feature probe;
-/// portable wide lanes are used when false. Both paths are bitwise-equal, so
-/// this only ever changes speed.)
+/// Do the fused AVX2 kernels run on this host? They need both `avx2` (the
+/// distance pass and the pack) and `fma` (the drain's inline `vfmadd`).
+/// Cached feature probe; the portable wide lanes run when it is false. Both
+/// paths are bitwise-equal, so this only ever changes speed.
 pub fn wide_kernels_native() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        static NATIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *NATIVE.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pack then drain: the chunk every flavor's row fills and empties.
+
+/// Pairs a chunk collects before the row drains it.
+const CHUNK: usize = 64;
+
+/// Chunk capacity: one wide group (at most 8 lanes) stored at `len < CHUNK`.
+const CAP: usize = CHUNK + 8;
+
+/// One row's surviving pairs, packed in ascending j into a stack chunk:
+/// each pair's minimum-image displacement and its `r2`, exactly as the
+/// distance pass computed them.
+///
+/// The push methods are the only writers of `len`, and keep two invariants:
+/// - every entry below `len` has been written;
+/// - `len < CHUNK` between pushes: each push ends by draining the chunk once
+///   it holds `CHUNK` pairs, so a whole group stored at `len` fits in `CAP`.
+///
+/// [`Packed::chunk`] relies on the first to read the entries, the AVX2 push
+/// on the second for its unchecked stores.
+struct Packed<'a, T> {
+    buf: &'a mut ChunkBuf<T>,
+    len: usize,
+}
+
+/// The stack chunk a [`Packed`] row fills. It starts uninitialized: zeroing
+/// its 1–2 kB on every row cost 7–13% of a row. It is a value of its own so
+/// that the drain sees the buffer while the running `len` stays in a
+/// register.
+struct ChunkBuf<T> {
+    dx: [MaybeUninit<T>; CAP],
+    dy: [MaybeUninit<T>; CAP],
+    dz: [MaybeUninit<T>; CAP],
+    r2: [MaybeUninit<T>; CAP],
+}
+
+impl<T: Copy> ChunkBuf<T> {
+    fn new() -> Self {
+        Self {
+            dx: [MaybeUninit::uninit(); CAP],
+            dy: [MaybeUninit::uninit(); CAP],
+            dz: [MaybeUninit::uninit(); CAP],
+            r2: [MaybeUninit::uninit(); CAP],
+        }
+    }
+}
+
+impl<'a, T: Copy> Packed<'a, T> {
+    fn new(buf: &'a mut ChunkBuf<T>) -> Self {
+        Self { buf, len: 0 }
+    }
+
+    /// The pairs packed so far.
+    #[inline(always)]
+    fn chunk(&self) -> Chunk<'_, T> {
+        let n = self.len;
+        // SAFETY: `n ≤ CAP`, and the entries below `len` have been written
+        // (see `Packed`); `MaybeUninit<T>` has the layout of `T`.
+        let init = |a: &[MaybeUninit<T>; CAP]| unsafe {
+            std::slice::from_raw_parts(a.as_ptr().cast::<T>(), n)
+        };
+        Chunk {
+            dx: init(&self.buf.dx),
+            dy: init(&self.buf.dy),
+            dz: init(&self.buf.dz),
+            r2: init(&self.buf.r2),
+        }
+    }
+
+    #[inline(always)]
+    fn drain_if_full(&mut self, drain: &mut impl FnMut(Chunk<'_, T>)) {
+        if self.len >= CHUNK {
+            drain(self.chunk());
+            self.len = 0;
+        }
+    }
+
+    /// Portable pack of one group of `W` pairs: writes every lane and
+    /// advances by its keep bit, so no branch depends on the data.
+    #[inline(always)]
+    fn push<const W: usize>(
+        &mut self,
+        [dx, dy, dz]: [[T; W]; 3],
+        r2: [T; W],
+        keep: [bool; W],
+        drain: &mut impl FnMut(Chunk<'_, T>),
+    ) {
+        for lane in 0..W {
+            let at = self.len;
+            self.buf.dx[at].write(dx[lane]);
+            self.buf.dy[at].write(dy[lane]);
+            self.buf.dz[at].write(dz[lane]);
+            self.buf.r2[at].write(r2[lane]);
+            self.len += usize::from(keep[lane]);
+        }
+        self.drain_if_full(drain);
+    }
+}
+
+/// The pairs one drain absorbs, in ascending j. Handed over as slices, so
+/// the pack's running length never leaves a register.
+#[derive(Clone, Copy)]
+struct Chunk<'a, T> {
+    dx: &'a [T],
+    dy: &'a [T],
+    dz: &'a [T],
+    r2: &'a [T],
+}
+
+impl<'a, T: Copy> Chunk<'a, T> {
+    /// The pairs `(dx, dy, dz, r2)`.
+    #[inline(always)]
+    fn pairs(self) -> impl Iterator<Item = (T, T, T, T)> + 'a {
+        let d = self.dx.iter().zip(self.dy).zip(self.dz);
+        d.zip(self.r2)
+            .map(|(((&dx, &dy), &dz), &r2)| (dx, dy, dz, r2))
+    }
+}
+
+/// Per keep mask, the `_mm256_permutevar8x32_ps` indices that move the kept
+/// pairs of a group to the front in lane order, and how many pairs it keeps
+/// (a table load is cheaper than a popcount without the `popcnt` feature). A
+/// register's eight 32-bit slots hold 4 f64 pairs (`M = 16` masks) or 8 f32
+/// pairs (`M = 256`).
+#[cfg(target_arch = "x86_64")]
+#[repr(align(32))]
+struct PackLut<const M: usize> {
+    idx: [[i32; 8]; M],
+    kept: [u8; M],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<const M: usize> PackLut<M> {
+    const fn new() -> Self {
+        let slots = 8 / M.trailing_zeros() as usize;
+        let mut idx = [[0i32; 8]; M];
+        let mut kept = [0u8; M];
+        let mut mask = 0;
+        while mask < M {
+            let mut out = 0;
+            let mut lane = 0;
+            while lane * slots < 8 {
+                if mask & (1 << lane) != 0 {
+                    let mut s = 0;
+                    while s < slots {
+                        idx[mask][out] = (lane * slots + s) as i32;
+                        out += 1;
+                        s += 1;
+                    }
+                }
+                lane += 1;
+            }
+            kept[mask] = (out / slots) as u8;
+            mask += 1;
+        }
+        Self { idx, kept }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+static PACK_F64: PackLut<16> = PackLut::new();
+#[cfg(target_arch = "x86_64")]
+static PACK_F32: PackLut<256> = PackLut::new();
+
+#[cfg(target_arch = "x86_64")]
+impl<T: Copy> Packed<'_, T> {
+    /// AVX2 pack of one group (`dx, dy, dz, r2`, one register each): the
+    /// table row for `mask` moves the kept pairs to the front with one
+    /// permute per register, the whole register is stored at `len`, and
+    /// `len` advances by the number kept.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn push_avx2<const M: usize>(
+        &mut self,
+        lut: &PackLut<M>,
+        lanes: [std::arch::x86_64::__m256; 4],
+        mask: i32,
+        drain: &mut impl FnMut(Chunk<'_, T>),
+    ) {
+        use std::arch::x86_64::{_mm256_load_si256, _mm256_permutevar8x32_ps, _mm256_storeu_ps};
+        // A register holds `log2(M) ≤ 8` pairs of `T`, so a store at
+        // `len < CHUNK` ends inside `CAP = CHUNK + 8`.
+        assert!(M <= 256 && size_of::<T>() * M.trailing_zeros() as usize == 32);
+        let mask = mask as usize & (M - 1);
+        // Aligned load: the table is `repr(align(32))` with 32-byte rows.
+        let idx = _mm256_load_si256(lut.idx[mask].as_ptr().cast());
+        let len = self.len;
+        let buf = &mut *self.buf;
+        for (dst, v) in [&mut buf.dx, &mut buf.dy, &mut buf.dz, &mut buf.r2]
+            .into_iter()
+            .zip(lanes)
+        {
+            // SAFETY: `len < CHUNK` on entry (see `Packed`) and the store is
+            // one group of at most 8 pairs (asserted above).
+            _mm256_storeu_ps(
+                dst.as_mut_ptr().add(len).cast(),
+                _mm256_permutevar8x32_ps(v, idx),
+            );
+        }
+        self.len = len + usize::from(lut.kept[mask]);
+        self.drain_if_full(drain);
+    }
+}
+
+/// One drain: a row's accumulator `A` and the chunk it absorbs. Each
+/// flavor's `PairFnUser` impl is its one dense accumulate loop, handed the
+/// resolved pair function by [`Substrate::with_energy_force`].
+struct Drain<'a, A, T> {
+    st: &'a mut A,
+    chunk: Chunk<'a, T>,
+    inv_mass: T,
+}
+
+/// The drain compiled with AVX2 and FMA, for the native rows. Only the
+/// instruction selection differs from the portable build: `mul_add` becomes
+/// `vfmadd` instead of an `fmaf` call, and both are exactly rounded.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn drain_fma<T: Real, U: PairFnUser<T, Out = ()>>(sub: &Substrate<T>, drain: U) {
+    sub.with_energy_force(drain);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,10 +388,32 @@ pub fn host_row(
 ) -> GatherRow<f64> {
     #[cfg(target_arch = "x86_64")]
     if wide_kernels_native() {
-        // SAFETY: AVX2 support was verified at runtime just above.
+        // SAFETY: AVX2 and FMA support was verified at runtime just above.
         return unsafe { host_row_avx2(soa, i, box_len, sub, inv_mass) };
     }
     host_row_batched(soa, i, box_len, sub, inv_mass)
+}
+
+/// The host drain: `gather_row`'s accumulate, pair by pair in order.
+impl PairFnUser<f64> for Drain<'_, GatherRow<f64>, f64> {
+    type Out = ();
+
+    #[inline(always)]
+    fn with(self, energy_force: impl Fn(f64) -> (f64, f64)) {
+        let (row, inv_mass) = (self.st, self.inv_mass);
+        let (mut acc, mut pe) = (row.acc, row.pe);
+        for (dx, dy, dz, r2) in self.chunk.pairs() {
+            let (e, f_over_r) = energy_force(r2);
+            pe += e;
+            let s = f_over_r * inv_mass;
+            acc.x += dx * s;
+            acc.y += dy * s;
+            acc.z += dz * s;
+        }
+        row.acc = acc;
+        row.pe = pe;
+        row.interactions += self.chunk.r2.len() as u64;
+    }
 }
 
 /// Portable batched host row: the same structure as the AVX2 kernel, built
@@ -159,10 +427,18 @@ fn host_row_batched(
 ) -> GatherRow<f64> {
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
-    let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
-    let mut acc = Vec3::zero();
-    let mut pe = 0.0f64;
-    let mut interactions = 0u64;
+    let pi = (soa.x[i], soa.y[i], soa.z[i]);
+    let (xi, yi, zi) = pi;
+    let mut row = GatherRow::default();
+    let mut drain = |chunk: Chunk<'_, f64>| {
+        sub.with_energy_force(Drain {
+            st: &mut row,
+            chunk,
+            inv_mass,
+        });
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = F64x4::splat(box_len);
     let half = F64x4::splat(box_len * 0.5);
@@ -186,46 +462,17 @@ fn host_row_batched(
         let dy = fold(pyi, &soa.y);
         let dz = fold(pzi, &soa.z);
         let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
-        let m = r2.cmp_lt(vcut);
-        if m.any() {
-            for lane in 0..4 {
-                if m.test(lane) {
-                    let r2v = r2.lane(lane);
-                    if r2v != 0.0 {
-                        let (e, f_over_r) = sub.energy_force(r2v);
-                        pe += e;
-                        let s = f_over_r * inv_mass;
-                        acc.x += dx.lane(lane) * s;
-                        acc.y += dy.lane(lane) * s;
-                        acc.z += dz.lane(lane) * s;
-                        interactions += 1;
-                    }
-                }
-            }
-        }
+        let keep = r2.cmp_lt(vcut).and(r2.cmp_gt(F64x4::ZERO));
+        pack.push([dx.0, dy.0, dz.0], r2.0, keep.0, &mut drain);
     });
-    host_row_tail(
-        soa,
-        k,
-        (xi, yi, zi),
-        box_len,
-        cutoff2,
-        sub,
-        inv_mass,
-        &mut acc,
-        &mut pe,
-        &mut interactions,
-    );
-    GatherRow {
-        acc,
-        pe,
-        interactions,
-    }
+    host_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
+    row
 }
 
-/// Scalar remainder of a host row: atoms `k..n`, the exact
-/// `gather_row` arithmetic.
-#[allow(clippy::too_many_arguments)]
+/// Scalar remainder of a host row: packs atoms `k..n` with the exact
+/// `gather_row` arithmetic. `r2` is a sum of squares, so `r2 > 0` is
+/// `gather_row`'s `r2 != 0`.
 #[inline]
 fn host_row_tail(
     soa: &SoaPositions<f64>,
@@ -233,11 +480,8 @@ fn host_row_tail(
     (xi, yi, zi): (f64, f64, f64),
     box_len: f64,
     cutoff2: f64,
-    sub: &Substrate<f64>,
-    inv_mass: f64,
-    acc: &mut Vec3<f64>,
-    pe: &mut f64,
-    interactions: &mut u64,
+    pack: &mut Packed<'_, f64>,
+    drain: &mut impl FnMut(Chunk<'_, f64>),
 ) {
     let n = soa.len();
     while k < n {
@@ -245,23 +489,18 @@ fn host_row_tail(
         let dy = pbc::min_image_coord_select(yi - soa.y[k], box_len);
         let dz = pbc::min_image_coord_select(zi - soa.z[k], box_len);
         let r2 = dx * dx + dy * dy + dz * dz;
-        if r2 < cutoff2 && r2 != 0.0 {
-            let (e, f_over_r) = sub.energy_force(r2);
-            *pe += e;
-            let s = f_over_r * inv_mass;
-            acc.x += dx * s;
-            acc.y += dy * s;
-            acc.z += dz * s;
-            *interactions += 1;
-        }
+        pack.push([[dx], [dy], [dz]], [r2], [r2 < cutoff2 && r2 > 0.0], drain);
         k += 1;
     }
 }
 
-/// Fused AVX2 host row: 4-wide distance pass with a movemask early-skip of
-/// non-interacting lane groups, serial in-order accumulate of the survivors.
+/// Fused AVX2 host row: 4-wide distance pass, permute-table pack of the
+/// survivors, FMA-compiled in-order drain.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn host_row_avx2(
     soa: &SoaPositions<f64>,
     i: usize,
@@ -270,40 +509,50 @@ unsafe fn host_row_avx2(
     inv_mass: f64,
 ) -> GatherRow<f64> {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd,
-        _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ,
+        _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_castpd_ps, _mm256_cmp_pd,
+        _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd,
+        _mm256_setzero_pd, _mm256_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ,
     };
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
-    let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
-    let mut acc = Vec3::zero();
-    let mut pe = 0.0f64;
-    let mut interactions = 0u64;
+    let pi = (soa.x[i], soa.y[i], soa.z[i]);
+    let (xi, yi, zi) = pi;
+    let mut row = GatherRow::default();
+    let mut drain = |chunk: Chunk<'_, f64>| {
+        let drain = Drain {
+            st: &mut row,
+            chunk,
+            inv_mass,
+        };
+        // SAFETY: this row runs only where AVX2 and FMA are present.
+        unsafe { drain_fma(sub, drain) };
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = _mm256_set1_pd(box_len);
+    let neg_l = _mm256_set1_pd(-box_len);
     let half = _mm256_set1_pd(box_len * 0.5);
     let neg_half = _mm256_set1_pd(-(box_len * 0.5));
     let vcut = _mm256_set1_pd(cutoff2);
+    let zero = _mm256_setzero_pd();
     let pxi = _mm256_set1_pd(xi);
     let pyi = _mm256_set1_pd(yi);
     let pzi = _mm256_set1_pd(zi);
-
-    let mut dxs = [0.0f64; 4];
-    let mut dys = [0.0f64; 4];
-    let mut dzs = [0.0f64; 4];
-    let mut r2s = [0.0f64; 4];
 
     let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 4, |k| {
         macro_rules! axis {
             ($pi:expr, $src:expr) => {{
                 let pj = _mm256_loadu_pd($src.as_ptr().add(k));
                 let c = _mm256_sub_pd($pi, pj);
-                let down = _mm256_sub_pd(c, l);
-                let up = _mm256_add_pd(c, l);
                 let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(c, half);
-                let folded = _mm256_blendv_pd(c, down, gt);
                 let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(c, neg_half);
-                _mm256_blendv_pd(folded, up, lt)
+                // The select form as `c - shift`, `shift` masked from
+                // {L, -L, 0} (the `lt` case wins, as its select is last):
+                // `c - L` is `down`, `c - (-L)` is exactly `up = c + L`, and
+                // `c - 0` is `c`, -0 and NaN included.
+                let shift_l = _mm256_andnot_pd(lt, _mm256_and_pd(gt, l));
+                _mm256_sub_pd(c, _mm256_or_pd(shift_l, _mm256_and_pd(lt, neg_l)))
             }};
         }
         let dx = axis!(pxi, soa.x);
@@ -313,45 +562,16 @@ unsafe fn host_row_avx2(
             _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
             _mm256_mul_pd(dz, dz),
         );
-        let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(r2, vcut));
-        if mask != 0 {
-            _mm256_storeu_pd(dxs.as_mut_ptr(), dx);
-            _mm256_storeu_pd(dys.as_mut_ptr(), dy);
-            _mm256_storeu_pd(dzs.as_mut_ptr(), dz);
-            _mm256_storeu_pd(r2s.as_mut_ptr(), r2);
-            for lane in 0..4 {
-                if mask & (1 << lane) != 0 {
-                    let r2v = r2s[lane];
-                    if r2v != 0.0 {
-                        let (e, f_over_r) = sub.energy_force(r2v);
-                        pe += e;
-                        let s = f_over_r * inv_mass;
-                        acc.x += dxs[lane] * s;
-                        acc.y += dys[lane] * s;
-                        acc.z += dzs[lane] * s;
-                        interactions += 1;
-                    }
-                }
-            }
-        }
+        let keep = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_LT_OQ>(r2, vcut),
+            _mm256_cmp_pd::<_CMP_GT_OQ>(r2, zero),
+        );
+        let lanes = [dx, dy, dz, r2].map(|v| _mm256_castpd_ps(v));
+        pack.push_avx2(&PACK_F64, lanes, _mm256_movemask_pd(keep), &mut drain);
     });
-    host_row_tail(
-        soa,
-        k,
-        (xi, yi, zi),
-        box_len,
-        cutoff2,
-        sub,
-        inv_mass,
-        &mut acc,
-        &mut pe,
-        &mut interactions,
-    );
-    GatherRow {
-        acc,
-        pe,
-        interactions,
-    }
+    host_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
+    row
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +642,37 @@ pub struct CellRow {
     pub interactions: u64,
 }
 
+/// Row sums of a single-precision flavor: native f32, or widened f64 sums
+/// (mixed policy) narrowed once at the end.
+struct Sums32 {
+    mixed: bool,
+    acc: [f32; 3],
+    pe: f32,
+    acc64: [f64; 3],
+    pe64: f64,
+}
+
+impl Sums32 {
+    fn new(mixed: bool) -> Self {
+        Self {
+            mixed,
+            acc: [0.0; 3],
+            pe: 0.0,
+            acc64: [0.0; 3],
+            pe64: 0.0,
+        }
+    }
+
+    /// The row's `(acc, pe)`, narrowing the mixed sums.
+    fn finish(self) -> ([f32; 3], f32) {
+        if self.mixed {
+            (self.acc64.map(f32::from_f64), f32::from_f64(self.pe64))
+        } else {
+            (self.acc, self.pe)
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cell flavor (f32): the SPE `SimdAcceleration` kernel arithmetic.
 
@@ -442,90 +693,83 @@ pub fn cell_row(
 ) -> CellRow {
     #[cfg(target_arch = "x86_64")]
     if wide_kernels_native() {
-        // SAFETY: AVX2 support was verified at runtime just above.
+        // SAFETY: AVX2 and FMA support was verified at runtime just above.
         return unsafe { cell_row_avx2(soa, i, box_len, sub, inv_mass) };
     }
     cell_row_batched(soa, i, box_len, sub, inv_mass)
 }
 
-/// Accumulator state for one cell row; finishes by narrowing the mixed
-/// sums if the policy widened them.
+/// Accumulator of one cell row.
 struct CellAccum {
-    mixed: bool,
-    acc: [f32; 3],
-    pe: f32,
-    acc64: [f64; 3],
-    pe64: f64,
+    sums: Sums32,
     interactions: u64,
 }
 
 impl CellAccum {
     fn new(mixed: bool) -> Self {
         Self {
-            mixed,
-            acc: [0.0; 3],
-            pe: 0.0,
-            acc64: [0.0; 3],
-            pe64: 0.0,
+            sums: Sums32::new(mixed),
             interactions: 0,
         }
     }
 
-    /// One surviving pair, exactly the SPE kernel's accumulate stage.
-    #[inline]
-    fn pair(&mut self, dir: [f32; 3], r2: f32, sub: &Substrate<f32>, inv_mass: f32) {
-        self.interactions += 1;
-        let (e, f_over_r) = sub.energy_force(r2);
-        if self.mixed {
-            self.pe64 += f64::from(e);
-            let s = f_over_r * inv_mass;
-            self.acc64[0] += f64::from(dir[0] * s);
-            self.acc64[1] += f64::from(dir[1] * s);
-            self.acc64[2] += f64::from(dir[2] * s);
-        } else {
-            self.pe += e;
-            let s = f_over_r * inv_mass;
-            // `F32x4::madd`: per-lane fused multiply-add.
-            self.acc[0] = dir[0].mul_add(s, self.acc[0]);
-            self.acc[1] = dir[1].mul_add(s, self.acc[1]);
-            self.acc[2] = dir[2].mul_add(s, self.acc[2]);
-        }
-    }
-
     fn finish(self) -> CellRow {
-        if self.mixed {
-            CellRow {
-                acc: [
-                    f32::from_f64(self.acc64[0]),
-                    f32::from_f64(self.acc64[1]),
-                    f32::from_f64(self.acc64[2]),
-                ],
-                pe: f32::from_f64(self.pe64),
-                interactions: self.interactions,
-            }
-        } else {
-            CellRow {
-                acc: self.acc,
-                pe: self.pe,
-                interactions: self.interactions,
-            }
+        let (acc, pe) = self.sums.finish();
+        CellRow {
+            acc,
+            pe,
+            interactions: self.interactions,
         }
     }
 }
 
-/// Scalar remainder of a cell row: atoms `k..n`, per-lane exactly the
+/// The cell drain: the SPE kernel's accumulate stage, pair by pair in order.
+impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
+    type Out = ();
+
+    #[inline(always)]
+    fn with(self, energy_force: impl Fn(f32) -> (f32, f32)) {
+        let (st, inv_mass) = (self.st, self.inv_mass);
+        st.interactions += self.chunk.r2.len() as u64;
+        let sums = &mut st.sums;
+        if sums.mixed {
+            let (mut acc, mut pe) = (sums.acc64, sums.pe64);
+            for (dx, dy, dz, r2) in self.chunk.pairs() {
+                let (e, f_over_r) = energy_force(r2);
+                pe += f64::from(e);
+                let s = f_over_r * inv_mass;
+                acc[0] += f64::from(dx * s);
+                acc[1] += f64::from(dy * s);
+                acc[2] += f64::from(dz * s);
+            }
+            (sums.acc64, sums.pe64) = (acc, pe);
+        } else {
+            let (mut acc, mut pe) = (sums.acc, sums.pe);
+            for (dx, dy, dz, r2) in self.chunk.pairs() {
+                let (e, f_over_r) = energy_force(r2);
+                pe += e;
+                let s = f_over_r * inv_mass;
+                // `F32x4::madd`: per-lane fused multiply-add.
+                acc[0] = dx.mul_add(s, acc[0]);
+                acc[1] = dy.mul_add(s, acc[1]);
+                acc[2] = dz.mul_add(s, acc[2]);
+            }
+            (sums.acc, sums.pe) = (acc, pe);
+        }
+    }
+}
+
+/// Scalar remainder of a cell row: packs atoms `k..n`, per lane exactly the
 /// `F32x4` compare/select arithmetic.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn cell_row_tail(
     soa: &SoaPositionsF32,
     mut k: usize,
     pi: [f32; 3],
     box_len: f32,
     cutoff2: f32,
-    sub: &Substrate<f32>,
-    inv_mass: f32,
-    st: &mut CellAccum,
+    pack: &mut Packed<'_, f32>,
+    drain: &mut impl FnMut(Chunk<'_, f32>),
 ) {
     let n = soa.len();
     let l = box_len;
@@ -541,9 +785,7 @@ fn cell_row_tail(
             dir[a] = pi[a] - (pj[a] + shift);
         }
         let r2 = dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2];
-        if r2 < cutoff2 && r2 > 0.0 {
-            st.pair(dir, r2, sub, inv_mass);
-        }
+        pack.push(dir.map(|d| [d]), [r2], [r2 < cutoff2 && r2 > 0.0], drain);
         k += 1;
     }
 }
@@ -560,17 +802,22 @@ fn cell_row_batched(
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
     let mut st = CellAccum::new(sub.accumulate_f64);
+    let mut drain = |chunk: Chunk<'_, f32>| {
+        sub.with_energy_force(Drain {
+            st: &mut st,
+            chunk,
+            inv_mass,
+        });
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = F32x8::splat(box_len);
     let neg_l = F32x8::splat(-box_len);
     let half = F32x8::splat(0.5 * box_len);
     let neg_half = F32x8::splat(-(0.5 * box_len));
     let vcut = F32x8::splat(cutoff2);
-    let px = [
-        F32x8::splat(pi[0]),
-        F32x8::splat(pi[1]),
-        F32x8::splat(pi[2]),
-    ];
+    let px = pi.map(F32x8::splat);
 
     let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         let axis = |pa: F32x8, src: &[f32]| -> F32x8 {
@@ -585,28 +832,21 @@ fn cell_row_batched(
         let dy = axis(px[1], &soa.y);
         let dz = axis(px[2], &soa.z);
         let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
-        let m = r2.cmp_lt(vcut).and(r2.cmp_gt(F32x8::ZERO));
-        if m.any() {
-            for lane in 0..8 {
-                if m.test(lane) {
-                    st.pair(
-                        [dx.lane(lane), dy.lane(lane), dz.lane(lane)],
-                        r2.lane(lane),
-                        sub,
-                        inv_mass,
-                    );
-                }
-            }
-        }
+        let keep = r2.cmp_lt(vcut).and(r2.cmp_gt(F32x8::ZERO));
+        pack.push([dx.0, dy.0, dz.0], r2.0, keep.0, &mut drain);
     });
-    cell_row_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
+    cell_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
     st.finish()
 }
 
-/// Fused AVX2 cell row: 8-wide f32 distance pass, movemask early-skip,
-/// serial in-order accumulate of the survivors.
+/// Fused AVX2 cell row: 8-wide f32 distance pass, permute-table pack of the
+/// survivors, FMA-compiled in-order drain.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn cell_row_avx2(
     soa: &SoaPositionsF32,
     i: usize,
@@ -615,14 +855,24 @@ unsafe fn cell_row_avx2(
     inv_mass: f32,
 ) -> CellRow {
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps,
-        _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm256_sub_ps, _CMP_GT_OQ, _CMP_LT_OQ,
+        _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LT_OQ,
     };
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
     let mut st = CellAccum::new(sub.accumulate_f64);
+    let mut drain = |chunk: Chunk<'_, f32>| {
+        let drain = Drain {
+            st: &mut st,
+            chunk,
+            inv_mass,
+        };
+        // SAFETY: this row runs only where AVX2 and FMA are present.
+        unsafe { drain_fma(sub, drain) };
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = _mm256_set1_ps(box_len);
     let neg_l = _mm256_set1_ps(-box_len);
@@ -634,11 +884,6 @@ unsafe fn cell_row_avx2(
     let pyi = _mm256_set1_ps(pi[1]);
     let pzi = _mm256_set1_ps(pi[2]);
 
-    let mut dxs = [0.0f32; 8];
-    let mut dys = [0.0f32; 8];
-    let mut dzs = [0.0f32; 8];
-    let mut r2s = [0.0f32; 8];
-
     let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         macro_rules! axis {
             ($pa:expr, $src:expr) => {{
@@ -646,8 +891,8 @@ unsafe fn cell_row_avx2(
                 let d = _mm256_sub_ps($pa, pj);
                 let hi = _mm256_cmp_ps::<_CMP_GT_OQ>(d, half);
                 let lo = _mm256_cmp_ps::<_CMP_LT_OQ>(d, neg_half);
-                let s1 = _mm256_blendv_ps(zero, l, hi);
-                let s2 = _mm256_blendv_ps(zero, neg_l, lo);
+                let s1 = _mm256_and_ps(hi, l);
+                let s2 = _mm256_and_ps(lo, neg_l);
                 let shift = _mm256_add_ps(s1, s2);
                 _mm256_sub_ps($pa, _mm256_add_ps(pj, shift))
             }};
@@ -663,20 +908,15 @@ unsafe fn cell_row_avx2(
             _mm256_cmp_ps::<_CMP_LT_OQ>(r2, vcut),
             _mm256_cmp_ps::<_CMP_GT_OQ>(r2, zero),
         );
-        let mask = _mm256_movemask_ps(keep);
-        if mask != 0 {
-            _mm256_storeu_ps(dxs.as_mut_ptr(), dx);
-            _mm256_storeu_ps(dys.as_mut_ptr(), dy);
-            _mm256_storeu_ps(dzs.as_mut_ptr(), dz);
-            _mm256_storeu_ps(r2s.as_mut_ptr(), r2);
-            for lane in 0..8 {
-                if mask & (1 << lane) != 0 {
-                    st.pair([dxs[lane], dys[lane], dzs[lane]], r2s[lane], sub, inv_mass);
-                }
-            }
-        }
+        pack.push_avx2(
+            &PACK_F32,
+            [dx, dy, dz, r2],
+            _mm256_movemask_ps(keep),
+            &mut drain,
+        );
     });
-    cell_row_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
+    cell_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
     st.finish()
 }
 
@@ -698,73 +938,65 @@ pub fn gpu_texel(
 ) -> [f32; 4] {
     #[cfg(target_arch = "x86_64")]
     if wide_kernels_native() {
-        // SAFETY: AVX2 support was verified at runtime just above.
+        // SAFETY: AVX2 and FMA support was verified at runtime just above.
         return unsafe { gpu_texel_avx2(soa, i, box_len, sub, inv_mass) };
     }
     gpu_texel_batched(soa, i, box_len, sub, inv_mass)
 }
 
-/// Accumulator state for one GPU texel.
-struct GpuAccum {
-    mixed: bool,
-    acc: [f32; 3],
-    pe: f32,
-    acc64: [f64; 3],
-    pe64: f64,
-}
+/// Accumulator of one GPU texel.
+struct GpuAccum(Sums32);
 
 impl GpuAccum {
-    fn new(mixed: bool) -> Self {
-        Self {
-            mixed,
-            acc: [0.0; 3],
-            pe: 0.0,
-            acc64: [0.0; 3],
-            pe64: 0.0,
-        }
-    }
-
-    /// One surviving (unmasked) pair, exactly the shader's accumulate.
-    #[inline]
-    fn pair(&mut self, d: [f32; 3], r2: f32, sub: &Substrate<f32>, inv_mass: f32) {
-        let (e, f_over_r) = sub.energy_force(r2);
-        if self.mixed {
-            self.pe64 += f64::from(e);
-            for (acc, dk) in self.acc64.iter_mut().zip(d) {
-                *acc += f64::from(dk * f_over_r * inv_mass);
-            }
-        } else {
-            self.pe += e;
-            for (acc, dk) in self.acc.iter_mut().zip(d) {
-                *acc += dk * f_over_r * inv_mass;
-            }
-        }
-    }
-
-    fn finish(mut self) -> [f32; 4] {
-        if self.mixed {
-            for k in 0..3 {
-                self.acc[k] = f32::from_f64(self.acc64[k]);
-            }
-            self.pe = f32::from_f64(self.pe64);
-        }
-        [self.acc[0], self.acc[1], self.acc[2], self.pe]
+    fn finish(self) -> [f32; 4] {
+        let ([ax, ay, az], pe) = self.0.finish();
+        [ax, ay, az, pe]
     }
 }
 
-/// Scalar remainder of a GPU texel: atoms `k..n`, the exact shader
-/// arithmetic.
+/// The GPU drain: the shader's unmasked-pair accumulate, pair by pair in
+/// order.
+impl PairFnUser<f32> for Drain<'_, GpuAccum, f32> {
+    type Out = ();
+
+    #[inline(always)]
+    fn with(self, energy_force: impl Fn(f32) -> (f32, f32)) {
+        let (sums, inv_mass) = (&mut self.st.0, self.inv_mass);
+        if sums.mixed {
+            let (mut acc, mut pe) = (sums.acc64, sums.pe64);
+            for (dx, dy, dz, r2) in self.chunk.pairs() {
+                let (e, f_over_r) = energy_force(r2);
+                pe += f64::from(e);
+                acc[0] += f64::from(dx * f_over_r * inv_mass);
+                acc[1] += f64::from(dy * f_over_r * inv_mass);
+                acc[2] += f64::from(dz * f_over_r * inv_mass);
+            }
+            (sums.acc64, sums.pe64) = (acc, pe);
+        } else {
+            let (mut acc, mut pe) = (sums.acc, sums.pe);
+            for (dx, dy, dz, r2) in self.chunk.pairs() {
+                let (e, f_over_r) = energy_force(r2);
+                pe += e;
+                acc[0] += dx * f_over_r * inv_mass;
+                acc[1] += dy * f_over_r * inv_mass;
+                acc[2] += dz * f_over_r * inv_mass;
+            }
+            (sums.acc, sums.pe) = (acc, pe);
+        }
+    }
+}
+
+/// Scalar remainder of a GPU texel: packs atoms `k..n` with the exact
+/// shader arithmetic.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn gpu_texel_tail(
     soa: &SoaPositionsF32,
     mut k: usize,
     pi: [f32; 3],
     box_len: f32,
     cutoff2: f32,
-    sub: &Substrate<f32>,
-    inv_mass: f32,
-    st: &mut GpuAccum,
+    pack: &mut Packed<'_, f32>,
+    drain: &mut impl FnMut(Chunk<'_, f32>),
 ) {
     let n = soa.len();
     let l = box_len;
@@ -779,9 +1011,7 @@ fn gpu_texel_tail(
             d[a] = dk;
         }
         let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        if r2 < cutoff2 && r2 > 0.0 {
-            st.pair(d, r2, sub, inv_mass);
-        }
+        pack.push(d.map(|d| [d]), [r2], [r2 < cutoff2 && r2 > 0.0], drain);
         k += 1;
     }
 }
@@ -797,18 +1027,23 @@ fn gpu_texel_batched(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = GpuAccum::new(sub.accumulate_f64);
+    let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+    let mut drain = |chunk: Chunk<'_, f32>| {
+        sub.with_energy_force(Drain {
+            st: &mut st,
+            chunk,
+            inv_mass,
+        });
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = F32x8::splat(box_len);
     let neg_l = F32x8::splat(-box_len);
     let half = F32x8::splat(0.5 * box_len);
     let neg_half = F32x8::splat(-(0.5 * box_len));
     let vcut = F32x8::splat(cutoff2);
-    let px = [
-        F32x8::splat(pi[0]),
-        F32x8::splat(pi[1]),
-        F32x8::splat(pi[2]),
-    ];
+    let px = pi.map(F32x8::splat);
 
     let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         let axis = |pa: F32x8, src: &[f32]| -> F32x8 {
@@ -821,29 +1056,22 @@ fn gpu_texel_batched(
         let dy = axis(px[1], &soa.y);
         let dz = axis(px[2], &soa.z);
         let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
-        let m = r2.cmp_lt(vcut).and(r2.cmp_gt(F32x8::ZERO));
-        if m.any() {
-            for lane in 0..8 {
-                if m.test(lane) {
-                    st.pair(
-                        [dx.lane(lane), dy.lane(lane), dz.lane(lane)],
-                        r2.lane(lane),
-                        sub,
-                        inv_mass,
-                    );
-                }
-            }
-        }
+        let keep = r2.cmp_lt(vcut).and(r2.cmp_gt(F32x8::ZERO));
+        pack.push([dx.0, dy.0, dz.0], r2.0, keep.0, &mut drain);
     });
-    gpu_texel_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
+    gpu_texel_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
     st.finish()
 }
 
 /// Fused AVX2 GPU texel: 8-wide f32 distance pass with the shader's
-/// sequential-conditional minimum image, movemask early-skip, serial
-/// in-order accumulate.
+/// sequential-conditional minimum image, permute-table pack of the
+/// survivors, FMA-compiled in-order drain.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn gpu_texel_avx2(
     soa: &SoaPositionsF32,
     i: usize,
@@ -852,14 +1080,24 @@ unsafe fn gpu_texel_avx2(
     inv_mass: f32,
 ) -> [f32; 4] {
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps,
-        _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm256_sub_ps, _CMP_GT_OQ, _CMP_LT_OQ,
+        _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LT_OQ,
     };
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = GpuAccum::new(sub.accumulate_f64);
+    let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+    let mut drain = |chunk: Chunk<'_, f32>| {
+        let drain = Drain {
+            st: &mut st,
+            chunk,
+            inv_mass,
+        };
+        // SAFETY: this row runs only where AVX2 and FMA are present.
+        unsafe { drain_fma(sub, drain) };
+    };
+    let mut buf = ChunkBuf::new();
+    let mut pack = Packed::new(&mut buf);
 
     let l = _mm256_set1_ps(box_len);
     let neg_l = _mm256_set1_ps(-box_len);
@@ -871,20 +1109,15 @@ unsafe fn gpu_texel_avx2(
     let pyi = _mm256_set1_ps(pi[1]);
     let pzi = _mm256_set1_ps(pi[2]);
 
-    let mut dxs = [0.0f32; 8];
-    let mut dys = [0.0f32; 8];
-    let mut dzs = [0.0f32; 8];
-    let mut r2s = [0.0f32; 8];
-
     let k = for_each_group!(soa.blocks(i, box_len, cutoff2), n, 8, |k| {
         macro_rules! axis {
             ($pa:expr, $src:expr) => {{
                 let pj = _mm256_loadu_ps($src.as_ptr().add(k));
                 let c = _mm256_sub_ps($pa, pj);
                 let m1 = _mm256_cmp_ps::<_CMP_GT_OQ>(c, half);
-                let c1 = _mm256_add_ps(c, _mm256_blendv_ps(zero, neg_l, m1));
+                let c1 = _mm256_add_ps(c, _mm256_and_ps(m1, neg_l));
                 let m2 = _mm256_cmp_ps::<_CMP_LT_OQ>(c1, neg_half);
-                _mm256_add_ps(c1, _mm256_blendv_ps(zero, l, m2))
+                _mm256_add_ps(c1, _mm256_and_ps(m2, l))
             }};
         }
         let dx = axis!(pxi, soa.x);
@@ -898,20 +1131,15 @@ unsafe fn gpu_texel_avx2(
             _mm256_cmp_ps::<_CMP_LT_OQ>(r2, vcut),
             _mm256_cmp_ps::<_CMP_GT_OQ>(r2, zero),
         );
-        let mask = _mm256_movemask_ps(keep);
-        if mask != 0 {
-            _mm256_storeu_ps(dxs.as_mut_ptr(), dx);
-            _mm256_storeu_ps(dys.as_mut_ptr(), dy);
-            _mm256_storeu_ps(dzs.as_mut_ptr(), dz);
-            _mm256_storeu_ps(r2s.as_mut_ptr(), r2);
-            for lane in 0..8 {
-                if mask & (1 << lane) != 0 {
-                    st.pair([dxs[lane], dys[lane], dzs[lane]], r2s[lane], sub, inv_mass);
-                }
-            }
-        }
+        pack.push_avx2(
+            &PACK_F32,
+            [dx, dy, dz, r2],
+            _mm256_movemask_ps(keep),
+            &mut drain,
+        );
     });
-    gpu_texel_tail(soa, k, pi, box_len, cutoff2, sub, inv_mass, &mut st);
+    gpu_texel_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    drain(pack.chunk());
     st.finish()
 }
 
@@ -926,6 +1154,7 @@ mod tests {
     use crate::params::SimConfig;
     use crate::scenario::{PrecisionPolicy, ScenarioSpec};
     use crate::system::ParticleSystem;
+    use vecmath::Vec3;
 
     fn host_setup(spec: ScenarioSpec) -> (ParticleSystem<f64>, Substrate<f64>, f64) {
         let cfg = SimConfig::reduced_lj(251).with_scenario(spec);
@@ -957,16 +1186,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn host_row_portable_and_native_agree() {
-        let (sys, sub, l) = host_setup(ScenarioSpec::default());
-        let soa = SoaPositions::from_positions(&sys.positions);
-        let inv_m = sys.mass.recip();
-        for i in 0..sys.n() {
-            let a = host_row_batched(&soa, i, l, &sub, inv_m);
-            let b = host_row(&soa, i, l, &sub, inv_m);
-            assert_eq!(a, b, "row {i}");
-        }
+    fn soa_f64(pos: &[[f64; 3]]) -> SoaPositions<f64> {
+        let v: Vec<Vec3<f64>> = pos.iter().map(|p| Vec3::new(p[0], p[1], p[2])).collect();
+        SoaPositions::from_positions(&v)
     }
 
     fn f32_soa(n: usize) -> (SoaPositionsF32, f32) {
@@ -978,41 +1200,6 @@ mod tests {
                 .map(|p| [p.x as f32, p.y as f32, p.z as f32, 0.0]),
         );
         (soa, sys.box_len as f32)
-    }
-
-    #[test]
-    fn cell_row_portable_and_native_agree() {
-        let (soa, l) = f32_soa(139);
-        for spec in [
-            ScenarioSpec::default(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ] {
-            let sub: Substrate<f32> = spec.substrate(2.5);
-            for i in 0..soa.len() {
-                let a = cell_row_batched(&soa, i, l, &sub, 1.0);
-                let b = cell_row(&soa, i, l, &sub, 1.0);
-                assert_eq!(a, b, "row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn gpu_texel_portable_and_native_agree() {
-        let (soa, l) = f32_soa(139);
-        for spec in [
-            ScenarioSpec::default(),
-            ScenarioSpec::morse_nvt(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ] {
-            let sub: Substrate<f32> = spec.substrate(2.5);
-            for i in 0..soa.len() {
-                let a = gpu_texel_batched(&soa, i, l, &sub, 1.0);
-                let b = gpu_texel(&soa, i, l, &sub, 1.0);
-                for k in 0..4 {
-                    assert_eq!(a[k].to_bits(), b[k].to_bits(), "texel {i}.{k}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1037,9 +1224,14 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // j-block culling is exact: every culled row equals the all-pairs row,
-    // taken from the scalar tails run from j = 0 (the per-lane arithmetic
-    // of each flavor with nothing skipped).
+    // Every row is exact: native and portable rows, culled or not, equal the
+    // all-pairs row packed by the flavor's scalar tail from j = 0, and that
+    // equals a plain per-pair loop sharing no pack or drain code
+    // (`gather_row` for the host flavor).
+
+    /// The mass factor of the exactness tests: not 1, so an accumulate that
+    /// regroups `d * f * inv_mass` shows.
+    const INV_MASS: f64 = 0.37;
 
     /// Bit patterns of a row, so NaN and signed zeros compare exactly.
     fn host_bits(r: GatherRow<f64>) -> [u64; 5] {
@@ -1068,35 +1260,134 @@ mod tests {
         sub: &Substrate<f64>,
     ) -> GatherRow<f64> {
         let mut row = GatherRow::default();
+        let mut drain = |chunk: Chunk<'_, f64>| {
+            sub.with_energy_force(Drain {
+                st: &mut row,
+                chunk,
+                inv_mass: INV_MASS,
+            });
+        };
+        let mut buf = ChunkBuf::new();
+        let mut pack = Packed::new(&mut buf);
         let pi = (soa.x()[i], soa.y()[i], soa.z()[i]);
-        let c2 = sub.cutoff2();
-        host_row_tail(
-            soa,
-            0,
-            pi,
-            l,
-            c2,
-            sub,
-            1.0,
-            &mut row.acc,
-            &mut row.pe,
-            &mut row.interactions,
-        );
+        host_row_tail(soa, 0, pi, l, sub.cutoff2(), &mut pack, &mut drain);
+        drain(pack.chunk());
         row
     }
 
     fn cell_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> CellRow {
         let mut st = CellAccum::new(sub.accumulate_f64);
+        let mut drain = |chunk: Chunk<'_, f32>| {
+            sub.with_energy_force(Drain {
+                st: &mut st,
+                chunk,
+                inv_mass: INV_MASS as f32,
+            });
+        };
+        let mut buf = ChunkBuf::new();
+        let mut pack = Packed::new(&mut buf);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
-        cell_row_tail(soa, 0, pi, l, sub.cutoff2(), sub, 1.0, &mut st);
+        cell_row_tail(soa, 0, pi, l, sub.cutoff2(), &mut pack, &mut drain);
+        drain(pack.chunk());
         st.finish()
     }
 
     fn gpu_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> [f32; 4] {
-        let mut st = GpuAccum::new(sub.accumulate_f64);
+        let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+        let mut drain = |chunk: Chunk<'_, f32>| {
+            sub.with_energy_force(Drain {
+                st: &mut st,
+                chunk,
+                inv_mass: INV_MASS as f32,
+            });
+        };
+        let mut buf = ChunkBuf::new();
+        let mut pack = Packed::new(&mut buf);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
-        gpu_texel_tail(soa, 0, pi, l, sub.cutoff2(), sub, 1.0, &mut st);
+        gpu_texel_tail(soa, 0, pi, l, sub.cutoff2(), &mut pack, &mut drain);
+        drain(pack.chunk());
         st.finish()
+    }
+
+    /// The SPE kernel's scalar loop: per pair, the compare/select shift and,
+    /// for a surviving pair, the accumulate stage (FMA, or widened sums).
+    fn cell_reference(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> CellRow {
+        let (half_l, inv_mass) = (0.5 * l, INV_MASS as f32);
+        let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
+        let (mut acc, mut pe, mut acc64, mut pe64) = ([0.0f32; 3], 0.0f32, [0.0f64; 3], 0.0f64);
+        let mut interactions = 0;
+        for j in 0..soa.len() {
+            let pj = [soa.x()[j], soa.y()[j], soa.z()[j]];
+            let dir: [f32; 3] = std::array::from_fn(|a| {
+                let d = pi[a] - pj[a];
+                let s1 = if d > half_l { l } else { 0.0 };
+                let s2 = if -half_l > d { -l } else { 0.0 };
+                pi[a] - (pj[a] + (s1 + s2))
+            });
+            let r2 = dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2];
+            if !(r2 < sub.cutoff2() && r2 > 0.0) {
+                continue;
+            }
+            interactions += 1;
+            let (e, f_over_r) = sub.energy_force(r2);
+            let s = f_over_r * inv_mass;
+            if sub.accumulate_f64 {
+                pe64 += f64::from(e);
+                for a in 0..3 {
+                    acc64[a] += f64::from(dir[a] * s);
+                }
+            } else {
+                pe += e;
+                for a in 0..3 {
+                    acc[a] = dir[a].mul_add(s, acc[a]);
+                }
+            }
+        }
+        if sub.accumulate_f64 {
+            (acc, pe) = (acc64.map(f32::from_f64), f32::from_f64(pe64));
+        }
+        CellRow {
+            acc,
+            pe,
+            interactions,
+        }
+    }
+
+    /// The fragment shader's scalar loop: per pair, the sequential
+    /// conditional minimum image and, for an unmasked pair, the accumulate.
+    fn gpu_reference(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> [f32; 4] {
+        let (half_l, inv_mass) = (0.5 * l, INV_MASS as f32);
+        let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
+        let (mut acc, mut pe, mut acc64, mut pe64) = ([0.0f32; 3], 0.0f32, [0.0f64; 3], 0.0f64);
+        for j in 0..soa.len() {
+            let pj = [soa.x()[j], soa.y()[j], soa.z()[j]];
+            let d: [f32; 3] = std::array::from_fn(|a| {
+                let mut dk = pi[a] - pj[a];
+                dk += if dk > half_l { -l } else { 0.0 };
+                dk += if dk < -half_l { l } else { 0.0 };
+                dk
+            });
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            if !(r2 < sub.cutoff2() && r2 > 0.0) {
+                continue;
+            }
+            let (e, f_over_r) = sub.energy_force(r2);
+            if sub.accumulate_f64 {
+                pe64 += f64::from(e);
+                for a in 0..3 {
+                    acc64[a] += f64::from(d[a] * f_over_r * inv_mass);
+                }
+            } else {
+                pe += e;
+                for a in 0..3 {
+                    acc[a] += d[a] * f_over_r * inv_mass;
+                }
+            }
+        }
+        if sub.accumulate_f64 {
+            (acc, pe) = (acc64.map(f32::from_f64), f32::from_f64(pe64));
+        }
+        [acc[0], acc[1], acc[2], pe]
     }
 
     /// Which SoAs the cull index engaged on, for tests that pin it.
@@ -1115,11 +1406,7 @@ mod tests {
         spec: ScenarioSpec,
         cutoff: f64,
     ) -> (Engaged, bool) {
-        let soa = SoaPositions::from_positions(
-            &pos.iter()
-                .map(|p| Vec3::new(p[0], p[1], p[2]))
-                .collect::<Vec<_>>(),
-        );
+        let soa = soa_f64(pos);
         let soa32 = SoaPositionsF32::from_quads(
             pos.iter()
                 .map(|p| [p[0] as f32, p[1] as f32, p[2] as f32, 0.0]),
@@ -1133,34 +1420,49 @@ mod tests {
             let want = host_bits(host_all_pairs(&soa, i, l, &sub));
             assert_eq!(
                 want,
-                host_bits(host_row(&soa, i, l, &sub, 1.0)),
+                host_bits(gather_row(&soa, i, l, &sub, INV_MASS)),
+                "host row {i} per-pair reference"
+            );
+            assert_eq!(
+                want,
+                host_bits(host_row(&soa, i, l, &sub, INV_MASS)),
                 "host row {i}"
             );
             assert_eq!(
                 want,
-                host_bits(host_row_batched(&soa, i, l, &sub, 1.0)),
+                host_bits(host_row_batched(&soa, i, l, &sub, INV_MASS)),
                 "host row {i} portable"
             );
             let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
             assert_eq!(
                 want,
-                cell_bits(cell_row(&soa32, i, l32, &sub32, 1.0)),
+                cell_bits(cell_reference(&soa32, i, l32, &sub32)),
+                "cell row {i} per-pair reference"
+            );
+            assert_eq!(
+                want,
+                cell_bits(cell_row(&soa32, i, l32, &sub32, INV_MASS as f32)),
                 "cell row {i}"
             );
             assert_eq!(
                 want,
-                cell_bits(cell_row_batched(&soa32, i, l32, &sub32, 1.0)),
+                cell_bits(cell_row_batched(&soa32, i, l32, &sub32, INV_MASS as f32)),
                 "cell row {i} portable"
             );
             let want = gpu_bits(gpu_all_pairs(&soa32, i, l32, &sub32));
             assert_eq!(
                 want,
-                gpu_bits(gpu_texel(&soa32, i, l32, &sub32, 1.0)),
+                gpu_bits(gpu_reference(&soa32, i, l32, &sub32)),
+                "gpu texel {i} per-pair reference"
+            );
+            assert_eq!(
+                want,
+                gpu_bits(gpu_texel(&soa32, i, l32, &sub32, INV_MASS as f32)),
                 "gpu texel {i}"
             );
             assert_eq!(
                 want,
-                gpu_bits(gpu_texel_batched(&soa32, i, l32, &sub32, 1.0)),
+                gpu_bits(gpu_texel_batched(&soa32, i, l32, &sub32, INV_MASS as f32)),
                 "gpu texel {i} portable"
             );
             for list in [
@@ -1197,25 +1499,17 @@ mod tests {
     fn culled_rows_are_all_pairs_rows_after_verlet_steps() {
         use crate::sim::Simulation;
         for n in [864, 2048] {
-            for spec in [
-                ScenarioSpec::default(),
-                ScenarioSpec::morse_nvt(),
-                ScenarioSpec::coulomb_cutoff(),
-            ] {
-                for precision in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
-                    let cfg =
-                        SimConfig::reduced_lj(n).with_scenario(spec.with_precision(precision));
-                    let mut sim = Simulation::<f64>::prepare(cfg);
-                    sim.run(10);
-                    let sys = &sim.system;
-                    let pos: Vec<[f64; 3]> =
-                        sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
-                    let ctx = format!("{n} atoms, {}", cfg.scenario_token());
-                    let (engaged, skipped) =
-                        assert_rows_exact(&pos, sys.box_len, cfg.scenario, cfg.cutoff);
-                    assert_eq!(engaged, ON, "{ctx}");
-                    assert!(skipped, "{ctx}: culling skipped nothing");
-                }
+            for spec in every_scenario() {
+                let cfg = SimConfig::reduced_lj(n).with_scenario(spec);
+                let mut sim = Simulation::<f64>::prepare(cfg);
+                sim.run(10);
+                let sys = &sim.system;
+                let pos: Vec<[f64; 3]> = sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
+                let ctx = format!("{n} atoms, {}", cfg.scenario_token());
+                let (engaged, skipped) =
+                    assert_rows_exact(&pos, sys.box_len, cfg.scenario, cfg.cutoff);
+                assert_eq!(engaged, ON, "{ctx}");
+                assert!(skipped, "{ctx}: culling skipped nothing");
             }
         }
     }
@@ -1271,11 +1565,7 @@ mod tests {
             // The f64 pair at cutoff·(1 − 2⁻²⁰) interacts, the one at
             // cutoff·(1 + 2⁻²⁰) does not.
             let sub: Substrate<f64> = ScenarioSpec::default().substrate(cutoff);
-            let soa = SoaPositions::from_positions(
-                &pos.iter()
-                    .map(|p| Vec3::new(p[0], p[1], p[2]))
-                    .collect::<Vec<_>>(),
-            );
+            let soa = soa_f64(&pos);
             let near = |i: usize, j: usize| {
                 let one = SoaPositions::from_positions(&[
                     Vec3::new(pos[i][0], pos[i][1], pos[i][2]),
@@ -1307,11 +1597,7 @@ mod tests {
         let pos = point_blocks(l - half, half);
         assert_eq!(assert_rows_exact(&pos, l, lj, cutoff).0, ON);
         let sub: Substrate<f64> = lj.substrate(cutoff);
-        let soa = SoaPositions::from_positions(
-            &pos.iter()
-                .map(|p| Vec3::new(p[0], p[1], p[2]))
-                .collect::<Vec<_>>(),
-        );
+        let soa = soa_f64(&pos);
         assert_eq!(host_row(&soa, 0, l, &sub, 1.0).interactions, 8);
 
         // f32 at L = 10⁵σ: one ulp of L is 2⁻⁷σ, so rounding the fold can pull
@@ -1355,11 +1641,7 @@ mod tests {
     fn a_second_box_or_cutoff_on_the_same_soa_runs_the_full_scan() {
         let (l, cutoff) = (14.0, 2.5);
         let pos = edge_case_positions(43, l, cutoff);
-        let soa = SoaPositions::from_positions(
-            &pos.iter()
-                .map(|p| Vec3::new(p[0], p[1], p[2]))
-                .collect::<Vec<_>>(),
-        );
+        let soa = soa_f64(&pos);
         let soa32 = SoaPositionsF32::from_quads(
             pos.iter()
                 .map(|p| [p[0] as f32, p[1] as f32, p[2] as f32, 0.0]),
@@ -1380,19 +1662,19 @@ mod tests {
                 let want = host_bits(host_all_pairs(&soa, i, l2, &sub));
                 assert_eq!(
                     want,
-                    host_bits(host_row(&soa, i, l2, &sub, 1.0)),
+                    host_bits(host_row(&soa, i, l2, &sub, INV_MASS)),
                     "host {i}"
                 );
                 let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
                 assert_eq!(
                     want,
-                    cell_bits(cell_row(&soa32, i, l32, &sub32, 1.0)),
+                    cell_bits(cell_row(&soa32, i, l32, &sub32, INV_MASS as f32)),
                     "cell {i}"
                 );
                 let want = gpu_bits(gpu_all_pairs(&soa32, i, l32, &sub32));
                 assert_eq!(
                     want,
-                    gpu_bits(gpu_texel(&soa32, i, l32, &sub32, 1.0)),
+                    gpu_bits(gpu_texel(&soa32, i, l32, &sub32, INV_MASS as f32)),
                     "gpu {i}"
                 );
             }
@@ -1405,6 +1687,93 @@ mod tests {
         let pos = edge_case_positions(43, 9.99, 2.5);
         let (engaged, _) = assert_rows_exact(&pos, 9.99, ScenarioSpec::default(), 2.5);
         assert_eq!(engaged, OFF);
+    }
+
+    /// Every potential under both the native and the mixed-f64-accumulate
+    /// policy.
+    fn every_scenario() -> Vec<ScenarioSpec> {
+        let potentials = [
+            ScenarioSpec::default(),
+            ScenarioSpec::morse_nvt(),
+            ScenarioSpec::coulomb_cutoff(),
+        ];
+        let policies = [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate];
+        potentials
+            .iter()
+            .flat_map(|s| policies.map(|p| s.with_precision(p)))
+            .collect()
+    }
+
+    #[test]
+    fn full_scan_rows_are_exact_for_every_potential_and_policy() {
+        let cfg = SimConfig::reduced_lj(139);
+        let sys: ParticleSystem<f64> = initialize(&cfg);
+        let pos: Vec<[f64; 3]> = sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
+        for spec in every_scenario() {
+            let (engaged, _) = assert_rows_exact(&pos, sys.box_len, spec, cfg.cutoff);
+            assert_eq!(engaged, OFF, "{spec}");
+        }
+    }
+
+    /// `m` lattice atoms inside the cutoff of atom `m`, all ahead of it in j,
+    /// then 13 atoms out of its reach. Row `m` packs its neighbors in whole
+    /// groups, so its chunk fills exactly at each multiple of `CHUNK`.
+    fn crowded_row(m: usize, l: f64, cutoff: f64) -> Vec<[f64; 3]> {
+        let (c, h, reach) = (0.5 * l, 0.6, 0.95 * cutoff);
+        let k = (reach / h) as i32;
+        let mut pos: Vec<[f64; 3]> = (-k..=k)
+            .flat_map(|a| (-k..=k).flat_map(move |b| (-k..=k).map(move |e| [a, b, e])))
+            .map(|p| p.map(|s| f64::from(s) * h))
+            .filter(|d| {
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                r2 > 0.0 && r2 <= reach * reach
+            })
+            .map(|d| d.map(|v| c + v))
+            .take(m)
+            .collect();
+        assert_eq!(pos.len(), m, "lattice too small");
+        pos.push([c; 3]);
+        pos.extend((0..13).map(|j| [j % 3, j / 3 % 3, j / 9].map(|s| 0.2 + 0.7 * f64::from(s))));
+        pos
+    }
+
+    #[test]
+    fn rows_past_a_chunk_drain_mid_row_and_at_the_boundary() {
+        let (l, cutoff) = (9.5, 2.5);
+        for m in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 3] {
+            let pos = crowded_row(m, l, cutoff);
+            for spec in every_scenario() {
+                let (engaged, _) = assert_rows_exact(&pos, l, spec, cutoff);
+                assert_eq!(engaged, OFF, "{m} neighbors, {spec}");
+            }
+            let soa = soa_f64(&pos);
+            let sub: Substrate<f64> = ScenarioSpec::default().substrate(cutoff);
+            assert_eq!(host_row(&soa, m, l, &sub, 1.0).interactions, m as u64);
+        }
+    }
+
+    /// A jittered simple-cubic lattice below 4·cutoff, dense enough that
+    /// every row holds about two chunks of survivors, with two NaN
+    /// coordinates.
+    #[test]
+    fn dense_rows_with_nan_coordinates_are_exact() {
+        let (l, cutoff, side) = (8.0, 2.5, 10);
+        let h = l / f64::from(side);
+        let mut rng = crate::rng::SplitMix64::new(18);
+        let mut pos: Vec<[f64; 3]> = (0..side * side * side)
+            .map(|j| [j % side, j / side % side, j / (side * side)])
+            .map(|s| s.map(|s| (f64::from(s) + 0.5) * h + rng.uniform(-0.05, 0.05)))
+            .collect();
+        pos[17][0] = f64::NAN;
+        pos[600][2] = f64::NAN;
+        let soa = soa_f64(&pos);
+        let sub: Substrate<f64> = ScenarioSpec::default().substrate(cutoff);
+        assert!(host_row(&soa, 0, l, &sub, 1.0).interactions > CHUNK as u64);
+        assert_eq!(host_row(&soa, 17, l, &sub, 1.0), GatherRow::default());
+        for spec in every_scenario() {
+            let (engaged, _) = assert_rows_exact(&pos, l, spec, cutoff);
+            assert_eq!(engaged, OFF, "{spec}");
+        }
     }
 
     mod prop {

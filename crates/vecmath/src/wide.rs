@@ -10,12 +10,12 @@
 //! pair-distances (the Cell/GPU single-precision flavor).
 //!
 //! Every operation is per-lane IEEE arithmetic with no cross-lane
-//! reassociation, so a batched distance pass followed by a serial masked
-//! accumulate is *bitwise* the scalar loop — the property the replay memos
-//! rely on. On x86-64 hosts with AVX2 the shared kernels bypass these
-//! portable lanes for hand-written intrinsics (same per-lane ops, same
-//! bits); elsewhere these types are the evaluator itself and LLVM is free to
-//! vectorize them.
+//! reassociation, so a batched distance pass followed by a serial in-order
+//! accumulate of the pairs it kept is *bitwise* the scalar loop — the
+//! property the replay memos rely on. On x86-64 hosts with AVX2 and FMA the
+//! shared kernels bypass these portable lanes for hand-written intrinsics
+//! (same bits); elsewhere these types are the evaluator itself and LLVM is
+//! free to vectorize them.
 
 use std::ops::{Add, Mul, Sub};
 
@@ -28,16 +28,6 @@ pub struct F64x4(pub [f64; 4]);
 pub struct Mask4(pub [bool; 4]);
 
 impl Mask4 {
-    #[inline]
-    pub fn any(self) -> bool {
-        self.0[0] | self.0[1] | self.0[2] | self.0[3]
-    }
-
-    #[inline]
-    pub fn test(self, lane: usize) -> bool {
-        self.0[lane]
-    }
-
     /// Lane-wise AND (mask combine, e.g. `r2 < cutoff² && r2 > 0`).
     #[inline]
     pub fn and(self, o: Self) -> Self {
@@ -65,11 +55,6 @@ impl F64x4 {
     }
 
     #[inline]
-    pub fn lane(self, k: usize) -> f64 {
-        self.0[k]
-    }
-
-    #[inline]
     pub fn cmp_gt(self, o: Self) -> Mask4 {
         Mask4([
             self.0[0] > o.0[0],
@@ -89,8 +74,7 @@ impl F64x4 {
         ])
     }
 
-    /// Per-lane `if mask { a } else { b }` (the blend the intrinsic path
-    /// does with `vblendvpd`).
+    /// Per-lane `if mask { a } else { b }`.
     #[inline]
     pub fn select(mask: Mask4, a: Self, b: Self) -> Self {
         let pick = |k: usize| if mask.0[k] { a.0[k] } else { b.0[k] };
@@ -135,16 +119,6 @@ pub struct Mask8(pub [bool; 8]);
 
 impl Mask8 {
     #[inline]
-    pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    #[inline]
-    pub fn test(self, lane: usize) -> bool {
-        self.0[lane]
-    }
-
-    #[inline]
     pub fn and(self, o: Self) -> Self {
         Self(std::array::from_fn(|k| self.0[k] & o.0[k]))
     }
@@ -167,11 +141,6 @@ impl F32x8 {
     }
 
     #[inline]
-    pub fn lane(self, k: usize) -> f32 {
-        self.0[k]
-    }
-
-    #[inline]
     pub fn cmp_gt(self, o: Self) -> Mask8 {
         Mask8(std::array::from_fn(|k| self.0[k] > o.0[k]))
     }
@@ -181,7 +150,7 @@ impl F32x8 {
         Mask8(std::array::from_fn(|k| self.0[k] < o.0[k]))
     }
 
-    /// Per-lane `if mask { a } else { b }` (`vblendvps` on hardware).
+    /// Per-lane `if mask { a } else { b }`.
     #[inline]
     pub fn select(mask: Mask8, a: Self, b: Self) -> Self {
         Self(std::array::from_fn(
@@ -234,14 +203,13 @@ mod tests {
         let b = F64x4([0.5, -2.5, -0.0, f64::MAX]);
         let s = a.sub(b);
         for k in 0..4 {
-            assert_eq!(s.lane(k).to_bits(), (a.lane(k) - b.lane(k)).to_bits());
+            assert_eq!(s.0[k].to_bits(), (a.0[k] - b.0[k]).to_bits());
         }
         let m = a.cmp_gt(b);
         assert_eq!(m, Mask4([true, false, false, false]));
-        assert!(m.any());
         let sel = F64x4::select(m, a, b);
-        assert_eq!(sel.lane(0), 1.0);
-        assert_eq!(sel.lane(1), -2.5);
+        assert_eq!(sel.0[0], 1.0);
+        assert_eq!(sel.0[1], -2.5);
     }
 
     #[test]
@@ -251,8 +219,8 @@ mod tests {
         let m = a.cmp_gt(F32x8::splat(4.5));
         let sel = F32x8::select(m, a, b);
         for k in 0..8 {
-            let want = if a.lane(k) > 4.5 { a.lane(k) } else { 0.0 };
-            assert_eq!(sel.lane(k), want);
+            let want = if a.0[k] > 4.5 { a.0[k] } else { 0.0 };
+            assert_eq!(sel.0[k], want);
         }
     }
 

@@ -1,8 +1,9 @@
 //! Loaders never panic on hostile input: `SystemCheckpoint::decode`, the
-//! JSON layer (`parse_json`, `RunLedger::parse_jsonl`, and the sweep cache
-//! built on them) and the two text parsers (`ScenarioSpec::from_str`,
-//! `DeviceKind::from_str`) return typed errors for anything they cannot
-//! read.
+//! JSON layer (`parse_json`, `RunLedger::parse_jsonl` and
+//! `RunLedger::validate`, the `RunMetrics` JSON reader and validator, and
+//! the sweep cache built on them) and the two text parsers
+//! (`ScenarioSpec::from_str`, `DeviceKind::from_str`) return typed errors
+//! for anything they cannot read.
 //!
 //! The fuzz properties mutate seed inputs — valid encodings plus the two
 //! inputs an unguarded decoder crashes on: a 37-byte MDCP1 header claiming
@@ -10,7 +11,8 @@
 //! of 50,000 `[` (stack overflow in the recursive-descent parser). The text
 //! parsers are seeded with every valid label and canonical spec, plus specs
 //! whose parameters are NaN or infinite, and must round-trip every input
-//! they accept through `Display`.
+//! they accept through `Display`. Whatever a JSON loader accepts must
+//! serialize again: the writers assert that every number is finite.
 
 use harness::DeviceKind;
 use md_core::checkpoint::{SystemCheckpoint, HEADER_BYTES, MAGIC};
@@ -19,6 +21,7 @@ use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sim_obs::{parse_json, RunLedger};
+use sim_perf::{validate_run_metrics_json, RunMetrics};
 use sim_sweep::{point_key, ResultCache, CODE_VERSION_SALT};
 use std::sync::OnceLock;
 use vecmath::Vec3;
@@ -213,6 +216,77 @@ fn text_seeds_parse_or_fail_cleanly() {
     }
 }
 
+/// A ledger the validator accepts parses to events that serialize again,
+/// to text the validator accepts.
+fn ledger_loader_is_total(text: &str) -> Result<(), TestCaseError> {
+    let valid = RunLedger::validate(text).is_ok();
+    let parsed = RunLedger::parse_jsonl(text);
+    prop_assert_eq!(valid, parsed.is_ok());
+    if let Ok(ledger) = parsed {
+        prop_assert!(RunLedger::validate(&ledger.to_jsonl()).is_ok());
+    }
+    Ok(())
+}
+
+/// Two real `RunMetrics` documents: an Opteron run and a Cell run, which
+/// carry different attribution and counter sets.
+fn metrics_seeds() -> &'static [String] {
+    static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let sim = SimConfig::reduced_lj(108);
+        ["opteron", "cell-8spe"]
+            .map(|label| {
+                let kind: DeviceKind = label.parse().expect("a roster label");
+                let (metrics, _) =
+                    harness::device_metrics(kind, &sim, 1).expect("a 108-atom run succeeds");
+                metrics.to_json()
+            })
+            .to_vec()
+    })
+}
+
+/// Both `RunMetrics` readers return `Ok` or `Err`; a record that parses and
+/// validates serializes again and parses back to itself.
+fn metrics_loaders_are_total(text: &str) -> Result<(), TestCaseError> {
+    let _ = validate_run_metrics_json(text);
+    if let Ok(m) = RunMetrics::from_json(text) {
+        if m.validate().is_ok() {
+            prop_assert_eq!(RunMetrics::from_json(&m.to_json()), Ok(m));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn metrics_and_ledger_seeds_load() {
+    for seed in metrics_seeds() {
+        assert!(validate_run_metrics_json(seed).is_ok());
+        metrics_loaders_are_total(seed).unwrap_or_else(|e| panic!("{e}"));
+    }
+    ledger_loader_is_total(&json_seeds()[0]).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The key and text of a stored cache entry holding the Opteron seed record.
+fn cache_entry_seed() -> &'static (String, String) {
+    static ENTRY: OnceLock<(String, String)> = OnceLock::new();
+    ENTRY.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("mdea-fuzz-seed-{}", std::process::id()));
+        let cache = ResultCache::new(&dir);
+        let key = point_key(
+            CODE_VERSION_SALT,
+            "opteron:fuzz",
+            "lj:e1,s1/nve/native",
+            108,
+            1,
+        );
+        let metrics = RunMetrics::from_json(&metrics_seeds()[0]).expect("seed parses");
+        cache.store(&key, &metrics).expect("store");
+        let body = std::fs::read_to_string(cache.path_for(&key)).expect("read entry");
+        let _ = std::fs::remove_dir_all(&dir);
+        (key, body)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -257,9 +331,30 @@ proptest! {
     fn ledger_parsers_never_panic_on_mutated_lines(seed in 0usize..3, edits in edits()) {
         let seeds = json_seeds();
         let text = String::from_utf8_lossy(&mutate(seeds[seed].as_bytes(), &edits)).into_owned();
-        let _ = RunLedger::parse_jsonl(&text);
         for line in text.lines() {
             let _ = parse_json(line);
+        }
+        ledger_loader_is_total(&text)?;
+    }
+
+    #[test]
+    fn metrics_loaders_never_panic_on_mutated_records(seed in 0usize..2, edits in edits()) {
+        let seed = &metrics_seeds()[seed];
+        metrics_loaders_are_total(&String::from_utf8_lossy(&mutate(seed.as_bytes(), &edits)))?;
+    }
+
+    /// A mutated cache entry loads as a miss or as a record that validates.
+    #[test]
+    fn mutated_cache_entries_miss_or_load_valid_records(edits in edits()) {
+        let (key, body) = cache_entry_seed();
+        let dir = std::env::temp_dir().join(format!("mdea-fuzz-cache-{}", std::process::id()));
+        let cache = ResultCache::new(&dir);
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        std::fs::write(cache.path_for(key), mutate(body.as_bytes(), &edits)).expect("write entry");
+        let loaded = cache.load(key);
+        let _ = std::fs::remove_dir_all(&dir);
+        if let Some(m) = loaded {
+            prop_assert!(m.validate().is_ok());
         }
     }
 }
