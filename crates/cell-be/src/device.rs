@@ -19,6 +19,7 @@ use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
+use sim_obs::ChromeTrace;
 use vecmath::{Real, Vec3};
 
 /// How SPE threads are managed across time steps (Figure 6).
@@ -140,19 +141,19 @@ impl CellBeDevice {
 
     /// Run the MD kernel with SPE offload, additionally recording a timeline
     /// of the simulated execution (PPE track 0, SPE `i` on track `i + 1`)
-    /// into the tracer — exportable to `chrome://tracing` via
-    /// [`mdea_trace::Tracer::to_chrome_json`]. The plain run path is
+    /// into `trace` — exportable to `chrome://tracing` via
+    /// [`ChromeTrace::render`]. The plain run path is
     /// [`md_core::device::MdDevice::run`] on [`CellMd`].
     pub fn run_md_traced(
         &self,
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-        tracer: &mut mdea_trace::Tracer,
+        trace: &mut ChromeTrace,
     ) -> Result<CellRun, CellError> {
-        tracer.name_track(mdea_trace::TraceTrack(0), "PPE");
+        trace.thread_name(0, "PPE");
         for s in 0..run.n_spes {
-            tracer.name_track(mdea_trace::TraceTrack(1 + s as u32), format!("SPE {s}"));
+            trace.thread_name(1 + s as u32, &format!("SPE {s}"));
         }
         let mut sys: ParticleSystem<f32> = init::initialize(sim);
         self.run_md_impl(
@@ -160,7 +161,7 @@ impl CellBeDevice {
             sim,
             steps,
             run,
-            Some(tracer),
+            Some(trace),
             None,
             HostParallelism::Serial,
         )
@@ -176,14 +177,14 @@ impl CellBeDevice {
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-        tracer: Option<&mut mdea_trace::Tracer>,
+        trace: Option<&mut ChromeTrace>,
         perf: Option<&mut sim_perf::PerfMonitor>,
         par: HostParallelism,
     ) -> Result<CellRun, CellError> {
         let port = Resident {
             variant: run.variant,
         };
-        self.run_offload(&port, sys, sim, steps, run, tracer, perf, par)
+        self.run_offload(&port, sys, sim, steps, run, trace, perf, par)
     }
 
     /// Tiled, double-buffered SPE offload — the production formulation for
@@ -253,7 +254,7 @@ impl CellBeDevice {
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-        mut tracer: Option<&mut mdea_trace::Tracer>,
+        mut trace: Option<&mut ChromeTrace>,
         mut perf: Option<&mut sim_perf::PerfMonitor>,
         par: HostParallelism,
     ) -> Result<CellRun, CellError> {
@@ -311,8 +312,8 @@ impl CellBeDevice {
         // Simulated-time cursor for the (optional) execution timeline.
         let clk = self.config.clock_hz;
         let mut t_now = 0.0f64;
-        let ppe_track = mdea_trace::TraceTrack(0);
-        let spe_track = |s: usize| mdea_trace::TraceTrack(1 + s as u32);
+        let ppe_track = 0;
+        let spe_track = |s: usize| 1 + s as u32;
 
         let mut pe_total = P::Real::ZERO;
         // `evals` = 1 priming force evaluation + one per time step.
@@ -320,7 +321,7 @@ impl CellBeDevice {
             if eval > 0 {
                 breakdown.ppe += ppe.integration_cycles(n);
                 let dur = ppe.integration_cycles(n) / clk;
-                if let Some(tr) = tracer.as_deref_mut() {
+                if let Some(tr) = trace.as_deref_mut() {
                     tr.span(ppe_track, "integrate: kick+drift", "ppe", t_now, dur);
                 }
                 t_now += dur;
@@ -347,10 +348,10 @@ impl CellBeDevice {
                             clk,
                         )?;
                         if extra > 0.0 {
-                            if let Some(tr) = tracer.as_deref_mut() {
+                            if let Some(tr) = trace.as_deref_mut() {
                                 tr.instant(
                                     ppe_track,
-                                    format!("fault: spe-launch retry (SPE {s})"),
+                                    &format!("fault: spe-launch retry (SPE {s})"),
                                     "fault",
                                     t_now,
                                 );
@@ -360,10 +361,10 @@ impl CellBeDevice {
                         }
                     }
                     spe.start_thread();
-                    if let Some(tr) = tracer.as_deref_mut() {
+                    if let Some(tr) = trace.as_deref_mut() {
                         tr.span(
                             ppe_track,
-                            format!("spawn SPE {s} thread"),
+                            &format!("spawn SPE {s} thread"),
                             "spawn",
                             t_now,
                             self.config.spawn_cycles / clk,
@@ -395,10 +396,10 @@ impl CellBeDevice {
                             clk,
                         )?;
                         if extra > 0.0 {
-                            if let Some(tr) = tracer.as_deref_mut() {
+                            if let Some(tr) = trace.as_deref_mut() {
                                 tr.instant(
                                     ppe_track,
-                                    format!("fault: mailbox-drop resend (SPE {_s})"),
+                                    &format!("fault: mailbox-drop resend (SPE {_s})"),
                                     "fault",
                                     t_now,
                                 );
@@ -412,7 +413,7 @@ impl CellBeDevice {
                     spe.inbox.write(eval as u32);
                 }
                 let dur = run.n_spes as f64 * self.config.ppe_service_cycles / clk;
-                if let Some(tr) = tracer.as_deref_mut() {
+                if let Some(tr) = trace.as_deref_mut() {
                     tr.span(ppe_track, "mailbox handshake", "mailbox", t_now, dur);
                 }
                 t_now += dur;
@@ -433,7 +434,7 @@ impl CellBeDevice {
             // puts only its own slice), so each lane owns disjoint state.
             // Fault sites are peeked in-lane (pure) and committed below in
             // SPE order; every reduction — cost maxima, kernel stats, PE,
-            // perf counters, tracer spans — happens in the serial fold, so
+            // perf counters, trace spans — happens in the serial fold, so
             // the run is bitwise identical to the serial loop at any host
             // thread count.
             let (pos_mem, acc_mem) = main_memory.split_at_mut(n * atom_bytes);
@@ -522,20 +523,20 @@ impl CellBeDevice {
                     let reissue = commit_fault_site(&mut fault, g.0, g.1, g.2, clk)?;
                     let spin = commit_fault_site(&mut fault, t.0, t.1, t.2, clk)?;
                     if reissue + spin > 0.0 {
-                        if let Some(tr) = tracer.as_deref_mut() {
+                        if let Some(tr) = trace.as_deref_mut() {
                             tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
                         }
                     }
                     let put_reissue = commit_fault_site(&mut fault, p.0, p.1, p.2, clk)?;
                     if put_reissue > 0.0 {
-                        if let Some(tr) = tracer.as_deref_mut() {
+                        if let Some(tr) = trace.as_deref_mut() {
                             tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
                         }
                     }
                 }
                 let (lo, hi) = slices[s];
                 mailbox_round_trips += round_trips;
-                if let Some(tr) = tracer.as_deref_mut() {
+                if let Some(tr) = trace.as_deref_mut() {
                     // The SPEs run concurrently: each track starts at the
                     // same phase-begin time.
                     let mut t = t_now;
@@ -549,7 +550,7 @@ impl CellBeDevice {
                     t += out.dma_in / clk;
                     tr.span(
                         spe_track(s),
-                        format!("accel kernel [{lo}..{hi})"),
+                        &format!("accel kernel [{lo}..{hi})"),
                         "compute",
                         t,
                         out.stats.cycles / clk,
@@ -590,7 +591,7 @@ impl CellBeDevice {
             if eval > 0 {
                 breakdown.ppe += ppe.integration_cycles(n);
                 let dur = ppe.integration_cycles(n) / clk;
-                if let Some(tr) = tracer.as_deref_mut() {
+                if let Some(tr) = trace.as_deref_mut() {
                     tr.span(ppe_track, "integrate: kick", "ppe", t_now, dur);
                 }
                 t_now += dur;
@@ -616,9 +617,9 @@ impl CellBeDevice {
 
         // Surface any detected races on the timeline as instant markers.
         #[cfg(feature = "hazard-check")]
-        if let Some(tr) = tracer {
+        if let Some(tr) = trace {
             for (s, hz) in hazard.iter().enumerate() {
-                hz.emit_to_tracer(tr, spe_track(s), t_now);
+                hz.emit_to_trace(tr, spe_track(s), t_now);
             }
         }
 
@@ -1863,13 +1864,31 @@ mod tests {
         assert!(scalar.value() > 0.0);
     }
 
+    /// `(tid, ts, dur)` of every event in a rendered trace, in seconds
+    /// (instants and counters have zero duration; metadata is skipped).
+    fn trace_events(json: &str) -> Vec<(u32, f64, f64)> {
+        use sim_obs::JsonValue;
+        let doc = sim_obs::parse_json(json).expect("trace is valid JSON");
+        let num = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_number);
+        doc.as_array()
+            .expect("trace is an event array")
+            .iter()
+            .filter(|e| e.get("ph").and_then(JsonValue::as_str) != Some("M"))
+            .map(|e| {
+                let tid = num(e, "tid").expect("tid") as u32;
+                let ts = num(e, "ts").expect("ts") * 1e-6;
+                (tid, ts, num(e, "dur").unwrap_or(0.0) * 1e-6)
+            })
+            .collect()
+    }
+
     #[test]
     fn traced_run_produces_consistent_timeline() {
         let sim = workload(256);
         let device = CellBeDevice::paper_blade();
-        let mut tracer = mdea_trace::Tracer::new();
+        let mut trace = ChromeTrace::new();
         let traced = device
-            .run_md_traced(&sim, 3, CellRunConfig::best(), &mut tracer)
+            .run_md_traced(&sim, 3, CellRunConfig::best(), &mut trace)
             .unwrap();
         let plain = run_md(&device, &sim, 3, CellRunConfig::best()).unwrap();
 
@@ -1880,24 +1899,20 @@ mod tests {
         // Timeline sanity: spans exist on the PPE and every SPE track, the
         // timeline end matches the reported runtime closely, and the JSON
         // export is well formed.
-        assert!(!tracer.is_empty());
-        assert!(
-            tracer.track_busy(mdea_trace::TraceTrack(0)) > 0.0,
-            "PPE busy"
-        );
+        assert!(trace.span_count() > 0);
+        let json = trace.render();
+        let events = trace_events(&json);
+        let busy = |tid: u32| -> f64 { events.iter().filter(|e| e.0 == tid).map(|e| e.2).sum() };
+        assert!(busy(0) > 0.0, "PPE busy");
         for s in 0..8u32 {
-            assert!(
-                tracer.track_busy(mdea_trace::TraceTrack(1 + s)) > 0.0,
-                "SPE {s} has spans"
-            );
+            assert!(busy(1 + s) > 0.0, "SPE {s} has spans");
         }
-        let end = tracer.end_time();
+        let end = events.iter().map(|e| e.1 + e.2).fold(0.0, f64::max);
         assert!(
             (end - traced.sim_seconds).abs() < 0.02 * traced.sim_seconds,
             "timeline end {end} vs runtime {}",
             traced.sim_seconds
         );
-        let json = tracer.to_chrome_json();
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("accel kernel"));
         assert!(json.contains("spawn SPE 7 thread"));
@@ -2129,12 +2144,12 @@ mod tests {
         let sim = workload(256);
         let device =
             CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(11, 0.3));
-        let mut tracer = mdea_trace::Tracer::new();
+        let mut trace = ChromeTrace::new();
         let run = device
-            .run_md_traced(&sim, 4, CellRunConfig::best(), &mut tracer)
+            .run_md_traced(&sim, 4, CellRunConfig::best(), &mut trace)
             .unwrap();
         assert!(run.faults.any());
-        let json = tracer.to_chrome_json();
+        let json = trace.render();
         assert!(json.contains("fault:"), "fault instants in the trace");
     }
 

@@ -11,8 +11,8 @@
 //! that would have raced.
 //!
 //! Hazards are recorded as typed [`Hazard`] values and can be re-emitted as
-//! instant events on a [`mdea_trace::Tracer`] timeline, where they appear as
-//! markers at the moment of detection.
+//! instant events on a [`sim_obs::ChromeTrace`] timeline, where they appear
+//! as markers at the moment of detection.
 //!
 //! Everything here is compiled out unless the `hazard-check` feature is on.
 
@@ -191,14 +191,14 @@ impl HazardChecker {
 
     /// Emit every recorded hazard as an instant event on `track` at simulated
     /// time `time_s`. Returns the number of events emitted.
-    pub fn emit_to_tracer(
+    pub fn emit_to_trace(
         &self,
-        tracer: &mut mdea_trace::Tracer,
-        track: mdea_trace::TraceTrack,
+        trace: &mut sim_obs::ChromeTrace,
+        track: u32,
         time_s: f64,
     ) -> usize {
         for h in &self.hazards {
-            tracer.instant(track, format!("hazard: {h}"), h.kind(), time_s);
+            trace.instant(track, &format!("hazard: {h}"), h.kind(), time_s);
         }
         self.hazards.len()
     }
@@ -306,10 +306,10 @@ mod tests {
         let mut hz = HazardChecker::new();
         hz.dma_issue(7, Dir::Get, region(0, 32));
         hz.compute_read(region(0, 32));
-        let mut tracer = mdea_trace::Tracer::new();
-        let n = hz.emit_to_tracer(&mut tracer, mdea_trace::TraceTrack(1), 0.002);
+        let mut trace = sim_obs::ChromeTrace::new();
+        let n = hz.emit_to_trace(&mut trace, 1, 0.002);
         assert_eq!(n, 1);
-        let json = tracer.to_chrome_json();
+        let json = trace.render();
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("read-before-get"), "{json}");
         assert!(json.contains("tag 7"), "{json}");

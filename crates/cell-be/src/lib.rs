@@ -53,6 +53,3 @@ pub use mailbox::Mailbox;
 pub use ppe::PpeModel;
 pub use spe::LsOverflow;
 pub use spe::Spe;
-
-/// Re-export of the tracing crate used by [`CellBeDevice::run_md_traced`].
-pub use mdea_trace as trace;

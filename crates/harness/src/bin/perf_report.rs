@@ -18,6 +18,7 @@
 use harness::perf;
 use harness::report::{secs, Table};
 use harness::{HarnessError, PAPER_ATOMS, PAPER_STEPS};
+use md_core::device::HostParallelism;
 use md_core::params::SimConfig;
 use mta::ThreadingMode;
 use sim_perf::{format_quantity, JsonValue};
@@ -111,7 +112,12 @@ fn run(args: &[String]) -> Result<(), HarnessError> {
             }
             all.push(m);
         } else {
-            all.push(perf::device_metrics(kind, &sim, steps)?.0);
+            all.push(perf::device_metrics(
+                kind,
+                &sim,
+                steps,
+                HostParallelism::Serial,
+            )?);
         }
     }
 

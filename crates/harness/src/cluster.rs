@@ -12,8 +12,8 @@
 use crate::device::DeviceKind;
 use crate::supervisor::{run_supervised, RecoveryEvent, SupervisedRun, SupervisorConfig};
 use md_core::params::SimConfig;
-use mdea_trace::Tracer;
 use sim_cluster::{ClusterMd, ClusterPolicy, InterconnectModel, NodeEvent};
+use sim_obs::RunLedger;
 
 /// A named cluster configuration: plain, copyable data like [`DeviceKind`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,7 +245,9 @@ fn node_event_json(e: &NodeEvent) -> String {
 /// retry machinery of [`run_supervised`] drives the [`ClusterMd`] like any
 /// single device (node crashes surface as failed segments; `resalt` runs
 /// the membership repair), then the cluster's membership log is joined into
-/// the returned [`ClusterRecovery`].
+/// the returned [`ClusterRecovery`]. `ledger`, when given, receives the
+/// supervisor's recovery events and accepted segments, as in
+/// [`run_supervised`].
 ///
 /// Take the cluster by value or pre-script kills on it first — for example
 /// `cluster.kill_node_at_step(2, 5)` for the CI demo — then pass it in.
@@ -254,9 +256,9 @@ pub fn run_cluster_supervised(
     sim: &SimConfig,
     steps: usize,
     cfg: &SupervisorConfig,
-    tracer: Option<&mut Tracer>,
+    ledger: Option<&mut RunLedger>,
 ) -> ClusterRecovery {
-    let run = run_supervised(cluster, sim, steps, cfg, tracer);
+    let run = run_supervised(cluster, sim, steps, cfg, ledger);
     ClusterRecovery {
         run,
         node_events: cluster.events().to_vec(),

@@ -17,6 +17,12 @@
 //! Devices are named by [`device::DeviceKind`] and driven uniformly through
 //! [`md_core::device::MdDevice`]; [`device::DeviceKind::build`] is the single
 //! construction point for every simulated machine.
+//!
+//! Each family of runs has one entry point: [`run_supervised`] and
+//! [`run_cluster_supervised`] supervise a device or a cluster (the optional
+//! [`sim_obs::RunLedger`] is the supervisor's one sink), and
+//! [`device_metrics`], [`cluster_metrics`] and [`device_ledger`] collect
+//! counters and attribution (see [`perf`]).
 
 pub mod cluster;
 pub mod device;
@@ -33,13 +39,10 @@ pub use cluster::{run_cluster_supervised, ClusterKind, ClusterRecovery};
 pub use device::{DeviceKind, GpuModel};
 pub use error::HarnessError;
 pub use perf::{
-    cell_metrics, cluster_ledger, cluster_metrics, device_ledger, device_metrics,
-    device_metrics_host, device_metrics_par, gpu_metrics, mta_metrics, opteron_metrics,
-    record_host_throughput_ledger, standard_metrics, workload_label, write_metrics_json,
+    cluster_metrics, device_ledger, device_metrics, workload_label, write_metrics_json,
     write_metrics_json_in,
 };
 pub use report::{emit_figure, write_csv, Table};
 pub use supervisor::{
-    run_supervised, run_supervised_ledger, RecoveryEvent, RecoveryReport, SegmentCounters,
-    SupervisedRun, SupervisorConfig, SUPERVISOR_TRACK,
+    run_supervised, RecoveryEvent, RecoveryReport, SegmentCounters, SupervisedRun, SupervisorConfig,
 };

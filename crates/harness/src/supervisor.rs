@@ -23,15 +23,11 @@ use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
-use mdea_trace::{TraceTrack, Tracer};
 use opteron::OpteronCpu;
 use sim_fault::FaultStats;
 use sim_obs::{EventKind, LedgerEvent, RunLedger};
 use sim_perf::PerfMonitor;
 use std::sync::{Mutex, PoisonError};
-
-/// The trace track supervisor events are emitted on.
-pub const SUPERVISOR_TRACK: TraceTrack = TraceTrack(200);
 
 /// Retry/checkpoint/fallback policy. All times are simulated seconds.
 #[derive(Clone, Copy, Debug)]
@@ -275,29 +271,17 @@ fn ledger_segment(
 /// retry/checkpoint/fallback policy. Never panics and always completes: the
 /// worst case degrades to the fault-free Opteron reference model.
 ///
-/// Pass a [`Tracer`] to get every supervisor decision as an instant event on
-/// [`SUPERVISOR_TRACK`], stamped in accumulated simulated time.
+/// Pass a [`RunLedger`] to receive the full recovery story: every supervisor
+/// decision as a `recovery` event at its accumulated simulated time (its
+/// human-readable label in `detail`), plus one `supervisor` phase and the
+/// device's counter totals per *accepted* segment. The ledger is observation
+/// only — attaching it cannot change the trajectory, the timings, or the
+/// report. Its Chrome view is [`sim_obs::ledger_to_chrome`].
 pub fn run_supervised(
     device: &mut dyn MdDevice,
     sim: &SimConfig,
     steps: usize,
     cfg: &SupervisorConfig,
-    tracer: Option<&mut Tracer>,
-) -> SupervisedRun {
-    run_supervised_ledger(device, sim, steps, cfg, tracer, None)
-}
-
-/// [`run_supervised`] with an optional [`RunLedger`] receiving the full
-/// recovery story: every supervisor decision as a `recovery` event at its
-/// accumulated simulated time, plus one `supervisor` phase and the device's
-/// counter totals per *accepted* segment. The ledger is observation only —
-/// attaching it cannot change the trajectory, the timings, or the report.
-pub fn run_supervised_ledger(
-    device: &mut dyn MdDevice,
-    sim: &SimConfig,
-    steps: usize,
-    cfg: &SupervisorConfig,
-    mut tracer: Option<&mut Tracer>,
     mut ledger: Option<&mut RunLedger>,
 ) -> SupervisedRun {
     let device_label = device.label();
@@ -312,17 +296,10 @@ pub fn run_supervised_ledger(
     let mut device_produced = false;
     let mut energies: Option<EnergyReport> = None;
 
-    if let Some(t) = tracer.as_deref_mut() {
-        t.name_track(SUPERVISOR_TRACK, "supervisor");
-    }
     let emit = |report: &mut RecoveryReport,
-                tracer: &mut Option<&mut Tracer>,
                 ledger: &mut Option<&mut RunLedger>,
                 at_s: f64,
                 ev: RecoveryEvent| {
-        if let Some(t) = tracer.as_deref_mut() {
-            t.instant(SUPERVISOR_TRACK, ev.label(), "supervisor", at_s);
-        }
         if let Some(led) = ledger.as_deref_mut() {
             led.push(LedgerEvent {
                 t_s: at_s,
@@ -341,7 +318,6 @@ pub fn run_supervised_ledger(
 
     emit(
         &mut report,
-        &mut tracer,
         &mut ledger,
         total_s,
         RecoveryEvent::Checkpoint { step: 0 },
@@ -369,7 +345,6 @@ pub fn run_supervised_ledger(
                     report.faults.merge(&seg.faults);
                     emit(
                         &mut report,
-                        &mut tracer,
                         &mut ledger,
                         total_s,
                         RecoveryEvent::WatchdogTimeout {
@@ -397,7 +372,6 @@ pub fn run_supervised_ledger(
                     report.checkpoints += 1;
                     emit(
                         &mut report,
-                        &mut tracer,
                         &mut ledger,
                         total_s,
                         RecoveryEvent::Checkpoint { step: cp.step },
@@ -416,7 +390,6 @@ pub fn run_supervised_ledger(
             report.restores += 1;
             emit(
                 &mut report,
-                &mut tracer,
                 &mut ledger,
                 total_s,
                 RecoveryEvent::Restore {
@@ -431,7 +404,6 @@ pub fn run_supervised_ledger(
         // everything that remains.
         emit(
             &mut report,
-            &mut tracer,
             &mut ledger,
             total_s,
             RecoveryEvent::Fallback {
@@ -469,7 +441,6 @@ pub fn run_supervised_ledger(
         if drifted {
             emit(
                 &mut report,
-                &mut tracer,
                 &mut ledger,
                 total_s,
                 RecoveryEvent::Fallback {
@@ -626,17 +597,17 @@ mod tests {
             watchdog_s_per_step: 1e-30,
             ..SupervisorConfig::default()
         };
-        let mut tracer = Tracer::new();
-        let run = run_supervised(&mut dev, &sim, 4, &cfg, Some(&mut tracer));
+        let mut led = RunLedger::new("supervised-gpu", "108 atoms x 4 steps");
+        let run = run_supervised(&mut dev, &sim, 4, &cfg, Some(&mut led));
         assert!(run.report.fell_back);
         assert_eq!(run.report.watchdog_timeouts, cfg.max_attempts as u64);
         // The fallback still produces the reference physics.
         let reference = OpteronCpu::untimed_energies(&sim, 4);
         assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
-        // Every decision is on the trace.
-        let json = tracer.to_chrome_json();
-        assert!(json.contains("watchdog timeout"));
-        assert!(json.contains("fallback to Opteron reference"));
+        // Every decision is in the ledger.
+        let jsonl = led.to_jsonl();
+        assert!(jsonl.contains("watchdog timeout"));
+        assert!(jsonl.contains("fallback to Opteron reference"));
         assert!(run
             .report
             .events
@@ -726,7 +697,7 @@ mod tests {
         let cfg = SupervisorConfig::default();
         let mut led = RunLedger::new("supervised-opteron", "108 atoms x 4 steps");
         let mut dev = OpteronCpu::paper_reference();
-        let run = run_supervised_ledger(&mut dev, &sim, 4, &cfg, None, Some(&mut led));
+        let run = run_supervised(&mut dev, &sim, 4, &cfg, Some(&mut led));
         let mut plain_dev = OpteronCpu::paper_reference();
         let plain = run_supervised(&mut plain_dev, &sim, 4, &cfg, None);
         // Observation only: the ledger-attached run is bitwise-identical.
@@ -808,18 +779,18 @@ mod tests {
             let sim = small();
             let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(0, 1.0));
             let mut dev = CellMd::new(device, CellRunConfig::best());
-            let mut tracer = Tracer::new();
+            let mut led = RunLedger::new("supervised-cell", "108 atoms x 4 steps");
             let run = run_supervised(
                 &mut dev,
                 &sim,
                 4,
                 &SupervisorConfig::default(),
-                Some(&mut tracer),
+                Some(&mut led),
             );
             assert!(run.report.fell_back);
             let reference = OpteronCpu::untimed_energies(&sim, 4);
             assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
-            assert!(tracer.to_chrome_json().contains("restore to step"));
+            assert!(led.to_jsonl().contains("restore to step"));
         }
 
         #[test]

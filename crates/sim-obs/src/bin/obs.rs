@@ -12,8 +12,8 @@
 //! Exit codes: 0 ok, 1 usage/parse error, 2 regression detected by `check`.
 
 use sim_obs::{
-    check_ledger, json_f64, ledger_to_chrome, ledger_to_prometheus, parse_host_baseline, EventKind,
-    RunLedger,
+    check_ledger, ledger_diff, ledger_timeline, ledger_to_chrome, ledger_to_prometheus,
+    parse_host_baseline, RunLedger,
 };
 
 fn main() {
@@ -58,185 +58,18 @@ fn timeline(args: &[String]) -> Result<i32, String> {
     let [path] = args else {
         return Err("usage: obs timeline <ledger.jsonl>".to_string());
     };
-    let ledger = load_ledger(path)?;
-    println!("run    : {}", ledger.label);
-    println!("work   : {}", ledger.workload);
-    println!("events : {}", ledger.events().len());
-    println!();
-    let mut events = ledger.events().to_vec();
-    events.sort_by(|a, b| {
-        a.t_s
-            .total_cmp(&b.t_s)
-            .then_with(|| a.kind.cmp(&b.kind))
-            .then_with(|| a.source.cmp(&b.source))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    for ev in &events {
-        let mut line = format!(
-            "{:>14.9}s  {:<8} {:<18} {}",
-            ev.t_s,
-            ev.kind.as_str(),
-            ev.source,
-            ev.name
-        );
-        if let Some(d) = ev.dur_s {
-            line.push_str(&format!("  dur={}s", json_f64(d)));
-        }
-        if let Some(v) = ev.value {
-            line.push_str(&format!("  value={}", json_f64(v)));
-            if let Some(u) = &ev.unit {
-                line.push_str(&format!(" {u}"));
-            }
-        }
-        if let Some(s) = ev.step {
-            line.push_str(&format!("  step={s}"));
-        }
-        if let Some(det) = &ev.detail {
-            line.push_str(&format!("  ({det})"));
-        }
-        println!("{line}");
-    }
-    println!();
-    for source in ledger.sources() {
-        let total = ledger.phase_total(&source);
-        if total > 0.0 {
-            println!("phase total {source}: {}s", json_f64(total));
-        }
-    }
+    print!("{}", ledger_timeline(&load_ledger(path)?));
     Ok(0)
-}
-
-/// Final counter values per (source, name), insertion-ordered then sorted.
-fn counter_finals(ledger: &RunLedger) -> Vec<(String, String, f64)> {
-    let mut finals: Vec<(String, String, f64)> = Vec::new();
-    for ev in ledger.events() {
-        if ev.kind != EventKind::Counter {
-            continue;
-        }
-        let value = ev.value.unwrap_or(0.0);
-        match finals
-            .iter_mut()
-            .find(|(s, n, _)| *s == ev.source && *n == ev.name)
-        {
-            Some((_, _, v)) => *v = value,
-            None => finals.push((ev.source.clone(), ev.name.clone(), value)),
-        }
-    }
-    finals.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    finals
-}
-
-/// Phase totals per (source, name), sorted.
-fn phase_totals(ledger: &RunLedger) -> Vec<(String, String, f64)> {
-    let mut totals: Vec<(String, String, f64)> = Vec::new();
-    for ev in ledger.events() {
-        if ev.kind != EventKind::Phase {
-            continue;
-        }
-        let dur = ev.dur_s.unwrap_or(0.0);
-        match totals
-            .iter_mut()
-            .find(|(s, n, _)| *s == ev.source && *n == ev.name)
-        {
-            Some((_, _, t)) => *t += dur,
-            None => totals.push((ev.source.clone(), ev.name.clone(), dur)),
-        }
-    }
-    totals.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    totals
 }
 
 fn diff(args: &[String]) -> Result<i32, String> {
     let [path_a, path_b] = args else {
         return Err("usage: obs diff <a.jsonl> <b.jsonl>".to_string());
     };
-    let a = load_ledger(path_a)?;
-    let b = load_ledger(path_b)?;
-    println!("A: {} ({})", a.label, a.workload);
-    println!("B: {} ({})", b.label, b.workload);
-    println!();
-
-    let mut sources = a.sources();
-    for s in b.sources() {
-        if !sources.contains(&s) {
-            sources.push(s);
-        }
-    }
-    sources.sort();
-
-    println!("sim-seconds (phase totals per source)");
-    for source in &sources {
-        let ta = a.phase_total(source);
-        let tb = b.phase_total(source);
-        println!(
-            "  {source:<20} A={:<22} B={:<22} delta={}",
-            json_f64(ta),
-            json_f64(tb),
-            json_f64(tb - ta)
-        );
-    }
-    println!();
-
-    println!("attribution shares (per source phase)");
-    let pa = phase_totals(&a);
-    let pb = phase_totals(&b);
-    let mut keys: Vec<(String, String)> =
-        pa.iter().map(|(s, n, _)| (s.clone(), n.clone())).collect();
-    for (s, n, _) in &pb {
-        if !keys.iter().any(|(ks, kn)| ks == s && kn == n) {
-            keys.push((s.clone(), n.clone()));
-        }
-    }
-    keys.sort();
-    let share = |totals: &[(String, String, f64)], ledger: &RunLedger, s: &str, n: &str| -> f64 {
-        let total = ledger.phase_total(s);
-        if total == 0.0 {
-            return 0.0;
-        }
-        totals
-            .iter()
-            .find(|(ts, tn, _)| ts == s && tn == n)
-            .map_or(0.0, |(_, _, d)| d / total)
-    };
-    for (s, n) in &keys {
-        let sa = share(&pa, &a, s, n);
-        let sb = share(&pb, &b, s, n);
-        println!(
-            "  {s:<20} {n:<20} A={:>7.3}% B={:>7.3}% delta={:+.3}%",
-            sa * 100.0,
-            sb * 100.0,
-            (sb - sa) * 100.0
-        );
-    }
-    println!();
-
-    println!("counter deltas (final values)");
-    let ca = counter_finals(&a);
-    let cb = counter_finals(&b);
-    let mut ckeys: Vec<(String, String)> =
-        ca.iter().map(|(s, n, _)| (s.clone(), n.clone())).collect();
-    for (s, n, _) in &cb {
-        if !ckeys.iter().any(|(ks, kn)| ks == s && kn == n) {
-            ckeys.push((s.clone(), n.clone()));
-        }
-    }
-    ckeys.sort();
-    let value = |finals: &[(String, String, f64)], s: &str, n: &str| -> f64 {
-        finals
-            .iter()
-            .find(|(fs, fn_, _)| fs == s && fn_ == n)
-            .map_or(0.0, |(_, _, v)| *v)
-    };
-    for (s, n) in &ckeys {
-        let va = value(&ca, s, n);
-        let vb = value(&cb, s, n);
-        println!(
-            "  {s:<20} {n:<26} A={:<18} B={:<18} delta={}",
-            json_f64(va),
-            json_f64(vb),
-            json_f64(vb - va)
-        );
-    }
+    print!(
+        "{}",
+        ledger_diff(&load_ledger(path_a)?, &load_ledger(path_b)?)
+    );
     Ok(0)
 }
 
@@ -252,7 +85,7 @@ fn export(args: &[String]) -> Result<i32, String> {
         match args[i].as_str() {
             "--chrome" => {
                 let out = args.get(i + 1).ok_or("--chrome needs a path")?;
-                std::fs::write(out, ledger_to_chrome(&ledger))
+                std::fs::write(out, ledger_to_chrome(&ledger)?)
                     .map_err(|e| format!("write {out}: {e}"))?;
                 println!("wrote Chrome trace to {out}");
                 wrote = true;

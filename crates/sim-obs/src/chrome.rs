@@ -1,11 +1,16 @@
-//! The one Chrome trace-event JSON writer in the workspace.
+//! The one Chrome trace-event collector and writer in the workspace.
 //!
-//! Both exporters that used to carry their own copy of this format — the
-//! span/instant/counter renderer in `mdea-trace` and the `"C"` counter-event
-//! export in `sim-perf` — now feed this builder, so the byte format (field
+//! Every timeline goes straight into a [`ChromeTrace`]: the Cell device's
+//! SPE-offload spans (`CellBeDevice::run_md_traced`, `mdea trace`), DMA and
+//! mailbox hazard instants, `sim-perf`'s `"C"` counter lanes, and the run
+//! ledger's Chrome view ([`crate::ledger_to_chrome`]). The byte format (field
 //! order, `%.3f` microsecond timestamps, the `(timestamp, track, kind)`
-//! stable sort, the `[\n … \n]\n` envelope) is defined exactly once. The
-//! golden-file tests in `tests/trace_golden.rs` pin the bytes.
+//! stable sort, the `[\n … \n]\n` envelope) is defined exactly once here,
+//! and the golden-file tests in `tests/trace_golden.rs` pin the bytes.
+//!
+//! Times are simulated seconds in, microseconds (the format's native unit)
+//! out. Negative times and durations, and non-finite counter values, are
+//! caller bugs and panic.
 
 use crate::json::escape_json_string;
 use std::fmt::Write as _;
@@ -20,6 +25,7 @@ pub struct ChromeTrace {
     /// `(time_s, track, kind, rendered-body)` — kind 0 span, 1 instant,
     /// 2 counter.
     events: Vec<(f64, u32, u8, String)>,
+    spans: usize,
 }
 
 impl ChromeTrace {
@@ -34,8 +40,11 @@ impl ChromeTrace {
         }
     }
 
-    /// A complete `"X"` event.
+    /// A complete `"X"` event. Zero-duration spans are kept (they render as
+    /// instant markers).
     pub fn span(&mut self, track: u32, name: &str, category: &str, start_s: f64, duration_s: f64) {
+        assert!(duration_s >= 0.0, "span duration must be non-negative");
+        assert!(start_s >= 0.0, "span start must be non-negative");
         let mut body = String::new();
         let _ = write!(
             body,
@@ -48,10 +57,12 @@ impl ChromeTrace {
             duration_s * 1e6,
         );
         self.events.push((start_s, track, 0, body));
+        self.spans += 1;
     }
 
     /// A thread-scoped `"i"` instant event.
     pub fn instant(&mut self, track: u32, name: &str, category: &str, time_s: f64) {
+        assert!(time_s >= 0.0, "instant time must be non-negative");
         let mut body = String::new();
         let _ = write!(
             body,
@@ -67,6 +78,8 @@ impl ChromeTrace {
 
     /// A `"C"` counter sample.
     pub fn counter(&mut self, track: u32, name: &str, category: &str, time_s: f64, value: f64) {
+        assert!(time_s >= 0.0, "counter time must be non-negative");
+        assert!(value.is_finite(), "counter value must be finite");
         let mut body = String::new();
         let _ = write!(
             body,
@@ -100,6 +113,11 @@ impl ChromeTrace {
         for &(t_s, value) in samples {
             self.counter(track, name, category, t_s, value);
         }
+    }
+
+    /// Number of `"X"` spans recorded so far.
+    pub fn span_count(&self) -> usize {
+        self.spans
     }
 
     /// Render the trace: `[\n` + `,\n`-joined events + `\n]\n`.
@@ -197,5 +215,89 @@ mod tests {
             pos("spn") < pos("inst") && pos("inst") < pos("ctr"),
             "{json}"
         );
+    }
+
+    #[test]
+    fn spans_render_as_x_events_with_microsecond_times() {
+        let mut t = ChromeTrace::new();
+        t.thread_name(3, "SPE \"3\"");
+        t.span(3, "kernel", "compute", 0.001, 0.002);
+        assert_eq!(t.span_count(), 1);
+        let json = t.render();
+        assert!(json.contains("\"ph\":\"X\""), "{json}");
+        assert!(json.contains("\"ts\":1000.000,\"dur\":2000.000"), "{json}");
+        assert!(json.contains(r#"SPE \"3\""#), "thread name escaped");
+        crate::json::parse_json(&json).expect("valid JSON");
+    }
+
+    #[test]
+    fn instants_render_as_thread_scoped_i_events() {
+        let mut t = ChromeTrace::new();
+        t.instant(2, "hazard: missing tag wait", "hazard", 0.004);
+        assert_eq!(t.span_count(), 0);
+        let json = t.render();
+        assert!(
+            json.contains("\"ph\":\"i\",\"pid\":1,\"tid\":2,\"ts\":4000.000,\"s\":\"t\""),
+            "{json}"
+        );
+        crate::json::parse_json(&json).expect("valid JSON");
+    }
+
+    #[test]
+    fn counters_render_as_c_events() {
+        let mut t = ChromeTrace::new();
+        t.counter(5, "dma.bytes", "perf", 0.002, 4096.0);
+        let json = t.render();
+        assert!(json.contains("\"ph\":\"C\""), "{json}");
+        assert!(
+            json.contains("\"ts\":2000.000,\"args\":{\"value\":4096}"),
+            "{json}"
+        );
+        crate::json::parse_json(&json).expect("valid JSON");
+    }
+
+    #[test]
+    #[should_panic(expected = "span duration must be non-negative")]
+    fn negative_duration_rejected() {
+        ChromeTrace::new().span(0, "x", "c", 0.0, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "span start must be non-negative")]
+    fn negative_start_rejected() {
+        ChromeTrace::new().span(0, "x", "c", -1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "instant time must be non-negative")]
+    fn negative_instant_rejected() {
+        ChromeTrace::new().instant(0, "x", "c", -1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter value must be finite")]
+    fn non_finite_counter_value_rejected() {
+        ChromeTrace::new().counter(0, "x", "perf", 0.0, f64::NAN);
+    }
+
+    #[test]
+    fn export_is_insertion_order_independent() {
+        let record = |order: &[usize]| {
+            let mut t = ChromeTrace::new();
+            t.thread_name(0, "PPE");
+            let items: [&dyn Fn(&mut ChromeTrace); 3] = [
+                &|t: &mut ChromeTrace| t.span(0, "late", "c", 0.002, 0.001),
+                &|t: &mut ChromeTrace| t.span(0, "early", "c", 0.000, 0.001),
+                &|t: &mut ChromeTrace| t.instant(0, "mid", "c", 0.001),
+            ];
+            for &i in order {
+                items[i](&mut t);
+            }
+            t.render()
+        };
+        let a = record(&[0, 1, 2]);
+        assert_eq!(a, record(&[2, 1, 0]), "render must not depend on order");
+        let pos = |needle: &str| a.find(needle).expect("present");
+        assert!(pos("early") < pos("mid") && pos("mid") < pos("late"), "{a}");
     }
 }

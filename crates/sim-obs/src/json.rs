@@ -3,7 +3,7 @@
 //! writer) and a small strict recursive-descent parser (no trailing commas,
 //! no comments, no NaN/Infinity) used to validate and read back emitted
 //! artifacts. The container has no serde; this is the single JSON layer
-//! everything above (`mdea-trace`, `sim-perf`, the ledger) builds on.
+//! everything above (the Chrome trace writer, `sim-perf`, the ledger) builds on.
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json_string(s: &str) -> String {
@@ -160,16 +160,42 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consume a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// An RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.fail("expected digits")),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.fail("expected fraction digits"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.fail("expected exponent digits"));
+            }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.fail("non-UTF8 number"))?;
@@ -207,6 +233,9 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.fail("truncated \\u escape"))?;
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.fail("bad \\u escape"));
+                            }
                             let hex = std::str::from_utf8(hex)
                                 .map_err(|_| self.fail("non-UTF8 \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
@@ -346,6 +375,22 @@ mod tests {
         assert!(parse_json("{\"a\":1} extra").is_err());
         assert!(parse_json("{\"a\":1,\"a\":2}").is_err(), "duplicate keys");
         assert!(parse_json("NaN").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for ok in ["0", "-0", "12", "1.5", "-3e2", "2E+3", "4e-07", "0.000"] {
+            assert!(parse_json(ok).is_ok(), "{ok:?}");
+        }
+        for bad in [
+            "01", "+1", "1.", ".5", "-", "1e", "1e+", "--1", "1.e5", "0x10",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad:?}");
+        }
+        assert!(
+            parse_json(r#""\u+041""#).is_err(),
+            "\\u needs four hex digits"
+        );
     }
 
     #[test]

@@ -125,6 +125,9 @@ impl LedgerEvent {
             .get("t_s")
             .and_then(JsonValue::as_number)
             .ok_or("event missing numeric t_s")?;
+        if t_s < 0.0 {
+            return Err(format!("t_s must be non-negative, got {t_s}"));
+        }
         let kind = v
             .get("kind")
             .and_then(JsonValue::as_str)
@@ -166,13 +169,17 @@ impl LedgerEvent {
                 None => Ok(None),
             }
         };
+        let dur_s = num("dur_s")?;
+        if let Some(d) = dur_s.filter(|d| *d < 0.0) {
+            return Err(format!("dur_s must be non-negative, got {d}"));
+        }
         Ok(LedgerEvent {
             t_s,
             kind,
             source,
             name,
             step,
-            dur_s: num("dur_s")?,
+            dur_s,
             value: num("value")?,
             unit: text("unit")?,
             detail: text("detail")?,
@@ -420,6 +427,47 @@ impl RunLedger {
             .sum()
     }
 
+    /// Phase durations summed per `(source, name)`, sorted. Totals of huge
+    /// durations may overflow to infinity; views must render that, not
+    /// assume finite sums.
+    pub fn phase_totals(&self) -> Vec<(String, String, f64)> {
+        let mut totals: Vec<(String, String, f64)> = Vec::new();
+        for ev in self.events.iter().filter(|e| e.kind == EventKind::Phase) {
+            let dur = ev.dur_s.unwrap_or(0.0);
+            match totals
+                .iter_mut()
+                .find(|(s, n, _)| *s == ev.source && *n == ev.name)
+            {
+                Some((_, _, total)) => *total += dur,
+                None => totals.push((ev.source.clone(), ev.name.clone(), dur)),
+            }
+        }
+        totals.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        totals
+    }
+
+    /// Final `(source, name, unit, value)` of every counter, sorted. Last
+    /// write wins per `(source, name)`: counters report running totals.
+    pub fn counter_finals(&self) -> Vec<(String, String, String, f64)> {
+        let mut finals: Vec<(String, String, String, f64)> = Vec::new();
+        for ev in self.events.iter().filter(|e| e.kind == EventKind::Counter) {
+            let value = ev.value.unwrap_or(0.0);
+            let unit = ev.unit.clone().unwrap_or_default();
+            match finals
+                .iter_mut()
+                .find(|(s, n, _, _)| *s == ev.source && *n == ev.name)
+            {
+                Some(slot) => {
+                    slot.2 = unit;
+                    slot.3 = value;
+                }
+                None => finals.push((ev.source.clone(), ev.name.clone(), unit, value)),
+            }
+        }
+        finals.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        finals
+    }
+
     /// Sources that emitted at least one event, in sorted order.
     pub fn sources(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -517,6 +565,19 @@ mod tests {
         let cut = text.trim_end().rfind('\n').unwrap();
         text.truncate(cut + 1);
         assert!(RunLedger::parse_jsonl(&text).is_err());
+    }
+
+    #[test]
+    fn rejects_negative_times_and_durations() {
+        let header = "{\"schema_version\":1,\"format\":\"run-ledger\",\"label\":\"x\",\"workload\":\"w\",\"events\":1}";
+        let event = |t: &str, d: &str| {
+            format!("{header}\n{{\"t_s\":{t},\"kind\":\"phase\",\"source\":\"s\",\"name\":\"n\",\"dur_s\":{d}}}\n")
+        };
+        assert!(RunLedger::parse_jsonl(&event("0", "0")).is_ok());
+        let err = RunLedger::parse_jsonl(&event("-5", "2")).expect_err("negative t_s");
+        assert!(err.contains("t_s must be non-negative"), "{err}");
+        let err = RunLedger::parse_jsonl(&event("5", "-2")).expect_err("negative dur_s");
+        assert!(err.contains("dur_s must be non-negative"), "{err}");
     }
 
     #[test]

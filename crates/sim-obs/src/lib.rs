@@ -3,15 +3,18 @@
 //! Everything in this crate observes; nothing charges cycles or mutates
 //! simulated state (enforced by sim-vet's observer-purity rule, which scans
 //! this crate). The crate sits at the bottom of the telemetry stack — it
-//! has no dependencies, and `mdea-trace`, `sim-perf`, and `md-core` build
-//! on it:
+//! has no dependencies, and `sim-perf`, `md-core` and the device crates
+//! build on it:
 //!
 //! - [`json`] — string escaping, number formatting, and a strict parser
 //!   shared by every JSON emitter in the workspace
-//! - [`chrome`] — the single Chrome trace-event writer (spans, instants,
-//!   counters) that both `mdea-trace` and `sim-perf` render through
+//! - [`chrome`] — the single Chrome trace-event collector and writer
+//!   (spans, instants, counters): the Cell device timeline, hazard
+//!   instants, `sim-perf` counter lanes and the ledger view all land in one
+//!   [`ChromeTrace`]
 //! - [`ledger`] — the schema-versioned JSONL run ledger
-//! - [`export`] — ledger → Chrome trace / Prometheus textfile
+//! - [`export`] — ledger → Chrome trace / Prometheus textfile / text
+//!   timeline and diff
 //! - [`check`] — ledger vs `BENCH_host.json` regression gating
 //! - [`trajectory`] — the append-only `BENCH_trajectory.json` history
 //!
@@ -27,7 +30,7 @@ pub mod trajectory;
 
 pub use check::{check_ledger, parse_host_baseline, CheckResult, HostBaseline};
 pub use chrome::ChromeTrace;
-pub use export::{ledger_to_chrome, ledger_to_prometheus};
+pub use export::{ledger_diff, ledger_timeline, ledger_to_chrome, ledger_to_prometheus};
 pub use json::{escape_json_string, json_f64, parse_json, JsonValue};
 pub use ledger::{EventKind, LedgerEvent, RunLedger, LEDGER_SCHEMA_VERSION};
 pub use trajectory::{

@@ -1,6 +1,6 @@
 //! Monotonic named counters with time-series sampling.
 
-use mdea_trace::{TraceTrack, Tracer};
+use sim_obs::ChromeTrace;
 
 /// Opaque index of a registered counter (cheap to copy, valid only for the
 /// [`PerfMonitor`] that issued it).
@@ -35,7 +35,7 @@ impl CounterSeries {
 ///
 /// The monitor is a passive observer: it holds no clock and charges no
 /// simulated time. Devices thread an `Option<&mut PerfMonitor>` through their
-/// run loops (mirroring the existing tracer threading) and call [`add`] at
+/// run loops and call [`add`] at
 /// the points where costs are charged; the arithmetic of the run itself is
 /// untouched, which is what keeps counters-on runs bitwise-identical to
 /// counters-off runs.
@@ -136,18 +136,12 @@ impl PerfMonitor {
         self.counters.is_empty()
     }
 
-    /// Export every sampled point as a Chrome `"C"` counter event on `track`.
-    /// Counters with no samples get a single point carrying their final value
-    /// at t = 0 so they still show up as a lane in Perfetto.
-    pub fn export_to_tracer(&self, tracer: &mut Tracer, track: TraceTrack) {
+    /// Export every sampled point as a Chrome `"C"` counter event on `track`
+    /// ([`ChromeTrace::counter_series`]: unsampled counters become one t = 0
+    /// point carrying their final value).
+    pub fn export_to_chrome(&self, trace: &mut ChromeTrace, track: u32) {
         for c in &self.counters {
-            if c.samples.is_empty() {
-                tracer.counter(track, c.name.clone(), "perf", 0.0, c.value);
-                continue;
-            }
-            for &(t_s, value) in &c.samples {
-                tracer.counter(track, c.name.clone(), "perf", t_s, value);
-            }
+            trace.counter_series(track, &c.name, "perf", &c.samples, c.value);
         }
     }
 
@@ -244,11 +238,11 @@ mod tests {
         m.add(h, 4096.0);
         m.sample_all(1e-3);
         m.register("unsampled", "ops");
-        let mut t = Tracer::new();
-        // Re-export after registering the second counter so it takes the
+        let mut t = ChromeTrace::new();
+        // Export after registering the second counter so it takes the
         // no-samples path.
-        m.export_to_tracer(&mut t, TraceTrack(90));
-        let json = t.to_chrome_json();
+        m.export_to_chrome(&mut t, 90);
+        let json = t.render();
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert!(json.contains("pcie.bytes"), "{json}");
         assert!(json.contains("unsampled"), "{json}");

@@ -8,7 +8,7 @@
 //! - a [`PerfMonitor`] of named, monotonically non-decreasing counters that a
 //!   device updates as it runs (DMA bytes, texture fetches, phantom cycles,
 //!   cache misses, ...), sampled into a time series along simulated time and
-//!   exportable as Chrome `"C"` counter events on an `mdea_trace::Tracer` so
+//!   exportable as Chrome `"C"` counter events on a `sim_obs::ChromeTrace` so
 //!   Perfetto renders counter lanes aligned with the span timeline;
 //! - a schema-versioned [`RunMetrics`] record: raw counters plus derived
 //!   metrics (achieved vs peak rate, utilization, bytes/flop) and a per-run

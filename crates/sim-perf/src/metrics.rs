@@ -2,7 +2,7 @@
 
 use crate::counter::PerfMonitor;
 use crate::json::JsonValue;
-use mdea_trace::escape_json_string;
+use sim_obs::escape_json_string;
 use std::fmt::Write as _;
 
 /// Version of the `RunMetrics` JSON schema. Bump when a field is added,

@@ -85,15 +85,21 @@ fn cluster_bench() -> Result<(), SweepError> {
     Ok(())
 }
 
-/// Min-of-N wall-clock for one configuration. The harness does the timing
-/// (`device_metrics_host`); this layer only picks the best repetition and
-/// checks the bitwise-identity contract across configurations.
+/// Min-of-N wall-clock for one configuration: each repetition times the
+/// whole `measure` call (build, run, collect) with the observability
+/// layer's host clock (`RunLedger::host_scope`; engine crates never read
+/// the wall clock themselves) and folds it into the record with
+/// `RunMetrics::record_host_throughput`. This layer picks the best
+/// repetition and checks the bitwise-identity contract across
+/// configurations.
 fn best_of(
     measure: impl Fn() -> Result<sim_perf::RunMetrics, SweepError>,
 ) -> Result<(HostBenchRun, f64), SweepError> {
     let mut best: Option<sim_perf::RunMetrics> = None;
     for _ in 0..HOST_BENCH_REPEATS {
-        let m = measure()?;
+        let mut clock = sim_obs::RunLedger::default();
+        let mut m = clock.host_scope("bench_seed", "wall", &measure)?;
+        m.record_host_throughput(clock.host_metric("bench_seed", "wall").unwrap_or(0.0));
         let faster = best.as_ref().is_none_or(|b| {
             m.derived_value("host_wall_seconds") < b.derived_value("host_wall_seconds")
         });
@@ -133,13 +139,12 @@ fn host_bench_device(kind: DeviceKind, sim: &SimConfig) -> Result<DeviceHostBenc
     let mut sim_seconds = Vec::new();
     for t in [1usize, 2, 4, 8] {
         let (mut r, s) = best_of(|| {
-            harness::device_metrics_host(
+            harness::device_metrics(
                 kind,
                 sim,
                 HOST_BENCH_STEPS,
                 HostParallelism::from_threads(t),
             )
-            .map(|(m, _)| m)
             .map_err(SweepError::Render)
         })?;
         r.host_threads = t;

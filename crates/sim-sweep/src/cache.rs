@@ -128,7 +128,7 @@ impl ResultCache {
         fs::create_dir_all(&self.dir)?;
         let body = format!(
             "{{\n\"cache_schema\": {CACHE_SCHEMA_VERSION},\n\"key\": \"{}\",\n\"metrics\": {}}}\n",
-            mdea_trace::escape_json_string(key),
+            sim_obs::escape_json_string(key),
             metrics.to_json()
         );
         let tmp = self.dir.join(format!(
@@ -166,9 +166,13 @@ mod tests {
 
     fn sample_metrics() -> RunMetrics {
         let sim = md_core::params::SimConfig::reduced_lj(108);
-        harness::device_metrics(harness::DeviceKind::Opteron, &sim, 1)
-            .expect("the Opteron reference device is infallible")
-            .0
+        harness::device_metrics(
+            harness::DeviceKind::Opteron,
+            &sim,
+            1,
+            md_core::device::HostParallelism::Serial,
+        )
+        .expect("the Opteron reference device is infallible")
     }
 
     fn temp_cache(tag: &str) -> ResultCache {

@@ -183,15 +183,13 @@ fn execute_point(
     par: md_core::device::HostParallelism,
 ) -> Result<RunMetrics, SweepError> {
     let sim = md_core::params::SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
-    harness::device_metrics_par(p.device, &sim, p.steps, par)
-        .map(|(metrics, _)| metrics)
-        .map_err(|e| SweepError::Point {
-            figure: p.figure,
-            device: p.device.label(),
-            n_atoms: p.n_atoms,
-            steps: p.steps,
-            message: e.to_string(),
-        })
+    harness::device_metrics(p.device, &sim, p.steps, par).map_err(|e| SweepError::Point {
+        figure: p.figure,
+        device: p.device.label(),
+        n_atoms: p.n_atoms,
+        steps: p.steps,
+        message: e.to_string(),
+    })
 }
 
 /// Execute a spec: each point is a cache lookup, then (on miss) a device

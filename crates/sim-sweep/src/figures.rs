@@ -635,7 +635,7 @@ pub fn bench_seed_json(report: &SweepReport, steps: usize) -> String {
             out,
             "    {{\"figure\": \"{}\", \"device\": \"{}\", \"n_atoms\": {}, \"sim_seconds\": {seconds}}}{comma}",
             r.point.figure,
-            mdea_trace::escape_json_string(&r.metrics.device),
+            sim_obs::escape_json_string(&r.metrics.device),
             r.point.n_atoms,
         );
     }
@@ -703,7 +703,7 @@ pub fn bench_host_json(
     let _ = writeln!(
         out,
         "  \"note\": \"{}\",",
-        mdea_trace::escape_json_string(note)
+        sim_obs::escape_json_string(note)
     );
     out.push_str("  \"devices\": [\n");
     for (d, dev) in devices.iter().enumerate() {
@@ -711,7 +711,7 @@ pub fn bench_host_json(
         let _ = writeln!(
             out,
             "      \"device\": \"{}\",",
-            mdea_trace::escape_json_string(&dev.device)
+            sim_obs::escape_json_string(&dev.device)
         );
         let _ = writeln!(out, "      \"sim_seconds\": {},", dev.sim_seconds);
         out.push_str("      \"runs\": [\n");

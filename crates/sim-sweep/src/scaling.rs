@@ -133,14 +133,13 @@ pub fn run_cluster_sweep(
             }
         }
         let sim = md_core::params::SimConfig::reduced_lj(p.n_atoms);
-        let (metrics, _) =
-            cluster_metrics(p.cluster, &sim, p.steps).map_err(|e| SweepError::Point {
-                figure: spec.name,
-                device: p.cluster.label(),
-                n_atoms: p.n_atoms,
-                steps: p.steps,
-                message: e.to_string(),
-            })?;
+        let metrics = cluster_metrics(p.cluster, &sim, p.steps).map_err(|e| SweepError::Point {
+            figure: spec.name,
+            device: p.cluster.label(),
+            n_atoms: p.n_atoms,
+            steps: p.steps,
+            message: e.to_string(),
+        })?;
         if cfg.use_cache {
             cache.store(&key, &metrics)?;
         }
@@ -223,7 +222,7 @@ fn scaling_entry(r: &ClusterPointResult, base_s: f64) -> String {
     format!(
         "    {{\"mode\": \"{}\", \"device\": \"{}\", \"nodes\": {nodes}, \"n_atoms\": {}, \"steps\": {}, \"sim_seconds\": {seconds}, \"speedup\": {speedup}, \"efficiency\": {efficiency}}}",
         r.point.mode,
-        mdea_trace::escape_json_string(&r.point.cluster.label()),
+        sim_obs::escape_json_string(&r.point.cluster.label()),
         r.point.n_atoms,
         r.point.steps,
     )

@@ -136,15 +136,15 @@ fn devices(args: DevicesArgs) -> ExitCode {
 
 fn trace(args: TraceArgs) -> ExitCode {
     let device = CellBeDevice::paper_blade();
-    let mut tracer = mdea_trace::Tracer::new();
-    match device.run_md_traced(&args.config, args.steps, CellRunConfig::best(), &mut tracer) {
+    let mut trace = sim_obs::ChromeTrace::new();
+    match device.run_md_traced(&args.config, args.steps, CellRunConfig::best(), &mut trace) {
         Ok(run) => {
-            let json = tracer.to_chrome_json();
+            let json = trace.render();
             match File::create(&args.out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
                 Ok(()) => {
                     println!(
                         "traced {} spans over {:.2} ms of simulated Cell time -> {}",
-                        tracer.spans().len(),
+                        trace.span_count(),
                         run.sim_seconds * 1e3,
                         args.out_path
                     );

@@ -50,7 +50,6 @@ pub use cell_be as cell;
 pub use gpu;
 pub use harness;
 pub use md_core as md;
-pub use mdea_trace;
 pub use memsim;
 pub use mta;
 pub use opteron;

@@ -12,15 +12,22 @@
 //! parsers are seeded with every valid label and canonical spec, plus specs
 //! whose parameters are NaN or infinite, and must round-trip every input
 //! they accept through `Display`. Whatever a JSON loader accepts must
-//! serialize again: the writers assert that every number is finite.
+//! serialize again: the writers assert that every number is finite. Every
+//! ledger that parses must also render through every `obs` view (Chrome
+//! trace, Prometheus, timeline, diff) without panicking, including a ledger
+//! whose phase totals overflow to infinity; a ledger with negative times
+//! does not parse.
 
 use harness::DeviceKind;
 use md_core::checkpoint::{SystemCheckpoint, HEADER_BYTES, MAGIC};
+use md_core::device::HostParallelism;
 use md_core::params::SimConfig;
 use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sim_obs::{parse_json, RunLedger};
+use sim_obs::{
+    ledger_diff, ledger_timeline, ledger_to_chrome, ledger_to_prometheus, parse_json, RunLedger,
+};
 use sim_perf::{validate_run_metrics_json, RunMetrics};
 use sim_sweep::{point_key, ResultCache, CODE_VERSION_SALT};
 use std::sync::OnceLock;
@@ -90,8 +97,27 @@ fn checkpoint_seeds_decode_or_fail_cleanly() {
     assert!(SystemCheckpoint::decode(&valid_checkpoint()).is_ok());
 }
 
-/// A small real ledger's JSONL, the deep-nesting line, and a line that
-/// nests one level inside a real event.
+/// Append event lines to a ledger's JSONL, fixing up the header count.
+fn with_events(jsonl: &str, lines: &[&str]) -> String {
+    let n = jsonl.lines().count() - 1;
+    let header = jsonl.lines().next().expect("ledger has a header line");
+    let mut out = header.replace(
+        &format!("\"events\":{n}}}"),
+        &format!("\"events\":{}}}", n + lines.len()),
+    );
+    out.push('\n');
+    for line in jsonl.lines().skip(1).chain(lines.iter().copied()) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// A small real ledger's JSONL, the deep-nesting line, a line that nests
+/// one level inside a real event, the real ledger plus two phases whose
+/// total overflows to infinity (valid, and once a panic in every `obs`
+/// view that sums phases), and the real ledger plus a phase at a negative
+/// time, then one with a negative duration (both invalid).
 fn json_seeds() -> &'static [String] {
     static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
     SEEDS.get_or_init(|| {
@@ -101,7 +127,25 @@ fn json_seeds() -> &'static [String] {
         let jsonl = ledger.to_jsonl();
         let first = jsonl.lines().next().expect("ledger has a header line");
         let wrapped = format!("{{\"wrapped\": {first}}}");
-        vec![jsonl, "[".repeat(50_000), wrapped]
+        let overflowing = with_events(
+            &jsonl,
+            &[
+                r#"{"t_s":0,"kind":"phase","source":"opteron","name":"big","dur_s":1e308}"#,
+                r#"{"t_s":1,"kind":"phase","source":"opteron","name":"big","dur_s":1e308}"#,
+            ],
+        );
+        let negative = |line: &str| with_events(&jsonl, &[line]);
+        let negative_t = negative(r#"{"t_s":-5,"kind":"phase","source":"opteron","name":"n"}"#);
+        let negative_dur =
+            negative(r#"{"t_s":5,"kind":"phase","source":"opteron","name":"n","dur_s":-2}"#);
+        vec![
+            jsonl,
+            "[".repeat(50_000),
+            wrapped,
+            overflowing,
+            negative_t,
+            negative_dur,
+        ]
     })
 }
 
@@ -112,6 +156,21 @@ fn json_seeds_parse_or_fail_cleanly() {
     assert!(parse_json(&seeds[1]).is_err());
     assert!(RunLedger::parse_jsonl(&seeds[1]).is_err());
     assert!(parse_json(&seeds[2]).is_ok());
+    let overflowing = RunLedger::parse_jsonl(&seeds[3]).expect("huge finite phases are valid");
+    assert_eq!(overflowing.phase_total("opteron"), f64::INFINITY);
+    ledger_loader_is_total(&seeds[3]).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        ledger_to_chrome(&overflowing).is_err(),
+        "1e308 s overflows microseconds"
+    );
+    assert!(ledger_to_prometheus(&overflowing).contains("phase=\"big\"} +Inf"));
+    for (seed, field) in [(&seeds[4], "t_s"), (&seeds[5], "dur_s")] {
+        let err = RunLedger::parse_jsonl(seed).expect_err("negative times are invalid");
+        assert!(
+            err.contains(&format!("{field} must be non-negative")),
+            "{err}"
+        );
+    }
 }
 
 /// A `results/cache/` entry whose document nests 50,000 deep (inside an
@@ -123,7 +182,7 @@ fn deeply_nested_cache_entry_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::new(&dir);
     let sim = SimConfig::reduced_lj(108);
-    let (metrics, _) = harness::device_metrics(DeviceKind::Opteron, &sim, 1)
+    let metrics = harness::device_metrics(DeviceKind::Opteron, &sim, 1, HostParallelism::Serial)
         .expect("the Opteron reference device is infallible");
     let key = point_key(
         CODE_VERSION_SALT,
@@ -217,13 +276,24 @@ fn text_seeds_parse_or_fail_cleanly() {
 }
 
 /// A ledger the validator accepts parses to events that serialize again,
-/// to text the validator accepts.
+/// to text the validator accepts, and renders through every `obs` view:
+/// the Chrome view is valid JSON or a typed error, and the Prometheus,
+/// timeline and diff views (the latter against itself and the real seed
+/// ledger) return text.
 fn ledger_loader_is_total(text: &str) -> Result<(), TestCaseError> {
     let valid = RunLedger::validate(text).is_ok();
     let parsed = RunLedger::parse_jsonl(text);
     prop_assert_eq!(valid, parsed.is_ok());
     if let Ok(ledger) = parsed {
         prop_assert!(RunLedger::validate(&ledger.to_jsonl()).is_ok());
+        if let Ok(json) = ledger_to_chrome(&ledger) {
+            prop_assert!(parse_json(&json).is_ok(), "Chrome view is not JSON");
+        }
+        let _ = ledger_to_prometheus(&ledger);
+        let _ = ledger_timeline(&ledger);
+        let seed = RunLedger::parse_jsonl(&json_seeds()[0]).expect("seed ledger parses");
+        let _ = ledger_diff(&ledger, &ledger);
+        let _ = ledger_diff(&seed, &ledger);
     }
     Ok(())
 }
@@ -237,9 +307,9 @@ fn metrics_seeds() -> &'static [String] {
         ["opteron", "cell-8spe"]
             .map(|label| {
                 let kind: DeviceKind = label.parse().expect("a roster label");
-                let (metrics, _) =
-                    harness::device_metrics(kind, &sim, 1).expect("a 108-atom run succeeds");
-                metrics.to_json()
+                harness::device_metrics(kind, &sim, 1, HostParallelism::Serial)
+                    .expect("a 108-atom run succeeds")
+                    .to_json()
             })
             .to_vec()
     })
@@ -328,7 +398,7 @@ proptest! {
     }
 
     #[test]
-    fn ledger_parsers_never_panic_on_mutated_lines(seed in 0usize..3, edits in edits()) {
+    fn ledger_parsers_never_panic_on_mutated_lines(seed in 0usize..6, edits in edits()) {
         let seeds = json_seeds();
         let text = String::from_utf8_lossy(&mutate(seeds[seed].as_bytes(), &edits)).into_owned();
         for line in text.lines() {

@@ -12,20 +12,33 @@
 //! API; "plain" and "counted" runs differ only in `RunOptions::with_perf`.
 
 use cell_be::CellRunConfig;
-use harness::perf;
 use harness::{DeviceKind, GpuModel};
 use md_core::checkpoint::SystemCheckpoint;
-use md_core::device::{DeviceRun, RunOptions};
+use md_core::device::{DeviceRun, HostParallelism, RunOptions};
 use md_core::params::SimConfig;
 use mta::ThreadingMode;
 use proptest::prelude::*;
-use sim_perf::PerfMonitor;
+use sim_perf::{PerfMonitor, RunMetrics};
 
 const PAPER_ATOMS: usize = 2048;
 const PAPER_STEPS: usize = 10;
 
+const GPU: DeviceKind = DeviceKind::Gpu {
+    model: GpuModel::GeForce7900Gtx,
+};
+
 fn paper_sim() -> SimConfig {
     SimConfig::reduced_lj(PAPER_ATOMS)
+}
+
+fn mta(mode: ThreadingMode) -> DeviceKind {
+    DeviceKind::Mta { mode }
+}
+
+/// The paper-length run's counters and attribution record.
+fn metrics(kind: DeviceKind, sim: &SimConfig) -> RunMetrics {
+    harness::device_metrics(kind, sim, PAPER_STEPS, HostParallelism::Serial)
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.label()))
 }
 
 /// Exact bit pattern of a trajectory (positions then velocities).
@@ -65,10 +78,7 @@ fn cell_counters_are_free_at_paper_scale() {
 
 #[test]
 fn gpu_counters_are_free_at_paper_scale() {
-    let kind = DeviceKind::Gpu {
-        model: GpuModel::GeForce7900Gtx,
-    };
-    assert_counters_free(kind, &paper_sim(), PAPER_STEPS);
+    assert_counters_free(GPU, &paper_sim(), PAPER_STEPS);
 }
 
 #[test]
@@ -77,7 +87,7 @@ fn mta_counters_are_free_at_paper_scale() {
         ThreadingMode::FullyMultithreaded,
         ThreadingMode::PartiallyMultithreaded,
     ] {
-        assert_counters_free(DeviceKind::Mta { mode }, &paper_sim(), PAPER_STEPS);
+        assert_counters_free(mta(mode), &paper_sim(), PAPER_STEPS);
     }
 }
 
@@ -91,9 +101,16 @@ fn opteron_counters_are_free_at_paper_scale() {
 #[test]
 fn attribution_partitions_sim_seconds_on_every_device() {
     let sim = paper_sim();
-    let mut all = perf::standard_metrics(&sim, PAPER_STEPS).expect("all devices run");
-    all.push(perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::PartiallyMultithreaded).0);
-    assert_eq!(all.len(), 5);
+    let all: Vec<_> = [
+        DeviceKind::cell_best(),
+        GPU,
+        DeviceKind::Opteron,
+        mta(ThreadingMode::FullyMultithreaded),
+        mta(ThreadingMode::PartiallyMultithreaded),
+    ]
+    .into_iter()
+    .map(|kind| metrics(kind, &sim))
+    .collect();
     for m in &all {
         m.validate()
             .unwrap_or_else(|e| panic!("{} attribution broken: {e}", m.device));
@@ -116,7 +133,7 @@ fn attribution_partitions_sim_seconds_on_every_device() {
 fn gpu_is_transfer_dominated_at_small_n_and_compute_dominated_at_2048() {
     for n in [256usize, 512] {
         let sim = SimConfig::reduced_lj(n);
-        let (m, _) = perf::gpu_metrics(&sim, PAPER_STEPS);
+        let m = metrics(GPU, &sim);
         let transfer = m.derived_value("transfer_overhead_fraction");
         let compute = m.derived_value("compute_fraction");
         assert!(
@@ -124,7 +141,7 @@ fn gpu_is_transfer_dominated_at_small_n_and_compute_dominated_at_2048() {
             "at N={n} transfer ({transfer:.3}) must dominate compute ({compute:.3})"
         );
     }
-    let (m, _) = perf::gpu_metrics(&paper_sim(), PAPER_STEPS);
+    let m = metrics(GPU, &paper_sim());
     let transfer = m.derived_value("transfer_overhead_fraction");
     let compute = m.derived_value("compute_fraction");
     assert!(
@@ -141,7 +158,7 @@ fn opteron_memory_stall_fraction_strictly_increases_with_n() {
     let mut last = 0.0f64;
     for n in [256usize, 512, 1024, 2048] {
         let sim = SimConfig::reduced_lj(n);
-        let (m, _) = perf::opteron_metrics(&sim, PAPER_STEPS);
+        let m = metrics(DeviceKind::Opteron, &sim);
         let f = m.derived_value("memory_stall_fraction");
         assert!(
             f > last,
@@ -156,8 +173,7 @@ fn opteron_memory_stall_fraction_strictly_increases_with_n() {
 /// nothing to the critical path.
 #[test]
 fn cell_dma_is_overlapped_at_8_spes() {
-    let (m, _) =
-        perf::cell_metrics(&paper_sim(), PAPER_STEPS, CellRunConfig::best()).expect("cell run");
+    let m = metrics(DeviceKind::cell(CellRunConfig::best()), &paper_sim());
     assert!(
         m.counter_value("cell.dma.bytes_in") > 0.0,
         "DMA must actually move data"
@@ -175,8 +191,8 @@ fn cell_dma_is_overlapped_at_8_spes() {
 #[test]
 fn mta_full_mt_is_stall_free_and_partial_mt_is_not() {
     let sim = paper_sim();
-    let (full, _) = perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::FullyMultithreaded);
-    let (partial, _) = perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::PartiallyMultithreaded);
+    let full = metrics(mta(ThreadingMode::FullyMultithreaded), &sim);
+    let partial = metrics(mta(ThreadingMode::PartiallyMultithreaded), &sim);
     let full_phantom = full.derived_value("phantom_fraction");
     let partial_phantom = partial.derived_value("phantom_fraction");
     assert!(

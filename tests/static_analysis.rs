@@ -231,10 +231,10 @@ mod hazard {
         assert_eq!(hz.hazards().len(), 1, "{:?}", hz.hazards());
         assert_eq!(hz.hazards()[0].kind(), "read-before-get");
 
-        let mut tracer = mdea_trace::Tracer::new();
-        let emitted = hz.emit_to_tracer(&mut tracer, mdea_trace::TraceTrack(2), 0.0015);
+        let mut trace = sim_obs::ChromeTrace::new();
+        let emitted = hz.emit_to_trace(&mut trace, 2, 0.0015);
         assert_eq!(emitted, 1);
-        let json = tracer.to_chrome_json();
+        let json = trace.render();
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("read-before-get"), "{json}");
     }
@@ -244,17 +244,14 @@ mod hazard {
         use cell_be::{CellBeDevice, CellRunConfig};
         let sim = md_core::params::SimConfig::reduced_lj(256);
         let device = CellBeDevice::paper_blade();
-        let mut tracer = mdea_trace::Tracer::new();
+        let mut trace = sim_obs::ChromeTrace::new();
         device
-            .run_md_traced(&sim, 3, CellRunConfig::best(), &mut tracer)
+            .run_md_traced(&sim, 3, CellRunConfig::best(), &mut trace)
             .expect("traced run");
         // The instrumented run emits every detected hazard as an instant
         // marker; a disciplined issue→wait→compute schedule emits none.
-        let hazards: Vec<_> = tracer
-            .instants()
-            .iter()
-            .filter(|i| i.name.starts_with("hazard:"))
-            .collect();
-        assert!(hazards.is_empty(), "{hazards:?}");
+        let json = trace.render();
+        assert!(trace.span_count() > 0);
+        assert!(!json.contains("\"name\":\"hazard:"), "{json}");
     }
 }

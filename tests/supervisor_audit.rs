@@ -3,7 +3,7 @@
 //!
 //! 1. **Determinism per seed** — two supervised runs of the same faulted
 //!    cluster produce bitwise-identical simulated clocks, identical event
-//!    logs, and identical trace timelines (which stamp every backoff delay).
+//!    logs, and identical run ledgers (which stamp every backoff delay).
 //! 2. **Strict boundedness** — every restore's attempt index stays under
 //!    `max_attempts`, so its exponential backoff is bounded by
 //!    `backoff_base_s × 2^(max_attempts−1)`, and the restore count is
@@ -21,9 +21,9 @@ use harness::{
     SupervisorConfig,
 };
 use md_core::params::SimConfig;
-use mdea_trace::Tracer;
 use proptest::prelude::*;
 use sim_fault::FaultPlan;
+use sim_obs::RunLedger;
 
 const AUDIT_ATOMS: usize = 256;
 const AUDIT_STEPS: usize = 8;
@@ -37,11 +37,15 @@ fn audit_cfg() -> SupervisorConfig {
     }
 }
 
-fn supervised_with_faults(seed: u64, rate: f64, tracer: &mut Tracer) -> ClusterRecovery {
+fn supervised_with_faults(seed: u64, rate: f64, ledger: &mut RunLedger) -> ClusterRecovery {
     let sim = SimConfig::reduced_lj(AUDIT_ATOMS);
     let mut cluster = ClusterKind::new(DeviceKind::Opteron, AUDIT_NODES)
         .build_with_node_faults(FaultPlan::new(seed, rate));
-    run_cluster_supervised(&mut cluster, &sim, AUDIT_STEPS, &audit_cfg(), Some(tracer))
+    run_cluster_supervised(&mut cluster, &sim, AUDIT_STEPS, &audit_cfg(), Some(ledger))
+}
+
+fn audit_ledger() -> RunLedger {
+    RunLedger::new("audit", "256 atoms x 8 steps")
 }
 
 proptest! {
@@ -52,17 +56,17 @@ proptest! {
         seed in 0u64..1u64 << 32,
         rate in 0.005f64..0.08,
     ) {
-        let mut trace_a = Tracer::new();
-        let mut trace_b = Tracer::new();
-        let a = supervised_with_faults(seed, rate, &mut trace_a);
-        let b = supervised_with_faults(seed, rate, &mut trace_b);
+        let mut ledger_a = audit_ledger();
+        let mut ledger_b = audit_ledger();
+        let a = supervised_with_faults(seed, rate, &mut ledger_a);
+        let b = supervised_with_faults(seed, rate, &mut ledger_b);
         prop_assert_eq!(a.run.sim_seconds.to_bits(), b.run.sim_seconds.to_bits());
         prop_assert_eq!(&a.run.report.events, &b.run.report.events);
         prop_assert_eq!(a.run.report.restores, b.run.report.restores);
         prop_assert_eq!(a.node_events, b.node_events);
-        // The trace stamps every restore at its post-backoff simulated
-        // time; byte-equal timelines mean byte-equal delays.
-        prop_assert_eq!(trace_a.to_chrome_json(), trace_b.to_chrome_json());
+        // The ledger stamps every restore at its post-backoff simulated
+        // time; byte-equal ledgers mean byte-equal delays.
+        prop_assert_eq!(ledger_a.to_jsonl(), ledger_b.to_jsonl());
     }
 
     #[test]
@@ -71,8 +75,8 @@ proptest! {
         rate in 0.005f64..0.10,
     ) {
         let cfg = audit_cfg();
-        let mut tracer = Tracer::new();
-        let rec = supervised_with_faults(seed, rate, &mut tracer);
+        let mut ledger = audit_ledger();
+        let rec = supervised_with_faults(seed, rate, &mut ledger);
         let report = &rec.run.report;
 
         let segments = AUDIT_STEPS.div_ceil(cfg.checkpoint_interval) as u64;
@@ -122,8 +126,8 @@ proptest! {
         let cfg = audit_cfg();
         let mut clean = ClusterKind::new(DeviceKind::Opteron, AUDIT_NODES).build();
         let clean_rec = run_cluster_supervised(&mut clean, &sim, AUDIT_STEPS, &cfg, None);
-        let mut tracer = Tracer::new();
-        let rec = supervised_with_faults(seed, 0.05, &mut tracer);
+        let mut ledger = audit_ledger();
+        let rec = supervised_with_faults(seed, 0.05, &mut ledger);
         if rec.recovered_cleanly() {
             prop_assert!(
                 rec.run.sim_seconds >= clean_rec.run.sim_seconds,

@@ -5,239 +5,69 @@
 //! 1. **Byte-stable output** — a fixed synthetic timeline (spans + a hazard
 //!    instant) renders exactly the committed golden file, so the export
 //!    format cannot drift silently.
-//! 2. **Valid JSON** — the export of a real traced Cell run parses with a
-//!    strict (dependency-free) JSON reader, not just a brace counter.
+//! 2. **Valid JSON** — the export of a real traced Cell run parses with the
+//!    strict RFC 8259 reader in `sim_obs`, not just a brace counter.
 //! 3. **Well-nested spans** — on every track, any two spans are either
 //!    disjoint or one contains the other; Chrome's flame view requires this
 //!    to render `X` events on one thread without artifacts.
 
-use mdea_trace::{TraceTrack, Tracer};
+// `sim_obs::parse_json` is a strict RFC 8259 reader: it rejects trailing
+// commas, raw control characters, non-RFC numbers and duplicate keys.
+use sim_obs::{parse_json, ChromeTrace, JsonValue};
 
-// ---------------------------------------------------------------------------
-// A minimal strict JSON validator (no deps). Accepts exactly the RFC 8259
-// grammar subset the tracer emits: objects, arrays, strings with escapes,
-// numbers, true/false/null.
-// ---------------------------------------------------------------------------
-
-struct Json<'a> {
-    b: &'a [u8],
-    i: usize,
+/// `(tid, name, ts_us, dur_us)` of every `"X"` span in a rendered trace.
+fn spans(json: &str) -> Vec<(f64, String, f64, f64)> {
+    let doc = parse_json(json).expect("trace parses");
+    let num = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_number).expect(k);
+    doc.as_array()
+        .expect("trace is an event array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+        .map(|e| {
+            let name = e.get("name").and_then(JsonValue::as_str).expect("name");
+            (num(e, "tid"), name.to_string(), num(e, "ts"), num(e, "dur"))
+        })
+        .collect()
 }
 
-impl<'a> Json<'a> {
-    fn validate(text: &'a str) -> Result<(), String> {
-        let mut p = Json {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("bad object sep {other:?} at {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("bad array sep {other:?} at {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let esc = self.peek().ok_or("eof in escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                        b'u' => {
-                            for _ in 0..4 {
-                                let h = self.peek().ok_or("eof in \\u")?;
-                                if !h.is_ascii_hexdigit() {
-                                    return Err(format!("bad \\u digit at {}", self.i));
-                                }
-                                self.i += 1;
-                            }
-                        }
-                        other => return Err(format!("bad escape {:?}", other as char)),
-                    }
-                }
-                0x00..=0x1f => return Err(format!("raw control char at {}", self.i - 1)),
-                _ => {}
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| {
-            let start = p.i;
-            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                p.i += 1;
-            }
-            p.i > start
-        };
-        if !digits(self) {
-            return Err(format!("expected digits at {}", self.i));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !digits(self) {
-                return Err(format!("expected fraction digits at {}", self.i));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if !digits(self) {
-                return Err(format!("expected exponent digits at {}", self.i));
-            }
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at {}", self.i))
-        }
-    }
-}
-
-/// On each track, every pair of spans must be disjoint or properly nested.
-fn assert_well_nested(tracer: &Tracer) {
-    let spans = tracer.spans();
+/// On each track, every pair of rendered spans must be disjoint or properly
+/// nested. Times are compared as rendered (`%.3f` µs), so back-to-back spans
+/// may overlap by the rounding of three values: 2 ns of slack.
+fn assert_well_nested(json: &str) {
+    let spans = spans(json);
+    assert!(!spans.is_empty(), "no spans in the trace");
+    let eps = 2e-3;
     for (idx, a) in spans.iter().enumerate() {
         for b in &spans[idx + 1..] {
-            if a.track != b.track {
+            if a.0 != b.0 {
                 continue;
             }
-            let (a0, a1) = (a.start_s, a.start_s + a.duration_s);
-            let (b0, b1) = (b.start_s, b.start_s + b.duration_s);
-            let eps = 1e-12 * a1.max(b1).max(1.0);
+            let (a0, a1) = (a.2, a.2 + a.3);
+            let (b0, b1) = (b.2, b.2 + b.3);
             let disjoint = a1 <= b0 + eps || b1 <= a0 + eps;
             let a_in_b = b0 <= a0 + eps && a1 <= b1 + eps;
             let b_in_a = a0 <= b0 + eps && b1 <= a1 + eps;
             assert!(
                 disjoint || a_in_b || b_in_a,
-                "partially overlapping spans on track {:?}: {:?} [{a0}, {a1}) vs {:?} [{b0}, {b1})",
-                a.track,
-                a.name,
-                b.name
+                "partially overlapping spans on track {}: {:?} [{a0}, {a1}) vs {:?} [{b0}, {b1})",
+                a.0,
+                a.1,
+                b.1
             );
         }
     }
 }
 
-fn synthetic_timeline() -> Tracer {
-    let mut t = Tracer::new();
-    t.name_track(TraceTrack(0), "PPE");
-    t.name_track(TraceTrack(1), "SPE 0");
-    t.span(
-        TraceTrack(0),
-        "spawn SPE 0 thread",
-        "thread",
-        0.0,
-        0.000_125,
-    );
-    t.span(
-        TraceTrack(1),
-        "dma-get positions",
-        "dma",
-        0.000_125,
-        0.000_25,
-    );
-    t.span(TraceTrack(1), "accel kernel", "compute", 0.000_375, 0.001);
-    t.span(TraceTrack(0), "integrate: kick", "ppe", 0.001_375, 0.000_5);
+fn synthetic_timeline() -> ChromeTrace {
+    let mut t = ChromeTrace::new();
+    t.thread_name(0, "PPE");
+    t.thread_name(1, "SPE 0");
+    t.span(0, "spawn SPE 0 thread", "thread", 0.0, 0.000_125);
+    t.span(1, "dma-get positions", "dma", 0.000_125, 0.000_25);
+    t.span(1, "accel kernel", "compute", 0.000_375, 0.001);
+    t.span(0, "integrate: kick", "ppe", 0.001_375, 0.000_5);
     t.instant(
-        TraceTrack(1),
+        1,
         "hazard: read-before-get at offset 4096",
         "read-before-get",
         0.000_375,
@@ -247,7 +77,7 @@ fn synthetic_timeline() -> Tracer {
 
 #[test]
 fn synthetic_timeline_matches_golden_file() {
-    let json = synthetic_timeline().to_chrome_json();
+    let json = synthetic_timeline().render();
     let golden = include_str!("golden/trace_small.json");
     assert_eq!(
         json, golden,
@@ -260,34 +90,22 @@ fn synthetic_timeline_matches_golden_file() {
 fn golden_file_matches_regardless_of_insertion_order() {
     // Record the same timeline in a scrambled order: the export sorts by
     // (timestamp, track, kind), so the bytes must still match the golden.
-    let mut t = Tracer::new();
-    t.name_track(TraceTrack(0), "PPE");
-    t.name_track(TraceTrack(1), "SPE 0");
+    let mut t = ChromeTrace::new();
+    t.thread_name(0, "PPE");
+    t.thread_name(1, "SPE 0");
     t.instant(
-        TraceTrack(1),
+        1,
         "hazard: read-before-get at offset 4096",
         "read-before-get",
         0.000_375,
     );
-    t.span(TraceTrack(0), "integrate: kick", "ppe", 0.001_375, 0.000_5);
-    t.span(TraceTrack(1), "accel kernel", "compute", 0.000_375, 0.001);
-    t.span(
-        TraceTrack(1),
-        "dma-get positions",
-        "dma",
-        0.000_125,
-        0.000_25,
-    );
-    t.span(
-        TraceTrack(0),
-        "spawn SPE 0 thread",
-        "thread",
-        0.0,
-        0.000_125,
-    );
+    t.span(0, "integrate: kick", "ppe", 0.001_375, 0.000_5);
+    t.span(1, "accel kernel", "compute", 0.000_375, 0.001);
+    t.span(1, "dma-get positions", "dma", 0.000_125, 0.000_25);
+    t.span(0, "spawn SPE 0 thread", "thread", 0.0, 0.000_125);
     let golden = include_str!("golden/trace_small.json");
     assert_eq!(
-        t.to_chrome_json(),
+        t.render(),
         golden,
         "export must be insertion-order-independent"
     );
@@ -296,10 +114,10 @@ fn golden_file_matches_regardless_of_insertion_order() {
 #[test]
 fn counter_events_keep_the_export_valid_and_sorted() {
     let mut t = synthetic_timeline();
-    t.counter(TraceTrack(1), "spe.dma.bytes", "perf", 0.000_375, 4096.0);
-    t.counter(TraceTrack(1), "spe.dma.bytes", "perf", 0.001_375, 8192.0);
-    let json = t.to_chrome_json();
-    Json::validate(&json).expect("trace with counters must parse");
+    t.counter(1, "spe.dma.bytes", "perf", 0.000_375, 4096.0);
+    t.counter(1, "spe.dma.bytes", "perf", 0.001_375, 8192.0);
+    let json = t.render();
+    parse_json(&json).expect("trace with counters must parse");
     assert!(json.contains("\"ph\":\"C\""), "{json}");
     assert!(json.contains("\"args\":{\"value\":4096}"), "{json}");
     // The first counter sample shares ts=375 µs with the accel span and the
@@ -329,10 +147,10 @@ fn synthetic_monitor() -> sim_perf::PerfMonitor {
 
 #[test]
 fn perf_counter_export_matches_golden_file() {
-    let mut t = Tracer::new();
-    t.name_track(TraceTrack(90), "perf");
-    synthetic_monitor().export_to_tracer(&mut t, TraceTrack(90));
-    let json = t.to_chrome_json();
+    let mut t = ChromeTrace::new();
+    t.thread_name(90, "perf");
+    synthetic_monitor().export_to_chrome(&mut t, 90);
+    let json = t.render();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/perf_counters.json"
@@ -346,13 +164,13 @@ fn perf_counter_export_matches_golden_file() {
         "perf counter export drifted from tests/golden/perf_counters.json — \
          if the change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
-    Json::validate(&json).expect("counter export must parse");
+    parse_json(&json).expect("counter export must parse");
 }
 
 #[test]
 fn golden_file_is_strictly_valid_json() {
     let golden = include_str!("golden/trace_small.json");
-    Json::validate(golden).expect("golden trace must parse");
+    parse_json(golden).expect("golden trace must parse");
     // Sanity: the hazard instant survived with its scope marker.
     assert!(golden.contains("\"ph\":\"i\""));
     assert!(golden.contains("\"s\":\"t\""));
@@ -363,20 +181,20 @@ fn traced_cell_run_is_valid_and_well_nested() {
     use cell_be::{CellBeDevice, CellRunConfig};
     let sim = md_core::params::SimConfig::reduced_lj(256);
     let device = CellBeDevice::paper_blade();
-    let mut tracer = Tracer::new();
+    let mut trace = ChromeTrace::new();
     device
-        .run_md_traced(&sim, 3, CellRunConfig::best(), &mut tracer)
+        .run_md_traced(&sim, 3, CellRunConfig::best(), &mut trace)
         .expect("traced run");
-    assert!(!tracer.is_empty());
-    assert_well_nested(&tracer);
-    Json::validate(&tracer.to_chrome_json()).expect("device trace must parse");
+    let json = trace.render();
+    assert_eq!(spans(&json).len(), trace.span_count());
+    assert_well_nested(&json);
 }
 
 #[test]
 fn hazard_instants_keep_the_export_valid() {
     use cell_be::hazard::{Dir, HazardChecker};
     use cell_be::LsRegion;
-    let mut tracer = synthetic_timeline();
+    let mut trace = synthetic_timeline();
     let mut hz = HazardChecker::new();
     hz.dma_issue(
         9,
@@ -390,17 +208,24 @@ fn hazard_instants_keep_the_export_valid() {
         offset: 128,
         len: 16,
     });
-    assert_eq!(hz.emit_to_tracer(&mut tracer, TraceTrack(1), 0.002), 1);
-    let json = tracer.to_chrome_json();
-    Json::validate(&json).expect("trace with hazards must parse");
+    assert_eq!(hz.emit_to_trace(&mut trace, 1, 0.002), 1);
+    let json = trace.render();
+    parse_json(&json).expect("trace with hazards must parse");
     assert!(json.contains("write-before-put"), "{json}");
 }
 
 #[test]
 fn escaped_names_still_produce_valid_json() {
-    let mut t = Tracer::new();
-    t.name_track(TraceTrack(0), "tab\tquote\"backslash\\");
-    t.span(TraceTrack(0), "newline\nname", "cat", 0.0, 1e-6);
-    t.instant(TraceTrack(0), "ctrl\u{1}char", "cat", 2e-6);
-    Json::validate(&t.to_chrome_json()).expect("escaping must cover control chars");
+    let mut t = ChromeTrace::new();
+    t.thread_name(0, "tab\tquote\"backslash\\");
+    t.span(0, "newline\nname", "cat", 0.0, 1e-6);
+    t.instant(0, "ctrl\u{1}char", "cat", 2e-6);
+    let doc = parse_json(&t.render()).expect("escaping must cover control chars");
+    let names: Vec<_> = doc
+        .as_array()
+        .expect("event array")
+        .iter()
+        .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
+        .collect();
+    assert_eq!(names, ["thread_name", "newline\nname", "ctrl\u{1}char"]);
 }
