@@ -82,6 +82,7 @@ fn run(args: &[String]) -> Result<(), HarnessError> {
     }
 
     let sim = SimConfig::reduced_lj(atoms);
+    sim.try_validate().map_err(HarnessError::InvalidInput)?;
     println!("Performance report — {atoms} atoms, {steps} time steps\n");
 
     let kinds: Vec<harness::DeviceKind> = match only_device {
@@ -203,4 +204,21 @@ fn validate(files: &[String]) -> Result<(), HarnessError> {
         println!("{f}: OK (schema-valid {device} record, {atoms} atoms)");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{run, HarnessError};
+
+    #[test]
+    fn too_few_atoms_for_the_cutoff_is_an_error_not_a_panic() {
+        for atoms in ["2", "32"] {
+            let args = ["--atoms", atoms, "--steps", "1"].map(String::from);
+            let err = run(&args).expect_err(atoms);
+            assert!(
+                matches!(err, HarnessError::InvalidInput(_)),
+                "--atoms {atoms}: {err}"
+            );
+        }
+    }
 }

@@ -40,6 +40,9 @@ const MARGIN: f64 = 1e-3;
 /// `8·ε₃₂ = 16·u₃₂` (see [`MARGIN`]). At L ≈ 22σ it is 2·10⁻⁵σ.
 const SLACK_PER_BOX: f64 = 8.0 * f32::EPSILON as f64;
 
+/// j-blocks a list build measures per stack batch.
+const GROUP: usize = 64;
+
 /// The lazily built j-block index of one structure-of-arrays position set.
 ///
 /// It is built on the first culled row call and keyed on the bits of the
@@ -145,36 +148,93 @@ impl Blocks {
         })
     }
 
-    /// The j-blocks whose squared gap to block `ib` is within reach.
+    /// The j-blocks whose squared gap to block `ib` is within reach, built
+    /// on first use.
+    fn list(&self, ib: usize) -> &[u32] {
+        self.lists[ib].get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if crate::shared_eval::wide_kernels_native() {
+                // SAFETY: AVX2 (and FMA) support was verified at runtime
+                // just above.
+                return unsafe { self.build_list_avx2(ib) };
+            }
+            self.build_list(ib)
+        })
+    }
+
+    /// [`Self::build_list`] compiled with AVX2: four j-blocks per
+    /// instruction instead of two. Only the instruction selection differs;
+    /// the operations and their order are the same, so the lists are equal.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn build_list_avx2(&self, ib: usize) -> Box<[u32]> {
+        self.build_list(ib)
+    }
+
+    /// Block `ib`'s list, in one pass over the full j-blocks.
     ///
     /// The gap is a lower bound on the minimum-image distance between any
     /// atom of `ib` and any atom of `jb`, less the rounding slack. On one
     /// axis the separations fill `[g, span]`; the minimum image of a
     /// separation `s ≤ L` is `min(s, L − s)`, concave in `s`, so its least
-    /// value is at an end of that range. The gaps are summed axis by axis
-    /// over all j-blocks first (branch-free, so the loop vectorizes), then
-    /// filtered.
-    fn list(&self, ib: usize) -> &[u32] {
-        self.lists[ib].get_or_init(|| {
-            let min = |a: f64, b: f64| if a < b { a } else { b };
-            let max = |a: f64, b: f64| if a > b { a } else { b };
-            let (l, slack) = (self.box_len, self.slack);
-            let mut gap2 = vec![0.0f64; self.full];
-            for a in 0..3 {
-                let (li, hi) = (self.lo[a][ib], self.hi[a][ib]);
-                let lo_j = &self.lo[a][..self.full];
-                let hi_j = &self.hi[a][..self.full];
-                for ((s, &lj), &hj) in gap2.iter_mut().zip(lo_j).zip(hi_j) {
-                    let g = max(max(lj - hi, li - hj), 0.0);
-                    let span = max(hi, hj) - min(li, lj);
+    /// value is at an end of that range. Each group of [`GROUP`] j-blocks
+    /// sums its three axes' squared gaps into a stack array in one
+    /// branch-free loop, which vectorizes, then appends the blocks within
+    /// reach with no branch: each is written at `len`, and `len` advances
+    /// when it is kept. `len ≤ jb`, so the writes stay inside `full`.
+    #[inline(always)]
+    fn build_list(&self, ib: usize) -> Box<[u32]> {
+        let min = |a: f64, b: f64| if a < b { a } else { b };
+        let max = |a: f64, b: f64| if a > b { a } else { b };
+        let (l, slack, full) = (self.box_len, self.slack, self.full);
+        let own = [0, 1, 2].map(|a| (self.lo[a][ib], self.hi[a][ib]));
+        let mut out = vec![0u32; full];
+        let mut len = 0;
+        let mut gap2 = [0.0f64; GROUP];
+        for start in (0..full).step_by(GROUP) {
+            let gap2 = &mut gap2[..GROUP.min(full - start)];
+            let end = start + gap2.len();
+            let lo = [0, 1, 2].map(|a| &self.lo[a][start..end]);
+            let hi = [0, 1, 2].map(|a| &self.hi[a][start..end]);
+            for (k, s) in gap2.iter_mut().enumerate() {
+                let mut sum = 0.0;
+                for (a, &(li, hi_i)) in own.iter().enumerate() {
+                    let (lj, hj) = (lo[a][k], hi[a][k]);
+                    let g = max(max(lj - hi_i, li - hj), 0.0);
+                    let span = max(hi_i, hj) - min(li, lj);
                     let d = max(min(g, l - span) - slack, 0.0);
-                    *s += d * d;
+                    sum += d * d;
                 }
+                *s = sum;
             }
-            (0..self.full)
-                .filter(|&jb| gap2[jb] <= self.reach2)
-                .map(|jb| jb as u32)
-                .collect()
-        })
+            for (jb, &s) in (start..end).zip(gap2.iter()) {
+                out[len] = jb as u32;
+                len += usize::from(s <= self.reach2);
+            }
+        }
+        out.truncate(len);
+        out.into_boxed_slice()
+    }
+}
+
+#[cfg(test)]
+impl BlockCull {
+    /// Atom `i`'s list built afresh by the portable builder and, where the
+    /// CPU has AVX2, by the native one; empty when no index is engaged.
+    pub(crate) fn fresh_lists(&self, i: usize) -> Vec<Box<[u32]>> {
+        let Some(blocks) = self.0.get().and_then(|index| index.blocks.as_ref()) else {
+            return Vec::new();
+        };
+        let ib = i / BLOCK;
+        let mut lists = vec![blocks.build_list(ib)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::shared_eval::wide_kernels_native() {
+            // SAFETY: AVX2 (and FMA) support was verified just above.
+            lists.push(unsafe { blocks.build_list_avx2(ib) });
+        }
+        lists
     }
 }

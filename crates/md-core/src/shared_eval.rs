@@ -35,17 +35,20 @@
 //! Every row runs in two steps, **pack then drain**. The wide distance pass
 //! writes each pair that passes the cutoff test — its displacement and `r2`
 //! — into a fixed-size stack chunk, in ascending j, with no branch on the
-//! data. One dense loop per flavor then drains the chunk: it evaluates
-//! `energy_force` and accumulates the pairs in order, with the precision
-//! policy and the potential resolved once per drain, not per pair. A full
-//! chunk is drained mid-row and refilled, so the pair set, the per-pair
-//! arithmetic and the summation order are those of the scalar loop.
+//! data. Each flavor's drain then empties the chunk in two passes, with the
+//! precision policy and the potential resolved once per drain, not per
+//! pair: one branch-free loop evaluates every pair's `energy_force` into
+//! stack arrays (it vectorizes), then one serial loop accumulates the pairs
+//! in order. A full chunk is drained mid-row and refilled, so the pair set,
+//! the per-pair arithmetic and the summation order are those of the scalar
+//! loop.
 //!
 //! On x86-64 hosts with AVX2 and FMA each flavor's distance pass runs
 //! hand-written intrinsics (its selects as bit masks, which round
 //! identically) and packs survivors with a permute table; the drain is
-//! compiled with FMA, so the Cell's `mul_add` is one `vfmadd` (exactly
-//! rounded, as the portable build's `fmaf` call is). Elsewhere the
+//! compiled with AVX2 and FMA, so its potential pass runs four f64 or eight
+//! f32 pairs per instruction and the Cell's `mul_add` is one `vfmadd`
+//! (exactly rounded, as the portable build's `fmaf` call is). Elsewhere the
 //! portable [`vecmath::wide`] lanes run the same distance pass and pack by
 //! writing every lane and advancing by its predicate bit. Both paths share
 //! the drain and are bitwise-equal to the scalar references (pinned by unit
@@ -196,11 +199,8 @@ impl<'a, T: Copy> Packed<'a, T> {
     #[inline(always)]
     fn chunk(&self) -> Chunk<'_, T> {
         let n = self.len;
-        // SAFETY: `n ≤ CAP`, and the entries below `len` have been written
-        // (see `Packed`); `MaybeUninit<T>` has the layout of `T`.
-        let init = |a: &[MaybeUninit<T>; CAP]| unsafe {
-            std::slice::from_raw_parts(a.as_ptr().cast::<T>(), n)
-        };
+        // SAFETY: the entries below `len` have been written (see `Packed`).
+        let init = |a| unsafe { written(a, n) };
         Chunk {
             dx: init(&self.buf.dx),
             dy: init(&self.buf.dy),
@@ -239,6 +239,18 @@ impl<'a, T: Copy> Packed<'a, T> {
     }
 }
 
+/// The first `n` entries of a stack array, as initialized values.
+///
+/// # Safety
+/// Entries `0..n` must have been written.
+#[inline(always)]
+unsafe fn written<T>(a: &[MaybeUninit<T>; CAP], n: usize) -> &[T] {
+    let a = &a[..n];
+    // SAFETY: the caller wrote every entry of `a`, and `MaybeUninit<T>` has
+    // the layout of `T`.
+    unsafe { std::slice::from_raw_parts(a.as_ptr().cast::<T>(), n) }
+}
+
 /// The pairs one drain absorbs, in ascending j. Handed over as slices, so
 /// the pack's running length never leaves a register.
 #[derive(Clone, Copy)]
@@ -249,13 +261,32 @@ struct Chunk<'a, T> {
     r2: &'a [T],
 }
 
-impl<'a, T: Copy> Chunk<'a, T> {
-    /// The pairs `(dx, dy, dz, r2)`.
+impl<T: Copy> Chunk<'_, T> {
+    /// One drain in two passes. The potential pass evaluates `pair(r2)` for
+    /// every pair of the chunk into stack arrays, in one loop with no store
+    /// or exit that depends on the data: every packed pair has
+    /// `0 < r2 < cutoff2`, so `energy_force`'s guard never fires, and LLVM
+    /// runs the loop several pairs per instruction (packed divides and
+    /// square roots; Morse's `exp` stays a scalar call). The accumulate pass
+    /// then hands `each` every pair's displacement and `(e, f)`, in
+    /// ascending j. Each pair runs exactly the IEEE operations of a per-pair
+    /// call, so only the schedule changes.
     #[inline(always)]
-    fn pairs(self) -> impl Iterator<Item = (T, T, T, T)> + 'a {
+    fn two_pass(self, pair: impl Fn(T) -> (T, T), mut each: impl FnMut([T; 3], T, T)) {
+        let n = self.r2.len();
+        // Per pair, the energy and a force factor.
+        let (mut e, mut f) = ([MaybeUninit::uninit(); CAP], [MaybeUninit::uninit(); CAP]);
+        for ((ek, fk), &r2) in e[..n].iter_mut().zip(&mut f[..n]).zip(self.r2) {
+            let (ev, fv) = pair(r2);
+            ek.write(ev);
+            fk.write(fv);
+        }
+        // SAFETY: the potential pass wrote entries `0..n` of both arrays.
+        let (e, f) = unsafe { (written(&e, n), written(&f, n)) };
         let d = self.dx.iter().zip(self.dy).zip(self.dz);
-        d.zip(self.r2)
-            .map(|(((&dx, &dy), &dz), &r2)| (dx, dy, dz, r2))
+        for (((&dx, &dy), &dz), (&e, &f)) in d.zip(e.iter().zip(f)) {
+            each([dx, dy, dz], e, f);
+        }
     }
 }
 
@@ -357,8 +388,9 @@ struct Drain<'a, A, T> {
 }
 
 /// The drain compiled with AVX2 and FMA, for the native rows. Only the
-/// instruction selection differs from the portable build: `mul_add` becomes
-/// `vfmadd` instead of an `fmaf` call, and both are exactly rounded.
+/// instruction selection differs from the portable build: the potential
+/// pass runs on 256-bit registers, and `mul_add` becomes `vfmadd` instead
+/// of an `fmaf` call; both are exactly rounded.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA.
@@ -394,7 +426,9 @@ pub fn host_row(
     host_row_batched(soa, i, box_len, sub, inv_mass)
 }
 
-/// The host drain: `gather_row`'s accumulate, pair by pair in order.
+/// The host drain: `gather_row`'s per-pair arithmetic, with
+/// `s = f_over_r * inv_mass` in the potential pass, then accumulated in
+/// order.
 impl PairFnUser<f64> for Drain<'_, GatherRow<f64>, f64> {
     type Out = ();
 
@@ -402,14 +436,16 @@ impl PairFnUser<f64> for Drain<'_, GatherRow<f64>, f64> {
     fn with(self, energy_force: impl Fn(f64) -> (f64, f64)) {
         let (row, inv_mass) = (self.st, self.inv_mass);
         let (mut acc, mut pe) = (row.acc, row.pe);
-        for (dx, dy, dz, r2) in self.chunk.pairs() {
+        let pair = |r2| {
             let (e, f_over_r) = energy_force(r2);
+            (e, f_over_r * inv_mass)
+        };
+        self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
             pe += e;
-            let s = f_over_r * inv_mass;
             acc.x += dx * s;
             acc.y += dy * s;
             acc.z += dz * s;
-        }
+        });
         row.acc = acc;
         row.pe = pe;
         row.interactions += self.chunk.r2.len() as u64;
@@ -723,7 +759,9 @@ impl CellAccum {
     }
 }
 
-/// The cell drain: the SPE kernel's accumulate stage, pair by pair in order.
+/// The cell drain: the SPE kernel's per-pair arithmetic, with
+/// `s = f_over_r * inv_mass` in the potential pass, then its accumulate
+/// stage in order.
 impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
     type Out = ();
 
@@ -732,28 +770,28 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
         let (st, inv_mass) = (self.st, self.inv_mass);
         st.interactions += self.chunk.r2.len() as u64;
         let sums = &mut st.sums;
+        let pair = |r2| {
+            let (e, f_over_r) = energy_force(r2);
+            (e, f_over_r * inv_mass)
+        };
         if sums.mixed {
             let (mut acc, mut pe) = (sums.acc64, sums.pe64);
-            for (dx, dy, dz, r2) in self.chunk.pairs() {
-                let (e, f_over_r) = energy_force(r2);
+            self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
                 pe += f64::from(e);
-                let s = f_over_r * inv_mass;
                 acc[0] += f64::from(dx * s);
                 acc[1] += f64::from(dy * s);
                 acc[2] += f64::from(dz * s);
-            }
+            });
             (sums.acc64, sums.pe64) = (acc, pe);
         } else {
             let (mut acc, mut pe) = (sums.acc, sums.pe);
-            for (dx, dy, dz, r2) in self.chunk.pairs() {
-                let (e, f_over_r) = energy_force(r2);
+            self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
                 pe += e;
-                let s = f_over_r * inv_mass;
                 // `F32x4::madd`: per-lane fused multiply-add.
                 acc[0] = dx.mul_add(s, acc[0]);
                 acc[1] = dy.mul_add(s, acc[1]);
                 acc[2] = dz.mul_add(s, acc[2]);
-            }
+            });
             (sums.acc, sums.pe) = (acc, pe);
         }
     }
@@ -954,33 +992,34 @@ impl GpuAccum {
     }
 }
 
-/// The GPU drain: the shader's unmasked-pair accumulate, pair by pair in
-/// order.
+/// The GPU drain: the shader's unmasked-pair accumulate, in order. The
+/// potential pass keeps `f_over_r` alone: the shader scales
+/// `(d * f_over_r) * inv_mass`, and folding `inv_mass` in first would
+/// round differently.
 impl PairFnUser<f32> for Drain<'_, GpuAccum, f32> {
     type Out = ();
 
     #[inline(always)]
     fn with(self, energy_force: impl Fn(f32) -> (f32, f32)) {
         let (sums, inv_mass) = (&mut self.st.0, self.inv_mass);
+        let pair = &energy_force;
         if sums.mixed {
             let (mut acc, mut pe) = (sums.acc64, sums.pe64);
-            for (dx, dy, dz, r2) in self.chunk.pairs() {
-                let (e, f_over_r) = energy_force(r2);
+            self.chunk.two_pass(pair, |[dx, dy, dz], e, f_over_r| {
                 pe += f64::from(e);
                 acc[0] += f64::from(dx * f_over_r * inv_mass);
                 acc[1] += f64::from(dy * f_over_r * inv_mass);
                 acc[2] += f64::from(dz * f_over_r * inv_mass);
-            }
+            });
             (sums.acc64, sums.pe64) = (acc, pe);
         } else {
             let (mut acc, mut pe) = (sums.acc, sums.pe);
-            for (dx, dy, dz, r2) in self.chunk.pairs() {
-                let (e, f_over_r) = energy_force(r2);
+            self.chunk.two_pass(pair, |[dx, dy, dz], e, f_over_r| {
                 pe += e;
                 acc[0] += dx * f_over_r * inv_mass;
                 acc[1] += dy * f_over_r * inv_mass;
                 acc[2] += dz * f_over_r * inv_mass;
-            }
+            });
             (sums.acc, sums.pe) = (acc, pe);
         }
     }
@@ -1465,18 +1504,23 @@ mod tests {
                 gpu_bits(gpu_texel_batched(&soa32, i, l32, &sub32, INV_MASS as f32)),
                 "gpu texel {i} portable"
             );
-            for list in [
-                soa.blocks(i, l, sub.cutoff2()),
-                soa32.blocks(i, l32, sub32.cutoff2()),
-            ]
-            .into_iter()
-            .flatten()
-            {
+            for (list, cull) in [
+                (soa.blocks(i, l, sub.cutoff2()), &soa.cull),
+                (soa32.blocks(i, l32, sub32.cutoff2()), &soa32.cull),
+            ] {
+                let Some(list) = list else { continue };
                 assert!(
                     list.windows(2).all(|w| w[0] < w[1]),
                     "row {i}: list ascends"
                 );
                 skipped |= list.len() < full;
+                // The portable and (where it runs) the native builder list
+                // the same blocks.
+                let fresh = cull.fresh_lists(i);
+                assert!(!fresh.is_empty(), "row {i}: index engaged");
+                for rebuilt in fresh {
+                    assert_eq!(&*rebuilt, list, "row {i}: rebuilt list");
+                }
             }
         }
         let engaged = Engaged {
@@ -1774,6 +1818,173 @@ mod tests {
             let (engaged, _) = assert_rows_exact(&pos, l, spec, cutoff);
             assert_eq!(engaged, OFF, "{spec}");
         }
+    }
+
+    /// The drains before the potential pass was split out: per pair,
+    /// `energy_force` and then its accumulate, in one loop.
+    fn one_pass_host(sub: &Substrate<f64>, c: Chunk<'_, f64>, row: &mut GatherRow<f64>) {
+        for k in 0..c.r2.len() {
+            let (e, f_over_r) = sub.energy_force(c.r2[k]);
+            row.pe += e;
+            let s = f_over_r * INV_MASS;
+            row.acc.x += c.dx[k] * s;
+            row.acc.y += c.dy[k] * s;
+            row.acc.z += c.dz[k] * s;
+        }
+        row.interactions += c.r2.len() as u64;
+    }
+
+    fn one_pass_cell(sub: &Substrate<f32>, c: Chunk<'_, f32>, st: &mut CellAccum) {
+        let (inv_mass, sums) = (INV_MASS as f32, &mut st.sums);
+        for k in 0..c.r2.len() {
+            let (e, f_over_r) = sub.energy_force(c.r2[k]);
+            let s = f_over_r * inv_mass;
+            let d = [c.dx[k], c.dy[k], c.dz[k]];
+            if sums.mixed {
+                sums.pe64 += f64::from(e);
+                for (acc, d) in sums.acc64.iter_mut().zip(d) {
+                    *acc += f64::from(d * s);
+                }
+            } else {
+                sums.pe += e;
+                for (acc, d) in sums.acc.iter_mut().zip(d) {
+                    *acc = d.mul_add(s, *acc);
+                }
+            }
+        }
+        st.interactions += c.r2.len() as u64;
+    }
+
+    fn one_pass_gpu(sub: &Substrate<f32>, c: Chunk<'_, f32>, st: &mut GpuAccum) {
+        let (inv_mass, sums) = (INV_MASS as f32, &mut st.0);
+        for k in 0..c.r2.len() {
+            let (e, f_over_r) = sub.energy_force(c.r2[k]);
+            let d = [c.dx[k], c.dy[k], c.dz[k]];
+            if sums.mixed {
+                sums.pe64 += f64::from(e);
+                for (acc, d) in sums.acc64.iter_mut().zip(d) {
+                    *acc += f64::from(d * f_over_r * inv_mass);
+                }
+            } else {
+                sums.pe += e;
+                for (acc, d) in sums.acc.iter_mut().zip(d) {
+                    *acc += d * f_over_r * inv_mass;
+                }
+            }
+        }
+    }
+
+    /// `n` displacements with `0 < r2 < cutoff2` in precision `T`, as the
+    /// pack hands them over: random ones, plus one pair just inside the
+    /// cutoff and one close pair.
+    fn random_chunk<T: Real>(n: usize, cutoff: f64, seed: u64) -> [Vec<T>; 4] {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let cutoff2 = T::from_f64(cutoff) * T::from_f64(cutoff);
+        let mut out: [Vec<T>; 4] = Default::default();
+        while out[3].len() < n {
+            let k = out[3].len();
+            let d: [T; 3] = match k {
+                1 => [T::from_f64(cutoff * (1.0 - 1e-6)), T::ZERO, T::ZERO],
+                2 => [T::from_f64(0.8), T::from_f64(-0.1), T::from_f64(0.05)],
+                _ => std::array::from_fn(|_| T::from_f64(rng.uniform(-cutoff, cutoff))),
+            };
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            if r2 < cutoff2 && r2 > T::ZERO {
+                for (v, x) in out.iter_mut().zip([d[0], d[1], d[2], r2]) {
+                    v.push(x);
+                }
+            }
+        }
+        out
+    }
+
+    fn chunk_of<T>(c: &[Vec<T>; 4]) -> Chunk<'_, T> {
+        Chunk {
+            dx: &c[0],
+            dy: &c[1],
+            dz: &c[2],
+            r2: &c[3],
+        }
+    }
+
+    /// Each flavor's drain, portable and native, is bitwise the one-pass
+    /// drain for every chunk length a drain can see (`0..CAP`: a full group
+    /// stored at `CHUNK - 1` is the longest), every potential and both
+    /// policies. Each chunk is drained twice, so the second drain starts
+    /// from nonzero sums.
+    #[test]
+    fn two_pass_drains_equal_one_pass_drains() {
+        for spec in every_scenario() {
+            let cutoff = 2.5;
+            let (sub, sub32): (Substrate<f64>, Substrate<f32>) =
+                (spec.substrate(cutoff), spec.substrate(cutoff));
+            for n in 0..CAP {
+                let ctx = format!("{spec}, {n} pairs");
+                let c64 = random_chunk::<f64>(n, cutoff, n as u64);
+                let c32 = random_chunk::<f32>(n, cutoff, n as u64);
+                let (c64, c32) = (chunk_of(&c64), chunk_of(&c32));
+
+                let mut want = GatherRow::default();
+                one_pass_host(&sub, c64, &mut want);
+                one_pass_host(&sub, c64, &mut want);
+                let mut cell_want = CellAccum::new(sub32.accumulate_f64);
+                one_pass_cell(&sub32, c32, &mut cell_want);
+                one_pass_cell(&sub32, c32, &mut cell_want);
+                let mut gpu_want = GpuAccum(Sums32::new(sub32.accumulate_f64));
+                one_pass_gpu(&sub32, c32, &mut gpu_want);
+                one_pass_gpu(&sub32, c32, &mut gpu_want);
+                let (want, cell_want, gpu_want) = (
+                    host_bits(want),
+                    cell_bits(cell_want.finish()),
+                    gpu_bits(gpu_want.finish()),
+                );
+
+                for native in [false, true] {
+                    if native && !wide_kernels_native() {
+                        continue;
+                    }
+                    let mut row = GatherRow::default();
+                    let mut cell = CellAccum::new(sub32.accumulate_f64);
+                    let mut gpu = GpuAccum(Sums32::new(sub32.accumulate_f64));
+                    for _ in 0..2 {
+                        drain_with(&sub, native, &mut row, c64, INV_MASS);
+                        drain_with(&sub32, native, &mut cell, c32, INV_MASS as f32);
+                        drain_with(&sub32, native, &mut gpu, c32, INV_MASS as f32);
+                    }
+                    assert_eq!(want, host_bits(row), "host, native {native}, {ctx}");
+                    let cell = cell_bits(cell.finish());
+                    assert_eq!(cell_want, cell, "cell, native {native}, {ctx}");
+                    let gpu = gpu_bits(gpu.finish());
+                    assert_eq!(gpu_want, gpu, "gpu, native {native}, {ctx}");
+                }
+            }
+        }
+    }
+
+    /// One drain of `chunk` into `st`, compiled natively (AVX2 and FMA) or
+    /// portably.
+    fn drain_with<A, T: Real>(
+        sub: &Substrate<T>,
+        native: bool,
+        st: &mut A,
+        chunk: Chunk<'_, T>,
+        inv_mass: T,
+    ) where
+        for<'a> Drain<'a, A, T>: PairFnUser<T, Out = ()>,
+    {
+        let drain = Drain {
+            st,
+            chunk,
+            inv_mass,
+        };
+        #[cfg(target_arch = "x86_64")]
+        if native {
+            // SAFETY: the callers pass `native` only where the CPU has AVX2
+            // and FMA.
+            return unsafe { drain_fma(sub, drain) };
+        }
+        assert!(!native, "no native drain on this target");
+        sub.with_energy_force(drain);
     }
 
     mod prop {

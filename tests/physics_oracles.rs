@@ -32,9 +32,9 @@
 
 use harness::{DeviceKind, GpuModel};
 use md_core::checkpoint::SystemCheckpoint;
-use md_core::device::RunOptions;
+use md_core::device::{DeviceRun, RunOptions};
 use md_core::params::SimConfig;
-use md_core::scenario::{Ensemble, ScenarioSpec};
+use md_core::scenario::{Ensemble, PrecisionPolicy, ScenarioSpec};
 use mta::ThreadingMode;
 use vecmath::pbc::min_image_branchy;
 use vecmath::{Real, Vec3};
@@ -189,4 +189,64 @@ fn pair_forces_are_exactly_antisymmetric() {
         check::<f64>(&sim);
         check::<f32>(&sim);
     }
+}
+
+/// How far a run ended from the f64 reference: the RMS minimum-image
+/// distance between final positions, and the absolute total-energy gap.
+fn deviation(run: &DeviceRun, reference: &DeviceRun) -> (f64, f64) {
+    let (a, b) = (&run.checkpoint, &reference.checkpoint);
+    let sq: f64 = (a.positions.iter().zip(&b.positions))
+        .map(|(&p, &q)| {
+            let d = min_image_branchy(p - q, b.box_len);
+            d.dot(d)
+        })
+        .sum();
+    let rms = (sq / b.positions.len() as f64).sqrt();
+    (rms, (run.energies.total - reference.energies.total).abs())
+}
+
+/// **Mixed precision buys accuracy.** `mixed-f64-accumulate` evaluates each
+/// pair in f32 but sums every atom's forces and energy in f64, so on the
+/// single-precision devices it must end measurably closer to the Opteron's
+/// f64 run than native f32 does: at most 0.9 times native's deviation, in
+/// final positions and in total energy, on the Cell and on the GPU (LJ, 256
+/// atoms × 10 steps).
+///
+/// It fails today, so it is ignored rather than loosened; run it with
+/// `--ignored`. Both policies end 5.0·10⁻⁷σ RMS from the reference, and
+/// still 4.7·10⁻⁷σ when the reference starts from the f32-rounded lattice:
+/// the f32 rounding of every position update sets that floor. Both
+/// report total energy through f32 kinetic and potential sums whose
+/// rounding exceeds the gap: the Cell's two totals are the same number.
+/// ROADMAP item 6 has the measurements and the next form of this oracle.
+#[test]
+#[ignore = "fails: f32 state storage, not the force sums, sets the deviation (ROADMAP item 6)"]
+fn mixed_accumulation_is_closer_to_f64_than_native_f32() {
+    let run = |kind: &DeviceKind, precision| {
+        let sim = SimConfig::reduced_lj(ATOMS)
+            .with_scenario(ScenarioSpec::default().with_precision(precision));
+        kind.build()
+            .run(&sim, RunOptions::steps(STEPS))
+            .unwrap_or_else(|e| panic!("{precision} on {}: {e}", kind.label()))
+    };
+    let reference = run(&DeviceKind::Opteron, PrecisionPolicy::Native);
+    let mut failures = Vec::new();
+    for (kind, _) in &devices()[2..] {
+        let native = deviation(&run(kind, PrecisionPolicy::Native), &reference);
+        let mixed = deviation(&run(kind, PrecisionPolicy::MixedF64Accumulate), &reference);
+        if !(mixed.0 <= 0.9 * native.0 && mixed.1 <= 0.9 * native.1) {
+            failures.push(format!(
+                "{}: mixed (positions {:e}, energy {:e}) vs native (positions {:e}, energy {:e})",
+                kind.label(),
+                mixed.0,
+                mixed.1,
+                native.0,
+                native.1
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "mixed accumulation is not measurably closer to f64: {failures:#?}"
+    );
 }
