@@ -2,10 +2,11 @@
 //! `slice.par_iter().enumerate().map(f).collect::<Vec<_>>()`.
 //!
 //! Unlike a sequential stub, this executes on real OS threads
-//! (`std::thread::scope`, one chunk per available core), so the
-//! `RayonKernel` host benchmark still demonstrates genuine multi-core
-//! scaling. Results are collected **in index order**, matching rayon's
-//! indexed-collect determinism guarantee that `md_core::parallel` relies on.
+//! (`std::thread::scope`, one chunk per available core), so host-threaded
+//! device lanes and `Simulation` force rows (`md_core::parallel`) get
+//! genuine multi-core scaling. Results are collected **in index order**,
+//! matching rayon's indexed-collect determinism guarantee that
+//! `md_core::parallel` relies on.
 
 pub mod prelude {
     pub use crate::iter::{IntoParallelRefIterator, IntoParallelRefMutIterator};

@@ -10,8 +10,9 @@
 //! given atom count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use md_core::forces::{gather_row, SoaPositions};
+use md_core::forces::SoaPositions;
 use md_core::params::SimConfig;
+use md_core::reference::gather_row;
 use md_core::shared_eval::{self, SoaPositionsF32};
 use md_core::system::ParticleSystem;
 use mdea_bench::host_criterion;

@@ -1,74 +1,20 @@
-//! Host-hardware benchmarks of the real MD force kernels — what the paper's
+//! Host-hardware benchmark of one `Simulation` step — what the paper's
 //! question ("how fast can this kernel go?") looks like on today's machine.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use md_core::prelude::*;
 use mdea_bench::host_criterion;
 use std::hint::black_box;
-
-fn force_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("force_eval");
-    for &n in &[256usize, 864] {
-        let cfg = SimConfig::reduced_lj(n);
-        let sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
-        let params = cfg.substrate::<f64>();
-
-        group.bench_with_input(BenchmarkId::new("all-pairs-half", n), &n, |b, _| {
-            let mut s = sys.clone();
-            let mut k = AllPairsHalfKernel;
-            b.iter(|| black_box(k.compute(&mut s, &params)));
-        });
-        group.bench_with_input(BenchmarkId::new("all-pairs-full", n), &n, |b, _| {
-            let mut s = sys.clone();
-            let mut k = AllPairsFullKernel;
-            b.iter(|| black_box(k.compute(&mut s, &params)));
-        });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            let mut s = sys.clone();
-            let mut k = RayonKernel;
-            b.iter(|| black_box(k.compute(&mut s, &params)));
-        });
-        group.bench_with_input(BenchmarkId::new("neighbor-list", n), &n, |b, _| {
-            let mut s = sys.clone();
-            let mut k = NeighborListKernel::with_default_skin();
-            b.iter(|| black_box(k.compute(&mut s, &params)));
-        });
-    }
-    group.finish();
-}
-
-fn precision(c: &mut Criterion) {
-    // The paper's single- vs double-precision split (f32 on Cell/GPU, f64 on
-    // MTA/Opteron) measured on host hardware.
-    let mut group = c.benchmark_group("precision");
-    let cfg = SimConfig::reduced_lj(864);
-    let sys64: ParticleSystem<f64> = md_core::init::initialize(&cfg);
-    let sys32: ParticleSystem<f32> = sys64.convert();
-    let p64 = cfg.substrate::<f64>();
-    let p32 = cfg.substrate::<f32>();
-
-    group.bench_function("f64", |b| {
-        let mut s = sys64.clone();
-        let mut k = AllPairsHalfKernel;
-        b.iter(|| black_box(k.compute(&mut s, &p64)));
-    });
-    group.bench_function("f32", |b| {
-        let mut s = sys32.clone();
-        let mut k = AllPairsHalfKernel;
-        b.iter(|| black_box(k.compute(&mut s, &p32)));
-    });
-    group.finish();
-}
 
 fn integration_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("verlet_step");
     let cfg = SimConfig::reduced_lj(864);
     group.bench_function("step-864", |b| {
-        let mut sim = Simulation::<f64>::prepare(cfg);
+        let mut sim = Simulation::prepare(cfg);
         b.iter(|| black_box(sim.step()));
     });
     group.finish();
 }
 
-criterion_group!(name = kernels; config = host_criterion(); targets = force_kernels, precision, integration_step);
+criterion_group!(name = kernels; config = host_criterion(); targets = integration_step);
 criterion_main!(kernels);

@@ -3,9 +3,8 @@
 //! Two kinds of benches coexist here:
 //!
 //! - **Host benches** (`kernels`, `kernel_simd_width`,
-//!   `host_parallel_scaling`, `ablation_neighbor`): ordinary Criterion
-//!   wall-clock measurements of the real `md_core` kernels on the machine
-//!   running the suite.
+//!   `host_parallel_scaling`): ordinary Criterion wall-clock measurements of
+//!   the real `md_core` evaluator on the machine running the suite.
 //! - **Simulated-device ablations** (`ablation_devices`,
 //!   `ablation_gpu_reduction`): configurations outside the paper's grid,
 //!   measured in *simulated* device seconds injected into Criterion through

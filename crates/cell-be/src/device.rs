@@ -1582,7 +1582,6 @@ impl md_core::device::MdDevice for CellAccelProbe {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::forces::{AllPairsFullKernel, ForceKernel};
 
     fn workload(n: usize) -> SimConfig {
         SimConfig::reduced_lj(n)
@@ -1663,15 +1662,7 @@ mod tests {
             run_md(&device, &sim, 3, CellRunConfig::best()).expect("256 atoms fit the local store");
 
         // Reference: same workload, f32, untimed.
-        let mut sys: ParticleSystem<f32> = init::initialize(&sim);
-        let sub = sim.substrate::<f32>();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..3 {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
-        }
-        let expect = EnergyReport::measure(&sys, pe as f64);
+        let expect = md_core::reference::run::<f32>(&sim, 3);
         assert!(
             (run.energies.total - expect.total).abs() < 1e-3 * expect.total.abs(),
             "Cell {} vs reference {}",
@@ -1989,15 +1980,7 @@ mod tests {
             .run_md_double(&sim, 3, CellRunConfig::best())
             .expect("fits local store");
 
-        let mut sys: ParticleSystem<f64> = init::initialize(&sim);
-        let sub = sim.substrate::<f64>();
-        let vv = VelocityVerlet::new(sim.dt);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..3 {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
-        }
-        let expect = EnergyReport::measure(&sys, pe);
+        let expect = md_core::reference::run::<f64>(&sim, 3);
         assert!(
             (run.energies.total - expect.total).abs() < 1e-9 * expect.total.abs(),
             "DP Cell {} vs f64 reference {}",

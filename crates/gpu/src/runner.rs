@@ -438,7 +438,6 @@ impl md_core::device::MdDevice for GpuMdSimulation {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::forces::{AllPairsFullKernel, ForceKernel};
 
     /// Test-local shorthand over the single run path (the public surface is
     /// [`md_core::device::MdDevice::run`]).
@@ -484,15 +483,7 @@ mod tests {
         let sim = SimConfig::reduced_lj(256);
         let run = run_md(&GpuMdSimulation::geforce_7900gtx(), &sim, 3);
 
-        let mut sys: ParticleSystem<f32> = init::initialize(&sim);
-        let sub = sim.substrate::<f32>();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..3 {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
-        }
-        let expect = EnergyReport::measure(&sys, pe as f64);
+        let expect = md_core::reference::run::<f32>(&sim, 3);
         assert!(
             (run.energies.total - expect.total).abs() < 1e-3 * expect.total.abs(),
             "GPU {} vs reference {}",

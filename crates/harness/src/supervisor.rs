@@ -507,7 +507,7 @@ fn reference_remainder(
     )
 }
 
-/// [`OpteronCpu::untimed_energies`] for `steps` steps of `sim`, remembering
+/// [`md_core::reference::run`] in f64 for `steps` steps of `sim`, remembering
 /// the most recent input. Callers supervise the same `(sim, steps)` several
 /// times in a row (a clean run and then a faulted one, or several devices per
 /// size), and the reference is a deterministic scalar f64 trajectory, so a hit
@@ -524,7 +524,7 @@ fn reference_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
             return e;
         }
     }
-    let e = OpteronCpu::untimed_energies(sim, steps);
+    let e = md_core::reference::run::<f64>(sim, steps);
     *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some((*sim, steps, e));
     e
 }
@@ -602,7 +602,7 @@ mod tests {
         assert!(run.report.fell_back);
         assert_eq!(run.report.watchdog_timeouts, cfg.max_attempts as u64);
         // The fallback still produces the reference physics.
-        let reference = OpteronCpu::untimed_energies(&sim, 4);
+        let reference = md_core::reference::run::<f64>(&sim, 4);
         assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
         // Every decision is in the ledger.
         let jsonl = led.to_jsonl();
@@ -634,7 +634,7 @@ mod tests {
         };
         // Other tests in this binary share the memo; each assertion below
         // holds whatever they store in between.
-        let fresh = OpteronCpu::untimed_energies(&base, 3);
+        let fresh = md_core::reference::run::<f64>(&base, 3);
         // Miss, then hit: both carry the bits of a fresh computation.
         assert_same_bits(reference_energies(&base, 3), fresh);
         assert_same_bits(reference_energies(&base, 3), fresh);
@@ -659,7 +659,7 @@ mod tests {
             (base, 2),
         ];
         for (sim, steps) in variants {
-            let want = OpteronCpu::untimed_energies(&sim, steps);
+            let want = md_core::reference::run::<f64>(&sim, steps);
             assert_ne!(want.total.to_bits(), fresh.total.to_bits());
             // Store `base` first, so a wrong hit would return `fresh`.
             reference_energies(&base, 3);
@@ -788,7 +788,7 @@ mod tests {
                 Some(&mut led),
             );
             assert!(run.report.fell_back);
-            let reference = OpteronCpu::untimed_energies(&sim, 4);
+            let reference = md_core::reference::run::<f64>(&sim, 4);
             assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
             assert!(led.to_jsonl().contains("restore to step"));
         }

@@ -8,7 +8,6 @@
 use harness::{run_supervised, RecoveryEvent, SupervisorConfig};
 use md_core::params::SimConfig;
 use mta::{MtaMd, ThreadingMode};
-use opteron::OpteronCpu;
 
 #[test]
 fn energy_drift_safety_net_fires_on_computed_and_remembered_reference() {
@@ -20,7 +19,7 @@ fn energy_drift_safety_net_fires_on_computed_and_remembered_reference() {
         energy_drift_tol: -1.0,
         ..SupervisorConfig::default()
     };
-    let reference = OpteronCpu::untimed_energies(&sim, 4);
+    let reference = md_core::reference::run::<f64>(&sim, 4);
     for _ in 0..2 {
         let mut dev = MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded);
         let run = run_supervised(&mut dev, &sim, 4, &cfg, None);

@@ -1,13 +1,10 @@
-//! Trajectory and configuration I/O.
-//!
-//! - XYZ trajectory frames (the lingua franca of MD visualization tools),
-//! - a plain-text checkpoint format that round-trips the full system state
-//!   (positions, velocities, box) exactly via hex-encoded f64 bits.
+//! Trajectory output: XYZ frames, the lingua franca of MD visualization
+//! tools. Checkpoints are [`crate::checkpoint::SystemCheckpoint`]'s `MDCP1`
+//! bytes.
 
 use crate::system::ParticleSystem;
-use std::fmt::Write as FmtWrite;
-use std::io::{self, BufRead, Write};
-use vecmath::{Real, Vec3};
+use std::io::{self, Write};
+use vecmath::Real;
 
 /// Append one XYZ frame (positions only, species label `Ar`).
 pub fn write_xyz_frame<T: Real, W: Write>(
@@ -30,142 +27,6 @@ pub fn write_xyz_frame<T: Real, W: Write>(
     Ok(())
 }
 
-/// Parse all frames of an XYZ stream into position sets.
-pub fn read_xyz_frames<R: BufRead>(input: R) -> io::Result<Vec<Vec<Vec3<f64>>>> {
-    let mut lines = input.lines();
-    let mut frames = Vec::new();
-    while let Some(first) = lines.next() {
-        let first = first?;
-        if first.trim().is_empty() {
-            continue;
-        }
-        let n: usize = first.trim().parse().map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad atom count: {e}"))
-        })?;
-        let _comment = lines.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "missing comment line")
-        })??;
-        let mut frame = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated frame"))??;
-            let mut parts = line.split_whitespace();
-            let _species = parts
-                .next()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty atom line"))?;
-            let mut coord = [0.0f64; 3];
-            for c in &mut coord {
-                *c = parts
-                    .next()
-                    .ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "missing coordinate")
-                    })?
-                    .parse()
-                    .map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad coordinate: {e}"))
-                    })?;
-            }
-            frame.push(Vec3::new(coord[0], coord[1], coord[2]));
-        }
-        frames.push(frame);
-    }
-    Ok(frames)
-}
-
-/// Serialize the full state losslessly (f64 bit patterns in hex).
-pub fn checkpoint_to_string(sys: &ParticleSystem<f64>) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "mdea-checkpoint v1");
-    let _ = writeln!(s, "n {}", sys.n());
-    let _ = writeln!(s, "box {:016x}", sys.box_len.to_bits());
-    let _ = writeln!(s, "mass {:016x}", sys.mass.to_bits());
-    let field = |s: &mut String, tag: &str, vs: &[Vec3<f64>]| {
-        for v in vs {
-            let _ = writeln!(
-                s,
-                "{tag} {:016x} {:016x} {:016x}",
-                v.x.to_bits(),
-                v.y.to_bits(),
-                v.z.to_bits()
-            );
-        }
-    };
-    field(&mut s, "p", &sys.positions);
-    field(&mut s, "v", &sys.velocities);
-    field(&mut s, "a", &sys.accelerations);
-    s
-}
-
-/// Restore a checkpoint written by [`checkpoint_to_string`].
-pub fn checkpoint_from_str(text: &str) -> Result<ParticleSystem<f64>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty checkpoint")?;
-    if header != "mdea-checkpoint v1" {
-        return Err(format!("unrecognized header: {header}"));
-    }
-    let parse_u64 = |tok: &str| u64::from_str_radix(tok, 16).map_err(|e| format!("bad hex: {e}"));
-    let mut n = None;
-    let mut box_len = None;
-    let mut mass = None;
-    let mut positions = Vec::new();
-    let mut velocities = Vec::new();
-    let mut accelerations = Vec::new();
-    for line in lines {
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("n") => {
-                n = Some(
-                    parts
-                        .next()
-                        .ok_or("missing n")?
-                        .parse::<usize>()
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            Some("box") => {
-                box_len = Some(f64::from_bits(parse_u64(
-                    parts.next().ok_or("missing box")?,
-                )?));
-            }
-            Some("mass") => {
-                mass = Some(f64::from_bits(parse_u64(
-                    parts.next().ok_or("missing mass")?,
-                )?));
-            }
-            Some(tag @ ("p" | "v" | "a")) => {
-                let mut c = [0.0f64; 3];
-                for v in &mut c {
-                    *v = f64::from_bits(parse_u64(parts.next().ok_or("missing component")?)?);
-                }
-                let vec = Vec3::new(c[0], c[1], c[2]);
-                match tag {
-                    "p" => positions.push(vec),
-                    "v" => velocities.push(vec),
-                    _ => accelerations.push(vec),
-                }
-            }
-            Some(other) => return Err(format!("unknown record: {other}")),
-            None => {}
-        }
-    }
-    let n = n.ok_or("missing atom count")?;
-    if positions.len() != n || velocities.len() != n || accelerations.len() != n {
-        return Err(format!(
-            "record counts ({}, {}, {}) do not match n = {n}",
-            positions.len(),
-            velocities.len(),
-            accelerations.len()
-        ));
-    }
-    let mut sys = ParticleSystem::new(n, box_len.ok_or("missing box")?);
-    sys.mass = mass.ok_or("missing mass")?;
-    sys.positions = positions;
-    sys.velocities = velocities;
-    sys.accelerations = accelerations;
-    Ok(sys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,77 +34,22 @@ mod tests {
     use crate::params::SimConfig;
 
     #[test]
-    fn xyz_roundtrip() {
+    fn xyz_frame_layout() {
         let sys: ParticleSystem<f64> = initialize(&SimConfig::reduced_lj(32).with_density(0.2));
         let mut buf = Vec::new();
         write_xyz_frame(&mut buf, &sys, "frame 0").unwrap();
-        write_xyz_frame(&mut buf, &sys, "frame 1").unwrap();
-        let frames = read_xyz_frames(io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].len(), 32);
-        for (a, b) in frames[0].iter().zip(&sys.positions) {
-            assert!((*a - *b).norm() < 1e-8, "9-digit text precision");
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 34);
+        assert_eq!(lines[0], "32");
+        assert_eq!(lines[1], "frame 0");
+        for (line, p) in lines[2..].iter().zip(&sys.positions) {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(f[0], "Ar");
+            for (k, c) in f[1..].iter().enumerate() {
+                let v: f64 = c.parse().unwrap();
+                assert!((v - p[k]).abs() < 1e-8, "9-digit text precision");
+            }
         }
-    }
-
-    #[test]
-    fn xyz_rejects_truncation() {
-        let text = "3\ncomment\nAr 0 0 0\nAr 1 1 1\n";
-        let err = read_xyz_frames(io::BufReader::new(text.as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn xyz_rejects_garbage_coordinates() {
-        let text = "1\nc\nAr zero 0 0\n";
-        assert!(read_xyz_frames(io::BufReader::new(text.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_is_bit_exact() {
-        let cfg = SimConfig::reduced_lj(108);
-        let mut sim = crate::sim::Simulation::<f64>::prepare(cfg);
-        sim.run(5);
-        let sys = &sim.system;
-        let text = checkpoint_to_string(sys);
-        let restored = checkpoint_from_str(&text).unwrap();
-        assert_eq!(restored.positions, sys.positions);
-        assert_eq!(restored.velocities, sys.velocities);
-        assert_eq!(restored.accelerations, sys.accelerations);
-        assert_eq!(restored.box_len, sys.box_len);
-        assert_eq!(restored.mass, sys.mass);
-    }
-
-    #[test]
-    fn checkpoint_detects_corruption() {
-        let sys = ParticleSystem::<f64>::new(2, 5.0);
-        let text = checkpoint_to_string(&sys);
-        // Drop one record line.
-        let truncated: String = text
-            .lines()
-            .take(text.lines().count() - 1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(checkpoint_from_str(&truncated).is_err());
-        assert!(checkpoint_from_str("garbage").is_err());
-    }
-
-    #[test]
-    fn restored_checkpoint_continues_identically() {
-        // Run A: 10 steps straight. Run B: 5 steps, checkpoint, restore, 5
-        // more. Trajectories must match bit-for-bit.
-        let cfg = SimConfig::reduced_lj(108);
-        let mut a = crate::sim::Simulation::<f64>::prepare(cfg);
-        a.run(10);
-
-        let mut b = crate::sim::Simulation::<f64>::prepare(cfg);
-        b.run(5);
-        let text = checkpoint_to_string(&b.system);
-        let restored = checkpoint_from_str(&text).unwrap();
-        b.system = restored;
-        b.run(5);
-
-        assert_eq!(a.system.positions, b.system.positions);
-        assert_eq!(a.system.velocities, b.system.velocities);
     }
 }

@@ -6,17 +6,17 @@
 //! - velocity-Verlet integration ([`verlet`]), following the five-step
 //!   structure of the paper's Figure 4,
 //! - the deliberately cache-unfriendly O(N²) all-pairs force evaluation with
-//!   distances computed on the fly ([`forces`]) — the paper explicitly does
-//!   *not* use pairlists on the device ports,
-//! - plus the cache-friendly techniques the paper names but declines to use,
-//!   as extensions: Verlet neighbor lists ([`neighbor`]) and cell lists
-//!   ([`celllist`]),
-//! - a host-parallel kernel built on rayon ([`parallel`]) for real
-//!   modern-hardware measurements,
+//!   distances computed on the fly — the paper explicitly does *not* use
+//!   pairlists. One engine runs it: the shared evaluator ([`shared_eval`]),
+//!   which every device, the cluster layer and [`sim::Simulation`] call,
+//!   with lanes on host threads through [`parallel`]. The scalar
+//!   [`mod@reference`] is the f32/f64 oracle it is checked against,
 //! - workload generation: cubic/FCC lattices and Maxwell-Boltzmann velocity
-//!   initialization ([`init`]), with a deterministic RNG ([`rng`]).
+//!   initialization ([`init`]), with a deterministic RNG ([`rng`]),
+//! - the unified device run API ([`device`]), scenarios ([`scenario`]) and
+//!   exact checkpoints ([`checkpoint`]).
 //!
-//! Everything is generic over [`vecmath::Real`] so the same kernel code runs
+//! The state and the oracle are generic over [`vecmath::Real`], so they run
 //! in `f32` (the precision the paper uses on the Cell and GPU) and `f64` (the
 //! MTA-2 and Opteron reference precision).
 //!
@@ -26,7 +26,7 @@
 //! use md_core::prelude::*;
 //!
 //! // 256 atoms of LJ "argon" in reduced units at liquid density.
-//! let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(256));
+//! let mut sim = Simulation::prepare(SimConfig::reduced_lj(256));
 //! let e0 = sim.total_energy();
 //! sim.run(100);
 //! let e1 = sim.total_energy();
@@ -34,7 +34,6 @@
 //! ```
 
 pub mod bonded;
-pub mod celllist;
 pub mod checkpoint;
 mod cull;
 pub mod device;
@@ -42,10 +41,10 @@ pub mod forces;
 pub mod init;
 pub mod io;
 pub mod lj;
-pub mod neighbor;
 pub mod observables;
 pub mod parallel;
 pub mod params;
+pub mod reference;
 pub mod rng;
 pub mod scenario;
 pub mod shared_eval;
@@ -57,17 +56,13 @@ pub mod verlet;
 pub mod prelude {
     //! Glob-import surface for the common types.
     pub use crate::bonded::{Angle, Bond, BondedTopology};
-    pub use crate::celllist::CellListKernel;
     pub use crate::checkpoint::SystemCheckpoint;
     pub use crate::device::{
         slab_domains, DeviceError, DeviceRun, DomainRegion, HostParallelism, MdDevice, RunOptions,
     };
-    pub use crate::forces::{AllPairsFullKernel, AllPairsHalfKernel, ForceKernel, PairVisitor};
     pub use crate::init::{lattice_box_len, Lattice};
     pub use crate::lj::LjParams;
-    pub use crate::neighbor::NeighborListKernel;
     pub use crate::observables::EnergyReport;
-    pub use crate::parallel::RayonKernel;
     pub use crate::params::SimConfig;
     pub use crate::rng::SplitMix64;
     pub use crate::scenario::{

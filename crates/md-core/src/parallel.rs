@@ -1,23 +1,14 @@
 //! Host-parallel execution primitives (DESIGN.md §12).
 //!
-//! Two layers live here:
-//!
-//! - [`map_lanes`] / [`map_indexed`]: the order-preserving indexed map every
-//!   device simulator uses to run its simulated lanes (SPEs, fragment
-//!   batches, streams, gather rows) on host threads. Reductions never happen
-//!   inside the map — devices fold the returned per-lane values serially, in
-//!   lane order, so results are bitwise identical at any thread count.
-//! - [`RayonKernel`]: the modern answer to the paper's question — today's
-//!   multi-core CPUs run the per-atom gather formulation in parallel with a
-//!   parallel iterator. Used by the Criterion benches to put real
-//!   present-day numbers next to the simulated 2006 devices.
+//! [`map_lanes`] / [`map_indexed`]: the order-preserving indexed map every
+//! device simulator and [`crate::sim::Simulation`] use to run their lanes
+//! (SPEs, fragment batches, streams, gather rows) on host threads.
+//! Reductions never happen inside the map — callers fold the returned
+//! per-lane values serially, in lane order, so results are bitwise identical
+//! at any thread count.
 
 use crate::device::HostParallelism;
-use crate::forces::{gather_row, ForceKernel, GatherRow, SoaPositions};
-use crate::scenario::Substrate;
-use crate::system::ParticleSystem;
 use rayon::prelude::*;
-use vecmath::Real;
 
 /// Run `f(i, &mut lanes[i])` for every lane, returning the per-lane results
 /// in index order.
@@ -71,63 +62,9 @@ where
     }
 }
 
-/// Data-parallel per-atom gather kernel (same formulation as the device
-/// ports: each atom independently scans all others, so each pair is visited
-/// twice and the accumulated PE is halved). Shares the tiled SoA row
-/// ([`gather_row`]) and the serial in-order PE fold with
-/// [`crate::forces::AllPairsFullKernel`], so the two agree bit for bit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RayonKernel;
-
-impl<T: Real> ForceKernel<T> for RayonKernel {
-    fn compute(&mut self, sys: &mut ParticleSystem<T>, sub: &Substrate<T>) -> T {
-        let l = sys.box_len;
-        let inv_m = sys.mass.recip();
-        let soa = SoaPositions::from_positions(&sys.positions);
-
-        // Indexed parallel map preserves element order, so accelerations land
-        // at the right atom; the PE fold below runs serially in row order.
-        let rows: Vec<GatherRow<T>> = (0..sys.n())
-            .collect::<Vec<usize>>()
-            .par_iter()
-            .enumerate()
-            .map(|(_, &i)| gather_row(&soa, i, l, sub, inv_m))
-            .collect();
-
-        let mut pe_twice = T::ZERO;
-        for (i, row) in rows.into_iter().enumerate() {
-            sys.accelerations[i] = row.acc;
-            pe_twice += row.pe;
-        }
-        pe_twice * T::HALF
-    }
-
-    fn name(&self) -> &'static str {
-        "rayon-parallel"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::HostParallelism;
-    use crate::forces::AllPairsFullKernel;
-    use crate::init::initialize;
-    use crate::params::SimConfig;
-
-    #[test]
-    fn matches_sequential_gather_kernel_exactly_in_structure() {
-        let cfg = SimConfig::reduced_lj(256);
-        let mut s1: ParticleSystem<f64> = initialize(&cfg);
-        let mut s2 = s1.clone();
-        let sub = cfg.substrate();
-        let pe_seq = AllPairsFullKernel.compute(&mut s1, &sub);
-        let pe_par = RayonKernel.compute(&mut s2, &sub);
-        // Both kernels run the same gather_row per atom and fold PE serially
-        // in row order, so forces AND energy match bit for bit.
-        assert_eq!(s1.accelerations, s2.accelerations);
-        assert_eq!(pe_seq, pe_par);
-    }
 
     #[test]
     fn map_lanes_parallel_matches_serial_bitwise() {
@@ -155,33 +92,5 @@ mod tests {
         }
         let empty = map_indexed::<f64, _>(HostParallelism::Threads(4), 0, f);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let cfg = SimConfig::reduced_lj(108);
-        let sub = cfg.substrate();
-        let base: ParticleSystem<f64> = initialize(&cfg);
-        let mut a = base.clone();
-        let mut b = base;
-        let pe_a = RayonKernel.compute(&mut a, &sub);
-        let pe_b = RayonKernel.compute(&mut b, &sub);
-        assert_eq!(pe_a, pe_b, "indexed collect keeps reduction deterministic");
-        assert_eq!(a.accelerations, b.accelerations);
-    }
-
-    #[test]
-    fn f32_variant_close_to_f64() {
-        let cfg = SimConfig::reduced_lj(108);
-        let sub64 = cfg.substrate::<f64>();
-        let sub32 = cfg.substrate::<f32>();
-        let mut s64: ParticleSystem<f64> = initialize(&cfg);
-        let mut s32: ParticleSystem<f32> = s64.convert();
-        let pe64 = RayonKernel.compute(&mut s64, &sub64);
-        let pe32 = RayonKernel.compute(&mut s32, &sub32);
-        assert!(
-            (pe64 - pe32 as f64).abs() < 2e-3 * pe64.abs(),
-            "{pe64} vs {pe32}"
-        );
     }
 }

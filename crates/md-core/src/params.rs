@@ -129,14 +129,19 @@ impl SimConfig {
         if self.n_atoms < 2 {
             return Err("need at least two atoms".into());
         }
-        if self.density <= 0.0 {
-            return Err("density must be positive".into());
+        // Negated positive tests rather than `x <= 0.0`, so NaN fails too.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.density) {
+            return Err("density must be positive and finite".into());
         }
-        if self.dt <= 0.0 {
-            return Err("timestep must be positive".into());
+        if !positive(self.dt) {
+            return Err("timestep must be positive and finite".into());
         }
-        if self.cutoff <= 0.0 {
-            return Err("cutoff must be positive".into());
+        if !positive(self.cutoff) {
+            return Err("cutoff must be positive and finite".into());
+        }
+        if !(self.temperature.is_finite() && self.temperature >= 0.0) {
+            return Err("temperature must be finite and non-negative".into());
         }
         if self.cutoff > self.box_len() / 2.0 {
             return Err(format!(
@@ -171,6 +176,28 @@ mod tests {
     fn cutoff_larger_than_half_box_rejected() {
         // 16 atoms at liquid density → box ~2.67σ; cutoff 2.5σ is too big.
         SimConfig::reduced_lj(16).validate();
+    }
+
+    #[test]
+    fn non_finite_or_negative_parameters_are_rejected() {
+        let base = SimConfig::reduced_lj(256);
+        assert!(base.try_validate().is_ok());
+        assert!(base.with_temperature(0.0).try_validate().is_ok(), "T* = 0");
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(base.with_dt(bad).try_validate().is_err(), "dt {bad}");
+            assert!(
+                base.with_density(bad).try_validate().is_err(),
+                "density {bad}"
+            );
+            assert!(
+                base.with_cutoff(bad).try_validate().is_err(),
+                "cutoff {bad}"
+            );
+            assert!(
+                base.with_temperature(bad).try_validate().is_err(),
+                "T {bad}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! Three per-device arithmetic flavors are provided:
 //!
 //! - [`host_row`] — the f64 select-form minimum image of
-//!   [`crate::forces::gather_row`] (Opteron rows, MTA streams).
+//!   [`crate::reference::gather_row`] (Opteron rows, MTA streams).
 //! - [`cell_row`] — the Cell SPE `SimdAcceleration` variant: compare/select
 //!   unit-cell shift, FMA accumulate, per-atom PE in the fourth lane.
 //! - [`gpu_texel`] — the fragment shader's predicated sequential-conditional
@@ -70,8 +70,11 @@
 //! the eval/cost split stays machine-enforced.
 
 use crate::cull::{BlockCull, BLOCK};
+use crate::device::HostParallelism;
 use crate::forces::{GatherRow, SoaPositions};
+use crate::parallel::map_indexed;
 use crate::scenario::{PairFnUser, Substrate};
+use crate::system::ParticleSystem;
 use std::mem::MaybeUninit;
 use std::ops::{Add, Mul, Sub};
 use vecmath::{pbc, Real};
@@ -404,7 +407,7 @@ unsafe fn drain_fma<T: Real, U: PairFnUser<T, Out = ()>>(sub: &Substrate<T>, dra
 // Host flavor (f64): Opteron row chunks and MTA stream chunks.
 
 /// Atom `i`'s gather row, bitwise identical to
-/// [`crate::forces::gather_row`] but batched 4-wide.
+/// [`crate::reference::gather_row`] but batched 4-wide.
 ///
 /// The mixed-precision policy needs no special casing here: for `T = f64`
 /// the widen/narrow steps of the mixed accumulator are identities, so the
@@ -424,6 +427,33 @@ pub fn host_row(
         return unsafe { host_row_avx2(soa, i, box_len, sub, inv_mass) };
     }
     host_row_batched(soa, i, box_len, sub, inv_mass)
+}
+
+/// One f64 force evaluation over every atom of `sys`: each atom's
+/// [`host_row`] as an order-preserving indexed map on `par`, folded serially
+/// in atom order. Overwrites `sys.accelerations`; returns the potential
+/// energy and the number of in-cutoff (ordered) pairs. Bitwise
+/// [`crate::reference::forces`] at any host parallelism.
+///
+/// [`crate::sim::Simulation`] and the Opteron both evaluate through this,
+/// so `mdea run` and the Opteron compute the same trajectory bit for bit.
+pub fn host_forces(
+    sys: &mut ParticleSystem<f64>,
+    sub: &Substrate<f64>,
+    par: HostParallelism,
+) -> (f64, u64) {
+    let l = sys.box_len;
+    let inv_m = sys.mass.recip();
+    let soa = SoaPositions::from_positions(&sys.positions);
+    let rows = map_indexed(par, sys.n(), |i| host_row(&soa, i, l, sub, inv_m));
+    let mut pe_twice = 0.0f64;
+    let mut interactions = 0u64;
+    for (i, row) in rows.into_iter().enumerate() {
+        sys.accelerations[i] = row.acc;
+        pe_twice += row.pe;
+        interactions += row.interactions;
+    }
+    (pe_twice * 0.5, interactions)
 }
 
 /// The host drain: `gather_row`'s per-pair arithmetic, with
@@ -1188,11 +1218,10 @@ unsafe fn gpu_texel_avx2(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::forces::gather_row;
     use crate::init::initialize;
     use crate::params::SimConfig;
+    use crate::reference::gather_row;
     use crate::scenario::{PrecisionPolicy, ScenarioSpec};
-    use crate::system::ParticleSystem;
     use vecmath::Vec3;
 
     fn host_setup(spec: ScenarioSpec) -> (ParticleSystem<f64>, Substrate<f64>, f64) {
@@ -1221,6 +1250,23 @@ mod tests {
                 assert_eq!(a.acc.z.to_bits(), b.acc.z.to_bits(), "row {i} z");
                 assert_eq!(a.pe.to_bits(), b.pe.to_bits(), "row {i} pe");
                 assert_eq!(a.interactions, b.interactions, "row {i} count");
+            }
+        }
+    }
+
+    #[test]
+    fn host_forces_are_the_reference_forces_at_any_parallelism() {
+        // 864 atoms: the box spans four cutoffs, so the rows cull.
+        for spec in every_scenario() {
+            let cfg = SimConfig::reduced_lj(864).with_scenario(spec);
+            let sub = cfg.substrate::<f64>();
+            let mut want: ParticleSystem<f64> = initialize(&cfg);
+            let pe = crate::reference::forces(&mut want, &sub);
+            for par in [HostParallelism::Serial, HostParallelism::Threads(3)] {
+                let mut got: ParticleSystem<f64> = initialize(&cfg);
+                let (got_pe, _) = host_forces(&mut got, &sub, par);
+                assert_eq!(got_pe.to_bits(), pe.to_bits(), "{spec} {par:?}");
+                assert_eq!(got.accelerations, want.accelerations, "{spec} {par:?}");
             }
         }
     }
@@ -1545,7 +1591,7 @@ mod tests {
         for n in [864, 2048] {
             for spec in every_scenario() {
                 let cfg = SimConfig::reduced_lj(n).with_scenario(spec);
-                let mut sim = Simulation::<f64>::prepare(cfg);
+                let mut sim = Simulation::prepare(cfg);
                 sim.run(10);
                 let sys = &sim.system;
                 let pos: Vec<[f64; 3]> = sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();

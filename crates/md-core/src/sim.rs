@@ -1,89 +1,77 @@
-//! High-level simulation driver: the one-stop API the examples use.
+//! High-level simulation driver: the one-stop API the examples and `mdea run`
+//! use.
 
 use crate::bonded::BondedTopology;
-use crate::forces::{AllPairsHalfKernel, ForceKernel};
+use crate::device::HostParallelism;
 use crate::init;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
 use crate::scenario::Substrate;
+use crate::shared_eval;
 use crate::system::ParticleSystem;
 use crate::verlet::VelocityVerlet;
-use vecmath::Real;
 
-/// A ready-to-run MD simulation: system state + integrator + force kernel,
-/// optionally with a bonded topology layered on top of the non-bonded LJ
-/// interactions (the paper's force field split, §3.5).
-pub struct Simulation<T: Real> {
-    pub system: ParticleSystem<T>,
-    pub substrate: Substrate<T>,
-    pub integrator: VelocityVerlet<T>,
-    kernel: Box<dyn ForceKernel<T> + Send>,
+/// A ready-to-run f64 MD simulation: system state + integrator, with forces
+/// from the shared evaluator ([`shared_eval::host_forces`], the Opteron's
+/// force path), optionally with a bonded topology layered on top of the
+/// non-bonded interactions (the paper's force field split, §3.5).
+pub struct Simulation {
+    pub system: ParticleSystem<f64>,
+    pub substrate: Substrate<f64>,
+    pub integrator: VelocityVerlet<f64>,
     topology: BondedTopology,
+    par: HostParallelism,
     /// Potential energy at the current positions.
-    last_pe: T,
+    last_pe: f64,
     steps_done: usize,
 }
 
-impl<T: Real> Simulation<T> {
-    /// Initialize from a config with the default sequential kernel and prime
-    /// the accelerations (so the first Verlet half-kick is correct).
+impl Simulation {
+    /// Initialize from a config and prime the accelerations (so the first
+    /// Verlet half-kick is correct). Forces run serially until
+    /// [`Self::with_host_parallelism`] says otherwise.
     pub fn prepare(config: SimConfig) -> Self {
-        Self::prepare_with_kernel(config, Box::new(AllPairsHalfKernel))
-    }
-
-    /// Initialize with a caller-chosen force kernel.
-    pub fn prepare_with_kernel(
-        config: SimConfig,
-        mut kernel: Box<dyn ForceKernel<T> + Send>,
-    ) -> Self {
-        let mut system = init::initialize::<T>(&config);
+        let mut system = init::initialize(&config);
         let substrate = config.substrate();
-        let last_pe = kernel.compute(&mut system, &substrate);
+        let par = HostParallelism::Serial;
+        let (last_pe, _) = shared_eval::host_forces(&mut system, &substrate, par);
         Self {
             system,
             substrate,
-            integrator: VelocityVerlet::new(T::from_f64(config.dt)),
-            kernel,
+            integrator: VelocityVerlet::new(config.dt),
             topology: BondedTopology::new(),
+            par,
             last_pe,
             steps_done: 0,
         }
     }
 
+    /// Evaluate forces on `par` host threads. Results are bitwise identical
+    /// at any setting; only host wall-clock changes.
+    #[must_use]
+    pub fn with_host_parallelism(mut self, par: HostParallelism) -> Self {
+        self.par = par;
+        self
+    }
+
     /// Attach a bonded topology (harmonic bonds/angles evaluated on top of
-    /// the non-bonded kernel each step). Recomputes forces.
+    /// the non-bonded forces each step). Recomputes forces.
     pub fn set_topology(&mut self, topology: BondedTopology) {
         topology.validate(self.system.n());
         self.topology = topology;
-        self.recompute_forces();
+        self.last_pe = forces(&mut self.system, &self.substrate, &self.topology, self.par);
     }
 
     pub fn topology(&self) -> &BondedTopology {
         &self.topology
     }
 
-    fn recompute_forces(&mut self) {
-        let mut pe = self.kernel.compute(&mut self.system, &self.substrate);
-        if !self.topology.is_empty() {
-            pe += self.topology.accumulate_forces(&mut self.system);
-        }
-        self.last_pe = pe;
-    }
-
     /// Advance one time step; returns the post-step energies.
     pub fn step(&mut self) -> EnergyReport {
-        if self.topology.is_empty() {
-            self.last_pe =
-                self.integrator
-                    .step(&mut self.system, self.kernel.as_mut(), &self.substrate);
-        } else {
-            // Same velocity-Verlet splitting, with the bonded terms added to
-            // the freshly computed non-bonded forces.
-            self.integrator.kick_drift(&mut self.system);
-            self.recompute_forces();
-            self.integrator.kick(&mut self.system);
-            self.substrate.apply_thermostat(&mut self.system);
-        }
+        let (sub, topology, par) = (&self.substrate, &self.topology, self.par);
+        self.last_pe = self
+            .integrator
+            .step(&mut self.system, sub, |sys| forces(sys, sub, topology, par));
         self.steps_done += 1;
         self.energies()
     }
@@ -99,7 +87,7 @@ impl<T: Real> Simulation<T> {
 
     /// Current energies without advancing.
     pub fn energies(&self) -> EnergyReport {
-        EnergyReport::measure(&self.system, self.last_pe.to_f64())
+        EnergyReport::measure(&self.system, self.last_pe)
     }
 
     pub fn total_energy(&self) -> f64 {
@@ -107,34 +95,37 @@ impl<T: Real> Simulation<T> {
     }
 
     pub fn potential_energy(&self) -> f64 {
-        self.last_pe.to_f64()
+        self.last_pe
     }
 
     pub fn steps_done(&self) -> usize {
         self.steps_done
     }
+}
 
-    pub fn kernel_name(&self) -> &'static str {
-        self.kernel.name()
-    }
-
-    /// Swap the force kernel mid-run (e.g. all-pairs during equilibration,
-    /// neighbor list for production). Recomputes forces with the new kernel,
-    /// including any attached bonded topology.
-    pub fn set_kernel(&mut self, kernel: Box<dyn ForceKernel<T> + Send>) {
-        self.kernel = kernel;
-        self.recompute_forces();
+/// The non-bonded forces, then any bonded terms added on top; returns the
+/// total potential energy.
+fn forces(
+    sys: &mut ParticleSystem<f64>,
+    sub: &Substrate<f64>,
+    topology: &BondedTopology,
+    par: HostParallelism,
+) -> f64 {
+    let (pe, _) = shared_eval::host_forces(sys, sub, par);
+    if topology.is_empty() {
+        pe
+    } else {
+        pe + topology.accumulate_forces(sys)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbor::NeighborListKernel;
 
     #[test]
     fn prepare_primes_accelerations() {
-        let sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(108));
+        let sim = Simulation::prepare(SimConfig::reduced_lj(108));
         assert!(
             sim.system.accelerations.iter().any(|a| a.norm2() > 0.0),
             "forces computed at init"
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn run_counts_steps_and_conserves() {
-        let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(108));
+        let mut sim = Simulation::prepare(SimConfig::reduced_lj(108));
         let e0 = sim.total_energy();
         let report = sim.run(50);
         assert_eq!(sim.steps_done(), 50);
@@ -153,7 +144,7 @@ mod tests {
 
     #[test]
     fn run_zero_steps_is_noop() {
-        let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(108));
+        let mut sim = Simulation::prepare(SimConfig::reduced_lj(108));
         let before = sim.energies();
         let after = sim.run(0);
         assert_eq!(before, after);
@@ -161,25 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_swap_preserves_trajectory_energy() {
-        let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(256));
-        sim.run(10);
-        let pe_before = sim.potential_energy();
-        sim.set_kernel(Box::new(NeighborListKernel::with_default_skin()));
-        let pe_after = sim.potential_energy();
-        assert!(
-            (pe_before - pe_after).abs() < 1e-8 * pe_before.abs(),
-            "kernels agree at swap: {pe_before} vs {pe_after}"
-        );
-        assert_eq!(sim.kernel_name(), "neighbor-list");
-    }
-
-    #[test]
     fn bonded_topology_participates_in_dynamics() {
-        use crate::bonded::BondedTopology;
         let cfg = SimConfig::reduced_lj(108);
-        let mut plain = Simulation::<f64>::prepare(cfg);
-        let mut bonded = Simulation::<f64>::prepare(cfg);
+        let mut plain = Simulation::prepare(cfg);
+        let mut bonded = Simulation::prepare(cfg);
         // Bond atoms 0-1 with a stiff spring at their current separation so
         // the trajectory diverges from the unbonded run once they move.
         let r01 = bonded.system.distance2(0, 1).sqrt();
@@ -199,38 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_swap_preserves_bonded_forces() {
-        use crate::bonded::BondedTopology;
-        let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(108));
-        let r01 = sim.system.distance2(0, 1).sqrt();
-        sim.set_topology(BondedTopology::new().with_bond(0, 1, 100.0, r01 * 0.5));
-        let pe_before = sim.potential_energy();
-        let acc_before = sim.system.accelerations.clone();
-        sim.set_kernel(Box::new(crate::forces::AllPairsFullKernel));
-        assert!(
-            (sim.potential_energy() - pe_before).abs() < 1e-8 * pe_before.abs(),
-            "bonded PE must survive a kernel swap"
-        );
-        assert!(
-            (sim.system.accelerations[0] - acc_before[0]).norm() < 1e-8,
-            "bonded forces must survive a kernel swap"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn topology_validated_against_system() {
-        use crate::bonded::BondedTopology;
-        let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(108));
+        let mut sim = Simulation::prepare(SimConfig::reduced_lj(108));
         sim.set_topology(BondedTopology::new().with_bond(0, 500, 1.0, 1.0));
-    }
-
-    #[test]
-    fn f32_simulation_runs() {
-        let mut sim = Simulation::<f32>::prepare(SimConfig::reduced_lj(108));
-        let e0 = sim.total_energy();
-        sim.run(20);
-        let drift = ((sim.total_energy() - e0) / e0).abs();
-        assert!(drift < 1e-2, "f32 drift {drift}");
     }
 }

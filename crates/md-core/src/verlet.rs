@@ -15,27 +15,24 @@
 //! Implemented here in exactly that shape so the device ports (which offload
 //! only step 2) share the surrounding integrator code path.
 
-use crate::forces::ForceKernel;
-use crate::observables::EnergyReport;
 use crate::scenario::Substrate;
 use crate::system::ParticleSystem;
 use vecmath::Real;
 
-/// The velocity-Verlet integrator. Stateless apart from the timestep; force
-/// state lives in the kernel, physics selection in the [`Substrate`].
+/// The velocity-Verlet integrator. Stateless apart from the timestep; the
+/// force evaluation is the caller's, physics selection the [`Substrate`]'s.
 ///
 /// ```
 /// use md_core::prelude::*;
-/// use md_core::forces::ForceKernel;
+/// use md_core::reference;
 ///
 /// let cfg = SimConfig::reduced_lj(108);
 /// let mut sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
 /// let sub = cfg.substrate::<f64>();
 /// let vv = VelocityVerlet::new(cfg.dt);
-/// let mut kernel = AllPairsHalfKernel;
-/// kernel.compute(&mut sys, &sub); // prime accelerations
-/// let report = vv.run(&mut sys, &mut kernel, &sub, 10);
-/// assert!(report.total.is_finite());
+/// reference::forces(&mut sys, &sub); // prime accelerations
+/// let pe = vv.step(&mut sys, &sub, |s| reference::forces(s, &sub));
+/// assert!(pe.is_finite());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct VelocityVerlet<T> {
@@ -70,45 +67,31 @@ impl<T: Real> VelocityVerlet<T> {
         }
     }
 
-    /// One full time step with the given force kernel. Returns the potential
-    /// energy at the new positions (step 5 computes energies from it). The
-    /// substrate's thermostat, if any, is applied after the final kick — a
-    /// no-op under NVE, so the paper's integration path is untouched.
+    /// One full time step: `forces` fills the accelerations at the drifted
+    /// positions and returns their potential energy, which this returns
+    /// (step 5 computes energies from it). The substrate's thermostat, if
+    /// any, is applied after the final kick — a no-op under NVE, so the
+    /// paper's integration path is untouched.
     pub fn step(
         &self,
         sys: &mut ParticleSystem<T>,
-        kernel: &mut dyn ForceKernel<T>,
         sub: &Substrate<T>,
+        forces: impl FnOnce(&mut ParticleSystem<T>) -> T,
     ) -> T {
         self.kick_drift(sys);
-        let pe = kernel.compute(sys, sub);
+        let pe = forces(sys);
         self.kick(sys);
         sub.apply_thermostat(sys);
         pe
-    }
-
-    /// Run `steps` time steps; returns the energy report after the last step.
-    pub fn run(
-        &self,
-        sys: &mut ParticleSystem<T>,
-        kernel: &mut dyn ForceKernel<T>,
-        sub: &Substrate<T>,
-        steps: usize,
-    ) -> EnergyReport {
-        let mut pe = T::ZERO;
-        for _ in 0..steps {
-            pe = self.step(sys, kernel, sub);
-        }
-        EnergyReport::measure(sys, pe.to_f64())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::AllPairsHalfKernel;
     use crate::init::initialize;
     use crate::params::SimConfig;
+    use crate::reference::forces;
 
     fn setup(n: usize) -> (ParticleSystem<f64>, Substrate<f64>, VelocityVerlet<f64>) {
         let cfg = SimConfig::reduced_lj(n);
@@ -119,13 +102,12 @@ mod tests {
     #[test]
     fn energy_conserved_over_many_steps() {
         let (mut sys, sub, vv) = setup(108);
-        let mut kernel = AllPairsHalfKernel;
         // Prime accelerations for the first half-kick.
-        let pe0 = kernel.compute(&mut sys, &sub);
+        let pe0 = forces(&mut sys, &sub);
         let e0 = pe0 + sys.kinetic_energy();
         let mut pe = pe0;
         for _ in 0..200 {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
+            pe = vv.step(&mut sys, &sub, |s| forces(s, &sub));
         }
         let e1 = pe + sys.kinetic_energy();
         let drift = ((e1 - e0) / e0).abs();
@@ -136,10 +118,9 @@ mod tests {
     #[test]
     fn momentum_conserved() {
         let (mut sys, sub, vv) = setup(108);
-        let mut kernel = AllPairsHalfKernel;
-        kernel.compute(&mut sys, &sub);
+        forces(&mut sys, &sub);
         for _ in 0..100 {
-            vv.step(&mut sys, &mut kernel, &sub);
+            vv.step(&mut sys, &sub, |s| forces(s, &sub));
         }
         assert!(sys.total_momentum().norm() < 1e-8);
     }
@@ -153,14 +134,13 @@ mod tests {
             // the integrator's O(dt²) error rather than truncation jumps.
             let sub = Substrate::from_lj(cfg.lj_params::<f64>().shifted());
             let vv = VelocityVerlet::new(dt);
-            let mut kernel = AllPairsHalfKernel;
-            let pe0 = kernel.compute(&mut sys, &sub);
+            let pe0 = forces(&mut sys, &sub);
             let e0 = pe0 + sys.kinetic_energy();
             let mut pe = pe0;
             // Same physical time: steps ∝ 1/dt.
             let steps = (0.5 / dt) as usize;
             for _ in 0..steps {
-                pe = vv.step(&mut sys, &mut kernel, &sub);
+                pe = vv.step(&mut sys, &sub, |s| forces(s, &sub));
             }
             ((pe + sys.kinetic_energy() - e0) / e0).abs()
         };
@@ -177,10 +157,9 @@ mod tests {
     #[test]
     fn positions_stay_wrapped() {
         let (mut sys, sub, vv) = setup(108);
-        let mut kernel = AllPairsHalfKernel;
-        kernel.compute(&mut sys, &sub);
+        forces(&mut sys, &sub);
         for _ in 0..50 {
-            vv.step(&mut sys, &mut kernel, &sub);
+            vv.step(&mut sys, &sub, |s| forces(s, &sub));
         }
         let l = sys.box_len;
         for p in &sys.positions {
@@ -195,14 +174,13 @@ mod tests {
         // Take a step, negate velocities, take another: back to the start
         // (velocity Verlet is time-reversible up to roundoff).
         let (mut sys, sub, vv) = setup(108);
-        let mut kernel = AllPairsHalfKernel;
-        kernel.compute(&mut sys, &sub);
+        forces(&mut sys, &sub);
         let start = sys.positions.clone();
-        vv.step(&mut sys, &mut kernel, &sub);
+        vv.step(&mut sys, &sub, |s| forces(s, &sub));
         for v in &mut sys.velocities {
             *v = -*v;
         }
-        vv.step(&mut sys, &mut kernel, &sub);
+        vv.step(&mut sys, &sub, |s| forces(s, &sub));
         for (p, q) in sys.positions.iter().zip(&start) {
             let d = vecmath::pbc::min_image_branchy(*p - *q, sys.box_len);
             assert!(d.norm() < 1e-10, "did not return: {:?}", d);
@@ -213,16 +191,5 @@ mod tests {
     #[should_panic(expected = "timestep")]
     fn zero_dt_rejected() {
         VelocityVerlet::<f64>::new(0.0);
-    }
-
-    #[test]
-    fn run_returns_energy_report() {
-        let (mut sys, sub, vv) = setup(108);
-        let mut kernel = AllPairsHalfKernel;
-        kernel.compute(&mut sys, &sub);
-        let report = vv.run(&mut sys, &mut kernel, &sub, 10);
-        assert!(report.kinetic > 0.0);
-        assert!(report.potential < 0.0);
-        assert!((report.total - (report.kinetic + report.potential)).abs() < 1e-12);
     }
 }

@@ -542,7 +542,6 @@ impl md_core::device::MdDevice for MtaMd {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::forces::{AllPairsFullKernel, ForceKernel};
 
     /// Test-local shorthand over the single run path (the public surface is
     /// [`md_core::device::MdDevice::run`] on [`MtaMd`]).
@@ -601,15 +600,7 @@ mod tests {
         let partial = run_md(&m, &sim, 3, ThreadingMode::PartiallyMultithreaded);
         assert_eq!(full.energies.total, partial.energies.total);
 
-        let mut sys: ParticleSystem<f64> = init::initialize(&sim);
-        let sub = sim.substrate::<f64>();
-        let vv = VelocityVerlet::new(sim.dt);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..3 {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
-        }
-        let expect = EnergyReport::measure(&sys, pe);
+        let expect = md_core::reference::run::<f64>(&sim, 3);
         assert!(
             (full.energies.total - expect.total).abs() < 1e-9 * expect.total.abs(),
             "MTA {} vs reference {}",

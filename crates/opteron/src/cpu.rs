@@ -2,12 +2,10 @@
 
 use crate::config::OpteronConfig;
 use md_core::device::HostParallelism;
-use md_core::forces::{AllPairsFullKernel, ForceKernel, SoaPositions};
 use md_core::init;
 use md_core::observables::EnergyReport;
-use md_core::parallel::map_indexed;
 use md_core::params::SimConfig;
-use md_core::shared_eval::host_row;
+use md_core::shared_eval::host_forces;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
@@ -371,18 +369,17 @@ impl OpteronCpu {
     }
 
     /// The step-2 gather loop with interleaved cache accesses. Numerics are
-    /// identical to [`AllPairsFullKernel`].
+    /// identical to [`md_core::reference::forces`].
     ///
     /// The cache replay and the physics never read each other, so they run
     /// one after the other. First the evaluation's exact memory-reference
     /// sequence goes through the cache hierarchy
     /// ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per cache set), or
-    /// a recorded replay is reused ([`TraceMemo`]). Then the per-atom
-    /// physics rows run through the shared wide evaluator ([`host_row`],
-    /// bitwise the scalar [`gather_row`](md_core::forces::gather_row)) as an
-    /// order-preserving indexed map, folded serially in atom order — demand
-    /// cycles, reference counts, flops, PE, and accelerations are bitwise
-    /// identical at any thread count.
+    /// a recorded replay is reused ([`TraceMemo`]). Then the physics runs
+    /// through the shared evaluator ([`host_forces`], the same function
+    /// `md_core::sim::Simulation` calls) — demand cycles, reference counts,
+    /// flops, PE, and accelerations are bitwise identical at any thread
+    /// count.
     #[allow(clippy::too_many_arguments)]
     fn traced_forces(
         &mut self,
@@ -400,17 +397,7 @@ impl OpteronCpu {
         self.loads += loads;
         self.stores += stores;
 
-        let l = sys.box_len;
-        let inv_m = sys.mass.recip();
-        let soa = SoaPositions::from_positions(&sys.positions);
-        let rows = map_indexed(par, n, |i| host_row(&soa, i, l, sub, inv_m));
-        let mut pe_twice = 0.0f64;
-        let mut interactions = 0u64;
-        for (i, row) in rows.into_iter().enumerate() {
-            sys.accelerations[i] = row.acc;
-            pe_twice += row.pe;
-            interactions += row.interactions;
-        }
+        let (pe, interactions) = host_forces(sys, sub, par);
 
         let dist_evals = (n as f64) * (n as f64 - 1.0);
         // Per-interaction flops: the LJ baseline plus whatever extra work the
@@ -418,7 +405,7 @@ impl OpteronCpu {
         *flops += dist_evals * FLOPS_DISTANCE
             + interactions as f64 * (FLOPS_INTERACT + sub.extra_eval_ops());
         *loop_iters += dist_evals;
-        pe_twice * 0.5
+        pe
     }
 
     /// Charge one force evaluation's cache replay, reusing a recorded one
@@ -452,19 +439,6 @@ impl OpteronCpu {
             demand,
         });
         demand
-    }
-
-    /// Reference check: the same workload run through the untimed kernel.
-    pub fn untimed_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        let sub = sim.substrate::<f64>();
-        let vv = VelocityVerlet::new(sim.dt);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..steps {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
-        }
-        EnergyReport::measure(&sys, pe)
     }
 }
 
@@ -642,7 +616,7 @@ mod tests {
         let cfg = SimConfig::reduced_lj(108);
         let mut cpu = OpteronCpu::paper_reference();
         let run = run_md(&mut cpu, &cfg, 5);
-        let reference = OpteronCpu::untimed_energies(&cfg, 5);
+        let reference = md_core::reference::run::<f64>(&cfg, 5);
         assert!(
             (run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs(),
             "traced replay diverged: {} vs {}",

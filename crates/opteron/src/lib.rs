@@ -1,7 +1,7 @@
 //! The paper's reference machine: a 2.2 GHz AMD Opteron.
 //!
 //! This crate runs the real MD computation (identical numerics to
-//! `md_core::forces::AllPairsFullKernel`) while replaying every memory
+//! `md_core::reference::forces`) while replaying every memory
 //! reference of the O(N²) gather loop through a simulated K8 cache hierarchy
 //! ([`memsim`]) and charging floating-point/issue cycles. The output is a
 //! deterministic *simulated* runtime.

@@ -682,7 +682,6 @@ mod tests {
     use md_core::checkpoint::SystemCheckpoint;
     use md_core::device::HostParallelism;
     use md_core::init;
-    use md_core::observables::EnergyReport;
     use md_core::system::ParticleSystem;
 
     /// A deterministic toy device (same shape as md-core's NullDevice):
@@ -703,15 +702,7 @@ mod tests {
                 Some(cp) => (cp.restore(), cp.step),
                 None => (init::initialize(sim), 0),
             };
-            let params = sim.substrate();
-            let mut kernel = md_core::forces::AllPairsFullKernel;
-            let stepper = md_core::verlet::VelocityVerlet::new(sim.dt);
-            use md_core::forces::ForceKernel;
-            let mut pe = kernel.compute(&mut sys, &params);
-            for _ in 0..opts.steps {
-                pe = stepper.step(&mut sys, &mut kernel, &params);
-            }
-            let energies = EnergyReport::measure(&sys, pe);
+            let energies = md_core::reference::run_from(&mut sys, sim, opts.steps);
             let seconds = opts.steps as f64 * 1e-3;
             Ok(DeviceRun {
                 sim_seconds: seconds,

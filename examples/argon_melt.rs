@@ -1,6 +1,6 @@
 //! Melting a Lennard-Jones solid — the kind of bio/materials workload the
-//! paper's introduction motivates, exercising thermostats, the radial
-//! distribution function, and kernel swapping.
+//! paper's introduction motivates, exercising thermostats and the radial
+//! distribution function.
 //!
 //! A cold FCC crystal is heated in stages; the g(r) structure and the
 //! diffusion of atoms show the solid→liquid transition.
@@ -37,7 +37,7 @@ fn main() {
         .with_density(1.05)
         .with_temperature(0.1)
         .with_dt(0.002);
-    let mut sim = Simulation::<f64>::prepare(config);
+    let mut sim = Simulation::prepare(config);
 
     println!("heating a 500-atom LJ crystal from T* = 0.1 (solid) to T* = 1.6 (liquid)\n");
     println!(

@@ -19,7 +19,7 @@ fn main() {
     // Truncated-and-shifted LJ: the energy is continuous at the cutoff, so
     // the NVE drift below measures the integrator, not truncation jumps.
     let shifted = config.lj_params::<f64>().shifted();
-    let mut sim = Simulation::<f64>::prepare(config);
+    let mut sim = Simulation::prepare(config);
     sim.substrate = Substrate::from_lj(shifted);
 
     // Pair up lattice neighbors (2i, 2i+1) with stiff springs, making

@@ -16,7 +16,7 @@ fn main() {
     );
     println!("box length L = {:.3} sigma\n", config.box_len());
 
-    let mut sim = Simulation::<f64>::prepare(config);
+    let mut sim = Simulation::prepare(config);
     let e0 = sim.total_energy();
 
     println!(

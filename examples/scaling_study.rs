@@ -40,8 +40,8 @@ fn main() {
             mode: ThreadingMode::FullyMultithreaded,
         });
 
-        // And the real machine this example runs on, using the rayon kernel.
-        let mut host = Simulation::<f64>::prepare_with_kernel(sim, Box::new(RayonKernel));
+        // And the real machine this example runs on, one thread per core.
+        let mut host = Simulation::prepare(sim).with_host_parallelism(HostParallelism::Threads(0));
         let t0 = Instant::now();
         host.run(steps);
         let host_secs = t0.elapsed().as_secs_f64();

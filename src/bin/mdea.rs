@@ -1,20 +1,16 @@
 //! `mdea` — command-line front end.
 //!
 //! ```text
-//! cargo run --release --bin mdea -- run --atoms 864 --steps 200 --kernel rayon
+//! cargo run --release --bin mdea -- run --atoms 864 --steps 200 --host-threads 4
 //! cargo run --release --bin mdea -- devices --atoms 1024
 //! cargo run --release --bin mdea -- trace --atoms 512 --steps 5 --out cell_trace.json
 //! ```
 
 use md_emerging_arch::cell::{CellBeDevice, CellRunConfig};
-use md_emerging_arch::cli::{
-    parse_args, Command, DevicesArgs, KernelChoice, RunArgs, TraceArgs, USAGE,
-};
+use md_emerging_arch::cli::{parse_args, Command, DevicesArgs, RunArgs, TraceArgs, USAGE};
 use md_emerging_arch::harness::{DeviceKind, GpuModel};
-use md_emerging_arch::md::device::RunOptions;
-use md_emerging_arch::md::forces::ForceKernel;
+use md_emerging_arch::md::io as mdio;
 use md_emerging_arch::md::prelude::*;
-use md_emerging_arch::md::{io as mdio, sim::Simulation};
 use md_emerging_arch::mta::ThreadingMode;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -38,23 +34,14 @@ fn main() -> ExitCode {
     }
 }
 
-fn make_kernel(choice: KernelChoice) -> Box<dyn ForceKernel<f64> + Send> {
-    match choice {
-        KernelChoice::Half => Box::new(AllPairsHalfKernel),
-        KernelChoice::Full => Box::new(AllPairsFullKernel),
-        KernelChoice::Rayon => Box::new(RayonKernel),
-        KernelChoice::NeighborList => Box::new(NeighborListKernel::with_default_skin()),
-        KernelChoice::CellList => Box::new(CellListKernel::new()),
-    }
-}
-
 fn run(args: RunArgs) -> ExitCode {
-    let mut sim = Simulation::<f64>::prepare_with_kernel(args.config, make_kernel(args.kernel));
+    let mut sim = Simulation::prepare(args.config)
+        .with_host_parallelism(HostParallelism::from_threads(args.host_threads));
+    // The host thread count is left out on purpose: stdout is bitwise the
+    // same at any thread count.
     println!(
-        "running {} atoms for {} steps with the {} kernel",
-        args.config.n_atoms,
-        args.steps,
-        sim.kernel_name()
+        "running {} atoms for {} steps",
+        args.config.n_atoms, args.steps
     );
 
     let mut xyz = match &args.xyz_path {
@@ -90,8 +77,8 @@ fn run(args: RunArgs) -> ExitCode {
     }
 
     if let Some(path) = &args.checkpoint_path {
-        let text = mdio::checkpoint_to_string(&sim.system);
-        if let Err(e) = std::fs::write(path, text) {
+        let bytes = SystemCheckpoint::capture(&sim.system, sim.steps_done() as u64).encode();
+        if let Err(e) = std::fs::write(path, bytes) {
             eprintln!("error writing checkpoint: {e}");
             return ExitCode::FAILURE;
         }

@@ -11,37 +11,14 @@
 use md_core::params::SimConfig;
 use md_core::scenario::ScenarioSpec;
 
-/// Which force kernel `mdea run` uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelChoice {
-    Half,
-    Full,
-    Rayon,
-    NeighborList,
-    CellList,
-}
-
-impl KernelChoice {
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "half" => Ok(Self::Half),
-            "full" => Ok(Self::Full),
-            "rayon" => Ok(Self::Rayon),
-            "neighbor" => Ok(Self::NeighborList),
-            "cell" => Ok(Self::CellList),
-            other => Err(format!(
-                "unknown kernel '{other}' (expected half|full|rayon|neighbor|cell)"
-            )),
-        }
-    }
-}
-
 /// Parsed `mdea run` arguments.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArgs {
     pub config: SimConfig,
     pub steps: usize,
-    pub kernel: KernelChoice,
+    /// Host threads for the force evaluation (0 = one per core, 1 =
+    /// serial). Results are bitwise identical at any value.
+    pub host_threads: usize,
     /// Write an XYZ frame every `xyz_every` steps to this path.
     pub xyz_path: Option<String>,
     pub xyz_every: usize,
@@ -82,8 +59,8 @@ mdea — molecular dynamics on simulated 2006 'emerging' architectures
 
 USAGE:
   mdea run     [--atoms N] [--steps S] [--density D] [--temperature T]
-               [--dt DT] [--seed X] [--kernel half|full|rayon|neighbor|cell]
-               [--scenario SPEC] [--xyz FILE [--every K]] [--checkpoint FILE]
+               [--dt DT] [--seed X] [--host-threads T] [--scenario SPEC]
+               [--xyz FILE [--every K]] [--checkpoint FILE]
   mdea devices [--atoms N] [--steps S] [--host-threads T] [--scenario SPEC]
   mdea trace   [--atoms N] [--steps S] --out FILE
   mdea help
@@ -179,7 +156,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
     match sub {
         "run" => {
             let mut w = WorkloadFlags::default();
-            let mut kernel = KernelChoice::Half;
+            let mut host_threads = 1usize;
             let mut xyz_path = None;
             let mut xyz_every = 10usize;
             let mut checkpoint_path = None;
@@ -188,7 +165,9 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     continue;
                 }
                 match flag {
-                    "--kernel" => kernel = KernelChoice::parse(take_value(flag, &mut it)?)?,
+                    "--host-threads" => {
+                        host_threads = parse_num(flag, take_value(flag, &mut it)?)?;
+                    }
                     "--xyz" => xyz_path = Some(take_value(flag, &mut it)?.to_string()),
                     "--every" => xyz_every = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--checkpoint" => {
@@ -203,7 +182,7 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             Ok(Command::Run(RunArgs {
                 config: w.config()?,
                 steps: w.steps,
-                kernel,
+                host_threads,
                 xyz_path,
                 xyz_every,
                 checkpoint_path,
@@ -277,7 +256,7 @@ mod tests {
         };
         assert_eq!(r.config.n_atoms, 864);
         assert_eq!(r.steps, 100);
-        assert_eq!(r.kernel, KernelChoice::Half);
+        assert_eq!(r.host_threads, 1, "serial by default");
         assert_eq!(r.xyz_path, None);
     }
 
@@ -297,8 +276,8 @@ mod tests {
             "0.002",
             "--seed",
             "42",
-            "--kernel",
-            "rayon",
+            "--host-threads",
+            "4",
             "--xyz",
             "t.xyz",
             "--every",
@@ -315,7 +294,7 @@ mod tests {
         assert_eq!(r.config.dt, 0.002);
         assert_eq!(r.config.seed, 42);
         assert_eq!(r.steps, 20);
-        assert_eq!(r.kernel, KernelChoice::Rayon);
+        assert_eq!(r.host_threads, 4);
         assert_eq!(r.xyz_path.as_deref(), Some("t.xyz"));
         assert_eq!(r.xyz_every, 5);
         assert_eq!(r.checkpoint_path.as_deref(), Some("state.ckpt"));
@@ -329,8 +308,8 @@ mod tests {
             "non-numeric"
         );
         assert!(
-            parse_args(["run", "--kernel", "magic"]).is_err(),
-            "bad kernel"
+            parse_args(["run", "--host-threads", "-1"]).is_err(),
+            "negative thread count"
         );
         assert!(
             parse_args(["run", "--every", "0"]).is_err(),
@@ -395,16 +374,40 @@ mod tests {
         assert!(err.contains("USAGE"));
     }
 
+    /// Non-finite or negative workload values are usage errors on every
+    /// subcommand, never a panic or a garbage run.
     #[test]
-    fn kernel_choices_roundtrip() {
-        for (s, k) in [
-            ("half", KernelChoice::Half),
-            ("full", KernelChoice::Full),
-            ("rayon", KernelChoice::Rayon),
-            ("neighbor", KernelChoice::NeighborList),
-            ("cell", KernelChoice::CellList),
-        ] {
-            assert_eq!(KernelChoice::parse(s).unwrap(), k);
+    fn non_finite_workload_flags_are_rejected() {
+        let bad = [
+            ("--dt", "nan"),
+            ("--dt", "inf"),
+            ("--dt", "-0.005"),
+            ("--density", "nan"),
+            ("--density", "inf"),
+            ("--temperature", "nan"),
+            ("--temperature", "inf"),
+            ("--temperature", "-1"),
+        ];
+        let subcommands: [(&str, &[&str]); 3] = [
+            ("run", &[]),
+            ("devices", &[]),
+            ("trace", &["--out", "t.json"]),
+        ];
+        for (sub, required) in subcommands {
+            let parse = |flag, value| {
+                parse_args(
+                    [sub, flag, value]
+                        .into_iter()
+                        .chain(required.iter().copied()),
+                )
+            };
+            for (flag, value) in bad {
+                assert!(parse(flag, value).is_err(), "{sub} {flag} {value}");
+            }
+            assert!(
+                parse("--temperature", "0").is_ok(),
+                "{sub}: T* = 0 is valid"
+            );
         }
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`md`] (re-export of `md_core`) | the MD library: LJ forces, velocity Verlet, neighbor/cell lists, rayon kernels |
+//! | [`md`] (re-export of `md_core`) | the MD library: scenario pair potentials, velocity Verlet, the one all-pairs engine and its scalar reference |
 //! | [`cell`] (re-export of `cell_be`) | Cell BE simulator: SPEs, local stores, DMA, mailboxes, SIMD kernel ladder |
 //! | [`gpu`] | streaming-GPU simulator: gather-only shaders, textures, PCIe costs |
 //! | [`mta`] | Cray MTA-2 simulator: hardware streams, full/empty memory, compiler model |
@@ -31,7 +31,7 @@
 //! ```
 //! use md_emerging_arch::md::prelude::*;
 //!
-//! let mut sim = Simulation::<f64>::prepare(SimConfig::reduced_lj(256));
+//! let mut sim = Simulation::prepare(SimConfig::reduced_lj(256));
 //! let report = sim.run(50);
 //! assert!(report.potential < 0.0); // a cohesive LJ liquid
 //! ```

@@ -1,5 +1,5 @@
-//! Cross-crate physics agreement: every simulated device and every host
-//! kernel must produce the same trajectory for the same workload — the
+//! Cross-crate physics agreement: every simulated device and the host
+//! `Simulation` must produce the same trajectory for the same workload — the
 //! property that makes the timing comparisons meaningful.
 //!
 //! Devices are built through [`harness::DeviceKind`] and driven through the
@@ -7,25 +7,13 @@
 
 use cell_be::{SpawnPolicy, SpeKernelVariant};
 use harness::{DeviceKind, GpuModel};
-use md_core::device::{DeviceRun, RunOptions};
-use md_core::forces::{AllPairsFullKernel, ForceKernel};
-use md_core::observables::EnergyReport;
+use md_core::checkpoint::SystemCheckpoint;
+use md_core::device::{DeviceRun, HostParallelism, RunOptions};
 use md_core::params::SimConfig;
-use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
+use md_core::reference::run as reference;
+use md_core::scenario::ScenarioSpec;
+use md_core::sim::Simulation;
 use mta::ThreadingMode;
-
-fn reference<T: vecmath::Real>(sim: &SimConfig, steps: usize) -> EnergyReport {
-    let mut sys: ParticleSystem<T> = md_core::init::initialize(sim);
-    let params = sim.substrate::<T>();
-    let vv = VelocityVerlet::new(T::from_f64(sim.dt));
-    let mut kernel = AllPairsFullKernel;
-    let mut pe = kernel.compute(&mut sys, &params);
-    for _ in 0..steps {
-        pe = vv.step(&mut sys, &mut kernel, &params);
-    }
-    EnergyReport::measure(&sys, pe.to_f64())
-}
 
 fn device_run(kind: DeviceKind, sim: &SimConfig, steps: usize) -> DeviceRun {
     kind.build()
@@ -168,5 +156,34 @@ fn device_timings_are_positive_and_finite() {
             "{} produced runtime {t}",
             kind.label()
         );
+    }
+}
+
+/// There is one MD engine: `Simulation` and the Opteron evaluate forces
+/// through the same shared-evaluator function, so after the same steps their
+/// states and energies are bitwise equal, at any host parallelism. 864 atoms
+/// is the smallest lattice whose box spans four cutoffs, so the evaluator's
+/// j-block culling engages.
+#[test]
+fn simulation_is_the_opteron_engine_bit_for_bit() {
+    for token in [
+        "default",
+        "morse:d1,a2,r1.2",
+        "coul:q1",
+        "lj:e1,s1/nvt:t0.728,k0.5",
+    ] {
+        let spec: ScenarioSpec = token.parse().expect("valid scenario");
+        let sim = SimConfig::reduced_lj(864).with_scenario(spec);
+        let opteron = device_run(DeviceKind::Opteron, &sim, STEPS);
+        for par in [HostParallelism::Serial, HostParallelism::Threads(4)] {
+            let mut host = Simulation::prepare(sim).with_host_parallelism(par);
+            let energies = host.run(STEPS);
+            let state = SystemCheckpoint::capture(&host.system, STEPS as u64);
+            assert!(
+                state == opteron.checkpoint,
+                "{token} {par:?}: state differs"
+            );
+            assert_eq!(energies, opteron.energies, "{token} {par:?}");
+        }
     }
 }

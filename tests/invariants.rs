@@ -3,9 +3,10 @@
 
 use harness::{DeviceKind, GpuModel};
 use md_core::device::RunOptions;
-use md_core::forces::{AllPairsFullKernel, AllPairsHalfKernel, ForceKernel};
 use md_core::params::SimConfig;
 use md_core::prelude::*;
+use md_core::reference;
+use md_core::shared_eval::host_forces;
 use proptest::prelude::*;
 use vecmath::Vec3;
 
@@ -34,12 +35,11 @@ proptest! {
         let mut sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
         let params = Substrate::from_lj(cfg.lj_params::<f64>().shifted());
         let vv = VelocityVerlet::new(cfg.dt);
-        let mut kernel = AllPairsHalfKernel;
-        let pe0 = kernel.compute(&mut sys, &params);
+        let pe0 = reference::forces(&mut sys, &params);
         let e0 = pe0 + sys.kinetic_energy();
         let mut pe = pe0;
         for _ in 0..50 {
-            pe = vv.step(&mut sys, &mut kernel, &params);
+            pe = vv.step(&mut sys, &params, |s| reference::forces(s, &params));
         }
         let e1 = pe + sys.kinetic_energy();
         let drift = ((e1 - e0) / e0).abs();
@@ -52,7 +52,7 @@ proptest! {
     fn net_force_zero(cfg in workload_strategy()) {
         let mut sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
         let params = cfg.substrate::<f64>();
-        AllPairsFullKernel.compute(&mut sys, &params);
+        reference::forces(&mut sys, &params);
         let mut net = Vec3::zero();
         for a in &sys.accelerations {
             net += *a;
@@ -63,40 +63,30 @@ proptest! {
     /// Linear momentum is conserved across dynamics.
     #[test]
     fn momentum_conservation(cfg in workload_strategy()) {
-        let mut sim = Simulation::<f64>::prepare(cfg);
+        let mut sim = Simulation::prepare(cfg);
         let p0 = sim.system.total_momentum();
         sim.run(30);
         let p1 = sim.system.total_momentum();
         prop_assert!((p1 - p0).norm() < 1e-8, "momentum moved {:?} -> {:?}", p0, p1);
     }
 
-    /// All force kernels agree on any valid configuration.
+    /// The shared evaluator agrees with the scalar reference on any valid
+    /// configuration, serial or threaded.
     #[test]
     fn kernels_agree(cfg in workload_strategy()) {
         let sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
         let params = cfg.substrate::<f64>();
-        let mut kernels: Vec<(&str, Box<dyn ForceKernel<f64>>)> = vec![
-            ("half", Box::new(AllPairsHalfKernel)),
-            ("full", Box::new(AllPairsFullKernel)),
-            ("neighbor", Box::new(NeighborListKernel::with_default_skin())),
-            ("cell", Box::new(CellListKernel::new())),
-            ("rayon", Box::new(RayonKernel)),
-        ];
-        let mut reference: Option<(f64, Vec<Vec3<f64>>)> = None;
-        for (name, kernel) in kernels.iter_mut() {
+        let mut want = sys.clone();
+        let pe0 = reference::forces(&mut want, &params);
+        for par in [HostParallelism::Serial, HostParallelism::Threads(2)] {
             let mut s = sys.clone();
-            let pe = kernel.compute(&mut s, &params);
-            match &reference {
-                None => reference = Some((pe, s.accelerations.clone())),
-                Some((pe0, acc0)) => {
-                    prop_assert!(
-                        (pe - pe0).abs() < 1e-8 * pe0.abs().max(1.0),
-                        "{name}: PE {pe} vs {pe0}"
-                    );
-                    for (a, b) in s.accelerations.iter().zip(acc0) {
-                        prop_assert!((*a - *b).norm() < 1e-8, "{name}: {a:?} vs {b:?}");
-                    }
-                }
+            let (pe, _) = host_forces(&mut s, &params, par);
+            prop_assert!(
+                (pe - pe0).abs() < 1e-8 * pe0.abs().max(1.0),
+                "{par:?}: PE {pe} vs {pe0}"
+            );
+            for (a, b) in s.accelerations.iter().zip(&want.accelerations) {
+                prop_assert!((*a - *b).norm() < 1e-8, "{par:?}: {a:?} vs {b:?}");
             }
         }
     }
@@ -110,7 +100,7 @@ proptest! {
             .build()
             .run(&cfg, RunOptions::steps(2))
             .unwrap();
-        let mut sim64 = Simulation::<f64>::prepare(cfg);
+        let mut sim64 = Simulation::prepare(cfg);
         let r64 = sim64.run(2);
         let err = ((run.energies.total - r64.total) / r64.total).abs();
         prop_assert!(err < 5e-3, "f32 deviation {err:.2e}");
