@@ -12,7 +12,9 @@
 //! Coulomb, mixed precision). The Opteron is also pinned past its L1 cliff
 //! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
 //! The Cell's tiled and double-precision SPE ports are pinned the same way
-//! through their `CellRun` (breakdown and kernel stats).
+//! through their `CellRun` (breakdown and kernel stats). So are the Cell's
+//! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
+//! variant's single-SPE probe and a resident one-SPE run per variant.
 //!
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
@@ -20,7 +22,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --features fault-inject --test shared_eval
 //! golden_matrix_is_complete`.
 
-use cell_be::{CellBeDevice, CellRun, CellRunConfig};
+use cell_be::{CellBeDevice, CellRun, CellRunConfig, SpawnPolicy, SpeKernelVariant};
 use harness::{DeviceKind, GpuModel};
 use md_core::checkpoint::fnv1a;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
@@ -284,6 +286,73 @@ fn double_record(n: usize, steps: usize) -> Record {
     Record::cell_run(&run)
 }
 
+/// PPE-only scenario runs: `(atoms, steps)`, under every scenario flavor.
+const PPE_SCENARIO: (usize, usize) = (512, 5);
+/// Resident one-SPE ladder runs: `(atoms, steps)`, one per kernel variant.
+const LADDER: (usize, usize) = (512, 3);
+
+fn ppe_scenario_sim(spec: ScenarioSpec) -> SimConfig {
+    scenario_sim(PPE_SCENARIO.0, spec)
+}
+
+fn probe_key(variant: SpeKernelVariant) -> String {
+    format!("fig5/cell-1spe/{variant:?}@{PAPER_ATOMS}")
+}
+
+fn ladder_kind(variant: SpeKernelVariant) -> DeviceKind {
+    DeviceKind::Cell {
+        n_spes: 1,
+        policy: SpawnPolicy::LaunchOnce,
+        variant,
+    }
+}
+
+fn ladder_key(variant: SpeKernelVariant) -> String {
+    let (n, steps) = LADDER;
+    format!("ladder/cell-1spe/{variant:?}@{n}x{steps}")
+}
+
+/// The PPE-only baseline and the Figure 5 ladder, in file order: the PPE at
+/// paper scale and under every scenario flavor, one single-SPE probe per
+/// kernel variant, one resident one-SPE run per kernel variant.
+fn cell_ladder_keys() -> Vec<String> {
+    let mut keys = vec![paper_key(DeviceKind::CellPpe)];
+    for spec in scenario_flavors() {
+        keys.push(scenario_key(DeviceKind::CellPpe, &ppe_scenario_sim(spec)));
+    }
+    keys.extend(SpeKernelVariant::ALL.map(probe_key));
+    keys.extend(SpeKernelVariant::ALL.map(ladder_key));
+    keys
+}
+
+fn cell_ladder_records() -> Vec<(String, Record)> {
+    let mut recs = vec![paper_record(DeviceKind::CellPpe, 1)];
+    for spec in scenario_flavors() {
+        let sim = ppe_scenario_sim(spec);
+        recs.push(run_device(
+            DeviceKind::CellPpe.build(),
+            &sim,
+            PPE_SCENARIO.1,
+            1,
+        ));
+    }
+    let paper = SimConfig::reduced_lj(PAPER_ATOMS);
+    for variant in SpeKernelVariant::ALL {
+        recs.push(run_device(
+            DeviceKind::CellAccel { variant }.build(),
+            &paper,
+            0,
+            1,
+        ));
+    }
+    let (n, steps) = LADDER;
+    for variant in SpeKernelVariant::ALL {
+        let sim = SimConfig::reduced_lj(n);
+        recs.push(run_device(ladder_kind(variant).build(), &sim, steps, 1));
+    }
+    cell_ladder_keys().into_iter().zip(recs).collect()
+}
+
 fn render_golden(records: &[(String, Record)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -411,6 +480,17 @@ fn cell_tiled_and_double_ports_match_the_golden_matrix() {
     }
 }
 
+/// The Cell's PPE-only baseline and Figure 5 ladder: the PPE at paper scale
+/// and under every scenario flavor, every variant's single-SPE probe, and a
+/// resident one-SPE run per variant.
+#[test]
+fn cell_ppe_and_kernel_ladder_match_the_golden_matrix() {
+    let doc = golden();
+    for (key, rec) in cell_ladder_records() {
+        assert_matches_golden(&doc, &key, &rec, "serial");
+    }
+}
+
 /// Every record the matrix holds, measured serially, in file order.
 fn measure_matrix() -> Vec<(String, Record)> {
     let mut records = Vec::new();
@@ -439,6 +519,7 @@ fn measure_matrix() -> Vec<(String, Record)> {
     for (n, steps) in DOUBLE {
         records.push((double_key(n, steps), double_record(n, steps)));
     }
+    records.extend(cell_ladder_records());
     records
 }
 
@@ -459,6 +540,7 @@ fn golden_matrix_is_complete() {
     keys.extend(all_devices().into_iter().map(faulted_key));
     keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
     keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
+    keys.extend(cell_ladder_keys());
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         assert!(
