@@ -2,10 +2,13 @@
 //! `slice.par_iter().enumerate().map(f).collect::<Vec<_>>()`.
 //!
 //! Unlike a sequential stub, this executes on real OS threads
-//! (`std::thread::scope`, one chunk per available core), so host-threaded
-//! device lanes and `Simulation` force rows (`md_core::parallel`) get
-//! genuine multi-core scaling. Results are collected **in index order**,
-//! matching rayon's indexed-collect determinism guarantee that
+//! (`std::thread::scope`, one worker per available core, the calling thread
+//! included), so host-threaded device lanes, `Simulation` force rows
+//! (`md_core::parallel`) and sweep points get genuine multi-core scaling.
+//! Workers claim work rather than split it up front: each takes the next
+//! small block of items until none is left, so one slow item does not hold
+//! back a whole pre-assigned chunk. Results are collected **in index
+//! order**, matching rayon's indexed-collect determinism guarantee that
 //! `md_core::parallel` relies on.
 
 pub mod prelude {
@@ -125,6 +128,8 @@ mod pool {
 }
 
 pub mod iter {
+    use std::sync::{Mutex, PoisonError};
+
     /// Entry point mirroring `rayon::iter::IntoParallelRefIterator`.
     pub trait IntoParallelRefIterator<'data> {
         type Item: Sync + 'data;
@@ -201,7 +206,9 @@ pub mod iter {
     {
         /// Execute across threads, preserving element order.
         pub fn collect<C: FromIterator<R>>(self) -> C {
-            run_indexed(self.items, &self.f).into_iter().collect()
+            run_claimed(self.items.iter(), &self.f)
+                .into_iter()
+                .collect()
         }
     }
 
@@ -215,45 +222,68 @@ pub mod iter {
             .min(n.max(1))
     }
 
-    fn run_indexed<'data, T, R, F>(items: &'data [T], f: &F) -> Vec<R>
+    /// Claims per worker, on average, that a job is cut into: enough that
+    /// the last claims even out uneven item costs, few enough that claiming
+    /// costs nothing next to a force row.
+    const CLAIMS_PER_WORKER: usize = 32;
+
+    /// Run `f` over every `(index, item)` of `items` on the resolved number
+    /// of workers, the calling thread included, and return the results in
+    /// index order. Each worker claims the next block of items from the
+    /// shared iterator until it runs dry; a block is one item unless the job
+    /// has more than [`CLAIMS_PER_WORKER`] items per worker. A panic in `f`
+    /// propagates with its own payload once every worker has stopped.
+    fn run_claimed<I, R, F>(items: I, f: &F) -> Vec<R>
     where
-        T: Sync,
+        I: ExactSizeIterator + Send,
         R: Send,
-        F: Fn((usize, &'data T)) -> R + Sync,
+        F: Fn((usize, I::Item)) -> R + Sync,
     {
         let n = items.len();
         let threads = resolved_threads(n);
         if threads <= 1 || n < 2 {
-            return items.iter().enumerate().map(f).collect();
+            return items.enumerate().map(f).collect();
         }
-        let chunk = n.div_ceil(threads);
+        let block = (n / (threads * CLAIMS_PER_WORKER)).max(1);
+        let queue = Mutex::new(items.enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            let mut claimed = Vec::with_capacity(block);
+            loop {
+                // The lock is held only to take the block, never while `f`
+                // runs, so a panicking item cannot poison it.
+                claimed.extend(
+                    queue
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .by_ref()
+                        .take(block),
+                );
+                if claimed.is_empty() {
+                    return done;
+                }
+                done.extend(claimed.drain(..).map(|(i, item)| (i, f((i, item)))));
+            }
+        };
+        let parts = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mine = work();
+            let mut parts = vec![mine];
+            for w in workers {
+                match w.join() {
+                    Ok(part) => parts.push(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            parts
+        });
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        // The calling thread takes the first chunk itself (after the workers
-        // are launched): one fewer spawn, and the caller does useful work
-        // instead of blocking at the scope join.
-        let (first, mut rest) = out.as_mut_slice().split_at_mut(chunk.min(n));
-        std::thread::scope(|scope| {
-            let mut lo = chunk.min(n);
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                let base = lo;
-                scope.spawn(move || {
-                    for (k, slot) in head.iter_mut().enumerate() {
-                        let i = base + k;
-                        *slot = Some(f((i, &items[i])));
-                    }
-                });
-                lo = hi;
-            }
-            for (i, slot) in first.iter_mut().enumerate() {
-                *slot = Some(f((i, &items[i])));
-            }
-        });
+        for (i, r) in parts.into_iter().flatten() {
+            out[i] = Some(r);
+        }
         out.into_iter()
-            .map(|r| r.unwrap_or_else(|| unreachable!("every index filled by exactly one worker")))
+            .map(|r| r.unwrap_or_else(|| unreachable!("every index claimed exactly once")))
             .collect()
     }
 
@@ -307,7 +337,7 @@ pub mod iter {
     }
 
     /// Mapped mutable parallel iterator; `collect` runs the map on worker
-    /// threads, each owning a disjoint chunk of the slice.
+    /// threads, each item claimed by exactly one of them.
     pub struct ParMapMut<'data, T, F> {
         items: &'data mut [T],
         f: F,
@@ -321,53 +351,10 @@ pub mod iter {
     {
         /// Execute across threads, preserving element order.
         pub fn collect<C: FromIterator<R>>(self) -> C {
-            run_indexed_mut(self.items, &self.f).into_iter().collect()
+            run_claimed(self.items.iter_mut(), &self.f)
+                .into_iter()
+                .collect()
         }
-    }
-
-    fn run_indexed_mut<'data, T, R, F>(items: &'data mut [T], f: &F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn((usize, &'data mut T)) -> R + Sync,
-    {
-        let n = items.len();
-        let threads = resolved_threads(n);
-        if threads <= 1 || n < 2 {
-            return items.iter_mut().enumerate().map(f).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        // As in `run_indexed`: the caller keeps the first chunk and runs it
-        // after launching the workers for the rest.
-        let (out_first, mut out_rest) = out.as_mut_slice().split_at_mut(chunk.min(n));
-        let (item_first, mut item_rest) = items.split_at_mut(chunk.min(n));
-        std::thread::scope(|scope| {
-            let mut lo = chunk.min(n);
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                let (out_head, out_tail) = out_rest.split_at_mut(hi - lo);
-                out_rest = out_tail;
-                let (item_head, item_tail) = std::mem::take(&mut item_rest).split_at_mut(hi - lo);
-                item_rest = item_tail;
-                let base = lo;
-                scope.spawn(move || {
-                    for (k, (slot, item)) in
-                        out_head.iter_mut().zip(item_head.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f((base + k, item)));
-                    }
-                });
-                lo = hi;
-            }
-            for (k, (slot, item)) in out_first.iter_mut().zip(item_first.iter_mut()).enumerate() {
-                *slot = Some(f((k, item)));
-            }
-        });
-        out.into_iter()
-            .map(|r| r.unwrap_or_else(|| unreachable!("every index filled by exactly one worker")))
-            .collect()
     }
 }
 
@@ -487,6 +474,195 @@ mod tests {
         let serial = run(1);
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), serial, "{threads} threads");
+        }
+    }
+
+    fn pool(threads: usize) -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("shim pools always build")
+    }
+
+    /// Skewed costs: the last item is far more expensive than the rest, so
+    /// items finish out of index order; results still come back by index.
+    #[test]
+    fn skewed_costs_keep_index_order() {
+        let data: Vec<u64> = (0..64).collect();
+        let last = data.len() - 1;
+        for threads in [2, 3, 8] {
+            let out: Vec<u64> = pool(threads).install(|| {
+                data.par_iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        if i == last {
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                        }
+                        x * x + i as u64
+                    })
+                    .collect()
+            });
+            let want: Vec<u64> = data.iter().map(|&x| x * x + x).collect();
+            assert_eq!(out, want, "{threads} threads");
+        }
+    }
+
+    /// Work is claimed, not pre-assigned: while item 0 is stuck, another
+    /// worker must take every item after it. A contiguous split would leave
+    /// items 1.. behind item 0 on the same thread and trip the deadline.
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_items_after_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let data = [(); 16];
+        let done = AtomicUsize::new(0);
+        let out: Vec<usize> = pool(2).install(|| {
+            data.par_iter()
+                .enumerate()
+                .map(|(i, ())| {
+                    if i == 0 {
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(20);
+                        while done.load(Ordering::SeqCst) < data.len() - 1 {
+                            assert!(
+                                std::time::Instant::now() < deadline,
+                                "items after a slow one were never claimed"
+                            );
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                    i
+                })
+                .collect()
+        });
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn more_threads_than_items_and_tiny_jobs() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let p = pool(8);
+        for n in 0..4usize {
+            let data: Vec<usize> = (0..n).collect();
+            let ran_on = Mutex::new(HashSet::new());
+            let out: Vec<usize> = p.install(|| {
+                data.par_iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        ran_on.lock().unwrap().insert(std::thread::current().id());
+                        i + x
+                    })
+                    .collect()
+            });
+            assert_eq!(
+                out,
+                data.iter().map(|&x| 2 * x).collect::<Vec<_>>(),
+                "{n} items"
+            );
+            assert!(
+                ran_on.lock().unwrap().len() <= n.max(1),
+                "{n} items: one worker per item at most"
+            );
+            let mut data = data;
+            let out: Vec<usize> = p.install(|| {
+                data.par_iter_mut()
+                    .enumerate()
+                    .map(|(i, x)| {
+                        *x += 1;
+                        i
+                    })
+                    .collect()
+            });
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            assert_eq!(data, (1..=n).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn every_mut_item_is_mutated_exactly_once() {
+        for threads in [2, 4, 8] {
+            // Enough items that claims are multi-item blocks, with uneven
+            // costs so the workers interleave.
+            let mut hits = vec![0u32; 5_000];
+            let out: Vec<usize> = pool(threads).install(|| {
+                hits.par_iter_mut()
+                    .enumerate()
+                    .map(|(i, h)| {
+                        if i % 97 == 0 {
+                            std::thread::yield_now();
+                        }
+                        *h += 1;
+                        i
+                    })
+                    .collect()
+            });
+            assert_eq!(out, (0..5_000).collect::<Vec<_>>(), "{threads} threads");
+            assert!(
+                hits.iter().all(|&h| h == 1),
+                "{threads} threads: every item once"
+            );
+        }
+    }
+
+    /// The message of a caught panic.
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_out_of_collect() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let data: Vec<u32> = (0..40).collect();
+        for threads in [1, 2, 4] {
+            let p = pool(threads);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                p.install(|| {
+                    data.par_iter()
+                        .enumerate()
+                        .map(|(i, &x)| {
+                            if i == 13 {
+                                panic!("item {i} failed")
+                            } else {
+                                x
+                            }
+                        })
+                        .collect::<Vec<u32>>()
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(
+                panic_message(&*payload),
+                "item 13 failed",
+                "{threads} threads"
+            );
+
+            let mut data = data.clone();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                p.install(|| {
+                    data.par_iter_mut()
+                        .enumerate()
+                        .map(|(i, x)| {
+                            if i == 31 {
+                                panic!("item {i} failed")
+                            } else {
+                                *x
+                            }
+                        })
+                        .collect::<Vec<u32>>()
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(
+                panic_message(&*payload),
+                "item 31 failed",
+                "{threads} threads"
+            );
         }
     }
 

@@ -7,8 +7,8 @@ use crate::error::CellError;
 #[cfg(feature = "hazard-check")]
 use crate::hazard::{Dir, HazardChecker};
 use crate::kernel::{
-    compute_accelerations, compute_accelerations_f64, compute_accelerations_shared,
-    compute_accelerations_tiled, KernelStats, SpeKernelVariant, SpeLanePhysics,
+    compute_accelerations, compute_accelerations_f64, compute_accelerations_tiled, KernelStats,
+    SpeKernelVariant, SpeLanePhysics,
 };
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
@@ -17,6 +17,7 @@ use md_core::device::HostParallelism;
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
+use md_core::shared_eval::SoaPositionsF32;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use sim_obs::ChromeTrace;
@@ -655,19 +656,6 @@ impl CellBeDevice {
         let params = Self::lane_physics(sim, sys);
         let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
 
-        // The PPE works straight out of main memory; reuse the kernel with a
-        // scratch "store" big enough for both arrays. The layout is fixed, so
-        // the regions are constructed directly — nothing can fail here.
-        let mut scratch = LocalStore::new(2 * n * 16);
-        let pos_r = LsRegion {
-            offset: 0,
-            len: n * 16,
-        };
-        let acc_r = LsRegion {
-            offset: n * 16,
-            len: n * 16,
-        };
-
         let mut breakdown = CostBreakdown::default();
         let mut stats_total = KernelStats::default();
         let mut pe_total = 0.0f32;
@@ -677,27 +665,21 @@ impl CellBeDevice {
                 breakdown.ppe += ppe.integration_cycles(n);
                 vv.kick_drift(sys);
             }
-            for (i, p) in sys.positions.iter().enumerate() {
-                scratch.store_quad(pos_r, i, [p.x, p.y, p.z, 0.0]);
-            }
+            // The PPE works straight out of main memory.
+            let soa = soa_of(&sys.positions);
+            let acc = &mut sys.accelerations;
             let (pe, stats) = compute_accelerations(
-                &mut scratch,
-                pos_r,
-                acc_r,
+                &soa,
                 0..n,
-                n,
                 params,
                 SpeKernelVariant::Original,
                 &self.config.costs,
+                |i, q| acc[i] = Vec3::new(q[0], q[1], q[2]),
             );
             breakdown.compute += ppe.scale_kernel_cycles(stats.cycles);
             stats_total.pairs_tested += stats.pairs_tested;
             stats_total.interactions += stats.interactions;
             pe_total = pe;
-            for i in 0..n {
-                let q = scratch.load_quad(acc_r, i);
-                sys.accelerations[i] = Vec3::new(q[0], q[1], q[2]);
-            }
             if eval > 0 {
                 breakdown.ppe += ppe.integration_cycles(n);
                 vv.kick(sys);
@@ -744,19 +726,23 @@ impl CellBeDevice {
             write_atom(&mut main_memory, i, *p);
         }
         let dma_in = dma.get(&main_memory, &mut spe.local_store, pos_r, 0, n * 16)?;
+        // The probe times the function: only its work counts matter.
         let (_, stats) = compute_accelerations(
-            &mut spe.local_store,
-            pos_r,
-            acc_r,
+            &soa_of(&sys.positions),
             0..n,
-            n,
             params,
             variant,
             &self.config.costs,
+            |_, _| {},
         );
         let dma_out = dma.put(&spe.local_store, &mut main_memory, acc_r, n * 16, n * 16)?;
         Ok((dma_in + stats.cycles + dma_out) / self.config.clock_hz)
     }
+}
+
+/// Positions in the f32 SoA layout the shared-eval rows read.
+fn soa_of(positions: &[Vec3<f32>]) -> SoaPositionsF32 {
+    SoaPositionsF32::from_quads(positions.iter().map(|p| [p.x, p.y, p.z, 0.0]))
 }
 
 /// Flop estimate per examined pair (minimum image + distance + cutoff test)
@@ -976,24 +962,10 @@ impl OffloadPort for Resident {
     ) -> Result<SpeStep<f32>, CellError> {
         let (lo, hi) = cx.slice;
         resident_step(lane, (pos_r, acc_r), cx, |ls| {
-            // Physics-once split (DESIGN.md §17): the fully SIMDized kernel's
-            // physics comes from the shared batched kernel and its cycle
-            // charge is the closed-form replay — both bitwise the per-pair
-            // kernel's results. The Figure 5 ladder variants run per pair.
-            if self.variant == SpeKernelVariant::SimdAcceleration {
-                compute_accelerations_shared(ls, pos_r, acc_r, lo..hi, cx.n, cx.params, cx.costs)
-            } else {
-                compute_accelerations(
-                    ls,
-                    pos_r,
-                    acc_r,
-                    lo..hi,
-                    cx.n,
-                    cx.params,
-                    self.variant,
-                    cx.costs,
-                )
-            }
+            let soa = SoaPositionsF32::from_quads((0..cx.n).map(|j| ls.load_quad(pos_r, j)));
+            compute_accelerations(&soa, lo..hi, cx.params, self.variant, cx.costs, |i, q| {
+                ls.store_quad(acc_r, i, q);
+            })
         })
     }
 }

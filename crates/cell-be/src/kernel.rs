@@ -14,13 +14,17 @@
 //! 6. **SimdAcceleration** — the force→acceleration conversion SIMDized
 //!    (small total gain: few tested pairs actually interact).
 //!
-//! Every variant computes the *same physics* on the *same local-store data*
-//! (they differ in instruction selection, hence in cycle cost); tests verify
-//! all six agree with the `md_core` reference kernel.
+//! Every variant computes the *same physics* (they differ in instruction
+//! selection, hence in cycle cost). Their arithmetic differs in two places
+//! only — the copysign reflect's shift threshold and the SIMD acceleration
+//! stage's fused accumulate — so all six run through one shared-eval row,
+//! [`md_core::shared_eval::cell_stage_row`], and charge cycles in closed
+//! form. The per-pair loop they replaced survives as the tests' oracle.
 
 use crate::config::SpeCostModel;
 use crate::localstore::{LocalStore, LsRegion};
 use md_core::scenario::Substrate;
+use md_core::shared_eval::{cell_stage_row, CellStage, SoaPositionsF32};
 use std::ops::Range;
 use vecmath::{F32x4, Real};
 
@@ -57,6 +61,59 @@ impl SpeKernelVariant {
         }
     }
 
+    /// The shared-eval row arithmetic of this stage. The branchy reflect
+    /// (`if d > L/2 … else if d < -L/2`) shifts exactly where compare/select
+    /// at `L/2` does; the copysign reflect at its own threshold,
+    /// [`copysign_reflect_above`]. Only the SIMD acceleration stage fuses its
+    /// accumulate.
+    fn stage(self, box_len: f32) -> CellStage {
+        let reflect_above = if self == Self::Copysign {
+            copysign_reflect_above(box_len)
+        } else {
+            0.5 * box_len
+        };
+        CellStage {
+            reflect_above,
+            fused: self.accel_simd(),
+        }
+    }
+
+    /// Cycles per tested pair and per interaction at this stage.
+    // sim-vet: allow(precision-discipline): simulated-cycle accounting, not kernel physics
+    fn charges(self, costs: &SpeCostModel, sub: &Substrate<f32>) -> (f64, f64) {
+        let reflect = if self.reflect_simd() {
+            costs.reflect_simd
+        } else if self.branch_free_reflect() {
+            costs.reflect_copysign
+        } else {
+            costs.reflect_branchy
+        };
+        let direction = if self.direction_simd() {
+            costs.direction_simd
+        } else {
+            costs.direction_scalar
+        };
+        let length = if self.length_simd() {
+            costs.length_simd
+        } else {
+            costs.length_scalar
+        };
+        let accel = if self.accel_simd() {
+            costs.accel_simd
+        } else {
+            costs.accel_scalar
+        };
+        // Potential-evaluation cycles per interacting pair: the LJ baseline
+        // plus whatever extra arithmetic the scenario's potential costs (zero
+        // for LJ, so the default scenario's charges are bit-identical to the
+        // seed).
+        let pot = costs.lj_eval + sub.extra_eval_ops();
+        (
+            reflect + direction + length + costs.cutoff_test + costs.pair_loads,
+            pot + accel,
+        )
+    }
+
     fn reflect_simd(self) -> bool {
         self >= Self::SimdUnitCell
     }
@@ -74,6 +131,24 @@ impl SpeKernelVariant {
     }
 }
 
+/// The largest axis gap `|d|` the copysign reflect leaves unshifted in a box
+/// of side `l`. Its shift count `n = floor(|d|/L + ½)` is monotone in `|d|`
+/// (each step rounds correctly), so it turns 1 at one float; compare/select
+/// shifting where `|d|` exceeds the float below it picks the same shift for
+/// every gap under 1.5 L, i.e. for all coordinates in `[0, L]`. That float
+/// lies below L/2: `|d| = L/2` already gives `n = 1`, and with `cutoff ==
+/// L/2` a pair an ulp inside it can pass the cutoff test, so the copysign
+/// stage cannot share the `L/2` threshold.
+fn copysign_reflect_above(l: f32) -> f32 {
+    let shifts = |d: f32| (d / l + 0.5).floor() >= 1.0;
+    let mut above = 0.5 * l;
+    // `shifts(0.0)` is false, so the walk stops above zero.
+    while shifts(above) {
+        above = f32::from_bits(above.to_bits() - 1);
+    }
+    above
+}
+
 /// Work counters from one kernel invocation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
@@ -87,12 +162,12 @@ impl KernelStats {
     /// Charge the slice's cycles in closed form from the work counts:
     /// per-atom row overhead, per-tested-pair cost, per-interaction cost.
     ///
-    /// Both the interpretive kernels and the shared-eval replay charge
-    /// through this one expression, so the memo's cycle replay is *bitwise*
-    /// the interpretive charge — an f64 identity, not an approximation. (An
-    /// incremental `cycles += …` per pair cannot be replayed exactly: with
-    /// non-integral stage costs the running sum's rounding depends on the
-    /// interleaving of row/pair/interaction charges.)
+    /// The shared-eval kernel, the tiled kernel and the per-pair oracle all
+    /// charge through this one expression, so the replayed charge is
+    /// *bitwise* the per-pair loop's — an f64 identity, not an
+    /// approximation. (An incremental `cycles += …` per pair cannot be
+    /// replayed exactly: with non-integral stage costs the running sum's
+    /// rounding depends on the interleaving of row/pair/interaction charges.)
     // sim-vet: begin-allow(precision-discipline): simulated-cycle accounting, not kernel physics
     fn charge_closed_form(
         &mut self,
@@ -120,227 +195,44 @@ pub struct SpeLanePhysics<T: Real = f32> {
     pub inv_mass: T,
 }
 
-/// Compute accelerations for atoms `i_range`, scanning all `n_atoms`
-/// positions stored in the local store (quadword layout `[x, y, z, 0]`).
-/// Writes `[ax, ay, az, pe_i]` quads into `acc` (the per-atom PE rides in
-/// the fourth lane, as on the GPU port) and returns the summed PE
-/// contribution of the slice (each pair counted once per owning atom) plus
-/// the work counters.
-#[allow(clippy::too_many_arguments)]
+/// Compute accelerations for atoms `i_range` against every position in
+/// `soa`, as the SPE kernel `variant` does: each atom's
+/// `[ax, ay, az, pe_i]` quad goes to `store` (the per-atom PE rides in the
+/// fourth lane, as on the GPU port). Returns the summed PE contribution of
+/// the slice (each pair counted once per owning atom) plus the work
+/// counters.
+///
+/// Physics-once split (DESIGN.md §17): the physics comes from
+/// [`md_core::shared_eval::cell_stage_row`] at the variant's [`CellStage`],
+/// and the cycles are charged in closed form from the work counts. Both are
+/// bitwise the per-pair kernel's for every variant and precision policy —
+/// pinned against that loop by the oracle tests below and end to end by
+/// `tests/shared_eval.rs`.
 pub fn compute_accelerations(
-    ls: &mut LocalStore,
-    pos: LsRegion,
-    acc: LsRegion,
+    soa: &SoaPositionsF32,
     i_range: Range<usize>,
-    n_atoms: usize,
     params: SpeLanePhysics,
     variant: SpeKernelVariant,
     costs: &SpeCostModel,
+    mut store: impl FnMut(usize, [f32; 4]),
 ) -> (f32, KernelStats) {
     let mut stats = KernelStats::default();
     let mut pe_slice = 0.0f32;
-
-    let l = params.box_len;
-    let half_l = 0.5 * l;
-    let cutoff2 = params.sub.cutoff2();
-    let mixed = params.sub.accumulate_f64;
-    // Potential-evaluation cycles per interacting pair: the LJ baseline plus
-    // whatever extra arithmetic the scenario's potential costs (zero for LJ,
-    // so the default scenario's charges are bit-identical to the seed).
-    let pot_cost = costs.lj_eval + params.sub.extra_eval_ops();
-
-    let reflect_cost = if variant.reflect_simd() {
-        costs.reflect_simd
-    } else if variant.branch_free_reflect() {
-        costs.reflect_copysign
-    } else {
-        costs.reflect_branchy
-    };
-    let direction_cost = if variant.direction_simd() {
-        costs.direction_simd
-    } else {
-        costs.direction_scalar
-    };
-    let length_cost = if variant.length_simd() {
-        costs.length_simd
-    } else {
-        costs.length_scalar
-    };
-    let accel_cost = if variant.accel_simd() {
-        costs.accel_simd
-    } else {
-        costs.accel_scalar
-    };
-    let per_pair_cost =
-        reflect_cost + direction_cost + length_cost + costs.cutoff_test + costs.pair_loads;
+    let (l, sub, inv_mass) = (params.box_len, &params.sub, params.inv_mass);
+    let stage = variant.stage(l);
     let rows = i_range.len() as u64;
 
     for i in i_range {
-        let pi = ls.load_quad(pos, i);
-        let pi_v = F32x4(pi);
-        let mut acc_v = F32x4::ZERO;
-        let mut pe_i = 0.0f32;
-        // Mixed-precision accumulators (policy `mixed`): row sums carried in
-        // f64 on the SPE's DP unit, narrowed once at the store.
-        // sim-vet: begin-allow(precision-discipline): the mixed policy's DP accumulators are the point — the SPE's double-precision unit carries the row sums
-        let mut acc64 = [0.0f64; 3];
-        let mut pe64 = 0.0f64;
-        // sim-vet: end-allow(precision-discipline)
-
-        for j in 0..n_atoms {
-            if j == i {
-                continue;
-            }
-            stats.pairs_tested += 1;
-            let pj = ls.load_quad(pos, j);
-
-            // --- unit-cell reflection: correct pj to i's nearest image ---
-            let pj_img: F32x4 = if variant.reflect_simd() {
-                // All three axes at once: d = pi - pj, then shift pj by ±L
-                // where |d| exceeds L/2, via compare + select (`selb`).
-                let d = pi_v.sub(F32x4(pj));
-                let hi = d.cmp_gt(F32x4::splat(half_l));
-                let lo = F32x4::splat(-half_l).cmp_gt(d);
-                let shift = F32x4::select(hi, F32x4::splat(l), F32x4::ZERO).add(F32x4::select(
-                    lo,
-                    F32x4::splat(-l),
-                    F32x4::ZERO,
-                ));
-                F32x4(pj).add(shift)
-            } else if variant.branch_free_reflect() {
-                // Scalar copysign form per axis: n = trunc(|d|/L + ½)·sign(d).
-                let mut q = pj;
-                for k in 0..3 {
-                    let d = pi[k] - q[k];
-                    let n = (d.abs() / l + 0.5).floor().copysign(d);
-                    q[k] += l * n;
-                }
-                F32x4(q)
-            } else {
-                // Scalar branchy form per axis.
-                let mut q = pj;
-                for k in 0..3 {
-                    let d = pi[k] - q[k];
-                    if d > half_l {
-                        q[k] += l;
-                    } else if d < -half_l {
-                        q[k] -= l;
-                    }
-                }
-                F32x4(q)
-            };
-
-            // --- direction vector ---
-            let dir: F32x4 = if variant.direction_simd() {
-                pi_v.sub(pj_img)
-            } else {
-                let mut d = [0.0f32; 4];
-                for k in 0..3 {
-                    d[k] = pi[k] - pj_img.lane(k);
-                }
-                F32x4(d)
-            };
-
-            // --- length calculation ---
-            let r2: f32 = if variant.length_simd() {
-                dir.dot3(dir)
-            } else {
-                let mut s = 0.0f32;
-                for k in 0..3 {
-                    s += dir.lane(k) * dir.lane(k);
-                }
-                s
-            };
-
-            // --- cutoff test (data-dependent in every variant) ---
-            if r2 < cutoff2 && r2 > 0.0 {
-                stats.interactions += 1;
-
-                let (e, f_over_r) = params.sub.energy_force(r2);
-
-                // --- force → acceleration conversion ---
-                if mixed {
-                    // sim-vet: begin-allow(precision-discipline): mixed policy widens per-pair contributions to the DP accumulators
-                    pe64 += f64::from(e);
-                    let s = f_over_r * params.inv_mass;
-                    acc64[0] += f64::from(dir.lane(0) * s);
-                    acc64[1] += f64::from(dir.lane(1) * s);
-                    acc64[2] += f64::from(dir.lane(2) * s);
-                    // sim-vet: end-allow(precision-discipline)
-                } else if variant.accel_simd() {
-                    pe_i += e;
-                    acc_v = dir.madd(F32x4::splat(f_over_r * params.inv_mass), acc_v);
-                } else {
-                    pe_i += e;
-                    let mut a = acc_v.0;
-                    for (k, ak) in a.iter_mut().take(3).enumerate() {
-                        *ak += dir.lane(k) * f_over_r * params.inv_mass;
-                    }
-                    acc_v = F32x4(a);
-                }
-            }
-        }
-
-        if mixed {
-            acc_v = F32x4([
-                f32::from_f64(acc64[0]),
-                f32::from_f64(acc64[1]),
-                f32::from_f64(acc64[2]),
-                0.0,
-            ]);
-            pe_i = f32::from_f64(pe64);
-        }
-        pe_slice += pe_i;
-        ls.store_quad(acc, i, [acc_v.lane(0), acc_v.lane(1), acc_v.lane(2), pe_i]);
-    }
-    stats.charge_closed_form(costs, rows, per_pair_cost, pot_cost + accel_cost);
-
-    (pe_slice, stats)
-}
-
-/// Shared-eval replay of the fully SIMDized kernel
-/// ([`SpeKernelVariant::SimdAcceleration`]): physics through
-/// [`md_core::shared_eval::cell_row`] (the same per-pair IEEE operations,
-/// batched 8-wide on the host), cycles charged in closed form from the same
-/// work counts the interpretive loop would have accumulated. Bitwise
-/// identical to `compute_accelerations` with the `SimdAcceleration` variant
-/// in local-store contents, returned PE, and [`KernelStats`] — pinned by a
-/// unit test below and end-to-end by `tests/shared_eval.rs`.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_accelerations_shared(
-    ls: &mut LocalStore,
-    pos: LsRegion,
-    acc: LsRegion,
-    i_range: Range<usize>,
-    n_atoms: usize,
-    params: SpeLanePhysics,
-    costs: &SpeCostModel,
-) -> (f32, KernelStats) {
-    let mut stats = KernelStats::default();
-    let mut pe_slice = 0.0f32;
-
-    let pot_cost = costs.lj_eval + params.sub.extra_eval_ops();
-    let per_pair_cost = costs.reflect_simd
-        + costs.direction_simd
-        + costs.length_simd
-        + costs.cutoff_test
-        + costs.pair_loads;
-    let rows = i_range.len() as u64;
-
-    let soa = md_core::shared_eval::SoaPositionsF32::from_quads(
-        (0..n_atoms).map(|j| ls.load_quad(pos, j)),
-    );
-    for i in i_range {
-        let row =
-            md_core::shared_eval::cell_row(&soa, i, params.box_len, &params.sub, params.inv_mass);
-        // The interpretive loop skips the self-pair with a branch; the
-        // shared kernel predicates it off. Tested-pair count is the same.
-        stats.pairs_tested += n_atoms as u64 - 1;
+        let row = cell_stage_row(soa, i, l, sub, inv_mass, stage);
+        // The per-pair loop skips the self-pair with a branch; the shared
+        // kernel predicates it off. Tested-pair count is the same.
+        stats.pairs_tested += soa.len() as u64 - 1;
         stats.interactions += row.interactions;
         pe_slice += row.pe;
-        ls.store_quad(acc, i, [row.acc[0], row.acc[1], row.acc[2], row.pe]);
+        store(i, [row.acc[0], row.acc[1], row.acc[2], row.pe]);
     }
-    stats.charge_closed_form(costs, rows, per_pair_cost, pot_cost + costs.accel_simd);
+    let (per_pair, per_interaction) = variant.charges(costs, sub);
+    stats.charge_closed_form(costs, rows, per_pair, per_interaction);
 
     (pe_slice, stats)
 }
@@ -537,50 +429,223 @@ pub fn compute_accelerations_f64(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::localstore::LocalStore;
-    use md_core::scenario::ScenarioSpec;
+    use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 
-    /// Builds a small LS image from explicit positions.
-    fn setup(
-        positions: &[[f32; 3]],
-        box_len: f32,
-    ) -> (LocalStore, LsRegion, LsRegion, SpeLanePhysics) {
-        let n = positions.len();
-        let mut ls = LocalStore::new(64 * 1024);
-        let pos = ls.alloc_quads(n).unwrap();
-        let acc = ls.alloc_quads(n).unwrap();
-        for (i, p) in positions.iter().enumerate() {
-            ls.store_quad(pos, i, [p[0], p[1], p[2], 0.0]);
+    /// The per-pair SPE kernel the shared-eval row replaced, kept as the
+    /// oracle: for each atom of `i_range`, a scan of every `pos` quad
+    /// (`[x, y, z, 0]`) through the variant's reflect, direction, length and
+    /// accumulate stages. Returns each row's `[ax, ay, az, pe_i]` quad, the
+    /// slice's PE and its work counters.
+    #[allow(clippy::needless_range_loop)]
+    fn per_pair(
+        pos: &[[f32; 4]],
+        i_range: Range<usize>,
+        params: SpeLanePhysics,
+        variant: SpeKernelVariant,
+        costs: &SpeCostModel,
+    ) -> (Vec<[f32; 4]>, f32, KernelStats) {
+        let mut stats = KernelStats::default();
+        let mut pe_slice = 0.0f32;
+        let mut out = vec![[0.0f32; 4]; pos.len()];
+
+        let l = params.box_len;
+        let half_l = 0.5 * l;
+        let cutoff2 = params.sub.cutoff2();
+        let mixed = params.sub.accumulate_f64;
+        let rows = i_range.len() as u64;
+
+        for i in i_range {
+            let pi = pos[i];
+            let pi_v = F32x4(pi);
+            let mut acc_v = F32x4::ZERO;
+            let mut pe_i = 0.0f32;
+            let mut acc64 = [0.0f64; 3];
+            let mut pe64 = 0.0f64;
+
+            for j in 0..pos.len() {
+                if j == i {
+                    continue;
+                }
+                stats.pairs_tested += 1;
+                let pj = pos[j];
+
+                // --- unit-cell reflection: correct pj to i's nearest image ---
+                let pj_img: F32x4 =
+                    if variant.reflect_simd() {
+                        let d = pi_v.sub(F32x4(pj));
+                        let hi = d.cmp_gt(F32x4::splat(half_l));
+                        let lo = F32x4::splat(-half_l).cmp_gt(d);
+                        let shift = F32x4::select(hi, F32x4::splat(l), F32x4::ZERO)
+                            .add(F32x4::select(lo, F32x4::splat(-l), F32x4::ZERO));
+                        F32x4(pj).add(shift)
+                    } else if variant.branch_free_reflect() {
+                        // Scalar copysign form per axis: n = floor(|d|/L + ½)·sign(d).
+                        let mut q = pj;
+                        for k in 0..3 {
+                            let d = pi[k] - q[k];
+                            let n = (d.abs() / l + 0.5).floor().copysign(d);
+                            q[k] += l * n;
+                        }
+                        F32x4(q)
+                    } else {
+                        // Scalar branchy form per axis.
+                        let mut q = pj;
+                        for k in 0..3 {
+                            let d = pi[k] - q[k];
+                            if d > half_l {
+                                q[k] += l;
+                            } else if d < -half_l {
+                                q[k] -= l;
+                            }
+                        }
+                        F32x4(q)
+                    };
+
+                // --- direction vector ---
+                let dir: F32x4 = if variant.direction_simd() {
+                    pi_v.sub(pj_img)
+                } else {
+                    let mut d = [0.0f32; 4];
+                    for k in 0..3 {
+                        d[k] = pi[k] - pj_img.lane(k);
+                    }
+                    F32x4(d)
+                };
+
+                // --- length calculation ---
+                let r2: f32 = if variant.length_simd() {
+                    dir.dot3(dir)
+                } else {
+                    let mut s = 0.0f32;
+                    for k in 0..3 {
+                        s += dir.lane(k) * dir.lane(k);
+                    }
+                    s
+                };
+
+                // --- cutoff test (data-dependent in every variant) ---
+                if r2 < cutoff2 && r2 > 0.0 {
+                    stats.interactions += 1;
+                    let (e, f_over_r) = params.sub.energy_force(r2);
+
+                    // --- force → acceleration conversion ---
+                    if mixed {
+                        pe64 += f64::from(e);
+                        let s = f_over_r * params.inv_mass;
+                        acc64[0] += f64::from(dir.lane(0) * s);
+                        acc64[1] += f64::from(dir.lane(1) * s);
+                        acc64[2] += f64::from(dir.lane(2) * s);
+                    } else if variant.accel_simd() {
+                        pe_i += e;
+                        acc_v = dir.madd(F32x4::splat(f_over_r * params.inv_mass), acc_v);
+                    } else {
+                        pe_i += e;
+                        let mut a = acc_v.0;
+                        for (k, ak) in a.iter_mut().take(3).enumerate() {
+                            *ak += dir.lane(k) * f_over_r * params.inv_mass;
+                        }
+                        acc_v = F32x4(a);
+                    }
+                }
+            }
+
+            if mixed {
+                acc_v = F32x4([
+                    f32::from_f64(acc64[0]),
+                    f32::from_f64(acc64[1]),
+                    f32::from_f64(acc64[2]),
+                    0.0,
+                ]);
+                pe_i = f32::from_f64(pe64);
+            }
+            pe_slice += pe_i;
+            out[i] = [acc_v.lane(0), acc_v.lane(1), acc_v.lane(2), pe_i];
         }
-        let params = SpeLanePhysics {
-            sub: ScenarioSpec::default().substrate(2.5),
+        let (per_pair, per_interaction) = variant.charges(costs, &params.sub);
+        stats.charge_closed_form(costs, rows, per_pair, per_interaction);
+
+        (out, pe_slice, stats)
+    }
+
+    fn quads(positions: &[[f32; 3]]) -> Vec<[f32; 4]> {
+        positions.iter().map(|p| [p[0], p[1], p[2], 0.0]).collect()
+    }
+
+    fn physics(spec: ScenarioSpec, cutoff: f64, box_len: f32, inv_mass: f32) -> SpeLanePhysics {
+        SpeLanePhysics {
+            sub: spec.substrate(cutoff),
             box_len,
-            inv_mass: 1.0,
-        };
-        (ls, pos, acc, params)
+            inv_mass,
+        }
+    }
+
+    /// Default LJ at cutoff 2.5, unit mass.
+    fn lj(box_len: f32) -> SpeLanePhysics {
+        physics(ScenarioSpec::default(), 2.5, box_len, 1.0)
+    }
+
+    /// The production kernel over `pos`: every row's quad (zero outside
+    /// `i_range`), the slice's PE and its work counters.
+    fn shared(
+        pos: &[[f32; 4]],
+        i_range: Range<usize>,
+        params: SpeLanePhysics,
+        variant: SpeKernelVariant,
+    ) -> (Vec<[f32; 4]>, f32, KernelStats) {
+        let soa = SoaPositionsF32::from_quads(pos.iter().copied());
+        let mut out = vec![[0.0f32; 4]; pos.len()];
+        let costs = SpeCostModel::calibrated();
+        let (pe, stats) = compute_accelerations(&soa, i_range, params, variant, &costs, |i, q| {
+            out[i] = q;
+        });
+        (out, pe, stats)
+    }
+
+    /// Shared row == per-pair oracle, bit for bit: quads, PE and counters.
+    fn assert_matches_oracle(
+        pos: &[[f32; 4]],
+        i_range: Range<usize>,
+        params: SpeLanePhysics,
+        variant: SpeKernelVariant,
+    ) -> Result<(), String> {
+        let costs = SpeCostModel::calibrated();
+        let (qa, pa, sa) = per_pair(pos, i_range.clone(), params, variant, &costs);
+        let (qb, pb, sb) = shared(pos, i_range, params, variant);
+        let bits =
+            |q: &[[f32; 4]]| -> Vec<[u32; 4]> { q.iter().map(|q| q.map(f32::to_bits)).collect() };
+        let ctx = format!("{variant:?}, mixed {}", params.sub.accumulate_f64);
+        if bits(&qa) != bits(&qb) {
+            let i = (0..qa.len()).find(|&i| bits(&qa[i..=i]) != bits(&qb[i..=i]));
+            let i = i.unwrap_or_default();
+            return Err(format!("{ctx}: atom {i}: {:?} vs {:?}", qa[i], qb[i]));
+        }
+        if pa.to_bits() != pb.to_bits() {
+            return Err(format!("{ctx}: PE {pa} vs {pb}"));
+        }
+        let st = |s: KernelStats| (s.pairs_tested, s.interactions, s.cycles.to_bits());
+        if st(sa) != st(sb) {
+            return Err(format!("{ctx}: stats {sa:?} vs {sb:?}"));
+        }
+        Ok(())
     }
 
     #[test]
     fn all_variants_agree_on_a_pair() {
-        let costs = SpeCostModel::calibrated();
-        let mut results = Vec::new();
-        for v in SpeKernelVariant::ALL {
-            let (mut ls, pos, acc, params) = setup(&[[1.0, 1.0, 1.0], [2.2, 1.0, 1.0]], 20.0);
-            let (pe, stats) = compute_accelerations(&mut ls, pos, acc, 0..2, 2, params, v, &costs);
-            let a0 = ls.load_quad(acc, 0);
-            results.push((pe, a0, stats));
-        }
-        let (pe0, a0, _) = results[0];
-        for (i, (pe, a, _)) in results.iter().enumerate() {
+        let pos = quads(&[[1.0, 1.0, 1.0], [2.2, 1.0, 1.0]]);
+        let results: Vec<_> = SpeKernelVariant::ALL
+            .map(|v| shared(&pos, 0..2, lj(20.0), v))
+            .into();
+        let (a0, pe0) = (results[0].0[0], results[0].1);
+        for (i, (a, pe, _)) in results.iter().enumerate() {
             assert!(
                 (pe - pe0).abs() <= 1e-5 * pe0.abs().max(1.0),
                 "variant {i} PE {pe} vs {pe0}"
             );
             for k in 0..3 {
                 assert!(
-                    (a[k] - a0[k]).abs() <= 1e-4 * a0[k].abs().max(1e-3),
+                    (a[0][k] - a0[k]).abs() <= 1e-4 * a0[k].abs().max(1e-3),
                     "variant {i} acc[{k}] {} vs {}",
-                    a[k],
+                    a[0][k],
                     a0[k]
                 );
             }
@@ -590,12 +655,11 @@ mod tests {
     #[test]
     fn wraps_across_the_boundary() {
         // Atoms at x=0.5 and x=19.5 in a 20-box are 1.0 apart through the wall.
-        let costs = SpeCostModel::calibrated();
+        let pos = quads(&[[0.5, 5.0, 5.0], [19.5, 5.0, 5.0]]);
         for v in SpeKernelVariant::ALL {
-            let (mut ls, pos, acc, params) = setup(&[[0.5, 5.0, 5.0], [19.5, 5.0, 5.0]], 20.0);
-            let (_, stats) = compute_accelerations(&mut ls, pos, acc, 0..2, 2, params, v, &costs);
+            let (q, _, stats) = shared(&pos, 0..2, lj(20.0), v);
             assert_eq!(stats.interactions, 2, "{v:?} must see the wrapped pair");
-            let a0 = ls.load_quad(acc, 0);
+            let a0 = q[0];
             // At r=1 the LJ force is 24ε(2−1)=24, repulsive: atom 0 pushed +x
             // (away from the image at x=-0.5).
             assert!(
@@ -608,37 +672,28 @@ mod tests {
 
     #[test]
     fn pe_rides_in_the_fourth_lane() {
-        let costs = SpeCostModel::calibrated();
-        let (mut ls, pos, acc, params) = setup(&[[1.0, 1.0, 1.0], [2.2, 1.0, 1.0]], 20.0);
-        let (pe, _) = compute_accelerations(
-            &mut ls,
-            pos,
-            acc,
-            0..2,
-            2,
-            params,
-            SpeKernelVariant::SimdAcceleration,
-            &costs,
-        );
-        let a0 = ls.load_quad(acc, 0);
-        let a1 = ls.load_quad(acc, 1);
-        assert!((a0[3] + a1[3] - pe).abs() < 1e-6);
+        let pos = quads(&[[1.0, 1.0, 1.0], [2.2, 1.0, 1.0]]);
+        let (q, pe, _) = shared(&pos, 0..2, lj(20.0), SpeKernelVariant::SimdAcceleration);
+        assert!((q[0][3] + q[1][3] - pe).abs() < 1e-6);
+    }
+
+    fn scattered(n: usize, l: f32) -> Vec<[f32; 4]> {
+        let pos: Vec<[f32; 3]> = (0..n)
+            .map(|i| {
+                let f = i as f32;
+                [(f * 0.917) % l, (f * 1.371) % l, (f * 0.533) % l]
+            })
+            .collect();
+        quads(&pos)
     }
 
     #[test]
     fn ladder_cycle_costs_strictly_decrease() {
-        let costs = SpeCostModel::calibrated();
-        let positions: Vec<[f32; 3]> = (0..32)
-            .map(|i| {
-                let f = i as f32;
-                [f * 0.37 % 6.0, f * 0.73 % 6.0, f * 1.13 % 6.0]
-            })
-            .collect();
+        let pos = scattered(32, 6.0);
         let mut prev = f64::INFINITY;
         for v in SpeKernelVariant::ALL {
-            let (mut ls, pos, acc, mut params) = setup(&positions, 6.0);
-            params.sub = ScenarioSpec::default().substrate(2.0);
-            let (_, stats) = compute_accelerations(&mut ls, pos, acc, 0..32, 32, params, v, &costs);
+            let params = physics(ScenarioSpec::default(), 2.0, 6.0, 1.0);
+            let (_, _, stats) = shared(&pos, 0..32, params, v);
             assert!(
                 stats.cycles < prev,
                 "{v:?}: {} not below previous {prev}",
@@ -651,99 +706,134 @@ mod tests {
     #[test]
     fn slice_partitioning_covers_all_atoms_once() {
         // Computing 0..16 and 16..32 separately must equal computing 0..32.
-        let costs = SpeCostModel::calibrated();
-        let positions: Vec<[f32; 3]> = (0..32)
-            .map(|i| {
-                let f = i as f32;
-                [(f * 0.917) % 6.0, (f * 1.371) % 6.0, (f * 0.533) % 6.0]
-            })
-            .collect();
-        let v = SpeKernelVariant::SimdAcceleration;
-
-        let (mut ls_a, pos_a, acc_a, mut pa) = setup(&positions, 6.0);
-        pa.sub = ScenarioSpec::default().substrate(2.0);
-        let (pe_full, _) = compute_accelerations(&mut ls_a, pos_a, acc_a, 0..32, 32, pa, v, &costs);
-
-        let (mut ls_b, pos_b, acc_b, mut pb) = setup(&positions, 6.0);
-        pb.sub = ScenarioSpec::default().substrate(2.0);
-        let (pe1, _) = compute_accelerations(&mut ls_b, pos_b, acc_b, 0..16, 32, pb, v, &costs);
-        let (pe2, _) = compute_accelerations(&mut ls_b, pos_b, acc_b, 16..32, 32, pb, v, &costs);
-
-        assert!((pe_full - (pe1 + pe2)).abs() < 1e-4 * pe_full.abs().max(1.0));
-        for i in 0..32 {
-            let a = ls_a.load_quad(acc_a, i);
-            let b = ls_b.load_quad(acc_b, i);
-            for k in 0..4 {
-                assert_eq!(a[k], b[k], "atom {i} lane {k}");
+        let pos = scattered(32, 6.0);
+        let params = physics(ScenarioSpec::default(), 2.0, 6.0, 1.0);
+        for v in SpeKernelVariant::ALL {
+            let (full, pe_full, _) = shared(&pos, 0..32, params, v);
+            let (lo, pe1, _) = shared(&pos, 0..16, params, v);
+            let (hi, pe2, _) = shared(&pos, 16..32, params, v);
+            assert!((pe_full - (pe1 + pe2)).abs() < 1e-4 * pe_full.abs().max(1.0));
+            for i in 0..32 {
+                let part = if i < 16 { lo[i] } else { hi[i] };
+                assert_eq!(
+                    full[i].map(f32::to_bits),
+                    part.map(f32::to_bits),
+                    "atom {i}"
+                );
             }
         }
     }
 
+    /// Every variant under every scenario flavor and both policies, on a
+    /// scattered configuration with a non-unit mass, equals the per-pair
+    /// oracle exactly.
     #[test]
-    fn shared_eval_replay_is_bitwise_identical() {
-        // The memo contract: physics through the shared batched kernel plus
-        // closed-form cycle charging must equal the interpretive
-        // `SimdAcceleration` loop exactly — LS contents, PE, and stats.
-        let costs = SpeCostModel::calibrated();
-        let positions: Vec<[f32; 3]> = (0..67)
-            .map(|i| {
-                let f = i as f32;
-                [(f * 0.917) % 6.0, (f * 1.371) % 6.0, (f * 0.533) % 6.0]
-            })
-            .collect();
-        let n = positions.len();
+    fn every_variant_is_the_per_pair_kernel() {
+        let pos = scattered(67, 6.0);
         for spec in [
             ScenarioSpec::default(),
             ScenarioSpec::morse_nvt(),
-            ScenarioSpec::default()
-                .with_precision(md_core::scenario::PrecisionPolicy::MixedF64Accumulate),
+            ScenarioSpec::coulomb_cutoff(),
         ] {
-            let (mut ls_a, pos_a, acc_a, mut pa) = setup(&positions, 6.0);
-            pa.sub = spec.substrate(2.0);
-            let (pe_a, st_a) = compute_accelerations(
-                &mut ls_a,
-                pos_a,
-                acc_a,
-                0..n,
-                n,
-                pa,
-                SpeKernelVariant::SimdAcceleration,
-                &costs,
-            );
-            let (mut ls_b, pos_b, acc_b, mut pb) = setup(&positions, 6.0);
-            pb.sub = spec.substrate(2.0);
-            let (pe_b, st_b) =
-                compute_accelerations_shared(&mut ls_b, pos_b, acc_b, 0..n, n, pb, &costs);
-            assert_eq!(pe_a.to_bits(), pe_b.to_bits());
-            assert_eq!(st_a.pairs_tested, st_b.pairs_tested);
-            assert_eq!(st_a.interactions, st_b.interactions);
-            assert_eq!(st_a.cycles.to_bits(), st_b.cycles.to_bits());
-            for i in 0..n {
-                let a = ls_a.load_quad(acc_a, i);
-                let b = ls_b.load_quad(acc_b, i);
-                for k in 0..4 {
-                    assert_eq!(a[k].to_bits(), b[k].to_bits(), "atom {i} lane {k}");
+            for policy in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
+                let params = physics(spec.with_precision(policy), 2.0, 6.0, 0.37);
+                for v in SpeKernelVariant::ALL {
+                    assert_matches_oracle(&pos, 0..67, params, v).unwrap();
+                    assert_matches_oracle(&pos, 5..41, params, v).unwrap();
                 }
             }
         }
     }
 
+    /// The copysign reflect's shift flips exactly above its threshold, for
+    /// gaps within a few ulps of L/2 at many box sizes.
+    #[test]
+    fn copysign_threshold_is_where_the_copysign_reflect_flips() {
+        let shifts = |d: f32, l: f32| (d / l + 0.5).floor() >= 1.0;
+        for k in 0..2000u32 {
+            let l = 2.0 + k as f32 * 0.0173;
+            let above = copysign_reflect_above(l);
+            assert!(above < 0.5 * l, "L = {l}");
+            assert!(!shifts(above, l), "L = {l}");
+            let next = f32::from_bits(above.to_bits() + 1);
+            assert!(shifts(next, l), "L = {l}");
+        }
+    }
+
     #[test]
     fn empty_range_does_nothing() {
-        let costs = SpeCostModel::calibrated();
-        let (mut ls, pos, acc, params) = setup(&[[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]], 20.0);
-        let (pe, stats) = compute_accelerations(
-            &mut ls,
-            pos,
-            acc,
-            1..1,
-            2,
-            params,
-            SpeKernelVariant::Original,
-            &costs,
-        );
+        let pos = quads(&[[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]);
+        let (q, pe, stats) = shared(&pos, 1..1, lj(20.0), SpeKernelVariant::Original);
         assert_eq!(pe, 0.0);
+        assert_eq!(q, vec![[0.0; 4]; 2]);
         assert_eq!(stats.pairs_tested, 0);
         assert_eq!(stats.cycles, 0.0);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            /// Random positions in `[0, L)` plus adversarial edits, for every
+            /// variant and both policies: shared row == per-pair oracle.
+            #[test]
+            fn shared_rows_are_the_per_pair_kernel(
+                l in 3.0f32..12.0,
+                cut_frac in 0.3f32..1.4,
+                frac in vec((0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0), 2..40),
+                edits in vec((0usize..4, 0usize..64, 0usize..3), 0..16),
+                pot in 0usize..3,
+                inv_mass in 0.25f32..4.0,
+                split in 0usize..64,
+            ) {
+                let h = 0.5 * l;
+                let n = frac.len();
+                let mut pos: Vec<[f32; 4]> =
+                    frac.iter().map(|&(x, y, z)| [x * l, y * l, z * l, 0.0]).collect();
+                for &(kind, at, a) in &edits {
+                    let (i, j) = (at % n, (at / n + 1 + at) % n);
+                    match kind {
+                        // A signed-zero coordinate.
+                        0 => pos[i][a] = -0.0,
+                        // An axis gap of exactly L/2: `pi` in [L/2, L), so
+                        // `pi - L/2` and `pi - pj` are exact (Sterbenz).
+                        1 | 2 => {
+                            let pi = if pos[i][a] < h { pos[i][a] + h } else { pos[i][a] };
+                            let pi = pi.min(f32::from_bits(l.to_bits() - 1));
+                            pos[i][a] = pi;
+                            let pj = pi - h;
+                            // Kind 2 moves `pj` an ulp either way of the gap.
+                            pos[j][a] = match (kind, at % 2) {
+                                (1, _) => pj,
+                                (_, 0) => f32::from_bits(pj.to_bits() + 1),
+                                _ => f32::from_bits(pj.to_bits().saturating_sub(1)),
+                            };
+                        }
+                        // A shared coordinate (a zero gap on that axis).
+                        _ => pos[j][a] = pos[i][a],
+                    }
+                }
+                // `cutoff == L/2` is the largest `SimConfig` accepts.
+                let cutoff = if cut_frac >= 1.0 { h } else { cut_frac * h };
+                let spec = [
+                    ScenarioSpec::default(),
+                    ScenarioSpec::morse_nvt(),
+                    ScenarioSpec::coulomb_cutoff(),
+                ][pot];
+                let lo = split % n;
+                for policy in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
+                    let params = physics(spec.with_precision(policy), f64::from(cutoff), l, inv_mass);
+                    for v in SpeKernelVariant::ALL {
+                        let full = assert_matches_oracle(&pos, 0..n, params, v);
+                        prop_assert!(full.is_ok(), "{}", full.unwrap_err());
+                        let part = assert_matches_oracle(&pos, lo..n, params, v);
+                        prop_assert!(part.is_ok(), "{}", part.unwrap_err());
+                    }
+                }
+            }
+        }
     }
 }

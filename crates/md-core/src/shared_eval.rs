@@ -27,8 +27,11 @@
 //!
 //! - [`host_row`] — the f64 select-form minimum image of
 //!   [`crate::reference::gather_row`] (Opteron rows, MTA streams).
-//! - [`cell_row`] — the Cell SPE `SimdAcceleration` variant: compare/select
-//!   unit-cell shift, FMA accumulate, per-atom PE in the fourth lane.
+//! - [`cell_stage_row`] — the Cell SPE kernel at any Figure 5 stage:
+//!   compare/select unit-cell shift at the stage's threshold, FMA (SIMD
+//!   acceleration stage) or `(d * f_over_r) * inv_mass` (earlier stages)
+//!   accumulate, per-atom PE in the fourth lane. [`cell_row`] is its fully
+//!   SIMDized stage.
 //! - [`gpu_texel`] — the fragment shader's predicated sequential-conditional
 //!   minimum image and `(d * f_over_r) * inv_mass` accumulate.
 //!
@@ -729,6 +732,25 @@ impl Sums32 {
         }
     }
 
+    /// The native accumulate `a += (d * f_over_r) * inv_mass` of one chunk:
+    /// the GPU shader's and the SPE kernel's scalar stages'.
+    #[inline(always)]
+    fn add_unfused(
+        &mut self,
+        chunk: Chunk<'_, f32>,
+        energy_force: impl Fn(f32) -> (f32, f32),
+        inv_mass: f32,
+    ) {
+        let (mut acc, mut pe) = (self.acc, self.pe);
+        chunk.two_pass(energy_force, |[dx, dy, dz], e, f_over_r| {
+            pe += e;
+            acc[0] += dx * f_over_r * inv_mass;
+            acc[1] += dy * f_over_r * inv_mass;
+            acc[2] += dz * f_over_r * inv_mass;
+        });
+        (self.acc, self.pe) = (acc, pe);
+    }
+
     /// The row's `(acc, pe)`, narrowing the mixed sums.
     fn finish(self) -> ([f32; 3], f32) {
         if self.mixed {
@@ -740,15 +762,38 @@ impl Sums32 {
 }
 
 // ---------------------------------------------------------------------------
-// Cell flavor (f32): the SPE `SimdAcceleration` kernel arithmetic.
+// Cell flavor (f32): the SPE kernel arithmetic at each Figure 5 stage.
+
+/// The two choices that tell the SPE kernel's Figure 5 stages apart in a
+/// row's arithmetic (`cell_be::SpeKernelVariant` maps each variant to one).
+/// The stages' other differences — scalar or SIMD direction and length —
+/// perform the same IEEE operations, so they change only the cycle charge.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CellStage {
+    /// The unit-cell reflect shifts an axis gap `d = pi - pj` by `+L` where
+    /// `d > reflect_above` and by `-L` where `d < -reflect_above`.
+    pub reflect_above: f32,
+    /// The native policy's accumulate: `a = fma(d, f_over_r * inv_mass, a)`
+    /// (the SIMD acceleration stage) if set, else
+    /// `a += (d * f_over_r) * inv_mass` (the scalar stages, as the GPU
+    /// shader sums). The mixed policy's widened sums are the same in every
+    /// stage.
+    pub fused: bool,
+}
+
+impl CellStage {
+    /// The fully SIMDized kernel: compare/select at `L/2`, FMA accumulate.
+    pub fn simd(box_len: f32) -> Self {
+        Self {
+            reflect_above: 0.5 * box_len,
+            fused: true,
+        }
+    }
+}
 
 /// Atom `i`'s row exactly as the fully SIMDized SPE kernel
-/// (`SpeKernelVariant::SimdAcceleration`) computes it: compare/select
-/// unit-cell shift on all axes, `dir = pi - (pj + shift)`, left-folded dot,
-/// and — for surviving pairs — FMA accumulation (native policy) or widened
-/// f64 row sums narrowed once (mixed policy). The self-pair the interpretive
-/// loop skips with a branch is excluded here by the `r2 > 0` predicate,
-/// which rejects exactly the same pairs.
+/// (`SpeKernelVariant::SimdAcceleration`) computes it: [`cell_stage_row`] at
+/// [`CellStage::simd`].
 #[inline]
 pub fn cell_row(
     soa: &SoaPositionsF32,
@@ -757,24 +802,45 @@ pub fn cell_row(
     sub: &Substrate<f32>,
     inv_mass: f32,
 ) -> CellRow {
+    cell_stage_row(soa, i, box_len, sub, inv_mass, CellStage::simd(box_len))
+}
+
+/// Atom `i`'s row exactly as the SPE kernel at `stage` computes it:
+/// compare/select unit-cell shift on all axes at `stage.reflect_above`,
+/// `dir = pi - (pj + shift)`, left-folded dot, and — for surviving pairs —
+/// the stage's native accumulate or widened f64 row sums narrowed once
+/// (mixed policy). The self-pair the per-pair loop skips with a branch is
+/// excluded here by the `r2 > 0` predicate, which rejects exactly the same
+/// pairs.
+#[inline]
+pub fn cell_stage_row(
+    soa: &SoaPositionsF32,
+    i: usize,
+    box_len: f32,
+    sub: &Substrate<f32>,
+    inv_mass: f32,
+    stage: CellStage,
+) -> CellRow {
     #[cfg(target_arch = "x86_64")]
     if wide_kernels_native() {
         // SAFETY: AVX2 and FMA support was verified at runtime just above.
-        return unsafe { cell_row_avx2(soa, i, box_len, sub, inv_mass) };
+        return unsafe { cell_row_avx2(soa, i, box_len, sub, inv_mass, stage) };
     }
-    cell_row_batched(soa, i, box_len, sub, inv_mass)
+    cell_row_batched(soa, i, box_len, sub, inv_mass, stage)
 }
 
 /// Accumulator of one cell row.
 struct CellAccum {
     sums: Sums32,
+    fused: bool,
     interactions: u64,
 }
 
 impl CellAccum {
-    fn new(mixed: bool) -> Self {
+    fn new(mixed: bool, fused: bool) -> Self {
         Self {
             sums: Sums32::new(mixed),
+            fused,
             interactions: 0,
         }
     }
@@ -790,8 +856,8 @@ impl CellAccum {
 }
 
 /// The cell drain: the SPE kernel's per-pair arithmetic, with
-/// `s = f_over_r * inv_mass` in the potential pass, then its accumulate
-/// stage in order.
+/// `s = f_over_r * inv_mass` in the potential pass (widened and fused sums),
+/// then its accumulate stage in order.
 impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
     type Out = ();
 
@@ -800,6 +866,10 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
         let (st, inv_mass) = (self.st, self.inv_mass);
         st.interactions += self.chunk.r2.len() as u64;
         let sums = &mut st.sums;
+        if !sums.mixed && !st.fused {
+            sums.add_unfused(self.chunk, energy_force, inv_mass);
+            return;
+        }
         let pair = |r2| {
             let (e, f_over_r) = energy_force(r2);
             (e, f_over_r * inv_mass)
@@ -828,20 +898,21 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
 }
 
 /// Scalar remainder of a cell row: packs atoms `k..n`, per lane exactly the
-/// `F32x4` compare/select arithmetic.
+/// `F32x4` compare/select arithmetic, shifting where `|d| > half_l`.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn cell_row_tail(
     soa: &SoaPositionsF32,
     mut k: usize,
     pi: [f32; 3],
     box_len: f32,
+    half_l: f32,
     cutoff2: f32,
     pack: &mut Packed<'_, f32>,
     drain: &mut impl FnMut(Chunk<'_, f32>),
 ) {
     let n = soa.len();
     let l = box_len;
-    let half_l = 0.5 * l;
     while k < n {
         let pj = [soa.x[k], soa.y[k], soa.z[k]];
         let mut dir = [0.0f32; 3];
@@ -865,11 +936,12 @@ fn cell_row_batched(
     box_len: f32,
     sub: &Substrate<f32>,
     inv_mass: f32,
+    stage: CellStage,
 ) -> CellRow {
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = CellAccum::new(sub.accumulate_f64);
+    let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
     let mut drain = |chunk: Chunk<'_, f32>| {
         sub.with_energy_force(Drain {
             st: &mut st,
@@ -882,8 +954,8 @@ fn cell_row_batched(
 
     let l = F32x8::splat(box_len);
     let neg_l = F32x8::splat(-box_len);
-    let half = F32x8::splat(0.5 * box_len);
-    let neg_half = F32x8::splat(-(0.5 * box_len));
+    let half = F32x8::splat(stage.reflect_above);
+    let neg_half = F32x8::splat(-stage.reflect_above);
     let vcut = F32x8::splat(cutoff2);
     let px = pi.map(F32x8::splat);
 
@@ -903,7 +975,8 @@ fn cell_row_batched(
         let keep = r2.cmp_lt(vcut).and(r2.cmp_gt(F32x8::ZERO));
         pack.push([dx.0, dy.0, dz.0], r2.0, keep.0, &mut drain);
     });
-    cell_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    let half_l = stage.reflect_above;
+    cell_row_tail(soa, k, pi, box_len, half_l, cutoff2, &mut pack, &mut drain);
     drain(pack.chunk());
     st.finish()
 }
@@ -921,6 +994,7 @@ unsafe fn cell_row_avx2(
     box_len: f32,
     sub: &Substrate<f32>,
     inv_mass: f32,
+    stage: CellStage,
 ) -> CellRow {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps,
@@ -929,7 +1003,7 @@ unsafe fn cell_row_avx2(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = CellAccum::new(sub.accumulate_f64);
+    let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
     let mut drain = |chunk: Chunk<'_, f32>| {
         let drain = Drain {
             st: &mut st,
@@ -944,8 +1018,8 @@ unsafe fn cell_row_avx2(
 
     let l = _mm256_set1_ps(box_len);
     let neg_l = _mm256_set1_ps(-box_len);
-    let half = _mm256_set1_ps(0.5 * box_len);
-    let neg_half = _mm256_set1_ps(-(0.5 * box_len));
+    let half = _mm256_set1_ps(stage.reflect_above);
+    let neg_half = _mm256_set1_ps(-stage.reflect_above);
     let vcut = _mm256_set1_ps(cutoff2);
     let zero = _mm256_setzero_ps();
     let pxi = _mm256_set1_ps(pi[0]);
@@ -983,7 +1057,8 @@ unsafe fn cell_row_avx2(
             &mut drain,
         );
     });
-    cell_row_tail(soa, k, pi, box_len, cutoff2, &mut pack, &mut drain);
+    let half_l = stage.reflect_above;
+    cell_row_tail(soa, k, pi, box_len, half_l, cutoff2, &mut pack, &mut drain);
     drain(pack.chunk());
     st.finish()
 }
@@ -1032,25 +1107,18 @@ impl PairFnUser<f32> for Drain<'_, GpuAccum, f32> {
     #[inline(always)]
     fn with(self, energy_force: impl Fn(f32) -> (f32, f32)) {
         let (sums, inv_mass) = (&mut self.st.0, self.inv_mass);
-        let pair = &energy_force;
         if sums.mixed {
             let (mut acc, mut pe) = (sums.acc64, sums.pe64);
-            self.chunk.two_pass(pair, |[dx, dy, dz], e, f_over_r| {
-                pe += f64::from(e);
-                acc[0] += f64::from(dx * f_over_r * inv_mass);
-                acc[1] += f64::from(dy * f_over_r * inv_mass);
-                acc[2] += f64::from(dz * f_over_r * inv_mass);
-            });
+            self.chunk
+                .two_pass(energy_force, |[dx, dy, dz], e, f_over_r| {
+                    pe += f64::from(e);
+                    acc[0] += f64::from(dx * f_over_r * inv_mass);
+                    acc[1] += f64::from(dy * f_over_r * inv_mass);
+                    acc[2] += f64::from(dz * f_over_r * inv_mass);
+                });
             (sums.acc64, sums.pe64) = (acc, pe);
         } else {
-            let (mut acc, mut pe) = (sums.acc, sums.pe);
-            self.chunk.two_pass(pair, |[dx, dy, dz], e, f_over_r| {
-                pe += e;
-                acc[0] += dx * f_over_r * inv_mass;
-                acc[1] += dy * f_over_r * inv_mass;
-                acc[2] += dz * f_over_r * inv_mass;
-            });
-            (sums.acc, sums.pe) = (acc, pe);
+            sums.add_unfused(self.chunk, energy_force, inv_mass);
         }
     }
 }
@@ -1360,8 +1428,14 @@ mod tests {
         row
     }
 
-    fn cell_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> CellRow {
-        let mut st = CellAccum::new(sub.accumulate_f64);
+    fn cell_all_pairs(
+        soa: &SoaPositionsF32,
+        i: usize,
+        l: f32,
+        sub: &Substrate<f32>,
+        stage: CellStage,
+    ) -> CellRow {
+        let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
         let mut drain = |chunk: Chunk<'_, f32>| {
             sub.with_energy_force(Drain {
                 st: &mut st,
@@ -1372,7 +1446,8 @@ mod tests {
         let mut buf = ChunkBuf::new();
         let mut pack = Packed::new(&mut buf);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
-        cell_row_tail(soa, 0, pi, l, sub.cutoff2(), &mut pack, &mut drain);
+        let half_l = stage.reflect_above;
+        cell_row_tail(soa, 0, pi, l, half_l, sub.cutoff2(), &mut pack, &mut drain);
         drain(pack.chunk());
         st.finish()
     }
@@ -1395,9 +1470,16 @@ mod tests {
     }
 
     /// The SPE kernel's scalar loop: per pair, the compare/select shift and,
-    /// for a surviving pair, the accumulate stage (FMA, or widened sums).
-    fn cell_reference(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> CellRow {
-        let (half_l, inv_mass) = (0.5 * l, INV_MASS as f32);
+    /// for a surviving pair, the accumulate stage (FMA, unfused, or widened
+    /// sums).
+    fn cell_reference(
+        soa: &SoaPositionsF32,
+        i: usize,
+        l: f32,
+        sub: &Substrate<f32>,
+        stage: CellStage,
+    ) -> CellRow {
+        let (half_l, inv_mass) = (stage.reflect_above, INV_MASS as f32);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
         let (mut acc, mut pe, mut acc64, mut pe64) = ([0.0f32; 3], 0.0f32, [0.0f64; 3], 0.0f64);
         let mut interactions = 0;
@@ -1421,10 +1503,15 @@ mod tests {
                 for a in 0..3 {
                     acc64[a] += f64::from(dir[a] * s);
                 }
-            } else {
+            } else if stage.fused {
                 pe += e;
                 for a in 0..3 {
                     acc[a] = dir[a].mul_add(s, acc[a]);
+                }
+            } else {
+                pe += e;
+                for a in 0..3 {
+                    acc[a] += dir[a] * f_over_r * inv_mass;
                 }
             }
         }
@@ -1518,22 +1605,34 @@ mod tests {
                 host_bits(host_row_batched(&soa, i, l, &sub, INV_MASS)),
                 "host row {i} portable"
             );
-            let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
-            assert_eq!(
-                want,
-                cell_bits(cell_reference(&soa32, i, l32, &sub32)),
-                "cell row {i} per-pair reference"
-            );
-            assert_eq!(
-                want,
-                cell_bits(cell_row(&soa32, i, l32, &sub32, INV_MASS as f32)),
-                "cell row {i}"
-            );
-            assert_eq!(
-                want,
-                cell_bits(cell_row_batched(&soa32, i, l32, &sub32, INV_MASS as f32)),
-                "cell row {i} portable"
-            );
+            // The SIMD stage, and an unfused stage whose reflect threshold
+            // sits an ulp below L/2 (as the copysign stage's does).
+            let below_half = f32::from_bits((0.5 * l32).to_bits() - 1);
+            for stage in [
+                CellStage::simd(l32),
+                CellStage {
+                    reflect_above: below_half,
+                    fused: false,
+                },
+            ] {
+                let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32, stage));
+                assert_eq!(
+                    want,
+                    cell_bits(cell_reference(&soa32, i, l32, &sub32, stage)),
+                    "cell row {i} per-pair reference, {stage:?}"
+                );
+                let m = INV_MASS as f32;
+                assert_eq!(
+                    want,
+                    cell_bits(cell_stage_row(&soa32, i, l32, &sub32, m, stage)),
+                    "cell row {i}, {stage:?}"
+                );
+                assert_eq!(
+                    want,
+                    cell_bits(cell_row_batched(&soa32, i, l32, &sub32, m, stage)),
+                    "cell row {i} portable, {stage:?}"
+                );
+            }
             let want = gpu_bits(gpu_all_pairs(&soa32, i, l32, &sub32));
             assert_eq!(
                 want,
@@ -1755,7 +1854,7 @@ mod tests {
                     host_bits(host_row(&soa, i, l2, &sub, INV_MASS)),
                     "host {i}"
                 );
-                let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32));
+                let want = cell_bits(cell_all_pairs(&soa32, i, l32, &sub32, CellStage::simd(l32)));
                 assert_eq!(
                     want,
                     cell_bits(cell_row(&soa32, i, l32, &sub32, INV_MASS as f32)),
@@ -1881,6 +1980,7 @@ mod tests {
     }
 
     fn one_pass_cell(sub: &Substrate<f32>, c: Chunk<'_, f32>, st: &mut CellAccum) {
+        let fused = st.fused;
         let (inv_mass, sums) = (INV_MASS as f32, &mut st.sums);
         for k in 0..c.r2.len() {
             let (e, f_over_r) = sub.energy_force(c.r2[k]);
@@ -1891,10 +1991,15 @@ mod tests {
                 for (acc, d) in sums.acc64.iter_mut().zip(d) {
                     *acc += f64::from(d * s);
                 }
-            } else {
+            } else if fused {
                 sums.pe += e;
                 for (acc, d) in sums.acc.iter_mut().zip(d) {
                     *acc = d.mul_add(s, *acc);
+                }
+            } else {
+                sums.pe += e;
+                for (acc, d) in sums.acc.iter_mut().zip(d) {
+                    *acc += d * f_over_r * inv_mass;
                 }
             }
         }
@@ -1973,32 +2078,34 @@ mod tests {
                 let mut want = GatherRow::default();
                 one_pass_host(&sub, c64, &mut want);
                 one_pass_host(&sub, c64, &mut want);
-                let mut cell_want = CellAccum::new(sub32.accumulate_f64);
-                one_pass_cell(&sub32, c32, &mut cell_want);
-                one_pass_cell(&sub32, c32, &mut cell_want);
-                let mut gpu_want = GpuAccum(Sums32::new(sub32.accumulate_f64));
+                let mixed = sub32.accumulate_f64;
+                let cell_want = [false, true].map(|fused| {
+                    let mut st = CellAccum::new(mixed, fused);
+                    one_pass_cell(&sub32, c32, &mut st);
+                    one_pass_cell(&sub32, c32, &mut st);
+                    cell_bits(st.finish())
+                });
+                let mut gpu_want = GpuAccum(Sums32::new(mixed));
                 one_pass_gpu(&sub32, c32, &mut gpu_want);
                 one_pass_gpu(&sub32, c32, &mut gpu_want);
-                let (want, cell_want, gpu_want) = (
-                    host_bits(want),
-                    cell_bits(cell_want.finish()),
-                    gpu_bits(gpu_want.finish()),
-                );
+                let (want, gpu_want) = (host_bits(want), gpu_bits(gpu_want.finish()));
 
                 for native in [false, true] {
                     if native && !wide_kernels_native() {
                         continue;
                     }
                     let mut row = GatherRow::default();
-                    let mut cell = CellAccum::new(sub32.accumulate_f64);
-                    let mut gpu = GpuAccum(Sums32::new(sub32.accumulate_f64));
+                    let mut cell = [false, true].map(|fused| CellAccum::new(mixed, fused));
+                    let mut gpu = GpuAccum(Sums32::new(mixed));
                     for _ in 0..2 {
                         drain_with(&sub, native, &mut row, c64, INV_MASS);
-                        drain_with(&sub32, native, &mut cell, c32, INV_MASS as f32);
+                        for st in &mut cell {
+                            drain_with(&sub32, native, st, c32, INV_MASS as f32);
+                        }
                         drain_with(&sub32, native, &mut gpu, c32, INV_MASS as f32);
                     }
                     assert_eq!(want, host_bits(row), "host, native {native}, {ctx}");
-                    let cell = cell_bits(cell.finish());
+                    let cell = cell.map(|st| cell_bits(st.finish()));
                     assert_eq!(cell_want, cell, "cell, native {native}, {ctx}");
                     let gpu = gpu_bits(gpu.finish());
                     assert_eq!(gpu_want, gpu, "gpu, native {native}, {ctx}");

@@ -76,6 +76,12 @@ fn run(args: RunArgs) -> ExitCode {
         }
     }
 
+    // Frames still buffered fail here, not in the loop.
+    if let Some(Err(e)) = xyz.as_mut().map(Write::flush) {
+        eprintln!("error writing XYZ: {e}");
+        return ExitCode::FAILURE;
+    }
+
     if let Some(path) = &args.checkpoint_path {
         let bytes = SystemCheckpoint::capture(&sim.system, sim.steps_done() as u64).encode();
         if let Err(e) = std::fs::write(path, bytes) {

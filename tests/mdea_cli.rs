@@ -26,3 +26,26 @@ fn run_checkpoint_is_a_decodable_mdcp1_file() {
     assert_eq!(cp.n(), 108);
     assert!(cp.restore::<f64>().is_finite(), "finite final state");
 }
+
+/// A trajectory write that fails only when the buffered frames are flushed
+/// at the end of the run (`/dev/full` accepts the open, refuses the bytes)
+/// is reported and fails the run.
+#[cfg(target_os = "linux")]
+#[test]
+fn run_reports_a_failed_xyz_write() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mdea"))
+        .args([
+            "run",
+            "--atoms",
+            "108",
+            "--steps",
+            "10",
+            "--xyz",
+            "/dev/full",
+        ])
+        .output()
+        .expect("mdea runs");
+    assert!(!out.status.success(), "a lost trajectory must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error writing XYZ"), "{stderr}");
+}
