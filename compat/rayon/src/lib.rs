@@ -223,8 +223,12 @@ pub mod iter {
     }
 
     /// Claims per worker, on average, that a job is cut into: enough that
-    /// the last claims even out uneven item costs, few enough that claiming
-    /// costs nothing next to a force row.
+    /// the last claims even out uneven item costs, few enough that the lock
+    /// is rarely contended. One-item claims are slower on the force-row
+    /// maps: on a 2-vCPU host, `mdea run --atoms 2048 --host-threads 4`
+    /// took 0.295 s against 0.179 s with these blocks, and
+    /// `sweep run fig9 --no-cache --host-threads 8` 0.618 s against
+    /// 0.432 s (medians of 10 alternating pairs, blocks faster in all 10).
     const CLAIMS_PER_WORKER: usize = 32;
 
     /// Run `f` over every `(index, item)` of `items` on the resolved number

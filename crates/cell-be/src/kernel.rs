@@ -452,6 +452,33 @@ mod tests {
         let half_l = 0.5 * l;
         let cutoff2 = params.sub.cutoff2();
         let mixed = params.sub.accumulate_f64;
+        // The stage costs, chosen here rather than by `charges`, so the
+        // oracle checks the production charges too.
+        let pot_cost = costs.lj_eval + params.sub.extra_eval_ops();
+        let reflect_cost = if variant.reflect_simd() {
+            costs.reflect_simd
+        } else if variant.branch_free_reflect() {
+            costs.reflect_copysign
+        } else {
+            costs.reflect_branchy
+        };
+        let direction_cost = if variant.direction_simd() {
+            costs.direction_simd
+        } else {
+            costs.direction_scalar
+        };
+        let length_cost = if variant.length_simd() {
+            costs.length_simd
+        } else {
+            costs.length_scalar
+        };
+        let accel_cost = if variant.accel_simd() {
+            costs.accel_simd
+        } else {
+            costs.accel_scalar
+        };
+        let per_pair_cost =
+            reflect_cost + direction_cost + length_cost + costs.cutoff_test + costs.pair_loads;
         let rows = i_range.len() as u64;
 
         for i in i_range {
@@ -561,8 +588,7 @@ mod tests {
             pe_slice += pe_i;
             out[i] = [acc_v.lane(0), acc_v.lane(1), acc_v.lane(2), pe_i];
         }
-        let (per_pair, per_interaction) = variant.charges(costs, &params.sub);
-        stats.charge_closed_form(costs, rows, per_pair, per_interaction);
+        stats.charge_closed_form(costs, rows, per_pair_cost, pot_cost + accel_cost);
 
         (out, pe_slice, stats)
     }
@@ -689,7 +715,13 @@ mod tests {
 
     #[test]
     fn ladder_cycle_costs_strictly_decrease() {
-        let pos = scattered(32, 6.0);
+        let pos: Vec<[f32; 3]> = (0..32)
+            .map(|i| {
+                let f = i as f32;
+                [f * 0.37 % 6.0, f * 0.73 % 6.0, f * 1.13 % 6.0]
+            })
+            .collect();
+        let pos = quads(&pos);
         let mut prev = f64::INFINITY;
         for v in SpeKernelVariant::ALL {
             let params = physics(ScenarioSpec::default(), 2.0, 6.0, 1.0);
