@@ -14,7 +14,10 @@
 //! The Cell's tiled and double-precision SPE ports are pinned the same way
 //! through their `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
-//! variant's single-SPE probe and a resident one-SPE run per variant.
+//! variant's single-SPE probe and a resident one-SPE run per variant. The
+//! supervised Opteron and 4-node Opteron cluster runs (fault-free, and with
+//! node 2 killed at step 5) are pinned per accepted segment, so the charge
+//! of every resumed segment's priming evaluation is part of the contract.
 //!
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
@@ -23,7 +26,10 @@
 //! golden_matrix_is_complete`.
 
 use cell_be::{CellBeDevice, CellRun, CellRunConfig, SpawnPolicy, SpeKernelVariant};
-use harness::{DeviceKind, GpuModel};
+use harness::{
+    run_cluster_supervised, run_supervised, ClusterKind, DeviceKind, GpuModel, SupervisedRun,
+    SupervisorConfig,
+};
 use md_core::checkpoint::fnv1a;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
 use md_core::params::SimConfig;
@@ -161,6 +167,33 @@ impl Record {
         r.count("kernel.pairs_tested", run.kernel_stats.pairs_tested);
         r.count("kernel.interactions", run.kernel_stats.interactions);
         r.bits("kernel.cycles", run.kernel_stats.cycles);
+        r
+    }
+
+    /// Everything a [`SupervisedRun`] reports: the final physics, the
+    /// recovery counts, and each accepted segment's simulated seconds and
+    /// perf-counter values.
+    fn supervised_run(run: &SupervisedRun) -> Self {
+        let mut r = Self::new();
+        r.bits("sim_seconds", run.sim_seconds);
+        r.energies(&run.energies);
+        r.count("state.step", run.checkpoint.step);
+        r.hex(
+            "state.fnv1a",
+            fnv1a(&run.checkpoint.encode_domain(0, run.checkpoint.n())),
+        );
+        let rep = &run.report;
+        r.count("attempts", rep.attempts);
+        r.count("checkpoints", rep.checkpoints);
+        r.count("restores", rep.restores);
+        for seg in &rep.segments {
+            let at = format!("segment@{}", seg.start_step);
+            r.count(format!("{at}.steps"), seg.steps as u64);
+            r.bits(format!("{at}.sim_seconds"), seg.sim_seconds);
+            for (name, v, _) in &seg.counters {
+                r.bits(format!("{at}.counter.{name}"), *v);
+            }
+        }
         r
     }
 
@@ -353,6 +386,44 @@ fn cell_ladder_records() -> Vec<(String, Record)> {
     cell_ladder_keys().into_iter().zip(recs).collect()
 }
 
+/// Supervised 2048 × 10 runs under the default policy (2-step segments):
+/// the Opteron alone, and a 4-node Opteron cluster fault-free and with node
+/// 2 killed at step 5. Every segment after the first resumes from the
+/// checkpoint the device produced.
+fn supervised_keys() -> [String; 3] {
+    let cluster = ClusterKind::new(DeviceKind::Opteron, 4).label();
+    let at = format!("@{PAPER_ATOMS}x{PAPER_STEPS}");
+    [
+        format!("supervised/{}{at}", DeviceKind::Opteron.label()),
+        format!("supervised/{cluster}{at}/clean"),
+        format!("supervised/{cluster}{at}/kill2@5"),
+    ]
+}
+
+fn supervised_records() -> Vec<(String, Record)> {
+    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
+    let cfg = SupervisorConfig::default();
+    let mut dev = DeviceKind::Opteron.build();
+    let single = run_supervised(dev.as_mut(), &sim, PAPER_STEPS, &cfg, None);
+    let cluster = |kill: bool| {
+        let mut c = ClusterKind::new(DeviceKind::Opteron, 4).build();
+        if kill {
+            c.kill_node_at_step(2, 5);
+        }
+        run_cluster_supervised(&mut c, &sim, PAPER_STEPS, &cfg, None).run
+    };
+    let runs = [single, cluster(false), cluster(true)];
+    assert_eq!(
+        runs.each_ref().map(|r| r.report.restores),
+        [0, 0, 1],
+        "only the node kill restores"
+    );
+    supervised_keys()
+        .into_iter()
+        .zip(runs.iter().map(Record::supervised_run))
+        .collect()
+}
+
 fn render_golden(records: &[(String, Record)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -491,6 +562,16 @@ fn cell_ppe_and_kernel_ladder_match_the_golden_matrix() {
     }
 }
 
+/// Supervised runs resume each segment from the device's own checkpoint;
+/// the recovery story and every segment's charge are pinned.
+#[test]
+fn supervised_runs_match_the_golden_matrix() {
+    let doc = golden();
+    for (key, rec) in supervised_records() {
+        assert_matches_golden(&doc, &key, &rec, "supervised");
+    }
+}
+
 /// Every record the matrix holds, measured serially, in file order.
 fn measure_matrix() -> Vec<(String, Record)> {
     let mut records = Vec::new();
@@ -520,6 +601,7 @@ fn measure_matrix() -> Vec<(String, Record)> {
         records.push((double_key(n, steps), double_record(n, steps)));
     }
     records.extend(cell_ladder_records());
+    records.extend(supervised_records());
     records
 }
 
@@ -541,6 +623,7 @@ fn golden_matrix_is_complete() {
     keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
     keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
     keys.extend(cell_ladder_keys());
+    keys.extend(supervised_keys());
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         assert!(
