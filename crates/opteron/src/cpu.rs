@@ -154,6 +154,46 @@ struct TraceMemo {
 /// the memo is full.
 const TRACE_MEMO_RECORDS: usize = 2;
 
+/// The final force evaluation of the device's last run: its inputs and
+/// outputs.
+///
+/// [`host_forces`] is a pure function of the positions, box, mass and the
+/// config's substrate, and its bits do not depend on the host thread count.
+/// A supervised run resumes each segment from the checkpoint the previous
+/// segment ended in, so the next segment's priming evaluation would
+/// recompute exactly this record. When the inputs match bit for bit
+/// ([`LastEval::matches`]) the prime takes accelerations, PE and the
+/// interaction count from here instead; everything it charges still runs.
+struct LastEval {
+    sim: SimConfig,
+    box_len: f64,
+    mass: f64,
+    positions: Vec<Vec3<f64>>,
+    accelerations: Vec<Vec3<f64>>,
+    pe: f64,
+    interactions: u64,
+}
+
+impl LastEval {
+    /// Bitwise equality of every input of [`host_forces`], so `-0.0` and
+    /// NaN miss. The config compares with `==` (NaN fields miss) and by its
+    /// `Debug` text, whose shortest round-trip float printing tells `-0.0`
+    /// from `0.0`.
+    fn matches(&self, sys: &ParticleSystem<f64>, sim: &SimConfig) -> bool {
+        let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        self.box_len.to_bits() == sys.box_len.to_bits()
+            && self.mass.to_bits() == sys.mass.to_bits()
+            && self.positions.len() == sys.n()
+            && self
+                .positions
+                .iter()
+                .zip(&sys.positions)
+                .all(|(a, b)| bits(a) == bits(b))
+            && self.sim == *sim
+            && format!("{:?}", self.sim) == format!("{sim:?}")
+    }
+}
+
 /// The simulated CPU. Holds the cache hierarchy so repeated calls can model
 /// warm or cold caches as the caller chooses.
 pub struct OpteronCpu {
@@ -169,6 +209,9 @@ pub struct OpteronCpu {
     /// Recorded force-evaluation replays, oldest first, reused when the
     /// cache re-enters a recorded entry state ([`TraceMemo`]).
     trace_memo: Vec<TraceMemo>,
+    /// The last run's final force evaluation, reused by a run that resumes
+    /// from the state it left ([`LastEval`]).
+    last_eval: Option<LastEval>,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
@@ -183,6 +226,7 @@ impl OpteronCpu {
             loads: 0,
             stores: 0,
             trace_memo: Vec::new(),
+            last_eval: None,
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
@@ -228,17 +272,18 @@ impl OpteronCpu {
         self.stores = 0;
         let handles = perf.as_deref_mut().map(PerfHandles::register);
         let sub = sim.substrate::<f64>();
+        let n = sys.n();
         // Ensemble work (thermostat rescale) is O(N) per step on top of the
         // integration loop; zero under NVE so the paper runs are untouched.
-        let ens_flops = sys.n() as f64 * sub.extra_step_ops_per_atom();
+        let ens_flops = n as f64 * sub.extra_step_ops_per_atom();
         let vv = VelocityVerlet::new(sim.dt);
 
         // Lay out the logical arrays in the simulated address space.
         let elem = size_of::<Vec3<f64>>(); // 24 bytes
         let mut space = AddressSpace::new();
-        let pos_r = space.alloc_array(sys.n(), elem);
-        let vel_r = space.alloc_array(sys.n(), elem);
-        let acc_r = space.alloc_array(sys.n(), elem);
+        let pos_r = space.alloc_array(n, elem);
+        let vel_r = space.alloc_array(n, elem);
+        let acc_r = space.alloc_array(n, elem);
 
         let mut flops = 0.0f64;
         let mut loop_iters = 0.0f64;
@@ -258,8 +303,24 @@ impl OpteronCpu {
 
         // Prime the accelerations (step-0 force evaluation), charged like any
         // other evaluation — the paper's total runtime includes everything.
-        let mut pe =
-            self.traced_forces(sys, &sub, &pos_r, &acc_r, &mut flops, &mut loop_iters, par);
+        // Resuming from the state this device's last run ended in takes the
+        // physics from its record ([`LastEval`]); the charge is the same.
+        let (mut pe, mut interactions) = match self.last_eval.as_ref() {
+            Some(last) if last.matches(sys, sim) => {
+                sys.accelerations.copy_from_slice(&last.accelerations);
+                (last.pe, last.interactions)
+            }
+            _ => host_forces(sys, &sub, par),
+        };
+        self.charge_eval(
+            n,
+            &sub,
+            &pos_r,
+            &acc_r,
+            interactions,
+            &mut flops,
+            &mut loop_iters,
+        );
         #[cfg(feature = "fault-inject")]
         {
             fault_extra_cycles += resolve_degradable(
@@ -275,16 +336,25 @@ impl OpteronCpu {
         for _step in 0..steps {
             // Steps 1, 3, 4 of Figure 4: O(N) integration. One pass reads
             // acc + vel + pos and writes vel + pos.
-            for i in 0..sys.n() {
+            for i in 0..n {
                 self.mem_access(acc_r.addr(i), AccessKind::Read);
                 self.mem_access(vel_r.addr(i), AccessKind::Write);
                 self.mem_access(pos_r.addr(i), AccessKind::Write);
             }
-            flops += FLOPS_INTEGRATE * sys.n() as f64;
+            flops += FLOPS_INTEGRATE * n as f64;
             vv.kick_drift(sys);
 
-            // Step 2: the traced O(N²) force evaluation.
-            pe = self.traced_forces(sys, &sub, &pos_r, &acc_r, &mut flops, &mut loop_iters, par);
+            // Step 2: the O(N²) force evaluation and its traced charge.
+            (pe, interactions) = host_forces(sys, &sub, par);
+            self.charge_eval(
+                n,
+                &sub,
+                &pos_r,
+                &acc_r,
+                interactions,
+                &mut flops,
+                &mut loop_iters,
+            );
             #[cfg(feature = "fault-inject")]
             {
                 fault_extra_cycles += resolve_degradable(
@@ -301,16 +371,28 @@ impl OpteronCpu {
             }
 
             // Second half-kick + step 5 energy reduction.
-            for i in 0..sys.n() {
+            for i in 0..n {
                 self.mem_access(acc_r.addr(i), AccessKind::Read);
                 self.mem_access(vel_r.addr(i), AccessKind::Write);
             }
-            flops += 6.0 * sys.n() as f64;
+            flops += 6.0 * n as f64;
             vv.kick(sys);
             sub.apply_thermostat(sys);
             flops += ens_flops;
             self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
         }
+
+        // The kick and the thermostat after the last evaluation move only
+        // velocities: positions and accelerations are still its own.
+        self.last_eval = Some(LastEval {
+            sim: *sim,
+            box_len: sys.box_len,
+            mass: sys.mass,
+            positions: sys.positions.clone(),
+            accelerations: sys.accelerations.clone(),
+            pe,
+            interactions,
+        });
 
         let stats = self.hierarchy.stats();
         let flop_cycles =
@@ -368,36 +450,30 @@ impl OpteronCpu {
         p.sample_all(cycles / self.config.clock_hz);
     }
 
-    /// The step-2 gather loop with interleaved cache accesses. Numerics are
-    /// identical to [`md_core::reference::forces`].
-    ///
-    /// The cache replay and the physics never read each other, so they run
-    /// one after the other. First the evaluation's exact memory-reference
-    /// sequence goes through the cache hierarchy
-    /// ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per cache set), or
-    /// a recorded replay is reused ([`TraceMemo`]). Then the physics runs
-    /// through the shared evaluator ([`host_forces`], the same function
-    /// `md_core::sim::Simulation` calls) — demand cycles, reference counts,
-    /// flops, PE, and accelerations are bitwise identical at any thread
-    /// count.
+    /// Charge one force evaluation of `n` atoms that found `interactions`
+    /// in-cutoff pairs: its exact memory-reference sequence through the
+    /// cache hierarchy ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per
+    /// cache set, or a recorded replay, [`TraceMemo`]), its loads and
+    /// stores, and its flops. The cache replay and the physics never read
+    /// each other; the physics is [`host_forces`], the same function
+    /// `md_core::sim::Simulation` calls, so demand cycles, reference
+    /// counts, flops, PE, and accelerations are bitwise identical at any
+    /// thread count.
     #[allow(clippy::too_many_arguments)]
-    fn traced_forces(
+    fn charge_eval(
         &mut self,
-        sys: &mut ParticleSystem<f64>,
+        n: usize,
         sub: &md_core::scenario::Substrate<f64>,
         pos_r: &ArrayRegion,
         acc_r: &ArrayRegion,
+        interactions: u64,
         flops: &mut f64,
         loop_iters: &mut f64,
-        par: HostParallelism,
-    ) -> f64 {
-        let n = sys.n();
+    ) {
         self.demand_cycles += self.replay_or_reuse(n, pos_r, acc_r);
         let (loads, stores) = eval_stream_traffic(n);
         self.loads += loads;
         self.stores += stores;
-
-        let (pe, interactions) = host_forces(sys, sub, par);
 
         let dist_evals = (n as f64) * (n as f64 - 1.0);
         // Per-interaction flops: the LJ baseline plus whatever extra work the
@@ -405,7 +481,6 @@ impl OpteronCpu {
         *flops += dist_evals * FLOPS_DISTANCE
             + interactions as f64 * (FLOPS_INTERACT + sub.extra_eval_ops());
         *loop_iters += dist_evals;
-        pe
     }
 
     /// Charge one force evaluation's cache replay, reusing a recorded one
@@ -861,6 +936,46 @@ mod tests {
             "{} records",
             cpu.trace_memo.len()
         );
+    }
+
+    #[test]
+    fn a_resume_from_the_last_runs_checkpoint_hits_the_record() {
+        use md_core::device::{MdDevice, RunOptions};
+        let cfg = SimConfig::reduced_lj(108);
+        let mut cpu = OpteronCpu::paper_reference();
+        let run = cpu.run(&cfg, RunOptions::steps(3)).expect("runs");
+        let last = cpu.last_eval.as_ref().expect("every run records");
+        assert!(last.matches(&run.checkpoint.restore(), &cfg));
+        assert_eq!(last.accelerations, run.checkpoint.accelerations);
+    }
+
+    #[test]
+    fn the_record_matches_by_bits() {
+        let cfg = SimConfig::reduced_lj(108);
+        let mut sys: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
+        let last = LastEval {
+            sim: cfg,
+            box_len: sys.box_len,
+            mass: sys.mass,
+            positions: sys.positions.clone(),
+            accelerations: sys.accelerations.clone(),
+            pe: 0.0,
+            interactions: 0,
+        };
+        assert!(last.matches(&sys, &cfg));
+        // `==` holds for -0.0 and 0.0, the bits differ.
+        let signed = SimConfig { cutoff: -0.0, ..cfg };
+        let zero = SimConfig { cutoff: 0.0, ..cfg };
+        let last_zero = LastEval { sim: zero, ..last };
+        assert!(!last_zero.matches(&sys, &signed));
+        let last = LastEval { sim: cfg, ..last_zero };
+        sys.positions[1].y = -0.0;
+        assert!(!last.matches(&sys, &cfg));
+        sys.positions[1].y = 0.0;
+        // NaN never matches, not even itself.
+        let nan = SimConfig { dt: f64::NAN, ..cfg };
+        let last = LastEval { sim: nan, ..last };
+        assert!(!last.matches(&sys, &nan));
     }
 
     #[cfg(feature = "fault-inject")]
