@@ -706,13 +706,14 @@ impl CellBeDevice {
 
     /// Figure 5 measurement: simulated seconds for ONE acceleration-function
     /// invocation (2048 atoms in the paper) on a single SPE at the given
-    /// optimization stage. DMA included; thread launch excluded (the figure
-    /// times the function, not the launch).
+    /// optimization stage, and the potential energy that invocation computes
+    /// for the initial lattice. DMA included; thread launch excluded (the
+    /// figure times the function, not the launch).
     pub fn time_single_spe_accel(
         &self,
         sim: &SimConfig,
         variant: SpeKernelVariant,
-    ) -> Result<f64, CellError> {
+    ) -> Result<(f64, f64), CellError> {
         let sys: ParticleSystem<f32> = init::initialize(sim);
         let n = sys.n();
         let dma = DmaEngine::new(&self.config);
@@ -725,7 +726,7 @@ impl CellBeDevice {
         // The probe times the function: only its work counts matter. Each
         // way the n quads cross the bus costs the same DMA cycles.
         let dma_cycles = dma.transfer_cycles(n * 16);
-        let (_, stats) = compute_accelerations(
+        let (pe, stats) = compute_accelerations(
             &soa_of(&sys.positions),
             0..n,
             params,
@@ -733,7 +734,11 @@ impl CellBeDevice {
             &self.config.costs,
             |_, _| {},
         );
-        Ok((dma_cycles + stats.cycles + dma_cycles) / self.config.clock_hz)
+        // Each pair's energy sits in both of its atoms' rows.
+        Ok((
+            (dma_cycles + stats.cycles + dma_cycles) / self.config.clock_hz,
+            (pe * 0.5) as f64,
+        ))
     }
 }
 
@@ -1522,14 +1527,14 @@ impl md_core::device::MdDevice for CellAccelProbe {
                     .to_string(),
             ));
         }
-        let t = self
+        let (t, pe) = self
             .device
             .time_single_spe_accel(sim, self.variant)
             .map_err(|e| md_core::device::DeviceError::Failed(e.to_string()))?;
         let sys: ParticleSystem<f32> = init::initialize(sim);
         let run = md_core::device::DeviceRun {
             sim_seconds: t,
-            energies: EnergyReport::measure(&sys, 0.0),
+            energies: EnergyReport::measure(&sys, pe),
             checkpoint: md_core::checkpoint::SystemCheckpoint::capture(&sys, 0),
             attribution: vec![("force_eval", t)],
             derived: Vec::new(),
@@ -1673,7 +1678,7 @@ mod tests {
         let device = CellBeDevice::paper_blade();
         let mut prev = f64::INFINITY;
         for variant in SpeKernelVariant::ALL {
-            let t = device.time_single_spe_accel(&sim, variant).unwrap();
+            let (t, _) = device.time_single_spe_accel(&sim, variant).unwrap();
             assert!(t < prev, "{variant:?}: {t} !< {prev}");
             prev = t;
         }

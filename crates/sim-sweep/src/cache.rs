@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Bump when a code change alters simulated results without moving any
 /// config knob that feeds the cache key (cost-model constants, kernel math,
 /// metric schema semantics). Every cached point becomes stale at once.
-pub const CODE_VERSION_SALT: u64 = 1;
+pub const CODE_VERSION_SALT: u64 = 2;
 
 /// Schema of the on-disk wrapper document (the inner metrics record carries
 /// its own `schema_version`).

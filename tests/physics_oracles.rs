@@ -30,6 +30,7 @@
 //! ~2e-2 (f32) against observed drifts near 1e-14 and 3e-6, while one
 //! missing or one-sided pair force moves `P` by `h·|f_ij|` ≈ 0.1 per kick.
 
+use cell_be::SpeKernelVariant;
 use harness::{DeviceKind, GpuModel};
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{DeviceRun, RunOptions};
@@ -188,6 +189,59 @@ fn pair_forces_are_exactly_antisymmetric() {
         let sim = SimConfig::reduced_lj(ATOMS).with_scenario(flavor);
         check::<f64>(&sim);
         check::<f32>(&sim);
+    }
+}
+
+/// **The Figure 5 probe reports the lattice's potential energy.** Each
+/// single-SPE probe evaluates the f32 initial lattice once, at the paper's
+/// 2,048 atoms. Its PE must be negative (the lattice at liquid density is
+/// bound) and agree with the f64 reference PE of the same lattice — the
+/// f32 positions widened exactly to f64, so both evaluate the same inputs.
+///
+/// The stated f32 bound: each pair energy `4(r⁻¹² − r⁻⁶)` is a few dozen
+/// roundings from its positions (displacement, minimum-image fold, `r²`,
+/// the powers, the difference), so it is off by at most `k·u·t_ij` with
+/// `k = 32` and `t_ij = 4(r⁻¹² + r⁻⁶)` the cancellation-free term size; the
+/// row sums and the sum over rows add at most `γ(2N)·Σ t_ij`. So
+/// `|PE₃₂ − PE₆₄| ≤ (γ(2N) + 32u)·T` with `T = Σ_{i<j} t_ij` and
+/// `u = 2⁻²⁴`. At 2,048 atoms that is 2.5e-4·T; every variant's observed
+/// gap is 4.3e-6·T (PE −13871.97 against −13871.86 in f64).
+#[test]
+fn figure5_probes_report_the_lattice_potential_energy() {
+    let sim = SimConfig::reduced_lj(2048);
+    assert_eq!(sim.scenario, ScenarioSpec::default(), "LJ with ε = σ = 1");
+    let lattice: md_core::system::ParticleSystem<f32> = md_core::init::initialize(&sim);
+    let mut widened = SystemCheckpoint::capture(&lattice, 0).restore::<f64>();
+    let sub = sim.substrate::<f64>();
+    let reference = md_core::reference::forces(&mut widened, &sub);
+    let rc2 = sub.cutoff2();
+    let mut t = 0.0;
+    for (i, &pi) in widened.positions.iter().enumerate() {
+        for &pj in &widened.positions[i + 1..] {
+            let d = min_image_branchy(pi - pj, widened.box_len);
+            let r2 = d.dot(d);
+            if r2 < rc2 {
+                let s6 = (1.0 / r2).powi(3);
+                t += 4.0 * (s6 * s6 + s6);
+            }
+        }
+    }
+    let (n, u) = (widened.n() as f64, f64::from(f32::EPSILON) / 2.0);
+    let gamma = 2.0 * n * u / (1.0 - 2.0 * n * u);
+    let bound = (gamma + 32.0 * u) * t;
+    assert!(reference < 0.0, "f64 lattice PE {reference}");
+    for variant in SpeKernelVariant::ALL {
+        let run = DeviceKind::CellAccel { variant }
+            .build()
+            .run(&sim, RunOptions::steps(0))
+            .unwrap_or_else(|e| panic!("{variant:?} probe: {e}"));
+        let pe = run.energies.potential;
+        assert!(pe < 0.0, "{variant:?} probe PE {pe}");
+        assert!(
+            (pe - reference).abs() <= bound,
+            "{variant:?} probe PE {pe} vs f64 {reference}: gap {:e} > bound {bound:e}",
+            (pe - reference).abs()
+        );
     }
 }
 
