@@ -288,12 +288,12 @@ pub fn run_supervised(
     let interval = cfg.checkpoint_interval.max(1);
     let mut report = RecoveryReport::default();
     let mut total_s = 0.0f64;
-    let sys: ParticleSystem<f64> = init::initialize(sim);
-    let mut cp = SystemCheckpoint::capture(&sys, 0);
-    // Whether `cp` came out of a device run. Until it has, segments start
-    // the device fresh (see `run_segment`); the f64 initial capture is only
-    // ever resumed by the f64 reference device during fallback.
-    let mut device_produced = false;
+    // The last good checkpoint. `None` is the initial lattice at step 0:
+    // until a device run has produced a checkpoint, segments start the
+    // device fresh (see `run_segment`). The f64 initial capture is only
+    // resumed by the f64 reference device during fallback and reported by
+    // a zero-step run, so it is built only there ([`initial_checkpoint`]).
+    let mut cp: Option<SystemCheckpoint> = None;
     let mut energies: Option<EnergyReport> = None;
 
     let emit = |report: &mut RecoveryReport,
@@ -326,6 +326,7 @@ pub fn run_supervised(
 
     let mut done = 0usize;
     'segments: while done < steps {
+        let at = cp.as_ref().map_or(0, |c| c.step);
         let seg_steps = interval.min(steps - done);
         let watchdog_budget = cfg.watchdog_s_per_step * seg_steps as f64;
 
@@ -333,10 +334,9 @@ pub fn run_supervised(
             report.attempts += 1;
             // Fresh, deterministic schedule per (segment, attempt): the salt
             // folds both so replays of the same run see the same faults.
-            device.resalt((cp.step << 8) | u64::from(attempt));
+            device.resalt((at << 8) | u64::from(attempt));
 
-            let failure = match run_segment(device, device_produced.then_some(&cp), sim, seg_steps)
-            {
+            let failure = match run_segment(device, cp.as_ref(), sim, seg_steps) {
                 Ok(seg) if seg.sim_seconds > watchdog_budget => {
                     // The watchdog fires at its budget; the segment's work
                     // past that point is lost, not charged.
@@ -347,10 +347,7 @@ pub fn run_supervised(
                         &mut report,
                         &mut ledger,
                         total_s,
-                        RecoveryEvent::WatchdogTimeout {
-                            step: cp.step,
-                            attempt,
-                        },
+                        RecoveryEvent::WatchdogTimeout { step: at, attempt },
                     );
                     "watchdog timeout".to_string()
                 }
@@ -359,7 +356,7 @@ pub fn run_supervised(
                     total_s += seg.sim_seconds;
                     report.faults.merge(&seg.faults);
                     let counters = SegmentCounters {
-                        start_step: cp.step,
+                        start_step: at,
                         steps: seg_steps,
                         sim_seconds: seg.sim_seconds,
                         counters: seg.counters,
@@ -367,14 +364,14 @@ pub fn run_supervised(
                     ledger_segment(&mut ledger, &device_label, seg_start, &counters);
                     report.segments.push(counters);
                     energies = Some(seg.energies);
-                    cp = seg.after;
-                    device_produced = true;
+                    let step = seg.after.step;
+                    cp = Some(seg.after);
                     report.checkpoints += 1;
                     emit(
                         &mut report,
                         &mut ledger,
                         total_s,
-                        RecoveryEvent::Checkpoint { step: cp.step },
+                        RecoveryEvent::Checkpoint { step },
                     );
                     done += seg_steps;
                     continue 'segments;
@@ -393,7 +390,7 @@ pub fn run_supervised(
                 &mut ledger,
                 total_s,
                 RecoveryEvent::Restore {
-                    step: cp.step,
+                    step: at,
                     attempt,
                     cause: failure,
                 },
@@ -407,13 +404,14 @@ pub fn run_supervised(
             &mut ledger,
             total_s,
             RecoveryEvent::Fallback {
-                step: cp.step,
+                step: at,
                 reason: format!("segment failed {} attempts", cfg.max_attempts),
             },
         );
-        let (s, e, after, counters) = reference_remainder(&cp, sim, steps - done);
+        let start = cp.take().unwrap_or_else(|| initial_checkpoint(sim));
+        let (s, e, after, counters) = reference_remainder(&start, sim, steps - done);
         let seg = SegmentCounters {
-            start_step: cp.step,
+            start_step: at,
             steps: steps - done,
             sim_seconds: s,
             counters,
@@ -422,7 +420,7 @@ pub fn run_supervised(
         report.segments.push(seg);
         total_s += s;
         energies = Some(e);
-        cp = after;
+        cp = Some(after);
         report.fell_back = true;
         break;
     }
@@ -444,13 +442,11 @@ pub fn run_supervised(
                 &mut ledger,
                 total_s,
                 RecoveryEvent::Fallback {
-                    step: cp.step,
+                    step: cp.as_ref().map_or(0, |c| c.step),
                     reason: "energy drift beyond tolerance".to_string(),
                 },
             );
-            let start: ParticleSystem<f64> = init::initialize(sim);
-            let (s, e, after, counters) =
-                reference_remainder(&SystemCheckpoint::capture(&start, 0), sim, steps);
+            let (s, e, after, counters) = reference_remainder(&initial_checkpoint(sim), sim, steps);
             let seg = SegmentCounters {
                 start_step: 0,
                 steps,
@@ -461,21 +457,29 @@ pub fn run_supervised(
             report.segments.push(seg);
             total_s += s;
             energies = Some(e);
-            cp = after;
+            cp = Some(after);
             report.fell_back = true;
         }
     }
 
+    // Only a zero-step run gets here without a checkpoint.
+    let checkpoint = cp.unwrap_or_else(|| initial_checkpoint(sim));
     SupervisedRun {
         sim_seconds: total_s,
         energies: energies.unwrap_or_else(|| {
             // steps == 0: nothing ran; measure the initial state directly.
-            let sys: ParticleSystem<f64> = cp.restore();
+            let sys: ParticleSystem<f64> = checkpoint.restore();
             EnergyReport::measure(&sys, 0.0)
         }),
-        checkpoint: cp,
+        checkpoint,
         report,
     }
+}
+
+/// The f64 initial lattice as a step-0 checkpoint.
+fn initial_checkpoint(sim: &SimConfig) -> SystemCheckpoint {
+    let sys: ParticleSystem<f64> = init::initialize(sim);
+    SystemCheckpoint::capture(&sys, 0)
 }
 
 /// Run the remaining steps on the fault-free Opteron reference model.

@@ -964,16 +964,25 @@ mod tests {
         };
         assert!(last.matches(&sys, &cfg));
         // `==` holds for -0.0 and 0.0, the bits differ.
-        let signed = SimConfig { cutoff: -0.0, ..cfg };
+        let signed = SimConfig {
+            cutoff: -0.0,
+            ..cfg
+        };
         let zero = SimConfig { cutoff: 0.0, ..cfg };
         let last_zero = LastEval { sim: zero, ..last };
         assert!(!last_zero.matches(&sys, &signed));
-        let last = LastEval { sim: cfg, ..last_zero };
+        let last = LastEval {
+            sim: cfg,
+            ..last_zero
+        };
         sys.positions[1].y = -0.0;
         assert!(!last.matches(&sys, &cfg));
         sys.positions[1].y = 0.0;
         // NaN never matches, not even itself.
-        let nan = SimConfig { dt: f64::NAN, ..cfg };
+        let nan = SimConfig {
+            dt: f64::NAN,
+            ..cfg
+        };
         let last = LastEval { sim: nan, ..last };
         assert!(!last.matches(&sys, &nan));
     }
