@@ -10,9 +10,12 @@
 //! that keeps failing triggers graceful degradation: the remaining steps run
 //! on the fault-free Opteron reference model and the run is marked
 //! `fell_back`. The recovered trajectory is bit-identical to a fault-free
-//! run on the same device (devices re-prime accelerations from positions at
+//! run on the same device (devices prime accelerations from positions at
 //! every checkpointed entry, so segment boundaries are invisible to the
-//! physics); only the simulated clock shows the recovery work.
+//! physics); only the simulated clock shows the recovery work. The Opteron
+//! reuses its own last evaluation when a segment resumes from the state its
+//! previous segment ended in, so the prime costs no host time there; the
+//! charge is unchanged. The Cell, GPU and MTA-2 still recompute it.
 //!
 //! The supervisor drives any [`MdDevice`] — it holds a `&mut dyn MdDevice`
 //! and never knows which architecture is underneath (DESIGN.md §11).

@@ -14,8 +14,11 @@
 //!   and simulated seconds. This is what makes sweep results memoizable.
 //! - **Segment transparency.** Starting from a [`SystemCheckpoint`] and
 //!   running `k` steps, then continuing from the returned checkpoint, must
-//!   reproduce the unsegmented trajectory bit for bit (devices re-prime
-//!   accelerations from positions on entry).
+//!   reproduce the unsegmented trajectory bit for bit (devices prime
+//!   accelerations from positions on entry). The Opteron reuses its own
+//!   last evaluation when it resumes from the state its previous run ended
+//!   in; the charge is unchanged, only host time is saved. The other
+//!   devices recompute the prime.
 //! - **Free observation.** Passing a [`PerfMonitor`] must not change the
 //!   trajectory or the simulated clock.
 //! - **Attribution identity.** [`DeviceRun::attribution`] partitions

@@ -130,8 +130,9 @@ fn segmented_resume_matches_unsegmented_under_threads() {
             .expect("second segment");
         // Segment transparency is a *trajectory* contract: the stitched run
         // lands on the same bits. (Simulated cost is allowed to differ — a
-        // resumed segment re-primes accelerations with an extra force
-        // evaluation, which the cost model charges.)
+        // resumed segment primes accelerations with an extra force
+        // evaluation, which the cost model charges. The Opteron reuses its
+        // own last evaluation there; the charge is unchanged.)
         assert_eq!(
             whole.checkpoint,
             second.checkpoint,

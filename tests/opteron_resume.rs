@@ -21,6 +21,9 @@ const ATOMS: usize = 256;
 /// Steps of the run that leaves the device's record.
 const WARMUP_STEPS: usize = 3;
 
+/// A perf counter's name, value bits and `(time, value)` sample bits.
+type CounterBits = (String, u64, Vec<(u64, u64)>);
+
 /// Every observable of a run as exact bits: the [`DeviceRun`] fields and
 /// each perf counter's value and sample series.
 #[derive(Debug, PartialEq, Eq)]
@@ -32,7 +35,7 @@ struct Bits {
     derived: Vec<(&'static str, u64)>,
     ops: u64,
     bytes_moved: u64,
-    counters: Vec<(String, u64, Vec<(u64, u64)>)>,
+    counters: Vec<CounterBits>,
 }
 
 impl Bits {
