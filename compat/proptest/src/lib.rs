@@ -10,7 +10,8 @@
 //! numeric `Range` strategies (`0.5f64..7.0`, `1usize..100`, ...), tuples of
 //! strategies up to arity 3, `&str` regex-ish string strategies (pattern
 //! semantics reduced to "arbitrary strings", which is what `".*"` asks for),
-//! [`collection::vec`], [`array::uniform4`], and [`Strategy::prop_map`].
+//! [`collection::vec`], [`array::uniform4`], and
+//! [`Strategy::prop_map`](strategy::Strategy::prop_map).
 
 pub mod strategy;
 pub mod test_runner;

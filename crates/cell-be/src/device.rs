@@ -90,7 +90,6 @@ pub struct CellRun {
     pub kernel_stats: KernelStats,
     pub config: CellRunConfig,
     /// Injected-fault ledger for this run (zero when no plan is armed).
-    #[cfg(feature = "fault-inject")]
     pub faults: sim_fault::FaultStats,
 }
 
@@ -106,7 +105,6 @@ impl CellRun {
 pub struct CellBeDevice {
     pub config: CellConfig,
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
 
@@ -114,7 +112,6 @@ impl CellBeDevice {
     pub fn new(config: CellConfig) -> Self {
         Self {
             config,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -125,7 +122,6 @@ impl CellBeDevice {
 
     /// Arm a deterministic fault schedule for subsequent runs (every
     /// SPE-offload port; the PPE-only run stays fault-free).
-    #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -276,7 +272,6 @@ impl CellBeDevice {
 
         // One fault session per run: the plan decides, the session keeps the
         // retry/exhaustion ledger and the simulated-time cost of recovery.
-        #[cfg(feature = "fault-inject")]
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
 
         // Main memory image: positions then accelerations, one
@@ -333,33 +328,30 @@ impl CellBeDevice {
             // evaluation, or once and then a mailbox signal per step.
             if run.policy == SpawnPolicy::RespawnEveryStep || !launched {
                 for (s, spe) in spes.iter_mut().enumerate() {
-                    #[cfg(feature = "fault-inject")]
-                    {
-                        // A failed spe_create_thread is repeated at full
-                        // launch cost.
-                        let extra = resolve_fault_site(
-                            &mut fault,
-                            sim_fault::FaultSite::new(
-                                sim_fault::FaultKind::SpeLaunch,
-                                eval as u64,
-                                s as u32,
-                                0,
-                            ),
-                            self.config.spawn_cycles,
-                            clk,
-                        )?;
-                        if extra > 0.0 {
-                            if let Some(tr) = trace.as_deref_mut() {
-                                tr.instant(
-                                    ppe_track,
-                                    &format!("fault: spe-launch retry (SPE {s})"),
-                                    "fault",
-                                    t_now,
-                                );
-                            }
-                            breakdown.spawn += extra;
-                            t_now += extra / clk;
+                    // A failed spe_create_thread is repeated at full
+                    // launch cost.
+                    let extra = resolve_fault_site(
+                        &mut fault,
+                        sim_fault::FaultSite::new(
+                            sim_fault::FaultKind::SpeLaunch,
+                            eval as u64,
+                            s as u32,
+                            0,
+                        ),
+                        self.config.spawn_cycles,
+                        clk,
+                    )?;
+                    if extra > 0.0 {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.instant(
+                                ppe_track,
+                                &format!("fault: spe-launch retry (SPE {s})"),
+                                "fault",
+                                t_now,
+                            );
                         }
+                        breakdown.spawn += extra;
+                        t_now += extra / clk;
                     }
                     spe.start_thread();
                     if let Some(tr) = trace.as_deref_mut() {
@@ -378,39 +370,34 @@ impl CellBeDevice {
             } else {
                 // "Signal them using mailboxes when there is more data to
                 // process."
-                #[allow(clippy::unused_enumerate_index)]
-                // index feeds the hazard checker when the feature is on
-                for (_s, spe) in spes.iter_mut().enumerate() {
-                    #[cfg(feature = "fault-inject")]
-                    {
-                        // A dropped mailbox message costs a fresh PPE service
-                        // round plus the SPE-side read.
-                        let extra = resolve_fault_site(
-                            &mut fault,
-                            sim_fault::FaultSite::new(
-                                sim_fault::FaultKind::MailboxDrop,
-                                eval as u64,
-                                _s as u32,
-                                0,
-                            ),
-                            self.config.ppe_service_cycles + mbox,
-                            clk,
-                        )?;
-                        if extra > 0.0 {
-                            if let Some(tr) = trace.as_deref_mut() {
-                                tr.instant(
-                                    ppe_track,
-                                    &format!("fault: mailbox-drop resend (SPE {_s})"),
-                                    "fault",
-                                    t_now,
-                                );
-                            }
-                            breakdown.mailbox += extra;
-                            t_now += extra / clk;
+                for (s, spe) in spes.iter_mut().enumerate() {
+                    // A dropped mailbox message costs a fresh PPE service
+                    // round plus the SPE-side read.
+                    let extra = resolve_fault_site(
+                        &mut fault,
+                        sim_fault::FaultSite::new(
+                            sim_fault::FaultKind::MailboxDrop,
+                            eval as u64,
+                            s as u32,
+                            0,
+                        ),
+                        self.config.ppe_service_cycles + mbox,
+                        clk,
+                    )?;
+                    if extra > 0.0 {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.instant(
+                                ppe_track,
+                                &format!("fault: mailbox-drop resend (SPE {s})"),
+                                "fault",
+                                t_now,
+                            );
                         }
+                        breakdown.mailbox += extra;
+                        t_now += extra / clk;
                     }
                     #[cfg(feature = "hazard-check")]
-                    hazard[_s].note_mailbox_write(_s, spe.inbox.is_full());
+                    hazard[s].note_mailbox_write(s, spe.inbox.is_full());
                     spe.inbox.write(eval as u32);
                 }
                 let dur = run.n_spes as f64 * self.config.ppe_service_cycles / clk;
@@ -457,7 +444,6 @@ impl CellBeDevice {
                         // a few lines up; the iterator cannot run dry.
                         #[cfg(feature = "hazard-check")]
                         hazard: hz_iter.next().expect("one checker per SPE"), // sim-vet: allow(panic-discipline)
-                        #[cfg(feature = "fault-inject")]
                         faults: LaneFaults::new(fault.as_ref(), eval, s),
                     });
                 }
@@ -501,7 +487,6 @@ impl CellBeDevice {
                     Ok(SpeLaneOut {
                         step,
                         round_trips,
-                        #[cfg(feature = "fault-inject")]
                         faults: lane.faults.sites,
                     })
                 },
@@ -515,24 +500,19 @@ impl CellBeDevice {
                 let SpeLaneOut {
                     step: out,
                     round_trips,
-                    #[cfg(feature = "fault-inject")]
-                    faults,
+                    faults: [get, wait, put],
                 } = lane_out?;
-                #[cfg(feature = "fault-inject")]
-                {
-                    let [g, t, p] = faults;
-                    let reissue = commit_fault_site(&mut fault, g.0, g.1, g.2, clk)?;
-                    let spin = commit_fault_site(&mut fault, t.0, t.1, t.2, clk)?;
-                    if reissue + spin > 0.0 {
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
-                        }
+                let reissue = commit_fault_site(&mut fault, get.0, get.1, get.2, clk)?;
+                let spin = commit_fault_site(&mut fault, wait.0, wait.1, wait.2, clk)?;
+                if reissue + spin > 0.0 {
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
                     }
-                    let put_reissue = commit_fault_site(&mut fault, p.0, p.1, p.2, clk)?;
-                    if put_reissue > 0.0 {
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
-                        }
+                }
+                let put_reissue = commit_fault_site(&mut fault, put.0, put.1, put.2, clk)?;
+                if put_reissue > 0.0 {
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
                     }
                 }
                 let (lo, hi) = slices[s];
@@ -631,7 +611,6 @@ impl CellBeDevice {
             energies: EnergyReport::measure(sys, (pe_total * P::Real::HALF).to_f64()),
             kernel_stats: stats_total,
             config: run,
-            #[cfg(feature = "fault-inject")]
             faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
         })
     }
@@ -699,7 +678,6 @@ impl CellBeDevice {
                 policy: SpawnPolicy::LaunchOnce,
                 variant: SpeKernelVariant::Original,
             },
-            #[cfg(feature = "fault-inject")]
             faults: sim_fault::FaultStats::default(),
         }
     }
@@ -1122,15 +1100,14 @@ impl OffloadPort for Tiled {
 
 /// Mutable state one simulated SPE owns during the force phase: the SPE
 /// itself (local store, mailboxes, cycle counter), its window of the main
-/// memory acceleration image, and — under hazard-check and fault-inject —
-/// its race detector and its peeked fault sites. Lanes are disjoint, so
-/// the phase can run on host threads.
+/// memory acceleration image, its peeked fault sites, and — under
+/// hazard-check — its race detector. Lanes are disjoint, so the phase can
+/// run on host threads.
 struct SpeLane<'a> {
     spe: &'a mut Spe,
     acc_out: &'a mut [u8],
     #[cfg(feature = "hazard-check")]
     hazard: &'a mut HazardChecker,
-    #[cfg(feature = "fault-inject")]
     faults: LaneFaults<'a>,
 }
 
@@ -1149,13 +1126,9 @@ impl SpeLane<'_> {
             self.hazard.dma_issue(0, Dir::Get, _region);
             self.hazard.tag_wait(0);
         }
-        #[cfg(feature = "fault-inject")]
-        let cycles = {
-            let reissue = self.faults.peek(0, cycles);
-            let spin = self.faults.peek(1, 2.0 * cycles);
-            cycles + reissue + spin
-        };
-        cycles
+        let reissue = self.faults.peek(0, cycles);
+        let spin = self.faults.peek(1, 2.0 * cycles);
+        cycles + reissue + spin
     }
 
     /// The kernel reads `read` and writes `write` in the local store.
@@ -1175,9 +1148,7 @@ impl SpeLane<'_> {
             self.hazard.dma_issue(1, Dir::Put, _region);
             self.hazard.tag_wait(1);
         }
-        #[cfg(feature = "fault-inject")]
-        let cycles = cycles + self.faults.peek(2, cycles);
-        cycles
+        cycles + self.faults.peek(2, cycles)
     }
 }
 
@@ -1185,16 +1156,13 @@ impl SpeLane<'_> {
 /// its tag-group wait, result put — each as `(site, outcome, unit recovery
 /// cycles)`. Peeked in-lane (pure); the serial fold commits them to the
 /// session's ledger in SPE order.
-#[cfg(feature = "fault-inject")]
 type PeekedSites = [(sim_fault::FaultSite, sim_fault::SiteOutcome, f64); 3];
 
-#[cfg(feature = "fault-inject")]
 struct LaneFaults<'a> {
     session: Option<&'a sim_fault::FaultSession>,
     sites: PeekedSites,
 }
 
-#[cfg(feature = "fault-inject")]
 impl<'a> LaneFaults<'a> {
     fn new(session: Option<&'a sim_fault::FaultSession>, eval: usize, spe: usize) -> Self {
         use sim_fault::{FaultKind, FaultSite, SiteOutcome};
@@ -1236,14 +1204,12 @@ struct SpeLaneOut<T> {
     step: SpeStep<T>,
     /// Mailbox round trips this SPE performed this evaluation (1 or 2).
     round_trips: u64,
-    #[cfg(feature = "fault-inject")]
     faults: PeekedSites,
 }
 
 /// Fold-side half of [`resolve_fault_site`]: replay a peeked outcome into
 /// the session's ledger exactly as the serial walk would have — commit,
 /// abort on exhaustion, then charge the recovery time.
-#[cfg(feature = "fault-inject")]
 fn commit_fault_site(
     fault: &mut Option<sim_fault::FaultSession>,
     site: sim_fault::FaultSite,
@@ -1276,7 +1242,6 @@ fn commit_fault_site(
 /// supervisor can restore a checkpoint or fall back to the reference
 /// device. (The SPE lanes split this into a pure in-lane peek and
 /// [`commit_fault_site`] in the fold.)
-#[cfg(feature = "fault-inject")]
 fn resolve_fault_site(
     fault: &mut Option<sim_fault::FaultSession>,
     site: sim_fault::FaultSite,
@@ -1288,7 +1253,6 @@ fn resolve_fault_site(
 }
 
 /// The pure plan walk for one site (a clean outcome when no plan is armed).
-#[cfg(feature = "fault-inject")]
 fn peek_fault_site(
     fault: Option<&sim_fault::FaultSession>,
     site: sim_fault::FaultSite,
@@ -1341,7 +1305,6 @@ impl md_core::device::MdDevice for CellMd {
         self.device.config.clock_hz * SPE_FLOPS_PER_CYCLE * self.run.n_spes as f64
     }
 
-    #[cfg(feature = "fault-inject")]
     fn resalt(&mut self, salt: u64) {
         self.device.fault_plan = self.device.fault_plan.map(|p| p.with_salt(salt));
     }
@@ -1351,10 +1314,6 @@ impl md_core::device::MdDevice for CellMd {
         sim: &SimConfig,
         mut opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.device.fault_plan = Some(plan);
-        }
         let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
             Some(cp) => (cp.restore(), cp.step),
             None => (init::initialize(sim), 0),
@@ -1411,10 +1370,7 @@ impl md_core::device::MdDevice for CellMd {
             ],
             ops: flops,
             bytes_moved: bytes,
-            #[cfg(feature = "fault-inject")]
             faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -1478,7 +1434,7 @@ impl md_core::device::MdDevice for CellPpeMd {
             derived: Vec::new(),
             ops,
             bytes_moved: 0.0,
-            faults: md_core::device::FaultStats::default(),
+            faults: sim_fault::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -1540,7 +1496,7 @@ impl md_core::device::MdDevice for CellAccelProbe {
             derived: Vec::new(),
             ops: 0.0,
             bytes_moved: 0.0,
-            faults: md_core::device::FaultStats::default(),
+            faults: sim_fault::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -1997,7 +1953,6 @@ mod tests {
         assert_eq!(whole.accelerations, segmented.accelerations);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = workload(256);
@@ -2047,7 +2002,6 @@ mod tests {
 
     /// The tiled and double-precision ports share the resident port's loop,
     /// fault hooks included: same physics, more simulated time.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn tiled_and_double_ports_honour_the_fault_plan() {
         let sim = workload(256);
@@ -2071,7 +2025,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn always_faulting_plan_surfaces_typed_exhaustion() {
         let sim = workload(256);
@@ -2083,7 +2036,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = workload(256);
@@ -2095,7 +2047,6 @@ mod tests {
         assert_eq!(a.sim_seconds, b.sim_seconds);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_instants_appear_on_the_timeline() {
         let sim = workload(256);

@@ -38,7 +38,7 @@ impl GpuDevice {
 
     /// JIT-compile the shader with its baked-in constants. One-time cost,
     /// reported separately because Figure 7 excludes it ("it occurs only once
-    /// [and] will be quickly amortized").
+    /// \[and\] will be quickly amortized").
     pub fn compile(&mut self, constants: ShaderConstants) {
         self.constants = Some(constants);
         self.startup_seconds += self.config.jit_startup_s;

@@ -26,8 +26,8 @@ pub enum ReductionStrategy {
     GpuMultiPass,
 }
 
-/// A 4:1 reduction shader: output[i] = Σ input[4i .. 4i+4] (w lane carried in
-/// all four lanes so the final texel's w is the total).
+/// A 4:1 reduction shader: `output[i] = Σ input[4i .. 4i+4]` (w lane carried
+/// in all four lanes so the final texel's w is the total).
 pub struct SumShader {
     /// Number of valid texels in the input.
     pub in_len: usize,

@@ -15,6 +15,7 @@ use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
+use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 use vecmath::Vec3;
 
 /// Per-category simulated seconds across a run.
@@ -60,7 +61,6 @@ pub struct GpuRun {
     /// Injected-fault ledger for this run (zero when no plan is armed).
     /// `faults.exhausted > 0` means the modeled degraded path was taken;
     /// the harness supervisor treats that as a failed segment.
-    #[cfg(feature = "fault-inject")]
     pub faults: sim_fault::FaultStats,
 }
 
@@ -68,7 +68,6 @@ pub struct GpuRun {
 pub struct GpuMdSimulation {
     pub config: GpuConfig,
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
 
@@ -76,13 +75,11 @@ impl GpuMdSimulation {
     pub fn new(config: GpuConfig) -> Self {
         Self {
             config,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
 
     /// Arm a deterministic fault schedule for subsequent `run_md*` calls.
-    #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -147,7 +144,6 @@ impl GpuMdSimulation {
         // One fault session per run; the functional transfers below always
         // deliver pristine data, so injected failures re-model only the cost
         // of detection and re-issue — never the physics.
-        #[cfg(feature = "fault-inject")]
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
 
         // Priming evaluation + one per time step.
@@ -164,21 +160,14 @@ impl GpuMdSimulation {
             let upload = device.upload_seconds(&positions);
             breakdown.upload += upload;
             bytes_up += positions.size_bytes() as u64;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A timed-out host→GPU transfer costs the timeout window
-                // (modeled as the transfer itself) plus the re-send.
-                breakdown.upload += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::TransferTimeout,
-                        eval as u64,
-                        0,
-                        0,
-                    ),
-                    2.0 * upload,
-                );
-            }
+            // A timed-out host→GPU transfer costs the timeout window
+            // (modeled as the transfer itself) plus the re-send.
+            breakdown.upload += resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::TransferTimeout, eval as u64, 0, 0),
+                2.0 * upload,
+                1.0,
+            );
 
             // Physics-once execution (DESIGN.md §17): the texels come from
             // the shared wide evaluator and the op tally is replayed in
@@ -189,36 +178,27 @@ impl GpuMdSimulation {
             total_ops += result.ops.total();
             total_fetches += result.ops.fetches;
             total_alu += result.ops.alu;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A NaN-poisoned shader pass is detected on the host (a scan
-                // of the output texels, already covered by the linear CPU
-                // term) and the whole dispatch is re-issued.
-                breakdown.shader += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(sim_fault::FaultKind::ShaderNan, eval as u64, 0, 0),
-                    result.shader_seconds + result.overhead_seconds,
-                );
-            }
+            // A NaN-poisoned shader pass is detected on the host (a scan of
+            // the output texels, already covered by the linear CPU term) and
+            // the whole dispatch is re-issued.
+            breakdown.shader += resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::ShaderNan, eval as u64, 0, 0),
+                result.shader_seconds + result.overhead_seconds,
+                1.0,
+            );
 
             let readback = device.readback_seconds(&result.output);
             breakdown.readback += readback;
             bytes_down += result.output.size_bytes() as u64;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A corrupted PCIe readback is caught by a host-side
-                // checksum over the texels and re-read.
-                breakdown.readback += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::ReadbackCorruption,
-                        eval as u64,
-                        0,
-                        1,
-                    ),
-                    readback,
-                );
-            }
+            // A corrupted PCIe readback is caught by a host-side checksum
+            // over the texels and re-read.
+            breakdown.readback += resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::ReadbackCorruption, eval as u64, 0, 1),
+                readback,
+                1.0,
+            );
 
             // The accelerations must come back to the host either way.
             for (i, texel) in result.output.texels().iter().enumerate() {
@@ -275,7 +255,6 @@ impl GpuMdSimulation {
             breakdown,
             energies: EnergyReport::measure(sys, pe),
             total_ops,
-            #[cfg(feature = "fault-inject")]
             faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
         }
     }
@@ -306,32 +285,6 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site, returning the extra
-/// simulated seconds to charge. The GPU driver's public run functions are
-/// infallible, so retry-budget exhaustion degrades instead of erroring: the
-/// modeled slow path (a device reset plus one conservative re-issue at 4x
-/// cost) is charged and `FaultStats::exhausted` is incremented — the harness
-/// supervisor treats a nonzero count as a failed segment.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_seconds: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_seconds * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_seconds;
-    }
-    if extra > 0.0 {
-        sess.charge(extra);
-    }
-    extra
-}
-
 impl md_core::device::MdDevice for GpuMdSimulation {
     fn label(&self) -> String {
         // Named models keep their historical metric labels; anything else is
@@ -351,7 +304,6 @@ impl md_core::device::MdDevice for GpuMdSimulation {
         self.config.ops_per_second()
     }
 
-    #[cfg(feature = "fault-inject")]
     fn resalt(&mut self, salt: u64) {
         self.fault_plan = self.fault_plan.map(|p| p.with_salt(salt));
     }
@@ -361,10 +313,6 @@ impl md_core::device::MdDevice for GpuMdSimulation {
         sim: &SimConfig,
         mut opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.fault_plan = Some(plan);
-        }
         let par = opts.host_parallelism;
         let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
             Some(cp) => (cp.restore(), cp.step),
@@ -419,10 +367,7 @@ impl md_core::device::MdDevice for GpuMdSimulation {
             ],
             ops: r.total_ops as f64,
             bytes_moved: bytes,
-            #[cfg(feature = "fault-inject")]
             faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -588,7 +533,6 @@ mod tests {
         assert_eq!(whole.velocities, segmented.velocities);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = SimConfig::reduced_lj(256);
@@ -610,7 +554,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn exhaustion_degrades_instead_of_failing() {
         let sim = SimConfig::reduced_lj(108);
@@ -626,7 +569,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = SimConfig::reduced_lj(108);

@@ -105,9 +105,8 @@ impl ClusterKind {
     }
 
     /// [`ClusterKind::build`] with the node-granularity fault schedule
-    /// armed. Node-level faults live entirely in the cluster model, so no
-    /// feature gate is needed (device-level injection still requires
-    /// `fault-inject`).
+    /// armed. Node-level faults live entirely in the cluster model; the
+    /// member devices run unarmed.
     pub fn build_with_node_faults(self, plan: sim_fault::FaultPlan) -> ClusterMd {
         self.build().with_node_fault_plan(plan)
     }

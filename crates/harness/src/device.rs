@@ -9,10 +9,9 @@
 //! machine constants the factory bakes in, so editing a device's clock or
 //! pipe count invalidates exactly that device's cached points.
 
-#[cfg(feature = "fault-inject")]
-use cell_be::CellBeDevice;
 use cell_be::{
-    CellAccelProbe, CellConfig, CellMd, CellPpeMd, CellRunConfig, SpawnPolicy, SpeKernelVariant,
+    CellAccelProbe, CellBeDevice, CellConfig, CellMd, CellPpeMd, CellRunConfig, SpawnPolicy,
+    SpeKernelVariant,
 };
 use gpu::{GpuConfig, GpuMdSimulation};
 use md_core::device::MdDevice;
@@ -230,9 +229,10 @@ impl DeviceKind {
         }
     }
 
-    /// Every kind [`DeviceKind::from_str`] can produce, one per parseable
-    /// label. The parse grammar and this list are maintained together: a
-    /// label parses if and only if a kind here displays as it.
+    /// Every kind [`DeviceKind`]'s [`FromStr`](std::str::FromStr) impl can
+    /// produce, one per parseable label. The parse grammar and this list are
+    /// maintained together: a label parses if and only if a kind here
+    /// displays as it.
     pub fn parseable_roster() -> Vec<DeviceKind> {
         let mut all = vec![
             DeviceKind::CellPpe,
@@ -281,7 +281,6 @@ impl DeviceKind {
     /// [`DeviceKind::build`] with a deterministic fault schedule armed.
     /// The PPE-only and Figure 5 probe paths are fault-free by design; the
     /// plan is ignored there.
-    #[cfg(feature = "fault-inject")]
     pub fn build_faulted(self, plan: sim_fault::FaultPlan) -> Box<dyn MdDevice> {
         match self {
             DeviceKind::Cell { .. } => Box::new(CellMd::new(
@@ -310,8 +309,8 @@ impl std::fmt::Display for DeviceKind {
     }
 }
 
-/// A device name that [`DeviceKind::from_str`] does not recognize. The
-/// message lists every label the grammar accepts.
+/// A device name that [`DeviceKind`]'s [`FromStr`](std::str::FromStr) impl
+/// does not recognize. The message lists every label the grammar accepts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseDeviceKindError {
     pub name: String,

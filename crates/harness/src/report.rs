@@ -84,7 +84,7 @@ pub fn write_csv(
 
 /// Emit one figure artifact the way every figure renderer does: title,
 /// blank line, aligned table, the paper-vs-measured shape-check lines, then
-/// the CSV under `results/` with a trailing "wrote <path>" note. Centralizing
+/// the CSV under `results/` with a trailing `wrote <path>` note. Centralizing
 /// the sequence keeps the renderers byte-compatible with each other (and
 /// with their recorded baselines in EXPERIMENTS.md).
 pub fn emit_figure(

@@ -148,8 +148,8 @@ pub struct RecoveryReport {
     pub watchdog_timeouts: u64,
     /// Whether the run finished on the Opteron reference instead.
     pub fell_back: bool,
-    /// Merged per-device fault accounting across all attempts (zero without
-    /// the `fault-inject` feature).
+    /// Merged per-device fault accounting across all attempts (zero when no
+    /// plan is armed).
     pub faults: FaultStats,
     /// Ordered log of everything the supervisor did.
     pub events: Vec<RecoveryEvent>,
@@ -539,10 +539,11 @@ fn reference_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cell_be::{CellMd, CellRunConfig};
+    use cell_be::{CellBeDevice, CellMd, CellRunConfig};
     use gpu::GpuMdSimulation;
     use md_core::scenario::ScenarioSpec;
     use mta::{MtaMd, ThreadingMode};
+    use sim_fault::FaultPlan;
 
     fn small() -> SimConfig {
         SimConfig::reduced_lj(108)
@@ -747,74 +748,67 @@ mod tests {
         assert!(run.energies.total.is_finite());
     }
 
-    #[cfg(feature = "fault-inject")]
-    mod faulted {
-        use super::*;
-        use cell_be::CellBeDevice;
-        use sim_fault::FaultPlan;
+    #[test]
+    fn recovery_reproduces_the_fault_free_trajectory() {
+        let sim = small();
+        let cfg = SupervisorConfig::default();
 
-        #[test]
-        fn recovery_reproduces_the_fault_free_trajectory() {
-            let sim = small();
-            let cfg = SupervisorConfig::default();
+        let mut clean_dev = CellMd::paper_blade(CellRunConfig::best());
+        let clean = run_supervised(&mut clean_dev, &sim, 6, &cfg, None);
 
-            let mut clean_dev = CellMd::paper_blade(CellRunConfig::best());
-            let clean = run_supervised(&mut clean_dev, &sim, 6, &cfg, None);
+        let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(13, 0.05));
+        let mut faulty_dev = CellMd::new(device, CellRunConfig::best());
+        let faulty = run_supervised(&mut faulty_dev, &sim, 6, &cfg, None);
 
-            let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(13, 0.05));
-            let mut faulty_dev = CellMd::new(device, CellRunConfig::best());
-            let faulty = run_supervised(&mut faulty_dev, &sim, 6, &cfg, None);
+        assert!(!faulty.report.fell_back, "recovery should succeed");
+        assert!(faulty.report.faults.any(), "faults should have fired");
+        assert_eq!(
+            faulty.checkpoint.positions, clean.checkpoint.positions,
+            "recovered trajectory must be bit-identical"
+        );
+        assert_eq!(faulty.checkpoint.velocities, clean.checkpoint.velocities);
+        assert_eq!(faulty.energies.total, clean.energies.total);
+        assert!(
+            faulty.sim_seconds > clean.sim_seconds,
+            "recovery must cost simulated time: {} !> {}",
+            faulty.sim_seconds,
+            clean.sim_seconds
+        );
+    }
 
-            assert!(!faulty.report.fell_back, "recovery should succeed");
-            assert!(faulty.report.faults.any(), "faults should have fired");
-            assert_eq!(
-                faulty.checkpoint.positions, clean.checkpoint.positions,
-                "recovered trajectory must be bit-identical"
-            );
-            assert_eq!(faulty.checkpoint.velocities, clean.checkpoint.velocities);
-            assert_eq!(faulty.energies.total, clean.energies.total);
-            assert!(
-                faulty.sim_seconds > clean.sim_seconds,
-                "recovery must cost simulated time: {} !> {}",
-                faulty.sim_seconds,
-                clean.sim_seconds
-            );
-        }
+    #[test]
+    fn hopeless_device_degrades_to_reference() {
+        let sim = small();
+        let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(0, 1.0));
+        let mut dev = CellMd::new(device, CellRunConfig::best());
+        let mut led = RunLedger::new("supervised-cell", "108 atoms x 4 steps");
+        let run = run_supervised(
+            &mut dev,
+            &sim,
+            4,
+            &SupervisorConfig::default(),
+            Some(&mut led),
+        );
+        assert!(run.report.fell_back);
+        let reference = md_core::reference::run::<f64>(&sim, 4);
+        assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
+        assert!(led.to_jsonl().contains("restore to step"));
+    }
 
-        #[test]
-        fn hopeless_device_degrades_to_reference() {
-            let sim = small();
-            let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(0, 1.0));
+    #[test]
+    fn supervised_runs_are_deterministic() {
+        let sim = small();
+        let cfg = SupervisorConfig::default();
+        let run = || {
+            let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(99, 0.08));
             let mut dev = CellMd::new(device, CellRunConfig::best());
-            let mut led = RunLedger::new("supervised-cell", "108 atoms x 4 steps");
-            let run = run_supervised(
-                &mut dev,
-                &sim,
-                4,
-                &SupervisorConfig::default(),
-                Some(&mut led),
-            );
-            assert!(run.report.fell_back);
-            let reference = md_core::reference::run::<f64>(&sim, 4);
-            assert!((run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs());
-            assert!(led.to_jsonl().contains("restore to step"));
-        }
-
-        #[test]
-        fn supervised_runs_are_deterministic() {
-            let sim = small();
-            let cfg = SupervisorConfig::default();
-            let run = || {
-                let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(99, 0.08));
-                let mut dev = CellMd::new(device, CellRunConfig::best());
-                run_supervised(&mut dev, &sim, 6, &cfg, None)
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(a.sim_seconds, b.sim_seconds);
-            assert_eq!(a.report.restores, b.report.restores);
-            assert_eq!(a.report.faults.injected, b.report.faults.injected);
-            assert_eq!(a.checkpoint.positions, b.checkpoint.positions);
-        }
+            run_supervised(&mut dev, &sim, 6, &cfg, None)
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.sim_seconds, b.sim_seconds);
+        assert_eq!(a.report.restores, b.report.restores);
+        assert_eq!(a.report.faults.injected, b.report.faults.injected);
+        assert_eq!(a.checkpoint.positions, b.checkpoint.positions);
     }
 }

@@ -28,11 +28,9 @@
 use crate::checkpoint::SystemCheckpoint;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
+use sim_fault::FaultStats;
 use std::fmt;
 
-// Re-exported so device crates that gate their own `sim-fault` dependency
-// behind a feature can still name the plan/stats types unconditionally.
-pub use sim_fault::{FaultPlan, FaultStats};
 pub use sim_obs::RunLedger;
 pub use sim_perf::PerfMonitor;
 
@@ -131,8 +129,10 @@ pub fn slab_domains(n_atoms: usize, nodes: usize) -> Vec<DomainRegion> {
 /// ```
 ///
 /// Add a checkpoint to resume (`from_checkpoint`), a monitor to observe
-/// (`with_perf`), or a fault plan to arm injection (`with_fault_plan`;
-/// ignored when the device is built without `fault-inject`).
+/// (`with_perf`), or a run ledger to record into (`with_ledger`). Fault
+/// injection is armed on the device itself, at construction (each device's
+/// `with_fault_plan`); every build compiles the fault sites, and only an
+/// armed plan fires them.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Time steps to advance.
@@ -143,9 +143,6 @@ pub struct RunOptions<'a> {
     /// Passive performance observer. Counter values are run-local totals;
     /// use a fresh monitor per run.
     pub perf: Option<&'a mut PerfMonitor>,
-    /// Arms the device's deterministic fault schedule for this and later
-    /// runs. Devices compiled without `fault-inject` ignore it.
-    pub fault_plan: Option<FaultPlan>,
     /// Host threads the device may use to execute its simulated lanes.
     /// Bitwise-identical results at any setting; see [`HostParallelism`].
     pub host_parallelism: HostParallelism,
@@ -161,7 +158,6 @@ impl<'a> RunOptions<'a> {
             steps,
             start: None,
             perf: None,
-            fault_plan: None,
             host_parallelism: HostParallelism::Serial,
             ledger: None,
         }
@@ -178,13 +174,6 @@ impl<'a> RunOptions<'a> {
     #[must_use]
     pub fn with_perf(mut self, perf: &'a mut PerfMonitor) -> Self {
         self.perf = Some(perf);
-        self
-    }
-
-    /// Arm a deterministic fault schedule.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -236,8 +225,8 @@ pub struct DeviceRun {
     pub ops: f64,
     /// Bytes moved over the device's off-core links (DMA, PCIe, DRAM).
     pub bytes_moved: f64,
-    /// Injected-fault ledger (zero when fault injection is compiled out or
-    /// unarmed). `exhausted > 0` marks a degraded run.
+    /// Injected-fault ledger (zero when no fault plan is armed).
+    /// `exhausted > 0` marks a degraded run.
     pub faults: FaultStats,
 }
 

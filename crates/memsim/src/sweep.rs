@@ -30,11 +30,11 @@ use crate::cache::{AccessKind, CacheStats};
 use crate::hierarchy::MemoryHierarchy;
 
 /// Replay the row sweep reference by reference — for each row i: read
-/// pos[i], read every pos[j] with j ≠ i in ascending order, write acc[i] —
-/// and return the summed cost `access` reports. This is the definition
-/// [`MemoryHierarchy::replay_row_sweep`] is tested against, and the replay
-/// for front ends whose state is more than independent LRU sets (the
-/// prefetcher's stream detector).
+/// `pos[i]`, read every `pos[j]` with j ≠ i in ascending order, write
+/// `acc[i]` — and return the summed cost `access` reports. This is the
+/// definition [`MemoryHierarchy::replay_row_sweep`] is tested against, and
+/// the replay for front ends whose state is more than independent LRU sets
+/// (the prefetcher's stream detector).
 pub fn eval_stream(
     n: usize,
     pos: &ArrayRegion,

@@ -22,6 +22,7 @@ use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
+use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 
 /// Instructions per examined pair in step 2 (loads, minimum image, distance,
 /// cutoff compare, loop bookkeeping — all single-issue on the MTA).
@@ -80,7 +81,6 @@ pub struct MtaRun {
     /// Injected-fault ledger for this run (zero when no plan is armed).
     /// `faults.exhausted > 0` means the modeled degraded path was taken;
     /// the harness supervisor treats that as a failed segment.
-    #[cfg(feature = "fault-inject")]
     pub faults: sim_fault::FaultStats,
 }
 
@@ -88,7 +88,6 @@ pub struct MtaRun {
 pub struct MtaMdSimulation {
     pub processor: MtaProcessor,
     /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
 
@@ -96,7 +95,6 @@ impl MtaMdSimulation {
     pub fn new(config: MtaConfig) -> Self {
         Self {
             processor: MtaProcessor::new(config),
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -106,7 +104,6 @@ impl MtaMdSimulation {
     }
 
     /// Arm a deterministic fault schedule for subsequent `run_md*` calls.
-    #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -138,7 +135,6 @@ impl MtaMdSimulation {
         // Monotonic by construction; average occupancy falls out as
         // occupancy_cycles / cycles.
         let mut occupancy_cycles = 0.0f64;
-        #[allow(unused_mut)] // mutated only under fault-inject
         let mut hotspot_retry_cycles = 0.0f64;
         let handles = perf.as_deref_mut().map(PerfHandles::register);
         let mut decisions: Vec<(&'static str, ParallelizationDecision)> = Vec::new();
@@ -177,7 +173,6 @@ impl MtaMdSimulation {
         // One fault session per run. The physics pass below is computed on
         // pristine data regardless of the schedule; injected failures only
         // charge the cost of re-issued work.
-        #[cfg(feature = "fault-inject")]
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
 
         let mut pe = 0.0f64;
@@ -238,7 +233,6 @@ impl MtaMdSimulation {
                 pragma_no_dependence: mode == ThreadingMode::FullyMultithreaded,
             };
             record(step2.name, analyze_loop(&step2), &mut decisions);
-            #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
             let step2_cycles = charge(
                 &step2,
                 &mut cycles,
@@ -246,44 +240,31 @@ impl MtaMdSimulation {
                 &mut breakdown,
                 &mut occupancy_cycles,
             );
-            #[cfg(feature = "fault-inject")]
-            {
-                let cfg = &self.processor.config;
-                // The runtime hands the loop fewer streams than requested:
-                // the starved share of the iteration space is re-issued,
-                // paying the loop startup again plus a quarter of the loop.
-                let starvation_extra = resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::StreamStarvation,
-                        eval as u64,
-                        0,
-                        0,
-                    ),
-                    cfg.loop_startup_cycles + 0.25 * step2_cycles,
-                    cfg.clock_hz,
-                );
-                cycles += starvation_extra;
-                breakdown.stall += starvation_extra;
-                // Hot-spotting on the full/empty PE accumulator: every
-                // stream retries its synchronized add once.
-                let hotspot_extra = resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::HotSpotRetry,
-                        eval as u64,
-                        0,
-                        1,
-                    ),
-                    cfg.sync_instructions
-                        * cfg.stream_issue_interval
-                        * cfg.streams_per_processor as f64,
-                    cfg.clock_hz,
-                );
-                cycles += hotspot_extra;
-                breakdown.stall += hotspot_extra;
-                hotspot_retry_cycles += hotspot_extra;
-            }
+            let cfg = &self.processor.config;
+            // The runtime hands the loop fewer streams than requested: the
+            // starved share of the iteration space is re-issued, paying the
+            // loop startup again plus a quarter of the loop.
+            let starvation_extra = resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::StreamStarvation, eval as u64, 0, 0),
+                cfg.loop_startup_cycles + 0.25 * step2_cycles,
+                cfg.clock_hz,
+            );
+            cycles += starvation_extra;
+            breakdown.stall += starvation_extra;
+            // Hot-spotting on the full/empty PE accumulator: every stream
+            // retries its synchronized add once.
+            let hotspot_extra = resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::HotSpotRetry, eval as u64, 0, 1),
+                cfg.sync_instructions
+                    * cfg.stream_issue_interval
+                    * cfg.streams_per_processor as f64,
+                cfg.clock_hz,
+            );
+            cycles += hotspot_extra;
+            breakdown.stall += hotspot_extra;
+            hotspot_retry_cycles += hotspot_extra;
 
             if eval > 0 {
                 let l = self.integration_loop("step3-4-move-update", n);
@@ -360,7 +341,6 @@ impl MtaMdSimulation {
             mode,
             decisions,
             instructions,
-            #[cfg(feature = "fault-inject")]
             faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
         }
     }
@@ -401,33 +381,6 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site, returning the extra
-/// cycles to charge. The MTA runner is infallible, so retry-budget
-/// exhaustion degrades instead of erroring: a modeled slow path (one
-/// conservative re-issue at 4x cost) is charged and
-/// `FaultStats::exhausted` is incremented — the harness supervisor treats a
-/// nonzero count as a failed segment.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_cycles * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_cycles;
-    }
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    extra
-}
-
 /// An [`MtaMdSimulation`] bound to one [`ThreadingMode`], so the two Figure 8
 /// configurations appear as distinct devices behind the device-neutral
 /// [`md_core::device::MdDevice`] interface.
@@ -461,7 +414,6 @@ impl md_core::device::MdDevice for MtaMd {
         c.clock_hz * c.n_processors as f64
     }
 
-    #[cfg(feature = "fault-inject")]
     fn resalt(&mut self, salt: u64) {
         self.sim.fault_plan = self.sim.fault_plan.map(|p| p.with_salt(salt));
     }
@@ -471,10 +423,6 @@ impl md_core::device::MdDevice for MtaMd {
         sim: &SimConfig,
         mut opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.sim.fault_plan = Some(plan);
-        }
         let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
             Some(cp) => (cp.restore(), cp.step),
             None => (init::initialize(sim), 0),
@@ -523,10 +471,7 @@ impl md_core::device::MdDevice for MtaMd {
             // charges, so there are no off-node bytes to report.
             ops: r.instructions,
             bytes_moved: 0.0,
-            #[cfg(feature = "fault-inject")]
             faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -767,7 +712,6 @@ mod tests {
         assert_eq!(whole.velocities, segmented.velocities);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = SimConfig::reduced_lj(108);
@@ -791,7 +735,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn exhaustion_degrades_instead_of_failing() {
         let sim = SimConfig::reduced_lj(108);
@@ -805,7 +748,6 @@ mod tests {
         assert!(run.energies.total.is_finite());
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = SimConfig::reduced_lj(108);

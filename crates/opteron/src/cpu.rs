@@ -9,6 +9,7 @@ use md_core::shared_eval::host_forces;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
+use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 use vecmath::Vec3;
 
 /// Per-pair flop counts for the scalar kernel (displacement + minimum image +
@@ -41,7 +42,6 @@ pub struct OpteronRun {
     /// Demand stores issued (every simulated write reference).
     pub stores: u64,
     /// Injected-fault accounting for this run (zero when no plan is armed).
-    #[cfg(feature = "fault-inject")]
     pub faults: sim_fault::FaultStats,
 }
 
@@ -213,7 +213,6 @@ pub struct OpteronCpu {
     /// from the state it left ([`LastEval`]).
     last_eval: Option<LastEval>,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
-    #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
 
@@ -227,7 +226,6 @@ impl OpteronCpu {
             stores: 0,
             trace_memo: Vec::new(),
             last_eval: None,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -237,7 +235,6 @@ impl OpteronCpu {
     }
 
     /// Arm deterministic fault injection for subsequent runs.
-    #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -288,17 +285,12 @@ impl OpteronCpu {
         let mut flops = 0.0f64;
         let mut loop_iters = 0.0f64;
 
-        #[cfg(feature = "fault-inject")]
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
-        // Extra memory cycles charged by injected ECC reloads. Declared
-        // unconditionally (it stays 0.0 in non-fault builds) because the
-        // perf sampler folds it into the stall counter either way.
-        #[allow(unused_mut)]
+        // Extra memory cycles charged by injected ECC reloads.
         let mut fault_extra_cycles = 0.0f64;
         // An ECC-corrected memory error forces a scrubbed cache line to be
         // refetched from DRAM; the reload costs one DRAM round trip and
         // touches nothing but the timeline.
-        #[cfg(feature = "fault-inject")]
         let ecc_reload_cycles = self.config.memory.dram_cycles as f64;
 
         // Prime the accelerations (step-0 force evaluation), charged like any
@@ -321,19 +313,15 @@ impl OpteronCpu {
             &mut flops,
             &mut loop_iters,
         );
-        #[cfg(feature = "fault-inject")]
-        {
-            fault_extra_cycles += resolve_degradable(
-                &mut fault,
-                sim_fault::FaultSite::new(sim_fault::FaultKind::EccReload, 0, 0, 0),
-                ecc_reload_cycles,
-                self.config.clock_hz,
-            );
-        }
+        fault_extra_cycles += resolve_degradable(
+            fault.as_mut(),
+            FaultSite::new(FaultKind::EccReload, 0, 0, 0),
+            ecc_reload_cycles,
+            self.config.clock_hz,
+        );
         self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
 
-        // `_step` is only read by the fault-injection site below.
-        for _step in 0..steps {
+        for step in 0..steps {
             // Steps 1, 3, 4 of Figure 4: O(N) integration. One pass reads
             // acc + vel + pos and writes vel + pos.
             for i in 0..n {
@@ -355,20 +343,12 @@ impl OpteronCpu {
                 &mut flops,
                 &mut loop_iters,
             );
-            #[cfg(feature = "fault-inject")]
-            {
-                fault_extra_cycles += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::EccReload,
-                        _step as u64 + 1,
-                        0,
-                        0,
-                    ),
-                    ecc_reload_cycles,
-                    self.config.clock_hz,
-                );
-            }
+            fault_extra_cycles += resolve_degradable(
+                fault.as_mut(),
+                FaultSite::new(FaultKind::EccReload, step as u64 + 1, 0, 0),
+                ecc_reload_cycles,
+                self.config.clock_hz,
+            );
 
             // Second half-kick + step 5 energy reduction.
             for i in 0..n {
@@ -399,12 +379,7 @@ impl OpteronCpu {
             flops * self.config.cycles_per_flop + loop_iters * self.config.loop_overhead_cycles;
         // Demand-path memory cycles only: with the prefetcher on, background
         // fills also pass through the hierarchy but cost the program nothing.
-        #[allow(unused_mut)]
-        let mut memory_cycles = self.demand_cycles;
-        #[cfg(feature = "fault-inject")]
-        {
-            memory_cycles += fault_extra_cycles;
-        }
+        let memory_cycles = self.demand_cycles + fault_extra_cycles;
         let total_cycles = flop_cycles + memory_cycles;
         OpteronRun {
             sim_seconds: total_cycles / self.config.clock_hz,
@@ -415,7 +390,6 @@ impl OpteronCpu {
             flops,
             loads: self.loads,
             stores: self.stores,
-            #[cfg(feature = "fault-inject")]
             faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
         }
     }
@@ -552,32 +526,6 @@ impl PerfHandles {
     }
 }
 
-/// Resolve one fault site in the degradation style: retries cost one unit of
-/// recovery work each; an exhausted budget costs a 4× penalty (a full scrub
-/// pass) and is recorded in [`sim_fault::FaultStats::exhausted`] rather than
-/// failing the run — the supervisor decides what exhaustion means. Returns
-/// the extra cycles charged, which the caller folds into `memory_cycles`.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_cycles * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_cycles;
-    }
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    extra
-}
-
 impl md_core::device::MdDevice for OpteronCpu {
     fn label(&self) -> String {
         "opteron".to_string()
@@ -588,7 +536,6 @@ impl md_core::device::MdDevice for OpteronCpu {
         self.config.clock_hz / self.config.cycles_per_flop
     }
 
-    #[cfg(feature = "fault-inject")]
     fn resalt(&mut self, salt: u64) {
         self.fault_plan = self.fault_plan.map(|p| p.with_salt(salt));
     }
@@ -598,10 +545,6 @@ impl md_core::device::MdDevice for OpteronCpu {
         sim: &SimConfig,
         mut opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.fault_plan = Some(plan);
-        }
         let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
             Some(cp) => (cp.restore(), cp.step),
             None => (init::initialize(sim), 0),
@@ -640,10 +583,7 @@ impl md_core::device::MdDevice for OpteronCpu {
             ],
             ops: r.flops,
             bytes_moved: (r.loads + r.stores) as f64 * 8.0,
-            #[cfg(feature = "fault-inject")]
             faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -987,67 +927,59 @@ mod tests {
         assert!(!last.matches(&sys, &nan));
     }
 
-    #[cfg(feature = "fault-inject")]
-    mod faulted {
-        use super::*;
+    #[test]
+    fn injected_faults_leave_physics_untouched_and_slow_the_run() {
+        let cfg = SimConfig::reduced_lj(108);
+        let clean = run_md(&mut OpteronCpu::paper_reference(), &cfg, 6);
+        let faulty = run_md(
+            &mut OpteronCpu::paper_reference().with_fault_plan(sim_fault::FaultPlan::new(7, 0.4)),
+            &cfg,
+            6,
+        );
 
-        #[test]
-        fn injected_faults_leave_physics_untouched_and_slow_the_run() {
-            let cfg = SimConfig::reduced_lj(108);
-            let clean = run_md(&mut OpteronCpu::paper_reference(), &cfg, 6);
-            let faulty = run_md(
+        assert_eq!(clean.energies.total, faulty.energies.total);
+        assert_eq!(clean.energies.kinetic, faulty.energies.kinetic);
+        assert_eq!(clean.flops, faulty.flops);
+        assert!(faulty.faults.any(), "rate 0.4 over 7 evals should fire");
+        assert!(faulty.sim_seconds > clean.sim_seconds);
+        // Serial timeline: the slowdown is exactly the charged recovery.
+        let slowdown = faulty.sim_seconds - clean.sim_seconds;
+        assert!(
+            (slowdown - faulty.faults.extra_seconds).abs() <= 1e-9 * faulty.faults.extra_seconds,
+            "slowdown {slowdown:.3e} vs charged {:.3e}",
+            faulty.faults.extra_seconds
+        );
+    }
+
+    #[test]
+    fn exhaustion_degrades_instead_of_failing() {
+        let cfg = SimConfig::reduced_lj(108);
+        let run = run_md(
+            &mut OpteronCpu::paper_reference().with_fault_plan(sim_fault::FaultPlan::new(3, 1.0)),
+            &cfg,
+            3,
+        );
+        assert!(run.faults.exhausted > 0, "rate 1.0 must exhaust retries");
+        assert!(run.energies.total.is_finite());
+        assert!(run.sim_seconds > 0.0);
+    }
+
+    #[test]
+    fn fault_schedule_is_reproducible_across_runs() {
+        let cfg = SimConfig::reduced_lj(108);
+        let run = || {
+            run_md(
                 &mut OpteronCpu::paper_reference()
-                    .with_fault_plan(sim_fault::FaultPlan::new(7, 0.4)),
+                    .with_fault_plan(sim_fault::FaultPlan::new(42, 0.3)),
                 &cfg,
-                6,
-            );
-
-            assert_eq!(clean.energies.total, faulty.energies.total);
-            assert_eq!(clean.energies.kinetic, faulty.energies.kinetic);
-            assert_eq!(clean.flops, faulty.flops);
-            assert!(faulty.faults.any(), "rate 0.4 over 7 evals should fire");
-            assert!(faulty.sim_seconds > clean.sim_seconds);
-            // Serial timeline: the slowdown is exactly the charged recovery.
-            let slowdown = faulty.sim_seconds - clean.sim_seconds;
-            assert!(
-                (slowdown - faulty.faults.extra_seconds).abs()
-                    <= 1e-9 * faulty.faults.extra_seconds,
-                "slowdown {slowdown:.3e} vs charged {:.3e}",
-                faulty.faults.extra_seconds
-            );
-        }
-
-        #[test]
-        fn exhaustion_degrades_instead_of_failing() {
-            let cfg = SimConfig::reduced_lj(108);
-            let run = run_md(
-                &mut OpteronCpu::paper_reference()
-                    .with_fault_plan(sim_fault::FaultPlan::new(3, 1.0)),
-                &cfg,
-                3,
-            );
-            assert!(run.faults.exhausted > 0, "rate 1.0 must exhaust retries");
-            assert!(run.energies.total.is_finite());
-            assert!(run.sim_seconds > 0.0);
-        }
-
-        #[test]
-        fn fault_schedule_is_reproducible_across_runs() {
-            let cfg = SimConfig::reduced_lj(108);
-            let run = || {
-                run_md(
-                    &mut OpteronCpu::paper_reference()
-                        .with_fault_plan(sim_fault::FaultPlan::new(42, 0.3)),
-                    &cfg,
-                    5,
-                )
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(a.faults.injected, b.faults.injected);
-            assert_eq!(a.faults.retries, b.faults.retries);
-            assert_eq!(a.faults.extra_seconds, b.faults.extra_seconds);
-            assert_eq!(a.sim_seconds, b.sim_seconds);
-        }
+                5,
+            )
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.faults.injected, b.faults.injected);
+        assert_eq!(a.faults.retries, b.faults.retries);
+        assert_eq!(a.faults.extra_seconds, b.faults.extra_seconds);
+        assert_eq!(a.sim_seconds, b.sim_seconds);
     }
 }

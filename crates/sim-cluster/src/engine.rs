@@ -154,8 +154,8 @@ impl ClusterMd {
     }
 
     /// Arm the node-granularity fault schedule ([`FaultKind::CLUSTER`]
-    /// sites). Unlike device-level plans this needs no feature gate: the
-    /// whole mechanism lives in the cluster model.
+    /// sites). Member devices arm their own device-level plans at
+    /// construction.
     #[must_use]
     pub fn with_node_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.base_plan = plan;
@@ -371,7 +371,6 @@ impl MdDevice for ClusterMd {
             steps,
             start,
             perf,
-            fault_plan,
             host_parallelism,
             ledger,
         } = opts;
@@ -379,11 +378,6 @@ impl MdDevice for ClusterMd {
         // Node events recorded by *this* call (repairs, kills, migrations)
         // start here; the ledger gets exactly this slice, not the full log.
         let events_mark = self.events.len();
-        if let Some(plan) = fault_plan {
-            // At cluster granularity the armed plan is the *node-level*
-            // schedule; member devices get theirs at construction.
-            self.base_plan = plan;
-        }
         let plan = self.base_plan.with_salt(self.salt);
         let start_step = start.as_ref().map_or(0, |cp| cp.step);
         let n = sim.n_atoms;

@@ -31,4 +31,4 @@ mod session;
 
 pub use clock::FaultClock;
 pub use plan::{FaultKind, FaultPlan, FaultSite};
-pub use session::{FaultSession, FaultStats, SiteOutcome, DEFAULT_MAX_RETRIES};
+pub use session::{resolve_degradable, FaultSession, FaultStats, SiteOutcome, DEFAULT_MAX_RETRIES};

@@ -159,6 +159,35 @@ impl FaultSession {
     }
 }
 
+/// Resolve one site in the degradation style used by the devices whose run
+/// functions cannot fail (GPU, MTA-2, Opteron). Each failed attempt costs one
+/// `unit` of recovery work; a site that exhausts the retry budget also pays
+/// a modeled slow path of 4 more units (a reset or scrub plus one
+/// conservative re-issue) and is counted in [`FaultStats::exhausted`], which
+/// the harness supervisor treats as a failed segment. The extra work is
+/// booked on the session as `extra / units_per_second` simulated seconds
+/// (`units_per_second` is the clock for cycle units, `1.0` for seconds).
+/// Returns the extra work in the caller's unit; `0.0` when no plan is armed.
+pub fn resolve_degradable(
+    session: Option<&mut FaultSession>,
+    site: FaultSite,
+    unit: f64,
+    units_per_second: f64,
+) -> f64 {
+    let Some(sess) = session else {
+        return 0.0;
+    };
+    let out = sess.outcome(site);
+    let mut extra = unit * f64::from(out.failures);
+    if out.exhausted {
+        extra += 4.0 * unit;
+    }
+    if extra > 0.0 {
+        sess.charge(extra / units_per_second);
+    }
+    extra
+}
+
 #[cfg(test)]
 // Tests assert *bitwise* f64 equality on purpose: identical runs must
 // produce identical results, not merely close ones (DESIGN.md §4).
@@ -247,6 +276,40 @@ mod tests {
         let first = session.peek(site);
         assert_eq!(session.peek(site), first);
         assert!(!session.stats().any(), "peek must not touch the ledger");
+    }
+
+    #[test]
+    fn degradable_sites_charge_retries_and_the_exhaustion_penalty() {
+        let clean_site = FaultSite::new(FaultKind::EccReload, 0, 0, 0);
+        assert_eq!(resolve_degradable(None, clean_site, 10.0, 1.0), 0.0);
+        let mut clean = FaultSession::new(FaultPlan::disabled());
+        assert_eq!(
+            resolve_degradable(Some(&mut clean), clean_site, 10.0, 1.0),
+            0.0
+        );
+        assert_eq!(clean.stats(), FaultStats::default());
+
+        // Retries: one unit per failed attempt, booked in seconds at the
+        // caller's unit rate.
+        let plan = FaultPlan::new(1234, 0.4);
+        let site = (0..5000)
+            .map(|eval| FaultSite::new(FaultKind::StreamStarvation, eval, 0, 0))
+            .find(|&s| plan.faults_at(s, 0) && plan.faults_at(s, 1) && !plan.faults_at(s, 2))
+            .expect("a recover-after-two-failures site exists");
+        let mut retried = FaultSession::new(plan);
+        let extra = resolve_degradable(Some(&mut retried), site, 300.0, 2.0e9);
+        assert_eq!(extra, 600.0);
+        let stats = retried.stats();
+        assert_eq!((stats.injected, stats.retries, stats.exhausted), (2, 2, 0));
+        assert_eq!(stats.extra_seconds, 600.0 / 2.0e9);
+
+        // Exhaustion: every attempt fails, then the 4-unit slow path.
+        let mut hopeless = FaultSession::with_budget(FaultPlan::new(0, 1.0), 2);
+        let extra = resolve_degradable(Some(&mut hopeless), clean_site, 0.5, 1.0);
+        assert_eq!(extra, 0.5 * 3.0 + 4.0 * 0.5);
+        let stats = hopeless.stats();
+        assert_eq!((stats.injected, stats.retries, stats.exhausted), (3, 0, 1));
+        assert_eq!(stats.extra_seconds, extra);
     }
 
     #[test]

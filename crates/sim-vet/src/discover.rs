@@ -19,8 +19,9 @@
 
 use std::path::{Path, PathBuf};
 
-/// Which rule families a crate opted into. See [`Profile::rules_for`] in
-//  `rules.rs` for the profile → rule mapping.
+/// Which rule families a crate opted into. See
+/// [`profile_rules`](crate::rules::profile_rules) for the profile → rule
+/// mapping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
     /// Simulated hardware charging cycle costs: the full discipline set.

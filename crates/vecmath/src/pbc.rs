@@ -125,12 +125,6 @@ pub fn min_image_search27<T: Real>(d: Vec3<T>, l: T) -> Vec3<T> {
     best
 }
 
-/// Minimum-image displacement between two wrapped positions.
-#[inline(always)]
-pub fn min_image_between<T: Real>(a: Vec3<T>, b: Vec3<T>, l: T) -> Vec3<T> {
-    min_image_branchy(a - b, l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,11 +52,6 @@ impl<T: Real> Vec3<T> {
         )
     }
 
-    /// Component-wise product.
-    pub fn mul_elem(self, other: Self) -> Self {
-        Self::new(self.x * other.x, self.y * other.y, self.z * other.z)
-    }
-
     pub fn map(self, mut f: impl FnMut(T) -> T) -> Self {
         Self::new(f(self.x), f(self.y), f(self.z))
     }

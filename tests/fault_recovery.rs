@@ -1,5 +1,6 @@
 //! Fault-injection + recovery invariants at paper scale (2048 atoms, 10
-//! steps), compiled only with `--features fault-inject`.
+//! steps). Every build compiles the device fault sites; these tests arm
+//! them with seeded plans at construction.
 //!
 //! The contract under test (DESIGN.md §9): injected faults may only add
 //! *simulated* recovery time. Trajectories — positions, velocities,
@@ -11,8 +12,6 @@
 //! unified [`MdDevice`](md_core::device::MdDevice) run API; trajectory
 //! equality is asserted on the returned [`SystemCheckpoint`] (f32 devices
 //! widen losslessly to f64 at capture, so the comparison stays bitwise).
-
-#![cfg(feature = "fault-inject")]
 
 use harness::{run_supervised, DeviceKind, GpuModel, SupervisorConfig};
 use md_core::device::{DeviceRun, RunOptions};

@@ -22,8 +22,7 @@
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
 //! `tests/substrate.rs`. Regenerate — only when a drift is *intended* — with
-//! `UPDATE_GOLDEN=1 cargo test --features fault-inject --test shared_eval
-//! golden_matrix_is_complete`.
+//! `UPDATE_GOLDEN=1 cargo test --test shared_eval golden_matrix_is_complete`.
 
 use cell_be::{CellBeDevice, CellRun, CellRunConfig, SpawnPolicy, SpeKernelVariant};
 use harness::{
@@ -269,12 +268,10 @@ fn scenario_key(kind: DeviceKind, sim: &SimConfig) -> String {
     )
 }
 
-#[cfg(feature = "fault-inject")]
 fn faulted_key(kind: DeviceKind) -> String {
     format!("faulted/{}@{PAPER_ATOMS}x{PAPER_STEPS}", kind.label())
 }
 
-#[cfg(feature = "fault-inject")]
 fn faulted_record(kind: DeviceKind, threads: usize) -> Record {
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     let plan = sim_fault::FaultPlan::new(2024, 0.02);
@@ -519,7 +516,6 @@ fn scenario_flavors_match_the_golden_matrix() {
 
 /// Fault schedules key off the simulated run structure (eval/lane/site):
 /// the injected-fault ledger and the recovered trajectory are pinned too.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn fault_injected_runs_match_the_golden_matrix() {
     let doc = golden();
@@ -590,7 +586,6 @@ fn measure_matrix() -> Vec<(String, Record)> {
             }
         }
     }
-    #[cfg(feature = "fault-inject")]
     for kind in all_devices() {
         records.push((faulted_key(kind), faulted_record(kind, 1)));
     }
@@ -605,9 +600,8 @@ fn measure_matrix() -> Vec<(String, Record)> {
     records
 }
 
-/// Under `UPDATE_GOLDEN=1` (with `--features fault-inject`, so the faulted
-/// records exist) rewrite the matrix; otherwise check that the file holds
-/// exactly the records the tests above look up, in order.
+/// Under `UPDATE_GOLDEN=1` rewrite the matrix; otherwise check that the
+/// file holds exactly the records the tests above look up, in order.
 #[test]
 fn golden_matrix_is_complete() {
     let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
@@ -618,7 +612,6 @@ fn golden_matrix_is_complete() {
             keys.extend(all_devices().into_iter().map(|k| scenario_key(k, &sim)));
         }
     }
-    #[cfg(feature = "fault-inject")]
     keys.extend(all_devices().into_iter().map(faulted_key));
     keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
     keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
@@ -626,10 +619,6 @@ fn golden_matrix_is_complete() {
     keys.extend(supervised_keys());
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        assert!(
-            keys.iter().any(|k| k.starts_with("faulted/")),
-            "regenerate with --features fault-inject so the faulted records are written"
-        );
         std::fs::write(GOLDEN_PATH, render_golden(&measure_matrix())).expect("write golden");
     }
 
@@ -640,7 +629,6 @@ fn golden_matrix_is_complete() {
         .expect("records object")
         .iter()
         .map(|(k, _)| k.as_str())
-        .filter(|k| cfg!(feature = "fault-inject") || !k.starts_with("faulted/"))
         .collect();
     assert_eq!(pinned, keys, "golden matrix keys");
 }

@@ -380,7 +380,6 @@ fn warm_sweep_cache_for_one_scenario_never_serves_another() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn extension_scenarios_survive_fault_injection() {
     use md_core::scenario::ScenarioSpec;

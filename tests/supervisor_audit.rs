@@ -13,8 +13,8 @@
 //!    run lands exactly on the requested step count, and recovery only ever
 //!    *adds* simulated time relative to the fault-free run.
 //!
-//! Node-level faults live in the cluster model, so none of this needs the
-//! `fault-inject` feature.
+//! The schedules are node-level faults, which live in the cluster model;
+//! the member devices run unarmed.
 
 use harness::{
     run_cluster_supervised, ClusterKind, ClusterRecovery, DeviceKind, RecoveryEvent,
