@@ -245,3 +245,127 @@ fn sweep_ledger_records_cache_hits_and_misses() {
     assert_eq!(sans_cache(&cold_led), sans_cache(&warm_led));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A ledger whose every value is fixed, host events included: every optional
+/// field, strings that need escaping (quote, backslash, a control byte) or
+/// carry multi-byte scalars, `-0.0` and extreme magnitudes, and events that
+/// tie on `t_s` (and on the whole sort key) so the serialization order is
+/// pinned too.
+fn hand_built_ledger() -> RunLedger {
+    use sim_obs::LedgerEvent;
+    let event = |t_s: f64, kind: EventKind, source: &str, name: &str| LedgerEvent {
+        t_s,
+        kind,
+        source: source.to_string(),
+        name: name.to_string(),
+        step: None,
+        dur_s: None,
+        value: None,
+        unit: None,
+        detail: None,
+    };
+    let mut l = RunLedger::new("quote \" back \\ ctrl \u{1}", "π atoms x 🧪 steps");
+    l.push(LedgerEvent {
+        step: Some(7),
+        detail: Some("node 2 \"killed\" at \\step\\ 5\n\ttab \u{1} π 🧪".to_string()),
+        ..event(1.0, EventKind::Node, "cluster", "fault")
+    });
+    l.push(LedgerEvent {
+        value: Some(-0.0),
+        unit: Some("µs/🧪".to_string()),
+        ..event(1.0, EventKind::Counter, "dev", "zero")
+    });
+    l.push(LedgerEvent {
+        value: Some(1e300),
+        unit: Some("bytes".to_string()),
+        ..event(1.0, EventKind::Counter, "dev", "huge")
+    });
+    l.push(LedgerEvent {
+        value: Some(1e-300),
+        unit: Some("s".to_string()),
+        ..event(1.0, EventKind::Counter, "dev", "tiny")
+    });
+    l.push(LedgerEvent {
+        dur_s: Some(1e-300),
+        ..event(-0.0, EventKind::Phase, "dev", "first")
+    });
+    l.push(LedgerEvent {
+        step: Some(0),
+        dur_s: Some(0.25),
+        value: Some(3.5),
+        unit: Some("pairs".to_string()),
+        detail: Some("all optional fields".to_string()),
+        ..event(0.0, EventKind::Phase, "dev", "full")
+    });
+    // Equal sort keys: the stable sort keeps these in push order.
+    for detail in ["second pushed", "first pushed"] {
+        l.push(LedgerEvent {
+            detail: Some(detail.to_string()),
+            ..event(1e300, EventKind::Instant, "dev", "tie")
+        });
+    }
+    l.set_sim_offset(0.5);
+    l.device_phases("dev", &[("compute", 0.125), ("dma_wait", 0.375)]);
+    l.counter("dev", "spe.dma.bytes", 0.5, 4096.0, "bytes");
+    l.instant(EventKind::Recovery, "supervisor", "checkpoint", 0.5);
+    l.instant(EventKind::Cache, "sweep", "key \"π\"", 0.5);
+    l.host_value("harness", "host_wall_seconds", 0.125, "s");
+    l.host_value("dev", "host_atom_steps_per_s", 1e300, "atom-steps/s");
+    l
+}
+
+/// Ledger bytes are a contract: the canonical view of real device runs (the
+/// four paper devices under LJ, the Cell under Morse/NVT and Coulomb) and the
+/// whole JSONL of [`hand_built_ledger`] must match the committed golden file
+/// byte for byte. Regenerate with `UPDATE_GOLDEN=1 cargo test --test
+/// obs_ledger` only for an intended format change.
+#[test]
+fn ledger_bytes_match_golden_file() {
+    use md_core::scenario::ScenarioSpec;
+    let lj = ScenarioSpec::default();
+    let runs = [
+        (DeviceKind::cell_best(), lj),
+        (
+            DeviceKind::Gpu {
+                model: GpuModel::GeForce7900Gtx,
+            },
+            lj,
+        ),
+        (
+            DeviceKind::Mta {
+                mode: ThreadingMode::FullyMultithreaded,
+            },
+            lj,
+        ),
+        (DeviceKind::Opteron, lj),
+        (DeviceKind::cell_best(), ScenarioSpec::morse_nvt()),
+        (DeviceKind::cell_best(), ScenarioSpec::coulomb_cutoff()),
+    ];
+    let mut out = String::new();
+    for (kind, scenario) in runs {
+        let sim = SimConfig::reduced_lj(108).with_scenario(scenario);
+        let (_, led) = harness::device_ledger(kind, &sim, 10).expect("device ledger");
+        out.push_str(&format!("# canonical {} | {}\n", led.label, led.workload));
+        for line in led.canonical_lines() {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    let hand = hand_built_ledger().to_jsonl();
+    out.push_str("# to_jsonl hand-built\n");
+    out.push_str(&hand);
+
+    let back = RunLedger::parse_jsonl(&hand).expect("hand-built ledger parses");
+    assert_eq!(back.to_jsonl(), hand, "serialization is a fixed point");
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_ledger.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &out).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(path).expect("read tests/golden/run_ledger.txt");
+    assert!(
+        out == golden,
+        "ledger bytes drifted from tests/golden/run_ledger.txt — if the change \
+         is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
