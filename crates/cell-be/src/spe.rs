@@ -62,7 +62,7 @@ impl Spe {
     /// Allocate a quadword array in the local store, or report exhaustion —
     /// the hard 256 KB constraint the paper's port designs around.
     pub fn alloc_quads(&mut self, n: usize) -> Result<LsRegion, LsOverflow> {
-        self.local_store.alloc_quads(n).ok_or(LsOverflow {
+        self.local_store.alloc_quads(n).ok_or_else(|| LsOverflow {
             requested: n * 16,
             free: self.local_store.bytes_free(),
         })

@@ -12,10 +12,10 @@
 //!    give identical fault schedules regardless of the order sites are
 //!    queried in, so fault-injected runs are exactly reproducible.
 //! 2. **Simulated time only.** Every injected fault, timeout, and retry is
-//!    charged to a [`FaultClock`] in *simulated* seconds (device cycles over
-//!    the device clock). Host time never enters the model — sim-vet's
-//!    determinism rule rejects `std::time` in this crate and in the device
-//!    crates.
+//!    charged to [`FaultStats::extra_seconds`] in *simulated* seconds
+//!    (device cycles over the device clock). Host time never enters the
+//!    model — sim-vet's determinism rule rejects `std::time` in this crate
+//!    and in the device crates.
 //!
 //! Faults never touch physics: an injected failure discards the (modeled)
 //! corrupt transfer and re-issues it, so the recovered trajectory is
@@ -25,10 +25,8 @@
 //! (GPU/MTA/Opteron) and records the exhaustion in [`FaultStats`] so the
 //! harness supervisor can fall back to the reference device.
 
-mod clock;
 mod plan;
 mod session;
 
-pub use clock::FaultClock;
 pub use plan::{FaultKind, FaultPlan, FaultSite};
 pub use session::{resolve_degradable, FaultSession, FaultStats, SiteOutcome, DEFAULT_MAX_RETRIES};

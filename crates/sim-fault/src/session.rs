@@ -1,6 +1,5 @@
 //! Per-run fault session: bounded retries, outcome queries, and statistics.
 
-use crate::clock::FaultClock;
 use crate::plan::{FaultPlan, FaultSite};
 
 /// Aggregate fault statistics for one simulated run. Devices expose this on
@@ -63,7 +62,6 @@ pub struct FaultSession {
     plan: FaultPlan,
     max_retries: u32,
     stats: FaultStats,
-    clock: FaultClock,
 }
 
 /// Default retry budget: matches the "try a handful of times then escalate"
@@ -81,16 +79,7 @@ impl FaultSession {
             plan,
             max_retries,
             stats: FaultStats::default(),
-            clock: FaultClock::new(),
         }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
     }
 
     /// Resolve `site`: walk the plan's per-retry decisions until the site
@@ -135,23 +124,12 @@ impl FaultSession {
     }
 
     /// Charge `seconds` of simulated recovery time to this session.
+    /// Negative or non-finite charges are rejected: a fault can only ever
+    /// slow the simulated run down.
     pub fn charge(&mut self, seconds: f64) {
-        self.clock.advance(seconds);
         if seconds.is_finite() && seconds > 0.0 {
             self.stats.extra_seconds += seconds;
         }
-    }
-
-    /// Charge a device-native cycle count at `clock_hz`.
-    pub fn charge_cycles(&mut self, cycles: u64, clock_hz: f64) {
-        if clock_hz > 0.0 {
-            self.charge(cycles as f64 / clock_hz);
-        }
-    }
-
-    /// Simulated seconds charged so far.
-    pub fn elapsed(&self) -> f64 {
-        self.clock.now()
     }
 
     pub fn stats(&self) -> FaultStats {
@@ -204,7 +182,7 @@ mod tests {
             assert_eq!(session.outcome(site), SiteOutcome::clean());
         }
         assert!(!session.stats().any());
-        assert_eq!(session.elapsed(), 0.0);
+        assert_eq!(session.stats().extra_seconds, 0.0);
     }
 
     #[test]
@@ -313,12 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn charges_accumulate_into_stats_and_clock() {
+    fn charges_accumulate_into_stats() {
         let mut session = FaultSession::new(FaultPlan::disabled());
         session.charge(2.0e-6);
-        session.charge_cycles(200, 2.0e9); // 100 ns
+        session.charge(1.0e-7);
         session.charge(-5.0); // rejected
-        assert!((session.elapsed() - 2.1e-6).abs() < 1e-15);
+        session.charge(f64::NAN); // rejected
         assert!((session.stats().extra_seconds - 2.1e-6).abs() < 1e-15);
     }
 

@@ -5,31 +5,58 @@
 //! artifacts. The container has no serde; this is the single JSON layer
 //! everything above (the Chrome trace writer, `sim-perf`, the ledger) builds on.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// Append `s` to `out`, escaped for embedding in a JSON string literal.
+/// The plain runs between bytes that need escaping are copied whole.
+pub fn push_json_string(out: &mut String, mut s: &str) {
+    while let Some(i) = s.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&s[..i]);
+        match s.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        s = &s[i + 1..];
+    }
+    out.push_str(s);
+}
+
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    push_json_string(&mut out, s);
     out
 }
 
-/// Format an `f64` as a JSON number. Rust's `Display` for finite floats is
-/// shortest-round-trip, and a bare integer form ("3") is still a valid JSON
-/// number, so no fixup is needed beyond rejecting non-finite values.
-pub fn json_f64(v: f64) -> String {
+/// Append an `f64` to `out` as a JSON number. Rust's `Display` for finite
+/// floats is shortest-round-trip, and a bare integer form ("3") is still a
+/// valid JSON number, so no fixup is needed beyond rejecting non-finite
+/// values. A nonzero integer below 2^53 prints the same digits as the `i64`
+/// it equals, and integer formatting writes them faster.
+pub fn push_json_f64(out: &mut String, v: f64) {
     assert!(v.is_finite(), "JSON numbers must be finite, got {v}");
-    format!("{v}")
+    if v != 0.0 && v.fract() == 0.0 && v.abs() < EXACT_INT {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// 2^53: every integer of smaller magnitude is an exact `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Format an `f64` as a JSON number (see [`push_json_f64`]).
+pub fn json_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_json_f64(&mut out, v);
+    out
 }
 
 /// A parsed JSON value.
@@ -67,6 +94,14 @@ impl JsonValue {
         }
     }
 
+    /// The string itself, moved out of the value.
+    pub fn into_string(self) -> Option<String> {
+        match self {
+            JsonValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
@@ -89,6 +124,7 @@ impl JsonValue {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -96,6 +132,15 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn fail(&self, msg: &str) -> String {
         format!("JSON parse error at byte {}: {msg}", self.pos)
     }
@@ -197,8 +242,7 @@ impl<'a> Parser<'a> {
                 return Err(self.fail("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.fail("non-UTF8 number"))?;
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| self.fail(&format!("bad number {text:?}")))?;
@@ -209,15 +253,36 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        self.string_ref().map(Cow::into_owned)
+    }
+
+    /// A string literal in one linear pass: each run of plain bytes up to
+    /// the next `"`, `\\` or control byte is copied with one `push_str`.
+    /// Both ends of a run are ASCII bytes (or the end of the input), so the
+    /// run is whole UTF-8 scalars of the `&str` being parsed. A literal
+    /// without escapes is borrowed from the input, not copied.
+    fn string_ref(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - run);
+            let plain = &self.text[run..self.pos];
             match self.peek() {
+                Some(b'"') if out.is_empty() => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(plain));
+                }
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    out.push_str(plain);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(plain);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -236,8 +301,8 @@ impl<'a> Parser<'a> {
                             if !hex.iter().all(u8::is_ascii_hexdigit) {
                                 return Err(self.fail("bad \\u escape"));
                             }
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.fail("non-UTF8 \\u escape"))?;
+                            // Four ASCII hex digits: a char-boundary slice.
+                            let hex = &self.text[self.pos + 1..self.pos + 5];
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.fail("bad \\u escape"))?;
                             out.push(
@@ -250,15 +315,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.fail("raw control char in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("non-UTF8 string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.fail("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.fail("raw control char in string")),
                 None => return Err(self.fail("unterminated string")),
             }
         }
@@ -289,23 +346,29 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
+        let mut pairs = Vec::new();
+        self.fields(&mut pairs)?;
+        Ok(JsonValue::Object(pairs))
+    }
+
+    /// An object's fields, in source order, into `sink`. Duplicate keys are
+    /// rejected as soon as the second one is read.
+    fn fields(&mut self, sink: &mut impl ObjectSink<'a>) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut pairs: Vec<(String, JsonValue)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(self.fail(&format!("duplicate key {key:?}")));
-            }
+            let key = self.string_ref()?;
+            let slot = sink
+                .slot(key)
+                .map_err(|key| self.fail(&format!("duplicate key {key:?}")))?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
+            *slot = self.value()?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -313,27 +376,66 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
+                    return Ok(());
                 }
                 _ => return Err(self.fail("expected ',' or '}'")),
             }
         }
     }
+
+    /// Fail unless only whitespace is left.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.fail("trailing garbage after document"));
+        }
+        Ok(())
+    }
+}
+
+/// Where [`parse_json_fields`] puts an object's fields. Keys are borrowed
+/// from the input unless they hold escapes.
+pub(crate) trait ObjectSink<'a> {
+    /// The place for the value of `key`, or `key` back if it came already.
+    fn slot(&mut self, key: Cow<'a, str>) -> Result<&mut JsonValue, Cow<'a, str>>;
+}
+
+impl<'a> ObjectSink<'a> for Vec<(String, JsonValue)> {
+    fn slot(&mut self, key: Cow<'a, str>) -> Result<&mut JsonValue, Cow<'a, str>> {
+        if self.iter().any(|(k, _)| *k == key) {
+            return Err(key);
+        }
+        let at = self.len();
+        self.push((key.into_owned(), JsonValue::Null));
+        Ok(&mut self[at].1)
+    }
 }
 
 /// Parse a complete JSON document (trailing whitespace allowed, nothing else).
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(text);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.fail("trailing garbage after document"));
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// Parse a complete JSON document like [`parse_json`], accepting and
+/// rejecting exactly the same texts, but hand the fields of a top-level
+/// object to `sink` instead of building key strings and a field list. Any
+/// other document is parsed and dropped, leaving `sink` empty.
+pub(crate) fn parse_json_fields<'a>(
+    text: &'a str,
+    sink: &mut impl ObjectSink<'a>,
+) -> Result<(), String> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.depth = 1;
+        p.fields(sink)?;
+    } else {
+        p.value()?;
+    }
+    p.finish()
 }
 
 #[cfg(test)]
@@ -401,6 +503,37 @@ mod tests {
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(original));
     }
 
+    /// One string of several MiB parses in one linear pass. A scan that
+    /// re-validated the rest of the document per character would take
+    /// hours here.
+    #[test]
+    fn multi_mib_string_round_trips() {
+        let original = format!("{}π\"🧪", "a".repeat(6 << 20));
+        let doc = format!("\"{}\"", escape_json_string(&original));
+        let parsed = parse_json(&doc).expect("long string parses");
+        assert_eq!(parsed.as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn raw_control_byte_after_a_long_run_reports_its_offset() {
+        let plain = 100_000;
+        let doc = format!("\"{}\u{1}\"", "a".repeat(plain));
+        let err = parse_json(&doc).expect_err("raw control byte");
+        let offset = 1 + plain;
+        assert_eq!(
+            err,
+            format!("JSON parse error at byte {offset}: raw control char in string")
+        );
+    }
+
+    #[test]
+    fn unicode_escape_after_a_multi_byte_scalar_decodes() {
+        let parsed = parse_json(r#"["🧪\u00e9π\u0041", "π\u03c0"]"#).expect("parses");
+        let items = parsed.as_array().expect("array");
+        assert_eq!(items[0].as_str(), Some("🧪éπA"));
+        assert_eq!(items[1].as_str(), Some("ππ"));
+    }
+
     /// `depth` nested arrays (or objects) around a scalar.
     fn nested_doc(depth: usize, open: &str, close: &str) -> String {
         format!("{}1{}", open.repeat(depth), close.repeat(depth))
@@ -435,6 +568,32 @@ mod tests {
         assert_eq!(outcome, [true; 3]);
     }
 
+    #[test]
+    fn numbers_print_as_display_at_the_edges() {
+        let max = EXACT_INT - 1.0;
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            3.0,
+            21296.0,
+            max,
+            -max,
+            EXACT_INT,
+            -EXACT_INT,
+            1e300,
+            -1e300,
+            1e-300,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            assert_eq!(json_f64(v), format!("{v}"), "{v:e}");
+        }
+    }
+
     proptest! {
         /// Escaped output never contains raw control characters or unescaped
         /// quotes/backslashes in positions that would break a JSON literal.
@@ -450,6 +609,22 @@ mod tests {
                 } else {
                     prop_assert!(c != '"', "unescaped quote");
                 }
+            }
+        }
+
+        /// The integer shortcut prints exactly what `Display` prints.
+        #[test]
+        fn integers_print_as_display(
+            wide in 0u64..(1 << 54),
+            small in 0u64..100_000,
+            bits in 0u64..u64::MAX,
+        ) {
+            for v in [wide as f64 - EXACT_INT, small as f64, -(small as f64)] {
+                prop_assert_eq!(json_f64(v), format!("{v}"));
+            }
+            let f = f64::from_bits(bits);
+            if f.is_finite() {
+                prop_assert_eq!(json_f64(f), format!("{f}"));
             }
         }
 

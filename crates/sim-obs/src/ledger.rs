@@ -13,12 +13,19 @@
 //!    Determinism comparisons are therefore "identical modulo host-time
 //!    fields" by construction.
 
-use crate::json::{escape_json_string, json_f64, parse_json, JsonValue};
+use crate::json::{
+    parse_json, parse_json_fields, push_json_f64, push_json_string, JsonValue, ObjectSink,
+};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Version of the ledger line format. Bump on any breaking change to the
 /// header or event fields.
 pub const LEDGER_SCHEMA_VERSION: u32 = 1;
+
+/// Buffer bytes reserved per serialized line; device ledgers average about
+/// 120, and a longer line only costs the buffer one more doubling.
+const LINE_BYTES: usize = 128;
 
 /// What an event describes. Serialized lowercase in the `kind` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -91,59 +98,68 @@ pub struct LedgerEvent {
 }
 
 impl LedgerEvent {
-    fn to_json_line(&self) -> String {
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"t_s\":{},\"kind\":\"{}\",\"source\":\"{}\",\"name\":\"{}\"",
-            json_f64(self.t_s),
-            self.kind.as_str(),
-            escape_json_string(&self.source),
-            escape_json_string(&self.name),
-        );
+    /// Append this event's JSON object (no newline) to `out`.
+    fn push_json_line(&self, out: &mut String, time: &mut TimeText) {
+        out.push_str("{\"t_s\":");
+        time.push(out, self.t_s);
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.kind.as_str());
+        out.push_str("\",\"source\":\"");
+        push_json_string(out, &self.source);
+        out.push_str("\",\"name\":\"");
+        push_json_string(out, &self.name);
+        out.push('"');
         if let Some(step) = self.step {
-            let _ = write!(line, ",\"step\":{step}");
+            let _ = write!(out, ",\"step\":{step}");
         }
         if let Some(d) = self.dur_s {
-            let _ = write!(line, ",\"dur_s\":{}", json_f64(d));
+            out.push_str(",\"dur_s\":");
+            push_json_f64(out, d);
         }
         if let Some(v) = self.value {
-            let _ = write!(line, ",\"value\":{}", json_f64(v));
+            out.push_str(",\"value\":");
+            push_json_f64(out, v);
         }
         if let Some(u) = &self.unit {
-            let _ = write!(line, ",\"unit\":\"{}\"", escape_json_string(u));
+            out.push_str(",\"unit\":\"");
+            push_json_string(out, u);
+            out.push('"');
         }
         if let Some(det) = &self.detail {
-            let _ = write!(line, ",\"detail\":\"{}\"", escape_json_string(det));
+            out.push_str(",\"detail\":\"");
+            push_json_string(out, det);
+            out.push('"');
         }
-        line.push('}');
-        line
+        out.push('}');
     }
 
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let t_s = v
-            .get("t_s")
-            .and_then(JsonValue::as_number)
+    /// Decode one event line. Its fields land in named slots, so no key is
+    /// copied, and each string value moves into the event.
+    fn parse_line(line: &str) -> Result<Self, String> {
+        let mut f = EventFields::default();
+        parse_json_fields(line, &mut f)?;
+        let t_s = f
+            .t_s
+            .and_then(|x| x.as_number())
             .ok_or("event missing numeric t_s")?;
         if t_s < 0.0 {
             return Err(format!("t_s must be non-negative, got {t_s}"));
         }
-        let kind = v
-            .get("kind")
+        let kind = f
+            .kind
+            .as_ref()
             .and_then(JsonValue::as_str)
             .and_then(EventKind::parse)
             .ok_or("event missing or unknown kind")?;
-        let source = v
-            .get("source")
-            .and_then(JsonValue::as_str)
-            .ok_or("event missing source")?
-            .to_string();
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("event missing name")?
-            .to_string();
-        let step = match v.get("step") {
+        let source = f
+            .source
+            .and_then(JsonValue::into_string)
+            .ok_or("event missing source")?;
+        let name = f
+            .name
+            .and_then(JsonValue::into_string)
+            .ok_or("event missing name")?;
+        let step = match f.step {
             Some(s) => Some(
                 s.as_number()
                     .filter(|n| *n >= 0.0 && n.fract() == 0.0)
@@ -151,25 +167,21 @@ impl LedgerEvent {
             ),
             None => None,
         };
-        let num = |key: &str| -> Result<Option<f64>, String> {
-            match v.get(key) {
-                Some(x) => Ok(Some(
-                    x.as_number().ok_or(format!("{key} must be a number"))?,
-                )),
-                None => Ok(None),
-            }
+        let num = |x: Option<JsonValue>, key: &str| {
+            x.map(|x| {
+                x.as_number()
+                    .ok_or_else(|| format!("{key} must be a number"))
+            })
+            .transpose()
         };
-        let text = |key: &str| -> Result<Option<String>, String> {
-            match v.get(key) {
-                Some(x) => Ok(Some(
-                    x.as_str()
-                        .ok_or(format!("{key} must be a string"))?
-                        .to_string(),
-                )),
-                None => Ok(None),
-            }
+        let text = |x: Option<JsonValue>, key: &str| {
+            x.map(|x| {
+                x.into_string()
+                    .ok_or_else(|| format!("{key} must be a string"))
+            })
+            .transpose()
         };
-        let dur_s = num("dur_s")?;
+        let dur_s = num(f.dur_s, "dur_s")?;
         if let Some(d) = dur_s.filter(|d| *d < 0.0) {
             return Err(format!("dur_s must be non-negative, got {d}"));
         }
@@ -180,10 +192,72 @@ impl LedgerEvent {
             name,
             step,
             dur_s,
-            value: num("value")?,
-            unit: text("unit")?,
-            detail: text("detail")?,
+            value: num(f.value, "value")?,
+            unit: text(f.unit, "unit")?,
+            detail: text(f.detail, "detail")?,
         })
+    }
+}
+
+/// The fields of one event line, by name. Keys the format does not define
+/// are kept only to reject their duplicates.
+#[derive(Default)]
+struct EventFields<'a> {
+    t_s: Option<JsonValue>,
+    kind: Option<JsonValue>,
+    source: Option<JsonValue>,
+    name: Option<JsonValue>,
+    step: Option<JsonValue>,
+    dur_s: Option<JsonValue>,
+    value: Option<JsonValue>,
+    unit: Option<JsonValue>,
+    detail: Option<JsonValue>,
+    other_keys: Vec<Cow<'a, str>>,
+    other: Option<JsonValue>,
+}
+
+impl<'a> ObjectSink<'a> for EventFields<'a> {
+    fn slot(&mut self, key: Cow<'a, str>) -> Result<&mut JsonValue, Cow<'a, str>> {
+        let slot = match &*key {
+            "t_s" => &mut self.t_s,
+            "kind" => &mut self.kind,
+            "source" => &mut self.source,
+            "name" => &mut self.name,
+            "step" => &mut self.step,
+            "dur_s" => &mut self.dur_s,
+            "value" => &mut self.value,
+            "unit" => &mut self.unit,
+            "detail" => &mut self.detail,
+            _ if self.other_keys.contains(&key) => return Err(key),
+            _ => {
+                self.other_keys.push(key);
+                return Ok(self.other.insert(JsonValue::Null));
+            }
+        };
+        if slot.is_some() {
+            return Err(key);
+        }
+        Ok(slot.insert(JsonValue::Null))
+    }
+}
+
+/// The JSON text of the last `t_s` written. Sorted events share `t_s` in long
+/// runs (a device's counters all land at its final time), so each distinct
+/// time is formatted once and copied after that.
+#[derive(Default)]
+struct TimeText {
+    bits: Option<u64>,
+    text: String,
+}
+
+impl TimeText {
+    fn push(&mut self, out: &mut String, t_s: f64) {
+        if self.bits != Some(t_s.to_bits()) {
+            self.bits = Some(t_s.to_bits());
+            self.text.clear();
+            push_json_f64(&mut self.text, t_s);
+        }
+        out.push_str(&self.text);
     }
 }
 
@@ -317,9 +391,9 @@ impl RunLedger {
         });
     }
 
-    /// Events sorted the way serialization orders them.
-    fn sorted_events(&self) -> Vec<LedgerEvent> {
-        let mut evs = self.events.clone();
+    /// Events sorted the way serialization orders them, by reference.
+    fn sorted_events(&self) -> Vec<&LedgerEvent> {
+        let mut evs: Vec<&LedgerEvent> = self.events.iter().collect();
         evs.sort_by(|a, b| {
             a.t_s
                 .total_cmp(&b.t_s)
@@ -330,20 +404,21 @@ impl RunLedger {
         evs
     }
 
-    /// Serialize to JSONL: header line, then one event per line.
+    /// Serialize to JSONL: header line, then one event per line, every
+    /// field appended straight into one output buffer.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(LINE_BYTES * (self.events.len() + 1));
         let _ = write!(
             out,
-            "{{\"schema_version\":{LEDGER_SCHEMA_VERSION},\"format\":\"run-ledger\",\
-             \"label\":\"{}\",\"workload\":\"{}\",\"events\":{}}}",
-            escape_json_string(&self.label),
-            escape_json_string(&self.workload),
-            self.events.len(),
+            "{{\"schema_version\":{LEDGER_SCHEMA_VERSION},\"format\":\"run-ledger\",\"label\":\""
         );
-        out.push('\n');
+        push_json_string(&mut out, &self.label);
+        out.push_str("\",\"workload\":\"");
+        push_json_string(&mut out, &self.workload);
+        let _ = writeln!(out, "\",\"events\":{}}}", self.events.len());
+        let mut time = TimeText::default();
         for ev in self.sorted_events() {
-            out.push_str(&ev.to_json_line());
+            ev.push_json_line(&mut out, &mut time);
             out.push('\n');
         }
         out
@@ -353,10 +428,15 @@ impl RunLedger {
     /// event dropped. Two runs of the same config must agree on these bytes
     /// exactly; host events are the only place wall-clock jitter may live.
     pub fn canonical_lines(&self) -> Vec<String> {
+        let mut time = TimeText::default();
         self.sorted_events()
-            .iter()
+            .into_iter()
             .filter(|ev| ev.kind != EventKind::Host)
-            .map(LedgerEvent::to_json_line)
+            .map(|ev| {
+                let mut line = String::with_capacity(LINE_BYTES);
+                ev.push_json_line(&mut line, &mut time);
+                line
+            })
             .collect()
     }
 
@@ -393,9 +473,8 @@ impl RunLedger {
             .ok_or("header missing events count")?;
         let mut events = Vec::new();
         for (idx, line) in lines.enumerate() {
-            let v = parse_json(line).map_err(|e| format!("event line {}: {e}", idx + 2))?;
             events.push(
-                LedgerEvent::from_json_value(&v)
+                LedgerEvent::parse_line(line)
                     .map_err(|e| format!("event line {}: {e}", idx + 2))?,
             );
         }
@@ -578,6 +657,41 @@ mod tests {
         assert!(err.contains("t_s must be non-negative"), "{err}");
         let err = RunLedger::parse_jsonl(&event("5", "-2")).expect_err("negative dur_s");
         assert!(err.contains("dur_s must be non-negative"), "{err}");
+    }
+
+    /// Event lines are decoded field by field rather than through a
+    /// `JsonValue` tree; they must still be rejected exactly where and why
+    /// `parse_json` rejects them, and accepted otherwise.
+    #[test]
+    fn event_lines_fail_like_parse_json() {
+        let header = "{\"schema_version\":1,\"format\":\"run-ledger\",\"label\":\"x\",\"workload\":\"w\",\"events\":1}";
+        let ev = r#"{"t_s":0,"kind":"phase","source":"s","name":"n""#;
+        let nest =
+            |depth: usize| format!("{ev},\"x\":{}1{}}}", "[".repeat(depth), "]".repeat(depth));
+        for line in [
+            format!("{ev},\"t_s\":1}}"),
+            format!("{ev},\"n\\u0061me\":\"m\"}}"),
+            format!("{ev},\"x\":1,\"y\":2,\"x\":[1]}}"),
+            format!("{ev},\"x\":{{\"a\":1,\"a\":2}}}}"),
+            format!("{ev}}} x"),
+            ev.to_string(),
+            format!("{ev},\"unit\":\"\u{1}\"}}"),
+            nest(crate::json::MAX_DEPTH),
+            "[1,2".to_string(),
+        ] {
+            let want = parse_json(&line).expect_err(&line);
+            let got = RunLedger::parse_jsonl(&format!("{header}\n{line}\n")).expect_err(&line);
+            assert_eq!(got, format!("event line 2: {want}"));
+        }
+        for line in [
+            format!("{ev},\"x\":1,\"y\":{{\"x\":2}}}}"),
+            format!("{ev},\"\\u0064etail\":\"d\"}}"),
+            nest(crate::json::MAX_DEPTH - 1),
+        ] {
+            parse_json(&line).expect(&line);
+            let led = RunLedger::parse_jsonl(&format!("{header}\n{line}\n")).expect(&line);
+            assert_eq!(led.events()[0].name, "n");
+        }
     }
 
     #[test]

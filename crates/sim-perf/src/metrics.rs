@@ -2,7 +2,7 @@
 
 use crate::counter::PerfMonitor;
 use crate::json::JsonValue;
-use sim_obs::escape_json_string;
+use sim_obs::{escape_json_string, json_f64};
 use std::fmt::Write as _;
 
 /// Version of the `RunMetrics` JSON schema. Bump when a field is added,
@@ -315,14 +315,6 @@ impl RunMetrics {
         }
         Ok(m)
     }
-}
-
-/// Format an `f64` as a JSON number. Rust's `Display` for finite floats is
-/// shortest-round-trip, and a bare integer form ("3") is still a valid JSON
-/// number, so no fixup is needed beyond rejecting non-finite values.
-fn json_f64(v: f64) -> String {
-    assert!(v.is_finite(), "JSON numbers must be finite, got {v}");
-    format!("{v}")
 }
 
 /// Human-readable engineering formatting for counter values ("3.20 G",
