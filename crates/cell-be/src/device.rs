@@ -7,8 +7,7 @@ use crate::error::CellError;
 #[cfg(feature = "hazard-check")]
 use crate::hazard::{Dir, HazardChecker};
 use crate::kernel::{
-    compute_accelerations, compute_accelerations_f64, compute_accelerations_tiled, KernelStats,
-    SpeKernelVariant, SpeLanePhysics,
+    compute_accelerations, compute_accelerations_f64, KernelStats, SpeKernelVariant, SpeLanePhysics,
 };
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
@@ -21,6 +20,7 @@ use md_core::shared_eval::SoaPositionsF32;
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use sim_obs::ChromeTrace;
+use std::ops::Range;
 use vecmath::{Real, Vec3};
 
 /// How SPE threads are managed across time steps (Figure 6).
@@ -184,31 +184,6 @@ impl CellBeDevice {
         self.run_offload(&port, sys, sim, steps, run, trace, perf, par)
     }
 
-    /// Tiled, double-buffered SPE offload — the production formulation for
-    /// systems too large for the resident port: each SPE keeps only its own
-    /// atom slice and two j-tile buffers in the local store, streaming the
-    /// position array through tile-sized DMA transfers. Double buffering
-    /// overlaps each tile's DMA with the previous tile's compute, so the
-    /// critical path per tile is `max(compute, dma)`, not their sum.
-    ///
-    /// Physics matches the resident port to f32 rounding (partial
-    /// accelerations accumulate per tile); use this when the resident port
-    /// returns [`LsOverflow`]. Requires the fully optimized kernel variant.
-    pub fn run_md_tiled(
-        &self,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-        tile_atoms: usize,
-    ) -> Result<CellRun, CellError> {
-        assert!(tile_atoms >= 1, "tile must hold at least one atom");
-        assert!(
-            run.variant == SpeKernelVariant::SimdAcceleration,
-            "the tiled port is built on the fully optimized kernel"
-        );
-        self.run_fresh(&Tiled { tile_atoms }, sim, steps, run)
-    }
-
     /// Double-precision SPE offload — the capability the paper flags as the
     /// Cell's open question ("the outstanding issues are the availability and
     /// support for double-precision floating-point calculations"). Physics is
@@ -222,27 +197,16 @@ impl CellBeDevice {
         steps: usize,
         run: CellRunConfig,
     ) -> Result<CellRun, CellError> {
-        self.run_fresh(&Double, sim, steps, run)
-    }
-
-    /// A serial, unobserved [`Self::run_offload`] from a fresh lattice.
-    fn run_fresh<P: OffloadPort>(
-        &self,
-        port: &P,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-    ) -> Result<CellRun, CellError> {
         let mut sys = init::initialize(sim);
         let par = HostParallelism::Serial;
-        self.run_offload(port, &mut sys, sim, steps, run, None, None, par)
+        self.run_offload(&Double, &mut sys, sim, steps, run, None, None, par)
     }
 
     /// The one SPE-offload time-step loop every port shares: thread
-    /// management per Figure 6, position serialization, the SPE fan-out,
-    /// the serial in-order fold, PPE integration and [`CellRun`] assembly.
-    /// The port supplies only its local-store layout and its per-SPE
-    /// transfer-plus-compute step.
+    /// management per Figure 6, position serialization, the local-store
+    /// layout, the SPE fan-out with its DMA, the serial in-order fold, PPE
+    /// integration and [`CellRun`] assembly. The port supplies only its
+    /// precision and its kernel.
     #[allow(clippy::too_many_arguments)]
     fn run_offload<P: OffloadPort>(
         &self,
@@ -279,15 +243,17 @@ impl CellBeDevice {
         let atom_bytes = 4 * size_of::<P::Real>();
         let mut main_memory = vec![0u8; 2 * n * atom_bytes];
 
-        // Bring up the SPEs and their local-store layouts.
+        // Bring up the SPEs. Every local store holds all positions plus an
+        // acceleration array of the same size, of which the SPE fills and
+        // puts back only its own slice.
         let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
         let mut spes: Vec<Spe> = (0..run.n_spes)
             .map(|id| Spe::new(id, &self.config))
             .collect();
+        let array_quads = n * atom_bytes / 16;
         let regions = spes
             .iter_mut()
-            .zip(&slices)
-            .map(|(spe, &slice)| port.alloc(spe, n, slice))
+            .map(|spe| Ok((spe.alloc_quads(array_quads)?, spe.alloc_quads(array_quads)?)))
             .collect::<Result<Vec<_>, LsOverflow>>()?;
 
         // Under hazard-check, shadow every DMA command, tag wait, compute
@@ -460,16 +426,27 @@ impl CellBeDevice {
                         lane.spe.charge(mbox);
                         round_trips += 1;
                     }
-                    let cx = StepCx {
-                        pos_mem,
-                        n,
-                        slice: slices[s],
-                        params,
-                        dma: &dma,
-                        costs: &self.config.costs,
-                        mailbox_cycles: mbox,
+                    // Get every position, compute the slice into the
+                    // local-store acceleration array, put the slice back.
+                    // DMA and compute serialize, so both sit on the
+                    // critical path.
+                    let (pos_r, acc_r) = regions[s];
+                    let (lo, hi) = slices[s];
+                    let dma_in =
+                        dma.get(pos_mem, &mut lane.spe.local_store, pos_r, 0, n * atom_bytes)?;
+                    let dma_in = lane.got(pos_r, dma_in);
+                    lane.computes(pos_r, acc_r);
+                    let ls = &mut lane.spe.local_store;
+                    let (pe_slice, stats) =
+                        port.kernel(ls, (pos_r, acc_r), n, lo..hi, params, &self.config.costs);
+                    // The slice is a sub-range of the acc region, landing in
+                    // this SPE's window of the acceleration image.
+                    let slice_view = LsRegion {
+                        offset: acc_r.offset + lo * atom_bytes,
+                        len: (hi - lo) * atom_bytes,
                     };
-                    let step = port.step(lane, regions[s], &cx)?;
+                    let dma_out = dma.put(ls, lane.acc_out, slice_view, 0, slice_view.len)?;
+                    let dma_out = lane.put(slice_view, dma_out);
                     // Completion notification to the PPE.
                     let spe = &mut *lane.spe;
                     #[cfg(feature = "hazard-check")]
@@ -480,12 +457,15 @@ impl CellBeDevice {
                     let _ = spe.outbox.read();
                     round_trips += 1;
 
-                    spe.charge(step.compute_path + step.dma_path);
+                    spe.charge((stats.cycles + mbox) + (dma_in + dma_out));
                     if run.policy == SpawnPolicy::RespawnEveryStep {
                         spe.stop_thread();
                     }
                     Ok(SpeLaneOut {
-                        step,
+                        dma_in,
+                        dma_out,
+                        stats,
+                        pe_slice,
                         round_trips,
                         faults: lane.faults.sites,
                     })
@@ -497,11 +477,8 @@ impl CellBeDevice {
             let mut max_spe_dma = 0.0f64;
             pe_total = P::Real::ZERO;
             for (s, lane_out) in lane_outs.into_iter().enumerate() {
-                let SpeLaneOut {
-                    step: out,
-                    round_trips,
-                    faults: [get, wait, put],
-                } = lane_out?;
+                let out = lane_out?;
+                let [get, wait, put] = out.faults;
                 let reissue = commit_fault_site(&mut fault, get.0, get.1, get.2, clk)?;
                 let spin = commit_fault_site(&mut fault, wait.0, wait.1, wait.2, clk)?;
                 if reissue + spin > 0.0 {
@@ -516,7 +493,7 @@ impl CellBeDevice {
                     }
                 }
                 let (lo, hi) = slices[s];
-                mailbox_round_trips += round_trips;
+                mailbox_round_trips += out.round_trips;
                 if let Some(tr) = trace.as_deref_mut() {
                     // The SPEs run concurrently: each track starts at the
                     // same phase-begin time.
@@ -547,16 +524,17 @@ impl CellBeDevice {
                         out.dma_out / clk,
                     );
                 }
-                max_spe_cycles = max_spe_cycles.max(out.compute_path);
-                max_spe_dma = max_spe_dma.max(out.dma_path);
+                max_spe_cycles = max_spe_cycles.max(out.stats.cycles + mbox);
+                max_spe_dma = max_spe_dma.max(out.dma_in + out.dma_out);
                 stats_total.pairs_tested += out.stats.pairs_tested;
                 stats_total.interactions += out.stats.interactions;
                 pe_total += out.pe_slice;
                 if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles.as_ref()) {
-                    p.add_u64(h.spe_dma_bytes[s], (out.bytes_in + out.bytes_out) as u64);
+                    let (bytes_in, bytes_out) = (n * atom_bytes, (hi - lo) * atom_bytes);
+                    p.add_u64(h.spe_dma_bytes[s], (bytes_in + bytes_out) as u64);
                     p.add(h.spe_dma_stall[s], out.dma_in + out.dma_out);
-                    p.add_u64(h.dma_bytes_in, out.bytes_in as u64);
-                    p.add_u64(h.dma_bytes_out, out.bytes_out as u64);
+                    p.add_u64(h.dma_bytes_in, bytes_in as u64);
+                    p.add_u64(h.dma_bytes_out, bytes_out as u64);
                 }
             }
             breakdown.compute += max_spe_cycles;
@@ -821,99 +799,24 @@ fn read_atom<T: SpeReal>(mem: &[u8], i: usize) -> Vec3<T> {
     Vec3::new(lane(0), lane(1), lane(2))
 }
 
-/// What one SPE's step sees besides its own lane: the shared position half
-/// of main memory and the run's constants.
-struct StepCx<'a, T: Real> {
-    pos_mem: &'a [u8],
-    n: usize,
-    /// This SPE's atom slice `[lo, hi)`.
-    slice: (usize, usize),
-    params: SpeLanePhysics<T>,
-    dma: &'a DmaEngine,
-    costs: &'a SpeCostModel,
-    mailbox_cycles: f64,
-}
-
-/// What one SPE's evaluation reports back for the serial in-order fold.
-struct SpeStep<T> {
-    /// Fault-adjusted cycles of the input get and the result put.
-    dma_in: f64,
-    dma_out: f64,
-    stats: KernelStats,
-    /// Critical-path cycles of this SPE's evaluation, completion mailbox
-    /// included: compute, and the DMA the compute does not hide.
-    compute_path: f64,
-    dma_path: f64,
-    pe_slice: T,
-    /// Main-memory bytes moved in and out.
-    bytes_in: usize,
-    bytes_out: usize,
-}
-
-/// One SPE-offload port: its local-store layout and its per-SPE
-/// transfer-plus-compute step. Everything around the step is
+/// One SPE-offload port: its precision and its acceleration kernel.
+/// Everything around the kernel, local-store layout and DMA included, is
 /// [`CellBeDevice::run_offload`].
 trait OffloadPort: Sync {
     type Real: SpeReal;
-    /// One SPE's local-store regions.
-    type Regions: Copy + Sync;
-    fn alloc(
+    /// Compute the accelerations of atoms `rows` into the local-store
+    /// acceleration array from all `n` positions in the position array
+    /// (`regions` is `(positions, accelerations)`, one `4 × Real` record
+    /// per atom). Returns the slice's PE and its work counters.
+    fn kernel(
         &self,
-        spe: &mut Spe,
+        ls: &mut LocalStore,
+        regions: (LsRegion, LsRegion),
         n: usize,
-        slice: (usize, usize),
-    ) -> Result<Self::Regions, LsOverflow>;
-    fn step(
-        &self,
-        lane: &mut SpeLane<'_>,
-        regions: Self::Regions,
-        cx: &StepCx<'_, Self::Real>,
-    ) -> Result<SpeStep<Self::Real>, CellError>;
-}
-
-/// The resident step shared by the f32 and f64 ports: get every position,
-/// compute the slice into the local-store acceleration array, put the slice
-/// back. DMA and compute serialize, so both sit on the critical path.
-fn resident_step<T: SpeReal>(
-    lane: &mut SpeLane<'_>,
-    (pos_r, acc_r): (LsRegion, LsRegion),
-    cx: &StepCx<'_, T>,
-    kernel: impl FnOnce(&mut LocalStore) -> (T, KernelStats),
-) -> Result<SpeStep<T>, CellError> {
-    let (lo, hi) = cx.slice;
-    let atom_bytes = 4 * size_of::<T>();
-    let bytes_in = cx.n * atom_bytes;
-    let bytes_out = (hi - lo) * atom_bytes;
-    let dma_in = cx
-        .dma
-        .get(cx.pos_mem, &mut lane.spe.local_store, pos_r, 0, bytes_in)?;
-    let dma_in = lane.got(pos_r, dma_in);
-    lane.computes(pos_r, acc_r);
-    let (pe_slice, stats) = kernel(&mut lane.spe.local_store);
-    // DMA the computed slice back (a sub-range of the acc region, landing
-    // in this SPE's window of the acceleration image).
-    let slice_view = LsRegion {
-        offset: acc_r.offset + lo * atom_bytes,
-        len: bytes_out,
-    };
-    let dma_out = cx.dma.put(
-        &lane.spe.local_store,
-        lane.acc_out,
-        slice_view,
-        0,
-        bytes_out,
-    )?;
-    let dma_out = lane.put(slice_view, dma_out);
-    Ok(SpeStep {
-        dma_in,
-        dma_out,
-        stats,
-        compute_path: stats.cycles + cx.mailbox_cycles,
-        dma_path: dma_in + dma_out,
-        pe_slice,
-        bytes_in,
-        bytes_out,
-    })
+        rows: Range<usize>,
+        params: SpeLanePhysics<Self::Real>,
+        costs: &SpeCostModel,
+    ) -> (Self::Real, KernelStats);
 }
 
 /// The paper's port: all positions resident in every local store, f32.
@@ -923,29 +826,19 @@ struct Resident {
 
 impl OffloadPort for Resident {
     type Real = f32;
-    type Regions = (LsRegion, LsRegion);
 
-    fn alloc(
+    fn kernel(
         &self,
-        spe: &mut Spe,
+        ls: &mut LocalStore,
+        (pos_r, acc_r): (LsRegion, LsRegion),
         n: usize,
-        _: (usize, usize),
-    ) -> Result<Self::Regions, LsOverflow> {
-        Ok((spe.alloc_quads(n)?, spe.alloc_quads(n)?))
-    }
-
-    fn step(
-        &self,
-        lane: &mut SpeLane<'_>,
-        (pos_r, acc_r): Self::Regions,
-        cx: &StepCx<'_, Self::Real>,
-    ) -> Result<SpeStep<f32>, CellError> {
-        let (lo, hi) = cx.slice;
-        resident_step(lane, (pos_r, acc_r), cx, |ls| {
-            let soa = SoaPositionsF32::from_quads((0..cx.n).map(|j| ls.load_quad(pos_r, j)));
-            compute_accelerations(&soa, lo..hi, cx.params, self.variant, cx.costs, |i, q| {
-                ls.store_quad(acc_r, i, q);
-            })
+        rows: Range<usize>,
+        params: SpeLanePhysics,
+        costs: &SpeCostModel,
+    ) -> (f32, KernelStats) {
+        let soa = SoaPositionsF32::from_quads((0..n).map(|j| ls.load_quad(pos_r, j)));
+        compute_accelerations(&soa, rows, params, self.variant, costs, |i, q| {
+            ls.store_quad(acc_r, i, q);
         })
     }
 }
@@ -955,146 +848,17 @@ struct Double;
 
 impl OffloadPort for Double {
     type Real = f64;
-    type Regions = (LsRegion, LsRegion);
 
-    fn alloc(
+    fn kernel(
         &self,
-        spe: &mut Spe,
+        ls: &mut LocalStore,
+        (pos_r, acc_r): (LsRegion, LsRegion),
         n: usize,
-        _: (usize, usize),
-    ) -> Result<Self::Regions, LsOverflow> {
-        Ok((spe.alloc_quads(2 * n)?, spe.alloc_quads(2 * n)?))
-    }
-
-    fn step(
-        &self,
-        lane: &mut SpeLane<'_>,
-        (pos_r, acc_r): Self::Regions,
-        cx: &StepCx<'_, Self::Real>,
-    ) -> Result<SpeStep<f64>, CellError> {
-        let (lo, hi) = cx.slice;
-        resident_step(lane, (pos_r, acc_r), cx, |ls| {
-            compute_accelerations_f64(ls, pos_r, acc_r, lo..hi, cx.n, cx.params, cx.costs)
-        })
-    }
-}
-
-/// The streaming port: own slice plus two j-tile buffers per local store.
-struct Tiled {
-    tile_atoms: usize,
-}
-
-/// One SPE's local-store layout in the tiled port: own positions, own
-/// accelerations, two j-tile buffers.
-#[derive(Clone, Copy)]
-struct TiledRegions {
-    pos_i: LsRegion,
-    acc: LsRegion,
-    tiles: [LsRegion; 2],
-}
-
-impl OffloadPort for Tiled {
-    type Real = f32;
-    type Regions = TiledRegions;
-
-    fn alloc(
-        &self,
-        spe: &mut Spe,
-        _: usize,
-        (lo, hi): (usize, usize),
-    ) -> Result<TiledRegions, LsOverflow> {
-        Ok(TiledRegions {
-            pos_i: spe.alloc_quads(hi - lo)?,
-            acc: spe.alloc_quads(hi - lo)?,
-            tiles: [
-                spe.alloc_quads(self.tile_atoms)?,
-                spe.alloc_quads(self.tile_atoms)?,
-            ],
-        })
-    }
-
-    fn step(
-        &self,
-        lane: &mut SpeLane<'_>,
-        r: TiledRegions,
-        cx: &StepCx<'_, Self::Real>,
-    ) -> Result<SpeStep<f32>, CellError> {
-        let (lo, hi) = cx.slice;
-        let slice_len = hi - lo;
-        let n = cx.n;
-
-        // Own positions in; accumulator zeroed.
-        let dma_in = cx.dma.get(
-            cx.pos_mem,
-            &mut lane.spe.local_store,
-            r.pos_i,
-            lo * 16,
-            slice_len * 16,
-        )?;
-        let dma_in = lane.got(r.pos_i, dma_in);
-        lane.computes(r.pos_i, r.acc);
-        let ls = &mut lane.spe.local_store;
-        for ii in 0..slice_len {
-            ls.store_quad(r.acc, ii, [0.0; 4]);
-        }
-        let zero_cycles = slice_len as f64;
-
-        // Stream j tiles with double buffering: the get of tile t+1 is
-        // issued into the other buffer while tile t computes, so the path is
-        // dma(0) + Σ max(compute(t), dma(t+1)) + compute(last).
-        let tile = |t: usize| {
-            let j_lo = t * self.tile_atoms;
-            (j_lo, (j_lo + self.tile_atoms).min(n) - j_lo, r.tiles[t % 2])
-        };
-        let fetch = |ls: &mut LocalStore, t: usize| {
-            let (j_lo, count, buf) = tile(t);
-            cx.dma.get(cx.pos_mem, ls, buf, j_lo * 16, count * 16)
-        };
-        let n_tiles = n.div_ceil(self.tile_atoms);
-        let mut path = dma_in + zero_cycles + fetch(ls, 0)?;
-        let mut stats = KernelStats::default();
-        for t in 0..n_tiles {
-            let (j_lo, count, buf) = tile(t);
-            let (_, tile_stats) = compute_accelerations_tiled(
-                ls, r.pos_i, lo, slice_len, buf, j_lo, count, r.acc, cx.params, cx.costs,
-            );
-            stats.pairs_tested += tile_stats.pairs_tested;
-            stats.interactions += tile_stats.interactions;
-            stats.cycles += tile_stats.cycles;
-            let next_dma = if t + 1 < n_tiles {
-                fetch(ls, t + 1)?
-            } else {
-                0.0
-            };
-            path += tile_stats.cycles.max(next_dma);
-        }
-
-        // PE slice read from the accumulator lanes; results out.
-        let mut pe_slice = 0.0f32;
-        for ii in 0..slice_len {
-            pe_slice += ls.load_quad(r.acc, ii)[3];
-        }
-        let dma_out = cx.dma.put(
-            &lane.spe.local_store,
-            lane.acc_out,
-            r.acc,
-            0,
-            slice_len * 16,
-        )?;
-        let dma_out = lane.put(r.acc, dma_out);
-        path += dma_out + cx.mailbox_cycles;
-        Ok(SpeStep {
-            dma_in,
-            dma_out,
-            stats,
-            // The streamed DMA hides behind compute; the whole path is
-            // charged as compute.
-            compute_path: path,
-            dma_path: 0.0,
-            pe_slice,
-            bytes_in: (n + slice_len) * 16,
-            bytes_out: slice_len * 16,
-        })
+        rows: Range<usize>,
+        params: SpeLanePhysics<f64>,
+        costs: &SpeCostModel,
+    ) -> (f64, KernelStats) {
+        compute_accelerations_f64(ls, pos_r, acc_r, rows, n, params, costs)
     }
 }
 
@@ -1201,7 +965,11 @@ impl<'a> LaneFaults<'a> {
 
 /// What one SPE lane reports back for the serial in-order fold.
 struct SpeLaneOut<T> {
-    step: SpeStep<T>,
+    /// Fault-adjusted cycles of the input get and the result put.
+    dma_in: f64,
+    dma_out: f64,
+    stats: KernelStats,
+    pe_slice: T,
     /// Mailbox round trips this SPE performed this evaluation (1 or 2).
     round_trips: u64,
     faults: PeekedSites,
@@ -1710,12 +1478,18 @@ mod tests {
 
     #[test]
     fn local_store_overflow_detected() {
-        // 16384 quads fill 256 KB; position + acceleration arrays for 10000
-        // atoms need 2 * 160 KB > 256 KB.
-        let sim = workload(10_000);
+        // Every local store holds two arrays of one f32 quadword per atom:
+        // the largest system that fits fills the store exactly.
         let device = CellBeDevice::paper_blade();
-        let err = run_md(&device, &sim, 1, CellRunConfig::best());
-        assert!(err.is_err(), "10k atoms cannot fit the local store layout");
+        let fit = device.config.local_store_bytes / (2 * 4 * size_of::<f32>());
+        let run = |n| run_md(&device, &workload(n), 0, CellRunConfig::best());
+        assert!(run(fit).is_ok(), "{fit} atoms fill the local store exactly");
+        let err = run(fit + 1);
+        assert!(
+            matches!(err, Err(CellError::Overflow(_))),
+            "{} atoms overflow the local store: {err:?}",
+            fit + 1
+        );
     }
 
     #[test]
@@ -1840,69 +1614,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_port_matches_resident_port() {
-        let sim = workload(512);
-        let device = CellBeDevice::paper_blade();
-        let resident = run_md(&device, &sim, 3, CellRunConfig::best()).unwrap();
-        let tiled = device
-            .run_md_tiled(&sim, 3, CellRunConfig::best(), 128)
-            .unwrap();
-        assert!(
-            (tiled.energies.total - resident.energies.total).abs()
-                < 1e-5 * resident.energies.total.abs(),
-            "tiled {} vs resident {}",
-            tiled.energies.total,
-            resident.energies.total
-        );
-        assert_eq!(
-            tiled.kernel_stats.interactions,
-            resident.kernel_stats.interactions
-        );
-        // Double-buffered streaming costs a little more than resident, but
-        // not wildly (DMA overlaps compute).
-        let overhead = tiled.sim_seconds / resident.sim_seconds;
-        assert!(
-            (0.95..1.5).contains(&overhead),
-            "tiled overhead {overhead:.2}x"
-        );
-    }
-
-    #[test]
-    fn tiled_port_handles_systems_beyond_the_local_store() {
-        // 10000 atoms: the resident port overflows (checked elsewhere); the
-        // tiled port runs and produces physical results.
-        let sim = workload(10_000);
-        let device = CellBeDevice::paper_blade();
-        let run = device
-            .run_md_tiled(&sim, 0, CellRunConfig::best(), 1024)
-            .expect("streaming port has no N limit");
-        assert!(run.energies.potential < 0.0, "cohesive liquid");
-        assert!(run.sim_seconds > 0.0);
-    }
-
-    #[test]
-    fn tile_size_does_not_change_physics() {
-        let sim = workload(256);
-        let device = CellBeDevice::paper_blade();
-        let runs: Vec<f64> = [32usize, 100, 256, 511]
-            .iter()
-            .map(|&t| {
-                device
-                    .run_md_tiled(&sim, 2, CellRunConfig::best(), t)
-                    .unwrap()
-                    .energies
-                    .total
-            })
-            .collect();
-        for r in &runs {
-            assert!(
-                (r - runs[0]).abs() < 1e-6 * runs[0].abs(),
-                "tile size changed the trajectory: {runs:?}"
-            );
-        }
-    }
-
-    #[test]
     fn double_precision_matches_f64_reference() {
         let sim = workload(256);
         let device = CellBeDevice::paper_blade();
@@ -2000,29 +1711,20 @@ mod tests {
         );
     }
 
-    /// The tiled and double-precision ports share the resident port's loop,
-    /// fault hooks included: same physics, more simulated time.
+    /// The double-precision port shares the resident port's loop, fault
+    /// hooks included: same physics, more simulated time.
     #[test]
-    fn tiled_and_double_ports_honour_the_fault_plan() {
+    fn double_port_honours_the_fault_plan() {
         let sim = workload(256);
-        let clean = CellBeDevice::paper_blade();
         let faulty = CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(7, 0.1));
         let best = CellRunConfig::best();
-        let runs = [
-            (
-                clean.run_md_tiled(&sim, 4, best, 100).unwrap(),
-                faulty.run_md_tiled(&sim, 4, best, 100).unwrap(),
-            ),
-            (
-                clean.run_md_double(&sim, 4, best).unwrap(),
-                faulty.run_md_double(&sim, 4, best).unwrap(),
-            ),
-        ];
-        for (clean, faulty) in runs {
-            assert_eq!(clean.energies, faulty.energies);
-            assert!(faulty.faults.any());
-            assert!(faulty.sim_seconds > clean.sim_seconds);
-        }
+        let clean = CellBeDevice::paper_blade()
+            .run_md_double(&sim, 4, best)
+            .unwrap();
+        let faulty = faulty.run_md_double(&sim, 4, best).unwrap();
+        assert_eq!(clean.energies, faulty.energies);
+        assert!(faulty.faults.any());
+        assert!(faulty.sim_seconds > clean.sim_seconds);
     }
 
     #[test]
@@ -2067,8 +1769,9 @@ mod tests {
         let sim = workload(6000);
         let device = CellBeDevice::paper_blade();
         assert!(run_md(&device, &sim, 0, CellRunConfig::best()).is_ok());
-        assert!(device
-            .run_md_double(&sim, 0, CellRunConfig::best())
-            .is_err());
+        assert!(matches!(
+            device.run_md_double(&sim, 0, CellRunConfig::best()),
+            Err(CellError::Overflow(_))
+        ));
     }
 }

@@ -26,7 +26,7 @@ use crate::localstore::{LocalStore, LsRegion};
 use md_core::scenario::Substrate;
 use md_core::shared_eval::{cell_stage_row, CellStage, SoaPositionsF32};
 use std::ops::Range;
-use vecmath::{F32x4, Real};
+use vecmath::Real;
 
 /// The six optimization stages of Figure 5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -162,8 +162,8 @@ impl KernelStats {
     /// Charge the slice's cycles in closed form from the work counts:
     /// per-atom row overhead, per-tested-pair cost, per-interaction cost.
     ///
-    /// The shared-eval kernel, the tiled kernel and the per-pair oracle all
-    /// charge through this one expression, so the replayed charge is
+    /// The shared-eval kernel and the per-pair oracle both charge through
+    /// this one expression, so the replayed charge is
     /// *bitwise* the per-pair loop's — an f64 identity, not an
     /// approximation. (An incremental `cycles += …` per pair cannot be
     /// replayed exactly: with non-integral stage costs the running sum's
@@ -235,104 +235,6 @@ pub fn compute_accelerations(
     stats.charge_closed_form(costs, rows, per_pair, per_interaction);
 
     (pe_slice, stats)
-}
-
-/// Tiled acceleration kernel: compute the interactions of the SPE's own
-/// atom slice (`pos_i`, global indices starting at `i_offset`) against one
-/// *tile* of j-atoms (`pos_j`, global indices starting at `j_offset`),
-/// accumulating into `acc` (one quad per local i atom, `[ax, ay, az, pe_i]`).
-///
-/// This is the streaming formulation a production Cell port needs once the
-/// full position array no longer fits the 256 KB local store: j-atoms arrive
-/// in DMA-sized tiles (double-buffered by the device layer) and partial
-/// accelerations accumulate across tiles. The caller zeroes `acc` before the
-/// first tile. The tiled port is built on the fully optimized
-/// ([`SpeKernelVariant::SimdAcceleration`]) kernel and charges its costs.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_accelerations_tiled(
-    ls: &mut LocalStore,
-    pos_i: LsRegion,
-    i_offset: usize,
-    i_count: usize,
-    pos_j: LsRegion,
-    j_offset: usize,
-    j_count: usize,
-    acc: LsRegion,
-    params: SpeLanePhysics,
-    costs: &SpeCostModel,
-) -> (f32, KernelStats) {
-    let mut stats = KernelStats::default();
-    let mut pe_added = 0.0f32;
-
-    let l = params.box_len;
-    let half_l = 0.5 * l;
-    let cutoff2 = params.sub.cutoff2();
-    let mixed = params.sub.accumulate_f64;
-    let per_pair_cost = costs.reflect_simd
-        + costs.direction_simd
-        + costs.length_simd
-        + costs.cutoff_test
-        + costs.pair_loads;
-    let per_interact_cost = costs.lj_eval + costs.accel_simd + params.sub.extra_eval_ops();
-
-    for ii in 0..i_count {
-        let pi = F32x4(ls.load_quad(pos_i, ii));
-        let mut acc_q = F32x4(ls.load_quad(acc, ii));
-        // Mixed policy: this tile's contributions sum in f64, then fold into
-        // the running f32 quad once per tile (the quad is the cross-tile
-        // carrier, so narrowing happens at tile granularity).
-        // sim-vet: allow(precision-discipline): mixed-policy tile accumulator runs on the SPE DP unit by design
-        let mut acc64 = [0.0f64; 4];
-
-        for jj in 0..j_count {
-            if i_offset + ii == j_offset + jj {
-                continue; // self-pair
-            }
-            stats.pairs_tested += 1;
-            let pj = F32x4(ls.load_quad(pos_j, jj));
-
-            let d = pi.sub(pj);
-            let hi = d.cmp_gt(F32x4::splat(half_l));
-            let lo = F32x4::splat(-half_l).cmp_gt(d);
-            let shift = F32x4::select(hi, F32x4::splat(l), F32x4::ZERO).add(F32x4::select(
-                lo,
-                F32x4::splat(-l),
-                F32x4::ZERO,
-            ));
-            let dir = pi.sub(pj.add(shift));
-            let r2 = dir.dot3(dir);
-
-            if r2 < cutoff2 && r2 > 0.0 {
-                stats.interactions += 1;
-                let (e, f_over_r) = params.sub.energy_force(r2);
-                pe_added += e;
-                if mixed {
-                    // sim-vet: begin-allow(precision-discipline): mixed policy widens per-pair contributions to the DP accumulators
-                    let s = f_over_r * params.inv_mass;
-                    acc64[0] += f64::from(dir.lane(0) * s);
-                    acc64[1] += f64::from(dir.lane(1) * s);
-                    acc64[2] += f64::from(dir.lane(2) * s);
-                    acc64[3] += f64::from(e);
-                    // sim-vet: end-allow(precision-discipline)
-                } else {
-                    acc_q = dir.madd(F32x4::splat(f_over_r * params.inv_mass), acc_q);
-                    acc_q = acc_q.with_lane(3, acc_q.lane(3) + e);
-                }
-            }
-        }
-        if mixed {
-            acc_q = F32x4([
-                acc_q.lane(0) + f32::from_f64(acc64[0]),
-                acc_q.lane(1) + f32::from_f64(acc64[1]),
-                acc_q.lane(2) + f32::from_f64(acc64[2]),
-                acc_q.lane(3) + f32::from_f64(acc64[3]),
-            ]);
-        }
-        ls.store_quad(acc, ii, acc_q.0);
-    }
-    stats.charge_closed_form(costs, i_count as u64, per_pair_cost, per_interact_cost);
-
-    (pe_added, stats)
 }
 
 // sim-vet: begin-allow(precision-discipline): explicit double-precision section — models the SPE's DP unit (the paper's "outstanding issue"), not the f32 datapath
@@ -430,6 +332,13 @@ pub fn compute_accelerations_f64(
 mod tests {
     use super::*;
     use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
+    use vecmath::F32x4;
+
+    /// Per-lane fused multiply-add `a * b + c`: the SPE's `fma`, the SIMD
+    /// acceleration stage's accumulate.
+    fn madd(a: F32x4, b: F32x4, c: F32x4) -> F32x4 {
+        F32x4(std::array::from_fn(|k| a.0[k].mul_add(b.0[k], c.0[k])))
+    }
 
     /// The per-pair SPE kernel the shared-eval row replaced, kept as the
     /// oracle: for each atom of `i_range`, a scan of every `pos` quad
@@ -564,7 +473,7 @@ mod tests {
                         acc64[2] += f64::from(dir.lane(2) * s);
                     } else if variant.accel_simd() {
                         pe_i += e;
-                        acc_v = dir.madd(F32x4::splat(f_over_r * params.inv_mass), acc_v);
+                        acc_v = madd(dir, F32x4::splat(f_over_r * params.inv_mass), acc_v);
                     } else {
                         pe_i += e;
                         let mut a = acc_v.0;

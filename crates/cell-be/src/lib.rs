@@ -45,8 +45,8 @@ pub use device::{
 pub use dma::DmaEngine;
 pub use error::{CellError, DmaError, LsError};
 pub use kernel::{
-    compute_accelerations, compute_accelerations_f64, compute_accelerations_tiled, KernelStats,
-    SpeKernelVariant, SpeLanePhysics, SpeLanePhysicsF64,
+    compute_accelerations, compute_accelerations_f64, KernelStats, SpeKernelVariant,
+    SpeLanePhysics, SpeLanePhysicsF64,
 };
 pub use localstore::{LocalStore, LsRegion};
 pub use mailbox::Mailbox;

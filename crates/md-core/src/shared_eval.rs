@@ -887,7 +887,7 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
             let (mut acc, mut pe) = (sums.acc, sums.pe);
             self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
                 pe += e;
-                // `F32x4::madd`: per-lane fused multiply-add.
+                // The SPE's per-lane fused multiply-add.
                 acc[0] = dx.mul_add(s, acc[0]);
                 acc[1] = dy.mul_add(s, acc[1]);
                 acc[2] = dz.mul_add(s, acc[2]);

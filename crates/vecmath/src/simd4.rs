@@ -46,12 +46,6 @@ impl F32x4 {
     }
 
     #[inline(always)]
-    pub fn with_lane(mut self, i: usize, v: f32) -> Self {
-        self.0[i] = v;
-        self
-    }
-
-    #[inline(always)]
     pub fn add(self, o: Self) -> Self {
         Self([
             self.0[0] + o.0[0],
@@ -78,17 +72,6 @@ impl F32x4 {
             self.0[1] * o.0[1],
             self.0[2] * o.0[2],
             self.0[3] * o.0[3],
-        ])
-    }
-
-    /// Fused multiply-add `self * a + b` — the SPE's workhorse instruction.
-    #[inline(always)]
-    pub fn madd(self, a: Self, b: Self) -> Self {
-        Self([
-            self.0[0].mul_add(a.0[0], b.0[0]),
-            self.0[1].mul_add(a.0[1], b.0[1]),
-            self.0[2].mul_add(a.0[2], b.0[2]),
-            self.0[3].mul_add(a.0[3], b.0[3]),
         ])
     }
 
@@ -225,7 +208,6 @@ mod tests {
         assert_eq!(v.lane(1), 2.0);
         assert_eq!(v.lane(2), 3.0);
         assert_eq!(v.lane(3), 0.0);
-        assert_eq!(v.with_lane(3, 9.0).lane(3), 9.0);
     }
 
     #[test]
@@ -235,15 +217,6 @@ mod tests {
         assert_eq!(a.mul(b), F32x4::new(2.0, 4.0, 6.0, 8.0));
         assert_eq!(a.add(b), F32x4::new(3.0, 4.0, 5.0, 6.0));
         assert_eq!(b.sub(a), F32x4::new(-1.0, 0.0, 1.0, 2.0));
-    }
-
-    #[test]
-    fn madd_matches_mul_add() {
-        let a = F32x4::new(1.0, 2.0, 3.0, 4.0);
-        let b = F32x4::splat(0.5);
-        let c = F32x4::splat(10.0);
-        let r = a.madd(b, c);
-        assert_eq!(r, F32x4::new(10.5, 11.0, 11.5, 12.0));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! count, under fault injection, and across scenario flavors (Morse/NVT,
 //! Coulomb, mixed precision). The Opteron is also pinned past its L1 cliff
 //! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
-//! The Cell's tiled and double-precision SPE ports are pinned the same way
-//! through their `CellRun` (breakdown and kernel stats). So are the Cell's
+//! The Cell's double-precision SPE port is pinned the same way through its
+//! `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
 //! variant's single-SPE probe and a resident one-SPE run per variant. The
 //! supervised Opteron and 4-node Opteron cluster runs (fault-free, and with
@@ -152,7 +152,7 @@ impl Record {
         r
     }
 
-    /// Everything a Cell tiled or double-precision [`CellRun`] reports.
+    /// Everything a Cell double-precision [`CellRun`] reports.
     fn cell_run(run: &CellRun) -> Self {
         let mut r = Self::new();
         r.bits("sim_seconds", run.sim_seconds);
@@ -278,32 +278,8 @@ fn faulted_record(kind: DeviceKind, threads: usize) -> Record {
     run_device(kind.build_faulted(plan), &sim, PAPER_STEPS, threads)
 }
 
-/// Tiled-port cases: `(atoms, steps, tile_atoms)`.
-const TILED: [(usize, usize, usize); 5] = [
-    (512, 3, 128),
-    (256, 2, 32),
-    (256, 2, 100),
-    (256, 2, 256),
-    (256, 2, 511),
-];
 /// Double-precision-port cases: `(atoms, steps)`.
 const DOUBLE: [(usize, usize); 2] = [(256, 3), (512, 4)];
-
-fn tiled_key(n: usize, steps: usize, tile: usize) -> String {
-    format!("cell-tiled@{n}x{steps}/tile{tile}")
-}
-
-fn tiled_record(n: usize, steps: usize, tile: usize) -> Record {
-    let run = CellBeDevice::paper_blade()
-        .run_md_tiled(
-            &SimConfig::reduced_lj(n),
-            steps,
-            CellRunConfig::best(),
-            tile,
-        )
-        .expect("tiled port runs");
-    Record::cell_run(&run)
-}
 
 fn double_key(n: usize, steps: usize) -> String {
     format!("cell-double@{n}x{steps}")
@@ -532,15 +508,10 @@ fn fault_injected_runs_match_the_golden_matrix() {
     }
 }
 
-/// The Cell's streaming (tiled, double-buffered) and double-precision SPE
-/// ports, at several tile sizes.
+/// The Cell's double-precision SPE port.
 #[test]
-fn cell_tiled_and_double_ports_match_the_golden_matrix() {
+fn cell_double_port_matches_the_golden_matrix() {
     let doc = golden();
-    for (n, steps, tile) in TILED {
-        let rec = tiled_record(n, steps, tile);
-        assert_matches_golden(&doc, &tiled_key(n, steps, tile), &rec, "tiled");
-    }
     for (n, steps) in DOUBLE {
         let rec = double_record(n, steps);
         assert_matches_golden(&doc, &double_key(n, steps), &rec, "double");
@@ -589,9 +560,6 @@ fn measure_matrix() -> Vec<(String, Record)> {
     for kind in all_devices() {
         records.push((faulted_key(kind), faulted_record(kind, 1)));
     }
-    for (n, steps, tile) in TILED {
-        records.push((tiled_key(n, steps, tile), tiled_record(n, steps, tile)));
-    }
     for (n, steps) in DOUBLE {
         records.push((double_key(n, steps), double_record(n, steps)));
     }
@@ -613,7 +581,6 @@ fn golden_matrix_is_complete() {
         }
     }
     keys.extend(all_devices().into_iter().map(faulted_key));
-    keys.extend(TILED.map(|(n, steps, tile)| tiled_key(n, steps, tile)));
     keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
     keys.extend(cell_ladder_keys());
     keys.extend(supervised_keys());
