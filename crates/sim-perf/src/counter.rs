@@ -148,13 +148,19 @@ impl PerfMonitor {
     /// Export every counter into a run ledger under `source`: all sampled
     /// points, plus one final-value event at `end_rel_s` (relative to the
     /// ledger's sim offset) so the running total is always recoverable from
-    /// the last event.
+    /// the last event. The final event is left out when the last sample
+    /// already holds that time and value, bit for bit.
     pub fn export_to_ledger(&self, ledger: &mut sim_obs::RunLedger, source: &str, end_rel_s: f64) {
         for c in &self.counters {
             for &(t_s, value) in &c.samples {
                 ledger.counter(source, &c.name, t_s, value, c.unit);
             }
-            ledger.counter(source, &c.name, end_rel_s, c.value, c.unit);
+            let sampled_at_end = c.samples.last().is_some_and(|&(t_s, value)| {
+                t_s.to_bits() == end_rel_s.to_bits() && value.to_bits() == c.value.to_bits()
+            });
+            if !sampled_at_end {
+                ledger.counter(source, &c.name, end_rel_s, c.value, c.unit);
+            }
         }
     }
 }
@@ -246,5 +252,33 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert!(json.contains("pcie.bytes"), "{json}");
         assert!(json.contains("unsampled"), "{json}");
+    }
+
+    #[test]
+    fn ledger_export_writes_the_final_value_once() {
+        let mut m = PerfMonitor::new();
+        let at_end = m.register("sampled.at.end", "ops");
+        let later = m.register("grew.after.sample", "ops");
+        m.add(at_end, 3.0);
+        m.add(later, 1.0);
+        m.sample_all(2e-6);
+        m.add(later, 4.0);
+        let mut ledger = sim_obs::RunLedger::new("test", "none");
+        m.export_to_ledger(&mut ledger, "dev", 2e-6);
+        let points = |name: &str| -> Vec<(f64, Option<f64>)> {
+            ledger
+                .events()
+                .iter()
+                .filter(|e| e.kind == sim_obs::EventKind::Counter && e.name == name)
+                .map(|e| (e.t_s, e.value))
+                .collect()
+        };
+        // Last sampled at the end with its final value: one event.
+        assert_eq!(points("sampled.at.end"), [(2e-6, Some(3.0))]);
+        // The final value was never sampled: it still gets its event.
+        assert_eq!(
+            points("grew.after.sample"),
+            [(2e-6, Some(1.0)), (2e-6, Some(5.0))]
+        );
     }
 }
