@@ -1716,12 +1716,14 @@ mod tests {
     #[test]
     fn double_port_honours_the_fault_plan() {
         let sim = workload(256);
-        let faulty = CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(7, 0.1));
-        let best = CellRunConfig::best();
-        let clean = CellBeDevice::paper_blade()
-            .run_md_double(&sim, 4, best)
-            .unwrap();
-        let faulty = faulty.run_md_double(&sim, 4, best).unwrap();
+        let run = |device: CellBeDevice| {
+            device
+                .run_md_double(&sim, 4, CellRunConfig::best())
+                .unwrap()
+        };
+        let clean = run(CellBeDevice::paper_blade());
+        let plan = sim_fault::FaultPlan::new(7, 0.1);
+        let faulty = run(CellBeDevice::paper_blade().with_fault_plan(plan));
         assert_eq!(clean.energies, faulty.energies);
         assert!(faulty.faults.any());
         assert!(faulty.sim_seconds > clean.sim_seconds);

@@ -272,9 +272,11 @@ fn deviation(run: &DeviceRun, reference: &DeviceRun) -> (f64, f64) {
 /// the f32 rounding of every position update sets that floor. Both
 /// report total energy through f32 kinetic and potential sums whose
 /// rounding exceeds the gap: the Cell's two totals are the same number.
-/// ROADMAP item 6 has the measurements and the next form of this oracle.
+/// The ROADMAP item "Physics oracles that do not trust the implementation"
+/// has the measurements and the next form of this oracle.
 #[test]
-#[ignore = "fails: f32 state storage, not the force sums, sets the deviation (ROADMAP item 6)"]
+#[ignore = "fails: f32 state storage, not the force sums, sets the deviation \
+            (ROADMAP: Physics oracles that do not trust the implementation)"]
 fn mixed_accumulation_is_closer_to_f64_than_native_f32() {
     let run = |kind: &DeviceKind, precision| {
         let sim = SimConfig::reduced_lj(ATOMS)
