@@ -11,6 +11,8 @@
 //! count, under fault injection, and across scenario flavors (Morse/NVT,
 //! Coulomb, mixed precision). The Opteron is also pinned past its L1 cliff
 //! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
+//! The other three devices are pinned at culled sizes that are not whole
+//! cubes (1,024 and 4,096 atoms), where some j-blocks straddle a z-row.
 //! The Cell's double-precision SPE port is pinned the same way through its
 //! `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
@@ -58,6 +60,18 @@ const SCENARIO_STEPS: usize = 5;
 /// counters where L1 conflict misses dominate (Figure 9's regime).
 const CLIFF_ATOMS: [usize; 2] = [3000, 4096];
 const CLIFF_STEPS: usize = 2;
+/// Culled sizes that are not whole cubes, as `(atoms, steps)`. The lattice
+/// fills z fastest, and its z-rows (28 and 44 atoms here) are not whole
+/// 8-atom blocks, so some j-blocks hold the end of one row and the start of
+/// the next and straddle the periodic z face. The Opteron at 4,096 atoms is
+/// its `cliff/` record.
+const STRADDLE: [(usize, usize); 2] = [(1024, 3), (4096, 2)];
+
+/// The devices pinned at the [`STRADDLE`] sizes.
+fn straddle_devices() -> [DeviceKind; 3] {
+    let [_, cell, gpu, mta] = all_devices();
+    [cell, gpu, mta]
+}
 
 fn all_devices() -> [DeviceKind; 4] {
     [
@@ -253,6 +267,15 @@ fn cliff_key(n: usize) -> String {
 fn cliff_record(n: usize, threads: usize) -> Record {
     let sim = SimConfig::reduced_lj(n);
     run_device(DeviceKind::Opteron.build(), &sim, CLIFF_STEPS, threads)
+}
+
+fn straddle_key(kind: DeviceKind, n: usize, steps: usize) -> String {
+    format!("straddle/{}@{n}x{steps}", kind.label())
+}
+
+fn straddle_record(kind: DeviceKind, n: usize, steps: usize, threads: usize) -> Record {
+    let sim = SimConfig::reduced_lj(n);
+    run_device(kind.build(), &sim, steps, threads)
 }
 
 fn scenario_sim(n: usize, spec: ScenarioSpec) -> SimConfig {
@@ -467,6 +490,20 @@ fn opteron_cache_cliff_runs_match_the_golden_matrix() {
     }
 }
 
+/// Culled runs whose lattices hold row-straddling j-blocks.
+#[test]
+fn straddling_block_runs_match_the_golden_matrix() {
+    let doc = golden();
+    for (n, steps) in STRADDLE {
+        let sim = SimConfig::reduced_lj(n);
+        assert!(sim.box_len() >= 4.0 * sim.cutoff, "culling premise");
+        for kind in straddle_devices() {
+            let rec = straddle_record(kind, n, steps, 2);
+            assert_matches_golden(&doc, &straddle_key(kind, n, steps), &rec, "2 host threads");
+        }
+    }
+}
+
 /// Scenario flavors exercise every branch of the shared evaluator: the
 /// Morse/NVT substrate (different pair expression, thermostat pass), the
 /// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
@@ -548,6 +585,11 @@ fn measure_matrix() -> Vec<(String, Record)> {
     for n in CLIFF_ATOMS {
         records.push((cliff_key(n), cliff_record(n, 1)));
     }
+    for (n, steps) in STRADDLE {
+        for kind in straddle_devices() {
+            records.push((straddle_key(kind, n, steps), straddle_record(kind, n, steps, 1)));
+        }
+    }
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
@@ -574,6 +616,9 @@ fn measure_matrix() -> Vec<(String, Record)> {
 fn golden_matrix_is_complete() {
     let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
     keys.extend(CLIFF_ATOMS.map(cliff_key));
+    for (n, steps) in STRADDLE {
+        keys.extend(straddle_devices().map(|k| straddle_key(k, n, steps)));
+    }
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
