@@ -898,7 +898,7 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
 }
 
 /// Scalar remainder of a cell row: packs atoms `k..n`, per lane exactly the
-/// `F32x4` compare/select arithmetic, shifting where `|d| > half_l`.
+/// SPE's compare/select arithmetic, shifting where `|d| > half_l`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn cell_row_tail(
@@ -1684,10 +1684,12 @@ mod tests {
         f32: false,
     };
 
+    /// 864 and 2,048 atoms are whole cubes; the 1,024-atom lattice's z-rows
+    /// are 28 atoms, so some of its blocks straddle the periodic z face.
     #[test]
     fn culled_rows_are_all_pairs_rows_after_verlet_steps() {
         use crate::sim::Simulation;
-        for n in [864, 2048] {
+        for n in [864, 1024, 2048] {
             for spec in every_scenario() {
                 let cfg = SimConfig::reduced_lj(n).with_scenario(spec);
                 let mut sim = Simulation::prepare(cfg);

@@ -587,7 +587,10 @@ fn measure_matrix() -> Vec<(String, Record)> {
     }
     for (n, steps) in STRADDLE {
         for kind in straddle_devices() {
-            records.push((straddle_key(kind, n, steps), straddle_record(kind, n, steps, 1)));
+            records.push((
+                straddle_key(kind, n, steps),
+                straddle_record(kind, n, steps, 1),
+            ));
         }
     }
     for n in SCENARIO_ATOMS {
