@@ -423,7 +423,6 @@ impl CellBeDevice {
                         #[cfg(feature = "hazard-check")]
                         lane.hazard.note_mailbox_read(s, lane.spe.inbox.is_empty());
                         let _go = lane.spe.inbox.read();
-                        lane.spe.charge(mbox);
                         round_trips += 1;
                     }
                     // Get every position, compute the slice into the
@@ -457,7 +456,6 @@ impl CellBeDevice {
                     let _ = spe.outbox.read();
                     round_trips += 1;
 
-                    spe.charge((stats.cycles + mbox) + (dma_in + dma_out));
                     if run.policy == SpawnPolicy::RespawnEveryStep {
                         spe.stop_thread();
                     }

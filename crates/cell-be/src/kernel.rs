@@ -332,7 +332,59 @@ pub fn compute_accelerations_f64(
 mod tests {
     use super::*;
     use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
-    use vecmath::F32x4;
+
+    /// One 128-bit SPE register of four f32 lanes (`[x, y, z, pad]`), with
+    /// the instructions the per-pair oracle's SIMD stages use.
+    #[derive(Clone, Copy)]
+    struct F32x4([f32; 4]);
+
+    impl F32x4 {
+        const ZERO: Self = Self([0.0; 4]);
+
+        fn splat(v: f32) -> Self {
+            Self([v; 4])
+        }
+
+        fn lane(self, k: usize) -> f32 {
+            self.0[k]
+        }
+
+        fn add(self, o: Self) -> Self {
+            Self(std::array::from_fn(|k| self.0[k] + o.0[k]))
+        }
+
+        fn sub(self, o: Self) -> Self {
+            Self(std::array::from_fn(|k| self.0[k] - o.0[k]))
+        }
+
+        /// 1.0 in each lane where `self > o`, else 0.0.
+        fn cmp_gt(self, o: Self) -> Self {
+            Self(std::array::from_fn(|k| {
+                if self.0[k] > o.0[k] {
+                    1.0
+                } else {
+                    0.0
+                }
+            }))
+        }
+
+        /// `a` in each lane where `mask` is non-zero, else `b`: the SPE's
+        /// `selb`.
+        fn select(mask: Self, a: Self, b: Self) -> Self {
+            Self(std::array::from_fn(|k| {
+                if mask.0[k] != 0.0 {
+                    a.0[k]
+                } else {
+                    b.0[k]
+                }
+            }))
+        }
+
+        /// The x, y, z dot product, summed left to right.
+        fn dot3(self, o: Self) -> f32 {
+            self.0[0] * o.0[0] + self.0[1] * o.0[1] + self.0[2] * o.0[2]
+        }
+    }
 
     /// Per-lane fused multiply-add `a * b + c`: the SPE's `fma`, the SIMD
     /// acceleration stage's accumulate.

@@ -1,11 +1,11 @@
-//! One Synergistic Processing Element: local store + mailboxes + cycle count.
+//! One Synergistic Processing Element: local store + mailboxes.
 
 use crate::config::CellConfig;
 use crate::localstore::{LocalStore, LsRegion};
 use crate::mailbox::Mailbox;
 
-/// A simulated SPE. Owns its local store, its inbound/outbound mailboxes,
-/// and the cycle counter that accumulates everything it executes.
+/// A simulated SPE. Owns its local store and its inbound/outbound
+/// mailboxes; its cycles are charged by the run's cost breakdown.
 #[derive(Debug)]
 pub struct Spe {
     pub id: usize,
@@ -14,7 +14,6 @@ pub struct Spe {
     pub inbox: Mailbox,
     /// SPE → PPE messages.
     pub outbox: Mailbox,
-    cycles: f64,
     /// Whether a thread is currently loaded/running on this SPE.
     running: bool,
 }
@@ -26,22 +25,8 @@ impl Spe {
             local_store: LocalStore::new(config.local_store_bytes),
             inbox: Mailbox::new(),
             outbox: Mailbox::new(),
-            cycles: 0.0,
             running: false,
         }
-    }
-
-    pub fn cycles(&self) -> f64 {
-        self.cycles
-    }
-
-    pub fn charge(&mut self, cycles: f64) {
-        debug_assert!(cycles >= 0.0);
-        self.cycles += cycles;
-    }
-
-    pub fn reset_cycles(&mut self) {
-        self.cycles = 0.0;
     }
 
     pub fn is_running(&self) -> bool {
@@ -90,9 +75,6 @@ impl std::fmt::Display for LsOverflow {
 impl std::error::Error for LsOverflow {}
 
 #[cfg(test)]
-// Tests assert *bitwise* f64 equality on purpose: identical runs must
-// produce identical results, not merely close ones (DESIGN.md §4).
-#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 
@@ -102,12 +84,8 @@ mod tests {
         assert!(!spe.is_running());
         spe.start_thread();
         assert!(spe.is_running());
-        spe.charge(100.0);
-        spe.charge(50.0);
-        assert_eq!(spe.cycles(), 150.0);
         spe.stop_thread();
-        spe.reset_cycles();
-        assert_eq!(spe.cycles(), 0.0);
+        assert!(!spe.is_running());
     }
 
     #[test]

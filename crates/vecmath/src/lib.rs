@@ -7,20 +7,15 @@
 //!   (single precision on the Cell BE and GPU, double precision on the MTA-2
 //!   and the Opteron reference).
 //! - [`Vec3`]: a plain 3-component vector.
-//! - [`F32x4`]: a software model of a 128-bit, 4-lane single-precision SIMD
-//!   register, mirroring the SPE/GPU register files (both are 4-wide `f32`).
-//!   All device kernels that claim to be "SIMDized" in the paper go through
-//!   this type so that the op-counting cost models can observe them.
+//! - [`wide`]: the host's batched f64/f32 lanes for the shared evaluator.
 //! - [`pbc`]: periodic-boundary-condition helpers, including the paper's
 //!   27-neighboring-unit-cell minimum-image search.
 
 pub mod pbc;
 mod real;
-mod simd4;
 mod vec3;
 pub mod wide;
 
 pub use real::Real;
-pub use simd4::F32x4;
 pub use vec3::Vec3;
 pub use wide::{F32x8, F64x4, Mask4, Mask8};

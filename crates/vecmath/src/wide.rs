@@ -1,11 +1,9 @@
 //! Wide batched lanes for the shared physics-once evaluation path
 //! (DESIGN.md §17).
 //!
-//! [`F32x4`](crate::F32x4) models the *device* register files (SPE/GPU,
-//! 4-wide f32) so the op-counting cost models can observe them. The types
-//! here are different in kind: they are **host** execution lanes — the
-//! batched evaluator the shared kernel uses to compute each device's physics
-//! once per step. [`F64x4`] carries four f64 pair-distances at a time (the
+//! The types here are **host** execution lanes, not models of a device's
+//! register file: the batched evaluator the shared kernel uses to compute
+//! each device's physics once per step. [`F64x4`] carries four f64 pair-distances at a time (the
 //! Opteron/MTA double-precision flavor); [`F32x8`] carries eight f32
 //! pair-distances (the Cell/GPU single-precision flavor).
 //!
