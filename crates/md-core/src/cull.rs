@@ -375,6 +375,29 @@ mod tests {
         }
     }
 
+    /// The listed-block totals on the initial lattices (DESIGN.md §17), in
+    /// both flavors. A looser list moves them; a list that drops a block
+    /// fails the per-pair oracle instead.
+    #[test]
+    fn listed_block_totals_on_the_initial_lattices_are_pinned() {
+        let pinned = [
+            (864, 2_916),
+            (1024, 5_962),
+            (2048, 6_912),
+            (4096, 25_830),
+            (8192, 29_092),
+        ];
+        for (n, want) in pinned {
+            let cfg = SimConfig::reduced_lj(n);
+            let sys = Simulation::prepare(cfg).system;
+            let pos: Vec<[f64; 3]> = sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
+            let (l, cutoff) = (sys.box_len, cfg.cutoff);
+            let listed = [lists::<f64>(&pos, l, cutoff), lists::<f32>(&pos, l, cutoff)]
+                .map(|lists| lists.iter().map(Vec::len).sum::<usize>());
+            assert_eq!(listed, [want; 2], "{n} atoms, [f64, f32]");
+        }
+    }
+
     #[test]
     fn lists_cover_every_passing_pair_on_uniform_random_positions() {
         let mut rng = crate::rng::SplitMix64::new(27);

@@ -13,6 +13,8 @@
 //! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
 //! The other three devices are pinned at culled sizes that are not whole
 //! cubes (1,024 and 4,096 atoms), where some j-blocks straddle a z-row.
+//! The 8-SPE Cell is also pinned at 1,000 atoms, where every SPE's
+//! 125-atom row slice starts or ends inside an 8-atom block.
 //! The Cell's double-precision SPE port is pinned the same way through its
 //! `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
@@ -66,6 +68,11 @@ const CLIFF_STEPS: usize = 2;
 /// the next and straddle the periodic z face. The Opteron at 4,096 atoms is
 /// its `cliff/` record.
 const STRADDLE: [(usize, usize); 2] = [(1024, 3), (4096, 2)];
+
+/// A culled 8-SPE Cell run whose 125-atom SPE slices start and end inside
+/// 8-atom blocks (and 4-block super-blocks), so neighbouring SPEs evaluate
+/// rows of the same block: `(atoms, steps)`.
+const SLICED: (usize, usize) = (1000, 2);
 
 /// The devices pinned at the [`STRADDLE`] sizes.
 fn straddle_devices() -> [DeviceKind; 3] {
@@ -276,6 +283,21 @@ fn straddle_key(kind: DeviceKind, n: usize, steps: usize) -> String {
 fn straddle_record(kind: DeviceKind, n: usize, steps: usize, threads: usize) -> Record {
     let sim = SimConfig::reduced_lj(n);
     run_device(kind.build(), &sim, steps, threads)
+}
+
+fn sliced_key() -> String {
+    let (n, steps) = SLICED;
+    format!("sliced/{}@{n}x{steps}", DeviceKind::cell_best().label())
+}
+
+fn sliced_record(threads: usize) -> Record {
+    let (n, steps) = SLICED;
+    run_device(
+        DeviceKind::cell_best().build(),
+        &SimConfig::reduced_lj(n),
+        steps,
+        threads,
+    )
 }
 
 fn scenario_sim(n: usize, spec: ScenarioSpec) -> SimConfig {
@@ -504,6 +526,19 @@ fn straddling_block_runs_match_the_golden_matrix() {
     }
 }
 
+/// The 8-SPE Cell with block-splitting row slices, at every host thread
+/// count.
+#[test]
+fn block_splitting_cell_slices_match_the_golden_matrix() {
+    let doc = golden();
+    let sim = SimConfig::reduced_lj(SLICED.0);
+    assert!(sim.box_len() >= 4.0 * sim.cutoff, "culling premise");
+    for t in THREADS {
+        let rec = sliced_record(t);
+        assert_matches_golden(&doc, &sliced_key(), &rec, &format!("{t} host threads"));
+    }
+}
+
 /// Scenario flavors exercise every branch of the shared evaluator: the
 /// Morse/NVT substrate (different pair expression, thermostat pass), the
 /// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
@@ -593,6 +628,7 @@ fn measure_matrix() -> Vec<(String, Record)> {
             ));
         }
     }
+    records.push((sliced_key(), sliced_record(1)));
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
@@ -622,6 +658,7 @@ fn golden_matrix_is_complete() {
     for (n, steps) in STRADDLE {
         keys.extend(straddle_devices().map(|k| straddle_key(k, n, steps)));
     }
+    keys.push(sliced_key());
     for n in SCENARIO_ATOMS {
         for spec in scenario_flavors() {
             let sim = scenario_sim(n, spec);
