@@ -206,7 +206,8 @@ impl CellBeDevice {
     /// management per Figure 6, position serialization, the local-store
     /// layout, the SPE fan-out with its DMA, the serial in-order fold, PPE
     /// integration and [`CellRun`] assembly. The port supplies only its
-    /// precision and its kernel.
+    /// precision, the host-side copy of the positions its kernel reads and
+    /// its kernel.
     #[allow(clippy::too_many_arguments)]
     fn run_offload<P: OffloadPort>(
         &self,
@@ -374,10 +375,12 @@ impl CellBeDevice {
                 breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
             }
 
-            // Serialize current positions into main memory.
+            // Serialize current positions into main memory, and build the
+            // port's shared copy of them once for every SPE.
             for (i, p) in sys.positions.iter().enumerate() {
                 write_atom(&mut main_memory, i, *p);
             }
+            let shared = port.share(&sys.positions);
 
             // Each SPE: DMA its inputs in, compute its slice, DMA out. SPEs
             // run concurrently; the step's wall time is the slowest SPE.
@@ -436,8 +439,20 @@ impl CellBeDevice {
                     let dma_in = lane.got(pos_r, dma_in);
                     lane.computes(pos_r, acc_r);
                     let ls = &mut lane.spe.local_store;
-                    let (pe_slice, stats) =
-                        port.kernel(ls, (pos_r, acc_r), n, lo..hi, params, &self.config.costs);
+                    debug_assert!(
+                        P::shared_axes(&shared).is_none_or(|axes| ls
+                            .read_bytes(pos_r.offset, n * atom_bytes)
+                            .is_ok_and(|image| image_holds(image, axes))),
+                        "SPE {s}: its local-store positions differ from the shared copy"
+                    );
+                    let (pe_slice, stats) = port.kernel(
+                        &shared,
+                        ls,
+                        (pos_r, acc_r),
+                        lo..hi,
+                        params,
+                        &self.config.costs,
+                    );
                     // The slice is a sub-range of the acc region, landing in
                     // this SPE's window of the acceleration image.
                     let slice_view = LsRegion {
@@ -797,20 +812,45 @@ fn read_atom<T: SpeReal>(mem: &[u8], i: usize) -> Vec3<T> {
     Vec3::new(lane(0), lane(1), lane(2))
 }
 
-/// One SPE-offload port: its precision and its acceleration kernel.
-/// Everything around the kernel, local-store layout and DMA included, is
+/// Whether the position image `image` (one [`write_atom`] record per atom)
+/// holds `axes` bit for bit.
+fn image_holds<T: SpeReal>(image: &[u8], axes: [&[T]; 3]) -> bool {
+    let w = size_of::<T>();
+    let mut lane = [0u8; 8];
+    (0..axes[0].len()).all(|i| {
+        (0..3).all(|k| {
+            axes[k][i].store(&mut lane[..w]);
+            image[(4 * i + k) * w..][..w] == lane[..w]
+        })
+    })
+}
+
+/// One SPE-offload port: its precision, the host-side copy of the
+/// positions its kernel reads, and its acceleration kernel. Everything
+/// around the kernel, local-store layout and DMA included, is
 /// [`CellBeDevice::run_offload`].
 trait OffloadPort: Sync {
     type Real: SpeReal;
+    /// The host-side copy of an evaluation's positions that every SPE's
+    /// kernel reads, built once per evaluation by [`Self::share`].
+    type Shared: Sync;
+    /// The shared copy of `positions`, the values just serialized into main
+    /// memory.
+    fn share(&self, positions: &[Vec3<Self::Real>]) -> Self::Shared;
+    /// The coordinates `shared` holds per axis, for the check that every
+    /// local-store position image decodes to them; `None` when the kernel
+    /// reads its local store alone.
+    fn shared_axes(shared: &Self::Shared) -> Option<[&[Self::Real]; 3]>;
     /// Compute the accelerations of atoms `rows` into the local-store
-    /// acceleration array from all `n` positions in the position array
+    /// acceleration array from all positions in the position array
     /// (`regions` is `(positions, accelerations)`, one `4 × Real` record
-    /// per atom). Returns the slice's PE and its work counters.
+    /// per atom), whose values `shared` also holds. Returns the slice's PE
+    /// and its work counters.
     fn kernel(
         &self,
+        shared: &Self::Shared,
         ls: &mut LocalStore,
         regions: (LsRegion, LsRegion),
-        n: usize,
         rows: Range<usize>,
         params: SpeLanePhysics<Self::Real>,
         costs: &SpeCostModel,
@@ -822,20 +862,30 @@ struct Resident {
     variant: SpeKernelVariant,
 }
 
+/// Its SPEs read one f32 SoA per evaluation, which the host builds, and
+/// with it the SoA's j-block index, once for all of them.
 impl OffloadPort for Resident {
     type Real = f32;
+    type Shared = SoaPositionsF32;
+
+    fn share(&self, positions: &[Vec3<f32>]) -> SoaPositionsF32 {
+        soa_of(positions)
+    }
+
+    fn shared_axes(soa: &SoaPositionsF32) -> Option<[&[f32]; 3]> {
+        Some([soa.x(), soa.y(), soa.z()])
+    }
 
     fn kernel(
         &self,
+        soa: &SoaPositionsF32,
         ls: &mut LocalStore,
-        (pos_r, acc_r): (LsRegion, LsRegion),
-        n: usize,
+        (_, acc_r): (LsRegion, LsRegion),
         rows: Range<usize>,
         params: SpeLanePhysics,
         costs: &SpeCostModel,
     ) -> (f32, KernelStats) {
-        let soa = SoaPositionsF32::from_quads((0..n).map(|j| ls.load_quad(pos_r, j)));
-        compute_accelerations(&soa, rows, params, self.variant, costs, |i, q| {
+        compute_accelerations(soa, rows, params, self.variant, costs, |i, q| {
             ls.store_quad(acc_r, i, q);
         })
     }
@@ -846,16 +896,24 @@ struct Double;
 
 impl OffloadPort for Double {
     type Real = f64;
+    type Shared = ();
+
+    fn share(&self, _positions: &[Vec3<f64>]) {}
+
+    fn shared_axes((): &()) -> Option<[&[f64]; 3]> {
+        None
+    }
 
     fn kernel(
         &self,
+        (): &(),
         ls: &mut LocalStore,
         (pos_r, acc_r): (LsRegion, LsRegion),
-        n: usize,
         rows: Range<usize>,
         params: SpeLanePhysics<f64>,
         costs: &SpeCostModel,
     ) -> (f64, KernelStats) {
+        let n = pos_r.len / (4 * size_of::<f64>());
         compute_accelerations_f64(ls, pos_r, acc_r, rows, n, params, costs)
     }
 }

@@ -11,14 +11,25 @@
 //! exactly the pairs of the full scan, in the same ascending-j order: the
 //! row is bitwise the all-pairs row.
 //!
+//! The lists are built in two levels. Each super-block of [`SUPER`]
+//! consecutive blocks is bounded by its own arc, computed from its atoms
+//! the same way, so an i-super-block is tested against every j-super-block
+//! first and its i-blocks only against the members of the j-super-blocks
+//! within reach.
+//!
 //! This is host wall-clock work only. The simulated devices are still
 //! charged for all N² pair tests, in closed form, by their cost replays.
 
+use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::OnceLock;
 use vecmath::Real;
 
 /// Atoms per j-block: one f32 SIMD group, or two f64 groups.
 pub(crate) const BLOCK: usize = 8;
+
+/// Blocks per super-block, the first level of the list build.
+const SUPER: usize = 4;
 
 /// Relative reach margin of the block test: a j-block is kept when its gap
 /// to the i-block satisfies `gap² ≤ (cutoff·(1 + MARGIN))²`.
@@ -35,6 +46,8 @@ pub(crate) const BLOCK: usize = 8;
 /// centre two more and its fold one, the half-width one; the gap takes five.
 /// Those 17 roundings act on values of magnitude ≤ 2L, each off by at most
 /// `2u₆₄L`, so the computed gap exceeds `g` by at most `34u₆₄L ≈ 4·10⁻¹⁵L`.
+/// A super-block's arc is computed by the same fold over its atoms, so the
+/// same bound holds for the super-block test.
 /// The list test subtracts [`SLACK_PER_BOX`]`·L = 16u₃₂L` from each axis gap
 /// before squaring (`u₃₂` bounds both precisions); that covers the kernel's
 /// `6uL` and leaves `10u₃₂L ≈ 6·10⁻⁷L`, over 10⁸ times the index's own
@@ -53,8 +66,15 @@ const MARGIN: f64 = 1e-3;
 /// 2·10⁻⁵σ.
 const SLACK_PER_BOX: f64 = 8.0 * f32::EPSILON as f64;
 
-/// j-blocks a list build measures per stack batch.
+/// Arcs a list build measures per stack batch.
 const GROUP: usize = 64;
+
+thread_local! {
+    /// The list build's reused buffers: the j-super-blocks within reach of
+    /// one i-super-block, and the lists of its blocks, which are then
+    /// copied out at their exact size.
+    static SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// The lazily built j-block index of one structure-of-arrays position set.
 ///
@@ -72,22 +92,48 @@ struct Index {
     blocks: Option<Blocks>,
 }
 
+/// Per-axis periodic arcs of consecutive chunks of atoms: each chunk's
+/// centre in `[0, L)` and its half-width.
 #[derive(Clone, Debug)]
-struct Blocks {
-    /// Per-axis periodic arc of each block, `ceil(n / BLOCK)` blocks (the
-    /// last may be partial; it is an i-block but never a listed j-block):
-    /// its centre in `[0, L)` and its half-width.
+struct Arcs {
     centre: [Vec<f64>; 3],
     half: [Vec<f64>; 3],
+}
+
+#[derive(Clone, Debug)]
+struct Blocks {
+    /// The arc of each block, `ceil(n / BLOCK)` blocks (the last may be
+    /// partial; it is an i-block but never a listed j-block).
+    blocks: Arcs,
+    /// The arc of each super-block of [`SUPER`] blocks (the last may be
+    /// partial).
+    supers: Arcs,
     /// Number of full j-blocks, `n / BLOCK`.
     full: usize,
     box_len: f64,
     slack: f64,
     reach2: f64,
-    /// Per i-block ascending list of full j-blocks to visit, built on first
-    /// use so a caller that evaluates a slice of rows (one Cell SPE) only
-    /// pays for its own i-blocks.
-    lists: Vec<OnceLock<Box<[u32]>>>,
+    /// Per i-super-block, the ascending lists of full j-blocks its blocks
+    /// visit, built on first use so a caller that evaluates a slice of rows
+    /// (one Cell SPE) only pays for its own i-super-blocks.
+    lists: Vec<OnceLock<SuperLists>>,
+}
+
+/// The lists of one i-super-block's blocks, back to back in one allocation
+/// of their exact size.
+#[derive(Clone, Debug)]
+struct SuperLists {
+    /// Where each block's list ends in `blocks`; the next one starts there.
+    ends: [u32; SUPER],
+    blocks: Box<[u32]>,
+}
+
+impl SuperLists {
+    /// The list of the super-block's `k`-th block.
+    fn list(&self, k: usize) -> &[u32] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] as usize };
+        &self.blocks[start..self.ends[k] as usize]
+    }
 }
 
 impl BlockCull {
@@ -132,24 +178,25 @@ impl BlockCull {
     }
 }
 
-impl Blocks {
-    fn build<T: Real>(axes: [&[T]; 3], box_len: f64, cutoff2: f64) -> Option<Self> {
-        let n = axes[0].len();
+impl Arcs {
+    /// The arcs of `axes` in chunks of `atoms`, or `None` when some
+    /// coordinate is non-finite or outside `[0, L]`.
+    fn of<T: Real>(axes: [&[T]; 3], atoms: usize, box_len: f64) -> Option<Self> {
         let half_box = 0.5 * box_len;
-        let n_blocks = n.div_ceil(BLOCK);
-        let mut centre = [(); 3].map(|_| Vec::with_capacity(n_blocks));
-        let mut half = [(); 3].map(|_| Vec::with_capacity(n_blocks));
+        let chunks = axes[0].len().div_ceil(atoms);
+        let mut centre = [(); 3].map(|_| Vec::with_capacity(chunks));
+        let mut half = [(); 3].map(|_| Vec::with_capacity(chunks));
         for (a, coords) in axes.iter().enumerate() {
-            for block in coords.chunks(BLOCK) {
-                let first = block[0].to_f64();
+            for chunk in coords.chunks(atoms) {
+                let first = chunk[0].to_f64();
                 let (mut lo, mut hi) = (0.0f64, 0.0f64);
-                for &c in block {
+                for &c in chunk {
                     let c = c.to_f64();
                     // Also rejects NaN.
                     if !(0.0..=box_len).contains(&c) {
                         return None;
                     }
-                    // The offset from the block's first atom, folded into
+                    // The offset from the chunk's first atom, folded into
                     // [−L/2, L/2]: both ends lie in [0, L], so one fold does.
                     let mut d = c - first;
                     if d > half_box {
@@ -170,71 +217,146 @@ impl Blocks {
                 half[a].push(0.5 * (hi - lo));
             }
         }
+        Some(Self { centre, half })
+    }
+
+    fn len(&self) -> usize {
+        self.centre[0].len()
+    }
+
+    /// Chunk `k`'s centre and its half-width widened by `slack`, per axis.
+    fn own(&self, k: usize, slack: f64) -> [(f64, f64); 3] {
+        [0, 1, 2].map(|a| (self.centre[a][k], self.half[a][k] + slack))
+    }
+}
+
+impl Blocks {
+    fn build<T: Real>(axes: [&[T]; 3], box_len: f64, cutoff2: f64) -> Option<Self> {
+        let n = axes[0].len();
         let reach = cutoff2.sqrt() * (1.0 + MARGIN);
         Some(Self {
-            centre,
-            half,
+            blocks: Arcs::of(axes, BLOCK, box_len)?,
+            supers: Arcs::of(axes, SUPER * BLOCK, box_len)?,
             full: n / BLOCK,
             box_len,
             slack: SLACK_PER_BOX * box_len,
             reach2: reach * reach,
-            lists: (0..n_blocks).map(|_| OnceLock::new()).collect(),
+            lists: (0..n.div_ceil(SUPER * BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
         })
     }
 
     /// The j-blocks whose squared gap to block `ib` is within reach, built
-    /// on first use.
+    /// with the rest of its super-block's lists on first use.
     fn list(&self, ib: usize) -> &[u32] {
-        self.lists[ib].get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            if crate::shared_eval::wide_kernels_native() {
-                // SAFETY: AVX2 (and FMA) support was verified at runtime
-                // just above.
-                return unsafe { self.build_list_avx2(ib) };
-            }
-            self.build_list(ib)
-        })
+        let sb = ib / SUPER;
+        let lists = self.lists[sb].get_or_init(|| {
+            SCRATCH.with_borrow_mut(|(kept, lists)| {
+                #[cfg(target_arch = "x86_64")]
+                if crate::shared_eval::wide_kernels_native() {
+                    // SAFETY: AVX2 (and FMA) support was verified at
+                    // runtime just above.
+                    return unsafe { self.build_lists_avx2(sb, kept, lists) };
+                }
+                self.build_lists(sb, kept, lists)
+            })
+        });
+        lists.list(ib % SUPER)
     }
 
-    /// [`Self::build_list`] compiled with AVX2: four j-blocks per
-    /// instruction instead of two. Only the instruction selection differs;
-    /// the operations and their order are the same, so the lists are equal.
+    /// [`Self::build_lists`] compiled with AVX2: four arcs per instruction
+    /// instead of two. Only the instruction selection differs; the
+    /// operations and their order are the same, so the lists are equal.
     ///
     /// # Safety
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn build_list_avx2(&self, ib: usize) -> Box<[u32]> {
-        self.build_list(ib)
+    unsafe fn build_lists_avx2(
+        &self,
+        sb: usize,
+        kept: &mut Vec<u32>,
+        lists: &mut Vec<u32>,
+    ) -> SuperLists {
+        self.build_lists(sb, kept, lists)
     }
 
-    /// Block `ib`'s list, in one pass over the full j-blocks.
+    /// The lists of i-super-block `sb`'s blocks, in two levels: the
+    /// j-super-blocks within reach of `sb` are collected in `kept`, then
+    /// each of its blocks is tested against the full j-blocks of those only,
+    /// its list appended to `lists`. Runs of consecutive kept
+    /// j-super-blocks are one range of j-blocks, so each block's list
+    /// ascends. Both buffers only grow, so a warm thread allocates nothing
+    /// here but the exact-size copy it returns.
+    ///
+    /// A j-super-block's arc covers every atom of its members, so a j-block
+    /// outside `kept` is at least as far from the i-block as the bound that
+    /// rejected its super-block: the super-block test skips only blocks the
+    /// block test could also skip (DESIGN.md §17).
+    #[inline(always)]
+    fn build_lists(&self, sb: usize, kept: &mut Vec<u32>, lists: &mut Vec<u32>) -> SuperLists {
+        let (full, slack) = (self.full, self.slack);
+        let mut gap2 = [0.0; GROUP];
+        let j_supers = full.div_ceil(SUPER);
+        let kept = &mut grown(kept, j_supers)[..];
+        let own = self.supers.own(sb, slack);
+        let n_kept = self.within_reach(&self.supers, own, 0..j_supers, &mut gap2, kept, 0);
+        let kept = &kept[..n_kept];
+        // Each i-block lists at most the members of the kept j-super-blocks.
+        let out = grown(lists, SUPER * SUPER * n_kept);
+        let mut len = 0;
+        let mut ends = [0; SUPER];
+        for (k, end) in ends.iter_mut().enumerate() {
+            let ib = sb * SUPER + k;
+            if ib < self.blocks.len() {
+                let own = self.blocks.own(ib, slack);
+                for run in kept.chunk_by(|a, b| a + 1 == *b) {
+                    let first = run[0] as usize * SUPER;
+                    let last = ((run[run.len() - 1] as usize + 1) * SUPER).min(full);
+                    len = self.within_reach(&self.blocks, own, first..last, &mut gap2, out, len);
+                }
+            }
+            *end = len as u32;
+        }
+        SuperLists {
+            ends,
+            blocks: out[..len].into(),
+        }
+    }
+
+    /// Writes to `out` from `len` on, ascending, each chunk in `range` of
+    /// `arcs` whose squared gap to `own` (centre and slack-widened
+    /// half-width per axis) is within reach; returns the new length. `out`
+    /// must have room for `len + range.len()` entries.
     ///
     /// The gap is a lower bound on the minimum-image distance between any
-    /// atom of `ib` and any atom of `jb`, less the rounding slack. On one
-    /// axis every atom lies within its block's half-width `h` of the block's
-    /// centre `c` on the periodic circle, so by the triangle inequality two
-    /// atoms are at least the centres' circle distance
-    /// `min(|cᵢ − cⱼ|, L − |cᵢ − cⱼ|)` less `hᵢ + hⱼ` apart. Each group of
-    /// [`GROUP`] j-blocks sums its three axes' squared gaps into a stack
-    /// array in one branch-free loop, which vectorizes, then appends the
-    /// blocks within reach with no branch: each is written at `len`, and
-    /// `len` advances when it is kept. `len ≤ jb`, so the writes stay inside
-    /// `full`.
+    /// atom of the two chunks, less the rounding slack. On one axis every
+    /// atom lies within its chunk's half-width `h` of the chunk's centre `c`
+    /// on the periodic circle, so by the triangle inequality two atoms are
+    /// at least the centres' circle distance `min(|cᵢ − cⱼ|, L − |cᵢ − cⱼ|)`
+    /// less `hᵢ + hⱼ` apart. Each group of [`GROUP`] chunks sums its three
+    /// axes' squared gaps into `gap2` in one branch-free loop, which
+    /// vectorizes, then writes the chunks within reach with no branch: each
+    /// is written at `len`, and `len` advances when it is kept.
     #[inline(always)]
-    fn build_list(&self, ib: usize) -> Box<[u32]> {
+    fn within_reach(
+        &self,
+        arcs: &Arcs,
+        own: [(f64, f64); 3],
+        range: Range<usize>,
+        gap2: &mut [f64; GROUP],
+        out: &mut [u32],
+        mut len: usize,
+    ) -> usize {
         let min = |a: f64, b: f64| if a < b { a } else { b };
         let max = |a: f64, b: f64| if a > b { a } else { b };
-        let (l, full) = (self.box_len, self.full);
-        let own = [0, 1, 2].map(|a| (self.centre[a][ib], self.half[a][ib] + self.slack));
-        let mut out = vec![0u32; full];
-        let mut len = 0;
-        let mut gap2 = [0.0f64; GROUP];
-        for start in (0..full).step_by(GROUP) {
-            let gap2 = &mut gap2[..GROUP.min(full - start)];
+        let l = self.box_len;
+        for start in range.clone().step_by(GROUP) {
+            let gap2 = &mut gap2[..GROUP.min(range.end - start)];
             let end = start + gap2.len();
-            let centre = [0, 1, 2].map(|a| &self.centre[a][start..end]);
-            let half = [0, 1, 2].map(|a| &self.half[a][start..end]);
+            let centre = [0, 1, 2].map(|a| &arcs.centre[a][start..end]);
+            let half = [0, 1, 2].map(|a| &arcs.half[a][start..end]);
             for (k, s) in gap2.iter_mut().enumerate() {
                 let mut sum = 0.0;
                 for (a, &(ci, hi)) in own.iter().enumerate() {
@@ -244,30 +366,44 @@ impl Blocks {
                 }
                 *s = sum;
             }
-            for (jb, &s) in (start..end).zip(gap2.iter()) {
-                out[len] = jb as u32;
+            for (j, &s) in (start..end).zip(gap2.iter()) {
+                out[len] = j as u32;
                 len += usize::from(s <= self.reach2);
             }
         }
-        out.truncate(len);
-        out.into_boxed_slice()
+        len
     }
+}
+
+/// `buf`, grown to at least `len` entries, as a slice of `len`.
+fn grown(buf: &mut Vec<u32>, len: usize) -> &mut [u32] {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
 }
 
 #[cfg(test)]
 impl BlockCull {
-    /// Atom `i`'s list built afresh by the portable builder and, where the
-    /// CPU has AVX2, by the native one; empty when no index is engaged.
-    pub(crate) fn fresh_lists(&self, i: usize) -> Vec<Box<[u32]>> {
+    /// Atom `i`'s list built afresh, into new buffers, by the portable
+    /// builder and, where the CPU has AVX2, by the native one; empty when no
+    /// index is engaged.
+    pub(crate) fn fresh_lists(&self, i: usize) -> Vec<Vec<u32>> {
         let Some(blocks) = self.0.get().and_then(|index| index.blocks.as_ref()) else {
             return Vec::new();
         };
-        let ib = i / BLOCK;
-        let mut lists = vec![blocks.build_list(ib)];
+        let (sb, k) = (i / BLOCK / SUPER, i / BLOCK % SUPER);
+        let fresh = |lists: SuperLists| lists.list(k).to_vec();
+        let mut lists = vec![fresh(blocks.build_lists(
+            sb,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        ))];
         #[cfg(target_arch = "x86_64")]
         if crate::shared_eval::wide_kernels_native() {
             // SAFETY: AVX2 (and FMA) support was verified just above.
-            lists.push(unsafe { blocks.build_list_avx2(ib) });
+            let native = unsafe { blocks.build_lists_avx2(sb, &mut Vec::new(), &mut Vec::new()) };
+            lists.push(fresh(native));
         }
         lists
     }
@@ -284,7 +420,8 @@ mod tests {
         [0, 1, 2].map(|a| pos.iter().map(|p| T::from_f64(p[a])).collect())
     }
 
-    /// Every block's list of a fresh index over `pos` as `T`.
+    /// Every block's list of a fresh index over `pos` as `T`, checked
+    /// against the same lists built afresh (see [`BlockCull::fresh_lists`]).
     fn lists<T: Real>(pos: &[[f64; 3]], l: f64, cutoff: f64) -> Vec<Vec<u32>> {
         let axes = axes::<T>(pos);
         let axes = [&axes[0][..], &axes[1][..], &axes[2][..]];
@@ -294,7 +431,15 @@ mod tests {
             .step_by(BLOCK)
             .map(|i| {
                 let list = cull.blocks(axes, i, l, cutoff * cutoff);
-                list.expect("the index engages").to_vec()
+                let list = list.expect("the index engages").to_vec();
+                // The portable and (where it runs) the native build list the
+                // same blocks as the one the rows use.
+                let fresh = cull.fresh_lists(i);
+                assert!(!fresh.is_empty());
+                for rebuilt in fresh {
+                    assert_eq!(rebuilt, list, "block {}: rebuilt list", i / BLOCK);
+                }
+                list
             })
             .collect()
     }
