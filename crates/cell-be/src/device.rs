@@ -439,12 +439,6 @@ impl CellBeDevice {
                     let dma_in = lane.got(pos_r, dma_in);
                     lane.computes(pos_r, acc_r);
                     let ls = &mut lane.spe.local_store;
-                    debug_assert!(
-                        P::shared_axes(&shared).is_none_or(|axes| ls
-                            .read_bytes(pos_r.offset, n * atom_bytes)
-                            .is_ok_and(|image| image_holds(image, axes))),
-                        "SPE {s}: its local-store positions differ from the shared copy"
-                    );
                     let (pe_slice, stats) = port.kernel(
                         &shared,
                         ls,
@@ -812,19 +806,6 @@ fn read_atom<T: SpeReal>(mem: &[u8], i: usize) -> Vec3<T> {
     Vec3::new(lane(0), lane(1), lane(2))
 }
 
-/// Whether the position image `image` (one [`write_atom`] record per atom)
-/// holds `axes` bit for bit.
-fn image_holds<T: SpeReal>(image: &[u8], axes: [&[T]; 3]) -> bool {
-    let w = size_of::<T>();
-    let mut lane = [0u8; 8];
-    (0..axes[0].len()).all(|i| {
-        (0..3).all(|k| {
-            axes[k][i].store(&mut lane[..w]);
-            image[(4 * i + k) * w..][..w] == lane[..w]
-        })
-    })
-}
-
 /// One SPE-offload port: its precision, the host-side copy of the
 /// positions its kernel reads, and its acceleration kernel. Everything
 /// around the kernel, local-store layout and DMA included, is
@@ -837,10 +818,6 @@ trait OffloadPort: Sync {
     /// The shared copy of `positions`, the values just serialized into main
     /// memory.
     fn share(&self, positions: &[Vec3<Self::Real>]) -> Self::Shared;
-    /// The coordinates `shared` holds per axis, for the check that every
-    /// local-store position image decodes to them; `None` when the kernel
-    /// reads its local store alone.
-    fn shared_axes(shared: &Self::Shared) -> Option<[&[Self::Real]; 3]>;
     /// Compute the accelerations of atoms `rows` into the local-store
     /// acceleration array from all positions in the position array
     /// (`regions` is `(positions, accelerations)`, one `4 × Real` record
@@ -872,19 +849,26 @@ impl OffloadPort for Resident {
         soa_of(positions)
     }
 
-    fn shared_axes(soa: &SoaPositionsF32) -> Option<[&[f32]; 3]> {
-        Some([soa.x(), soa.y(), soa.z()])
-    }
-
     fn kernel(
         &self,
         soa: &SoaPositionsF32,
         ls: &mut LocalStore,
-        (_, acc_r): (LsRegion, LsRegion),
+        (pos_r, acc_r): (LsRegion, LsRegion),
         rows: Range<usize>,
         params: SpeLanePhysics,
         costs: &SpeCostModel,
     ) -> (f32, KernelStats) {
+        // The rows read the host's shared copy, not this local store, so
+        // the two must not drift apart: the positions this SPE got decode
+        // to the shared SoA bit for bit.
+        debug_assert!(
+            (0..soa.len()).all(|j| {
+                let q = ls.load_quad(pos_r, j);
+                [soa.x()[j], soa.y()[j], soa.z()[j]].map(f32::to_bits)
+                    == [q[0], q[1], q[2]].map(f32::to_bits)
+            }),
+            "local-store positions differ from the shared SoA"
+        );
         compute_accelerations(soa, rows, params, self.variant, costs, |i, q| {
             ls.store_quad(acc_r, i, q);
         })
@@ -899,10 +883,6 @@ impl OffloadPort for Double {
     type Shared = ();
 
     fn share(&self, _positions: &[Vec3<f64>]) {}
-
-    fn shared_axes((): &()) -> Option<[&[f64]; 3]> {
-        None
-    }
 
     fn kernel(
         &self,
