@@ -115,7 +115,7 @@ struct Blocks {
     reach2: f64,
     /// Per i-super-block, the ascending lists of full j-blocks its blocks
     /// visit, built on first use so a caller that evaluates a slice of rows
-    /// (one Cell SPE) only pays for its own i-super-blocks.
+    /// (one Cell SPE) builds only the lists of its own i-super-blocks.
     lists: Vec<OnceLock<SuperLists>>,
 }
 
@@ -299,7 +299,7 @@ impl Blocks {
         let (full, slack) = (self.full, self.slack);
         let mut gap2 = [0.0; GROUP];
         let j_supers = full.div_ceil(SUPER);
-        let kept = &mut grown(kept, j_supers)[..];
+        let kept = grown(kept, j_supers);
         let own = self.supers.own(sb, slack);
         let n_kept = self.within_reach(&self.supers, own, 0..j_supers, &mut gap2, kept, 0);
         let kept = &kept[..n_kept];
@@ -393,17 +393,13 @@ impl BlockCull {
             return Vec::new();
         };
         let (sb, k) = (i / BLOCK / SUPER, i / BLOCK % SUPER);
-        let fresh = |lists: SuperLists| lists.list(k).to_vec();
-        let mut lists = vec![fresh(blocks.build_lists(
-            sb,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        ))];
+        let portable = blocks.build_lists(sb, &mut Vec::new(), &mut Vec::new());
+        let mut lists = vec![portable.list(k).to_vec()];
         #[cfg(target_arch = "x86_64")]
         if crate::shared_eval::wide_kernels_native() {
             // SAFETY: AVX2 (and FMA) support was verified just above.
             let native = unsafe { blocks.build_lists_avx2(sb, &mut Vec::new(), &mut Vec::new()) };
-            lists.push(fresh(native));
+            lists.push(native.list(k).to_vec());
         }
         lists
     }
