@@ -14,9 +14,12 @@ use rayon::prelude::*;
 /// in index order.
 ///
 /// `Serial` executes the lanes one after another on the calling thread;
-/// `Threads(n)` fans them out on a pool of up to `n` workers. Both settings
-/// run the *same* lane closure over the same lanes and collect in index
-/// order, so a caller that folds the returned values serially gets bitwise
+/// `Threads(n)` fans them out on a pool of up to `n` workers. Called on a
+/// worker of a pool that is already running (a sweep point's lanes, say),
+/// `Threads` builds no pool of its own: the lanes join the running pool's
+/// thread budget, and that pool's idle workers run them. Every setting runs
+/// the *same* lane closure over the same lanes and collects in index order,
+/// so a caller that folds the returned values serially gets bitwise
 /// identical results either way. If the pool cannot be built, the map
 /// degrades to serial execution (same results, no wall-clock win).
 pub fn map_lanes<T, R, F>(par: HostParallelism, lanes: &mut [T], f: F) -> Vec<R>
@@ -25,19 +28,22 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
+    let serial = |lanes: &mut [T]| lanes.iter_mut().enumerate().map(|(i, l)| f(i, l)).collect();
+    let threaded = |lanes: &mut [T]| {
+        lanes
+            .par_iter_mut()
+            .enumerate()
+            .map(|(i, l)| f(i, l))
+            .collect()
+    };
     match par {
-        HostParallelism::Serial => lanes.iter_mut().enumerate().map(|(i, l)| f(i, l)).collect(),
+        HostParallelism::Threads(_) if rayon::current_thread_index().is_some() => threaded(lanes),
         HostParallelism::Threads(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build()
         {
-            Ok(pool) => pool.install(|| {
-                lanes
-                    .par_iter_mut()
-                    .enumerate()
-                    .map(|(i, l)| f(i, l))
-                    .collect()
-            }),
-            Err(_) => lanes.iter_mut().enumerate().map(|(i, l)| f(i, l)).collect(),
+            Ok(pool) => pool.install(|| threaded(lanes)),
+            Err(_) => serial(lanes),
         },
+        HostParallelism::Serial => serial(lanes),
     }
 }
 
@@ -49,17 +55,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    match par {
-        HostParallelism::Serial => (0..n).map(f).collect(),
-        HostParallelism::Threads(t) => match rayon::ThreadPoolBuilder::new().num_threads(t).build()
-        {
-            Ok(pool) => pool.install(|| {
-                let lanes: Vec<()> = vec![(); n];
-                lanes.par_iter().enumerate().map(|(i, ())| f(i)).collect()
-            }),
-            Err(_) => (0..n).map(f).collect(),
-        },
-    }
+    map_lanes(par, &mut vec![(); n], |i, ()| f(i))
 }
 
 #[cfg(test)]
@@ -92,5 +88,27 @@ mod tests {
         }
         let empty = map_indexed::<f64, _>(HostParallelism::Threads(4), 0, f);
         assert!(empty.is_empty());
+    }
+
+    /// A lane map on a worker of a running pool joins that pool instead of
+    /// building one, and still matches the serial map bit for bit.
+    #[test]
+    fn lanes_inside_a_running_pool_match_serial() {
+        let f = |i: usize| (i as f64).cos() * 7.0 + i as f64;
+        let serial = map_indexed(HostParallelism::Serial, 301, f);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("a 2-thread pool builds");
+        let nested: Vec<Vec<f64>> = pool.install(|| {
+            [(); 3]
+                .par_iter()
+                .map(|_| {
+                    assert!(rayon::current_thread_index().is_some());
+                    map_indexed(HostParallelism::Threads(8), 301, f)
+                })
+                .collect()
+        });
+        assert_eq!(nested, vec![serial; 3]);
     }
 }

@@ -25,11 +25,9 @@ commands:
 run options:
   --all            run every spec in the registry
   --no-cache       skip cache lookup and store; always execute
-  --jobs N         worker threads (0 = one per core, 1 = serial; default 0)
-  --host-threads N host threads per point's simulated lanes (0 = one per
-                   core, 1 = serial; default 1). Any value but 1 runs the
-                   points serially (implies --jobs 1; any other --jobs is
-                   an error). Results are identical either way.
+  --jobs N         host threads, shared by the points and their simulated
+                   lanes (0 = one per core, 1 = serial; default 0).
+                   Results are identical at any count.
   --cache-dir DIR  cache directory (default results/cache)
   --expect-cached  fail if any point executed a device simulation
                    (verifies the cache is warm)
@@ -92,7 +90,6 @@ struct RunArgs {
 
 fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut cfg = EngineConfig::default();
-    let mut jobs: Option<usize> = None;
     let mut names: Vec<String> = Vec::new();
     let mut all = false;
     let mut expect_cached = false;
@@ -105,13 +102,7 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
             "--expect-cached" => expect_cached = true,
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a thread count")?;
-                jobs = Some(v.parse().map_err(|_| format!("bad --jobs value '{v}'"))?);
-            }
-            "--host-threads" => {
-                let v = it.next().ok_or("--host-threads needs a thread count")?;
-                cfg.host_threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --host-threads value '{v}'"))?;
+                cfg.jobs = v.parse().map_err(|_| format!("bad --jobs value '{v}'"))?;
             }
             "--cache-dir" => {
                 let v = it.next().ok_or("--cache-dir needs a path")?;
@@ -129,21 +120,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
             name => names.push(name.to_string()),
         }
     }
-    // `run_sweep` gives points their lane threads only in a serial sweep (a
-    // parallel one already owns the thread budget), so --host-threads picks
-    // the serial sweep rather than being silently ignored.
-    cfg.jobs = match jobs {
-        Some(k) if k != 1 && cfg.host_threads != 1 => {
-            return Err(format!(
-                "--host-threads {} runs the points serially; drop --jobs {k} or pass --jobs 1",
-                cfg.host_threads
-            ))
-        }
-        Some(k) => k,
-        None if cfg.host_threads != 1 => 1,
-        None => cfg.jobs,
-    };
-
     let specs: Vec<SweepSpec> = if all {
         registry()
     } else if names.is_empty() {
@@ -230,41 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn defaults_run_a_parallel_sweep_with_serial_lanes() {
+    fn defaults_run_a_parallel_sweep() {
         let run = parse(&["fig9"]).expect("valid");
-        assert_eq!((run.cfg.jobs, run.cfg.host_threads), (0, 1));
+        assert_eq!(run.cfg.jobs, 0);
         assert!(run.cfg.use_cache && !run.expect_cached && run.scenario.is_none());
         assert_eq!(run.specs.len(), 1);
         assert_eq!(run.specs[0].name, "fig9");
-    }
-
-    #[test]
-    fn host_threads_imply_a_serial_sweep() {
-        for threads in ["8", "0"] {
-            let run = parse(&["fig9", "--no-cache", "--host-threads", threads]).expect("valid");
-            assert_eq!(run.cfg.jobs, 1, "--host-threads {threads}");
-            assert_eq!(run.cfg.host_threads.to_string(), threads);
-            assert!(!run.cfg.use_cache);
-        }
-        let run = parse(&["fig9", "--jobs", "1", "--host-threads", "8"]).expect("valid");
-        assert_eq!((run.cfg.jobs, run.cfg.host_threads), (1, 8));
-    }
-
-    #[test]
-    fn host_threads_with_a_parallel_sweep_is_a_usage_error() {
-        for jobs in ["0", "4"] {
-            let err = parse(&["fig9", "--host-threads", "8", "--jobs", jobs])
-                .err()
-                .expect("conflicting flags must be rejected");
-            assert!(err.contains("--host-threads 8"), "{err}");
-        }
-    }
-
-    #[test]
-    fn serial_lanes_keep_any_job_count() {
-        let run = parse(&["--all", "--jobs", "4", "--host-threads", "1"]).expect("valid");
-        assert_eq!((run.cfg.jobs, run.cfg.host_threads), (4, 1));
+        let run = parse(&["--all", "--no-cache", "--jobs", "4"]).expect("valid");
+        assert_eq!(run.cfg.jobs, 4);
+        assert!(!run.cfg.use_cache);
         assert_eq!(run.specs.len(), registry().len());
+    }
+
+    /// `--jobs` is the only thread knob: the lanes share its budget.
+    #[test]
+    fn host_threads_is_an_unknown_flag() {
+        let err = parse(&["fig9", "--host-threads", "8"])
+            .err()
+            .expect("--host-threads is gone");
+        assert_eq!(err, "unknown flag '--host-threads'");
     }
 
     #[test]
@@ -274,7 +234,7 @@ mod tests {
             &["nope"],
             &["fig9", "--jobs"],
             &["fig9", "--jobs", "x"],
-            &["fig9", "--host-threads", "-1"],
+            &["fig9", "--jobs", "-1"],
             &["fig9", "--frobnicate"],
             &["fig9", "--scenario", "lj/bogus/native"],
         ] {

@@ -26,14 +26,11 @@ pub struct EngineConfig {
     /// The code-version salt folded into every key; tests bump it to
     /// invalidate the world.
     pub salt: u64,
-    /// Worker threads: 0 = one per core, 1 = serial.
+    /// Host threads for the whole sweep, shared by its points and their
+    /// simulated lanes (DESIGN.md §12): 0 = one per core, 1 = serial.
+    /// Never part of the cache key: lane execution is bitwise identical at
+    /// any thread count.
     pub jobs: usize,
-    /// Host threads each *point* may use for its simulated lanes
-    /// (DESIGN.md §12): 0 = one per core, 1 = serial lanes. Only honored
-    /// when the sweep itself is serial (`jobs == 1`) — see the nested-pool
-    /// guard in [`run_sweep`]. Never part of the cache key: lane execution
-    /// is bitwise identical at any thread count.
-    pub host_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -43,7 +40,6 @@ impl Default for EngineConfig {
             use_cache: true,
             salt: crate::cache::CODE_VERSION_SALT,
             jobs: 0,
-            host_threads: 1,
         }
     }
 }
@@ -194,7 +190,8 @@ fn execute_point(
 
 /// Execute a spec: each point is a cache lookup, then (on miss) a device
 /// run and a cache store. Points run concurrently on a pool of
-/// `cfg.jobs` workers; collection preserves spec order.
+/// `cfg.jobs` workers, which also run the points' simulated lanes;
+/// collection preserves spec order.
 pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, SweepError> {
     // `open` (not `new`) when caching: sweeps temp files orphaned by a
     // previous writer that died mid-store, so a crashed run can't leak disk
@@ -204,18 +201,10 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
     } else {
         ResultCache::new(cfg.cache_dir.clone())
     };
-    // Nested-pool guard: the sweep and the per-point lane map share one
-    // global host-thread budget. A parallel sweep (`jobs != 1`) already
-    // spends it at the point level; spinning up another `host_threads`-wide
-    // pool inside every worker would multiply the two and oversubscribe the
-    // host. So intra-run parallelism is honored only for serial sweeps —
-    // results are unaffected either way, lanes are bitwise identical at any
-    // thread count.
-    let host_par = if cfg.jobs == 1 {
-        md_core::device::HostParallelism::from_threads(cfg.host_threads)
-    } else {
-        md_core::device::HostParallelism::Serial
-    };
+    // One budget of `cfg.jobs` threads: a point's lane maps run on its own
+    // worker while every worker is busy, and on every worker that has run
+    // out of points once some have.
+    let host_par = md_core::device::HostParallelism::from_threads(cfg.jobs);
     let run_point = |p: &SweepPoint| -> Result<(RunMetrics, bool), SweepError> {
         let key = point_key(
             cfg.salt,

@@ -143,6 +143,38 @@ fn parallel_and_serial_sweeps_are_bitwise_identical() {
     );
 }
 
+/// The tail of a spec: every point is a cache hit but one larger one, so
+/// the workers that run out of points help that point's lane maps. At any
+/// worker count the metrics are the serial sweep's, bit for bit.
+#[test]
+fn a_lone_executed_point_is_bitwise_identical_at_any_job_count() {
+    let warm = small_fig7_spec();
+    let mut tail = warm.clone();
+    tail.name = "tail";
+    tail.points.push(SweepPoint {
+        figure: "fig9",
+        device: DeviceKind::Mta {
+            mode: mta::ThreadingMode::PartiallyMultithreaded,
+        },
+        n_atoms: 864,
+        steps: 2,
+        scenario: Default::default(),
+    });
+    let run = |jobs: usize| {
+        let dir = temp_dir(&format!("tail-{jobs}"));
+        let engine = EngineConfig { jobs, ..cfg(&dir) };
+        run_sweep(&warm, &engine).expect("warm-up run");
+        let report = run_sweep(&tail, &engine).expect("tail run");
+        assert_eq!(report.executed(), 1, "{jobs} jobs: only the new point runs");
+        let _ = std::fs::remove_dir_all(&dir);
+        metrics_of(&report)
+    };
+    let serial = run(1);
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs), serial, "{jobs} jobs");
+    }
+}
+
 #[test]
 fn no_cache_runs_leave_no_files_behind() {
     let dir = temp_dir("no-cache");
