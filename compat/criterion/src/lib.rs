@@ -170,6 +170,10 @@ pub struct Bencher {
 
 impl Bencher {
     /// Measure wall-clock time of `f` per call.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock benchmark times each call on the host"
+    )]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         std::hint::black_box(f()); // warm-up
         for _ in 0..self.sample_size {

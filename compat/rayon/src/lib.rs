@@ -679,6 +679,11 @@ pub mod iter {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the tests bound their waits by the host clock and count distinct threads by `ThreadId`, which has no order"
+)]
 mod tests {
     use super::prelude::*;
 

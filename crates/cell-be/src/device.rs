@@ -409,10 +409,12 @@ impl CellBeDevice {
                     lanes.push(SpeLane {
                         spe,
                         acc_out: window,
-                        // `hazard` is built with exactly one checker per SPE
-                        // a few lines up; the iterator cannot run dry.
                         #[cfg(feature = "hazard-check")]
-                        hazard: hz_iter.next().expect("one checker per SPE"), // sim-vet: allow(panic-discipline)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "`hazard` is built with exactly one checker per SPE a few lines up"
+                        )]
+                        hazard: hz_iter.next().expect("one checker per SPE"),
                         faults: LaneFaults::new(fault.as_ref(), eval, s),
                     });
                 }

@@ -2,8 +2,9 @@
 //!
 //! The DMA engine and local store used to assert on protocol violations;
 //! surfacing them as values instead keeps failures inside the cost-accounted
-//! simulation (the panic-discipline invariant sim-vet enforces) and lets
-//! callers distinguish "your layout is wrong" from "your transfer is wrong".
+//! simulation (clippy's `unwrap_used`, `expect_used` and `panic` are denied
+//! in this crate) and lets callers distinguish "your layout is wrong" from
+//! "your transfer is wrong".
 
 use crate::spe::LsOverflow;
 use std::fmt;

@@ -63,9 +63,12 @@ impl Mailbox {
     }
 
     /// Blocking read; panics on an empty box for the same reason as `write`.
+    #[expect(
+        clippy::expect_used,
+        reason = "a blocked mailbox is a protocol bug, not a data error; the deadlock must fail loudly"
+    )]
     pub fn read(&mut self) -> u32 {
         self.try_read()
-            // sim-vet: allow(panic-discipline): a blocked mailbox is a protocol bug, not a data error — the deadlock must fail loudly
             .expect("mailbox read from an empty FIFO would deadlock the sequential simulation")
     }
 }

@@ -86,9 +86,12 @@ impl GpuDevice {
         inputs: &[&Texture],
         out_len: usize,
     ) -> DispatchResult {
+        #[expect(
+            clippy::expect_used,
+            reason = "compile-before-dispatch is an API contract (the JIT protocol), not a runtime data failure"
+        )]
         let constants = self
             .constants
-            // sim-vet: allow(panic-discipline): compile-before-dispatch is an API contract (the JIT protocol), not a runtime data failure
             .expect("shader must be JIT-compiled (GpuDevice::compile) before dispatch");
         assert!(
             inputs.len() <= self.config.max_input_textures,

@@ -140,9 +140,12 @@ impl LjAccelShader {
         positions: &Texture,
         par: HostParallelism,
     ) -> DispatchResult {
+        #[expect(
+            clippy::expect_used,
+            reason = "compile-before-dispatch is an API contract (the JIT protocol), not a runtime data failure"
+        )]
         let c = device
             .compiled_constants()
-            // sim-vet: allow(panic-discipline): compile-before-dispatch is an API contract (the JIT protocol), not a runtime data failure
             .expect("shader must be JIT-compiled (GpuDevice::compile) before dispatch");
         let n = self.n_atoms;
         let l = c.values[constants::BOX_LEN];

@@ -78,6 +78,10 @@ pub fn cluster_metrics(
 /// check` gates on (`host_wall_seconds`, `host_atom_steps_per_s`), with the
 /// same values as the returned record's derived metrics. The run itself is
 /// bitwise-identical to an uninstrumented one (`tests/obs_ledger.rs`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host throughput is measured from outside the device run"
+)]
 pub fn device_ledger(
     kind: DeviceKind,
     sim: &SimConfig,

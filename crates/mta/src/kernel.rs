@@ -211,9 +211,12 @@ impl MtaMdSimulation {
                 interactions += row.interactions;
                 sys.accelerations[i] = row.acc;
                 // Reduction inside the loop body: full/empty atomic add.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a full/empty-bit protocol violation is a simulator bug, not a recoverable data error"
+                )]
                 tagged
                     .atomic_add(0, row.pe)
-                    // sim-vet: allow(panic-discipline): full/empty-bit protocol violation is a simulator bug, not a recoverable data error
                     .expect("accumulator protocol is lock/unlock per atom");
             }
             pe = tagged.read(0) * 0.5;

@@ -2,13 +2,13 @@
 // `MdDevice` report: compute vs memory-stall attribution and the cache miss
 // rates surfaced in the derived metrics.
 
-use md_core::device::{MdDevice, RunOptions};
+use md_core::device::{DeviceError, MdDevice, RunOptions};
 
-fn main() {
+fn main() -> Result<(), DeviceError> {
     for n in [256usize, 512, 1024, 2048, 4096, 8192] {
         let cfg = md_core::params::SimConfig::reduced_lj(n);
         let mut cpu = opteron::OpteronCpu::paper_reference();
-        let run = cpu.run(&cfg, RunOptions::steps(1)).expect("opteron run");
+        let run = cpu.run(&cfg, RunOptions::steps(1))?;
         let attributed = |key: &str| {
             run.attribution
                 .iter()
@@ -30,4 +30,5 @@ fn main() {
             derived("l2_miss_rate"),
         );
     }
+    Ok(())
 }

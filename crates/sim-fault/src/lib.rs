@@ -14,8 +14,8 @@
 //! 2. **Simulated time only.** Every injected fault, timeout, and retry is
 //!    charged to [`FaultStats::extra_seconds`] in *simulated* seconds
 //!    (device cycles over the device clock). Host time never enters the
-//!    model — sim-vet's determinism rule rejects `std::time` in this crate
-//!    and in the device crates.
+//!    model — the workspace `clippy.toml` disallows `Instant::now` and
+//!    `SystemTime::now`, so no host clock read can reach this crate.
 //!
 //! Faults never touch physics: an injected failure discards the (modeled)
 //! corrupt transfer and re-issues it, so the recovered trajectory is

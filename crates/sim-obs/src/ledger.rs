@@ -368,6 +368,10 @@ impl RunLedger {
     /// Run `f`, recording its host wall-clock duration as a `Host` event.
     /// The measurement never feeds back into simulated state; it exists so
     /// `obs check` can gate on host throughput.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host_scope measures host wall time by design; it never feeds simulated state"
+    )]
     pub fn host_scope<T>(&mut self, source: &str, name: &str, f: impl FnOnce() -> T) -> T {
         let start = std::time::Instant::now();
         let out = f();

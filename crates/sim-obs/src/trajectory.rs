@@ -123,6 +123,10 @@ pub fn render_trajectory(entries: &[TrajectoryEntry]) -> String {
 
 /// Stamp `recorded_unix_s` with the current wall clock. Lives here — and
 /// only here — so engine crates never touch `SystemTime`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the trajectory timestamp is the one wall-clock date the telemetry stack records"
+)]
 pub fn stamp_now(entry: &mut TrajectoryEntry) {
     entry.recorded_unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

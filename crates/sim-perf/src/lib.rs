@@ -20,7 +20,7 @@
 //! The load-bearing invariant is that observability is **free**: nothing in
 //! this crate charges simulated time, and a device run with counters enabled
 //! is bitwise-identical (trajectory *and* simulated seconds) to the same run
-//! with counters disabled. The sim-vet `observability-purity` rule statically
+//! with counters disabled. The sim-vet `observer-purity` rule statically
 //! denies calls into the cost-charging APIs from this crate, and
 //! `tests/perf_observability.rs` asserts the bitwise property at paper scale.
 

@@ -2,10 +2,10 @@
 //!
 //! Seeded cluster-engine violations under the Engine profile: the
 //! interconnect cost model gained a field (`migration_bytes_per_atom`) the
-//! `cache_token()` encoding never mentions; the halo exchange reads the
-//! host wall clock; recovery time is charged through the fault session
-//! instead of accumulated observably; and a literal latency is folded
-//! straight into a sim-time accumulator outside a cost-model module.
+//! `cache_token()` encoding never mentions; recovery time is charged
+//! through the fault session instead of accumulated observably; and a
+//! literal latency is folded straight into a sim-time accumulator outside a
+//! cost-model module.
 
 pub struct FixtureInterconnect {
     pub latency_s: f64,
@@ -27,11 +27,9 @@ impl FixtureClusterKind {
     }
 
     pub fn exchange_halo(&self, session: &mut FixtureSession) -> f64 {
-        let started = Instant::now(); // vet-expect(determinism)
         session.charge(5.0e-6); // vet-expect(observer-purity)
         let mut sim_seconds = 0.0;
         sim_seconds += 1.0e-6; // vet-expect(sim-time-units)
-        let _ = started;
         sim_seconds
     }
 }

@@ -4,14 +4,14 @@
 //! finding (legal), one suppresses nothing, and one names a rule that does
 //! not exist. The stale two are findings so the waiver inventory cannot rot.
 
-pub fn live(v: &[f32]) -> f32 {
-    *v.first().unwrap() // sim-vet: allow(panic-discipline): fixture-sanctioned
+pub fn live(buf: &mut [f32]) { // sim-vet: allow(cost-conservation): fixture-sanctioned
+    buf[0] = 0.0;
 }
 
 pub fn stale() -> u32 {
-    0 // sim-vet: allow(panic-discipline): nothing panics -- vet-expect(dead-waiver)
+    0 // sim-vet: allow(cost-conservation): nothing mutates -- vet-expect(dead-waiver)
 }
 
 pub fn typo() -> u32 {
-    0 // sim-vet: allow(determinsim): misspelled rule -- vet-expect(dead-waiver)
+    0 // sim-vet: allow(cost-conservaton): misspelled rule -- vet-expect(dead-waiver)
 }

@@ -1,14 +1,7 @@
 //! vet-path: crates/cell-be/src/fixture.rs
 //!
-//! Seeded violations of the v1-ported device rules: hash collection in a
-//! device crate, unwrap on a hot path, and a buffer mutator that reports no
-//! cost.
-
-use std::collections::HashMap; // vet-expect(determinism)
-
-pub fn pick(v: &[f32]) -> f32 {
-    *v.first().unwrap() // vet-expect(panic-discipline)
-}
+//! Seeded violation of a v1-ported device rule: a buffer mutator that
+//! reports no cost.
 
 pub fn scribble(buf: &mut [f32]) { // vet-expect(cost-conservation)
     buf[0] = 0.0;

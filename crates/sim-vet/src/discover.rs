@@ -8,7 +8,7 @@
 //!
 //! ```toml
 //! [package.metadata.simvet]
-//! profile = "device"               # device|observer|engine|core|host|exempt
+//! profile = "device"               # device|observer|engine|core|exempt
 //! f32-kernel-modules = ["src/kernel.rs"]   # precision-discipline targets
 //! shared-eval-modules = ["src/shared_eval.rs"]   # eval-purity targets
 //! ```
@@ -30,10 +30,8 @@ pub enum Profile {
     Observer,
     /// Sweep/caching engine: purity of memoized results.
     Engine,
-    /// Shared physics/infrastructure: ordering + sim-time unit hygiene.
+    /// Shared physics and host-side orchestration: sim-time unit hygiene.
     Core,
-    /// Host-side orchestration (harness): ordering + sim-time unit hygiene.
-    Host,
     /// No invariant rules (shims, the linter itself, pure math).
     Exempt,
 }
@@ -45,7 +43,6 @@ impl Profile {
             "observer" => Profile::Observer,
             "engine" => Profile::Engine,
             "core" => Profile::Core,
-            "host" => Profile::Host,
             "exempt" => Profile::Exempt,
             _ => return None,
         })
@@ -57,7 +54,6 @@ impl Profile {
             Profile::Observer => "observer",
             Profile::Engine => "engine",
             Profile::Core => "core",
-            Profile::Host => "host",
             Profile::Exempt => "exempt",
         }
     }
@@ -315,7 +311,6 @@ mod tests {
             Profile::Observer,
             Profile::Engine,
             Profile::Core,
-            Profile::Host,
             Profile::Exempt,
         ] {
             assert_eq!(Profile::from_name(p.name()), Some(p));

@@ -121,11 +121,11 @@ mod tests {
                     waived: false,
                 },
                 Finding {
-                    rule: Rule::PanicDiscipline,
-                    path: "crates/cell-be/src/mailbox.rs".into(),
+                    rule: Rule::CostConservation,
+                    path: "crates/cell-be/src/localstore.rs".into(),
                     line: 68,
-                    col: 14,
-                    message: "unwrap".into(),
+                    col: 1,
+                    message: "buffer mutator returns ()".into(),
                     waived: true,
                 },
             ],
@@ -147,7 +147,7 @@ mod tests {
         let s = to_sarif(&sample());
         assert!(s.contains("\"version\": \"2.1.0\""), "{s}");
         assert!(s.contains("\"name\": \"sim-vet\""), "{s}");
-        assert!(s.contains("\"ruleId\": \"panic-discipline\""), "{s}");
+        assert!(s.contains("\"ruleId\": \"cost-conservation\""), "{s}");
         assert!(s.contains("\"startLine\": 68"), "{s}");
         assert!(s.contains("\"suppressions\""), "{s}");
     }

@@ -115,28 +115,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shipped_fixture_corpus_passes() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let outcome = run(&dir).expect("read fixtures");
-        assert!(
-            outcome.ok(),
-            "selfcheck failures:\n{}",
-            outcome.failures.join("\n")
-        );
-        assert!(outcome.fixtures >= 4, "fixtures: {}", outcome.fixtures);
-        assert!(
-            outcome.expectations >= 8,
-            "expectations: {}",
-            outcome.expectations
-        );
-    }
-
-    #[test]
     fn missed_detection_is_a_failure() {
         let mut outcome = Outcome::default();
         check_fixture(
             "t.rs",
-            "//! vet-path: crates/gpu/src/device.rs\npub fn f() -> u32 { 0 } // vet-expect(panic-discipline)\n",
+            "//! vet-path: crates/gpu/src/device.rs\npub fn f() -> u32 { 0 } // vet-expect(cost-conservation)\n",
             &mut outcome,
         );
         assert!(!outcome.ok());
@@ -148,7 +131,7 @@ mod tests {
         let mut outcome = Outcome::default();
         check_fixture(
             "t.rs",
-            "//! vet-path: crates/gpu/src/device.rs\npub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }\n",
+            "//! vet-path: crates/gpu/src/device.rs\npub fn zero(v: &mut [u8]) {}\n",
             &mut outcome,
         );
         assert!(!outcome.ok());

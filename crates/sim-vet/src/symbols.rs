@@ -1,6 +1,6 @@
 //! Workspace-wide symbol table: every struct, enum, and fn extracted from
-//! every scanned file, queryable by name. Cross-file rules (cache-token
-//! completeness, hash-typed field iteration) resolve types through it.
+//! every scanned file, queryable by name. The cross-file cache-token rule
+//! resolves types through it.
 
 use crate::items::{EnumItem, FnItem, Items, StructItem};
 use std::collections::BTreeMap;
@@ -83,24 +83,6 @@ impl SymbolTable {
         self.structs.contains_key(name)
     }
 
-    /// Fields of `name` whose type mentions `HashMap`/`HashSet` — receivers
-    /// whose iteration the iteration-order rule must flag even across files.
-    pub fn hash_typed_fields(&self) -> BTreeMap<String, Vec<String>> {
-        let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for syms in self.structs.values() {
-            for s in syms {
-                for f in &s.item.fields {
-                    if mentions_hash_type(&f.ty) {
-                        out.entry(s.item.name.clone())
-                            .or_default()
-                            .push(f.name.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Resolve a field type string to a struct in the table, looking through
     /// one layer of common wrappers (`Option<T>`, `Box<T>`, references).
     pub fn resolve_field_struct(&self, ty: &str) -> Option<&StructSym> {
@@ -119,12 +101,6 @@ impl SymbolTable {
         }
         None
     }
-}
-
-/// Does a rendered type string name a hash collection?
-pub fn mentions_hash_type(ty: &str) -> bool {
-    ty.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .any(|w| w == "HashMap" || w == "HashSet")
 }
 
 #[cfg(test)]
@@ -179,15 +155,5 @@ mod tests {
             ("s.rs", "pub struct Cfg { pub real: u8 }"),
         ]);
         assert_eq!(t.structure("Cfg").unwrap().item.fields[0].name, "real");
-    }
-
-    #[test]
-    fn hash_typed_fields_found() {
-        let t = table(&[(
-            "s.rs",
-            "pub struct Cache { pub entries: HashMap<String, u64>, pub hits: u64 }",
-        )]);
-        let m = t.hash_typed_fields();
-        assert_eq!(m.get("Cache").unwrap(), &["entries".to_string()]);
     }
 }

@@ -178,16 +178,16 @@ mod tests {
         let w = Waivers::parse("let x: f64 = 0.0; // sim-vet: allow(precision-discipline)\n");
         assert!(w.covers(Rule::PrecisionDiscipline, 1));
         assert!(!w.covers(Rule::PrecisionDiscipline, 2));
-        assert!(!w.covers(Rule::Determinism, 1));
+        assert!(!w.covers(Rule::CostConservation, 1));
     }
 
     #[test]
     fn bare_line_waiver_covers_next_line() {
         let w = Waivers::parse(
-            "// sim-vet: allow(panic-discipline): guarded by protocol\nx.unwrap();\n",
+            "// sim-vet: allow(cost-conservation): charged by the caller\npub fn zero(b: &mut [f32]) {}\n",
         );
-        assert!(w.covers(Rule::PanicDiscipline, 2));
-        assert!(!w.covers(Rule::PanicDiscipline, 1));
+        assert!(w.covers(Rule::CostConservation, 2));
+        assert!(!w.covers(Rule::CostConservation, 1));
     }
 
     #[test]
@@ -202,8 +202,8 @@ mod tests {
 
     #[test]
     fn unterminated_region_runs_to_eof() {
-        let w = Waivers::parse("// sim-vet: begin-allow(determinism)\nx();\ny();\n");
-        assert!(w.covers(Rule::Determinism, 3));
+        let w = Waivers::parse("// sim-vet: begin-allow(sim-time-units)\nx();\ny();\n");
+        assert!(w.covers(Rule::SimTimeUnits, 3));
     }
 
     #[test]
@@ -218,15 +218,15 @@ mod tests {
     fn directive_inside_string_literal_is_ignored() {
         // v1's line scanner could be fooled by a string containing a
         // comment-looking waiver; token-level parsing cannot.
-        let w = Waivers::parse("let s = \"// sim-vet: allow(determinism)\";\n");
-        assert!(!w.covers(Rule::Determinism, 1));
+        let w = Waivers::parse("let s = \"// sim-vet: allow(sim-time-units)\";\n");
+        assert!(!w.covers(Rule::SimTimeUnits, 1));
         assert!(w.entries().is_empty());
     }
 
     #[test]
     fn unknown_rule_is_kept_for_the_dead_waiver_audit() {
         let w = Waivers::parse("// sim-vet: allow(no-such-rule)\nx();\n");
-        assert!(!w.covers(Rule::Determinism, 2));
+        assert!(!w.covers(Rule::SimTimeUnits, 2));
         assert_eq!(w.entries().len(), 1);
         assert!(w.entries()[0].rule.is_none());
         assert_eq!(w.entries()[0].raw, "no-such-rule");
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn entry_spans_are_reported() {
-        let src = "// sim-vet: begin-allow(determinism)\na();\n// sim-vet: end-allow(determinism)\nb(); // sim-vet: allow(panic-discipline)\n";
+        let src = "// sim-vet: begin-allow(sim-time-units)\na();\n// sim-vet: end-allow(sim-time-units)\nb(); // sim-vet: allow(cost-conservation)\n";
         let w = Waivers::parse(src);
         let region = &w.entries()[0];
         assert_eq!((region.lo, region.hi), (1, 3));

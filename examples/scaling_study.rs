@@ -12,6 +12,10 @@ use md_emerging_arch::md::prelude::*;
 use md_emerging_arch::mta::ThreadingMode;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the host row is a real wall-clock measurement"
+)]
 fn main() {
     let steps = 2;
     println!(

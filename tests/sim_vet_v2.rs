@@ -117,10 +117,10 @@ fn deleting_any_cache_token_field_mention_fails_the_lint() {
 }
 
 /// A seeded report both machine formats are checked against: one unwaived
-/// determinism finding, one waived panic finding.
+/// precision finding, one waived cost-conservation finding.
 fn seeded_report() -> sim_vet::Report {
-    let src = "use std::collections::HashMap;\n\
-               fn f() { g().unwrap() } // sim-vet: allow(panic-discipline): test seam\n";
+    let src = "const K: f64 = 1.0;\n\
+               pub fn zero(b: &mut [f32]) {} // sim-vet: allow(cost-conservation): test seam\n";
     let sources = vec![("crates/gpu/src/shader.rs".to_string(), src.to_string())];
     analyze_sources(&sources, &[])
 }

@@ -3,11 +3,10 @@
 //!
 //! Two halves:
 //!
-//! 1. **The shipped tree is lint-clean.** `scan_workspace` over the repo root
-//!    must report zero unwaived findings — the same check `cargo run -p
-//!    sim-vet` performs in CI. Seeded violations of all five rules must be
-//!    *detected* (the linter is alive, not vacuously clean), and inline
-//!    waivers must suppress exactly the findings they name.
+//! 1. **The linter is alive.** Seeded violations of every per-file rule must
+//!    be *detected*, so a clean verdict on the shipped tree is not vacuous
+//!    (`tests/sim_vet_v2.rs` scans the tree itself), and inline waivers must
+//!    suppress exactly the findings they name.
 //!
 //! 2. **The hazard checker catches an injected race.** A DMA `get` whose tag
 //!    is never waited on before compute reads the buffer is the classic Cell
@@ -17,32 +16,6 @@
 
 use sim_vet::{scan_source, scan_workspace, Rule};
 use std::path::Path;
-
-fn repo_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-#[test]
-fn shipped_tree_has_no_unwaived_findings() {
-    let report = scan_workspace(repo_root()).expect("workspace scan");
-    let unwaived: Vec<String> = report.unwaived().map(ToString::to_string).collect();
-    assert!(
-        unwaived.is_empty(),
-        "sim-vet found unwaived violations:\n{}",
-        unwaived.join("\n")
-    );
-    assert!(
-        report.files_scanned >= 100,
-        "scan looks truncated: only {} files",
-        report.files_scanned
-    );
-    // The tree exercises the waiver machinery (kernel DP section etc.), so a
-    // scanner that silently stopped matching would show zero waived too.
-    assert!(
-        report.waived().count() > 0,
-        "expected at least one waived finding in the shipped tree"
-    );
-}
 
 #[test]
 fn seeded_precision_violation_detected() {
@@ -58,55 +31,6 @@ fn seeded_precision_violation_detected() {
     assert!(scan_source("crates/gpu/src/device.rs", src)
         .iter()
         .all(|f| f.rule != Rule::PrecisionDiscipline));
-}
-
-#[test]
-fn seeded_determinism_violation_detected() {
-    let src = "use std::collections::HashMap;\npub fn tally() -> usize { 0 }\n";
-    let found = scan_source("crates/mta/src/kernel.rs", src);
-    assert!(
-        found
-            .iter()
-            .any(|f| f.rule == Rule::Determinism && f.line == 1 && !f.waived),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn seeded_unordered_reduction_violation_detected() {
-    // The host-parallel contract (DESIGN.md §12): lane work is an
-    // order-preserving map, every reduction folds serially. A pool-side
-    // `sum()` makes float accumulation order depend on work stealing.
-    let src = "pub fn pe(rows: &[f32]) -> f32 {\n    rows.par_iter().sum::<f32>()\n}\n";
-    let found = scan_source("crates/opteron/src/cpu.rs", src);
-    assert!(
-        found
-            .iter()
-            .any(|f| f.rule == Rule::Determinism && f.line == 2 && !f.waived),
-        "{found:?}"
-    );
-    // The sweep engine is held to the same rule…
-    let spawn = "pub fn go() {\n    rayon::spawn(|| {});\n}\n";
-    assert!(scan_source("crates/sim-sweep/src/engine.rs", spawn)
-        .iter()
-        .any(|f| f.rule == Rule::Determinism && f.line == 2 && !f.waived));
-    // …but an order-preserving map into a serial fold is the sanctioned shape.
-    let ok = "pub fn pe(rows: &[Row]) -> Vec<Out> {\n    rows.par_iter().map(run).collect()\n}\n";
-    assert!(scan_source("crates/opteron/src/cpu.rs", ok)
-        .iter()
-        .all(|f| f.rule != Rule::Determinism));
-}
-
-#[test]
-fn seeded_panic_violation_detected() {
-    let src = "pub fn pick(v: &[f32]) -> f32 {\n    *v.first().unwrap()\n}\n";
-    let found = scan_source("crates/cell-be/src/dma.rs", src);
-    assert!(
-        found
-            .iter()
-            .any(|f| f.rule == Rule::PanicDiscipline && f.line == 2 && !f.waived),
-        "{found:?}"
-    );
 }
 
 #[test]
@@ -169,21 +93,20 @@ fn seeded_eval_purity_violation_detected() {
 
 #[test]
 fn waiver_suppresses_exactly_its_rule() {
-    let src = "use std::collections::HashMap; // sim-vet: allow(determinism): keyed by atom id, drained sorted\npub fn pick(v: &[f32]) -> f32 { *v.first().unwrap() }\n";
-    let found = scan_source("crates/mta/src/kernel.rs", src);
-    let det = found
+    // Line 1 carries both a precision and a cost-conservation finding; the
+    // waiver names only the first.
+    let src = "pub fn zero(buf: &mut [f64]) {} // sim-vet: allow(precision-discipline): host-side staging\n";
+    let found = scan_source("crates/gpu/src/shader.rs", src);
+    let precision = found
         .iter()
-        .find(|f| f.rule == Rule::Determinism)
-        .expect("determinism finding");
-    assert!(det.waived, "inline waiver must cover its line");
-    let panic = found
+        .find(|f| f.rule == Rule::PrecisionDiscipline)
+        .expect("precision finding");
+    assert!(precision.waived, "inline waiver must cover its line");
+    let cost = found
         .iter()
-        .find(|f| f.rule == Rule::PanicDiscipline)
-        .expect("panic finding");
-    assert!(
-        !panic.waived,
-        "waiver for one rule must not leak to another"
-    );
+        .find(|f| f.rule == Rule::CostConservation)
+        .expect("cost-conservation finding");
+    assert!(!cost.waived, "waiver for one rule must not leak to another");
 }
 
 /// The binary's failure path: a tree with a seeded violation scans unclean,
