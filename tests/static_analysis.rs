@@ -3,10 +3,11 @@
 //!
 //! Two halves:
 //!
-//! 1. **The linter is alive.** Seeded violations of every per-file rule must
-//!    be *detected*, so a clean verdict on the shipped tree is not vacuous
-//!    (`tests/sim_vet_v2.rs` scans the tree itself), and inline waivers must
-//!    suppress exactly the findings they name.
+//! 1. **The shipped tree is lint-clean.** `scan_workspace` over the repo root
+//!    must report zero unwaived findings — the same check `cargo run -p
+//!    sim-vet` performs in CI. Seeded violations of every per-file rule must
+//!    be *detected* (the linter is alive, not vacuously clean), and inline
+//!    waivers must suppress exactly the findings they name.
 //!
 //! 2. **The hazard checker catches an injected race.** A DMA `get` whose tag
 //!    is never waited on before compute reads the buffer is the classic Cell
@@ -16,6 +17,32 @@
 
 use sim_vet::{scan_source, scan_workspace, Rule};
 use std::path::Path;
+
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn shipped_tree_has_no_unwaived_findings() {
+    let report = scan_workspace(repo_root()).expect("workspace scan");
+    let unwaived: Vec<String> = report.unwaived().map(ToString::to_string).collect();
+    assert!(
+        unwaived.is_empty(),
+        "sim-vet found unwaived violations:\n{}",
+        unwaived.join("\n")
+    );
+    assert!(
+        report.files_scanned >= 100,
+        "scan looks truncated: only {} files",
+        report.files_scanned
+    );
+    // The tree exercises the waiver machinery (kernel DP section etc.), so a
+    // scanner that silently stopped matching would show zero waived too.
+    assert!(
+        report.waived().count() > 0,
+        "expected at least one waived finding in the shipped tree"
+    );
+}
 
 #[test]
 fn seeded_precision_violation_detected() {
