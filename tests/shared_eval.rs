@@ -19,9 +19,12 @@
 //! `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
 //! variant's single-SPE probe and a resident one-SPE run per variant. The
-//! supervised Opteron and 4-node Opteron cluster runs (fault-free, and with
-//! node 2 killed at step 5) are pinned per accepted segment, so the charge
-//! of every resumed segment's priming evaluation is part of the contract.
+//! supervised Opteron, MTA-2 and 4-node Opteron cluster runs (fault-free,
+//! and with node 2 killed at step 5) are pinned per accepted segment, so the
+//! charge of every resumed segment's priming evaluation is part of the
+//! contract. The partially multithreaded MTA-2 is pinned at paper scale and
+//! under one scenario flavor: it prices the same trajectory as the fully
+//! multithreaded one.
 //!
 //! Every f64 is stored as its hex bit pattern; the final state is one
 //! FNV-1a hash over the checkpoint's coordinate payload, as in
@@ -91,6 +94,23 @@ fn all_devices() -> [DeviceKind; 4] {
             mode: ThreadingMode::FullyMultithreaded,
         },
     ]
+}
+
+/// The devices pinned at paper scale: the four paper devices plus the
+/// Figure 8 partially multithreaded MTA-2.
+fn paper_devices() -> [DeviceKind; 5] {
+    let [opteron, cell, gpu, mta] = all_devices();
+    [opteron, cell, gpu, mta, MTA_PARTIAL]
+}
+
+const MTA_PARTIAL: DeviceKind = DeviceKind::Mta {
+    mode: ThreadingMode::PartiallyMultithreaded,
+};
+
+/// The partially multithreaded MTA-2's one scenario record: Morse/NVT at
+/// the smaller [`SCENARIO_ATOMS`] size.
+fn partial_scenario_sim() -> SimConfig {
+    scenario_sim(SCENARIO_ATOMS[0], ScenarioSpec::morse_nvt())
 }
 
 fn scenario_flavors() -> [ScenarioSpec; 3] {
@@ -405,14 +425,16 @@ fn cell_ladder_records() -> Vec<(String, Record)> {
 }
 
 /// Supervised 2048 × 10 runs under the default policy (2-step segments):
-/// the Opteron alone, and a 4-node Opteron cluster fault-free and with node
-/// 2 killed at step 5. Every segment after the first resumes from the
-/// checkpoint the device produced.
-fn supervised_keys() -> [String; 3] {
+/// the Opteron and the fully multithreaded MTA-2 alone, and a 4-node
+/// Opteron cluster fault-free and with node 2 killed at step 5. Every
+/// segment after the first resumes from the checkpoint the device produced.
+fn supervised_keys() -> [String; 4] {
     let cluster = ClusterKind::new(DeviceKind::Opteron, 4).label();
     let at = format!("@{PAPER_ATOMS}x{PAPER_STEPS}");
+    let [opteron, _, _, mta] = all_devices();
     [
-        format!("supervised/{}{at}", DeviceKind::Opteron.label()),
+        format!("supervised/{}{at}", opteron.label()),
+        format!("supervised/{}{at}", mta.label()),
         format!("supervised/{cluster}{at}/clean"),
         format!("supervised/{cluster}{at}/kill2@5"),
     ]
@@ -421,8 +443,11 @@ fn supervised_keys() -> [String; 3] {
 fn supervised_records() -> Vec<(String, Record)> {
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     let cfg = SupervisorConfig::default();
-    let mut dev = DeviceKind::Opteron.build();
-    let single = run_supervised(dev.as_mut(), &sim, PAPER_STEPS, &cfg, None);
+    let [opteron, _, _, mta] = all_devices();
+    let single = |kind: DeviceKind| {
+        let mut dev = kind.build();
+        run_supervised(dev.as_mut(), &sim, PAPER_STEPS, &cfg, None)
+    };
     let cluster = |kill: bool| {
         let mut c = ClusterKind::new(DeviceKind::Opteron, 4).build();
         if kill {
@@ -430,10 +455,10 @@ fn supervised_records() -> Vec<(String, Record)> {
         }
         run_cluster_supervised(&mut c, &sim, PAPER_STEPS, &cfg, None).run
     };
-    let runs = [single, cluster(false), cluster(true)];
+    let runs = [single(opteron), single(mta), cluster(false), cluster(true)];
     assert_eq!(
         runs.each_ref().map(|r| r.report.restores),
-        [0, 0, 1],
+        [0, 0, 0, 1],
         "only the node kill restores"
     );
     supervised_keys()
@@ -488,11 +513,11 @@ fn assert_matches_golden(doc: &JsonValue, key: &str, measured: &Record, ctx: &st
     );
 }
 
-/// The four paper devices at 2048 × 10, at every host thread count.
+/// The paper devices at 2048 × 10, at every host thread count.
 #[test]
 fn paper_scale_runs_match_the_golden_matrix() {
     let doc = golden();
-    for kind in all_devices() {
+    for kind in paper_devices() {
         for t in THREADS {
             let rec = paper_record(kind, t);
             assert_matches_golden(&doc, &paper_key(kind), &rec, &format!("{t} host threads"));
@@ -560,6 +585,14 @@ fn scenario_flavors_match_the_golden_matrix() {
             }
         }
     }
+    let sim = partial_scenario_sim();
+    let rec = run_device(MTA_PARTIAL.build(), &sim, SCENARIO_STEPS, 2);
+    assert_matches_golden(
+        &doc,
+        &scenario_key(MTA_PARTIAL, &sim),
+        &rec,
+        "2 host threads",
+    );
 }
 
 /// Fault schedules key off the simulated run structure (eval/lane/site):
@@ -614,7 +647,7 @@ fn supervised_runs_match_the_golden_matrix() {
 /// Every record the matrix holds, measured serially, in file order.
 fn measure_matrix() -> Vec<(String, Record)> {
     let mut records = Vec::new();
-    for kind in all_devices() {
+    for kind in paper_devices() {
         records.push((paper_key(kind), paper_record(kind, 1)));
     }
     for n in CLIFF_ATOMS {
@@ -638,6 +671,9 @@ fn measure_matrix() -> Vec<(String, Record)> {
             }
         }
     }
+    let sim = partial_scenario_sim();
+    let rec = run_device(MTA_PARTIAL.build(), &sim, SCENARIO_STEPS, 1);
+    records.push((scenario_key(MTA_PARTIAL, &sim), rec));
     for kind in all_devices() {
         records.push((faulted_key(kind), faulted_record(kind, 1)));
     }
@@ -653,7 +689,7 @@ fn measure_matrix() -> Vec<(String, Record)> {
 /// file holds exactly the records the tests above look up, in order.
 #[test]
 fn golden_matrix_is_complete() {
-    let mut keys: Vec<String> = all_devices().into_iter().map(paper_key).collect();
+    let mut keys: Vec<String> = paper_devices().into_iter().map(paper_key).collect();
     keys.extend(CLIFF_ATOMS.map(cliff_key));
     for (n, steps) in STRADDLE {
         keys.extend(straddle_devices().map(|k| straddle_key(k, n, steps)));
@@ -665,6 +701,7 @@ fn golden_matrix_is_complete() {
             keys.extend(all_devices().into_iter().map(|k| scenario_key(k, &sim)));
         }
     }
+    keys.push(scenario_key(MTA_PARTIAL, &partial_scenario_sim()));
     keys.extend(all_devices().into_iter().map(faulted_key));
     keys.extend(DOUBLE.map(|(n, steps)| double_key(n, steps)));
     keys.extend(cell_ladder_keys());
