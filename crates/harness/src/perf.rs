@@ -11,8 +11,9 @@
 //! `perf_report` binary renders these records; `results/metrics/*.json`
 //! archives them.
 //!
-//! Three entry points cover every caller: [`device_metrics`] (one device,
-//! any host parallelism), [`cluster_metrics`] (one simulated cluster) and
+//! Four entry points cover every caller: [`device_metrics`] (one device,
+//! any host parallelism), [`host_group_metrics`] (several f64 devices
+//! pricing one trajectory), [`cluster_metrics`] (one simulated cluster) and
 //! [`device_ledger`] (one device with a [`RunLedger`] attached and the run
 //! host-timed from outside). Callers that want a wall clock on a plain
 //! record time the call themselves and fold it in with
@@ -30,6 +31,7 @@ use crate::device::DeviceKind;
 use crate::error::HarnessError;
 use md_core::device::{collect_metrics, HostParallelism, MdDevice, RunOptions};
 use md_core::params::SimConfig;
+use md_core::trajectory::HostTrajectory;
 use sim_obs::RunLedger;
 use sim_perf::{PerfMonitor, RunMetrics};
 
@@ -54,6 +56,36 @@ pub fn device_metrics(
             .with_host_parallelism(par),
     )?;
     Ok(collect_metrics(dev.as_ref(), &r, sim.n_atoms, steps, &perf))
+}
+
+/// [`device_metrics`] for kinds whose devices price the f64 host trajectory
+/// ([`DeviceKind::prices_host_trajectory`]), all from a fresh lattice: the
+/// trajectory is driven once, on `par`, and every kind prices it. Each
+/// record is bitwise the one [`device_metrics`] returns for its kind alone,
+/// because such a device's run is exactly that drive and that price.
+pub fn host_group_metrics(
+    kinds: &[DeviceKind],
+    sim: &SimConfig,
+    steps: usize,
+    par: HostParallelism,
+) -> Result<Vec<RunMetrics>, HarnessError> {
+    let mut pricers = kinds
+        .iter()
+        .map(|&k| {
+            k.build_host_pricer().ok_or_else(|| {
+                HarnessError::InvalidInput(format!("{k} does not price the f64 host trajectory"))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let traj = HostTrajectory::drive(sim, None, steps, par, None);
+    Ok(pricers
+        .iter_mut()
+        .map(|dev| {
+            let mut perf = PerfMonitor::new();
+            let run = dev.price(&traj, &mut perf);
+            collect_metrics(dev.as_ref(), &run, sim.n_atoms, steps, &perf)
+        })
+        .collect())
 }
 
 /// Counters + attribution for one fault-free run of a simulated cluster
@@ -232,6 +264,28 @@ mod tests {
             // Host threads only change wall-clock, never the simulation.
             assert_eq!(par, serial, "{}", serial.device);
         }
+    }
+
+    #[test]
+    fn a_host_group_prices_one_trajectory_as_each_device_alone() {
+        let kinds = [
+            MTA_FULL,
+            DeviceKind::Opteron,
+            DeviceKind::Mta {
+                mode: ThreadingMode::PartiallyMultithreaded,
+            },
+        ];
+        let sim = small().with_scenario(md_core::scenario::ScenarioSpec::morse_nvt());
+        let group =
+            host_group_metrics(&kinds, &sim, 2, HostParallelism::Threads(2)).expect("group");
+        for (kind, m) in kinds.into_iter().zip(&group) {
+            let alone = device_metrics(kind, &sim, 2, HostParallelism::Serial).expect("alone");
+            assert_eq!(m.to_json(), alone.to_json(), "{}", kind.label());
+        }
+        assert!(matches!(
+            host_group_metrics(&[GPU], &sim, 2, HostParallelism::Serial),
+            Err(HarnessError::InvalidInput(_))
+        ));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! - **Segment transparency.** Starting from a [`SystemCheckpoint`] and
 //!   running `k` steps, then continuing from the returned checkpoint, must
 //!   reproduce the unsegmented trajectory bit for bit (devices prime
-//!   accelerations from positions on entry). The Opteron reuses its own
-//!   last evaluation when it resumes from the state its previous run ended
-//!   in; the charge is unchanged, only host time is saved. The other
-//!   devices recompute the prime.
+//!   accelerations from positions on entry). The f64 devices ([`HostPricer`]:
+//!   the Opteron and both MTA-2 modes) take the prime from their last
+//!   trajectory when they resume from the state it ended in
+//!   ([`HostTrajectory::resumes`]); the charge is unchanged, only host time
+//!   is saved. The Cell and the GPU recompute the prime.
 //! - **Free observation.** Passing a [`PerfMonitor`] must not change the
 //!   trajectory or the simulated clock.
 //! - **Attribution identity.** [`DeviceRun::attribution`] partitions
@@ -28,6 +29,7 @@
 use crate::checkpoint::SystemCheckpoint;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
+use crate::trajectory::HostTrajectory;
 use sim_fault::FaultStats;
 use std::fmt;
 
@@ -275,13 +277,59 @@ pub trait MdDevice {
     fn run(&mut self, sim: &SimConfig, opts: RunOptions<'_>) -> Result<DeviceRun, DeviceError>;
 }
 
+/// A device whose physics is the f64 host flavor: it integrates nothing
+/// itself and prices a [`HostTrajectory`] with its cost model. Its
+/// [`MdDevice::run`] is [`run_host_device`], which drives the trajectory and
+/// prices it, so pricing a trajectory driven elsewhere from the same start
+/// (once for several devices, as a sweep does) reports exactly what `run`
+/// reports.
+pub trait HostPricer: MdDevice {
+    /// Charge `traj` on this device, observing into `perf` (a fresh
+    /// monitor), and report the run.
+    fn price(&mut self, traj: &HostTrajectory, perf: &mut PerfMonitor) -> DeviceRun;
+
+    /// The device's last trajectory, the resume record of its next run.
+    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory>;
+}
+
+/// The one run path of a [`HostPricer`]: drive the trajectory `opts` asks
+/// for, resuming from the device's last one, price it, record the run into
+/// the ledger, and keep the trajectory as the next resume record. Observes
+/// with a local monitor when `opts` brings none: device-derived metrics
+/// read counters, and observation never changes the run.
+pub fn run_host_device<D: HostPricer + ?Sized>(
+    dev: &mut D,
+    sim: &SimConfig,
+    mut opts: RunOptions<'_>,
+) -> DeviceRun {
+    let last = dev.last_trajectory().take();
+    let traj = HostTrajectory::drive(
+        sim,
+        opts.start,
+        opts.steps,
+        opts.host_parallelism,
+        last.as_ref(),
+    );
+    let mut local = PerfMonitor::new();
+    let perf = match opts.perf.take() {
+        Some(p) => p,
+        None => &mut local,
+    };
+    let run = dev.price(&traj, perf);
+    if let Some(led) = opts.ledger.take() {
+        ledger_record_run(led, &dev.label(), &run, Some(perf));
+    }
+    *dev.last_trajectory() = Some(traj);
+    run
+}
+
 /// Fold one [`DeviceRun`] into the schema-versioned [`sim_perf::RunMetrics`]
 /// record: attribution verbatim, counters from the monitor, the standard
 /// rate metrics (achieved vs peak, utilization, bytes/op), then the device's
 /// own derived metrics. This is the single replacement for the four
 /// hand-written `*_metrics` builders the harness used to carry.
-pub fn collect_metrics(
-    device: &dyn MdDevice,
+pub fn collect_metrics<D: MdDevice + ?Sized>(
+    device: &D,
     run: &DeviceRun,
     n_atoms: usize,
     steps: usize,

@@ -51,6 +51,7 @@ pub mod shared_eval;
 pub mod sim;
 pub mod system;
 pub mod thermostat;
+pub mod trajectory;
 pub mod verlet;
 
 pub mod prelude {

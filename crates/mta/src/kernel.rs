@@ -15,13 +15,11 @@
 
 use crate::compiler::{analyze_loop, LoopDesc, ParallelizationDecision};
 use crate::config::MtaConfig;
-use crate::memory::FullEmptyMemory;
 use crate::processor::MtaProcessor;
-use md_core::init;
+use md_core::device::HostPricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
+use md_core::trajectory::HostTrajectory;
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 
 /// Instructions per examined pair in step 2 (loads, minimum image, distance,
@@ -110,23 +108,20 @@ impl MtaMdSimulation {
         self
     }
 
-    /// Run `steps` time steps in the given threading mode, continuing from
-    /// caller-owned state. Physics is mode-independent (the modes differ
-    /// only in how loops are scheduled); runtimes differ enormously. This is
-    /// the single run path behind [`md_core::device::MdDevice::run`] on
-    /// [`MtaMd`].
-    fn run_md_impl(
+    /// Price one run in the given threading mode: the closed-form charge of
+    /// every loop of Figure 4 and the starvation and hot-spot fault sites.
+    /// The physics is the double-precision [`HostTrajectory`] and does not
+    /// depend on the mode (the modes differ only in how loops are
+    /// scheduled); runtimes differ enormously. This is the single cost path
+    /// behind [`md_core::device::MdDevice::run`] on [`MtaMd`].
+    fn price(
         &self,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
+        traj: &HostTrajectory,
         mode: ThreadingMode,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: md_core::device::HostParallelism,
+        perf: &mut sim_perf::PerfMonitor,
     ) -> MtaRun {
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt);
-        let sub = sim.substrate::<f64>();
+        let n = traj.n();
+        let sub = traj.sim().substrate::<f64>();
 
         let mut cycles = 0.0f64;
         let mut instructions = 0.0f64;
@@ -136,7 +131,7 @@ impl MtaMdSimulation {
         // occupancy_cycles / cycles.
         let mut occupancy_cycles = 0.0f64;
         let mut hotspot_retry_cycles = 0.0f64;
-        let handles = perf.as_deref_mut().map(PerfHandles::register);
+        let h = PerfHandles::register(perf);
         let mut decisions: Vec<(&'static str, ParallelizationDecision)> = Vec::new();
         let record =
             |name: &'static str,
@@ -166,17 +161,11 @@ impl MtaMdSimulation {
             parts.cycles
         };
 
-        // Shared PE accumulator in tagged memory (the restructured reduction
-        // uses full/empty atomic adds from every stream).
-        let mut tagged = FullEmptyMemory::new_full(1, 0.0);
-
-        // One fault session per run. The physics pass below is computed on
-        // pristine data regardless of the schedule; injected failures only
-        // charge the cost of re-issued work.
+        // One fault session per run. Injected failures only charge the cost
+        // of re-issued work; the physics is the trajectory's.
         let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
 
-        let mut pe = 0.0f64;
-        for eval in 0..=steps {
+        for (eval, rec) in traj.evals().iter().enumerate() {
             if eval > 0 {
                 let l = self.integration_loop("step1-advance-velocities", n);
                 record(l.name, analyze_loop(&l), &mut decisions);
@@ -187,44 +176,16 @@ impl MtaMdSimulation {
                     &mut breakdown,
                     &mut occupancy_cycles,
                 );
-                vv.kick_drift(sys);
             }
 
             // Step 2: forces. Each simulated stream owns one atom's gather
-            // row; rows run as an order-preserving indexed map (host-parallel
-            // when requested), then the reductions — the full/empty PE
-            // accumulator and the interaction count — fold serially in row
-            // order, so the result is bitwise identical at any thread count.
-            tagged.write(0, 0.0);
-            let mut interactions: u64 = 0;
-            let box_len = sys.box_len;
-            let inv_m = sys.mass.recip();
-            let soa = md_core::forces::SoaPositions::from_positions(&sys.positions);
-            // Physics-once split (DESIGN.md §17): each stream's row runs the
-            // shared batched kernel — bitwise the scalar gather row, and the
-            // loop charge below is already a closed form in the interaction
-            // count.
-            let rows = md_core::parallel::map_indexed(par, n, |i| {
-                md_core::shared_eval::host_row(&soa, i, box_len, &sub, inv_m)
-            });
-            for (i, row) in rows.into_iter().enumerate() {
-                interactions += row.interactions;
-                sys.accelerations[i] = row.acc;
-                // Reduction inside the loop body: full/empty atomic add.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "a full/empty-bit protocol violation is a simulator bug, not a recoverable data error"
-                )]
-                tagged
-                    .atomic_add(0, row.pe)
-                    .expect("accumulator protocol is lock/unlock per atom");
-            }
-            pe = tagged.read(0) * 0.5;
-
-            // Interaction cost: the LJ baseline plus whatever extra work the
-            // scenario's potential costs (zero for the paper-faithful run).
+            // row and adds its PE into a full/empty-bit accumulator (the
+            // restructured reduction). Interaction cost: the LJ baseline
+            // plus whatever extra work the scenario's potential costs (zero
+            // for the paper-faithful run).
             let per_iter = (n as f64 - 1.0) * INSTR_PER_PAIR
-                + (interactions as f64 / n as f64) * (INSTR_PER_INTERACTION + sub.extra_eval_ops())
+                + (rec.interactions as f64 / n as f64)
+                    * (INSTR_PER_INTERACTION + sub.extra_eval_ops())
                 + self.processor.config.sync_instructions;
             let step2 = LoopDesc {
                 name: "step2-forces",
@@ -279,7 +240,6 @@ impl MtaMdSimulation {
                     &mut breakdown,
                     &mut occupancy_cycles,
                 );
-                vv.kick(sys);
 
                 // Ensemble work: the thermostat's velocity rescale is one
                 // more O(N) parallel loop. Absent under NVE, so the
@@ -303,7 +263,6 @@ impl MtaMdSimulation {
                         &mut occupancy_cycles,
                     );
                 }
-                sub.apply_thermostat(sys);
 
                 // Step 5: kinetic/total energies (parallelized without code
                 // modification, per the paper).
@@ -325,22 +284,20 @@ impl MtaMdSimulation {
                 );
             }
 
-            if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles) {
-                p.record_total(h.instructions, instructions);
-                p.record_total(h.startup, breakdown.startup);
-                p.record_total(h.issue, breakdown.issue);
-                p.record_total(h.phantom, breakdown.stall);
-                p.record_total(h.occupancy, occupancy_cycles);
-                p.record_total(h.hotspot_retries, hotspot_retry_cycles);
-                p.sample_all(cycles / self.processor.config.clock_hz);
-            }
+            perf.record_total(h.instructions, instructions);
+            perf.record_total(h.startup, breakdown.startup);
+            perf.record_total(h.issue, breakdown.issue);
+            perf.record_total(h.phantom, breakdown.stall);
+            perf.record_total(h.occupancy, occupancy_cycles);
+            perf.record_total(h.hotspot_retries, hotspot_retry_cycles);
+            perf.sample_all(cycles / self.processor.config.clock_hz);
         }
 
         MtaRun {
             sim_seconds: cycles / self.processor.config.clock_hz,
             cycles,
             breakdown,
-            energies: EnergyReport::measure(sys, pe),
+            energies: traj.energies(),
             mode,
             decisions,
             instructions,
@@ -390,11 +347,17 @@ impl PerfHandles {
 pub struct MtaMd {
     pub sim: MtaMdSimulation,
     pub mode: ThreadingMode,
+    /// The last run's trajectory, the resume record of the next run.
+    last: Option<HostTrajectory>,
 }
 
 impl MtaMd {
     pub fn new(sim: MtaMdSimulation, mode: ThreadingMode) -> Self {
-        Self { sim, mode }
+        Self {
+            sim,
+            mode,
+            last: None,
+        }
     }
 
     /// The paper's 40-processor MTA-2 in the given threading mode.
@@ -424,28 +387,19 @@ impl md_core::device::MdDevice for MtaMd {
     fn run(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
+        opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        // Stream occupancy is only reported through the counter layer, so
-        // observe with a local monitor when the caller didn't pass one
-        // (observation is free: the counted run is bitwise-identical).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self.sim.run_md_impl(
-            &mut sys,
-            sim,
-            opts.steps,
-            self.mode,
-            Some(perf),
-            opts.host_parallelism,
-        );
+        Ok(md_core::device::run_host_device(self, sim, opts))
+    }
+}
+
+impl HostPricer for MtaMd {
+    fn price(
+        &mut self,
+        traj: &HostTrajectory,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> md_core::device::DeviceRun {
+        let r = self.sim.price(traj, self.mode, perf);
         let clk = self.sim.processor.config.clock_hz;
         let phantom_fraction = if r.sim_seconds == 0.0 {
             0.0
@@ -457,13 +411,10 @@ impl md_core::device::MdDevice for MtaMd {
             let occ = md_core::device::counter_total(perf, "mta.stream.occupancy_cycles");
             derived.push(("avg_stream_occupancy", occ / r.cycles));
         }
-        let run = md_core::device::DeviceRun {
+        md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
+            checkpoint: traj.checkpoint(),
             attribution: vec![
                 ("issue", r.breakdown.issue / clk),
                 ("loop_startup", r.breakdown.startup / clk),
@@ -475,12 +426,11 @@ impl md_core::device::MdDevice for MtaMd {
             ops: r.instructions,
             bytes_moved: 0.0,
             faults: r.faults,
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
         }
-        Ok(run)
+    }
+
+    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory> {
+        &mut self.last
     }
 }
 
@@ -491,18 +441,12 @@ impl md_core::device::MdDevice for MtaMd {
 mod tests {
     use super::*;
 
-    /// Test-local shorthand over the single run path (the public surface is
-    /// [`md_core::device::MdDevice::run`] on [`MtaMd`]).
+    use md_core::device::HostParallelism;
+
+    /// Test-local shorthand: price a fresh `steps`-step trajectory (the
+    /// public surface is [`md_core::device::MdDevice::run`] on [`MtaMd`]).
     fn run_md(m: &MtaMdSimulation, sim: &SimConfig, steps: usize, mode: ThreadingMode) -> MtaRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        m.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            mode,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+        run_md_perf(m, sim, steps, mode, &mut sim_perf::PerfMonitor::new())
     }
 
     fn run_md_perf(
@@ -512,32 +456,8 @@ mod tests {
         mode: ThreadingMode,
         perf: &mut sim_perf::PerfMonitor,
     ) -> MtaRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        m.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            mode,
-            Some(perf),
-            md_core::device::HostParallelism::Serial,
-        )
-    }
-
-    fn run_md_from(
-        m: &MtaMdSimulation,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
-        mode: ThreadingMode,
-    ) -> MtaRun {
-        m.run_md_impl(
-            sys,
-            sim,
-            steps,
-            mode,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+        let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
+        m.price(&traj, mode, perf)
     }
 
     #[test]
@@ -665,14 +585,19 @@ mod tests {
         let sim = SimConfig::reduced_lj(108);
         let m = MtaMdSimulation::paper_mta2();
         let mode = ThreadingMode::FullyMultithreaded;
-        let plain = run_md(&m, &sim, 3, mode);
+        let plain = md_core::device::MdDevice::run(
+            &mut MtaMd::paper_mta2(mode),
+            &sim,
+            md_core::device::RunOptions::steps(3),
+        )
+        .expect("runs");
         let mut perf = sim_perf::PerfMonitor::new();
         let counted = run_md_perf(&m, &sim, 3, mode, &mut perf);
 
         // Observability is free: bitwise-identical outcome.
         assert_eq!(plain.sim_seconds, counted.sim_seconds);
         assert_eq!(plain.energies.total, counted.energies.total);
-        assert_eq!(plain.instructions, counted.instructions);
+        assert_eq!(plain.ops, counted.instructions);
 
         let instr = perf.find("mta.instructions").expect("registered");
         assert_eq!(instr.value(), counted.instructions);
@@ -699,20 +624,6 @@ mod tests {
         let b = run_md(&m, &sim, 2, ThreadingMode::FullyMultithreaded);
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.energies.total, b.energies.total);
-    }
-
-    #[test]
-    fn segmented_run_matches_unsegmented_run_bitwise() {
-        let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
-        let mode = ThreadingMode::FullyMultithreaded;
-        let mut whole: ParticleSystem<f64> = init::initialize(&sim);
-        run_md_from(&m, &mut whole, &sim, 10, mode);
-        let mut segmented: ParticleSystem<f64> = init::initialize(&sim);
-        run_md_from(&m, &mut segmented, &sim, 5, mode);
-        run_md_from(&m, &mut segmented, &sim, 5, mode);
-        assert_eq!(whole.positions, segmented.positions);
-        assert_eq!(whole.velocities, segmented.velocities);
     }
 
     #[test]

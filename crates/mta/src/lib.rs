@@ -18,20 +18,29 @@
 //!   parallelizes loops unless it detects a dependence (the PE reduction in
 //!   step 2), and accepts the `#pragma mta assert no dependence` hint the
 //!   paper adds after restructuring the reduction.
-//! - [`FullEmptyMemory`]: the MTA's tagged memory (every word carries a
-//!   full/empty bit for fine-grained synchronization); the cross-stream PE
-//!   reduction uses `readfe`/`writeef` on it.
-//! - [`MtaMdSimulation`]: the MD kernel (double precision, as the paper's
-//!   MTA port) run through the above, producing simulated runtimes.
+//! - [`MtaMdSimulation`]: the MD kernel's cost (double precision, as the
+//!   paper's MTA port) charged through the above, producing simulated
+//!   runtimes. Its physics is md-core's f64 trajectory
+//!   ([`md_core::trajectory::HostTrajectory`]), shared with the Opteron.
+
+// Device-crate panic discipline on top of the workspace lints: a panic in a
+// device hot path escapes the cycle accounting. Float equality is never
+// meaningful in the cycle/seconds accounting, and hash-order iteration
+// breaks run-to-run determinism.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
 
 pub mod compiler;
 mod config;
 mod kernel;
-mod memory;
 mod processor;
 
 pub use compiler::{analyze_loop, LoopDesc, ParallelizationDecision};
 pub use config::{MtaConfig, RemoteMemoryModel};
 pub use kernel::{MtaCycleBreakdown, MtaMd, MtaMdSimulation, MtaRun, ThreadingMode};
-pub use memory::{FullEmptyError, FullEmptyMemory};
 pub use processor::{LoopCycleParts, MtaProcessor};

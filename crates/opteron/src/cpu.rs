@@ -1,13 +1,10 @@
 //! The cache-traced Opteron MD run.
 
 use crate::config::OpteronConfig;
-use md_core::device::HostParallelism;
-use md_core::init;
+use md_core::device::HostPricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::shared_eval::host_forces;
-use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
+use md_core::trajectory::HostTrajectory;
 use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 use vecmath::Vec3;
@@ -154,46 +151,6 @@ struct TraceMemo {
 /// the memo is full.
 const TRACE_MEMO_RECORDS: usize = 2;
 
-/// The final force evaluation of the device's last run: its inputs and
-/// outputs.
-///
-/// [`host_forces`] is a pure function of the positions, box, mass and the
-/// config's substrate, and its bits do not depend on the host thread count.
-/// A supervised run resumes each segment from the checkpoint the previous
-/// segment ended in, so the next segment's priming evaluation would
-/// recompute exactly this record. When the inputs match bit for bit
-/// ([`LastEval::matches`]) the prime takes accelerations, PE and the
-/// interaction count from here instead; everything it charges still runs.
-struct LastEval {
-    sim: SimConfig,
-    box_len: f64,
-    mass: f64,
-    positions: Vec<Vec3<f64>>,
-    accelerations: Vec<Vec3<f64>>,
-    pe: f64,
-    interactions: u64,
-}
-
-impl LastEval {
-    /// Bitwise equality of every input of [`host_forces`], so `-0.0` and
-    /// NaN miss. The config compares with `==` (NaN fields miss) and by its
-    /// `Debug` text, whose shortest round-trip float printing tells `-0.0`
-    /// from `0.0`.
-    fn matches(&self, sys: &ParticleSystem<f64>, sim: &SimConfig) -> bool {
-        let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
-        self.box_len.to_bits() == sys.box_len.to_bits()
-            && self.mass.to_bits() == sys.mass.to_bits()
-            && self.positions.len() == sys.n()
-            && self
-                .positions
-                .iter()
-                .zip(&sys.positions)
-                .all(|(a, b)| bits(a) == bits(b))
-            && self.sim == *sim
-            && format!("{:?}", self.sim) == format!("{sim:?}")
-    }
-}
-
 /// The simulated CPU. Holds the cache hierarchy so repeated calls can model
 /// warm or cold caches as the caller chooses.
 pub struct OpteronCpu {
@@ -209,9 +166,8 @@ pub struct OpteronCpu {
     /// Recorded force-evaluation replays, oldest first, reused when the
     /// cache re-enters a recorded entry state ([`TraceMemo`]).
     trace_memo: Vec<TraceMemo>,
-    /// The last run's final force evaluation, reused by a run that resumes
-    /// from the state it left ([`LastEval`]).
-    last_eval: Option<LastEval>,
+    /// The last run's trajectory, the resume record of the next run.
+    last: Option<HostTrajectory>,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
@@ -225,7 +181,7 @@ impl OpteronCpu {
             loads: 0,
             stores: 0,
             trace_memo: Vec::new(),
-            last_eval: None,
+            last: None,
             fault_plan: None,
         }
     }
@@ -250,30 +206,23 @@ impl OpteronCpu {
         self.demand_cycles += self.hierarchy.access(addr, kind) as f64;
     }
 
-    /// Run the full MD kernel (Figure 4), replaying memory traffic through
-    /// the cache model. Physics is double precision, exactly as the paper's
-    /// reference implementation; the scenario substrate selects the pair
-    /// potential, ensemble, and precision policy. This is the single run
-    /// path behind [`md_core::device::MdDevice::run`].
-    fn run_md_from_impl(
-        &mut self,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: HostParallelism,
-    ) -> OpteronRun {
+    /// Price one run of the MD kernel (Figure 4): its memory traffic through
+    /// the cache model, its flops and its ECC fault sites. The physics is
+    /// the double-precision [`HostTrajectory`], exactly as the paper's
+    /// reference implementation; the scenario substrate adds the potential's
+    /// and the ensemble's extra work. This is the single cost path behind
+    /// [`md_core::device::MdDevice::run`].
+    fn price_run(&mut self, traj: &HostTrajectory, perf: &mut sim_perf::PerfMonitor) -> OpteronRun {
         self.hierarchy.reset();
         self.demand_cycles = 0.0;
         self.loads = 0;
         self.stores = 0;
-        let handles = perf.as_deref_mut().map(PerfHandles::register);
-        let sub = sim.substrate::<f64>();
-        let n = sys.n();
+        let handles = PerfHandles::register(perf);
+        let sub = traj.sim().substrate::<f64>();
+        let n = traj.n();
         // Ensemble work (thermostat rescale) is O(N) per step on top of the
         // integration loop; zero under NVE so the paper runs are untouched.
         let ens_flops = n as f64 * sub.extra_step_ops_per_atom();
-        let vv = VelocityVerlet::new(sim.dt);
 
         // Lay out the logical arrays in the simulated address space.
         let elem = size_of::<Vec3<f64>>(); // 24 bytes
@@ -293,86 +242,48 @@ impl OpteronCpu {
         // touches nothing but the timeline.
         let ecc_reload_cycles = self.config.memory.dram_cycles as f64;
 
-        // Prime the accelerations (step-0 force evaluation), charged like any
-        // other evaluation — the paper's total runtime includes everything.
-        // Resuming from the state this device's last run ended in takes the
-        // physics from its record ([`LastEval`]); the charge is the same.
-        let (mut pe, mut interactions) = match self.last_eval.as_ref() {
-            Some(last) if last.matches(sys, sim) => {
-                sys.accelerations.copy_from_slice(&last.accelerations);
-                (last.pe, last.interactions)
+        // Evaluation 0 primes the accelerations and is charged like any
+        // other: the paper's total runtime includes everything.
+        for (eval, rec) in traj.evals().iter().enumerate() {
+            if eval > 0 {
+                // Steps 1, 3, 4 of Figure 4: O(N) integration. One pass
+                // reads acc + vel + pos and writes vel + pos.
+                for i in 0..n {
+                    self.mem_access(acc_r.addr(i), AccessKind::Read);
+                    self.mem_access(vel_r.addr(i), AccessKind::Write);
+                    self.mem_access(pos_r.addr(i), AccessKind::Write);
+                }
+                flops += FLOPS_INTEGRATE * n as f64;
             }
-            _ => host_forces(sys, &sub, par),
-        };
-        self.charge_eval(
-            n,
-            &sub,
-            &pos_r,
-            &acc_r,
-            interactions,
-            &mut flops,
-            &mut loop_iters,
-        );
-        fault_extra_cycles += resolve_degradable(
-            fault.as_mut(),
-            FaultSite::new(FaultKind::EccReload, 0, 0, 0),
-            ecc_reload_cycles,
-            self.config.clock_hz,
-        );
-        self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
 
-        for step in 0..steps {
-            // Steps 1, 3, 4 of Figure 4: O(N) integration. One pass reads
-            // acc + vel + pos and writes vel + pos.
-            for i in 0..n {
-                self.mem_access(acc_r.addr(i), AccessKind::Read);
-                self.mem_access(vel_r.addr(i), AccessKind::Write);
-                self.mem_access(pos_r.addr(i), AccessKind::Write);
-            }
-            flops += FLOPS_INTEGRATE * n as f64;
-            vv.kick_drift(sys);
-
-            // Step 2: the O(N²) force evaluation and its traced charge.
-            (pe, interactions) = host_forces(sys, &sub, par);
+            // Step 2: the O(N²) force evaluation's traced charge.
             self.charge_eval(
                 n,
                 &sub,
                 &pos_r,
                 &acc_r,
-                interactions,
+                rec.interactions,
                 &mut flops,
                 &mut loop_iters,
             );
             fault_extra_cycles += resolve_degradable(
                 fault.as_mut(),
-                FaultSite::new(FaultKind::EccReload, step as u64 + 1, 0, 0),
+                FaultSite::new(FaultKind::EccReload, eval as u64, 0, 0),
                 ecc_reload_cycles,
                 self.config.clock_hz,
             );
 
-            // Second half-kick + step 5 energy reduction.
-            for i in 0..n {
-                self.mem_access(acc_r.addr(i), AccessKind::Read);
-                self.mem_access(vel_r.addr(i), AccessKind::Write);
+            if eval > 0 {
+                // Second half-kick + step 5 energy reduction.
+                for i in 0..n {
+                    self.mem_access(acc_r.addr(i), AccessKind::Read);
+                    self.mem_access(vel_r.addr(i), AccessKind::Write);
+                }
+                flops += 6.0 * n as f64;
+                flops += ens_flops;
             }
-            flops += 6.0 * n as f64;
-            vv.kick(sys);
-            sub.apply_thermostat(sys);
-            flops += ens_flops;
-            self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
+            self.perf_sample(perf, handles, flops, loop_iters, fault_extra_cycles);
         }
-
-        // The kick and the thermostat after the last evaluation move only
-        // velocities: positions and accelerations are still its own.
-        self.last_eval = Some(LastEval {
-            sim: *sim,
-            box_len: sys.box_len,
-            mass: sys.mass,
-            positions: sys.positions.clone(),
-            accelerations: sys.accelerations.clone(),
-            pe,
-            interactions,
-        });
 
         let stats = self.hierarchy.stats();
         let flop_cycles =
@@ -385,7 +296,7 @@ impl OpteronCpu {
             sim_seconds: total_cycles / self.config.clock_hz,
             flop_cycles,
             memory_cycles,
-            energies: EnergyReport::measure(sys, pe),
+            energies: traj.energies(),
             memory: stats,
             flops,
             loads: self.loads,
@@ -399,15 +310,12 @@ impl OpteronCpu {
     /// run's own arithmetic never depends on it.
     fn perf_sample(
         &self,
-        perf: &mut Option<&mut sim_perf::PerfMonitor>,
-        handles: Option<PerfHandles>,
+        p: &mut sim_perf::PerfMonitor,
+        h: PerfHandles,
         flops: f64,
         loop_iters: f64,
         fault_extra_cycles: f64,
     ) {
-        let (Some(p), Some(h)) = (perf.as_deref_mut(), handles) else {
-            return;
-        };
         let stats = self.hierarchy.stats();
         p.record_total(h.loads, self.loads as f64);
         p.record_total(h.stores, self.stores as f64);
@@ -428,11 +336,10 @@ impl OpteronCpu {
     /// in-cutoff pairs: its exact memory-reference sequence through the
     /// cache hierarchy ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per
     /// cache set, or a recorded replay, [`TraceMemo`]), its loads and
-    /// stores, and its flops. The cache replay and the physics never read
-    /// each other; the physics is [`host_forces`], the same function
-    /// `md_core::sim::Simulation` calls, so demand cycles, reference
-    /// counts, flops, PE, and accelerations are bitwise identical at any
-    /// thread count.
+    /// stores, and its flops. The cache replay never reads the physics: it
+    /// takes only the interaction count of the [`HostTrajectory`], so demand
+    /// cycles, reference
+    /// counts and flops are bitwise identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     fn charge_eval(
         &mut self,
@@ -543,35 +450,29 @@ impl md_core::device::MdDevice for OpteronCpu {
     fn run(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
+        opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        let par = opts.host_parallelism;
-        // Counter values feed the ledger too, so observe with a local
-        // monitor when the caller didn't pass one (observation is free: the
-        // counted run is bitwise-identical).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self.run_md_from_impl(&mut sys, sim, opts.steps, Some(perf), par);
+        Ok(md_core::device::run_host_device(self, sim, opts))
+    }
+}
+
+impl HostPricer for OpteronCpu {
+    fn price(
+        &mut self,
+        traj: &HostTrajectory,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> md_core::device::DeviceRun {
+        let r = self.price_run(traj, perf);
         let clk = self.config.clock_hz;
         let stall_fraction = if r.sim_seconds > 0.0 {
             (r.memory_cycles / clk) / r.sim_seconds
         } else {
             0.0
         };
-        let run = md_core::device::DeviceRun {
+        md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
+            checkpoint: traj.checkpoint(),
             attribution: vec![
                 ("compute", r.flop_cycles / clk),
                 ("memory_stall", r.memory_cycles / clk),
@@ -584,12 +485,11 @@ impl md_core::device::MdDevice for OpteronCpu {
             ops: r.flops,
             bytes_moved: (r.loads + r.stores) as f64 * 8.0,
             faults: r.faults,
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
         }
-        Ok(run)
+    }
+
+    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory> {
+        &mut self.last
     }
 }
 
@@ -600,11 +500,12 @@ impl md_core::device::MdDevice for OpteronCpu {
 mod tests {
     use super::*;
 
-    /// Test-local shorthand over the single run path (the public surface is
-    /// [`md_core::device::MdDevice::run`]).
+    use md_core::device::HostParallelism;
+
+    /// Test-local shorthand: price a fresh `steps`-step trajectory (the
+    /// public surface is [`md_core::device::MdDevice::run`]).
     fn run_md(cpu: &mut OpteronCpu, sim: &SimConfig, steps: usize) -> OpteronRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        cpu.run_md_from_impl(&mut sys, sim, steps, None, HostParallelism::Serial)
+        run_md_perf(cpu, sim, steps, &mut sim_perf::PerfMonitor::new())
     }
 
     fn run_md_perf(
@@ -613,17 +514,8 @@ mod tests {
         steps: usize,
         perf: &mut sim_perf::PerfMonitor,
     ) -> OpteronRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        cpu.run_md_from_impl(&mut sys, sim, steps, Some(perf), HostParallelism::Serial)
-    }
-
-    fn run_md_from(
-        cpu: &mut OpteronCpu,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
-    ) -> OpteronRun {
-        cpu.run_md_from_impl(sys, sim, steps, None, HostParallelism::Serial)
+        let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
+        cpu.price_run(&traj, perf)
     }
 
     #[test]
@@ -745,8 +637,11 @@ mod tests {
 
     #[test]
     fn perf_counters_are_free_and_populated() {
+        use md_core::device::{MdDevice, RunOptions};
         let cfg = SimConfig::reduced_lj(108);
-        let plain = run_md(&mut OpteronCpu::paper_reference(), &cfg, 3);
+        let plain = OpteronCpu::paper_reference()
+            .run(&cfg, RunOptions::steps(3))
+            .expect("runs");
         let mut perf = sim_perf::PerfMonitor::new();
         let counted = run_md_perf(&mut OpteronCpu::paper_reference(), &cfg, 3, &mut perf);
         assert_eq!(
@@ -754,7 +649,6 @@ mod tests {
             "observability is free"
         );
         assert_eq!(plain.energies.total, counted.energies.total);
-        assert_eq!(plain.loads, counted.loads);
         let loads = perf.find("opteron.mem.loads").expect("registered");
         assert_eq!(loads.value(), counted.loads as f64);
         assert_eq!(loads.samples().len(), 4, "prime eval + one per step");
@@ -765,23 +659,6 @@ mod tests {
             counted.memory_cycles,
             "stall counter mirrors run"
         );
-    }
-
-    #[test]
-    fn segmented_run_matches_unsegmented_run_bitwise() {
-        let cfg = SimConfig::reduced_lj(108);
-
-        let mut whole_sys: ParticleSystem<f64> = init::initialize(&cfg);
-        run_md_from(&mut OpteronCpu::paper_reference(), &mut whole_sys, &cfg, 10);
-
-        let mut seg_sys: ParticleSystem<f64> = init::initialize(&cfg);
-        let mut cpu = OpteronCpu::paper_reference();
-        run_md_from(&mut cpu, &mut seg_sys, &cfg, 5);
-        run_md_from(&mut cpu, &mut seg_sys, &cfg, 5);
-
-        assert_eq!(seg_sys.positions, whole_sys.positions);
-        assert_eq!(seg_sys.velocities, whole_sys.velocities);
-        assert_eq!(seg_sys.accelerations, whole_sys.accelerations);
     }
 
     /// What a run's cache replay costs reference by reference.
@@ -852,11 +729,14 @@ mod tests {
         for (n, segments) in [(256, 5), (3000, 2)] {
             let cfg = SimConfig::reduced_lj(n);
             let mut cpu = OpteronCpu::paper_reference();
-            let mut sys: ParticleSystem<f64> = init::initialize(&cfg);
+            let mut start = None;
             let straight = straight_replay(&cpu.config, n, 2);
             for _ in 0..segments {
-                let seg = run_md_from(&mut cpu, &mut sys, &cfg, 2);
+                let traj =
+                    HostTrajectory::drive(&cfg, start.as_ref(), 2, HostParallelism::Serial, None);
+                let seg = cpu.price_run(&traj, &mut sim_perf::PerfMonitor::new());
                 straight.assert_reproduced_by(&seg, &cpu.config);
+                start = Some(traj.checkpoint());
             }
             assert_eq!(cpu.trace_memo.len(), 2, "cold + steady-state replay");
         }
@@ -876,55 +756,6 @@ mod tests {
             "{} records",
             cpu.trace_memo.len()
         );
-    }
-
-    #[test]
-    fn a_resume_from_the_last_runs_checkpoint_hits_the_record() {
-        use md_core::device::{MdDevice, RunOptions};
-        let cfg = SimConfig::reduced_lj(108);
-        let mut cpu = OpteronCpu::paper_reference();
-        let run = cpu.run(&cfg, RunOptions::steps(3)).expect("runs");
-        let last = cpu.last_eval.as_ref().expect("every run records");
-        assert!(last.matches(&run.checkpoint.restore(), &cfg));
-        assert_eq!(last.accelerations, run.checkpoint.accelerations);
-    }
-
-    #[test]
-    fn the_record_matches_by_bits() {
-        let cfg = SimConfig::reduced_lj(108);
-        let mut sys: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
-        let last = LastEval {
-            sim: cfg,
-            box_len: sys.box_len,
-            mass: sys.mass,
-            positions: sys.positions.clone(),
-            accelerations: sys.accelerations.clone(),
-            pe: 0.0,
-            interactions: 0,
-        };
-        assert!(last.matches(&sys, &cfg));
-        // `==` holds for -0.0 and 0.0, the bits differ.
-        let signed = SimConfig {
-            cutoff: -0.0,
-            ..cfg
-        };
-        let zero = SimConfig { cutoff: 0.0, ..cfg };
-        let last_zero = LastEval { sim: zero, ..last };
-        assert!(!last_zero.matches(&sys, &signed));
-        let last = LastEval {
-            sim: cfg,
-            ..last_zero
-        };
-        sys.positions[1].y = -0.0;
-        assert!(!last.matches(&sys, &cfg));
-        sys.positions[1].y = 0.0;
-        // NaN never matches, not even itself.
-        let nan = SimConfig {
-            dt: f64::NAN,
-            ..cfg
-        };
-        let last = LastEval { sim: nan, ..last };
-        assert!(!last.matches(&sys, &nan));
     }
 
     #[test]

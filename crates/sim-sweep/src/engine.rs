@@ -1,10 +1,12 @@
 //! Sweep execution: cache lookup, parallel device runs, cache store.
 //!
-//! Every point executes through [`harness::device_metrics`] — the single
-//! run-and-collect path in the workspace — so a sweep result is exactly the
-//! record a standalone perf run would produce. Results are collected in
-//! point order on an order-preserving worker pool, which makes parallel and
-//! serial sweeps bitwise-identical (asserted by `tests/sweep_cache.rs`).
+//! Every point executes through [`harness::device_metrics`], or, when
+//! several points of a spec price one f64 trajectory, through
+//! [`harness::host_group_metrics`], which drives it once; either way a sweep
+//! result is exactly the record a standalone perf run would produce.
+//! Results are collected in point order on an order-preserving worker pool,
+//! which makes parallel and serial sweeps bitwise-identical (asserted by
+//! `tests/sweep_cache.rs`).
 
 use crate::cache::{point_key, ResultCache};
 use crate::spec::{SweepPoint, SweepSpec};
@@ -173,13 +175,46 @@ impl From<harness::HarnessError> for SweepError {
     }
 }
 
-/// Run one point's device simulation and collect its metrics record.
-fn execute_point(
-    p: &SweepPoint,
+/// The points of `points` whose runs share one trajectory, as index lists
+/// ordered by their first point: points whose devices price the f64 host
+/// trajectory ([`harness::DeviceKind::prices_host_trajectory`]) group by
+/// workload (scenario, atoms, steps; every sweep run starts from the
+/// lattice), and every other point runs alone.
+fn trajectory_groups(points: &[SweepPoint]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        let shared = if p.device.prices_host_trajectory() {
+            groups.iter_mut().find(|g| {
+                let q = &points[g[0]];
+                q.device.prices_host_trajectory()
+                    && (q.scenario, q.n_atoms, q.steps) == (p.scenario, p.n_atoms, p.steps)
+            })
+        } else {
+            None
+        };
+        match shared {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
+/// Run the device simulations of `points`, one group of
+/// [`trajectory_groups`], and collect their metrics records in order.
+fn execute_group(
+    points: &[&SweepPoint],
     par: md_core::device::HostParallelism,
-) -> Result<RunMetrics, SweepError> {
+) -> Result<Vec<RunMetrics>, SweepError> {
+    let p = points[0];
     let sim = md_core::params::SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
-    harness::device_metrics(p.device, &sim, p.steps, par).map_err(|e| SweepError::Point {
+    let run = if p.device.prices_host_trajectory() {
+        let kinds: Vec<harness::DeviceKind> = points.iter().map(|q| q.device).collect();
+        harness::host_group_metrics(&kinds, &sim, p.steps, par)
+    } else {
+        harness::device_metrics(p.device, &sim, p.steps, par).map(|m| vec![m])
+    };
+    run.map_err(|e| SweepError::Point {
         figure: p.figure,
         device: p.device.label(),
         n_atoms: p.n_atoms,
@@ -189,9 +224,10 @@ fn execute_point(
 }
 
 /// Execute a spec: each point is a cache lookup, then (on miss) a device
-/// run and a cache store. Points run concurrently on a pool of
-/// `cfg.jobs` workers, which also run the points' simulated lanes;
-/// collection preserves spec order.
+/// run and a cache store. Missed points whose devices price the f64 host
+/// trajectory drive it once per workload and each price it. Groups run
+/// concurrently on a pool of `cfg.jobs` workers, which also run the
+/// points' simulated lanes; collection preserves spec order.
 pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, SweepError> {
     // `open` (not `new`) when caching: sweeps temp files orphaned by a
     // previous writer that died mid-store, so a crashed run can't leak disk
@@ -201,47 +237,72 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
     } else {
         ResultCache::new(cfg.cache_dir.clone())
     };
-    // One budget of `cfg.jobs` threads: a point's lane maps run on its own
+    // One budget of `cfg.jobs` threads: a group's lane maps run on its own
     // worker while every worker is busy, and on every worker that has run
-    // out of points once some have.
+    // out of groups once some have.
     let host_par = md_core::device::HostParallelism::from_threads(cfg.jobs);
-    let run_point = |p: &SweepPoint| -> Result<(RunMetrics, bool), SweepError> {
-        let key = point_key(
-            cfg.salt,
-            &p.device.cache_token(),
-            &p.scenario.cache_token(),
-            p.n_atoms,
-            p.steps,
-        );
-        if cfg.use_cache {
-            if let Some(metrics) = cache.load(&key) {
-                return Ok((metrics, true));
+    let run_group = |group: &Vec<usize>| -> Result<Vec<(RunMetrics, bool)>, SweepError> {
+        let points: Vec<&SweepPoint> = group.iter().map(|&i| &spec.points[i]).collect();
+        let keys: Vec<String> = points
+            .iter()
+            .map(|p| {
+                point_key(
+                    cfg.salt,
+                    &p.device.cache_token(),
+                    &p.scenario.cache_token(),
+                    p.n_atoms,
+                    p.steps,
+                )
+            })
+            .collect();
+        let mut out: Vec<Option<(RunMetrics, bool)>> = keys
+            .iter()
+            .map(|k| cfg.use_cache.then(|| cache.load(k)).flatten())
+            .map(|m| m.map(|m| (m, true)))
+            .collect();
+        let missed: Vec<usize> = (0..out.len()).filter(|&j| out[j].is_none()).collect();
+        if !missed.is_empty() {
+            let runs = execute_group(
+                &missed.iter().map(|&j| points[j]).collect::<Vec<_>>(),
+                host_par,
+            )?;
+            for (&j, metrics) in missed.iter().zip(runs) {
+                if cfg.use_cache {
+                    cache.store(&keys[j], &metrics)?;
+                }
+                out[j] = Some((metrics, false));
             }
         }
-        let metrics = execute_point(p, host_par)?;
-        if cfg.use_cache {
-            cache.store(&key, &metrics)?;
-        }
-        Ok((metrics, false))
+        Ok(out.into_iter().flatten().collect())
     };
-    let outcomes: Vec<Result<(RunMetrics, bool), SweepError>> = if cfg.jobs == 1 {
-        spec.points.iter().map(run_point).collect()
+    let groups = trajectory_groups(&spec.points);
+    let outcomes: Vec<Result<Vec<(RunMetrics, bool)>, SweepError>> = if cfg.jobs == 1 {
+        groups.iter().map(run_group).collect()
     } else {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.jobs)
             .build()
             .map_err(|e| SweepError::Pool(e.to_string()))?;
-        pool.install(|| spec.points.par_iter().map(run_point).collect())
+        pool.install(|| groups.par_iter().map(run_group).collect())
     };
-    let mut results = Vec::with_capacity(outcomes.len());
-    for (p, outcome) in spec.points.iter().zip(outcomes) {
-        let (metrics, from_cache) = outcome?;
-        results.push(PointResult {
-            point: *p,
-            metrics,
-            from_cache,
-        });
+    let mut slots: Vec<Option<(RunMetrics, bool)>> = spec.points.iter().map(|_| None).collect();
+    for (group, outcome) in groups.iter().zip(outcomes) {
+        for (&i, result) in group.iter().zip(outcome?) {
+            slots[i] = Some(result);
+        }
     }
+    let results = spec
+        .points
+        .iter()
+        .zip(slots)
+        .filter_map(|(p, slot)| {
+            slot.map(|(metrics, from_cache)| PointResult {
+                point: *p,
+                metrics,
+                from_cache,
+            })
+        })
+        .collect();
     Ok(SweepReport {
         spec_name: spec.name,
         results,

@@ -175,6 +175,102 @@ fn a_lone_executed_point_is_bitwise_identical_at_any_job_count() {
     }
 }
 
+/// A miniature fig8-shaped grid whose f64 points share trajectories: the
+/// fully and partially multithreaded MTA-2 and the Opteron at one size, a
+/// GPU point between them, and the fully multithreaded MTA-2 at a second
+/// size.
+fn shared_trajectory_spec() -> SweepSpec {
+    let full = DeviceKind::Mta {
+        mode: mta::ThreadingMode::FullyMultithreaded,
+    };
+    let partial = DeviceKind::Mta {
+        mode: mta::ThreadingMode::PartiallyMultithreaded,
+    };
+    let gpu = DeviceKind::Gpu {
+        model: GpuModel::GeForce7900Gtx,
+    };
+    let points = [
+        (full, 256),
+        (gpu, 256),
+        (partial, 256),
+        (DeviceKind::Opteron, 256),
+        (full, 108),
+    ]
+    .map(|(device, n_atoms)| SweepPoint {
+        figure: "fig8",
+        device,
+        n_atoms,
+        steps: 2,
+        scenario: Default::default(),
+    });
+    SweepSpec {
+        name: "fig8-small",
+        description: "test grid",
+        points: points.to_vec(),
+    }
+}
+
+/// Each point's record as the harness computes it for that point alone.
+fn alone(spec: &SweepSpec) -> Vec<String> {
+    spec.points
+        .iter()
+        .map(|p| {
+            let sim = md_core::params::SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
+            harness::device_metrics(
+                p.device,
+                &sim,
+                p.steps,
+                md_core::device::HostParallelism::Serial,
+            )
+            .expect("point runs")
+            .to_json()
+        })
+        .collect()
+}
+
+fn json_of(report: &sim_sweep::SweepReport) -> Vec<String> {
+    report.results.iter().map(|r| r.metrics.to_json()).collect()
+}
+
+/// Points that price one f64 trajectory get it driven once, and each
+/// record is the one its point computes alone, at any worker count.
+#[test]
+fn points_sharing_a_trajectory_match_their_standalone_runs() {
+    let spec = shared_trajectory_spec();
+    let want = alone(&spec);
+    for jobs in [1, 2] {
+        let engine = EngineConfig {
+            cache_dir: temp_dir("unused"),
+            use_cache: false,
+            jobs,
+            ..EngineConfig::default()
+        };
+        let report = run_sweep(&spec, &engine).expect("uncached run");
+        assert_eq!(report.executed(), spec.len(), "{jobs} jobs");
+        assert_eq!(json_of(&report), want, "{jobs} jobs");
+    }
+}
+
+/// A group whose points are partly cached drives its trajectory for the
+/// missed points only, and they still match their standalone runs.
+#[test]
+fn a_partly_cached_group_prices_only_its_misses() {
+    let spec = shared_trajectory_spec();
+    let dir = temp_dir("partly-cached");
+    let engine = EngineConfig {
+        jobs: 2,
+        ..cfg(&dir)
+    };
+    let mut first = spec.clone();
+    first.points.truncate(1);
+    run_sweep(&first, &engine).expect("warm-up run");
+    let report = run_sweep(&spec, &engine).expect("partly cached run");
+    let hits: Vec<bool> = report.results.iter().map(|r| r.from_cache).collect();
+    assert_eq!(hits, [true, false, false, false, false]);
+    assert_eq!(json_of(&report), alone(&spec));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn no_cache_runs_leave_no_files_behind() {
     let dir = temp_dir("no-cache");

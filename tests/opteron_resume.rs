@@ -1,21 +1,34 @@
-//! The Opteron resumes from its own last evaluation (DESIGN.md §9.3).
+//! The f64 devices resume from their own last trajectory (DESIGN.md §9.3).
 //!
-//! A run that starts from the state the device's previous run ended in
-//! takes its priming force evaluation from the device's record of that
-//! run's final evaluation instead of recomputing it; the prime's charge is
-//! unchanged. A freshly built device has no record, so it is the oracle: a
-//! warm and a cold device resumed from the same checkpoint must report the
-//! same bits — simulated seconds, energies, the checkpoint (accelerations
-//! included), attribution, ops, bytes moved and every perf counter — on the
-//! hit and on every kind of miss. Each miss case also checks that the prime
-//! it forces really differs from the recorded one, so a wrong hit could not
-//! pass unseen.
+//! The Opteron and the MTA-2 price md-core's f64 trajectory, which keeps
+//! the device's last run as its resume record. A run that starts from the
+//! state the device's previous run ended in takes its priming force
+//! evaluation from that record instead of recomputing it; the prime's
+//! charge is unchanged. A freshly built device has no record, so it is the
+//! oracle: a warm and a cold device resumed from the same checkpoint must
+//! report the same bits — simulated seconds, energies, the checkpoint
+//! (accelerations included), attribution, ops, bytes moved and every perf
+//! counter — on the hit and on every kind of miss, on both devices. Each
+//! miss case also checks that the prime it forces really differs from the
+//! recorded one, so a wrong hit could not pass unseen.
 
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
 use md_core::params::SimConfig;
 use md_core::scenario::ScenarioSpec;
+use mta::{MtaMd, ThreadingMode};
 use opteron::OpteronCpu;
+
+/// A freshly built f64 device.
+type Build = fn() -> Box<dyn MdDevice>;
+
+/// Every device that resumes from its last trajectory.
+const DEVICES: [(&str, Build); 2] = [
+    ("opteron", || Box::new(OpteronCpu::paper_reference())),
+    ("mta2-full-mt", || {
+        Box::new(MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded))
+    }),
+];
 
 const ATOMS: usize = 256;
 /// Steps of the run that leaves the device's record.
@@ -67,7 +80,7 @@ impl Bits {
     }
 }
 
-fn resume(dev: &mut OpteronCpu, sim: &SimConfig, cp: &SystemCheckpoint, steps: usize) -> Bits {
+fn resume(dev: &mut dyn MdDevice, sim: &SimConfig, cp: &SystemCheckpoint, steps: usize) -> Bits {
     let mut perf = PerfMonitor::new();
     let run = dev
         .run(
@@ -76,44 +89,47 @@ fn resume(dev: &mut OpteronCpu, sim: &SimConfig, cp: &SystemCheckpoint, steps: u
                 .from_checkpoint(cp)
                 .with_perf(&mut perf),
         )
-        .expect("the Opteron runs");
+        .expect("the device runs");
     Bits::of(&run, &perf)
 }
 
 /// A device whose last run was `WARMUP_STEPS` of `sim` from the lattice,
 /// and the checkpoint that run ended in.
-fn warm(sim: &SimConfig) -> (OpteronCpu, SystemCheckpoint) {
-    let mut dev = OpteronCpu::paper_reference();
+fn warm(build: Build, sim: &SimConfig) -> (Box<dyn MdDevice>, SystemCheckpoint) {
+    let mut dev = build();
     let run = dev
         .run(sim, RunOptions::steps(WARMUP_STEPS))
-        .expect("the Opteron runs");
+        .expect("the device runs");
     (dev, run.checkpoint)
 }
 
 /// The primed accelerations a cold device computes for `cp` under `sim`.
-fn cold_prime(sim: &SimConfig, cp: &SystemCheckpoint) -> SystemCheckpoint {
-    OpteronCpu::paper_reference()
+fn cold_prime(build: Build, sim: &SimConfig, cp: &SystemCheckpoint) -> SystemCheckpoint {
+    build()
         .run(sim, RunOptions::steps(0).from_checkpoint(cp))
-        .expect("the Opteron runs")
+        .expect("the device runs")
         .checkpoint
 }
 
-/// Resume a device warmed on `recorded` and a fresh one from `cp` under
-/// `sim`, for 0 steps (the prime alone) and for 2, and require equal bits.
+/// On every device: resume one warmed on `recorded` and a fresh one from
+/// `cp` under `sim`, for 0 steps (the prime alone) and for 2, and require
+/// equal bits.
 fn assert_warm_equals_cold(
     recorded: &SimConfig,
     sim: &SimConfig,
     cp: &SystemCheckpoint,
     ctx: &str,
 ) {
-    for steps in [0, 2] {
-        let (mut dev, _) = warm(recorded);
-        let warm = resume(&mut dev, sim, cp, steps);
-        let cold = resume(&mut OpteronCpu::paper_reference(), sim, cp, steps);
-        assert_eq!(
-            warm, cold,
-            "{ctx}, {steps} steps: warm device differs from a cold one"
-        );
+    for (label, build) in DEVICES {
+        for steps in [0, 2] {
+            let (mut dev, _) = warm(build, recorded);
+            let warm = resume(dev.as_mut(), sim, cp, steps);
+            let cold = resume(build().as_mut(), sim, cp, steps);
+            assert_eq!(
+                warm, cold,
+                "{label}, {ctx}, {steps} steps: warm device differs from a cold one"
+            );
+        }
     }
 }
 
@@ -125,24 +141,35 @@ fn assert_prime_differs(
     cp: &SystemCheckpoint,
     ctx: &str,
 ) {
-    assert_ne!(
-        cold_prime(sim, cp).accelerations,
-        recorded.accelerations,
-        "{ctx}: the case leaves the prime unchanged, so it tests nothing"
-    );
+    for (label, build) in DEVICES {
+        assert_ne!(
+            cold_prime(build, sim, cp).accelerations,
+            recorded.accelerations,
+            "{label}, {ctx}: the case leaves the prime unchanged, so it tests nothing"
+        );
+    }
+}
+
+/// The checkpoint a `WARMUP_STEPS` run of `sim` ends in; both devices end
+/// there, bit for bit.
+fn warm_checkpoint(sim: &SimConfig) -> SystemCheckpoint {
+    let [(_, opteron), (_, mta)] = DEVICES;
+    let (_, cp) = warm(opteron, sim);
+    assert_eq!(warm(mta, sim).1, cp, "the f64 devices share one trajectory");
+    cp
 }
 
 #[test]
 fn resuming_from_the_devices_own_checkpoint_equals_a_cold_device() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let (_, cp) = warm(&sim);
+    let cp = warm_checkpoint(&sim);
     assert_warm_equals_cold(&sim, &sim, &cp, "own checkpoint");
 }
 
 #[test]
 fn a_position_one_ulp_away_misses() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let (_, cp) = warm(&sim);
+    let cp = warm_checkpoint(&sim);
     let mut nudged = cp.clone();
     // One coordinate of one atom in the middle of the array, one ulp up.
     let p = &mut nudged.positions[ATOMS / 2];
@@ -154,7 +181,7 @@ fn a_position_one_ulp_away_misses() {
 #[test]
 fn the_same_positions_under_another_scenario_or_cutoff_miss() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let (_, cp) = warm(&sim);
+    let cp = warm_checkpoint(&sim);
     let others = [
         ("morse/nvt", sim.with_scenario(ScenarioSpec::morse_nvt())),
         ("coulomb", sim.with_scenario(ScenarioSpec::coulomb_cutoff())),
@@ -170,6 +197,6 @@ fn the_same_positions_under_another_scenario_or_cutoff_miss() {
 fn another_atom_count_misses() {
     let sim = SimConfig::reduced_lj(ATOMS);
     let small = SimConfig::reduced_lj(108);
-    let (_, cp) = warm(&small);
+    let cp = warm_checkpoint(&small);
     assert_warm_equals_cold(&sim, &small, &cp, "108 atoms after 256");
 }
