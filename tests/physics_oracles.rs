@@ -306,3 +306,54 @@ fn mixed_accumulation_is_closer_to_f64_than_native_f32() {
         "mixed accumulation is not measurably closer to f64: {failures:#?}"
     );
 }
+
+/// **Velocity Verlet is second order.** Over a fixed span of simulated
+/// time its total-energy error on a smooth Hamiltonian scales as `dt²`, so
+/// halving `dt` cuts it about 4×. This checks the f64 driver every f64
+/// device prices ([`HostTrajectory`]) without trusting its bits: the error
+/// is measured against the run's own starting energy, not against another
+/// implementation.
+///
+/// The run is a cold 108-atom FCC crystal (`T* = 0.01`). Its pair
+/// distances stay in shells well inside or outside the 2.5σ cutoff, so no
+/// pair crosses it and the truncated potential is smooth along the whole
+/// trajectory; every evaluation's interaction count equalling the first one
+/// confirms that. In a liquid, pairs cross the cutoff throughout the span,
+/// and each crossing is a jump in the potential that no integrator
+/// conserves. The error is the largest `|E(t) − E(0)|` over the span, which
+/// does not depend on where the bounded Verlet oscillation ends.
+#[test]
+fn halving_dt_cuts_the_f64_drivers_energy_error_fourfold() {
+    use md_core::device::HostParallelism;
+    use md_core::trajectory::HostTrajectory;
+
+    const SPAN: f64 = 0.5;
+    let worst_error = |dt: f64| {
+        let sim = SimConfig::reduced_lj(108)
+            .with_temperature(0.01)
+            .with_dt(dt);
+        let mut traj = HostTrajectory::drive(&sim, None, 0, HostParallelism::Serial, None);
+        let (e0, pairs) = (traj.energies().total, traj.last_eval().interactions);
+        let mut worst = 0.0f64;
+        for _ in 0..(SPAN / dt).round() as usize {
+            let start = traj.checkpoint();
+            traj =
+                HostTrajectory::drive(&sim, Some(&start), 1, HostParallelism::Serial, Some(&traj));
+            assert_eq!(
+                traj.last_eval().interactions,
+                pairs,
+                "dt {dt}: a pair crossed the cutoff"
+            );
+            worst = worst.max((traj.energies().total - e0).abs());
+        }
+        worst
+    };
+    let errors = [0.004, 0.002, 0.001].map(worst_error);
+    for pair in errors.windows(2) {
+        let ratio = pair[0] / pair[1];
+        assert!(
+            (3.8..4.2).contains(&ratio),
+            "halving dt cut the energy error {ratio:.2}x, not ~4x: {errors:?}"
+        );
+    }
+}
