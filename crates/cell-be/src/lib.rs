@@ -25,6 +25,18 @@
 //! [`SpeKernelVariant`]; the two thread-launch policies of Figure 6 via
 //! [`SpawnPolicy`].
 
+// Device-crate panic discipline on top of the workspace lints: a panic in a
+// device hot path escapes the cycle accounting. Float equality is never
+// meaningful in the cycle/seconds accounting, and hash-order iteration
+// breaks run-to-run determinism.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 mod config;
 mod device;
 mod dma;

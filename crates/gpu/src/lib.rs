@@ -25,6 +25,18 @@
 //! calibrated to a GeForce 7900GTX-class part (24 pipelines at 650 MHz)
 //! produces simulated runtimes.
 
+// Device-crate panic discipline on top of the workspace lints: a panic in a
+// device hot path escapes the cycle accounting. Float equality is never
+// meaningful in the cycle/seconds accounting, and hash-order iteration
+// breaks run-to-run determinism.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 mod config;
 mod device;
 pub mod mdshader;

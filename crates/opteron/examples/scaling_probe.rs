@@ -2,6 +2,15 @@
 // `MdDevice` report: compute vs memory-stall attribution and the cache miss
 // rates surfaced in the derived metrics.
 
+// The opteron crate's extra denies (its lib.rs) for this target too.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 use md_core::device::{DeviceError, MdDevice, RunOptions};
 
 fn main() -> Result<(), DeviceError> {

@@ -14,6 +14,18 @@
 //! position array (6 KB) lives in L1; by 4096 atoms (96 KB) every inner-loop
 //! sweep spills to L2.
 
+// Device-crate panic discipline on top of the workspace lints: a panic in a
+// device hot path escapes the cycle accounting. Float equality is never
+// meaningful in the cycle/seconds accounting, and hash-order iteration
+// breaks run-to-run determinism.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 mod config;
 mod cpu;
 

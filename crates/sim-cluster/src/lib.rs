@@ -22,6 +22,17 @@
 //! The harness crate adds the roster integration (`ClusterKind`) and the
 //! `ClusterSupervisor` recovery reporting on top.
 
+// Engine discipline on top of the workspace lints: the cluster timeline is
+// part of the published numbers, so panics, float equality and hash-order
+// iteration are held to the device-crate standard.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 pub mod engine;
 pub mod interconnect;
 

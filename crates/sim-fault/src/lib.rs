@@ -25,6 +25,19 @@
 //! (GPU/MTA/Opteron) and records the exhaustion in [`FaultStats`] so the
 //! harness supervisor can fall back to the reference device.
 
+// The device-crate discipline on top of the workspace lints: fault handling
+// is device-model code, so a panic would escape the cycle accounting exactly
+// like a device panic. Float equality is never meaningful in the
+// cycle/seconds accounting, and hash-order iteration breaks run-to-run
+// determinism.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::iter_over_hash_type
+)]
+
 mod plan;
 mod session;
 
