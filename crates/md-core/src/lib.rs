@@ -13,7 +13,8 @@
 //!   [`mod@reference`] is the f32/f64 oracle it is checked against,
 //! - workload generation: cubic/FCC lattices and Maxwell-Boltzmann velocity
 //!   initialization ([`init`]), with a deterministic RNG ([`rng`]),
-//! - the unified device run API ([`device`]), scenarios ([`scenario`]) and
+//! - the unified device run API ([`device`]), the f64 trajectory driver the
+//!   Opteron and MTA-2 price ([`trajectory`]), scenarios ([`scenario`]) and
 //!   exact checkpoints ([`checkpoint`]).
 //!
 //! The state and the oracle are generic over [`vecmath::Real`], so they run

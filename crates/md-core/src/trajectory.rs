@@ -115,11 +115,6 @@ impl HostTrajectory {
         &self.evals
     }
 
-    /// Time steps integrated.
-    pub fn steps(&self) -> usize {
-        self.evals.len() - 1
-    }
-
     /// Atoms in the system.
     pub fn n(&self) -> usize {
         self.system.n()

@@ -285,22 +285,17 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
             .map_err(|e| SweepError::Pool(e.to_string()))?;
         pool.install(|| groups.par_iter().map(run_group).collect())
     };
-    let mut slots: Vec<Option<(RunMetrics, bool)>> = spec.points.iter().map(|_| None).collect();
+    let mut indexed = Vec::with_capacity(spec.len());
     for (group, outcome) in groups.iter().zip(outcomes) {
-        for (&i, result) in group.iter().zip(outcome?) {
-            slots[i] = Some(result);
-        }
+        indexed.extend(group.iter().copied().zip(outcome?));
     }
-    let results = spec
-        .points
-        .iter()
-        .zip(slots)
-        .filter_map(|(p, slot)| {
-            slot.map(|(metrics, from_cache)| PointResult {
-                point: *p,
-                metrics,
-                from_cache,
-            })
+    indexed.sort_by_key(|&(i, _)| i);
+    let results = indexed
+        .into_iter()
+        .map(|(i, (metrics, from_cache))| PointResult {
+            point: spec.points[i],
+            metrics,
+            from_cache,
         })
         .collect();
     Ok(SweepReport {
