@@ -13,9 +13,10 @@
 //! run on the same device (devices prime accelerations from positions at
 //! every checkpointed entry, so segment boundaries are invisible to the
 //! physics); only the simulated clock shows the recovery work. The Opteron
-//! reuses its own last evaluation when a segment resumes from the state its
-//! previous segment ended in, so the prime costs no host time there; the
-//! charge is unchanged. The Cell, GPU and MTA-2 still recompute it.
+//! and the MTA-2 reuse their last trajectory's final evaluation when a
+//! segment resumes from the state its previous segment ended in, so the
+//! prime costs no host time there; the charge is unchanged. The Cell and
+//! the GPU still recompute it.
 //!
 //! The supervisor drives any [`MdDevice`] — it holds a `&mut dyn MdDevice`
 //! and never knows which architecture is underneath (DESIGN.md §11).
