@@ -14,7 +14,7 @@ use cell_be::{
     SpeKernelVariant,
 };
 use gpu::{GpuConfig, GpuMdSimulation};
-use md_core::device::{HostPricer, MdDevice};
+use md_core::device::MdDevice;
 use mta::{MtaConfig, MtaMd, ThreadingMode};
 use opteron::{OpteronConfig, OpteronCpu};
 
@@ -279,24 +279,14 @@ impl DeviceKind {
     }
 
     /// Whether the kind's physics is the f64 host flavor (the Opteron and
-    /// both MTA-2 modes): its device prices a [`HostTrajectory`] and drives
-    /// no physics of its own, so points of one workload can share one
-    /// trajectory ([`crate::host_group_metrics`]).
+    /// both MTA-2 modes): its device is a [`HostPricer`]
+    /// ([`MdDevice::as_host_pricer`]) and drives no physics of its own, so
+    /// points of one workload can share one trajectory
+    /// ([`crate::host_group_metrics`]).
     ///
-    /// [`HostTrajectory`]: md_core::trajectory::HostTrajectory
+    /// [`HostPricer`]: md_core::device::HostPricer
     pub fn prices_host_trajectory(self) -> bool {
         matches!(self, DeviceKind::Mta { .. } | DeviceKind::Opteron)
-    }
-
-    /// The kind's device as a [`HostPricer`] when
-    /// [`DeviceKind::prices_host_trajectory`] holds: the same machine
-    /// [`DeviceKind::build`] constructs.
-    pub fn build_host_pricer(self) -> Option<Box<dyn HostPricer>> {
-        match self {
-            DeviceKind::Mta { mode } => Some(Box::new(MtaMd::paper_mta2(mode))),
-            DeviceKind::Opteron => Some(Box::new(OpteronCpu::paper_reference())),
-            _ => None,
-        }
     }
 
     /// [`DeviceKind::build`] with a deterministic fault schedule armed.
@@ -424,17 +414,6 @@ mod tests {
     fn labels_match_built_devices() {
         for kind in roster() {
             assert_eq!(kind.label(), kind.build().label(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn host_pricers_are_the_host_flavored_kinds() {
-        for kind in DeviceKind::parseable_roster() {
-            let pricer = kind.build_host_pricer();
-            assert_eq!(pricer.is_some(), kind.prices_host_trajectory(), "{kind:?}");
-            if let Some(p) = pricer {
-                assert_eq!(p.label(), kind.label(), "{kind:?}");
-            }
         }
     }
 

@@ -60,32 +60,38 @@ pub fn device_metrics(
 
 /// [`device_metrics`] for kinds whose devices price the f64 host trajectory
 /// ([`DeviceKind::prices_host_trajectory`]), all from a fresh lattice: the
-/// trajectory is driven once, on `par`, and every kind prices it. Each
-/// record is bitwise the one [`device_metrics`] returns for its kind alone,
-/// because such a device's run is exactly that drive and that price.
+/// trajectory is driven once, on `par`, and the kinds price it concurrently
+/// on `par`. Each record is bitwise the one [`device_metrics`] returns for
+/// its kind alone, because such a device's run is exactly that drive and
+/// that price.
 pub fn host_group_metrics(
     kinds: &[DeviceKind],
     sim: &SimConfig,
     steps: usize,
     par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, HarnessError> {
-    let mut pricers = kinds
-        .iter()
-        .map(|&k| {
-            k.build_host_pricer().ok_or_else(|| {
-                HarnessError::InvalidInput(format!("{k} does not price the f64 host trajectory"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let invalid = |k: DeviceKind| {
+        HarnessError::InvalidInput(format!("{k} does not price the f64 host trajectory"))
+    };
+    if let Some(&k) = kinds.iter().find(|k| !k.prices_host_trajectory()) {
+        return Err(invalid(k));
+    }
     let traj = HostTrajectory::drive(sim, None, steps, par, None);
-    Ok(pricers
-        .iter_mut()
-        .map(|dev| {
-            let mut perf = PerfMonitor::new();
-            let run = dev.price(&traj, &mut perf);
-            collect_metrics(dev.as_ref(), &run, sim.n_atoms, steps, &perf)
-        })
-        .collect())
+    md_core::parallel::map_indexed(par, kinds.len(), |i| {
+        let mut dev = kinds[i].build();
+        let pricer = dev.as_host_pricer().ok_or_else(|| invalid(kinds[i]))?;
+        let mut perf = PerfMonitor::new();
+        let run = pricer.price(&traj, &mut perf);
+        Ok(collect_metrics(
+            dev.as_ref(),
+            &run,
+            sim.n_atoms,
+            steps,
+            &perf,
+        ))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Counters + attribution for one fault-free run of a simulated cluster

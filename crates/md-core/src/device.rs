@@ -275,6 +275,12 @@ pub trait MdDevice {
     /// Advance the system per `opts`. On error the device charged nothing
     /// durable: retry from the same checkpoint after [`MdDevice::resalt`].
     fn run(&mut self, sim: &SimConfig, opts: RunOptions<'_>) -> Result<DeviceRun, DeviceError>;
+
+    /// The device as a [`HostPricer`], when its physics is the f64 host
+    /// flavor; `None` for every other device.
+    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+        None
+    }
 }
 
 /// A device whose physics is the f64 host flavor: it integrates nothing

@@ -391,6 +391,10 @@ impl md_core::device::MdDevice for MtaMd {
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
         Ok(md_core::device::run_host_device(self, sim, opts))
     }
+
+    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+        Some(self)
+    }
 }
 
 impl HostPricer for MtaMd {

@@ -454,6 +454,10 @@ impl md_core::device::MdDevice for OpteronCpu {
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
         Ok(md_core::device::run_host_device(self, sim, opts))
     }
+
+    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+        Some(self)
+    }
 }
 
 impl HostPricer for OpteronCpu {
@@ -649,6 +653,11 @@ mod tests {
             "observability is free"
         );
         assert_eq!(plain.energies.total, counted.energies.total);
+        assert_eq!(
+            plain.bytes_moved,
+            (counted.loads + counted.stores) as f64 * 8.0,
+            "the device run and the direct price move the same traffic"
+        );
         let loads = perf.find("opteron.mem.loads").expect("registered");
         assert_eq!(loads.value(), counted.loads as f64);
         assert_eq!(loads.samples().len(), 4, "prime eval + one per step");

@@ -10,7 +10,8 @@
 //! (accelerations included), attribution, ops, bytes moved and every perf
 //! counter — on the hit and on every kind of miss, on both devices. Each
 //! miss case also checks that the prime it forces really differs from the
-//! recorded one, so a wrong hit could not pass unseen.
+//! recorded one, so a wrong hit could not pass unseen, and every run must
+//! leave its own trajectory behind as the record.
 
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
@@ -157,6 +158,32 @@ fn warm_checkpoint(sim: &SimConfig) -> SystemCheckpoint {
     let (_, cp) = warm(opteron, sim);
     assert_eq!(warm(mta, sim).1, cp, "the f64 devices share one trajectory");
     cp
+}
+
+#[test]
+fn every_run_leaves_its_trajectory_as_the_record() {
+    let sim = SimConfig::reduced_lj(ATOMS);
+    for (label, build) in DEVICES {
+        let mut dev = build();
+        let run = dev
+            .run(&sim, RunOptions::steps(WARMUP_STEPS))
+            .expect("the device runs");
+        let record = dev
+            .as_host_pricer()
+            .expect("an f64 device prices the host trajectory")
+            .last_trajectory()
+            .as_ref()
+            .unwrap_or_else(|| panic!("{label}: the run left no record"));
+        assert!(
+            record.resumes(&run.checkpoint.restore(), &sim),
+            "{label}: the record does not resume the run's own checkpoint"
+        );
+        assert_eq!(
+            record.checkpoint(),
+            run.checkpoint,
+            "{label}: the record is not the run's final state"
+        );
+    }
 }
 
 #[test]
