@@ -63,10 +63,9 @@ impl SpeKernelVariant {
 
     /// The shared-eval row arithmetic of this stage. The branchy reflect
     /// (`if d > L/2 … else if d < -L/2`) shifts exactly where compare/select
-    /// at `L/2` does; the copysign reflect at its own threshold,
-    /// [`copysign_reflect_above`]. Only the SIMD acceleration stage fuses its
-    /// accumulate.
-    fn stage(self, box_len: f32) -> CellStage {
+    /// at `L/2` does; the copysign reflect at its own threshold, just below
+    /// `L/2`. Only the SIMD acceleration stage fuses its accumulate.
+    pub fn stage(self, box_len: f32) -> CellStage {
         let reflect_above = if self == Self::Copysign {
             copysign_reflect_above(box_len)
         } else {
@@ -331,7 +330,7 @@ pub fn compute_accelerations_f64(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
+    use md_core::scenario::ScenarioSpec;
 
     /// One 128-bit SPE register of four f32 lanes (`[x, y, z, pad]`), with
     /// the instructions the per-pair oracle's SIMD stages use.
@@ -412,7 +411,6 @@ mod tests {
         let l = params.box_len;
         let half_l = 0.5 * l;
         let cutoff2 = params.sub.cutoff2();
-        let mixed = params.sub.accumulate_f64;
         // The stage costs, chosen here rather than by `charges`, so the
         // oracle checks the production charges too.
         let pot_cost = costs.lj_eval + params.sub.extra_eval_ops();
@@ -447,8 +445,6 @@ mod tests {
             let pi_v = F32x4(pi);
             let mut acc_v = F32x4::ZERO;
             let mut pe_i = 0.0f32;
-            let mut acc64 = [0.0f64; 3];
-            let mut pe64 = 0.0f64;
 
             for j in 0..pos.len() {
                 if j == i {
@@ -515,19 +511,12 @@ mod tests {
                 if r2 < cutoff2 && r2 > 0.0 {
                     stats.interactions += 1;
                     let (e, f_over_r) = params.sub.energy_force(r2);
+                    pe_i += e;
 
                     // --- force → acceleration conversion ---
-                    if mixed {
-                        pe64 += f64::from(e);
-                        let s = f_over_r * params.inv_mass;
-                        acc64[0] += f64::from(dir.lane(0) * s);
-                        acc64[1] += f64::from(dir.lane(1) * s);
-                        acc64[2] += f64::from(dir.lane(2) * s);
-                    } else if variant.accel_simd() {
-                        pe_i += e;
+                    if variant.accel_simd() {
                         acc_v = madd(dir, F32x4::splat(f_over_r * params.inv_mass), acc_v);
                     } else {
-                        pe_i += e;
                         let mut a = acc_v.0;
                         for (k, ak) in a.iter_mut().take(3).enumerate() {
                             *ak += dir.lane(k) * f_over_r * params.inv_mass;
@@ -537,15 +526,6 @@ mod tests {
                 }
             }
 
-            if mixed {
-                acc_v = F32x4([
-                    f32::from_f64(acc64[0]),
-                    f32::from_f64(acc64[1]),
-                    f32::from_f64(acc64[2]),
-                    0.0,
-                ]);
-                pe_i = f32::from_f64(pe64);
-            }
             pe_slice += pe_i;
             out[i] = [acc_v.lane(0), acc_v.lane(1), acc_v.lane(2), pe_i];
         }
@@ -600,7 +580,7 @@ mod tests {
         let (qb, pb, sb) = shared(pos, i_range, params, variant);
         let bits =
             |q: &[[f32; 4]]| -> Vec<[u32; 4]> { q.iter().map(|q| q.map(f32::to_bits)).collect() };
-        let ctx = format!("{variant:?}, mixed {}", params.sub.accumulate_f64);
+        let ctx = format!("{variant:?}, {}", params.sub.spec);
         if bits(&qa) != bits(&qb) {
             let i = (0..qa.len()).find(|&i| bits(&qa[i..=i]) != bits(&qb[i..=i]));
             let i = i.unwrap_or_default();
@@ -717,9 +697,9 @@ mod tests {
         }
     }
 
-    /// Every variant under every scenario flavor and both policies, on a
-    /// scattered configuration with a non-unit mass, equals the per-pair
-    /// oracle exactly.
+    /// Every variant under every scenario flavor, on a scattered
+    /// configuration with a non-unit mass, equals the per-pair oracle
+    /// exactly.
     #[test]
     fn every_variant_is_the_per_pair_kernel() {
         let pos = scattered(67, 6.0);
@@ -728,12 +708,10 @@ mod tests {
             ScenarioSpec::morse_nvt(),
             ScenarioSpec::coulomb_cutoff(),
         ] {
-            for policy in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
-                let params = physics(spec.with_precision(policy), 2.0, 6.0, 0.37);
-                for v in SpeKernelVariant::ALL {
-                    assert_matches_oracle(&pos, 0..67, params, v).unwrap();
-                    assert_matches_oracle(&pos, 5..41, params, v).unwrap();
-                }
+            let params = physics(spec, 2.0, 6.0, 0.37);
+            for v in SpeKernelVariant::ALL {
+                assert_matches_oracle(&pos, 0..67, params, v).unwrap();
+                assert_matches_oracle(&pos, 5..41, params, v).unwrap();
             }
         }
     }
@@ -771,7 +749,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
             /// Random positions in `[0, L)` plus adversarial edits, for every
-            /// variant and both policies: shared row == per-pair oracle.
+            /// variant: shared row == per-pair oracle.
             #[test]
             fn shared_rows_are_the_per_pair_kernel(
                 l in 3.0f32..12.0,
@@ -817,14 +795,12 @@ mod tests {
                     ScenarioSpec::coulomb_cutoff(),
                 ][pot];
                 let lo = split % n;
-                for policy in [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate] {
-                    let params = physics(spec.with_precision(policy), f64::from(cutoff), l, inv_mass);
-                    for v in SpeKernelVariant::ALL {
-                        let full = assert_matches_oracle(&pos, 0..n, params, v);
-                        prop_assert!(full.is_ok(), "{}", full.unwrap_err());
-                        let part = assert_matches_oracle(&pos, lo..n, params, v);
-                        prop_assert!(part.is_ok(), "{}", part.unwrap_err());
-                    }
+                let params = physics(spec, f64::from(cutoff), l, inv_mass);
+                for v in SpeKernelVariant::ALL {
+                    let full = assert_matches_oracle(&pos, 0..n, params, v);
+                    prop_assert!(full.is_ok(), "{}", full.unwrap_err());
+                    let part = assert_matches_oracle(&pos, lo..n, params, v);
+                    prop_assert!(part.is_ok(), "{}", part.unwrap_err());
                 }
             }
         }

@@ -26,12 +26,11 @@ use md_core::device::HostParallelism;
 use md_core::parallel::map_indexed;
 use md_core::scenario::Substrate;
 use md_core::shared_eval::{self, SoaPositionsF32};
-use vecmath::Real;
 
 /// Indices of the kernel constants inside [`ShaderConstants`].
 ///
 /// The constant block is the shader's JIT identity: any scenario change
-/// (potential kind or parameters, precision policy) lands in these slots, so
+/// (potential kind or parameters) lands in these slots, so
 /// a different scenario forces a re-JIT exactly like the paper's
 /// constant-folding compiler would.
 pub mod constants {
@@ -46,8 +45,6 @@ pub mod constants {
     /// Third potential parameter (r₀ for Morse; otherwise unused).
     pub const POT_C: usize = 5;
     pub const INV_MASS: usize = 6;
-    /// 1.0 when per-instance accumulation runs in f64 (mixed policy).
-    pub const MIXED_ACC: usize = 7;
 }
 
 /// ALU instructions charged per examined pair: minimum-image (compare +
@@ -109,7 +106,6 @@ impl LjAccelShader {
         values[constants::POT_B] = b;
         values[constants::POT_C] = c;
         values[constants::INV_MASS] = inv_mass;
-        values[constants::MIXED_ACC] = if sub.accumulate_f64 { 1.0 } else { 0.0 };
         ShaderConstants { values }
     }
 
@@ -184,7 +180,6 @@ impl Shader for LjAccelShader {
         let half_l = 0.5 * l;
         let cutoff2 = self.sub.cutoff2();
         let inv_mass = c.values[constants::INV_MASS];
-        let mixed = self.sub.accumulate_f64;
 
         let pi = positions.fetch(out_index);
         ops.fetches += 1;
@@ -192,12 +187,6 @@ impl Shader for LjAccelShader {
 
         let mut acc = [0.0f32; 3];
         let mut pe = 0.0f32;
-        // Mixed-precision policy: per-instance accumulators widen to f64
-        // (temporary registers), narrowed once at output-texel store.
-        // sim-vet: begin-allow(precision-discipline): the mixed policy's wide temporaries are intentional — narrowed once at the texel store
-        let mut acc64 = [0.0f64; 3];
-        let mut pe64 = 0.0f64;
-        // sim-vet: end-allow(precision-discipline)
 
         for j in 0..self.n_atoms {
             // The shader examines every texel, including its own: the
@@ -224,27 +213,11 @@ impl Shader for LjAccelShader {
             let masked = r2 < cutoff2 && r2 > 0.0;
             if masked {
                 let (e, f_over_r) = self.sub.energy_force(r2);
-                if mixed {
-                    // sim-vet: begin-allow(precision-discipline): mixed policy widens per-pair contributions to the wide accumulators
-                    pe64 += f64::from(e);
-                    for k in 0..3 {
-                        acc64[k] += f64::from(d[k] * f_over_r * inv_mass);
-                    }
-                    // sim-vet: end-allow(precision-discipline)
-                } else {
-                    pe += e;
-                    for k in 0..3 {
-                        acc[k] += d[k] * f_over_r * inv_mass;
-                    }
+                pe += e;
+                for k in 0..3 {
+                    acc[k] += d[k] * f_over_r * inv_mass;
                 }
             }
-        }
-
-        if mixed {
-            for k in 0..3 {
-                acc[k] = f32::from_f64(acc64[k]);
-            }
-            pe = f32::from_f64(pe64);
         }
         [acc[0], acc[1], acc[2], pe]
     }
@@ -360,7 +333,6 @@ mod tests {
     /// at an output length that exercises a partial fragment batch.
     #[test]
     fn shared_dispatch_is_bitwise_identical() {
-        use md_core::scenario::PrecisionPolicy;
         let n = FRAGMENT_BATCH + 44;
         let pts: Vec<[f32; 3]> = (0..n)
             .map(|i| {
@@ -372,11 +344,7 @@ mod tests {
                 ]
             })
             .collect();
-        for spec in [
-            ScenarioSpec::default(),
-            ScenarioSpec::morse_nvt(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ] {
+        for spec in [ScenarioSpec::default(), ScenarioSpec::morse_nvt()] {
             let sub: Substrate<f32> = spec.substrate(2.5);
             let mut dev = GpuDevice::geforce_7900gtx();
             dev.compile(LjAccelShader::constants(6.0, 0.5, &sub));
@@ -390,30 +358,6 @@ mod tests {
                 assert_eq!(shared.ops.fetches, interp.ops.fetches);
                 assert_eq!(shared.shader_seconds, interp.shader_seconds);
                 assert_eq!(shared.overhead_seconds, interp.overhead_seconds);
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_policy_narrowed_output_close_to_native() {
-        let pts = [[1.0, 1.0, 1.0], [2.2, 1.0, 1.0], [3.1, 1.0, 1.0]];
-        let (native, _) = dispatch(&pts, 20.0);
-        let (mixed, _) = dispatch_scenario(
-            &pts,
-            20.0,
-            ScenarioSpec::default()
-                .with_precision(md_core::scenario::PrecisionPolicy::MixedF64Accumulate),
-        );
-        for i in 0..pts.len() {
-            let a = native.fetch(i);
-            let b = mixed.fetch(i);
-            for k in 0..4 {
-                assert!(
-                    (a[k] - b[k]).abs() <= 1e-5 * a[k].abs().max(1.0),
-                    "texel {i}.{k}: {} vs {}",
-                    a[k],
-                    b[k]
-                );
             }
         }
     }

@@ -37,10 +37,6 @@ const GATHER_TILE: usize = 128;
 
 /// Compute atom `i`'s full gather row over all other atoms. Accumulation
 /// runs in ascending-j order (tiling does not reorder it).
-///
-/// When the substrate requests mixed precision (`accumulate_f64`), the row
-/// sums run in f64 and narrow once at the end; otherwise the accumulators
-/// are native `T`.
 #[inline]
 pub fn gather_row<T: Real>(
     soa: &SoaPositions<T>,
@@ -49,9 +45,6 @@ pub fn gather_row<T: Real>(
     sub: &Substrate<T>,
     inv_mass: T,
 ) -> GatherRow<T> {
-    if sub.accumulate_f64 {
-        return gather_row_mixed(soa, i, box_len, sub, inv_mass);
-    }
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
@@ -101,62 +94,6 @@ pub fn gather_row<T: Real>(
     GatherRow {
         acc,
         pe,
-        interactions,
-    }
-}
-
-/// The mixed-precision row: same tiled distance pass and ascending-j
-/// accumulation order as [`gather_row`], but the per-row sums are carried in
-/// f64 and narrowed to `T` once at the end. Pair terms are still evaluated
-/// through the substrate (native precision unless the policy forces one).
-fn gather_row_mixed<T: Real>(
-    soa: &SoaPositions<T>,
-    i: usize,
-    box_len: T,
-    sub: &Substrate<T>,
-    inv_mass: T,
-) -> GatherRow<T> {
-    let n = soa.len();
-    let cutoff2 = sub.cutoff2();
-    let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
-    let mut acc = Vec3::<f64>::zero();
-    let mut pe = 0.0f64;
-    let mut interactions = 0u64;
-    let mut dx_buf = [T::ZERO; GATHER_TILE];
-    let mut dy_buf = [T::ZERO; GATHER_TILE];
-    let mut dz_buf = [T::ZERO; GATHER_TILE];
-    let mut r2_buf = [T::ZERO; GATHER_TILE];
-    let mut t0 = 0;
-    while t0 < n {
-        let t1 = (t0 + GATHER_TILE).min(n);
-        let w = t1 - t0;
-        for k in 0..w {
-            let j = t0 + k;
-            let dx = pbc::min_image_coord_select(xi - soa.x[j], box_len);
-            let dy = pbc::min_image_coord_select(yi - soa.y[j], box_len);
-            let dz = pbc::min_image_coord_select(zi - soa.z[j], box_len);
-            dx_buf[k] = dx;
-            dy_buf[k] = dy;
-            dz_buf[k] = dz;
-            r2_buf[k] = dx * dx + dy * dy + dz * dz;
-        }
-        for k in 0..w {
-            let r2 = r2_buf[k];
-            if r2 < cutoff2 && r2 != T::ZERO {
-                let (e, f_over_r) = sub.energy_force(r2);
-                pe += e.to_f64();
-                let s = f_over_r * inv_mass;
-                acc.x += (dx_buf[k] * s).to_f64();
-                acc.y += (dy_buf[k] * s).to_f64();
-                acc.z += (dz_buf[k] * s).to_f64();
-                interactions += 1;
-            }
-        }
-        t0 = t1;
-    }
-    GatherRow {
-        acc: Vec3::new(T::from_f64(acc.x), T::from_f64(acc.y), T::from_f64(acc.z)),
-        pe: T::from_f64(pe),
         interactions,
     }
 }

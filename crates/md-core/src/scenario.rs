@@ -231,10 +231,6 @@ pub enum PrecisionPolicy {
     ForceF32,
     /// Force pair evaluation in f64 everywhere (what an f32 machine gains).
     ForceF64,
-    /// Evaluate pairs natively but accumulate per-atom sums in f64 — the
-    /// classic mixed-precision compromise (cf. De Fabritiis, PAPERS.md).
-    /// No-op on devices already running f64.
-    MixedF64Accumulate,
 }
 
 impl PrecisionPolicy {
@@ -244,7 +240,6 @@ impl PrecisionPolicy {
             PrecisionPolicy::Native => "native",
             PrecisionPolicy::ForceF32 => "f32",
             PrecisionPolicy::ForceF64 => "f64",
-            PrecisionPolicy::MixedF64Accumulate => "mixed",
         }
     }
 }
@@ -263,9 +258,8 @@ impl FromStr for PrecisionPolicy {
             "native" => Ok(PrecisionPolicy::Native),
             "f32" => Ok(PrecisionPolicy::ForceF32),
             "f64" => Ok(PrecisionPolicy::ForceF64),
-            "mixed" => Ok(PrecisionPolicy::MixedF64Accumulate),
             other => Err(format!(
-                "unknown precision policy {other:?} (expected native, f32, f64, or mixed)"
+                "unknown precision policy {other:?} (expected native, f32 or f64)"
             )),
         }
     }
@@ -366,13 +360,12 @@ impl ScenarioSpec {
     pub fn substrate<T: Real>(&self, cutoff: f64) -> Substrate<T> {
         let native_is_f32 = size_of::<T>() == size_of::<f32>();
         let eval = match self.precision {
-            PrecisionPolicy::Native | PrecisionPolicy::MixedF64Accumulate => EvalPrecision::Native,
+            PrecisionPolicy::Native => EvalPrecision::Native,
             PrecisionPolicy::ForceF32 if native_is_f32 => EvalPrecision::Native,
             PrecisionPolicy::ForceF32 => EvalPrecision::ForceF32,
             PrecisionPolicy::ForceF64 if !native_is_f32 => EvalPrecision::Native,
             PrecisionPolicy::ForceF64 => EvalPrecision::ForceF64,
         };
-        let accumulate_f64 = self.precision == PrecisionPolicy::MixedF64Accumulate && native_is_f32;
         let thermostat = match self.ensemble {
             Ensemble::Nve => None,
             Ensemble::Nvt { target, kappa } => Some(VelocityRescale::new(
@@ -385,7 +378,6 @@ impl ScenarioSpec {
             pot32: PairPotential::resolve(&self.potential, cutoff),
             pot64: PairPotential::resolve(&self.potential, cutoff),
             eval,
-            accumulate_f64,
             thermostat,
             spec: *self,
         }
@@ -627,9 +619,6 @@ pub struct Substrate<T> {
     /// How pair terms are evaluated (resolved from the precision policy, so
     /// an on-native request is already [`EvalPrecision::Native`] here).
     pub eval: EvalPrecision,
-    /// Accumulate per-atom force/PE sums in f64 even when `T` is f32
-    /// (mixed-precision policy; always false when `T` is f64).
-    pub accumulate_f64: bool,
     /// Resolved thermostat; `None` for NVE.
     pub thermostat: Option<VelocityRescale<T>>,
     /// The spec this substrate was resolved from (for labels and ledgers).
@@ -661,7 +650,6 @@ impl<T: Real> Substrate<T> {
             pot32: PairPotential::LennardJones(p32),
             pot64: PairPotential::LennardJones(p64),
             eval: EvalPrecision::Native,
-            accumulate_f64: false,
             thermostat: None,
             spec: ScenarioSpec::default().with_potential(Potential::LennardJones {
                 epsilon: p64.epsilon,
@@ -791,7 +779,6 @@ mod tests {
             assert_eq!(sub.energy_force(r2), seed.energy_force(r2));
         }
         assert!(sub.thermostat.is_none());
-        assert!(!sub.accumulate_f64);
         assert_eq!(sub.extra_eval_ops(), 0.0);
         assert_eq!(sub.extra_step_ops_per_atom(), 0.0);
     }
@@ -802,7 +789,7 @@ mod tests {
             ScenarioSpec::default(),
             ScenarioSpec::morse_nvt(),
             ScenarioSpec::coulomb_cutoff(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
+            ScenarioSpec::default().with_precision(PrecisionPolicy::ForceF32),
             ScenarioSpec::morse_nvt().with_precision(PrecisionPolicy::ForceF64),
         ] {
             let text = spec.to_string();
@@ -831,6 +818,7 @@ mod tests {
             "quartic:a1",
             "lj:e1,s1/nvt",
             "lj:e1,s1/nve/quantum",
+            "lj:e1,s1/nve/mixed",
             "lj:e1,s1/nve/native/extra",
             "lj:e0,s1",
             "lj:eNaN,s1",
@@ -888,7 +876,7 @@ mod tests {
             k in 0.001f64..1.0,
             pot_pick in 0usize..3,
             ens_pick in 0usize..2,
-            prec_pick in 0usize..4,
+            prec_pick in 0usize..3,
         ) {
             let potential = match pot_pick {
                 0 => Potential::LennardJones { epsilon: e, sigma: sg },
@@ -903,7 +891,6 @@ mod tests {
                 PrecisionPolicy::Native,
                 PrecisionPolicy::ForceF32,
                 PrecisionPolicy::ForceF64,
-                PrecisionPolicy::MixedF64Accumulate,
             ][prec_pick];
             let spec = ScenarioSpec { potential, ensemble, precision };
             let text = spec.to_string();
@@ -942,9 +929,6 @@ mod tests {
         let spec = spec.with_precision(PrecisionPolicy::ForceF32);
         assert_eq!(spec.substrate::<f32>(2.5).eval, EvalPrecision::Native);
         assert_eq!(spec.substrate::<f64>(2.5).eval, EvalPrecision::ForceF32);
-        let spec = spec.with_precision(PrecisionPolicy::MixedF64Accumulate);
-        assert!(spec.substrate::<f32>(2.5).accumulate_f64);
-        assert!(!spec.substrate::<f64>(2.5).accumulate_f64);
     }
 
     #[test]
@@ -981,7 +965,6 @@ mod tests {
             ScenarioSpec::coulomb_cutoff(),
             ScenarioSpec::default().with_precision(PrecisionPolicy::ForceF32),
             ScenarioSpec::default().with_precision(PrecisionPolicy::ForceF64),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
             ScenarioSpec::default().with_ensemble(Ensemble::Nvt {
                 target: 0.728,
                 kappa: 1.0,

@@ -411,11 +411,6 @@ unsafe fn drain_fma<T: Real, U: PairFnUser<T, Out = ()>>(sub: &Substrate<T>, dra
 
 /// Atom `i`'s gather row, bitwise identical to
 /// [`crate::reference::gather_row`] but batched 4-wide.
-///
-/// The mixed-precision policy needs no special casing here: for `T = f64`
-/// the widen/narrow steps of the mixed accumulator are identities, so the
-/// native accumulation below already matches `gather_row`'s internal
-/// dispatch bit for bit (pinned by a unit test).
 #[inline]
 pub fn host_row(
     soa: &SoaPositions<f64>,
@@ -711,27 +706,14 @@ pub struct CellRow {
     pub interactions: u64,
 }
 
-/// Row sums of a single-precision flavor: native f32, or widened f64 sums
-/// (mixed policy) narrowed once at the end.
+/// Row sums of a single-precision flavor.
+#[derive(Default)]
 struct Sums32 {
-    mixed: bool,
     acc: [f32; 3],
     pe: f32,
-    acc64: [f64; 3],
-    pe64: f64,
 }
 
 impl Sums32 {
-    fn new(mixed: bool) -> Self {
-        Self {
-            mixed,
-            acc: [0.0; 3],
-            pe: 0.0,
-            acc64: [0.0; 3],
-            pe64: 0.0,
-        }
-    }
-
     /// The native accumulate `a += (d * f_over_r) * inv_mass` of one chunk:
     /// the GPU shader's and the SPE kernel's scalar stages'.
     #[inline(always)]
@@ -750,15 +732,6 @@ impl Sums32 {
         });
         (self.acc, self.pe) = (acc, pe);
     }
-
-    /// The row's `(acc, pe)`, narrowing the mixed sums.
-    fn finish(self) -> ([f32; 3], f32) {
-        if self.mixed {
-            (self.acc64.map(f32::from_f64), f32::from_f64(self.pe64))
-        } else {
-            (self.acc, self.pe)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -773,11 +746,9 @@ pub struct CellStage {
     /// The unit-cell reflect shifts an axis gap `d = pi - pj` by `+L` where
     /// `d > reflect_above` and by `-L` where `d < -reflect_above`.
     pub reflect_above: f32,
-    /// The native policy's accumulate: `a = fma(d, f_over_r * inv_mass, a)`
-    /// (the SIMD acceleration stage) if set, else
-    /// `a += (d * f_over_r) * inv_mass` (the scalar stages, as the GPU
-    /// shader sums). The mixed policy's widened sums are the same in every
-    /// stage.
+    /// The accumulate: `a = fma(d, f_over_r * inv_mass, a)` (the SIMD
+    /// acceleration stage) if set, else `a += (d * f_over_r) * inv_mass`
+    /// (the scalar stages, as the GPU shader sums).
     pub fused: bool,
 }
 
@@ -808,10 +779,9 @@ pub fn cell_row(
 /// Atom `i`'s row exactly as the SPE kernel at `stage` computes it:
 /// compare/select unit-cell shift on all axes at `stage.reflect_above`,
 /// `dir = pi - (pj + shift)`, left-folded dot, and — for surviving pairs —
-/// the stage's native accumulate or widened f64 row sums narrowed once
-/// (mixed policy). The self-pair the per-pair loop skips with a branch is
-/// excluded here by the `r2 > 0` predicate, which rejects exactly the same
-/// pairs.
+/// the stage's accumulate. The self-pair the per-pair loop skips with a
+/// branch is excluded here by the `r2 > 0` predicate, which rejects exactly
+/// the same pairs.
 #[inline]
 pub fn cell_stage_row(
     soa: &SoaPositionsF32,
@@ -837,27 +807,26 @@ struct CellAccum {
 }
 
 impl CellAccum {
-    fn new(mixed: bool, fused: bool) -> Self {
+    fn new(fused: bool) -> Self {
         Self {
-            sums: Sums32::new(mixed),
+            sums: Sums32::default(),
             fused,
             interactions: 0,
         }
     }
 
     fn finish(self) -> CellRow {
-        let (acc, pe) = self.sums.finish();
         CellRow {
-            acc,
-            pe,
+            acc: self.sums.acc,
+            pe: self.sums.pe,
             interactions: self.interactions,
         }
     }
 }
 
 /// The cell drain: the SPE kernel's per-pair arithmetic, with
-/// `s = f_over_r * inv_mass` in the potential pass (widened and fused sums),
-/// then its accumulate stage in order.
+/// `s = f_over_r * inv_mass` in the potential pass (fused sums), then its
+/// accumulate stage in order.
 impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
     type Out = ();
 
@@ -866,7 +835,7 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
         let (st, inv_mass) = (self.st, self.inv_mass);
         st.interactions += self.chunk.r2.len() as u64;
         let sums = &mut st.sums;
-        if !sums.mixed && !st.fused {
+        if !st.fused {
             sums.add_unfused(self.chunk, energy_force, inv_mass);
             return;
         }
@@ -874,26 +843,15 @@ impl PairFnUser<f32> for Drain<'_, CellAccum, f32> {
             let (e, f_over_r) = energy_force(r2);
             (e, f_over_r * inv_mass)
         };
-        if sums.mixed {
-            let (mut acc, mut pe) = (sums.acc64, sums.pe64);
-            self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
-                pe += f64::from(e);
-                acc[0] += f64::from(dx * s);
-                acc[1] += f64::from(dy * s);
-                acc[2] += f64::from(dz * s);
-            });
-            (sums.acc64, sums.pe64) = (acc, pe);
-        } else {
-            let (mut acc, mut pe) = (sums.acc, sums.pe);
-            self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
-                pe += e;
-                // The SPE's per-lane fused multiply-add.
-                acc[0] = dx.mul_add(s, acc[0]);
-                acc[1] = dy.mul_add(s, acc[1]);
-                acc[2] = dz.mul_add(s, acc[2]);
-            });
-            (sums.acc, sums.pe) = (acc, pe);
-        }
+        let (mut acc, mut pe) = (sums.acc, sums.pe);
+        self.chunk.two_pass(pair, |[dx, dy, dz], e, s| {
+            pe += e;
+            // The SPE's per-lane fused multiply-add.
+            acc[0] = dx.mul_add(s, acc[0]);
+            acc[1] = dy.mul_add(s, acc[1]);
+            acc[2] = dz.mul_add(s, acc[2]);
+        });
+        (sums.acc, sums.pe) = (acc, pe);
     }
 }
 
@@ -941,7 +899,7 @@ fn cell_row_batched(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
+    let mut st = CellAccum::new(stage.fused);
     let mut drain = |chunk: Chunk<'_, f32>| {
         sub.with_energy_force(Drain {
             st: &mut st,
@@ -1003,7 +961,7 @@ unsafe fn cell_row_avx2(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
+    let mut st = CellAccum::new(stage.fused);
     let mut drain = |chunk: Chunk<'_, f32>| {
         let drain = Drain {
             st: &mut st,
@@ -1069,7 +1027,7 @@ unsafe fn cell_row_avx2(
 /// Atom `i`'s output texel `[ax, ay, az, pe]` exactly as the acceleration
 /// shader computes it: sequential-conditional minimum image per axis (the
 /// second compare tests the *updated* coordinate), predicated cutoff mask,
-/// `(d[k] * f_over_r) * inv_mass` accumulation — native or mixed policy.
+/// `(d[k] * f_over_r) * inv_mass` accumulation.
 /// The self-pair is examined and predicated off, as on hardware.
 #[inline]
 pub fn gpu_texel(
@@ -1092,8 +1050,8 @@ struct GpuAccum(Sums32);
 
 impl GpuAccum {
     fn finish(self) -> [f32; 4] {
-        let ([ax, ay, az], pe) = self.0.finish();
-        [ax, ay, az, pe]
+        let Sums32 { acc, pe } = self.0;
+        [acc[0], acc[1], acc[2], pe]
     }
 }
 
@@ -1106,20 +1064,9 @@ impl PairFnUser<f32> for Drain<'_, GpuAccum, f32> {
 
     #[inline(always)]
     fn with(self, energy_force: impl Fn(f32) -> (f32, f32)) {
-        let (sums, inv_mass) = (&mut self.st.0, self.inv_mass);
-        if sums.mixed {
-            let (mut acc, mut pe) = (sums.acc64, sums.pe64);
-            self.chunk
-                .two_pass(energy_force, |[dx, dy, dz], e, f_over_r| {
-                    pe += f64::from(e);
-                    acc[0] += f64::from(dx * f_over_r * inv_mass);
-                    acc[1] += f64::from(dy * f_over_r * inv_mass);
-                    acc[2] += f64::from(dz * f_over_r * inv_mass);
-                });
-            (sums.acc64, sums.pe64) = (acc, pe);
-        } else {
-            sums.add_unfused(self.chunk, energy_force, inv_mass);
-        }
+        self.st
+            .0
+            .add_unfused(self.chunk, energy_force, self.inv_mass);
     }
 }
 
@@ -1164,7 +1111,7 @@ fn gpu_texel_batched(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+    let mut st = GpuAccum(Sums32::default());
     let mut drain = |chunk: Chunk<'_, f32>| {
         sub.with_energy_force(Drain {
             st: &mut st,
@@ -1223,7 +1170,7 @@ unsafe fn gpu_texel_avx2(
     let n = soa.len();
     let cutoff2 = sub.cutoff2();
     let pi = [soa.x[i], soa.y[i], soa.z[i]];
-    let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+    let mut st = GpuAccum(Sums32::default());
     let mut drain = |chunk: Chunk<'_, f32>| {
         let drain = Drain {
             st: &mut st,
@@ -1289,7 +1236,7 @@ mod tests {
     use crate::init::initialize;
     use crate::params::SimConfig;
     use crate::reference::gather_row;
-    use crate::scenario::{PrecisionPolicy, ScenarioSpec};
+    use crate::scenario::ScenarioSpec;
     use vecmath::Vec3;
 
     fn host_setup(spec: ScenarioSpec) -> (ParticleSystem<f64>, Substrate<f64>, f64) {
@@ -1302,11 +1249,7 @@ mod tests {
 
     #[test]
     fn host_row_bitwise_matches_gather_row() {
-        for spec in [
-            ScenarioSpec::default(),
-            ScenarioSpec::morse_nvt(),
-            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ] {
+        for spec in [ScenarioSpec::default(), ScenarioSpec::morse_nvt()] {
             let (sys, sub, l) = host_setup(spec);
             let soa = SoaPositions::from_positions(&sys.positions);
             let inv_m = sys.mass.recip();
@@ -1435,7 +1378,7 @@ mod tests {
         sub: &Substrate<f32>,
         stage: CellStage,
     ) -> CellRow {
-        let mut st = CellAccum::new(sub.accumulate_f64, stage.fused);
+        let mut st = CellAccum::new(stage.fused);
         let mut drain = |chunk: Chunk<'_, f32>| {
             sub.with_energy_force(Drain {
                 st: &mut st,
@@ -1453,7 +1396,7 @@ mod tests {
     }
 
     fn gpu_all_pairs(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> [f32; 4] {
-        let mut st = GpuAccum(Sums32::new(sub.accumulate_f64));
+        let mut st = GpuAccum(Sums32::default());
         let mut drain = |chunk: Chunk<'_, f32>| {
             sub.with_energy_force(Drain {
                 st: &mut st,
@@ -1470,8 +1413,7 @@ mod tests {
     }
 
     /// The SPE kernel's scalar loop: per pair, the compare/select shift and,
-    /// for a surviving pair, the accumulate stage (FMA, unfused, or widened
-    /// sums).
+    /// for a surviving pair, the accumulate stage (FMA or unfused).
     fn cell_reference(
         soa: &SoaPositionsF32,
         i: usize,
@@ -1481,7 +1423,7 @@ mod tests {
     ) -> CellRow {
         let (half_l, inv_mass) = (stage.reflect_above, INV_MASS as f32);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
-        let (mut acc, mut pe, mut acc64, mut pe64) = ([0.0f32; 3], 0.0f32, [0.0f64; 3], 0.0f64);
+        let (mut acc, mut pe) = ([0.0f32; 3], 0.0f32);
         let mut interactions = 0;
         for j in 0..soa.len() {
             let pj = [soa.x()[j], soa.y()[j], soa.z()[j]];
@@ -1497,26 +1439,14 @@ mod tests {
             }
             interactions += 1;
             let (e, f_over_r) = sub.energy_force(r2);
-            let s = f_over_r * inv_mass;
-            if sub.accumulate_f64 {
-                pe64 += f64::from(e);
-                for a in 0..3 {
-                    acc64[a] += f64::from(dir[a] * s);
-                }
-            } else if stage.fused {
-                pe += e;
-                for a in 0..3 {
-                    acc[a] = dir[a].mul_add(s, acc[a]);
-                }
-            } else {
-                pe += e;
-                for a in 0..3 {
-                    acc[a] += dir[a] * f_over_r * inv_mass;
-                }
+            pe += e;
+            for a in 0..3 {
+                acc[a] = if stage.fused {
+                    dir[a].mul_add(f_over_r * inv_mass, acc[a])
+                } else {
+                    acc[a] + dir[a] * f_over_r * inv_mass
+                };
             }
-        }
-        if sub.accumulate_f64 {
-            (acc, pe) = (acc64.map(f32::from_f64), f32::from_f64(pe64));
         }
         CellRow {
             acc,
@@ -1530,7 +1460,7 @@ mod tests {
     fn gpu_reference(soa: &SoaPositionsF32, i: usize, l: f32, sub: &Substrate<f32>) -> [f32; 4] {
         let (half_l, inv_mass) = (0.5 * l, INV_MASS as f32);
         let pi = [soa.x()[i], soa.y()[i], soa.z()[i]];
-        let (mut acc, mut pe, mut acc64, mut pe64) = ([0.0f32; 3], 0.0f32, [0.0f64; 3], 0.0f64);
+        let (mut acc, mut pe) = ([0.0f32; 3], 0.0f32);
         for j in 0..soa.len() {
             let pj = [soa.x()[j], soa.y()[j], soa.z()[j]];
             let d: [f32; 3] = std::array::from_fn(|a| {
@@ -1544,20 +1474,10 @@ mod tests {
                 continue;
             }
             let (e, f_over_r) = sub.energy_force(r2);
-            if sub.accumulate_f64 {
-                pe64 += f64::from(e);
-                for a in 0..3 {
-                    acc64[a] += f64::from(d[a] * f_over_r * inv_mass);
-                }
-            } else {
-                pe += e;
-                for a in 0..3 {
-                    acc[a] += d[a] * f_over_r * inv_mass;
-                }
+            pe += e;
+            for a in 0..3 {
+                acc[a] += d[a] * f_over_r * inv_mass;
             }
-        }
-        if sub.accumulate_f64 {
-            (acc, pe) = (acc64.map(f32::from_f64), f32::from_f64(pe64));
         }
         [acc[0], acc[1], acc[2], pe]
     }
@@ -1880,23 +1800,17 @@ mod tests {
         assert_eq!(engaged, OFF);
     }
 
-    /// Every potential under both the native and the mixed-f64-accumulate
-    /// policy.
-    fn every_scenario() -> Vec<ScenarioSpec> {
-        let potentials = [
+    /// Every potential, under the native policy.
+    fn every_scenario() -> [ScenarioSpec; 3] {
+        [
             ScenarioSpec::default(),
             ScenarioSpec::morse_nvt(),
             ScenarioSpec::coulomb_cutoff(),
-        ];
-        let policies = [PrecisionPolicy::Native, PrecisionPolicy::MixedF64Accumulate];
-        potentials
-            .iter()
-            .flat_map(|s| policies.map(|p| s.with_precision(p)))
-            .collect()
+        ]
     }
 
     #[test]
-    fn full_scan_rows_are_exact_for_every_potential_and_policy() {
+    fn full_scan_rows_are_exact_for_every_potential() {
         let cfg = SimConfig::reduced_lj(139);
         let sys: ParticleSystem<f64> = initialize(&cfg);
         let pos: Vec<[f64; 3]> = sys.positions.iter().map(|p| [p.x, p.y, p.z]).collect();
@@ -1988,21 +1902,13 @@ mod tests {
             let (e, f_over_r) = sub.energy_force(c.r2[k]);
             let s = f_over_r * inv_mass;
             let d = [c.dx[k], c.dy[k], c.dz[k]];
-            if sums.mixed {
-                sums.pe64 += f64::from(e);
-                for (acc, d) in sums.acc64.iter_mut().zip(d) {
-                    *acc += f64::from(d * s);
-                }
-            } else if fused {
-                sums.pe += e;
-                for (acc, d) in sums.acc.iter_mut().zip(d) {
-                    *acc = d.mul_add(s, *acc);
-                }
-            } else {
-                sums.pe += e;
-                for (acc, d) in sums.acc.iter_mut().zip(d) {
-                    *acc += d * f_over_r * inv_mass;
-                }
+            sums.pe += e;
+            for (acc, d) in sums.acc.iter_mut().zip(d) {
+                *acc = if fused {
+                    d.mul_add(s, *acc)
+                } else {
+                    *acc + d * f_over_r * inv_mass
+                };
             }
         }
         st.interactions += c.r2.len() as u64;
@@ -2013,16 +1919,9 @@ mod tests {
         for k in 0..c.r2.len() {
             let (e, f_over_r) = sub.energy_force(c.r2[k]);
             let d = [c.dx[k], c.dy[k], c.dz[k]];
-            if sums.mixed {
-                sums.pe64 += f64::from(e);
-                for (acc, d) in sums.acc64.iter_mut().zip(d) {
-                    *acc += f64::from(d * f_over_r * inv_mass);
-                }
-            } else {
-                sums.pe += e;
-                for (acc, d) in sums.acc.iter_mut().zip(d) {
-                    *acc += d * f_over_r * inv_mass;
-                }
+            sums.pe += e;
+            for (acc, d) in sums.acc.iter_mut().zip(d) {
+                *acc += d * f_over_r * inv_mass;
             }
         }
     }
@@ -2062,9 +1961,8 @@ mod tests {
 
     /// Each flavor's drain, portable and native, is bitwise the one-pass
     /// drain for every chunk length a drain can see (`0..CAP`: a full group
-    /// stored at `CHUNK - 1` is the longest), every potential and both
-    /// policies. Each chunk is drained twice, so the second drain starts
-    /// from nonzero sums.
+    /// stored at `CHUNK - 1` is the longest) and every potential. Each chunk
+    /// is drained twice, so the second drain starts from nonzero sums.
     #[test]
     fn two_pass_drains_equal_one_pass_drains() {
         for spec in every_scenario() {
@@ -2080,14 +1978,13 @@ mod tests {
                 let mut want = GatherRow::default();
                 one_pass_host(&sub, c64, &mut want);
                 one_pass_host(&sub, c64, &mut want);
-                let mixed = sub32.accumulate_f64;
                 let cell_want = [false, true].map(|fused| {
-                    let mut st = CellAccum::new(mixed, fused);
+                    let mut st = CellAccum::new(fused);
                     one_pass_cell(&sub32, c32, &mut st);
                     one_pass_cell(&sub32, c32, &mut st);
                     cell_bits(st.finish())
                 });
-                let mut gpu_want = GpuAccum(Sums32::new(mixed));
+                let mut gpu_want = GpuAccum(Sums32::default());
                 one_pass_gpu(&sub32, c32, &mut gpu_want);
                 one_pass_gpu(&sub32, c32, &mut gpu_want);
                 let (want, gpu_want) = (host_bits(want), gpu_bits(gpu_want.finish()));
@@ -2097,8 +1994,8 @@ mod tests {
                         continue;
                     }
                     let mut row = GatherRow::default();
-                    let mut cell = [false, true].map(|fused| CellAccum::new(mixed, fused));
-                    let mut gpu = GpuAccum(Sums32::new(mixed));
+                    let mut cell = [false, true].map(CellAccum::new);
+                    let mut gpu = GpuAccum(Sums32::default());
                     for _ in 0..2 {
                         drain_with(&sub, native, &mut row, c64, INV_MASS);
                         for st in &mut cell {

@@ -7,14 +7,15 @@ use crate::init;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
 use crate::scenario::Substrate;
-use crate::shared_eval;
 use crate::system::ParticleSystem;
+use crate::trajectory::HostStepper;
 use crate::verlet::VelocityVerlet;
 
-/// A ready-to-run f64 MD simulation: system state + integrator, with forces
-/// from the shared evaluator ([`shared_eval::host_forces`], the Opteron's
-/// force path), optionally with a bonded topology layered on top of the
-/// non-bonded interactions (the paper's force field split, §3.5).
+/// A ready-to-run f64 MD simulation: system state + integrator, stepped
+/// through the f64 devices' own stepping path (`HostStepper`, forces from
+/// [`crate::shared_eval::host_forces`]), optionally with a bonded topology
+/// layered on top of the non-bonded interactions (the paper's force field
+/// split, §3.5).
 pub struct Simulation {
     pub system: ParticleSystem<f64>,
     pub substrate: Substrate<f64>,
@@ -31,19 +32,34 @@ impl Simulation {
     /// Verlet half-kick is correct). Forces run serially until
     /// [`Self::with_host_parallelism`] says otherwise.
     pub fn prepare(config: SimConfig) -> Self {
-        let mut system = init::initialize(&config);
-        let substrate = config.substrate();
-        let par = HostParallelism::Serial;
-        let (last_pe, _) = shared_eval::host_forces(&mut system, &substrate, par);
-        Self {
-            system,
-            substrate,
+        let mut sim = Self {
+            system: init::initialize(&config),
+            substrate: config.substrate(),
             integrator: VelocityVerlet::new(config.dt),
             topology: BondedTopology::new(),
-            par,
-            last_pe,
+            par: HostParallelism::Serial,
+            last_pe: 0.0,
             steps_done: 0,
-        }
+        };
+        sim.evaluate();
+        sim
+    }
+
+    /// The stepping path over this simulation's substrate, topology and
+    /// host parallelism, and the system it advances.
+    fn stepper(&mut self) -> (HostStepper<'_>, &mut ParticleSystem<f64>) {
+        let stepper = HostStepper {
+            sub: &self.substrate,
+            topology: &self.topology,
+            par: self.par,
+        };
+        (stepper, &mut self.system)
+    }
+
+    /// Recompute the forces at the current positions.
+    fn evaluate(&mut self) {
+        let (stepper, system) = self.stepper();
+        self.last_pe = stepper.evaluate(system).pe;
     }
 
     /// Evaluate forces on `par` host threads. Results are bitwise identical
@@ -59,7 +75,7 @@ impl Simulation {
     pub fn set_topology(&mut self, topology: BondedTopology) {
         topology.validate(self.system.n());
         self.topology = topology;
-        self.last_pe = forces(&mut self.system, &self.substrate, &self.topology, self.par);
+        self.evaluate();
     }
 
     pub fn topology(&self) -> &BondedTopology {
@@ -68,10 +84,9 @@ impl Simulation {
 
     /// Advance one time step; returns the post-step energies.
     pub fn step(&mut self) -> EnergyReport {
-        let (sub, topology, par) = (&self.substrate, &self.topology, self.par);
-        self.last_pe = self
-            .integrator
-            .step(&mut self.system, sub, |sys| forces(sys, sub, topology, par));
+        let vv = self.integrator;
+        let (stepper, system) = self.stepper();
+        self.last_pe = stepper.step(&vv, system).pe;
         self.steps_done += 1;
         self.energies()
     }
@@ -100,22 +115,6 @@ impl Simulation {
 
     pub fn steps_done(&self) -> usize {
         self.steps_done
-    }
-}
-
-/// The non-bonded forces, then any bonded terms added on top; returns the
-/// total potential energy.
-fn forces(
-    sys: &mut ParticleSystem<f64>,
-    sub: &Substrate<f64>,
-    topology: &BondedTopology,
-    par: HostParallelism,
-) -> f64 {
-    let (pe, _) = shared_eval::host_forces(sys, sub, par);
-    if topology.is_empty() {
-        pe
-    } else {
-        pe + topology.accumulate_forces(sys)
     }
 }
 

@@ -9,12 +9,18 @@
 //! interaction count, per evaluation, not per atom. A device prices that
 //! record ([`crate::device::HostPricer`]), so a sweep that holds several
 //! points of one workload drives it once and prices every point from it.
+//!
+//! `HostStepper` is the one f64 stepping path: the driver and
+//! [`crate::sim::Simulation`] (`mdea run`, the examples) both advance
+//! through it.
 
+use crate::bonded::BondedTopology;
 use crate::checkpoint::SystemCheckpoint;
 use crate::device::HostParallelism;
 use crate::init;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
+use crate::scenario::Substrate;
 use crate::shared_eval::host_forces;
 use crate::system::ParticleSystem;
 use crate::verlet::VelocityVerlet;
@@ -27,6 +33,38 @@ pub struct EvalRecord {
     pub pe: f64,
     /// In-cutoff pairs the evaluation found, each counted from both atoms.
     pub interactions: u64,
+}
+
+/// One f64 force evaluation and velocity-Verlet step: [`host_forces`] on
+/// `par` host threads (bitwise identical at any setting), with the bonded
+/// terms of `topology` added on top when it has any.
+pub(crate) struct HostStepper<'a> {
+    pub sub: &'a Substrate<f64>,
+    pub topology: &'a BondedTopology,
+    pub par: HostParallelism,
+}
+
+impl HostStepper<'_> {
+    /// Fill `sys`'s accelerations at its current positions.
+    pub fn evaluate(&self, sys: &mut ParticleSystem<f64>) -> EvalRecord {
+        let (mut pe, interactions) = host_forces(sys, self.sub, self.par);
+        if !self.topology.is_empty() {
+            pe += self.topology.accumulate_forces(sys);
+        }
+        EvalRecord { pe, interactions }
+    }
+
+    /// One `vv` step of `sys`: one evaluation, then the substrate's
+    /// thermostat after the second half-kick.
+    pub fn step(&self, vv: &VelocityVerlet<f64>, sys: &mut ParticleSystem<f64>) -> EvalRecord {
+        let mut interactions = 0;
+        let pe = vv.step(sys, self.sub, |s| {
+            let eval = self.evaluate(s);
+            interactions = eval.interactions;
+            eval.pe
+        });
+        EvalRecord { pe, interactions }
+    }
 }
 
 /// One f64 run: the record of every force evaluation and the state the run
@@ -54,10 +92,8 @@ pub struct HostTrajectory {
 
 impl HostTrajectory {
     /// Integrate `steps` velocity-Verlet steps of `sim` from `start`, or
-    /// from the standard lattice when `start` is `None`, with forces from
-    /// [`host_forces`] on `par` host threads (bitwise identical at any
-    /// setting). The substrate's thermostat follows each step's second
-    /// half-kick.
+    /// from the standard lattice when `start` is `None`, through
+    /// `HostStepper` with no bonded terms.
     ///
     /// `resume` is the trajectory the caller drove last, if any. When
     /// `start` is the state it ended in, the priming evaluation is taken
@@ -73,7 +109,11 @@ impl HostTrajectory {
             Some(cp) => (cp.restore(), cp.step),
             None => (init::initialize(sim), 0),
         };
-        let sub = sim.substrate::<f64>();
+        let stepper = HostStepper {
+            sub: &sim.substrate(),
+            topology: &BondedTopology::new(),
+            par,
+        };
         let mut evals = Vec::with_capacity(steps + 1);
         evals.push(match resume {
             Some(last) if last.resumes(&system, sim) => {
@@ -82,20 +122,11 @@ impl HostTrajectory {
                     .copy_from_slice(&last.system.accelerations);
                 last.last_eval()
             }
-            _ => {
-                let (pe, interactions) = host_forces(&mut system, &sub, par);
-                EvalRecord { pe, interactions }
-            }
+            _ => stepper.evaluate(&mut system),
         });
         let vv = VelocityVerlet::new(sim.dt);
         for _ in 0..steps {
-            let mut interactions = 0;
-            let pe = vv.step(&mut system, &sub, |s| {
-                let (pe, found) = host_forces(s, &sub, par);
-                interactions = found;
-                pe
-            });
-            evals.push(EvalRecord { pe, interactions });
+            evals.push(stepper.step(&vv, &mut system));
         }
         Self {
             sim: *sim,

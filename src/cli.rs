@@ -68,7 +68,7 @@ USAGE:
 SCENARIO:
   <potential>/<ensemble>/<precision>, trailing segments optional.
   Potentials: lj:e<ε>,s<σ> | morse:d<D>,a<a>,r<r0> | coul:q<q²>
-  Ensembles:  nve | nvt:t<T*>,k<κ>      Precision: native|f32|f64|mixed
+  Ensembles:  nve | nvt:t<T*>,k<κ>      Precision: native|f32|f64
   Default ('default') is the paper-faithful LJ/NVE/native scenario.
 ";
 
@@ -345,13 +345,13 @@ mod tests {
     #[test]
     fn scenario_flag_selects_the_workload_scenario() {
         let Command::Run(r) =
-            parse_args(["run", "--scenario", "morse:d1,a2,r1.2/nvt:t0.85,k0.1/mixed"]).unwrap()
+            parse_args(["run", "--scenario", "morse:d1,a2,r1.2/nvt:t0.85,k0.1/f64"]).unwrap()
         else {
             panic!("expected run");
         };
         assert_eq!(
             r.config.scenario_token(),
-            "morse:d1,a2,r1.2/nvt:t0.85,k0.1/mixed"
+            "morse:d1,a2,r1.2/nvt:t0.85,k0.1/f64"
         );
         let Command::Devices(d) = parse_args(["devices", "--scenario", "coul:q1"]).unwrap() else {
             panic!("expected devices");
@@ -360,6 +360,10 @@ mod tests {
         assert!(
             parse_args(["run", "--scenario", "magic"]).is_err(),
             "unknown scenario"
+        );
+        assert!(
+            parse_args(["run", "--scenario", "lj:e1,s1/nve/mixed"]).is_err(),
+            "unknown precision policy"
         );
         assert!(
             parse_args(["run", "--scenario", "nvt:t-3,k0.5"]).is_err(),

@@ -207,14 +207,14 @@ fn deeply_nested_cache_entry_is_a_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every canonical scenario spec, the named default, and specs with NaN
-/// or infinite parameters; then every parseable device label and alias.
+/// Every canonical scenario spec, the named default, specs with NaN or
+/// infinite parameters and one with the retired `mixed` precision policy;
+/// then every parseable device label and alias.
 fn text_seeds() -> Vec<String> {
     let mut seeds: Vec<String> = [
         ScenarioSpec::default(),
         ScenarioSpec::morse_nvt(),
         ScenarioSpec::coulomb_cutoff(),
-        ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
         ScenarioSpec::morse_nvt().with_precision(PrecisionPolicy::ForceF64),
         ScenarioSpec::coulomb_cutoff().with_precision(PrecisionPolicy::ForceF32),
     ]
@@ -228,6 +228,7 @@ fn text_seeds() -> Vec<String> {
             "morse:d1,ainf,r1.2/nvt:t0.7,k0.5",
             "coul:q-inf/nve/native",
             "lj:e1,s1/nvt:tNaN,k0.5",
+            "lj:e1,s1/nve/mixed",
         ]
         .map(String::from),
     );
@@ -260,6 +261,13 @@ fn text_seeds_parse_or_fail_cleanly() {
     }
     for bad in ["lj:eNaN,s1", "morse:d1,ainf,r1.2/nvt:t0.7,k0.5"] {
         assert!(bad.parse::<ScenarioSpec>().is_err(), "{bad:?} must fail");
+    }
+    // A retired policy name is a parse error that names the valid ones.
+    let err = "lj:e1,s1/nve/mixed"
+        .parse::<ScenarioSpec>()
+        .expect_err("mixed must fail");
+    for policy in ["native", "f32", "f64"] {
+        assert!(err.contains(policy), "{err:?} must name {policy}");
     }
     assert!(seeds.iter().any(|s| s.parse::<ScenarioSpec>().is_ok()));
     assert!(seeds.iter().any(|s| s.parse::<DeviceKind>().is_ok()));

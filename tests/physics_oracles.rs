@@ -33,9 +33,11 @@
 use cell_be::SpeKernelVariant;
 use harness::{DeviceKind, GpuModel};
 use md_core::checkpoint::SystemCheckpoint;
-use md_core::device::{DeviceRun, RunOptions};
+use md_core::device::{HostParallelism, RunOptions};
 use md_core::params::SimConfig;
-use md_core::scenario::{Ensemble, PrecisionPolicy, ScenarioSpec};
+use md_core::scenario::{Ensemble, ScenarioSpec};
+use md_core::shared_eval::{cell_stage_row, gpu_texel, host_forces, SoaPositionsF32};
+use md_core::system::ParticleSystem;
 use mta::ThreadingMode;
 use vecmath::pbc::min_image_branchy;
 use vecmath::{Real, Vec3};
@@ -210,7 +212,7 @@ fn pair_forces_are_exactly_antisymmetric() {
 fn figure5_probes_report_the_lattice_potential_energy() {
     let sim = SimConfig::reduced_lj(2048);
     assert_eq!(sim.scenario, ScenarioSpec::default(), "LJ with ε = σ = 1");
-    let lattice: md_core::system::ParticleSystem<f32> = md_core::init::initialize(&sim);
+    let lattice: ParticleSystem<f32> = md_core::init::initialize(&sim);
     let mut widened = SystemCheckpoint::capture(&lattice, 0).restore::<f64>();
     let sub = sim.substrate::<f64>();
     let reference = md_core::reference::forces(&mut widened, &sub);
@@ -245,66 +247,154 @@ fn figure5_probes_report_the_lattice_potential_energy() {
     }
 }
 
-/// How far a run ended from the f64 reference: the RMS minimum-image
-/// distance between final positions, and the absolute total-energy gap.
-fn deviation(run: &DeviceRun, reference: &DeviceRun) -> (f64, f64) {
-    let (a, b) = (&run.checkpoint, &reference.checkpoint);
-    let sq: f64 = (a.positions.iter().zip(&b.positions))
-        .map(|(&p, &q)| {
-            let d = min_image_branchy(p - q, b.box_len);
-            d.dot(d)
-        })
-        .sum();
-    let rms = (sq / b.positions.len() as f64).sqrt();
-    (rms, (run.energies.total - reference.energies.total).abs())
-}
-
-/// **Mixed precision buys accuracy.** `mixed-f64-accumulate` evaluates each
-/// pair in f32 but sums every atom's forces and energy in f64, so on the
-/// single-precision devices it must end measurably closer to the Opteron's
-/// f64 run than native f32 does: at most 0.9 times native's deviation, in
-/// final positions and in total energy, on the Cell and on the GPU (LJ, 256
-/// atoms × 10 steps).
+/// **The f32 force rows are within a derived bound of f64.** The GPU's
+/// [`gpu_texel`] and the Cell's [`cell_stage_row`], at every stage a Cell
+/// kernel variant runs, evaluate one f32 liquid state (864 LJ atoms, the
+/// GPU's state after 50 steps, so the rows cull). Each row's acceleration
+/// and the total potential energy must lie within a bound of
+/// [`host_forces`] on the same positions widened exactly to f64. The bound
+/// is derived per pair from the unit roundoff `u`, not from either
+/// implementation, with `Δ`, `ρ`, `S`, `S'`, `E`, `E'` below:
 ///
-/// It fails today, so it is ignored rather than loosened; run it with
-/// `--ignored`. Both policies end 5.0·10⁻⁷σ RMS from the reference, and
-/// still 4.7·10⁻⁷σ when the reference starts from the f32-rounded lattice:
-/// the f32 rounding of every position update sets that floor. Both
-/// report total energy through f32 kinetic and potential sums whose
-/// rounding exceeds the gap: the Cell's two totals are the same number.
-/// The ROADMAP item "Physics oracles that do not trust the implementation"
-/// has the measurements and the next form of this oracle.
+/// - **Displacement.** Coordinates lie in `[0, L)`. Each axis gap `d` is
+///   folded by at most three roundings of values no larger than `2L`, each
+///   exact shifts by `±L`. So `|d̂ − d| ≤ Δ = 3uL`.
+/// - **Squared length.** `r̂²` sums three rounded squares. So
+///   `|r̂² − r²| ≤ ρ = D + γ(3)·(r² + D)`, where `D = Σ_k Δ(2|d_k| + Δ)` and
+///   `γ(k) = k·u / (1 − k·u)`.
+/// - **Pair scalar.** `f/r = 24(2r⁻¹⁴ − r⁻⁸)` (ε = σ = 1) is a few dozen
+///   roundings from `r̂²`: at most `32u·S(r̂²)` off the exact value at
+///   `r̂²`, where `S = 24(2r⁻¹⁴ + r⁻⁸)` is its cancellation-free size. It
+///   is also at most `ρ·S'` from the value at `r²`, where
+///   `S' = 24(14r⁻¹⁶ + 4r⁻¹⁰)` bounds its slope in `r²`. `S` and `S'` are
+///   decreasing in `r²`, so both are taken at `y = r² − ρ`. The energy
+///   `4(r⁻¹² − r⁻⁶)` is bounded the same way, with `E = 4(r⁻¹² + r⁻⁶)` and
+///   `E' = 4(6r⁻¹⁴ + 3r⁻⁸)`.
+/// - **Pair term.** Each term `d_k·(f/r)` is off by at most
+///   `Δ·(1 + 32u)·S + |d_k|·(32u·S + ρ·S')`.
+/// - **Sums.** A row sums at most `N` products or energies, in any order,
+///   with or without FMA. This adds `γ(N)` times the sum of the terms'
+///   magnitudes, `(|d_k| + Δ)·(1 + 32u)·S` each.
+/// - **Cutoff.** A pair with `|r² − r_c²| ≤ ρ` may be kept by one side
+///   and dropped by the other. Its whole term, twice its magnitude bound,
+///   is added.
+/// - **Total energy.** The test sums the rows' energies in f64. That adds
+///   `γ(N)` times half the sum of every pair's energy magnitude.
+///
+/// The f64 reference obeys the same bound with `u = 2⁻⁵³`. The bound
+/// grows superadditively with `u`, so one evaluation at
+/// `u = 2⁻²⁴ + 2⁻⁵³` covers the sum of both sides' errors. The bound is
+/// about 1.4e-3 of the acceleration magnitudes, and the largest observed
+/// acceleration error is 1.3% of it. The energy error is below 1e-5 of its
+/// bound: the per-pair worst cases add up in the bound, while the actual
+/// errors largely cancel in the sum. A flavor that drops a pair, shifts by
+/// the wrong image or mis-scales a term exceeds the bound.
 #[test]
-#[ignore = "fails: f32 state storage, not the force sums, sets the deviation \
-            (ROADMAP: Physics oracles that do not trust the implementation)"]
-fn mixed_accumulation_is_closer_to_f64_than_native_f32() {
-    let run = |kind: &DeviceKind, precision| {
-        let sim = SimConfig::reduced_lj(ATOMS)
-            .with_scenario(ScenarioSpec::default().with_precision(precision));
-        kind.build()
-            .run(&sim, RunOptions::steps(STEPS))
-            .unwrap_or_else(|e| panic!("{precision} on {}: {e}", kind.label()))
+fn f32_force_rows_are_within_a_derived_bound_of_f64() {
+    const N: usize = 864;
+    let sim = SimConfig::reduced_lj(N);
+    assert_eq!(sim.scenario, ScenarioSpec::default(), "LJ with ε = σ = 1");
+    let gpu = DeviceKind::Gpu {
+        model: GpuModel::GeForce7900Gtx,
     };
-    let reference = run(&DeviceKind::Opteron, PrecisionPolicy::Native);
-    let mut failures = Vec::new();
-    for (kind, _) in &devices()[2..] {
-        let native = deviation(&run(kind, PrecisionPolicy::Native), &reference);
-        let mixed = deviation(&run(kind, PrecisionPolicy::MixedF64Accumulate), &reference);
-        if !(mixed.0 <= 0.9 * native.0 && mixed.1 <= 0.9 * native.1) {
-            failures.push(format!(
-                "{}: mixed (positions {:e}, energy {:e}) vs native (positions {:e}, energy {:e})",
-                kind.label(),
-                mixed.0,
-                mixed.1,
-                native.0,
-                native.1
-            ));
+    let state = gpu
+        .build()
+        .run(&sim, RunOptions::steps(50))
+        .unwrap_or_else(|e| panic!("GPU run: {e}"))
+        .checkpoint;
+    let mut wide: ParticleSystem<f64> = state.restore();
+    let (pe64, _) = host_forces(&mut wide, &sim.substrate(), HostParallelism::Serial);
+    let (l, rc2) = (wide.box_len, sim.cutoff * sim.cutoff);
+    assert_eq!(wide.mass, 1.0, "unit mass: inv_mass scales exactly");
+    assert!(
+        sim.cutoff < 0.25 * l,
+        "the rows cull, no image is ambiguous"
+    );
+    let coords = |p: &Vec3<f64>| [p.x, p.y, p.z];
+    assert!(
+        wide.positions
+            .iter()
+            .flat_map(coords)
+            .all(|c| (0.0..l).contains(&c)),
+        "coordinates in [0, L)"
+    );
+
+    let u = f64::from(f32::EPSILON) / 2.0 + f64::EPSILON / 2.0;
+    let gamma = |k: f64| k * u / (1.0 - k * u);
+    let delta = 3.0 * u * l;
+    let mut acc_bound = vec![[0.0f64; 3]; N];
+    let mut row_pe_bound = vec![0.0f64; N];
+    let mut pe_size = 0.0;
+    for (i, &pi) in wide.positions.iter().enumerate() {
+        for (j, &pj) in wide.positions.iter().enumerate() {
+            let d = coords(&min_image_branchy(pi - pj, l));
+            let r2: f64 = d.iter().map(|c| c * c).sum();
+            let dd: f64 = d.iter().map(|c| delta * (2.0 * c.abs() + delta)).sum();
+            let rho = dd + gamma(3.0) * (r2 + dd);
+            let y = r2 - rho;
+            if i == j || y >= rc2 {
+                continue;
+            }
+            assert!(y > 0.0, "atoms {i} and {j} overlap");
+            let (inv, inv2) = (y.recip(), y.recip().powi(2));
+            let (s, slope) = (
+                24.0 * (2.0 * inv2.powi(3) * inv + inv2 * inv2),
+                24.0 * (14.0 * inv2.powi(4) + 4.0 * inv2 * inv2 * inv),
+            );
+            let (e, e_slope) = (
+                4.0 * (inv2.powi(3) + inv2 * inv),
+                4.0 * (6.0 * inv2.powi(3) * inv + 3.0 * inv2 * inv2),
+            );
+            let crossing = if r2 + rho >= rc2 { 2.0 } else { 0.0 };
+            for (bound, c) in acc_bound[i].iter_mut().zip(d) {
+                let size = (c.abs() + delta) * (1.0 + 32.0 * u) * s;
+                *bound += delta * (1.0 + 32.0 * u) * s
+                    + c.abs() * (32.0 * u * s + rho * slope)
+                    + (gamma(N as f64) + crossing) * size;
+            }
+            let e_size = (1.0 + 32.0 * u) * e;
+            row_pe_bound[i] += 32.0 * u * e + rho * e_slope + (gamma(N as f64) + crossing) * e_size;
+            pe_size += e_size;
         }
     }
-    assert!(
-        failures.is_empty(),
-        "mixed accumulation is not measurably closer to f64: {failures:#?}"
-    );
+    let pe_bound = 0.5 * row_pe_bound.iter().sum::<f64>() + gamma(N as f64) * 0.5 * pe_size;
+
+    let narrow: ParticleSystem<f32> = state.restore();
+    let soa = SoaPositionsF32::from_quads(narrow.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]));
+    let (l32, sub) = (narrow.box_len, sim.substrate::<f32>());
+    let mut flavors = vec![(
+        "gpu_texel".to_string(),
+        (0..N)
+            .map(|i| gpu_texel(&soa, i, l32, &sub, 1.0))
+            .collect::<Vec<_>>(),
+    )];
+    for variant in SpeKernelVariant::ALL {
+        let stage = variant.stage(l32);
+        let rows = (0..N).map(|i| {
+            let row = cell_stage_row(&soa, i, l32, &sub, 1.0, stage);
+            [row.acc[0], row.acc[1], row.acc[2], row.pe]
+        });
+        flavors.push((format!("cell_stage_row at {stage:?}"), rows.collect()));
+    }
+    for (name, rows) in flavors {
+        for (i, row) in rows.iter().enumerate() {
+            for (k, want) in coords(&wide.accelerations[i]).into_iter().enumerate() {
+                let err = (f64::from(row[k]) - want).abs();
+                assert!(
+                    err <= acc_bound[i][k],
+                    "{name}: atom {i} axis {k}: {} vs f64 {want}: error {err:e} > bound {:e}",
+                    row[k],
+                    acc_bound[i][k]
+                );
+            }
+        }
+        let pe = 0.5 * rows.iter().map(|row| f64::from(row[3])).sum::<f64>();
+        let err = (pe - pe64).abs();
+        assert!(
+            err <= pe_bound,
+            "{name}: PE {pe} vs f64 {pe64}: error {err:e} > bound {pe_bound:e}"
+        );
+    }
 }
 
 /// **Velocity Verlet is second order.** Over a fixed span of simulated

@@ -9,7 +9,7 @@
 //! velocities, energies, simulated seconds, time attribution, derived
 //! metrics, perf counters and fault ledgers must match at every host thread
 //! count, under fault injection, and across scenario flavors (Morse/NVT,
-//! Coulomb, mixed precision). The Opteron is also pinned past its L1 cliff
+//! Coulomb). The Opteron is also pinned past its L1 cliff
 //! (3,000 and 4,096 atoms), where its cache counters stop being trivial.
 //! The other three devices are pinned at culled sizes that are not whole
 //! cubes (1,024 and 4,096 atoms), where some j-blocks straddle a z-row.
@@ -39,7 +39,7 @@ use harness::{
 use md_core::checkpoint::fnv1a;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
 use md_core::params::SimConfig;
-use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
+use md_core::scenario::ScenarioSpec;
 use mta::ThreadingMode;
 use sim_obs::{escape_json_string, parse_json, JsonValue};
 
@@ -113,12 +113,8 @@ fn partial_scenario_sim() -> SimConfig {
     scenario_sim(SCENARIO_ATOMS[0], ScenarioSpec::morse_nvt())
 }
 
-fn scenario_flavors() -> [ScenarioSpec; 3] {
-    [
-        ScenarioSpec::morse_nvt(),
-        ScenarioSpec::coulomb_cutoff(),
-        ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
-    ]
+fn scenario_flavors() -> [ScenarioSpec; 2] {
+    [ScenarioSpec::morse_nvt(), ScenarioSpec::coulomb_cutoff()]
 }
 
 /// One pinned run: named fields in a fixed order, each value an exact hex
@@ -565,9 +561,8 @@ fn block_splitting_cell_slices_match_the_golden_matrix() {
 }
 
 /// Scenario flavors exercise every branch of the shared evaluator: the
-/// Morse/NVT substrate (different pair expression, thermostat pass), the
-/// Coulomb substrate, and the mixed-precision policy (f64 accumulators on
-/// the f32 devices), below and above the j-block culling threshold.
+/// Morse/NVT substrate (different pair expression, thermostat pass) and the
+/// Coulomb substrate, below and above the j-block culling threshold.
 #[test]
 fn scenario_flavors_match_the_golden_matrix() {
     let doc = golden();

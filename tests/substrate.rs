@@ -218,10 +218,6 @@ fn every_scenario_field_mutation_changes_the_cache_token() {
             "precision -> f64",
             base.with_precision(PrecisionPolicy::ForceF64),
         ),
-        (
-            "precision -> mixed",
-            base.with_precision(PrecisionPolicy::MixedF64Accumulate),
-        ),
     ];
     let base_token = base.cache_token();
     for (what, mutant) in &mutants {
