@@ -13,7 +13,7 @@
 //!
 //! Four entry points cover every caller: [`device_metrics`] (one device,
 //! any host parallelism), [`host_group_metrics`] (several f64 devices
-//! pricing one trajectory), [`cluster_metrics`] (one simulated cluster) and
+//! pricing one trajectory's record), [`cluster_metrics`] (one simulated cluster) and
 //! [`device_ledger`] (one device with a [`RunLedger`] attached and the run
 //! host-timed from outside). Callers that want a wall clock on a plain
 //! record time the call themselves and fold it in with
@@ -31,7 +31,7 @@ use crate::device::DeviceKind;
 use crate::error::HarnessError;
 use md_core::device::{collect_metrics, HostParallelism, MdDevice, RunOptions};
 use md_core::params::SimConfig;
-use md_core::trajectory::HostTrajectory;
+use md_core::trajectory::TrajectoryRecord;
 use sim_obs::RunLedger;
 use sim_perf::{PerfMonitor, RunMetrics};
 
@@ -59,15 +59,14 @@ pub fn device_metrics(
 }
 
 /// [`device_metrics`] for kinds whose devices price the f64 host trajectory
-/// ([`DeviceKind::prices_host_trajectory`]), all from a fresh lattice: the
-/// trajectory is driven once, on `par`, and the kinds price it concurrently
-/// on `par`. Each record is bitwise the one [`device_metrics`] returns for
-/// its kind alone, because such a device's run is exactly that drive and
-/// that price.
+/// ([`DeviceKind::prices_host_trajectory`]): the kinds price `record`, a
+/// trajectory the caller drove from the lattice, concurrently on `par`.
+/// Each metrics record is bitwise the one [`device_metrics`] returns for
+/// its kind alone on the record's config and steps, because such a
+/// device's run is exactly that drive and that price.
 pub fn host_group_metrics(
     kinds: &[DeviceKind],
-    sim: &SimConfig,
-    steps: usize,
+    record: &TrajectoryRecord,
     par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, HarnessError> {
     let invalid = |k: DeviceKind| {
@@ -76,17 +75,16 @@ pub fn host_group_metrics(
     if let Some(&k) = kinds.iter().find(|k| !k.prices_host_trajectory()) {
         return Err(invalid(k));
     }
-    let traj = HostTrajectory::drive(sim, None, steps, par, None);
     md_core::parallel::map_indexed(par, kinds.len(), |i| {
         let mut dev = kinds[i].build();
         let pricer = dev.as_host_pricer().ok_or_else(|| invalid(kinds[i]))?;
         let mut perf = PerfMonitor::new();
-        let run = pricer.price(&traj, &mut perf);
+        let run = pricer.price(record, &mut perf);
         Ok(collect_metrics(
             dev.as_ref(),
             &run,
-            sim.n_atoms,
-            steps,
+            record.sim().n_atoms,
+            record.steps(),
             &perf,
         ))
     })
@@ -195,6 +193,7 @@ pub fn write_metrics_json_in(dir: impl AsRef<Path>, m: &RunMetrics) -> io::Resul
 mod tests {
     use super::*;
     use crate::device::GpuModel;
+    use md_core::trajectory::HostTrajectory;
     use mta::ThreadingMode;
 
     fn small() -> SimConfig {
@@ -282,14 +281,15 @@ mod tests {
             },
         ];
         let sim = small().with_scenario(md_core::scenario::ScenarioSpec::morse_nvt());
+        let traj = HostTrajectory::drive(&sim, None, 2, HostParallelism::Threads(2), None);
         let group =
-            host_group_metrics(&kinds, &sim, 2, HostParallelism::Threads(2)).expect("group");
+            host_group_metrics(&kinds, traj.record(), HostParallelism::Threads(2)).expect("group");
         for (kind, m) in kinds.into_iter().zip(&group) {
             let alone = device_metrics(kind, &sim, 2, HostParallelism::Serial).expect("alone");
             assert_eq!(m.to_json(), alone.to_json(), "{}", kind.label());
         }
         assert!(matches!(
-            host_group_metrics(&[GPU], &sim, 2, HostParallelism::Serial),
+            host_group_metrics(&[GPU], traj.record(), HostParallelism::Serial),
             Err(HarnessError::InvalidInput(_))
         ));
     }

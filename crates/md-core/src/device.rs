@@ -29,7 +29,7 @@
 use crate::checkpoint::SystemCheckpoint;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
-use crate::trajectory::HostTrajectory;
+use crate::trajectory::{HostTrajectory, TrajectoryRecord};
 use sim_fault::FaultStats;
 use std::fmt;
 
@@ -209,13 +209,16 @@ impl<'a> RunOptions<'a> {
 /// `attribution`, `derived`, `ops`, and `bytes_moved` exist so one generic
 /// metrics builder can produce the same [`sim_perf::RunMetrics`] records the
 /// per-device `*_metrics` functions used to assemble by hand.
+///
+/// `C` is the state the run ended in: a [`SystemCheckpoint`], except in a
+/// [`PricedRun`], whose pricer never holds the state.
 #[derive(Clone, Debug)]
-pub struct DeviceRun {
+pub struct DeviceRun<C = SystemCheckpoint> {
     /// Total simulated seconds charged.
     pub sim_seconds: f64,
     pub energies: EnergyReport,
     /// State after the run, stamped `start.step + steps`.
-    pub checkpoint: SystemCheckpoint,
+    pub checkpoint: C,
     /// Labelled partition of `sim_seconds` in presentation order (compute vs
     /// DMA-wait vs mailbox vs PCIe vs memory stalls ...).
     pub attribution: Vec<(&'static str, f64)>,
@@ -283,26 +286,49 @@ pub trait MdDevice {
     }
 }
 
+/// What a [`HostPricer`] reports for one trajectory: a [`DeviceRun`]
+/// without the state the run ended in, which only the trajectory holds.
+pub type PricedRun = DeviceRun<()>;
+
+impl PricedRun {
+    /// The run that ended in `checkpoint`.
+    pub fn with_checkpoint(self, checkpoint: SystemCheckpoint) -> DeviceRun {
+        DeviceRun {
+            sim_seconds: self.sim_seconds,
+            energies: self.energies,
+            checkpoint,
+            attribution: self.attribution,
+            derived: self.derived,
+            ops: self.ops,
+            bytes_moved: self.bytes_moved,
+            faults: self.faults,
+        }
+    }
+}
+
 /// A device whose physics is the f64 host flavor: it integrates nothing
-/// itself and prices a [`HostTrajectory`] with its cost model. Its
-/// [`MdDevice::run`] is [`run_host_device`], which drives the trajectory and
-/// prices it, so pricing a trajectory driven elsewhere from the same start
-/// (once for several devices, as a sweep does) reports exactly what `run`
-/// reports.
+/// itself and prices a [`TrajectoryRecord`] with its cost model. Its
+/// [`MdDevice::run`] is [`run_host_device`], which drives the trajectory,
+/// prices its record and attaches the final state, so pricing the record
+/// of a trajectory driven elsewhere from the same start (once for several
+/// devices, or once for several specs, as a sweep does) reports exactly
+/// what `run` reports, less the checkpoint.
 pub trait HostPricer: MdDevice {
-    /// Charge `traj` on this device, observing into `perf` (a fresh
-    /// monitor), and report the run.
-    fn price(&mut self, traj: &HostTrajectory, perf: &mut PerfMonitor) -> DeviceRun;
+    /// Charge `record` on this device, observing into `perf` (a fresh
+    /// monitor), and report the run. The record holds no state, so the
+    /// caller attaches the checkpoint ([`PricedRun::with_checkpoint`]).
+    fn price(&mut self, record: &TrajectoryRecord, perf: &mut PerfMonitor) -> PricedRun;
 
     /// The device's last trajectory, the resume record of its next run.
     fn last_trajectory(&mut self) -> &mut Option<HostTrajectory>;
 }
 
 /// The one run path of a [`HostPricer`]: drive the trajectory `opts` asks
-/// for, resuming from the device's last one, price it, record the run into
-/// the ledger, and keep the trajectory as the next resume record. Observes
-/// with a local monitor when `opts` brings none: device-derived metrics
-/// read counters, and observation never changes the run.
+/// for, resuming from the device's last one, price its record, attach the
+/// trajectory's final state as the run's checkpoint, record the run into
+/// the ledger, and keep the whole trajectory as the next resume record.
+/// Observes with a local monitor when `opts` brings none: device-derived
+/// metrics read counters, and observation never changes the run.
 pub fn run_host_device<D: HostPricer + ?Sized>(
     dev: &mut D,
     sim: &SimConfig,
@@ -321,7 +347,9 @@ pub fn run_host_device<D: HostPricer + ?Sized>(
         Some(p) => p,
         None => &mut local,
     };
-    let run = dev.price(&traj, perf);
+    let run = dev
+        .price(traj.record(), perf)
+        .with_checkpoint(traj.checkpoint());
     if let Some(led) = opts.ledger.take() {
         ledger_record_run(led, &dev.label(), &run, Some(perf));
     }
@@ -334,9 +362,9 @@ pub fn run_host_device<D: HostPricer + ?Sized>(
 /// rate metrics (achieved vs peak, utilization, bytes/op), then the device's
 /// own derived metrics. This is the single replacement for the four
 /// hand-written `*_metrics` builders the harness used to carry.
-pub fn collect_metrics<D: MdDevice + ?Sized>(
+pub fn collect_metrics<D: MdDevice + ?Sized, C>(
     device: &D,
-    run: &DeviceRun,
+    run: &DeviceRun<C>,
     n_atoms: usize,
     steps: usize,
     perf: &PerfMonitor,

@@ -5,10 +5,12 @@
 //! Each of these devices evaluates forces with [`host_forces`] inside the
 //! same velocity-Verlet step, so their states and energies agree bit for
 //! bit. [`HostTrajectory::drive`] integrates such a run once and keeps what
-//! the cost models read of it: each evaluation's potential energy and
-//! interaction count, per evaluation, not per atom. A device prices that
-//! record ([`crate::device::HostPricer`]), so a sweep that holds several
-//! points of one workload drives it once and prices every point from it.
+//! the cost models read of it, a [`TrajectoryRecord`]: each evaluation's
+//! potential energy and interaction count and the final energies, per
+//! evaluation, not per atom. A device prices that record
+//! ([`crate::device::HostPricer`]), so a sweep that holds several points of
+//! one workload drives it once and prices every point from it, and can keep
+//! the record without the state.
 //!
 //! `HostStepper` is the one f64 stepping path: the driver and
 //! [`crate::sim::Simulation`] (`mdea run`, the examples) both advance
@@ -67,8 +69,52 @@ impl HostStepper<'_> {
     }
 }
 
-/// One f64 run: the record of every force evaluation and the state the run
-/// ended in.
+/// What the cost models read of one f64 run: the config, the atom count,
+/// every force evaluation and the energies of the final state. It holds no
+/// per-atom state, so a sweep can keep one per workload for as long as it
+/// runs.
+#[derive(Clone, Debug)]
+pub struct TrajectoryRecord {
+    sim: SimConfig,
+    n: usize,
+    /// The priming evaluation, then one per step; never empty.
+    evals: Vec<EvalRecord>,
+    energies: EnergyReport,
+}
+
+impl TrajectoryRecord {
+    /// The config the run integrated.
+    pub fn sim(&self) -> &SimConfig {
+        &self.sim
+    }
+
+    /// Atoms in the system.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Every force evaluation in order: the priming one, then one per step.
+    pub fn evals(&self) -> &[EvalRecord] {
+        &self.evals
+    }
+
+    /// Steps the run integrated.
+    pub fn steps(&self) -> usize {
+        self.evals.len() - 1
+    }
+
+    /// The last force evaluation: the priming one when no step ran.
+    pub fn last_eval(&self) -> EvalRecord {
+        self.evals[self.evals.len() - 1]
+    }
+
+    /// Energies of the final state, measured once when the run ended.
+    pub fn energies(&self) -> EnergyReport {
+        self.energies
+    }
+}
+
+/// One f64 run: its [`TrajectoryRecord`] and the state the run ended in.
 ///
 /// It is also the resume record of the run that follows it. [`host_forces`]
 /// is a pure function of the positions, box, mass and the config's
@@ -81,9 +127,7 @@ impl HostStepper<'_> {
 /// unchanged.
 #[derive(Clone, Debug)]
 pub struct HostTrajectory {
-    sim: SimConfig,
-    /// The priming evaluation, then one per step; never empty.
-    evals: Vec<EvalRecord>,
+    record: TrajectoryRecord,
     /// The state after the last step, accelerations from the last
     /// evaluation.
     system: ParticleSystem<f64>,
@@ -120,7 +164,7 @@ impl HostTrajectory {
                 system
                     .accelerations
                     .copy_from_slice(&last.system.accelerations);
-                last.last_eval()
+                last.record.last_eval()
             }
             _ => stepper.evaluate(&mut system),
         });
@@ -128,37 +172,27 @@ impl HostTrajectory {
         for _ in 0..steps {
             evals.push(stepper.step(&vv, &mut system));
         }
+        let last_pe = evals[evals.len() - 1].pe;
         Self {
-            sim: *sim,
-            evals,
+            record: TrajectoryRecord {
+                sim: *sim,
+                n: system.n(),
+                evals,
+                energies: EnergyReport::measure(&system, last_pe),
+            },
             system,
             end_step: start_step + steps as u64,
         }
     }
 
-    /// The config the run integrated.
-    pub fn sim(&self) -> &SimConfig {
-        &self.sim
+    /// What the cost models read of the run.
+    pub fn record(&self) -> &TrajectoryRecord {
+        &self.record
     }
 
-    /// Every force evaluation in order: the priming one, then one per step.
-    pub fn evals(&self) -> &[EvalRecord] {
-        &self.evals
-    }
-
-    /// Atoms in the system.
-    pub fn n(&self) -> usize {
-        self.system.n()
-    }
-
-    /// The last force evaluation: the priming one when no step ran.
-    pub fn last_eval(&self) -> EvalRecord {
-        self.evals[self.evals.len() - 1]
-    }
-
-    /// Energies of the final state.
-    pub fn energies(&self) -> EnergyReport {
-        EnergyReport::measure(&self.system, self.last_eval().pe)
+    /// The record without the final state.
+    pub fn into_record(self) -> TrajectoryRecord {
+        self.record
     }
 
     /// The final state, stamped with the step the run ended at.
@@ -182,8 +216,8 @@ impl HostTrajectory {
                 .iter()
                 .zip(&sys.positions)
                 .all(|(a, b)| bits(a) == bits(b))
-            && self.sim == *sim
-            && format!("{:?}", self.sim) == format!("{sim:?}")
+            && self.record.sim == *sim
+            && format!("{:?}", self.record.sim) == format!("{sim:?}")
     }
 }
 
@@ -203,13 +237,13 @@ mod tests {
         let sim = SimConfig::reduced_lj(108);
         let run = drive(&sim, None, 5);
         let reference = crate::reference::run::<f64>(&sim, 5);
-        let total = run.energies().total;
+        let total = run.record().energies().total;
         assert!(
             (total - reference.total).abs() < 1e-9 * reference.total.abs(),
             "driver diverged: {total} vs {}",
             reference.total
         );
-        assert_eq!(run.evals().len(), 6, "prime + one per step");
+        assert_eq!(run.record().evals().len(), 6, "prime + one per step");
         assert_eq!(run.checkpoint().step, 5);
     }
 
@@ -220,7 +254,7 @@ mod tests {
         let first = drive(&sim, None, 5);
         let second = drive(&sim, Some(&first.checkpoint()), 5);
         assert_eq!(second.checkpoint(), whole.checkpoint());
-        assert_eq!(second.evals(), &whole.evals()[5..]);
+        assert_eq!(second.record().evals(), &whole.record().evals()[5..]);
     }
 
     #[test]
@@ -228,7 +262,7 @@ mod tests {
         let sim = SimConfig::reduced_lj(256);
         let serial = drive(&sim, None, 2);
         let par = HostTrajectory::drive(&sim, None, 2, HostParallelism::Threads(3), None);
-        assert_eq!(par.evals(), serial.evals());
+        assert_eq!(par.record().evals(), serial.record().evals());
         assert_eq!(par.checkpoint(), serial.checkpoint());
     }
 
@@ -240,8 +274,8 @@ mod tests {
         assert!(first.resumes(&cp.restore(), &sim));
         let warm = HostTrajectory::drive(&sim, Some(&cp), 0, HostParallelism::Serial, Some(&first));
         let cold = drive(&sim, Some(&cp), 0);
-        assert_eq!(warm.evals(), &[first.last_eval()]);
-        assert_eq!(warm.evals(), cold.evals());
+        assert_eq!(warm.record().evals(), &[first.record().last_eval()]);
+        assert_eq!(warm.record().evals(), cold.record().evals());
         assert_eq!(warm.checkpoint(), cold.checkpoint());
     }
 
@@ -249,14 +283,21 @@ mod tests {
     fn the_record_matches_by_bits() {
         let cfg = SimConfig::reduced_lj(108);
         let mut sys: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
-        let record = |sim: SimConfig| HostTrajectory {
-            sim,
-            evals: vec![EvalRecord {
-                pe: 0.0,
-                interactions: 0,
-            }],
-            system: ParticleSystem::new(4, 10.0),
-            end_step: 0,
+        let record = |sim: SimConfig| {
+            let system = ParticleSystem::new(4, 10.0);
+            HostTrajectory {
+                record: TrajectoryRecord {
+                    sim,
+                    n: 4,
+                    evals: vec![EvalRecord {
+                        pe: 0.0,
+                        interactions: 0,
+                    }],
+                    energies: EnergyReport::measure(&system, 0.0),
+                },
+                system,
+                end_step: 0,
+            }
         };
         assert!(record(cfg).resumes(&sys, &cfg));
         // `==` holds for -0.0 and 0.0, the bits differ.

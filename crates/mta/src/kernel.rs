@@ -19,7 +19,7 @@ use crate::processor::MtaProcessor;
 use md_core::device::HostPricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::trajectory::HostTrajectory;
+use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 
 /// Instructions per examined pair in step 2 (loads, minimum image, distance,
@@ -110,13 +110,13 @@ impl MtaMdSimulation {
 
     /// Price one run in the given threading mode: the closed-form charge of
     /// every loop of Figure 4 and the starvation and hot-spot fault sites.
-    /// The physics is the double-precision [`HostTrajectory`] and does not
-    /// depend on the mode (the modes differ only in how loops are
-    /// scheduled); runtimes differ enormously. This is the single cost path
-    /// behind [`md_core::device::MdDevice::run`] on [`MtaMd`].
+    /// The physics is the record of the double-precision [`HostTrajectory`]
+    /// and does not depend on the mode (the modes differ only in how loops
+    /// are scheduled); runtimes differ enormously. This is the single cost
+    /// path behind [`md_core::device::MdDevice::run`] on [`MtaMd`].
     fn price(
         &self,
-        traj: &HostTrajectory,
+        traj: &TrajectoryRecord,
         mode: ThreadingMode,
         perf: &mut sim_perf::PerfMonitor,
     ) -> MtaRun {
@@ -400,10 +400,10 @@ impl md_core::device::MdDevice for MtaMd {
 impl HostPricer for MtaMd {
     fn price(
         &mut self,
-        traj: &HostTrajectory,
+        record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
-    ) -> md_core::device::DeviceRun {
-        let r = self.sim.price(traj, self.mode, perf);
+    ) -> md_core::device::PricedRun {
+        let r = self.sim.price(record, self.mode, perf);
         let clk = self.sim.processor.config.clock_hz;
         let phantom_fraction = if r.sim_seconds == 0.0 {
             0.0
@@ -418,7 +418,7 @@ impl HostPricer for MtaMd {
         md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
-            checkpoint: traj.checkpoint(),
+            checkpoint: (),
             attribution: vec![
                 ("issue", r.breakdown.issue / clk),
                 ("loop_startup", r.breakdown.startup / clk),
@@ -461,7 +461,7 @@ mod tests {
         perf: &mut sim_perf::PerfMonitor,
     ) -> MtaRun {
         let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
-        m.price(&traj, mode, perf)
+        m.price(traj.record(), mode, perf)
     }
 
     #[test]

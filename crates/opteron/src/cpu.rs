@@ -4,7 +4,7 @@ use crate::config::OpteronConfig;
 use md_core::device::HostPricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::trajectory::HostTrajectory;
+use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
 use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 use vecmath::Vec3;
@@ -208,11 +208,15 @@ impl OpteronCpu {
 
     /// Price one run of the MD kernel (Figure 4): its memory traffic through
     /// the cache model, its flops and its ECC fault sites. The physics is
-    /// the double-precision [`HostTrajectory`], exactly as the paper's
-    /// reference implementation; the scenario substrate adds the potential's
-    /// and the ensemble's extra work. This is the single cost path behind
-    /// [`md_core::device::MdDevice::run`].
-    fn price_run(&mut self, traj: &HostTrajectory, perf: &mut sim_perf::PerfMonitor) -> OpteronRun {
+    /// the record of the double-precision [`HostTrajectory`], exactly as the
+    /// paper's reference implementation; the scenario substrate adds the
+    /// potential's and the ensemble's extra work. This is the single cost
+    /// path behind [`md_core::device::MdDevice::run`].
+    fn price_run(
+        &mut self,
+        traj: &TrajectoryRecord,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> OpteronRun {
         self.hierarchy.reset();
         self.demand_cycles = 0.0;
         self.loads = 0;
@@ -463,10 +467,10 @@ impl md_core::device::MdDevice for OpteronCpu {
 impl HostPricer for OpteronCpu {
     fn price(
         &mut self,
-        traj: &HostTrajectory,
+        record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
-    ) -> md_core::device::DeviceRun {
-        let r = self.price_run(traj, perf);
+    ) -> md_core::device::PricedRun {
+        let r = self.price_run(record, perf);
         let clk = self.config.clock_hz;
         let stall_fraction = if r.sim_seconds > 0.0 {
             (r.memory_cycles / clk) / r.sim_seconds
@@ -476,7 +480,7 @@ impl HostPricer for OpteronCpu {
         md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
-            checkpoint: traj.checkpoint(),
+            checkpoint: (),
             attribution: vec![
                 ("compute", r.flop_cycles / clk),
                 ("memory_stall", r.memory_cycles / clk),
@@ -519,7 +523,7 @@ mod tests {
         perf: &mut sim_perf::PerfMonitor,
     ) -> OpteronRun {
         let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
-        cpu.price_run(&traj, perf)
+        cpu.price_run(traj.record(), perf)
     }
 
     #[test]
@@ -743,7 +747,7 @@ mod tests {
             for _ in 0..segments {
                 let traj =
                     HostTrajectory::drive(&cfg, start.as_ref(), 2, HostParallelism::Serial, None);
-                let seg = cpu.price_run(&traj, &mut sim_perf::PerfMonitor::new());
+                let seg = cpu.price_run(traj.record(), &mut sim_perf::PerfMonitor::new());
                 straight.assert_reproduced_by(&seg, &cpu.config);
                 start = Some(traj.checkpoint());
             }

@@ -1,29 +1,42 @@
 //! Sweep execution: cache lookup, parallel device runs, cache store.
 //!
-//! Every point executes through [`harness::device_metrics`], or, when
-//! several points of a spec price one f64 trajectory, through
-//! [`harness::host_group_metrics`], which drives it once; either way a sweep
-//! result is exactly the record a standalone perf run would produce.
+//! Every point executes through [`harness::device_metrics`], or, when its
+//! device prices the f64 trajectory, through [`harness::host_group_metrics`]
+//! on the record of that trajectory. The [`TrajectoryStore`] of the
+//! [`EngineConfig`] drives each such trajectory once for every spec run
+//! with the config, so fig8 and fig9 price what fig7 drove. Either way a
+//! sweep result is exactly the record a standalone perf run would produce.
 //! Results are collected in point order on an order-preserving worker pool,
 //! which makes parallel and serial sweeps bitwise-identical (asserted by
 //! `tests/sweep_cache.rs`).
 
 use crate::cache::{point_key, ResultCache};
 use crate::spec::{SweepPoint, SweepSpec};
+use md_core::device::HostParallelism;
+use md_core::params::SimConfig;
+use md_core::scenario::ScenarioSpec;
+use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
 use rayon::prelude::*;
 use sim_perf::RunMetrics;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where sweeps memoize results unless told otherwise.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
 
-/// Knobs for one engine invocation.
+/// Knobs for one engine invocation, and the trajectories its sweeps share.
+///
+/// Every spec run with one config, or with any clone of it, prices the f64
+/// trajectories in [`EngineConfig::trajectories`], so a pass that runs all
+/// its specs with one config drives each f64 workload once.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     pub cache_dir: PathBuf,
-    /// `false` disables both lookup and store (`--no-cache`).
+    /// `false` disables both lookup and store in the on-disk result cache
+    /// (`--no-cache`); trajectories are still shared through
+    /// [`EngineConfig::trajectories`].
     pub use_cache: bool,
     /// The code-version salt folded into every key; tests bump it to
     /// invalidate the world.
@@ -33,6 +46,9 @@ pub struct EngineConfig {
     /// Never part of the cache key: lane execution is bitwise identical at
     /// any thread count.
     pub jobs: usize,
+    /// The f64 trajectories the config's sweeps have driven; empty in a
+    /// fresh config, shared by its clones.
+    pub trajectories: TrajectoryStore,
 }
 
 impl Default for EngineConfig {
@@ -42,7 +58,68 @@ impl Default for EngineConfig {
             use_cache: true,
             salt: crate::cache::CODE_VERSION_SALT,
             jobs: 0,
+            trajectories: TrajectoryStore::default(),
         }
+    }
+}
+
+/// What identifies an f64 trajectory of a sweep: every sweep run starts
+/// from the lattice, so the scenario, the atom count and the steps.
+type Workload = (ScenarioSpec, usize, usize);
+
+fn workload(p: &SweepPoint) -> Workload {
+    (p.scenario, p.n_atoms, p.steps)
+}
+
+/// The records of the f64 trajectories that sweeps have driven, one per
+/// workload. It holds no per-atom state, only what the pricers read
+/// ([`TrajectoryRecord`]). Clones share one store, and callers on several
+/// threads may use it at once: a trajectory that two of them miss together
+/// is driven twice, to the same bits, and stored once.
+#[derive(Clone, Debug, Default)]
+pub struct TrajectoryStore(Arc<Mutex<Trajectories>>);
+
+#[derive(Debug, Default)]
+struct Trajectories {
+    records: Vec<(Workload, Arc<TrajectoryRecord>)>,
+    /// Trajectories driven through the store, stored or not.
+    drives: usize,
+}
+
+impl TrajectoryStore {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Trajectories> {
+        // Each update is one push or one increment, so a panicking holder
+        // cannot leave the store half written.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The record of `p`'s trajectory from the lattice, driven on `par`
+    /// when the store does not hold it yet. The lock is not held while
+    /// driving.
+    fn get_or_drive(&self, p: &SweepPoint, par: HostParallelism) -> Arc<TrajectoryRecord> {
+        let key = workload(p);
+        let stored = |store: &Trajectories| {
+            let found = store.records.iter().find(|(k, _)| *k == key);
+            found.map(|(_, r)| Arc::clone(r))
+        };
+        if let Some(r) = stored(&self.lock()) {
+            return r;
+        }
+        let sim = SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
+        let driven = Arc::new(HostTrajectory::drive(&sim, None, p.steps, par, None).into_record());
+        let mut store = self.lock();
+        store.drives += 1;
+        if let Some(r) = stored(&store) {
+            return r;
+        }
+        store.records.push((key, Arc::clone(&driven)));
+        driven
+    }
+
+    /// Trajectories driven through the store so far.
+    #[cfg(test)]
+    pub(crate) fn drives(&self) -> usize {
+        self.lock().drives
     }
 }
 
@@ -178,16 +255,14 @@ impl From<harness::HarnessError> for SweepError {
 /// The points of `points` whose runs share one trajectory, as index lists
 /// ordered by their first point: points whose devices price the f64 host
 /// trajectory ([`harness::DeviceKind::prices_host_trajectory`]) group by
-/// workload (scenario, atoms, steps; every sweep run starts from the
-/// lattice), and every other point runs alone.
+/// [`Workload`], and every other point runs alone.
 fn trajectory_groups(points: &[SweepPoint]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, p) in points.iter().enumerate() {
         let shared = if p.device.prices_host_trajectory() {
             groups.iter_mut().find(|g| {
                 let q = &points[g[0]];
-                q.device.prices_host_trajectory()
-                    && (q.scenario, q.n_atoms, q.steps) == (p.scenario, p.n_atoms, p.steps)
+                q.device.prices_host_trajectory() && workload(q) == workload(p)
             })
         } else {
             None
@@ -201,17 +276,19 @@ fn trajectory_groups(points: &[SweepPoint]) -> Vec<Vec<usize>> {
 }
 
 /// Run the device simulations of `points`, one group of
-/// [`trajectory_groups`], and collect their metrics records in order.
+/// [`trajectory_groups`], and collect their metrics records in order. An
+/// f64 group prices its trajectory's record from `store`.
 fn execute_group(
     points: &[&SweepPoint],
-    par: md_core::device::HostParallelism,
+    store: &TrajectoryStore,
+    par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, SweepError> {
     let p = points[0];
-    let sim = md_core::params::SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
     let run = if p.device.prices_host_trajectory() {
         let kinds: Vec<harness::DeviceKind> = points.iter().map(|q| q.device).collect();
-        harness::host_group_metrics(&kinds, &sim, p.steps, par)
+        harness::host_group_metrics(&kinds, &store.get_or_drive(p, par), par)
     } else {
+        let sim = SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
         harness::device_metrics(p.device, &sim, p.steps, par).map(|m| vec![m])
     };
     run.map_err(|e| SweepError::Point {
@@ -225,9 +302,11 @@ fn execute_group(
 
 /// Execute a spec: each point is a cache lookup, then (on miss) a device
 /// run and a cache store. Missed points whose devices price the f64 host
-/// trajectory drive it once per workload and each price it. Groups run
-/// concurrently on a pool of `cfg.jobs` workers, which also run the
-/// points' simulated lanes; collection preserves spec order.
+/// trajectory group by workload, and each group prices the record that
+/// `cfg.trajectories` holds for it, driven once for every spec run with
+/// `cfg` or its clones. Groups run concurrently on a pool of `cfg.jobs`
+/// workers, which also run the points' simulated lanes; collection
+/// preserves spec order.
 pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, SweepError> {
     // `open` (not `new`) when caching: sweeps temp files orphaned by a
     // previous writer that died mid-store, so a crashed run can't leak disk
@@ -240,7 +319,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
     // One budget of `cfg.jobs` threads: a group's lane maps run on its own
     // worker while every worker is busy, and on every worker that has run
     // out of groups once some have.
-    let host_par = md_core::device::HostParallelism::from_threads(cfg.jobs);
+    let host_par = HostParallelism::from_threads(cfg.jobs);
     let run_group = |group: &Vec<usize>| -> Result<Vec<(RunMetrics, bool)>, SweepError> {
         let points: Vec<&SweepPoint> = group.iter().map(|&i| &spec.points[i]).collect();
         let keys: Vec<String> = points
@@ -264,6 +343,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
         if !missed.is_empty() {
             let runs = execute_group(
                 &missed.iter().map(|&j| points[j]).collect::<Vec<_>>(),
+                &cfg.trajectories,
                 host_par,
             )?;
             for (&j, metrics) in missed.iter().zip(runs) {
@@ -302,4 +382,65 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &EngineConfig) -> Result<SweepReport, Sw
         spec_name: spec.name,
         results,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harness::DeviceKind;
+    use mta::ThreadingMode;
+
+    fn spec(points: &[(DeviceKind, usize, usize, ScenarioSpec)]) -> SweepSpec {
+        SweepSpec {
+            name: "drives",
+            description: "test grid",
+            points: points
+                .iter()
+                .map(|&(device, n_atoms, steps, scenario)| SweepPoint {
+                    figure: "drives",
+                    device,
+                    n_atoms,
+                    steps,
+                    scenario,
+                })
+                .collect(),
+        }
+    }
+
+    /// A spec run after another with the same config drives only the
+    /// workloads the first did not: here one that differs by scenario and
+    /// one that differs by steps. `tests/sweep_cache.rs` checks the records
+    /// of the same pair.
+    #[test]
+    fn a_later_spec_drives_only_the_workloads_an_earlier_one_did_not() {
+        let full = DeviceKind::Mta {
+            mode: ThreadingMode::FullyMultithreaded,
+        };
+        let partial = DeviceKind::Mta {
+            mode: ThreadingMode::PartiallyMultithreaded,
+        };
+        let (lj, morse) = (ScenarioSpec::default(), ScenarioSpec::morse_nvt());
+        let first = spec(&[
+            (DeviceKind::Opteron, 256, 3, lj),
+            (DeviceKind::Opteron, 108, 3, morse),
+        ]);
+        let second = spec(&[
+            (full, 256, 3, lj),
+            (partial, 256, 3, lj),
+            (full, 256, 3, ScenarioSpec::coulomb_cutoff()),
+            (full, 256, 4, lj),
+            (full, 108, 3, morse),
+        ]);
+        for jobs in [1, 2] {
+            let cfg = EngineConfig {
+                use_cache: false,
+                jobs,
+                ..EngineConfig::default()
+            };
+            run_sweep(&first, &cfg).expect("first spec");
+            assert_eq!(cfg.trajectories.drives(), 2, "{jobs} jobs");
+            run_sweep(&second, &cfg).expect("second spec");
+            assert_eq!(cfg.trajectories.drives(), 4, "{jobs} jobs");
+        }
+    }
 }

@@ -28,7 +28,7 @@ pub mod scaling;
 pub mod spec;
 
 pub use cache::{point_key, ResultCache, CACHE_SCHEMA_VERSION, CODE_VERSION_SALT};
-pub use engine::{run_sweep, EngineConfig, PointResult, SweepError, SweepReport};
+pub use engine::{run_sweep, EngineConfig, PointResult, SweepError, SweepReport, TrajectoryStore};
 pub use scaling::{
     bench_cluster_json, run_cluster_sweep, strong_scaling, weak_scaling, ClusterPoint,
     ClusterPointResult, ClusterSweepSpec, BENCH_CLUSTER_SCHEMA_VERSION,

@@ -5,6 +5,7 @@
 //! vs serial bitwise identity) don't depend on paper-scale grids.
 
 use harness::{DeviceKind, GpuModel};
+use md_core::scenario::ScenarioSpec;
 use sim_perf::RunMetrics;
 use sim_sweep::{point_key, run_sweep, EngineConfig, ResultCache, SweepPoint, SweepSpec};
 use std::path::{Path, PathBuf};
@@ -251,8 +252,10 @@ fn points_sharing_a_trajectory_match_their_standalone_runs() {
     }
 }
 
-/// A group whose points are partly cached drives its trajectory for the
-/// missed points only, and they still match their standalone runs.
+/// A group whose points are partly cached prices its trajectory for the
+/// missed points only, and they still match their standalone runs. Both
+/// calls share the config's trajectory store, so the second call prices the
+/// 256-atom trajectory the first call drove instead of driving it again.
 #[test]
 fn a_partly_cached_group_prices_only_its_misses() {
     let spec = shared_trajectory_spec();
@@ -269,6 +272,110 @@ fn a_partly_cached_group_prices_only_its_misses() {
     assert_eq!(hits, [true, false, false, false, false]);
     assert_eq!(json_of(&report), alone(&spec));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn spec_of(name: &'static str, points: &[(DeviceKind, usize, usize, ScenarioSpec)]) -> SweepSpec {
+    SweepSpec {
+        name,
+        description: "test grid",
+        points: points
+            .iter()
+            .map(|&(device, n_atoms, steps, scenario)| SweepPoint {
+                figure: name,
+                device,
+                n_atoms,
+                steps,
+                scenario,
+            })
+            .collect(),
+    }
+}
+
+/// Two specs run one after the other with one config: the first drives the
+/// Opteron's trajectories, the second prices them on the MTA-2 beside
+/// workloads that differ from them by scenario or by steps.
+fn cross_spec_pair() -> (SweepSpec, SweepSpec) {
+    let full = DeviceKind::Mta {
+        mode: mta::ThreadingMode::FullyMultithreaded,
+    };
+    let partial = DeviceKind::Mta {
+        mode: mta::ThreadingMode::PartiallyMultithreaded,
+    };
+    let lj = ScenarioSpec::default();
+    let morse = ScenarioSpec::morse_nvt();
+    let first = spec_of(
+        "first",
+        &[
+            (DeviceKind::Opteron, 256, 3, lj),
+            (DeviceKind::Opteron, 108, 3, morse),
+        ],
+    );
+    let second = spec_of(
+        "second",
+        &[
+            (full, 256, 3, lj),
+            (partial, 256, 3, lj),
+            (full, 256, 3, ScenarioSpec::coulomb_cutoff()),
+            (full, 256, 4, lj),
+            (full, 108, 3, morse),
+        ],
+    );
+    (first, second)
+}
+
+fn uncached(jobs: usize) -> EngineConfig {
+    EngineConfig {
+        cache_dir: temp_dir("unused"),
+        use_cache: false,
+        jobs,
+        ..EngineConfig::default()
+    }
+}
+
+/// A spec run after another with the same config prices the trajectories
+/// the first one drove, and only where the workload is the same: every
+/// record is still the one its point computes alone, at any worker count.
+#[test]
+fn a_later_spec_prices_the_trajectories_an_earlier_one_drove() {
+    let (first, second) = cross_spec_pair();
+    let want = alone(&second);
+    for jobs in [1, 2] {
+        let engine = uncached(jobs);
+        run_sweep(&first, &engine).expect("first spec");
+        let report = run_sweep(&second, &engine).expect("second spec");
+        assert_eq!(report.executed(), second.len(), "{jobs} jobs");
+        assert_eq!(json_of(&report), want, "{jobs} jobs");
+    }
+}
+
+/// Two threads run the pair's specs on clones of one config, released
+/// together; whichever drives a shared trajectory first, every record is
+/// its standalone one, so the store needs no order between its callers.
+#[test]
+fn concurrent_callers_on_one_store_match_their_standalone_runs() {
+    let (first, second) = cross_spec_pair();
+    let specs = [second, first];
+    let engine = uncached(2);
+    let start = std::sync::Barrier::new(specs.len());
+    let reports: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = specs
+            .iter()
+            .map(|spec| {
+                let (engine, start) = (engine.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    json_of(&run_sweep(spec, &engine).expect("spec runs"))
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("caller thread"))
+            .collect()
+    });
+    for (spec, report) in specs.iter().zip(&reports) {
+        assert_eq!(*report, alone(spec), "{}", spec.name);
+    }
 }
 
 #[test]

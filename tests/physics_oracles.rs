@@ -423,18 +423,21 @@ fn halving_dt_cuts_the_f64_drivers_energy_error_fourfold() {
             .with_temperature(0.01)
             .with_dt(dt);
         let mut traj = HostTrajectory::drive(&sim, None, 0, HostParallelism::Serial, None);
-        let (e0, pairs) = (traj.energies().total, traj.last_eval().interactions);
+        let (e0, pairs) = (
+            traj.record().energies().total,
+            traj.record().last_eval().interactions,
+        );
         let mut worst = 0.0f64;
         for _ in 0..(SPAN / dt).round() as usize {
             let start = traj.checkpoint();
             traj =
                 HostTrajectory::drive(&sim, Some(&start), 1, HostParallelism::Serial, Some(&traj));
             assert_eq!(
-                traj.last_eval().interactions,
+                traj.record().last_eval().interactions,
                 pairs,
                 "dt {dt}: a pair crossed the cutoff"
             );
-            worst = worst.max((traj.energies().total - e0).abs());
+            worst = worst.max((traj.record().energies().total - e0).abs());
         }
         worst
     };
