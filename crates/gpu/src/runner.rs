@@ -585,6 +585,32 @@ mod tests {
         assert_eq!(a.sim_seconds, b.sim_seconds);
     }
 
+    /// Both reduction strategies' simulated seconds and PE at 256 × 4,
+    /// pinned bit for bit. The multi-pass cascade's pass count and per-pass
+    /// ops depend on n alone, so its charge is a function of the atom count.
+    #[test]
+    fn reduction_strategies_charge_pinned_seconds() {
+        use crate::reduction::ReductionStrategy;
+        let sim = SimConfig::reduced_lj(256);
+        let runner = GpuMdSimulation::geforce_7900gtx();
+        for (strategy, seconds, pe) in [
+            (
+                ReductionStrategy::CpuReadback,
+                0x3f69_feab_7961_11a0_u64,
+                0xc09a_fb11_18e0_0000_u64,
+            ),
+            (
+                ReductionStrategy::GpuMultiPass,
+                0x3f8b_0424_0ec1_62c8,
+                0xc09a_fb11_2000_0000,
+            ),
+        ] {
+            let run = runner.run_md_with(&sim, 4, strategy);
+            assert_eq!(run.sim_seconds.to_bits(), seconds, "{strategy:?}");
+            assert_eq!(run.energies.potential.to_bits(), pe, "{strategy:?}");
+        }
+    }
+
     #[test]
     fn multipass_reduction_same_physics_but_slower() {
         use crate::reduction::ReductionStrategy;

@@ -19,8 +19,9 @@
 //! `CellRun` (breakdown and kernel stats). So are the Cell's
 //! PPE-only baseline (Table 1) and the Figure 5 SPE-kernel ladder: every
 //! variant's single-SPE probe and a resident one-SPE run per variant. The
-//! supervised Opteron, MTA-2 and 4-node Opteron cluster runs (fault-free,
-//! and with node 2 killed at step 5) are pinned per accepted segment, so the
+//! supervised Opteron, MTA-2, GPU, PPE-only and 4-node Opteron cluster runs
+//! (the cluster fault-free and with node 2 killed at step 5) are pinned per
+//! accepted segment, so the
 //! charge of every resumed segment's priming evaluation is part of the
 //! contract. The partially multithreaded MTA-2 is pinned at paper scale and
 //! under one scenario flavor: it prices the same trajectory as the fully
@@ -421,25 +422,28 @@ fn cell_ladder_records() -> Vec<(String, Record)> {
 }
 
 /// Supervised 2048 × 10 runs under the default policy (2-step segments):
-/// the Opteron and the fully multithreaded MTA-2 alone, and a 4-node
-/// Opteron cluster fault-free and with node 2 killed at step 5. Every
-/// segment after the first resumes from the checkpoint the device produced.
-fn supervised_keys() -> [String; 4] {
+/// the Opteron and the fully multithreaded MTA-2 alone, a 4-node Opteron
+/// cluster fault-free and with node 2 killed at step 5, then the GPU and
+/// the Cell's PPE-only baseline alone. Every segment after the first
+/// resumes from the checkpoint the device produced.
+fn supervised_keys() -> [String; 6] {
     let cluster = ClusterKind::new(DeviceKind::Opteron, 4).label();
     let at = format!("@{PAPER_ATOMS}x{PAPER_STEPS}");
-    let [opteron, _, _, mta] = all_devices();
+    let [opteron, _, gpu, mta] = all_devices();
     [
         format!("supervised/{}{at}", opteron.label()),
         format!("supervised/{}{at}", mta.label()),
         format!("supervised/{cluster}{at}/clean"),
         format!("supervised/{cluster}{at}/kill2@5"),
+        format!("supervised/{}{at}", gpu.label()),
+        format!("supervised/{}{at}", DeviceKind::CellPpe.label()),
     ]
 }
 
 fn supervised_records() -> Vec<(String, Record)> {
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     let cfg = SupervisorConfig::default();
-    let [opteron, _, _, mta] = all_devices();
+    let [opteron, _, gpu, mta] = all_devices();
     let single = |kind: DeviceKind| {
         let mut dev = kind.build();
         run_supervised(dev.as_mut(), &sim, PAPER_STEPS, &cfg, None)
@@ -451,10 +455,17 @@ fn supervised_records() -> Vec<(String, Record)> {
         }
         run_cluster_supervised(&mut c, &sim, PAPER_STEPS, &cfg, None).run
     };
-    let runs = [single(opteron), single(mta), cluster(false), cluster(true)];
+    let runs = [
+        single(opteron),
+        single(mta),
+        cluster(false),
+        cluster(true),
+        single(gpu),
+        single(DeviceKind::CellPpe),
+    ];
     assert_eq!(
         runs.each_ref().map(|r| r.report.restores),
-        [0, 0, 0, 1],
+        [0, 0, 0, 1, 0, 0],
         "only the node kill restores"
     );
     supervised_keys()
