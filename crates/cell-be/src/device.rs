@@ -12,12 +12,13 @@ use crate::kernel::{
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
 use crate::spe::{LsOverflow, Spe};
-use md_core::device::HostParallelism;
+use md_core::device::{HostParallelism, Pricer};
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::shared_eval::SoaPositionsF32;
 use md_core::system::ParticleSystem;
+use md_core::trajectory::{Flavor, Trajectory, TrajectoryRecord};
 use md_core::verlet::VelocityVerlet;
 use sim_obs::ChromeTrace;
 use std::ops::Range;
@@ -602,73 +603,6 @@ impl CellBeDevice {
         })
     }
 
-    /// PPE-only execution of the whole kernel (the paper's 26x-slower
-    /// baseline): the scalar `Original` variant run on the PPE with its CPI
-    /// penalty; no SPEs, no DMA, no thread launches.
-    pub fn run_md_ppe_only(&self, sim: &SimConfig, steps: usize) -> CellRun {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        self.run_md_ppe_only_impl(&mut sys, sim, steps)
-    }
-
-    fn run_md_ppe_only_impl(
-        &self,
-        sys: &mut ParticleSystem<f32>,
-        sim: &SimConfig,
-        steps: usize,
-    ) -> CellRun {
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let ppe = PpeModel::new(&self.config);
-        let params = Self::lane_physics(sim, sys);
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut pe_total = 0.0f32;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(sys);
-            }
-            // The PPE works straight out of main memory.
-            let soa = soa_of(&sys.positions);
-            let acc = &mut sys.accelerations;
-            let (pe, stats) = compute_accelerations(
-                &soa,
-                0..n,
-                params,
-                SpeKernelVariant::Original,
-                &self.config.costs,
-                |i, q| acc[i] = Vec3::new(q[0], q[1], q[2]),
-            );
-            breakdown.compute += ppe.scale_kernel_cycles(stats.cycles);
-            stats_total.pairs_tested += stats.pairs_tested;
-            stats_total.interactions += stats.interactions;
-            pe_total = pe;
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(sys);
-                params.sub.apply_thermostat(sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(sys, (pe_total * 0.5) as f64),
-            kernel_stats: stats_total,
-            config: CellRunConfig {
-                n_spes: 0,
-                policy: SpawnPolicy::LaunchOnce,
-                variant: SpeKernelVariant::Original,
-            },
-            faults: sim_fault::FaultStats::default(),
-        }
-    }
-
     /// Figure 5 measurement: simulated seconds for ONE acceleration-function
     /// invocation (2048 atoms in the paper) on a single SPE at the given
     /// optimization stage, and the potential energy that invocation computes
@@ -1187,15 +1121,25 @@ impl md_core::device::MdDevice for CellMd {
 }
 
 /// The PPE-only baseline (Table 1's 26x-slower row) as a device: the scalar
-/// kernel on the PPE with its CPI penalty, no SPEs, no DMA.
+/// `Original` kernel on the PPE with its CPI penalty, no SPEs, no DMA. The
+/// host integrates on the PPE either way, so its physics is md-core's Cell
+/// flavor at the `Original` stage ([`CellPpeMd::FLAVOR`]) and the device
+/// only prices it.
 pub struct CellPpeMd {
     pub device: CellBeDevice,
+    /// The last run's trajectory, the resume record of the next run.
+    last: Option<Trajectory>,
 }
 
 impl CellPpeMd {
+    /// The Cell flavor at the `Original` stage: compare/select reflect at
+    /// `L/2`, unfused accumulate.
+    pub const FLAVOR: Flavor = Flavor::Cell { fused: false };
+
     pub fn paper_blade() -> Self {
         Self {
             device: CellBeDevice::paper_blade(),
+            last: None,
         }
     }
 }
@@ -1213,40 +1157,77 @@ impl md_core::device::MdDevice for CellPpeMd {
     fn run(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
+        opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        let r = self.device.run_md_ppe_only_impl(&mut sys, sim, opts.steps);
-        let clk = self.device.config.clock_hz;
-        let ops = r.kernel_stats.pairs_tested as f64 * FLOPS_PER_PAIR
-            + r.kernel_stats.interactions as f64 * FLOPS_PER_INTERACTION;
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
+        Ok(md_core::device::run_priced(self, sim, opts))
+    }
+
+    fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
+        Some(self)
+    }
+}
+
+impl Pricer for CellPpeMd {
+    fn flavor(&self) -> Flavor {
+        Self::FLAVOR
+    }
+
+    /// Per evaluation, the scalar kernel's closed-form cycles in its
+    /// interaction count, scaled by the PPE's CPI; per step, two
+    /// integration passes and the ensemble upkeep.
+    fn charge(
+        &mut self,
+        record: &TrajectoryRecord,
+        _perf: &mut sim_perf::PerfMonitor,
+    ) -> md_core::device::PricedRun {
+        let config = &self.device.config;
+        let n = record.n();
+        let ppe = PpeModel::new(config);
+        let sub = record.sim().substrate::<f32>();
+        let ens_cycles = n as f64 * sub.extra_step_ops_per_atom();
+        let mut b = CostBreakdown::default();
+        let (mut pairs, mut interactions) = (0u64, 0u64);
+        for (eval, rec) in record.evals().iter().enumerate() {
+            if eval > 0 {
+                b.ppe += ppe.integration_cycles(n);
+            }
+            let stats = KernelStats::of_rows(
+                SpeKernelVariant::Original,
+                &config.costs,
+                &sub,
+                n,
+                n as u64,
+                rec.interactions,
+            );
+            b.compute += ppe.scale_kernel_cycles(stats.cycles);
+            pairs += stats.pairs_tested;
+            interactions += stats.interactions;
+            if eval > 0 {
+                b.ppe += ppe.integration_cycles(n);
+                b.ppe += ens_cycles;
+            }
+        }
+        let clk = config.clock_hz;
+        md_core::device::DeviceRun {
+            sim_seconds: b.total() / clk,
+            energies: record.energies(),
+            checkpoint: (),
             attribution: vec![
-                ("compute", r.breakdown.compute / clk),
-                ("dma_wait", r.breakdown.dma / clk),
-                ("mailbox", r.breakdown.mailbox / clk),
-                ("spe_spawn", r.breakdown.spawn / clk),
-                ("ppe_serial", r.breakdown.ppe / clk),
+                ("compute", b.compute / clk),
+                ("dma_wait", b.dma / clk),
+                ("mailbox", b.mailbox / clk),
+                ("spe_spawn", b.spawn / clk),
+                ("ppe_serial", b.ppe / clk),
             ],
             derived: Vec::new(),
-            ops,
+            ops: pairs as f64 * FLOPS_PER_PAIR + interactions as f64 * FLOPS_PER_INTERACTION,
             bytes_moved: 0.0,
             faults: sim_fault::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, opts.perf.as_deref());
         }
-        Ok(run)
+    }
+
+    fn last_trajectory(&mut self) -> &mut Option<Trajectory> {
+        &mut self.last
     }
 }
 
@@ -1506,12 +1487,27 @@ mod tests {
         let sim = workload(1024);
         let device = CellBeDevice::paper_blade();
         let eight = run_md(&device, &sim, 6, CellRunConfig::best()).unwrap();
-        let ppe = device.run_md_ppe_only(&sim, 6);
+        let ppe = md_core::device::MdDevice::run(
+            &mut CellPpeMd::paper_blade(),
+            &sim,
+            md_core::device::RunOptions::steps(6),
+        )
+        .unwrap();
         let ratio = ppe.sim_seconds / eight.sim_seconds;
         assert!(ratio > 5.0, "PPE-only should be far slower: {ratio:.1}");
         assert!(
             (ppe.energies.total - eight.energies.total).abs() < 1e-3 * eight.energies.total.abs()
         );
+    }
+
+    /// The driver runs `Flavor::Cell { fused }` at a reflect of `L/2`: that
+    /// is the `Original` stage the PPE baseline's kernel charges.
+    #[test]
+    fn ppe_flavor_is_the_original_stage() {
+        let l = workload(2048).box_len() as f32;
+        let stage = SpeKernelVariant::Original.stage(l);
+        assert_eq!(stage.reflect_above, 0.5 * l);
+        assert_eq!(CellPpeMd::FLAVOR, Flavor::Cell { fused: stage.fused });
     }
 
     #[test]

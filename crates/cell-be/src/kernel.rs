@@ -158,6 +158,28 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// The counters of `rows` rows of an `n`-atom evaluation at `variant`
+    /// that found `interactions` in-cutoff pairs, and their closed-form
+    /// cycles. Each row tests every other atom: the per-pair loop skips the
+    /// self-pair with a branch, the shared kernel predicates it off.
+    pub(crate) fn of_rows(
+        variant: SpeKernelVariant,
+        costs: &SpeCostModel,
+        sub: &Substrate<f32>,
+        n: usize,
+        rows: u64,
+        interactions: u64,
+    ) -> Self {
+        let mut stats = Self {
+            pairs_tested: rows * (n as u64).saturating_sub(1),
+            interactions,
+            ..Self::default()
+        };
+        let (per_pair, per_interaction) = variant.charges(costs, sub);
+        stats.charge_closed_form(costs, rows, per_pair, per_interaction);
+        stats
+    }
+
     /// Charge the slice's cycles in closed form from the work counts:
     /// per-atom row overhead, per-tested-pair cost, per-interaction cost.
     ///
@@ -215,7 +237,7 @@ pub fn compute_accelerations(
     costs: &SpeCostModel,
     mut store: impl FnMut(usize, [f32; 4]),
 ) -> (f32, KernelStats) {
-    let mut stats = KernelStats::default();
+    let mut interactions = 0u64;
     let mut pe_slice = 0.0f32;
     let (l, sub, inv_mass) = (params.box_len, &params.sub, params.inv_mass);
     let stage = variant.stage(l);
@@ -223,16 +245,11 @@ pub fn compute_accelerations(
 
     for i in i_range {
         let row = cell_stage_row(soa, i, l, sub, inv_mass, stage);
-        // The per-pair loop skips the self-pair with a branch; the shared
-        // kernel predicates it off. Tested-pair count is the same.
-        stats.pairs_tested += soa.len() as u64 - 1;
-        stats.interactions += row.interactions;
+        interactions += row.interactions;
         pe_slice += row.pe;
         store(i, [row.acc[0], row.acc[1], row.acc[2], row.pe]);
     }
-    let (per_pair, per_interaction) = variant.charges(costs, sub);
-    stats.charge_closed_form(costs, rows, per_pair, per_interaction);
-
+    let stats = KernelStats::of_rows(variant, costs, sub, soa.len(), rows, interactions);
     (pe_slice, stats)
 }
 

@@ -49,15 +49,6 @@ impl GpuDevice {
         self.startup_seconds
     }
 
-    /// The JIT-baked constant block, if [`compile`] has run. The shared-eval
-    /// fast path reads the same compiled constants the interpretive dispatch
-    /// would, so both paths see one source of truth for the kernel parameters.
-    ///
-    /// [`compile`]: GpuDevice::compile
-    pub(crate) fn compiled_constants(&self) -> Option<&ShaderConstants> {
-        self.constants.as_ref()
-    }
-
     /// PCIe cost of moving a texture to the GPU, seconds.
     pub fn upload_seconds(&self, texture: &Texture) -> f64 {
         self.config.transfer_latency_s
@@ -76,10 +67,10 @@ impl GpuDevice {
     /// stream-processing input/output separation cannot be violated.
     ///
     /// This is the interpretive per-fragment walk the multi-pass reduction
-    /// runs and the kernel tests check against; the MD force pass goes
-    /// through [`LjAccelShader::dispatch_shared`].
+    /// runs and the kernel tests check against; the MD force pass is
+    /// md-core's GPU flavor, charged [`LjAccelShader::ops`].
     ///
-    /// [`LjAccelShader::dispatch_shared`]: crate::mdshader::LjAccelShader::dispatch_shared
+    /// [`LjAccelShader::ops`]: crate::mdshader::LjAccelShader::ops
     pub fn dispatch(
         &self,
         shader: &dyn Shader,
@@ -104,21 +95,20 @@ impl GpuDevice {
         for (i, texel) in output.texels_mut().iter_mut().enumerate() {
             *texel = shader.execute(inputs, i, &constants, &mut ops);
         }
-        self.finish_dispatch(output, ops)
-    }
-
-    /// Convert a completed fragment pass into a [`DispatchResult`]: retired
-    /// ops become pipeline-occupancy seconds, plus the fixed per-dispatch
-    /// driver overhead. Shared by the interpretive dispatch and the
-    /// shared-eval replay path so both charge time through one expression.
-    pub(crate) fn finish_dispatch(&self, output: Texture, ops: ShaderOps) -> DispatchResult {
-        let shader_seconds = ops.total() as f64 / self.config.ops_per_second();
         DispatchResult {
             output,
             ops,
-            shader_seconds,
+            shader_seconds: self.shader_seconds(ops),
             overhead_seconds: self.config.dispatch_overhead_s,
         }
+    }
+
+    /// Pipeline-occupancy seconds of a fragment pass that retires `ops`
+    /// (the fixed per-dispatch driver overhead comes on top). Shared by the
+    /// interpretive dispatch and the MD pricer, so both charge time through
+    /// one expression.
+    pub fn shader_seconds(&self, ops: ShaderOps) -> f64 {
+        ops.total() as f64 / self.config.ops_per_second()
     }
 }
 

@@ -19,13 +19,9 @@
 //! and alternative potentials charge extra ALU slots per pair — on this
 //! hardware a longer pair expression is simply a longer fragment program.
 
-use crate::device::{DispatchResult, GpuDevice};
 use crate::shader::{Shader, ShaderConstants, ShaderOps};
 use crate::texture::Texture;
-use md_core::device::HostParallelism;
-use md_core::parallel::map_indexed;
 use md_core::scenario::Substrate;
-use md_core::shared_eval::{self, SoaPositionsF32};
 
 /// Indices of the kernel constants inside [`ShaderConstants`].
 ///
@@ -55,12 +51,6 @@ pub mod constants {
 pub const ALU_PER_PAIR: u64 = 21;
 /// Texture fetches per examined pair (the j-atom position).
 pub const FETCH_PER_PAIR: u64 = 1;
-/// Host-parallel dispatch granularity: output texels are evaluated in fixed
-/// batches of this many fragments. The batch decomposition depends only on
-/// the output length — never on the thread count — so every batch computes
-/// the same texels and retires the same ops no matter how the batches are
-/// scheduled across host threads.
-pub const FRAGMENT_BATCH: usize = 256;
 /// Per-instance fixed ALU (own position fetch handled in fetches).
 pub const ALU_PER_INSTANCE: u64 = 6;
 
@@ -109,61 +99,22 @@ impl LjAccelShader {
         ShaderConstants { values }
     }
 
-    /// Physics-once dispatch: the fragment-batch row replay (DESIGN.md §17).
-    ///
-    /// Computes the same output texture as
-    /// [`GpuDevice::dispatch`]`(self, ..)` through the shared wide
-    /// evaluator ([`shared_eval::gpu_texel`], which reproduces [`execute`]'s
-    /// per-pair arithmetic bit for bit), and *replays* the op tally as a
-    /// closed form instead of counting fetch/ALU slots pair by pair.
-    /// Predication makes that exact, not approximate: the interpretive
-    /// shader charges every examined pair identically regardless of the
-    /// cutoff outcome, so each texel retires exactly
-    /// `1 + N·FETCH_PER_PAIR` fetches and
-    /// `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU slots, and N
-    /// times that is exact in u64. Identical ops mean identical
-    /// `shader_seconds`. Fragment batches ([`FRAGMENT_BATCH`]) fan out over
-    /// host threads and are committed in batch order.
-    ///
-    /// The compile-before-dispatch JIT contract still holds: the kernel
-    /// constants come from the device's compiled block, exactly as the
-    /// interpretive path reads them.
-    ///
-    /// [`execute`]: Shader::execute
-    pub fn dispatch_shared(
-        &self,
-        device: &GpuDevice,
-        positions: &Texture,
-        par: HostParallelism,
-    ) -> DispatchResult {
-        #[expect(
-            clippy::expect_used,
-            reason = "compile-before-dispatch is an API contract (the JIT protocol), not a runtime data failure"
-        )]
-        let c = device
-            .compiled_constants()
-            .expect("shader must be JIT-compiled (GpuDevice::compile) before dispatch");
-        let n = self.n_atoms;
-        let l = c.values[constants::BOX_LEN];
-        let inv_mass = c.values[constants::INV_MASS];
-        let soa = SoaPositionsF32::from_quads(positions.texels().iter().copied());
-
-        // The interpretive shader's per-texel retirement, as a closed form.
-        let ops = ShaderOps {
-            fetches: n as u64 * (1 + n as u64 * FETCH_PER_PAIR),
-            alu: n as u64 * (ALU_PER_INSTANCE + n as u64 * (ALU_PER_PAIR + self.extra_alu)),
-        };
-        // The batches depend only on the output length, and the texels are
-        // committed in batch order.
-        let batches = map_indexed(par, n.div_ceil(FRAGMENT_BATCH), |b| {
-            let lo = b * FRAGMENT_BATCH;
-            let hi = (lo + FRAGMENT_BATCH).min(n);
-            (lo..hi)
-                .map(|i| shared_eval::gpu_texel(&soa, i, l, &self.sub, inv_mass))
-                .collect::<Vec<_>>()
-        });
-        let output = Texture::from_texels(batches.concat());
-        device.finish_dispatch(output, ops)
+    /// The ops one dispatch over all `n_atoms` texels retires, in closed
+    /// form. Predication makes that exact, not approximate: the shader
+    /// charges every examined pair identically regardless of the cutoff
+    /// outcome, so each texel retires exactly `1 + N·FETCH_PER_PAIR`
+    /// fetches and `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU
+    /// slots, and N times that is exact in u64. The MD force pass computes
+    /// its texels through md-core's GPU flavor
+    /// ([`md_core::shared_eval::gpu_texel`], which reproduces
+    /// [`Shader::execute`]'s per-pair arithmetic bit for bit) and is
+    /// charged these ops (DESIGN.md §17).
+    pub fn ops(&self) -> ShaderOps {
+        let n = self.n_atoms as u64;
+        ShaderOps {
+            fetches: n * (1 + n * FETCH_PER_PAIR),
+            alu: n * (ALU_PER_INSTANCE + n * (ALU_PER_PAIR + self.extra_alu)),
+        }
     }
 }
 
@@ -327,13 +278,13 @@ mod tests {
         assert!(a0[3] < 0.0, "bound pair has negative PE: {a0:?}");
     }
 
-    /// The physics-once contract at the dispatch level: the shared-eval
-    /// replay produces the same texels, op tally, and charged seconds as the
-    /// interpretive per-pair walk — bit for bit — for every scenario flavor,
-    /// at an output length that exercises a partial fragment batch.
+    /// The physics-once contract at the dispatch level: md-core's GPU
+    /// flavor computes the same texels as the interpretive per-pair walk,
+    /// and the closed form retires the same ops — bit for bit — for every
+    /// scenario flavor.
     #[test]
-    fn shared_dispatch_is_bitwise_identical() {
-        let n = FRAGMENT_BATCH + 44;
+    fn shared_texels_and_closed_form_ops_are_the_interpretive_dispatch() {
+        let n = 300;
         let pts: Vec<[f32; 3]> = (0..n)
             .map(|i| {
                 let t = i as f32;
@@ -351,14 +302,16 @@ mod tests {
             let tex = Texture::from_xyz(&pts);
             let shader = LjAccelShader::new(n, sub);
             let interp = dev.dispatch(&shader, &[&tex], n);
-            for threads in [1usize, 2, 8] {
-                let shared = shader.dispatch_shared(&dev, &tex, HostParallelism::Threads(threads));
-                assert_eq!(shared.output.texels(), interp.output.texels(), "{threads}");
-                assert_eq!(shared.ops.alu, interp.ops.alu);
-                assert_eq!(shared.ops.fetches, interp.ops.fetches);
-                assert_eq!(shared.shader_seconds, interp.shader_seconds);
-                assert_eq!(shared.overhead_seconds, interp.overhead_seconds);
-            }
+            let soa =
+                md_core::shared_eval::SoaPositionsF32::from_quads(tex.texels().iter().copied());
+            let shared: Vec<[f32; 4]> = (0..n)
+                .map(|i| md_core::shared_eval::gpu_texel(&soa, i, 6.0, &sub, 0.5))
+                .collect();
+            assert_eq!(shared, interp.output.texels());
+            let ops = shader.ops();
+            assert_eq!(ops.alu, interp.ops.alu);
+            assert_eq!(ops.fetches, interp.ops.fetches);
+            assert_eq!(dev.shader_seconds(ops), interp.shader_seconds);
         }
     }
 }

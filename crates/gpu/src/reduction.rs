@@ -11,6 +11,11 @@
 //! texture, each pass paying the full dispatch overhead. The
 //! `ablation_gpu_reduction` bench and the integration tests show the CPU
 //! readback strategy winning, reproducing the paper's design argument.
+//!
+//! The cascade's pass count and per-pass ops depend on the texel count
+//! alone, so an MD run charges it from the atom count and reports the
+//! trajectory's CPU-summed PE under either strategy; [`reduce_on_gpu`]'s
+//! own f32 total is exercised only here.
 
 use crate::device::GpuDevice;
 use crate::shader::{Shader, ShaderConstants, ShaderOps};
@@ -23,6 +28,7 @@ pub enum ReductionStrategy {
     /// readback ("retrieved for free") and is summed on the CPU.
     CpuReadback,
     /// The rejected alternative: log₄(N) GPU passes, then a 1-texel readback.
+    /// Charged from the atom count; the run reports the CPU-summed PE.
     GpuMultiPass,
 }
 

@@ -15,6 +15,7 @@ use cell_be::{
 };
 use gpu::{GpuConfig, GpuMdSimulation};
 use md_core::device::MdDevice;
+use md_core::trajectory::Flavor;
 use mta::{MtaConfig, MtaMd, ThreadingMode};
 use opteron::{OpteronConfig, OpteronCpu};
 
@@ -278,15 +279,22 @@ impl DeviceKind {
         }
     }
 
-    /// Whether the kind's physics is the f64 host flavor (the Opteron and
-    /// both MTA-2 modes): its device is a [`HostPricer`]
-    /// ([`MdDevice::as_host_pricer`]) and drives no physics of its own, so
-    /// points of one workload can share one trajectory
-    /// ([`crate::host_group_metrics`]).
+    /// The trajectory flavor the kind's device prices ([`Pricer`],
+    /// [`MdDevice::as_pricer`]): the host flavor for the Opteron and both
+    /// MTA-2 modes, the GPU flavor for the GPUs, and the Cell flavor at the
+    /// `Original` stage for the PPE-only baseline. Points of one workload
+    /// and flavor can share one trajectory ([`crate::group_metrics`]).
+    /// `None` for the Cell's SPE offload and its Figure 5 probe, which
+    /// integrate or time the kernel themselves.
     ///
-    /// [`HostPricer`]: md_core::device::HostPricer
-    pub fn prices_host_trajectory(self) -> bool {
-        matches!(self, DeviceKind::Mta { .. } | DeviceKind::Opteron)
+    /// [`Pricer`]: md_core::device::Pricer
+    pub fn flavor(self) -> Option<Flavor> {
+        match self {
+            DeviceKind::Mta { .. } | DeviceKind::Opteron => Some(Flavor::Host),
+            DeviceKind::Gpu { .. } => Some(Flavor::Gpu),
+            DeviceKind::CellPpe => Some(CellPpeMd::FLAVOR),
+            DeviceKind::Cell { .. } | DeviceKind::CellAccel { .. } => None,
+        }
     }
 
     /// [`DeviceKind::build`] with a deterministic fault schedule armed.
@@ -414,6 +422,14 @@ mod tests {
     fn labels_match_built_devices() {
         for kind in roster() {
             assert_eq!(kind.label(), kind.build().label(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn flavors_match_built_devices() {
+        for kind in DeviceKind::parseable_roster() {
+            let built = kind.build().as_pricer().map(|p| p.flavor());
+            assert_eq!(kind.flavor(), built, "{kind:?}");
         }
     }
 

@@ -21,7 +21,7 @@
 //! Each family of runs has one entry point: [`run_supervised`] and
 //! [`run_cluster_supervised`] supervise a device or a cluster (the optional
 //! [`sim_obs::RunLedger`] is the supervisor's one sink), and
-//! [`device_metrics`], [`host_group_metrics`], [`cluster_metrics`] and
+//! [`device_metrics`], [`group_metrics`], [`cluster_metrics`] and
 //! [`device_ledger`] collect counters and attribution (see [`perf`]).
 
 pub mod cluster;
@@ -39,7 +39,7 @@ pub use cluster::{run_cluster_supervised, ClusterKind, ClusterRecovery};
 pub use device::{DeviceKind, GpuModel};
 pub use error::HarnessError;
 pub use perf::{
-    cluster_metrics, device_ledger, device_metrics, host_group_metrics, workload_label,
+    cluster_metrics, device_ledger, device_metrics, group_metrics, workload_label,
     write_metrics_json, write_metrics_json_in,
 };
 pub use report::{emit_figure, write_csv, Table};

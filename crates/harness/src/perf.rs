@@ -12,7 +12,7 @@
 //! archives them.
 //!
 //! Four entry points cover every caller: [`device_metrics`] (one device,
-//! any host parallelism), [`host_group_metrics`] (several f64 devices
+//! any host parallelism), [`group_metrics`] (several devices of one flavor
 //! pricing one trajectory's record), [`cluster_metrics`] (one simulated cluster) and
 //! [`device_ledger`] (one device with a [`RunLedger`] attached and the run
 //! host-timed from outside). Callers that want a wall clock on a plain
@@ -58,28 +58,31 @@ pub fn device_metrics(
     Ok(collect_metrics(dev.as_ref(), &r, sim.n_atoms, steps, &perf))
 }
 
-/// [`device_metrics`] for kinds whose devices price the f64 host trajectory
-/// ([`DeviceKind::prices_host_trajectory`]): the kinds price `record`, a
-/// trajectory the caller drove from the lattice, concurrently on `par`.
-/// Each metrics record is bitwise the one [`device_metrics`] returns for
-/// its kind alone on the record's config and steps, because such a
-/// device's run is exactly that drive and that price.
-pub fn host_group_metrics(
+/// [`device_metrics`] for kinds whose devices price `record`, a trajectory
+/// the caller drove from the lattice, concurrently on `par`. Each metrics
+/// record is bitwise the one [`device_metrics`] returns for its kind alone
+/// on the record's config and steps, because such a device's run is
+/// exactly that drive and that price. A kind of another flavor than the
+/// record's ([`DeviceKind::flavor`]) is an invalid input, never a price.
+pub fn group_metrics(
     kinds: &[DeviceKind],
     record: &TrajectoryRecord,
     par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, HarnessError> {
     let invalid = |k: DeviceKind| {
-        HarnessError::InvalidInput(format!("{k} does not price the f64 host trajectory"))
+        HarnessError::InvalidInput(format!(
+            "{k} does not price {:?} trajectories",
+            record.flavor()
+        ))
     };
-    if let Some(&k) = kinds.iter().find(|k| !k.prices_host_trajectory()) {
+    if let Some(&k) = kinds.iter().find(|k| k.flavor() != Some(record.flavor())) {
         return Err(invalid(k));
     }
     md_core::parallel::map_indexed(par, kinds.len(), |i| {
         let mut dev = kinds[i].build();
-        let pricer = dev.as_host_pricer().ok_or_else(|| invalid(kinds[i]))?;
+        let pricer = dev.as_pricer().ok_or_else(|| invalid(kinds[i]))?;
         let mut perf = PerfMonitor::new();
-        let run = pricer.price(record, &mut perf);
+        let run = pricer.price(record, &mut perf)?;
         Ok(collect_metrics(
             dev.as_ref(),
             &run,
@@ -193,7 +196,7 @@ pub fn write_metrics_json_in(dir: impl AsRef<Path>, m: &RunMetrics) -> io::Resul
 mod tests {
     use super::*;
     use crate::device::GpuModel;
-    use md_core::trajectory::HostTrajectory;
+    use md_core::trajectory::{Flavor, Trajectory};
     use mta::ThreadingMode;
 
     fn small() -> SimConfig {
@@ -272,26 +275,74 @@ mod tests {
     }
 
     #[test]
-    fn a_host_group_prices_one_trajectory_as_each_device_alone() {
-        let kinds = [
+    fn a_group_prices_one_trajectory_as_each_device_alone() {
+        let host = [
             MTA_FULL,
             DeviceKind::Opteron,
             DeviceKind::Mta {
                 mode: ThreadingMode::PartiallyMultithreaded,
             },
         ];
+        let gpus = [
+            GPU,
+            DeviceKind::Gpu {
+                model: GpuModel::GeForce6800,
+            },
+        ];
         let sim = small().with_scenario(md_core::scenario::ScenarioSpec::morse_nvt());
-        let traj = HostTrajectory::drive(&sim, None, 2, HostParallelism::Threads(2), None);
-        let group =
-            host_group_metrics(&kinds, traj.record(), HostParallelism::Threads(2)).expect("group");
-        for (kind, m) in kinds.into_iter().zip(&group) {
-            let alone = device_metrics(kind, &sim, 2, HostParallelism::Serial).expect("alone");
-            assert_eq!(m.to_json(), alone.to_json(), "{}", kind.label());
+        for kinds in [&host[..], &gpus, &[DeviceKind::CellPpe]] {
+            let flavor = kinds[0].flavor().expect("a pricing kind");
+            let traj = Trajectory::drive(flavor, &sim, None, 2, HostParallelism::Threads(2), None);
+            let group =
+                group_metrics(kinds, traj.record(), HostParallelism::Threads(2)).expect("group");
+            for (&kind, m) in kinds.iter().zip(&group) {
+                let alone = device_metrics(kind, &sim, 2, HostParallelism::Serial).expect("alone");
+                assert_eq!(m.to_json(), alone.to_json(), "{}", kind.label());
+            }
         }
-        assert!(matches!(
-            host_group_metrics(&[GPU], traj.record(), HostParallelism::Serial),
-            Err(HarnessError::InvalidInput(_))
-        ));
+    }
+
+    /// A record of another flavor is an invalid input, never a price: in a
+    /// group, and straight through the device's own pricer.
+    #[test]
+    fn a_record_of_another_flavor_is_never_priced() {
+        let sim = small();
+        let record = |flavor| {
+            Trajectory::drive(flavor, &sim, None, 1, HostParallelism::Serial, None).into_record()
+        };
+        let (host, gpu, cell) = (
+            record(Flavor::Host),
+            record(Flavor::Gpu),
+            record(cell_be::CellPpeMd::FLAVOR),
+        );
+        for (kinds, record) in [
+            (&[GPU][..], &host),
+            (&[DeviceKind::Opteron, GPU], &host),
+            (&[DeviceKind::cell_best()], &host),
+            (&[DeviceKind::Opteron], &gpu),
+            (&[DeviceKind::CellPpe], &gpu),
+            (&[GPU], &cell),
+            (&[MTA_FULL], &cell),
+        ] {
+            assert!(
+                matches!(
+                    group_metrics(kinds, record, HostParallelism::Serial),
+                    Err(HarnessError::InvalidInput(_))
+                ),
+                "{kinds:?} priced a {:?} record",
+                record.flavor()
+            );
+            for kind in kinds.iter().filter(|k| k.flavor() != Some(record.flavor())) {
+                let mut dev = kind.build();
+                if let Some(pricer) = dev.as_pricer() {
+                    let priced = pricer.price(record, &mut PerfMonitor::new());
+                    assert!(
+                        matches!(priced, Err(md_core::device::DeviceError::Unsupported(_))),
+                        "{kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! - **Segment transparency.** Starting from a [`SystemCheckpoint`] and
 //!   running `k` steps, then continuing from the returned checkpoint, must
 //!   reproduce the unsegmented trajectory bit for bit (devices prime
-//!   accelerations from positions on entry). The f64 devices ([`HostPricer`]:
-//!   the Opteron and both MTA-2 modes) take the prime from their last
-//!   trajectory when they resume from the state it ended in
-//!   ([`HostTrajectory::resumes`]); the charge is unchanged, only host time
-//!   is saved. The Cell and the GPU recompute the prime.
+//!   accelerations from positions on entry). The devices that price a
+//!   trajectory ([`Pricer`]: the Opteron, both MTA-2 modes, the GPU and the
+//!   PPE-only baseline) take the prime from their last trajectory when they
+//!   resume from the state it ended in ([`Trajectory::resumes`]); the charge
+//!   is unchanged, only host time is saved. Only the Cell SPE offload
+//!   recomputes the prime.
 //! - **Free observation.** Passing a [`PerfMonitor`] must not change the
 //!   trajectory or the simulated clock.
 //! - **Attribution identity.** [`DeviceRun::attribution`] partitions
@@ -29,7 +30,7 @@
 use crate::checkpoint::SystemCheckpoint;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
-use crate::trajectory::{HostTrajectory, TrajectoryRecord};
+use crate::trajectory::{Flavor, Trajectory, TrajectoryRecord};
 use sim_fault::FaultStats;
 use std::fmt;
 
@@ -279,15 +280,16 @@ pub trait MdDevice {
     /// durable: retry from the same checkpoint after [`MdDevice::resalt`].
     fn run(&mut self, sim: &SimConfig, opts: RunOptions<'_>) -> Result<DeviceRun, DeviceError>;
 
-    /// The device as a [`HostPricer`], when its physics is the f64 host
-    /// flavor; `None` for every other device.
-    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+    /// The device as a [`Pricer`], when it prices a [`Trajectory`] instead
+    /// of integrating one itself; `None` for the Cell's SPE offload and its
+    /// Figure 5 probe.
+    fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
         None
     }
 }
 
-/// What a [`HostPricer`] reports for one trajectory: a [`DeviceRun`]
-/// without the state the run ended in, which only the trajectory holds.
+/// What a [`Pricer`] reports for one trajectory: a [`DeviceRun`] without
+/// the state the run ended in, which only the trajectory holds.
 pub type PricedRun = DeviceRun<()>;
 
 impl PricedRun {
@@ -306,36 +308,62 @@ impl PricedRun {
     }
 }
 
-/// A device whose physics is the f64 host flavor: it integrates nothing
-/// itself and prices a [`TrajectoryRecord`] with its cost model. Its
-/// [`MdDevice::run`] is [`run_host_device`], which drives the trajectory,
+/// A device whose physics is a trajectory [`Flavor`]: it integrates
+/// nothing itself and prices a [`TrajectoryRecord`] with its cost model.
+/// Its [`MdDevice::run`] is [`run_priced`], which drives the trajectory,
 /// prices its record and attaches the final state, so pricing the record
 /// of a trajectory driven elsewhere from the same start (once for several
 /// devices, or once for several specs, as a sweep does) reports exactly
 /// what `run` reports, less the checkpoint.
-pub trait HostPricer: MdDevice {
-    /// Charge `record` on this device, observing into `perf` (a fresh
-    /// monitor), and report the run. The record holds no state, so the
-    /// caller attaches the checkpoint ([`PricedRun::with_checkpoint`]).
-    fn price(&mut self, record: &TrajectoryRecord, perf: &mut PerfMonitor) -> PricedRun;
+pub trait Pricer: MdDevice {
+    /// The datapath whose trajectories the device prices.
+    fn flavor(&self) -> Flavor;
+
+    /// Charge `record`, a trajectory of [`Pricer::flavor`], on this device,
+    /// observing into `perf` (a fresh monitor), and report the run. The
+    /// record holds no state, so the caller attaches the checkpoint
+    /// ([`PricedRun::with_checkpoint`]). Callers outside [`run_priced`] go
+    /// through [`Pricer::price`], which checks the flavor.
+    fn charge(&mut self, record: &TrajectoryRecord, perf: &mut PerfMonitor) -> PricedRun;
 
     /// The device's last trajectory, the resume record of its next run.
-    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory>;
+    fn last_trajectory(&mut self) -> &mut Option<Trajectory>;
+
+    /// [`Pricer::charge`] `record` when it is of the device's flavor; a
+    /// record of another flavor is an [`DeviceError::Unsupported`] error,
+    /// never a price.
+    fn price(
+        &mut self,
+        record: &TrajectoryRecord,
+        perf: &mut PerfMonitor,
+    ) -> Result<PricedRun, DeviceError> {
+        if record.flavor() != self.flavor() {
+            return Err(DeviceError::Unsupported(format!(
+                "{} prices {:?} trajectories, not {:?}",
+                self.label(),
+                self.flavor(),
+                record.flavor()
+            )));
+        }
+        Ok(self.charge(record, perf))
+    }
 }
 
-/// The one run path of a [`HostPricer`]: drive the trajectory `opts` asks
-/// for, resuming from the device's last one, price its record, attach the
-/// trajectory's final state as the run's checkpoint, record the run into
-/// the ledger, and keep the whole trajectory as the next resume record.
-/// Observes with a local monitor when `opts` brings none: device-derived
-/// metrics read counters, and observation never changes the run.
-pub fn run_host_device<D: HostPricer + ?Sized>(
+/// The one run path of a [`Pricer`]: drive the trajectory of its flavor
+/// that `opts` asks for, resuming from the device's last one, charge its
+/// record, attach the trajectory's final state as the run's checkpoint,
+/// record the run into the ledger, and keep the whole trajectory as the
+/// next resume record. Observes with a local monitor when `opts` brings
+/// none: device-derived metrics read counters, and observation never
+/// changes the run.
+pub fn run_priced<D: Pricer + ?Sized>(
     dev: &mut D,
     sim: &SimConfig,
     mut opts: RunOptions<'_>,
 ) -> DeviceRun {
     let last = dev.last_trajectory().take();
-    let traj = HostTrajectory::drive(
+    let traj = Trajectory::drive(
+        dev.flavor(),
         sim,
         opts.start,
         opts.steps,
@@ -348,7 +376,7 @@ pub fn run_host_device<D: HostPricer + ?Sized>(
         None => &mut local,
     };
     let run = dev
-        .price(traj.record(), perf)
+        .charge(traj.record(), perf)
         .with_checkpoint(traj.checkpoint());
     if let Some(led) = opts.ledger.take() {
         ledger_record_run(led, &dev.label(), &run, Some(perf));

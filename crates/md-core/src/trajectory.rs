@@ -1,18 +1,18 @@
-//! The f64 trajectory driver (DESIGN.md §11): the physics of every device
-//! whose datapath is the host flavor, the Opteron and both MTA-2 modes.
+//! The trajectory driver (DESIGN.md §11): the physics of every device
+//! whose host integrates and whose device only evaluates forces, the
+//! Opteron, both MTA-2 modes, the GPU and the Cell's PPE-only baseline.
 //!
-//! A device's physics is fixed by its datapath flavor, not by the device.
-//! Each of these devices evaluates forces with [`host_forces`] inside the
-//! same velocity-Verlet step, so their states and energies agree bit for
-//! bit. [`HostTrajectory::drive`] integrates such a run once and keeps what
-//! the cost models read of it, a [`TrajectoryRecord`]: each evaluation's
-//! potential energy and interaction count and the final energies, per
-//! evaluation, not per atom. A device prices that record
-//! ([`crate::device::HostPricer`]), so a sweep that holds several points of
-//! one workload drives it once and prices every point from it, and can keep
-//! the record without the state.
+//! A device's physics is fixed by its datapath [`Flavor`], not by the
+//! device. [`Trajectory::drive`] integrates a run of one flavor once, in
+//! the flavor's native precision, and keeps what the cost models read of
+//! it, a [`TrajectoryRecord`]: each evaluation's potential energy and
+//! interaction count and the final energies, per evaluation, not per atom.
+//! A device prices that record ([`crate::device::Pricer`]), so a sweep that
+//! holds several points of one workload and flavor drives it once and
+//! prices every point from it, and can keep the record without the state.
+//! The Cell's SPE offload is the one device that still integrates itself.
 //!
-//! `HostStepper` is the one f64 stepping path: the driver and
+//! `HostStepper` is the one f64 stepping path: the host flavor and
 //! [`crate::sim::Simulation`] (`mdea run`, the examples) both advance
 //! through it.
 
@@ -23,17 +23,33 @@ use crate::init;
 use crate::observables::EnergyReport;
 use crate::params::SimConfig;
 use crate::scenario::Substrate;
-use crate::shared_eval::host_forces;
+use crate::shared_eval::{cell_forces, gpu_forces, host_forces, CellStage};
 use crate::system::ParticleSystem;
 use crate::verlet::VelocityVerlet;
-use vecmath::Vec3;
+use vecmath::{Real, Vec3};
+
+/// The closed set of datapaths a trajectory evaluates its forces through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flavor {
+    /// [`host_forces`] in f64: the Opteron and both MTA-2 modes.
+    Host,
+    /// [`gpu_forces`] in f32: `gpu_texel` rows in fragment batches, the PE
+    /// the texels' w lanes summed in f64 and halved. The GPU.
+    Gpu,
+    /// [`cell_forces`] in f32 at the SPE-kernel stage that reflects at
+    /// `L/2` and fuses its accumulate if `fused`: the row PEs summed in row
+    /// order in f32, then halved. The PPE-only baseline runs the
+    /// `Original` stage, unfused.
+    Cell { fused: bool },
+}
 
 /// One force evaluation, as the cost models read it.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalRecord {
     /// Potential energy at the evaluated positions.
     pub pe: f64,
-    /// In-cutoff pairs the evaluation found, each counted from both atoms.
+    /// In-cutoff pairs the evaluation found, each counted from both atoms;
+    /// 0 in the GPU flavor, whose predicated shader counts none.
     pub interactions: u64,
 }
 
@@ -59,22 +75,32 @@ impl HostStepper<'_> {
     /// One `vv` step of `sys`: one evaluation, then the substrate's
     /// thermostat after the second half-kick.
     pub fn step(&self, vv: &VelocityVerlet<f64>, sys: &mut ParticleSystem<f64>) -> EvalRecord {
-        let mut interactions = 0;
-        let pe = vv.step(sys, self.sub, |s| {
-            let eval = self.evaluate(s);
-            interactions = eval.interactions;
-            eval.pe
-        });
-        EvalRecord { pe, interactions }
+        step(vv, self.sub, sys, |s| self.evaluate(s))
     }
 }
 
-/// What the cost models read of one f64 run: the config, the atom count,
-/// every force evaluation and the energies of the final state. It holds no
-/// per-atom state, so a sweep can keep one per workload for as long as it
-/// runs.
+/// One velocity-Verlet step of `sys` whose force evaluation is `evaluate`.
+fn step<T: Real>(
+    vv: &VelocityVerlet<T>,
+    sub: &Substrate<T>,
+    sys: &mut ParticleSystem<T>,
+    mut evaluate: impl FnMut(&mut ParticleSystem<T>) -> EvalRecord,
+) -> EvalRecord {
+    let mut eval = EvalRecord::default();
+    vv.step(sys, sub, |s| {
+        eval = evaluate(s);
+        T::from_f64(eval.pe)
+    });
+    eval
+}
+
+/// What the cost models read of one run: its flavor, the config, the atom
+/// count, every force evaluation and the energies of the final state. It
+/// holds no per-atom state, so a sweep can keep one per workload for as
+/// long as it runs.
 #[derive(Clone, Debug)]
 pub struct TrajectoryRecord {
+    flavor: Flavor,
     sim: SimConfig,
     n: usize,
     /// The priming evaluation, then one per step; never empty.
@@ -83,6 +109,11 @@ pub struct TrajectoryRecord {
 }
 
 impl TrajectoryRecord {
+    /// The datapath the run evaluated its forces through.
+    pub fn flavor(&self) -> Flavor {
+        self.flavor
+    }
+
     /// The config the run integrated.
     pub fn sim(&self) -> &SimConfig {
         &self.sim
@@ -114,74 +145,128 @@ impl TrajectoryRecord {
     }
 }
 
-/// One f64 run: its [`TrajectoryRecord`] and the state the run ended in.
-///
-/// It is also the resume record of the run that follows it. [`host_forces`]
-/// is a pure function of the positions, box, mass and the config's
-/// substrate, and its bits do not depend on the host thread count. A
-/// supervised run resumes each segment from the checkpoint the previous
-/// segment ended in, so the next segment's priming evaluation would
-/// recompute exactly this run's last one. [`HostTrajectory::drive`] takes
-/// it from here when the inputs match bit for bit
-/// ([`HostTrajectory::resumes`]); every cost the devices charge for it is
-/// unchanged.
+/// The state a run ended in, in its flavor's native precision.
 #[derive(Clone, Debug)]
-pub struct HostTrajectory {
+enum State {
+    F64(ParticleSystem<f64>),
+    F32(ParticleSystem<f32>),
+}
+
+/// A precision a flavor integrates in, and how its state sits in [`State`].
+trait Native: Real {
+    fn wrap(sys: ParticleSystem<Self>) -> State;
+    fn unwrap(state: &State) -> Option<&ParticleSystem<Self>>;
+    fn bits(self) -> u64;
+}
+
+impl Native for f64 {
+    fn wrap(sys: ParticleSystem<f64>) -> State {
+        State::F64(sys)
+    }
+
+    fn unwrap(state: &State) -> Option<&ParticleSystem<f64>> {
+        match state {
+            State::F64(sys) => Some(sys),
+            State::F32(_) => None,
+        }
+    }
+
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+impl Native for f32 {
+    fn wrap(sys: ParticleSystem<f32>) -> State {
+        State::F32(sys)
+    }
+
+    fn unwrap(state: &State) -> Option<&ParticleSystem<f32>> {
+        match state {
+            State::F32(sys) => Some(sys),
+            State::F64(_) => None,
+        }
+    }
+
+    fn bits(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+}
+
+/// One run: its [`TrajectoryRecord`] and the state the run ended in, in the
+/// flavor's native precision.
+///
+/// It is also the resume record of the run that follows it. Each flavor's
+/// force evaluation is a pure function of the positions, box, mass and the
+/// config's substrate, and its bits do not depend on the host thread count.
+/// A supervised run resumes each segment from the checkpoint the previous
+/// segment ended in, so the next segment's priming evaluation would
+/// recompute exactly this run's last one. [`Trajectory::drive`] takes it
+/// from here when the inputs match bit for bit ([`Trajectory::resumes`]);
+/// every cost the devices charge for it is unchanged. A checkpoint widens
+/// an f32 state to f64 exactly, so restoring it gives back this state.
+#[derive(Clone, Debug)]
+pub struct Trajectory {
     record: TrajectoryRecord,
     /// The state after the last step, accelerations from the last
     /// evaluation.
-    system: ParticleSystem<f64>,
+    state: State,
     end_step: u64,
 }
 
-impl HostTrajectory {
-    /// Integrate `steps` velocity-Verlet steps of `sim` from `start`, or
-    /// from the standard lattice when `start` is `None`, through
-    /// `HostStepper` with no bonded terms.
+impl Trajectory {
+    /// Integrate `steps` velocity-Verlet steps of `sim` through `flavor`
+    /// from `start`, or from the standard lattice when `start` is `None`,
+    /// on `par` host threads (bitwise identical at any setting).
     ///
     /// `resume` is the trajectory the caller drove last, if any. When
     /// `start` is the state it ended in, the priming evaluation is taken
     /// from it instead of recomputed.
     pub fn drive(
+        flavor: Flavor,
         sim: &SimConfig,
         start: Option<&SystemCheckpoint>,
         steps: usize,
         par: HostParallelism,
-        resume: Option<&HostTrajectory>,
+        resume: Option<&Trajectory>,
     ) -> Self {
-        let (mut system, start_step): (ParticleSystem<f64>, u64) = match start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
+        let drive = Drive {
+            flavor,
+            sim,
+            start,
+            steps,
+            resume,
         };
-        let stepper = HostStepper {
-            sub: &sim.substrate(),
-            topology: &BondedTopology::new(),
-            par,
-        };
-        let mut evals = Vec::with_capacity(steps + 1);
-        evals.push(match resume {
-            Some(last) if last.resumes(&system, sim) => {
-                system
-                    .accelerations
-                    .copy_from_slice(&last.system.accelerations);
-                last.record.last_eval()
+        match flavor {
+            Flavor::Host => {
+                let stepper = HostStepper {
+                    sub: &sim.substrate(),
+                    topology: &BondedTopology::new(),
+                    par,
+                };
+                drive.integrate(|sys| stepper.evaluate(sys))
             }
-            _ => stepper.evaluate(&mut system),
-        });
-        let vv = VelocityVerlet::new(sim.dt);
-        for _ in 0..steps {
-            evals.push(stepper.step(&vv, &mut system));
-        }
-        let last_pe = evals[evals.len() - 1].pe;
-        Self {
-            record: TrajectoryRecord {
-                sim: *sim,
-                n: system.n(),
-                evals,
-                energies: EnergyReport::measure(&system, last_pe),
-            },
-            system,
-            end_step: start_step + steps as u64,
+            Flavor::Gpu => {
+                let sub = sim.substrate();
+                drive.integrate(|sys| EvalRecord {
+                    pe: gpu_forces(sys, &sub, par),
+                    interactions: 0,
+                })
+            }
+            Flavor::Cell { fused } => {
+                let sub = sim.substrate();
+                drive.integrate(|sys: &mut ParticleSystem<f32>| {
+                    let stage = CellStage {
+                        reflect_above: 0.5 * sys.box_len,
+                        fused,
+                    };
+                    let (pe, interactions) = cell_forces(sys, &sub, stage, par);
+                    EvalRecord {
+                        pe: f64::from(pe * 0.5),
+                        interactions,
+                    }
+                })
+            }
         }
     }
 
@@ -197,19 +282,43 @@ impl HostTrajectory {
 
     /// The final state, stamped with the step the run ended at.
     pub fn checkpoint(&self) -> SystemCheckpoint {
-        SystemCheckpoint::capture(&self.system, self.end_step)
+        match &self.state {
+            State::F64(sys) => SystemCheckpoint::capture(sys, self.end_step),
+            State::F32(sys) => SystemCheckpoint::capture(sys, self.end_step),
+        }
     }
 
-    /// Whether a run of `sim` that starts from `sys` would recompute this
-    /// run's last evaluation: bitwise equality of every input of
-    /// [`host_forces`], so `-0.0` and NaN miss. The config compares with
-    /// `==` (NaN fields miss) and by its `Debug` text, whose shortest
-    /// round-trip float printing tells `-0.0` from `0.0`.
-    pub fn resumes(&self, sys: &ParticleSystem<f64>, sim: &SimConfig) -> bool {
-        let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
-        let own = &self.system;
-        own.box_len.to_bits() == sys.box_len.to_bits()
-            && own.mass.to_bits() == sys.mass.to_bits()
+    /// Whether a run of `sim` through this run's flavor from `cp` would
+    /// take its priming evaluation from this run.
+    pub fn resumes(&self, cp: &SystemCheckpoint, sim: &SimConfig) -> bool {
+        let flavor = self.record.flavor;
+        match &self.state {
+            State::F64(_) => self
+                .resumed_state::<f64>(flavor, &cp.restore(), sim)
+                .is_some(),
+            State::F32(_) => self
+                .resumed_state::<f32>(flavor, &cp.restore(), sim)
+                .is_some(),
+        }
+    }
+
+    /// This run's final state, when a run of `sim` through `flavor` that
+    /// starts from `sys` would recompute this run's last evaluation: the
+    /// same flavor and bitwise equality of every input of its force
+    /// evaluation, so `-0.0` and NaN miss. The config compares with `==`
+    /// (NaN fields miss) and by its `Debug` text, whose shortest round-trip
+    /// float printing tells `-0.0` from `0.0`.
+    fn resumed_state<T: Native>(
+        &self,
+        flavor: Flavor,
+        sys: &ParticleSystem<T>,
+        sim: &SimConfig,
+    ) -> Option<&ParticleSystem<T>> {
+        let own = T::unwrap(&self.state)?;
+        let bits = |v: &Vec3<T>| [v.x.bits(), v.y.bits(), v.z.bits()];
+        let same = self.record.flavor == flavor
+            && own.box_len.bits() == sys.box_len.bits()
+            && own.mass.bits() == sys.mass.bits()
             && own.n() == sys.n()
             && own
                 .positions
@@ -217,7 +326,60 @@ impl HostTrajectory {
                 .zip(&sys.positions)
                 .all(|(a, b)| bits(a) == bits(b))
             && self.record.sim == *sim
-            && format!("{:?}", self.record.sim) == format!("{sim:?}")
+            && format!("{:?}", self.record.sim) == format!("{sim:?}");
+        same.then_some(own)
+    }
+}
+
+/// The inputs of one [`Trajectory::drive`], integrated in the precision of
+/// the evaluation [`Drive::integrate`] is given.
+struct Drive<'a> {
+    flavor: Flavor,
+    sim: &'a SimConfig,
+    start: Option<&'a SystemCheckpoint>,
+    steps: usize,
+    resume: Option<&'a Trajectory>,
+}
+
+impl Drive<'_> {
+    fn integrate<T: Native>(
+        self,
+        mut evaluate: impl FnMut(&mut ParticleSystem<T>) -> EvalRecord,
+    ) -> Trajectory {
+        let sim = self.sim;
+        let (mut system, start_step): (ParticleSystem<T>, u64) = match self.start {
+            Some(cp) => (cp.restore(), cp.step),
+            None => (init::initialize(sim), 0),
+        };
+        let mut evals = Vec::with_capacity(self.steps + 1);
+        let prime = self.resume.and_then(|last| {
+            let own = last.resumed_state(self.flavor, &system, sim)?;
+            Some((own, last.record.last_eval()))
+        });
+        evals.push(match prime {
+            Some((own, eval)) => {
+                system.accelerations.copy_from_slice(&own.accelerations);
+                eval
+            }
+            None => evaluate(&mut system),
+        });
+        let vv = VelocityVerlet::new(T::from_f64(sim.dt));
+        let sub = sim.substrate::<T>();
+        for _ in 0..self.steps {
+            evals.push(step(&vv, &sub, &mut system, &mut evaluate));
+        }
+        let last_pe = evals[evals.len() - 1].pe;
+        Trajectory {
+            record: TrajectoryRecord {
+                flavor: self.flavor,
+                sim: *sim,
+                n: system.n(),
+                evals,
+                energies: EnergyReport::measure(&system, last_pe),
+            },
+            state: T::wrap(system),
+            end_step: start_step + self.steps as u64,
+        }
     }
 }
 
@@ -228,8 +390,19 @@ impl HostTrajectory {
 mod tests {
     use super::*;
 
-    fn drive(sim: &SimConfig, start: Option<&SystemCheckpoint>, steps: usize) -> HostTrajectory {
-        HostTrajectory::drive(sim, start, steps, HostParallelism::Serial, None)
+    const FLAVORS: [Flavor; 3] = [Flavor::Host, Flavor::Gpu, Flavor::Cell { fused: false }];
+
+    fn drive(sim: &SimConfig, start: Option<&SystemCheckpoint>, steps: usize) -> Trajectory {
+        drive_flavor(Flavor::Host, sim, start, steps)
+    }
+
+    fn drive_flavor(
+        flavor: Flavor,
+        sim: &SimConfig,
+        start: Option<&SystemCheckpoint>,
+        steps: usize,
+    ) -> Trajectory {
+        Trajectory::drive(flavor, sim, start, steps, HostParallelism::Serial, None)
     }
 
     #[test]
@@ -248,35 +421,102 @@ mod tests {
     }
 
     #[test]
+    fn the_f32_flavors_track_the_f32_reference() {
+        let sim = SimConfig::reduced_lj(256);
+        let reference = crate::reference::run::<f32>(&sim, 3);
+        for flavor in [Flavor::Gpu, Flavor::Cell { fused: false }] {
+            let total = drive_flavor(flavor, &sim, None, 3)
+                .record()
+                .energies()
+                .total;
+            assert!(
+                (total - reference.total).abs() < 1e-3 * reference.total.abs(),
+                "{flavor:?}: {total} vs {}",
+                reference.total
+            );
+        }
+    }
+
+    #[test]
     fn segmented_run_matches_unsegmented_run_bitwise() {
         let sim = SimConfig::reduced_lj(108);
-        let whole = drive(&sim, None, 10);
-        let first = drive(&sim, None, 5);
-        let second = drive(&sim, Some(&first.checkpoint()), 5);
-        assert_eq!(second.checkpoint(), whole.checkpoint());
-        assert_eq!(second.record().evals(), &whole.record().evals()[5..]);
+        for flavor in FLAVORS {
+            let whole = drive_flavor(flavor, &sim, None, 10);
+            let first = drive_flavor(flavor, &sim, None, 5);
+            let second = drive_flavor(flavor, &sim, Some(&first.checkpoint()), 5);
+            assert_eq!(second.checkpoint(), whole.checkpoint(), "{flavor:?}");
+            assert_eq!(
+                second.record().evals(),
+                &whole.record().evals()[5..],
+                "{flavor:?}"
+            );
+        }
     }
 
     #[test]
     fn evaluations_do_not_depend_on_host_threads() {
-        let sim = SimConfig::reduced_lj(256);
-        let serial = drive(&sim, None, 2);
-        let par = HostTrajectory::drive(&sim, None, 2, HostParallelism::Threads(3), None);
-        assert_eq!(par.record().evals(), serial.record().evals());
-        assert_eq!(par.checkpoint(), serial.checkpoint());
+        let sim = SimConfig::reduced_lj(300);
+        for flavor in FLAVORS {
+            let serial = drive_flavor(flavor, &sim, None, 2);
+            let par = Trajectory::drive(flavor, &sim, None, 2, HostParallelism::Threads(3), None);
+            assert_eq!(par.record().evals(), serial.record().evals(), "{flavor:?}");
+            assert_eq!(par.checkpoint(), serial.checkpoint(), "{flavor:?}");
+        }
     }
 
     #[test]
     fn a_resume_from_the_runs_checkpoint_takes_its_last_evaluation() {
         let sim = SimConfig::reduced_lj(108);
-        let first = drive(&sim, None, 3);
-        let cp = first.checkpoint();
-        assert!(first.resumes(&cp.restore(), &sim));
-        let warm = HostTrajectory::drive(&sim, Some(&cp), 0, HostParallelism::Serial, Some(&first));
-        let cold = drive(&sim, Some(&cp), 0);
-        assert_eq!(warm.record().evals(), &[first.record().last_eval()]);
+        for flavor in FLAVORS {
+            let first = drive_flavor(flavor, &sim, None, 3);
+            let cp = first.checkpoint();
+            assert!(first.resumes(&cp, &sim), "{flavor:?}");
+            let warm = Trajectory::drive(
+                flavor,
+                &sim,
+                Some(&cp),
+                0,
+                HostParallelism::Serial,
+                Some(&first),
+            );
+            let cold = drive_flavor(flavor, &sim, Some(&cp), 0);
+            assert_eq!(warm.record().evals(), &[first.record().last_eval()]);
+            assert_eq!(warm.record().evals(), cold.record().evals(), "{flavor:?}");
+            assert_eq!(warm.checkpoint(), cold.checkpoint(), "{flavor:?}");
+        }
+    }
+
+    #[test]
+    fn another_flavor_never_resumes() {
+        let sim = SimConfig::reduced_lj(108);
+        let gpu = drive_flavor(Flavor::Gpu, &sim, None, 2);
+        let cp = gpu.checkpoint();
+        let cell = Flavor::Cell { fused: false };
+        let cold = drive_flavor(cell, &sim, Some(&cp), 0);
+        let warm = Trajectory::drive(
+            cell,
+            &sim,
+            Some(&cp),
+            0,
+            HostParallelism::Serial,
+            Some(&gpu),
+        );
+        assert_ne!(cold.record().last_eval(), gpu.record().last_eval());
         assert_eq!(warm.record().evals(), cold.record().evals());
         assert_eq!(warm.checkpoint(), cold.checkpoint());
+        // The f64 state a host run would start from is not the f32 one.
+        let host = Trajectory::drive(
+            Flavor::Host,
+            &sim,
+            Some(&cp),
+            0,
+            HostParallelism::Serial,
+            Some(&gpu),
+        );
+        assert_eq!(
+            host.record().evals(),
+            drive(&sim, Some(&cp), 0).record().evals()
+        );
     }
 
     #[test]
@@ -285,36 +525,38 @@ mod tests {
         let mut sys: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
         let record = |sim: SimConfig| {
             let system = ParticleSystem::new(4, 10.0);
-            HostTrajectory {
+            Trajectory {
                 record: TrajectoryRecord {
+                    flavor: Flavor::Host,
                     sim,
                     n: 4,
-                    evals: vec![EvalRecord {
-                        pe: 0.0,
-                        interactions: 0,
-                    }],
+                    evals: vec![EvalRecord::default()],
                     energies: EnergyReport::measure(&system, 0.0),
                 },
-                system,
+                state: State::F64(system),
                 end_step: 0,
             }
         };
-        assert!(record(cfg).resumes(&sys, &cfg));
+        let resumes = |run: Trajectory, sys: &ParticleSystem<f64>, sim: &SimConfig| {
+            run.resumed_state(Flavor::Host, sys, sim).is_some()
+        };
+        assert!(resumes(record(cfg), &sys, &cfg));
+        assert!(record(cfg).resumed_state(Flavor::Gpu, &sys, &cfg).is_none());
         // `==` holds for -0.0 and 0.0, the bits differ.
         let signed = SimConfig {
             cutoff: -0.0,
             ..cfg
         };
         let zero = SimConfig { cutoff: 0.0, ..cfg };
-        assert!(!record(zero).resumes(&sys, &signed));
+        assert!(!resumes(record(zero), &sys, &signed));
         sys.positions[1].y = -0.0;
-        assert!(!record(cfg).resumes(&sys, &cfg));
+        assert!(!resumes(record(cfg), &sys, &cfg));
         sys.positions[1].y = 0.0;
         // NaN never matches, not even itself.
         let nan = SimConfig {
             dt: f64::NAN,
             ..cfg
         };
-        assert!(!record(nan).resumes(&sys, &nan));
+        assert!(!resumes(record(nan), &sys, &nan));
     }
 }

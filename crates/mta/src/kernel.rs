@@ -16,10 +16,10 @@
 use crate::compiler::{analyze_loop, LoopDesc, ParallelizationDecision};
 use crate::config::MtaConfig;
 use crate::processor::MtaProcessor;
-use md_core::device::HostPricer;
+use md_core::device::Pricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
+use md_core::trajectory::{Flavor, Trajectory, TrajectoryRecord};
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 
 /// Instructions per examined pair in step 2 (loads, minimum image, distance,
@@ -110,7 +110,7 @@ impl MtaMdSimulation {
 
     /// Price one run in the given threading mode: the closed-form charge of
     /// every loop of Figure 4 and the starvation and hot-spot fault sites.
-    /// The physics is the record of the double-precision [`HostTrajectory`]
+    /// The physics is the record of the host-flavor (f64) [`Trajectory`]
     /// and does not depend on the mode (the modes differ only in how loops
     /// are scheduled); runtimes differ enormously. This is the single cost
     /// path behind [`md_core::device::MdDevice::run`] on [`MtaMd`].
@@ -348,7 +348,7 @@ pub struct MtaMd {
     pub sim: MtaMdSimulation,
     pub mode: ThreadingMode,
     /// The last run's trajectory, the resume record of the next run.
-    last: Option<HostTrajectory>,
+    last: Option<Trajectory>,
 }
 
 impl MtaMd {
@@ -389,16 +389,20 @@ impl md_core::device::MdDevice for MtaMd {
         sim: &SimConfig,
         opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        Ok(md_core::device::run_host_device(self, sim, opts))
+        Ok(md_core::device::run_priced(self, sim, opts))
     }
 
-    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+    fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
         Some(self)
     }
 }
 
-impl HostPricer for MtaMd {
-    fn price(
+impl Pricer for MtaMd {
+    fn flavor(&self) -> Flavor {
+        Flavor::Host
+    }
+
+    fn charge(
         &mut self,
         record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
@@ -433,7 +437,7 @@ impl HostPricer for MtaMd {
         }
     }
 
-    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory> {
+    fn last_trajectory(&mut self) -> &mut Option<Trajectory> {
         &mut self.last
     }
 }
@@ -460,7 +464,14 @@ mod tests {
         mode: ThreadingMode,
         perf: &mut sim_perf::PerfMonitor,
     ) -> MtaRun {
-        let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
+        let traj = Trajectory::drive(
+            Flavor::Host,
+            sim,
+            None,
+            steps,
+            HostParallelism::Serial,
+            None,
+        );
         m.price(traj.record(), mode, perf)
     }
 

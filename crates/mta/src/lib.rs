@@ -20,8 +20,8 @@
 //!   paper adds after restructuring the reduction.
 //! - [`MtaMdSimulation`]: the MD kernel's cost (double precision, as the
 //!   paper's MTA port) charged through the above, producing simulated
-//!   runtimes. Its physics is md-core's f64 trajectory
-//!   ([`md_core::trajectory::HostTrajectory`]), shared with the Opteron.
+//!   runtimes. Its physics is md-core's host-flavor trajectory
+//!   ([`md_core::trajectory::Trajectory`]), shared with the Opteron.
 
 // Device-crate panic discipline on top of the workspace lints: a panic in a
 // device hot path escapes the cycle accounting. Float equality is never

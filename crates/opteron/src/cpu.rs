@@ -1,10 +1,10 @@
 //! The cache-traced Opteron MD run.
 
 use crate::config::OpteronConfig;
-use md_core::device::HostPricer;
+use md_core::device::Pricer;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
-use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
+use md_core::trajectory::{Flavor, Trajectory, TrajectoryRecord};
 use memsim::{eval_stream, AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
 use sim_fault::{resolve_degradable, FaultKind, FaultSite};
 use vecmath::Vec3;
@@ -167,7 +167,7 @@ pub struct OpteronCpu {
     /// cache re-enters a recorded entry state ([`TraceMemo`]).
     trace_memo: Vec<TraceMemo>,
     /// The last run's trajectory, the resume record of the next run.
-    last: Option<HostTrajectory>,
+    last: Option<Trajectory>,
     /// When armed, ECC-style reload faults fire per the plan's schedule.
     pub fault_plan: Option<sim_fault::FaultPlan>,
 }
@@ -208,7 +208,7 @@ impl OpteronCpu {
 
     /// Price one run of the MD kernel (Figure 4): its memory traffic through
     /// the cache model, its flops and its ECC fault sites. The physics is
-    /// the record of the double-precision [`HostTrajectory`], exactly as the
+    /// the record of the host-flavor (f64) [`Trajectory`], exactly as the
     /// paper's reference implementation; the scenario substrate adds the
     /// potential's and the ensemble's extra work. This is the single cost
     /// path behind [`md_core::device::MdDevice::run`].
@@ -341,7 +341,7 @@ impl OpteronCpu {
     /// cache hierarchy ([`MemoryHierarchy::replay_row_sweep`], O(N) rows per
     /// cache set, or a recorded replay, [`TraceMemo`]), its loads and
     /// stores, and its flops. The cache replay never reads the physics: it
-    /// takes only the interaction count of the [`HostTrajectory`], so demand
+    /// takes only the interaction count of the [`Trajectory`], so demand
     /// cycles, reference
     /// counts and flops are bitwise identical at any thread count.
     #[allow(clippy::too_many_arguments)]
@@ -456,16 +456,20 @@ impl md_core::device::MdDevice for OpteronCpu {
         sim: &SimConfig,
         opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        Ok(md_core::device::run_host_device(self, sim, opts))
+        Ok(md_core::device::run_priced(self, sim, opts))
     }
 
-    fn as_host_pricer(&mut self) -> Option<&mut dyn HostPricer> {
+    fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
         Some(self)
     }
 }
 
-impl HostPricer for OpteronCpu {
-    fn price(
+impl Pricer for OpteronCpu {
+    fn flavor(&self) -> Flavor {
+        Flavor::Host
+    }
+
+    fn charge(
         &mut self,
         record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
@@ -496,7 +500,7 @@ impl HostPricer for OpteronCpu {
         }
     }
 
-    fn last_trajectory(&mut self) -> &mut Option<HostTrajectory> {
+    fn last_trajectory(&mut self) -> &mut Option<Trajectory> {
         &mut self.last
     }
 }
@@ -522,7 +526,14 @@ mod tests {
         steps: usize,
         perf: &mut sim_perf::PerfMonitor,
     ) -> OpteronRun {
-        let traj = HostTrajectory::drive(sim, None, steps, HostParallelism::Serial, None);
+        let traj = Trajectory::drive(
+            Flavor::Host,
+            sim,
+            None,
+            steps,
+            HostParallelism::Serial,
+            None,
+        );
         cpu.price_run(traj.record(), perf)
     }
 
@@ -745,8 +756,14 @@ mod tests {
             let mut start = None;
             let straight = straight_replay(&cpu.config, n, 2);
             for _ in 0..segments {
-                let traj =
-                    HostTrajectory::drive(&cfg, start.as_ref(), 2, HostParallelism::Serial, None);
+                let traj = Trajectory::drive(
+                    Flavor::Host,
+                    &cfg,
+                    start.as_ref(),
+                    2,
+                    HostParallelism::Serial,
+                    None,
+                );
                 let seg = cpu.price_run(traj.record(), &mut sim_perf::PerfMonitor::new());
                 straight.assert_reproduced_by(&seg, &cpu.config);
                 start = Some(traj.checkpoint());

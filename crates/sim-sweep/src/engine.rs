@@ -1,7 +1,7 @@
 //! Sweep execution: cache lookup, parallel device runs, cache store.
 //!
 //! Every point executes through [`harness::device_metrics`], or, when its
-//! device prices the f64 trajectory, through [`harness::host_group_metrics`]
+//! device prices a trajectory flavor, through [`harness::group_metrics`]
 //! on the record of that trajectory. The [`TrajectoryStore`] of the
 //! [`EngineConfig`] drives each such trajectory once for every spec run
 //! with the config, so fig8 and fig9 price what fig7 drove. Either way a
@@ -15,7 +15,7 @@ use crate::spec::{SweepPoint, SweepSpec};
 use md_core::device::HostParallelism;
 use md_core::params::SimConfig;
 use md_core::scenario::ScenarioSpec;
-use md_core::trajectory::{HostTrajectory, TrajectoryRecord};
+use md_core::trajectory::{Flavor, Trajectory, TrajectoryRecord};
 use rayon::prelude::*;
 use sim_perf::RunMetrics;
 use std::fmt;
@@ -28,9 +28,9 @@ pub const DEFAULT_CACHE_DIR: &str = "results/cache";
 
 /// Knobs for one engine invocation, and the trajectories its sweeps share.
 ///
-/// Every spec run with one config, or with any clone of it, prices the f64
+/// Every spec run with one config, or with any clone of it, prices the
 /// trajectories in [`EngineConfig::trajectories`], so a pass that runs all
-/// its specs with one config drives each f64 workload once.
+/// its specs with one config drives each workload of each flavor once.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     pub cache_dir: PathBuf,
@@ -46,8 +46,8 @@ pub struct EngineConfig {
     /// Never part of the cache key: lane execution is bitwise identical at
     /// any thread count.
     pub jobs: usize,
-    /// The f64 trajectories the config's sweeps have driven; empty in a
-    /// fresh config, shared by its clones.
+    /// The trajectories the config's sweeps have driven; empty in a fresh
+    /// config, shared by its clones.
     pub trajectories: TrajectoryStore,
 }
 
@@ -63,15 +63,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// What identifies an f64 trajectory of a sweep: every sweep run starts
-/// from the lattice, so the scenario, the atom count and the steps.
-type Workload = (ScenarioSpec, usize, usize);
+/// What identifies a trajectory of a sweep: every sweep run starts from the
+/// lattice, so the flavor, the scenario, the atom count and the steps.
+type Workload = (Flavor, ScenarioSpec, usize, usize);
 
-fn workload(p: &SweepPoint) -> Workload {
-    (p.scenario, p.n_atoms, p.steps)
+/// The trajectory `p`'s device prices, if it prices one.
+fn workload(p: &SweepPoint) -> Option<Workload> {
+    let flavor = p.device.flavor()?;
+    Some((flavor, p.scenario, p.n_atoms, p.steps))
 }
 
-/// The records of the f64 trajectories that sweeps have driven, one per
+/// The records of the trajectories that sweeps have driven, one per
 /// workload. It holds no per-atom state, only what the pricers read
 /// ([`TrajectoryRecord`]). Clones share one store, and callers on several
 /// threads may use it at once: a trajectory that two of them miss together
@@ -93,11 +95,10 @@ impl TrajectoryStore {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The record of `p`'s trajectory from the lattice, driven on `par`
+    /// The record of `key`'s trajectory from the lattice, driven on `par`
     /// when the store does not hold it yet. The lock is not held while
     /// driving.
-    fn get_or_drive(&self, p: &SweepPoint, par: HostParallelism) -> Arc<TrajectoryRecord> {
-        let key = workload(p);
+    fn get_or_drive(&self, key: Workload, par: HostParallelism) -> Arc<TrajectoryRecord> {
         let stored = |store: &Trajectories| {
             let found = store.records.iter().find(|(k, _)| *k == key);
             found.map(|(_, r)| Arc::clone(r))
@@ -105,8 +106,10 @@ impl TrajectoryStore {
         if let Some(r) = stored(&self.lock()) {
             return r;
         }
-        let sim = SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
-        let driven = Arc::new(HostTrajectory::drive(&sim, None, p.steps, par, None).into_record());
+        let (flavor, scenario, n_atoms, steps) = key;
+        let sim = SimConfig::reduced_lj(n_atoms).with_scenario(scenario);
+        let driven =
+            Arc::new(Trajectory::drive(flavor, &sim, None, steps, par, None).into_record());
         let mut store = self.lock();
         store.drives += 1;
         if let Some(r) = stored(&store) {
@@ -253,20 +256,17 @@ impl From<harness::HarnessError> for SweepError {
 }
 
 /// The points of `points` whose runs share one trajectory, as index lists
-/// ordered by their first point: points whose devices price the f64 host
-/// trajectory ([`harness::DeviceKind::prices_host_trajectory`]) group by
-/// [`Workload`], and every other point runs alone.
+/// ordered by their first point: points whose devices price a trajectory
+/// ([`harness::DeviceKind::flavor`]) group by [`Workload`], and every other
+/// point runs alone.
 fn trajectory_groups(points: &[SweepPoint]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, p) in points.iter().enumerate() {
-        let shared = if p.device.prices_host_trajectory() {
-            groups.iter_mut().find(|g| {
-                let q = &points[g[0]];
-                q.device.prices_host_trajectory() && workload(q) == workload(p)
-            })
-        } else {
-            None
-        };
+        let shared = workload(p).and_then(|w| {
+            groups
+                .iter_mut()
+                .find(|g| workload(&points[g[0]]) == Some(w))
+        });
         match shared {
             Some(g) => g.push(i),
             None => groups.push(vec![i]),
@@ -276,20 +276,23 @@ fn trajectory_groups(points: &[SweepPoint]) -> Vec<Vec<usize>> {
 }
 
 /// Run the device simulations of `points`, one group of
-/// [`trajectory_groups`], and collect their metrics records in order. An
-/// f64 group prices its trajectory's record from `store`.
+/// [`trajectory_groups`], and collect their metrics records in order. A
+/// group of a flavor prices its trajectory's record from `store`.
 fn execute_group(
     points: &[&SweepPoint],
     store: &TrajectoryStore,
     par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, SweepError> {
     let p = points[0];
-    let run = if p.device.prices_host_trajectory() {
-        let kinds: Vec<harness::DeviceKind> = points.iter().map(|q| q.device).collect();
-        harness::host_group_metrics(&kinds, &store.get_or_drive(p, par), par)
-    } else {
-        let sim = SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
-        harness::device_metrics(p.device, &sim, p.steps, par).map(|m| vec![m])
+    let run = match workload(p) {
+        Some(w) => {
+            let kinds: Vec<harness::DeviceKind> = points.iter().map(|q| q.device).collect();
+            harness::group_metrics(&kinds, &store.get_or_drive(w, par), par)
+        }
+        None => {
+            let sim = SimConfig::reduced_lj(p.n_atoms).with_scenario(p.scenario);
+            harness::device_metrics(p.device, &sim, p.steps, par).map(|m| vec![m])
+        }
     };
     run.map_err(|e| SweepError::Point {
         figure: p.figure,
@@ -301,8 +304,8 @@ fn execute_group(
 }
 
 /// Execute a spec: each point is a cache lookup, then (on miss) a device
-/// run and a cache store. Missed points whose devices price the f64 host
-/// trajectory group by workload, and each group prices the record that
+/// run and a cache store. Missed points whose devices price a trajectory
+/// flavor group by workload, and each group prices the record that
 /// `cfg.trajectories` holds for it, driven once for every spec run with
 /// `cfg` or its clones. Groups run concurrently on a pool of `cfg.jobs`
 /// workers, which also run the points' simulated lanes; collection
@@ -404,6 +407,52 @@ mod tests {
                     scenario,
                 })
                 .collect(),
+        }
+    }
+
+    /// Points of three flavors at one workload drive one trajectory per
+    /// flavor, and the SPE offload none. `tests/sweep_cache.rs` checks the
+    /// records of the same spec.
+    #[test]
+    fn one_workload_drives_one_trajectory_per_flavor() {
+        let lj = ScenarioSpec::default();
+        let points = spec(&[
+            (DeviceKind::Opteron, 256, 2, lj),
+            (
+                DeviceKind::Gpu {
+                    model: harness::GpuModel::GeForce7900Gtx,
+                },
+                256,
+                2,
+                lj,
+            ),
+            (DeviceKind::CellPpe, 256, 2, lj),
+            (
+                DeviceKind::Mta {
+                    mode: ThreadingMode::FullyMultithreaded,
+                },
+                256,
+                2,
+                lj,
+            ),
+            (
+                DeviceKind::Gpu {
+                    model: harness::GpuModel::GeForce6800,
+                },
+                256,
+                2,
+                lj,
+            ),
+            (DeviceKind::cell_best(), 256, 2, lj),
+        ]);
+        for jobs in [1, 2] {
+            let cfg = EngineConfig {
+                use_cache: false,
+                jobs,
+                ..EngineConfig::default()
+            };
+            run_sweep(&points, &cfg).expect("spec runs");
+            assert_eq!(cfg.trajectories.drives(), 3, "{jobs} jobs");
         }
     }
 

@@ -332,6 +332,36 @@ fn uncached(jobs: usize) -> EngineConfig {
     }
 }
 
+/// Opteron, MTA-2, GPU and PPE points and an SPE-offload point at one
+/// workload: three flavors share three trajectories (the engine's unit test
+/// counts the drives), and every record is the one its point computes
+/// alone, at any worker count.
+#[test]
+fn points_of_three_flavors_at_one_workload_match_their_standalone_runs() {
+    let lj = ScenarioSpec::default();
+    let gpu = DeviceKind::Gpu {
+        model: GpuModel::GeForce7900Gtx,
+    };
+    let full = DeviceKind::Mta {
+        mode: mta::ThreadingMode::FullyMultithreaded,
+    };
+    let spec = spec_of(
+        "flavors",
+        &[
+            (DeviceKind::Opteron, 256, 2, lj),
+            (gpu, 256, 2, lj),
+            (DeviceKind::CellPpe, 256, 2, lj),
+            (full, 256, 2, lj),
+            (DeviceKind::cell_best(), 256, 2, lj),
+        ],
+    );
+    let want = alone(&spec);
+    for jobs in [1, 2] {
+        let report = run_sweep(&spec, &uncached(jobs)).expect("uncached run");
+        assert_eq!(json_of(&report), want, "{jobs} jobs");
+    }
+}
+
 /// A spec run after another with the same config prices the trajectories
 /// the first one drove, and only where the workload is the same: every
 /// record is still the one its point computes alone, at any worker count.

@@ -1,17 +1,21 @@
-//! The f64 devices resume from their own last trajectory (DESIGN.md §9.3).
+//! Devices that price a trajectory resume from their own last one
+//! (DESIGN.md §9.3).
 //!
-//! The Opteron and the MTA-2 price md-core's f64 trajectory, which keeps
-//! the device's last run as its resume record. A run that starts from the
-//! state the device's previous run ended in takes its priming force
-//! evaluation from that record instead of recomputing it; the prime's
-//! charge is unchanged. A freshly built device has no record, so it is the
-//! oracle: a warm and a cold device resumed from the same checkpoint must
-//! report the same bits — simulated seconds, energies, the checkpoint
-//! (accelerations included), attribution, ops, bytes moved and every perf
-//! counter — on the hit and on every kind of miss, on both devices. Each
-//! miss case also checks that the prime it forces really differs from the
-//! recorded one, so a wrong hit could not pass unseen, and every run must
-//! leave its own trajectory behind as the record.
+//! The Opteron and the MTA-2 price md-core's host-flavor trajectory, the
+//! GPU its GPU flavor and the PPE-only baseline its Cell flavor; each keeps
+//! its last run, in the flavor's native precision, as its resume record. A
+//! run that starts from the state the device's previous run ended in takes
+//! its priming force evaluation from that record instead of recomputing it;
+//! the prime's charge is unchanged. A freshly built device has no record,
+//! so it is the oracle: a warm and a cold device resumed from the same
+//! checkpoint must report the same bits — simulated seconds, energies, the
+//! checkpoint (accelerations included), attribution, ops, bytes moved and
+//! every perf counter — on the hit and on every kind of miss, on all four
+//! devices. Each miss case also checks that the prime it forces really
+//! differs from the recorded one, so a wrong hit could not pass unseen, and
+//! every run must leave its own trajectory behind as the record. On the f32
+//! devices a one-ulp miss moves a position by one f32 ulp; one f64 ulp
+//! narrows to the same f32 state, which is a hit.
 
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
@@ -20,15 +24,39 @@ use md_core::scenario::ScenarioSpec;
 use mta::{MtaMd, ThreadingMode};
 use opteron::OpteronCpu;
 
-/// A freshly built f64 device.
+/// A freshly built device that prices a trajectory.
 type Build = fn() -> Box<dyn MdDevice>;
 
+/// A device that resumes from its last trajectory, and whether that
+/// trajectory's native precision is f32.
+struct Device {
+    label: &'static str,
+    build: Build,
+    f32: bool,
+}
+
 /// Every device that resumes from its last trajectory.
-const DEVICES: [(&str, Build); 2] = [
-    ("opteron", || Box::new(OpteronCpu::paper_reference())),
-    ("mta2-full-mt", || {
-        Box::new(MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded))
-    }),
+const DEVICES: [Device; 4] = [
+    Device {
+        label: "opteron",
+        build: || Box::new(OpteronCpu::paper_reference()),
+        f32: false,
+    },
+    Device {
+        label: "mta2-full-mt",
+        build: || Box::new(MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded)),
+        f32: false,
+    },
+    Device {
+        label: "gpu-7900gtx",
+        build: || Box::new(gpu::GpuMdSimulation::geforce_7900gtx()),
+        f32: true,
+    },
+    Device {
+        label: "cell-ppe",
+        build: || Box::new(cell_be::CellPpeMd::paper_blade()),
+        f32: true,
+    },
 ];
 
 const ATOMS: usize = 256;
@@ -112,76 +140,89 @@ fn cold_prime(build: Build, sim: &SimConfig, cp: &SystemCheckpoint) -> SystemChe
         .checkpoint
 }
 
-/// On every device: resume one warmed on `recorded` and a fresh one from
-/// `cp` under `sim`, for 0 steps (the prime alone) and for 2, and require
-/// equal bits.
+/// Resume a device warmed on `recorded` and a fresh one from `cp` under
+/// `sim`, for 0 steps (the prime alone) and for 2, and require equal bits.
 fn assert_warm_equals_cold(
+    dev: &Device,
     recorded: &SimConfig,
     sim: &SimConfig,
     cp: &SystemCheckpoint,
     ctx: &str,
 ) {
-    for (label, build) in DEVICES {
-        for steps in [0, 2] {
-            let (mut dev, _) = warm(build, recorded);
-            let warm = resume(dev.as_mut(), sim, cp, steps);
-            let cold = resume(build().as_mut(), sim, cp, steps);
-            assert_eq!(
-                warm, cold,
-                "{label}, {ctx}, {steps} steps: warm device differs from a cold one"
-            );
-        }
+    for steps in [0, 2] {
+        let (mut warmed, _) = warm(dev.build, recorded);
+        let warm = resume(warmed.as_mut(), sim, cp, steps);
+        let cold = resume((dev.build)().as_mut(), sim, cp, steps);
+        assert_eq!(
+            warm, cold,
+            "{}, {ctx}, {steps} steps: warm device differs from a cold one",
+            dev.label
+        );
     }
 }
 
 /// A miss must force a prime that differs from the recorded one; otherwise
 /// the warm/cold comparison could not catch a wrong hit.
 fn assert_prime_differs(
+    dev: &Device,
     recorded: &SystemCheckpoint,
     sim: &SimConfig,
     cp: &SystemCheckpoint,
     ctx: &str,
 ) {
-    for (label, build) in DEVICES {
-        assert_ne!(
-            cold_prime(build, sim, cp).accelerations,
-            recorded.accelerations,
-            "{label}, {ctx}: the case leaves the prime unchanged, so it tests nothing"
-        );
-    }
+    assert_ne!(
+        cold_prime(dev.build, sim, cp).accelerations,
+        recorded.accelerations,
+        "{}, {ctx}: the case leaves the prime unchanged, so it tests nothing",
+        dev.label
+    );
 }
 
-/// The checkpoint a `WARMUP_STEPS` run of `sim` ends in; both devices end
-/// there, bit for bit.
-fn warm_checkpoint(sim: &SimConfig) -> SystemCheckpoint {
-    let [(_, opteron), (_, mta)] = DEVICES;
-    let (_, cp) = warm(opteron, sim);
-    assert_eq!(warm(mta, sim).1, cp, "the f64 devices share one trajectory");
-    cp
+/// Whether `dev`, warmed on `sim`, would take the prime of a run of `sim`
+/// from `cp` from its last trajectory.
+fn hits(dev: &Device, sim: &SimConfig, cp: &SystemCheckpoint) -> bool {
+    let (mut warmed, _) = warm(dev.build, sim);
+    let pricer = warmed.as_pricer().expect("the device prices a trajectory");
+    let last = pricer
+        .last_trajectory()
+        .as_ref()
+        .expect("the run left a record");
+    last.resumes(cp, sim)
+}
+
+/// `x` moved one ulp up in the native precision of `dev`.
+fn one_ulp_up(dev: &Device, x: f64) -> f64 {
+    if dev.f32 {
+        f64::from(f32::from_bits((x as f32).to_bits() + 1))
+    } else {
+        f64::from_bits(x.to_bits() + 1)
+    }
 }
 
 #[test]
 fn every_run_leaves_its_trajectory_as_the_record() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    for (label, build) in DEVICES {
-        let mut dev = build();
-        let run = dev
+    for dev in &DEVICES {
+        let mut built = (dev.build)();
+        let run = built
             .run(&sim, RunOptions::steps(WARMUP_STEPS))
             .expect("the device runs");
-        let record = dev
-            .as_host_pricer()
-            .expect("an f64 device prices the host trajectory")
+        let record = built
+            .as_pricer()
+            .expect("the device prices a trajectory")
             .last_trajectory()
             .as_ref()
-            .unwrap_or_else(|| panic!("{label}: the run left no record"));
+            .unwrap_or_else(|| panic!("{}: the run left no record", dev.label));
         assert!(
-            record.resumes(&run.checkpoint.restore(), &sim),
-            "{label}: the record does not resume the run's own checkpoint"
+            record.resumes(&run.checkpoint, &sim),
+            "{}: the record does not resume the run's own checkpoint",
+            dev.label
         );
         assert_eq!(
             record.checkpoint(),
             run.checkpoint,
-            "{label}: the record is not the run's final state"
+            "{}: the record is not the run's final state",
+            dev.label
         );
     }
 }
@@ -189,34 +230,65 @@ fn every_run_leaves_its_trajectory_as_the_record() {
 #[test]
 fn resuming_from_the_devices_own_checkpoint_equals_a_cold_device() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let cp = warm_checkpoint(&sim);
-    assert_warm_equals_cold(&sim, &sim, &cp, "own checkpoint");
+    let [opteron, mta, ..] = &DEVICES;
+    assert_eq!(
+        warm(opteron.build, &sim).1,
+        warm(mta.build, &sim).1,
+        "the f64 devices share one trajectory"
+    );
+    for dev in &DEVICES {
+        let cp = warm(dev.build, &sim).1;
+        assert!(hits(dev, &sim, &cp), "{}: own checkpoint misses", dev.label);
+        assert_warm_equals_cold(dev, &sim, &sim, &cp, "own checkpoint");
+    }
 }
 
 #[test]
 fn a_position_one_ulp_away_misses() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let cp = warm_checkpoint(&sim);
-    let mut nudged = cp.clone();
-    // One coordinate of one atom in the middle of the array, one ulp up.
-    let p = &mut nudged.positions[ATOMS / 2];
-    p.x = f64::from_bits(p.x.to_bits() + 1);
-    assert_prime_differs(&cp, &sim, &nudged, "one-ulp nudge");
-    assert_warm_equals_cold(&sim, &sim, &nudged, "one-ulp nudge");
+    for dev in &DEVICES {
+        let cp = warm(dev.build, &sim).1;
+        let mut nudged = cp.clone();
+        // One coordinate of one atom in the middle of the array, one ulp of
+        // the device's precision up.
+        let p = &mut nudged.positions[ATOMS / 2];
+        p.x = one_ulp_up(dev, p.x);
+        assert!(
+            !hits(dev, &sim, &nudged),
+            "{}: one-ulp nudge hits",
+            dev.label
+        );
+        assert_prime_differs(dev, &cp, &sim, &nudged, "one-ulp nudge");
+        assert_warm_equals_cold(dev, &sim, &sim, &nudged, "one-ulp nudge");
+        if dev.f32 {
+            // One f64 ulp narrows to the same f32 state: a correct hit.
+            let mut widened = cp.clone();
+            let p = &mut widened.positions[ATOMS / 2];
+            p.x = f64::from_bits(p.x.to_bits() + 1);
+            assert!(
+                hits(dev, &sim, &widened),
+                "{}: one f64 ulp misses",
+                dev.label
+            );
+            assert_warm_equals_cold(dev, &sim, &sim, &widened, "one f64 ulp");
+        }
+    }
 }
 
 #[test]
 fn the_same_positions_under_another_scenario_or_cutoff_miss() {
     let sim = SimConfig::reduced_lj(ATOMS);
-    let cp = warm_checkpoint(&sim);
     let others = [
         ("morse/nvt", sim.with_scenario(ScenarioSpec::morse_nvt())),
         ("coulomb", sim.with_scenario(ScenarioSpec::coulomb_cutoff())),
         ("cutoff 2.4", SimConfig { cutoff: 2.4, ..sim }),
     ];
-    for (ctx, other) in others {
-        assert_prime_differs(&cp, &other, &cp, ctx);
-        assert_warm_equals_cold(&sim, &other, &cp, ctx);
+    for dev in &DEVICES {
+        let cp = warm(dev.build, &sim).1;
+        for (ctx, other) in &others {
+            assert_prime_differs(dev, &cp, other, &cp, ctx);
+            assert_warm_equals_cold(dev, &sim, other, &cp, ctx);
+        }
     }
 }
 
@@ -224,6 +296,8 @@ fn the_same_positions_under_another_scenario_or_cutoff_miss() {
 fn another_atom_count_misses() {
     let sim = SimConfig::reduced_lj(ATOMS);
     let small = SimConfig::reduced_lj(108);
-    let cp = warm_checkpoint(&small);
-    assert_warm_equals_cold(&sim, &small, &cp, "108 atoms after 256");
+    for dev in &DEVICES {
+        let cp = warm(dev.build, &small).1;
+        assert_warm_equals_cold(dev, &sim, &small, &cp, "108 atoms after 256");
+    }
 }

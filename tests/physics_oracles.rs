@@ -399,8 +399,9 @@ fn f32_force_rows_are_within_a_derived_bound_of_f64() {
 
 /// **Velocity Verlet is second order.** Over a fixed span of simulated
 /// time its total-energy error on a smooth Hamiltonian scales as `dt²`, so
-/// halving `dt` cuts it about 4×. This checks the f64 driver every f64
-/// device prices ([`HostTrajectory`]) without trusting its bits: the error
+/// halving `dt` cuts it about 4×. This checks the host flavor of the
+/// driver every f64 device prices ([`Trajectory`]) without trusting its
+/// bits: the error
 /// is measured against the run's own starting energy, not against another
 /// implementation.
 ///
@@ -415,14 +416,24 @@ fn f32_force_rows_are_within_a_derived_bound_of_f64() {
 #[test]
 fn halving_dt_cuts_the_f64_drivers_energy_error_fourfold() {
     use md_core::device::HostParallelism;
-    use md_core::trajectory::HostTrajectory;
+    use md_core::trajectory::{Flavor, Trajectory};
 
     const SPAN: f64 = 0.5;
     let worst_error = |dt: f64| {
         let sim = SimConfig::reduced_lj(108)
             .with_temperature(0.01)
             .with_dt(dt);
-        let mut traj = HostTrajectory::drive(&sim, None, 0, HostParallelism::Serial, None);
+        let drive = |start: Option<&_>, steps, resume: Option<&_>| {
+            Trajectory::drive(
+                Flavor::Host,
+                &sim,
+                start,
+                steps,
+                HostParallelism::Serial,
+                resume,
+            )
+        };
+        let mut traj = drive(None, 0, None);
         let (e0, pairs) = (
             traj.record().energies().total,
             traj.record().last_eval().interactions,
@@ -430,8 +441,7 @@ fn halving_dt_cuts_the_f64_drivers_energy_error_fourfold() {
         let mut worst = 0.0f64;
         for _ in 0..(SPAN / dt).round() as usize {
             let start = traj.checkpoint();
-            traj =
-                HostTrajectory::drive(&sim, Some(&start), 1, HostParallelism::Serial, Some(&traj));
+            traj = drive(Some(&start), 1, Some(&traj));
             assert_eq!(
                 traj.record().last_eval().interactions,
                 pairs,
