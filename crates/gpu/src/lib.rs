@@ -49,6 +49,6 @@ pub use config::GpuConfig;
 pub use device::{DispatchResult, GpuDevice};
 pub use mdshader::LjAccelShader;
 pub use reduction::{reduce_on_gpu, ReductionCost, ReductionStrategy, SumShader};
-pub use runner::{GpuMdSimulation, GpuRun, GpuStepBreakdown};
+pub use runner::GpuMdSimulation;
 pub use shader::{Shader, ShaderConstants, ShaderOps};
 pub use texture::Texture;

@@ -18,30 +18,15 @@
 //! §16): the paper-faithful default is the predicated Lennard-Jones above,
 //! and alternative potentials charge extra ALU slots per pair — on this
 //! hardware a longer pair expression is simply a longer fragment program.
+//!
+//! The MD force pass computes the shader's texels through md-core's GPU
+//! flavor ([`md_core::shared_eval::gpu_texel`]) and is charged the ops
+//! [`LjAccelShader::ops`] retires. The interpretive per-pair shader they
+//! replaced, run through [`crate::GpuDevice::dispatch`], survives as the
+//! tests' oracle for both.
 
-use crate::shader::{Shader, ShaderConstants, ShaderOps};
-use crate::texture::Texture;
+use crate::shader::ShaderOps;
 use md_core::scenario::Substrate;
-
-/// Indices of the kernel constants inside [`ShaderConstants`].
-///
-/// The constant block is the shader's JIT identity: any scenario change
-/// (potential kind or parameters) lands in these slots, so
-/// a different scenario forces a re-JIT exactly like the paper's
-/// constant-folding compiler would.
-pub mod constants {
-    pub const BOX_LEN: usize = 0;
-    pub const CUTOFF2: usize = 1;
-    /// Potential discriminant (0 = LJ, 1 = Morse, 2 = cutoff-Coulomb).
-    pub const POT_KIND: usize = 2;
-    /// First potential parameter (ε, well depth, or q²).
-    pub const POT_A: usize = 3;
-    /// Second potential parameter (σ², stiffness, or unused).
-    pub const POT_B: usize = 4;
-    /// Third potential parameter (r₀ for Morse; otherwise unused).
-    pub const POT_C: usize = 5;
-    pub const INV_MASS: usize = 6;
-}
 
 /// ALU instructions charged per examined pair: minimum-image (compare +
 /// select per the 3 axes packed in one 4-wide op each), direction, dot,
@@ -82,11 +67,57 @@ impl LjAccelShader {
         }
     }
 
+    /// The ops one dispatch over all `n_atoms` texels retires, in closed
+    /// form. Predication makes that exact, not approximate: the shader
+    /// charges every examined pair identically regardless of the cutoff
+    /// outcome, so each texel retires exactly `1 + N·FETCH_PER_PAIR`
+    /// fetches and `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU
+    /// slots, and N times that is exact in u64 (DESIGN.md §17).
+    pub fn ops(&self) -> ShaderOps {
+        let n = self.n_atoms as u64;
+        ShaderOps {
+            fetches: n * (1 + n * FETCH_PER_PAIR),
+            alu: n * (ALU_PER_INSTANCE + n * (ALU_PER_PAIR + self.extra_alu)),
+        }
+    }
+}
+
+#[cfg(test)]
+// Tests assert *bitwise* f64 equality on purpose: identical runs must
+// produce identical results, not merely close ones (DESIGN.md §4).
+#[allow(clippy::float_cmp)]
+mod tests {
+    use super::*;
+    use crate::device::GpuDevice;
+    use crate::shader::{Shader, ShaderConstants};
+    use crate::texture::Texture;
+    use md_core::scenario::ScenarioSpec;
+
+    /// Indices of the kernel constants inside [`ShaderConstants`].
+    ///
+    /// The constant block is the shader's JIT identity: any scenario change
+    /// (potential kind or parameters) lands in these slots, so
+    /// a different scenario forces a re-JIT exactly like the paper's
+    /// constant-folding compiler would.
+    pub mod constants {
+        pub const BOX_LEN: usize = 0;
+        pub const CUTOFF2: usize = 1;
+        /// Potential discriminant (0 = LJ, 1 = Morse, 2 = cutoff-Coulomb).
+        pub const POT_KIND: usize = 2;
+        /// First potential parameter (ε, well depth, or q²).
+        pub const POT_A: usize = 3;
+        /// Second potential parameter (σ², stiffness, or unused).
+        pub const POT_B: usize = 4;
+        /// Third potential parameter (r₀ for Morse; otherwise unused).
+        pub const POT_C: usize = 5;
+        pub const INV_MASS: usize = 6;
+    }
+
     /// Pack the kernel parameters into the JIT-baked constant block. Every
     /// field that changes the compiled program appears here, so
-    /// [`crate::device::GpuDevice::compile`] re-JITs exactly when the
-    /// scenario (or geometry) changes.
-    pub fn constants(box_len: f32, inv_mass: f32, sub: &Substrate<f32>) -> ShaderConstants {
+    /// [`GpuDevice::compile`] re-JITs exactly when the scenario (or
+    /// geometry) changes.
+    fn constants(box_len: f32, inv_mass: f32, sub: &Substrate<f32>) -> ShaderConstants {
         let mut values = [0.0f32; 8];
         values[constants::BOX_LEN] = box_len;
         values[constants::CUTOFF2] = sub.cutoff2();
@@ -99,93 +130,67 @@ impl LjAccelShader {
         ShaderConstants { values }
     }
 
-    /// The ops one dispatch over all `n_atoms` texels retires, in closed
-    /// form. Predication makes that exact, not approximate: the shader
-    /// charges every examined pair identically regardless of the cutoff
-    /// outcome, so each texel retires exactly `1 + N·FETCH_PER_PAIR`
-    /// fetches and `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU
-    /// slots, and N times that is exact in u64. The MD force pass computes
-    /// its texels through md-core's GPU flavor
-    /// ([`md_core::shared_eval::gpu_texel`], which reproduces
-    /// [`Shader::execute`]'s per-pair arithmetic bit for bit) and is
-    /// charged these ops (DESIGN.md §17).
-    pub fn ops(&self) -> ShaderOps {
-        let n = self.n_atoms as u64;
-        ShaderOps {
-            fetches: n * (1 + n * FETCH_PER_PAIR),
-            alu: n * (ALU_PER_INSTANCE + n * (ALU_PER_PAIR + self.extra_alu)),
-        }
-    }
-}
+    /// The interpretive shader: the per-pair walk the GPU flavor and
+    /// [`LjAccelShader::ops`] replaced.
+    impl Shader for LjAccelShader {
+        fn execute(
+            &self,
+            inputs: &[&Texture],
+            out_index: usize,
+            c: &ShaderConstants,
+            ops: &mut ShaderOps,
+        ) -> [f32; 4] {
+            let positions = inputs[0];
+            let l = c.values[constants::BOX_LEN];
+            let half_l = 0.5 * l;
+            let cutoff2 = self.sub.cutoff2();
+            let inv_mass = c.values[constants::INV_MASS];
 
-impl Shader for LjAccelShader {
-    fn execute(
-        &self,
-        inputs: &[&Texture],
-        out_index: usize,
-        c: &ShaderConstants,
-        ops: &mut ShaderOps,
-    ) -> [f32; 4] {
-        let positions = inputs[0];
-        let l = c.values[constants::BOX_LEN];
-        let half_l = 0.5 * l;
-        let cutoff2 = self.sub.cutoff2();
-        let inv_mass = c.values[constants::INV_MASS];
+            let pi = positions.fetch(out_index);
+            ops.fetches += 1;
+            ops.alu += ALU_PER_INSTANCE;
 
-        let pi = positions.fetch(out_index);
-        ops.fetches += 1;
-        ops.alu += ALU_PER_INSTANCE;
+            let mut acc = [0.0f32; 3];
+            let mut pe = 0.0f32;
 
-        let mut acc = [0.0f32; 3];
-        let mut pe = 0.0f32;
+            for j in 0..self.n_atoms {
+                // The shader examines every texel, including its own: the
+                // self-pair is eliminated by the predication mask, not a branch.
+                let pj = positions.fetch(j);
+                ops.fetches += FETCH_PER_PAIR;
+                ops.alu += ALU_PER_PAIR + self.extra_alu;
 
-        for j in 0..self.n_atoms {
-            // The shader examines every texel, including its own: the
-            // self-pair is eliminated by the predication mask, not a branch.
-            let pj = positions.fetch(j);
-            ops.fetches += FETCH_PER_PAIR;
-            ops.alu += ALU_PER_PAIR + self.extra_alu;
-
-            // Minimum image via compare/select per axis (4-wide on hardware).
-            let mut d = [0.0f32; 3];
-            for k in 0..3 {
-                let mut dk = pi[k] - pj[k];
-                dk += if dk > half_l { -l } else { 0.0 };
-                dk += if dk < -half_l { l } else { 0.0 };
-                d[k] = dk;
-            }
-            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-
-            // Predicated pair term: the evaluation is always *charged* (the
-            // ops were counted above regardless of the outcome), and the
-            // masked-off lanes are discarded — which is what hardware
-            // predication does with the garbage values a self-pair (r² = 0)
-            // would produce.
-            let masked = r2 < cutoff2 && r2 > 0.0;
-            if masked {
-                let (e, f_over_r) = self.sub.energy_force(r2);
-                pe += e;
+                // Minimum image via compare/select per axis (4-wide on hardware).
+                let mut d = [0.0f32; 3];
                 for k in 0..3 {
-                    acc[k] += d[k] * f_over_r * inv_mass;
+                    let mut dk = pi[k] - pj[k];
+                    dk += if dk > half_l { -l } else { 0.0 };
+                    dk += if dk < -half_l { l } else { 0.0 };
+                    d[k] = dk;
+                }
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+
+                // Predicated pair term: the evaluation is always *charged* (the
+                // ops were counted above regardless of the outcome), and the
+                // masked-off lanes are discarded — which is what hardware
+                // predication does with the garbage values a self-pair (r² = 0)
+                // would produce.
+                let masked = r2 < cutoff2 && r2 > 0.0;
+                if masked {
+                    let (e, f_over_r) = self.sub.energy_force(r2);
+                    pe += e;
+                    for k in 0..3 {
+                        acc[k] += d[k] * f_over_r * inv_mass;
+                    }
                 }
             }
+            [acc[0], acc[1], acc[2], pe]
         }
-        [acc[0], acc[1], acc[2], pe]
-    }
 
-    fn name(&self) -> &'static str {
-        "lj-accel"
+        fn name(&self) -> &'static str {
+            "lj-accel"
+        }
     }
-}
-
-#[cfg(test)]
-// Tests assert *bitwise* f64 equality on purpose: identical runs must
-// produce identical results, not merely close ones (DESIGN.md §4).
-#[allow(clippy::float_cmp)]
-mod tests {
-    use super::*;
-    use crate::device::GpuDevice;
-    use md_core::scenario::ScenarioSpec;
 
     fn dispatch(points: &[[f32; 3]], box_len: f32) -> (Texture, ShaderOps) {
         dispatch_scenario(points, box_len, ScenarioSpec::default())
@@ -199,7 +204,7 @@ mod tests {
         let n = points.len();
         let sub: Substrate<f32> = spec.substrate(2.5);
         let mut dev = GpuDevice::geforce_7900gtx();
-        dev.compile(LjAccelShader::constants(box_len, 1.0, &sub));
+        dev.compile(constants(box_len, 1.0, &sub));
         let tex = Texture::from_xyz(points);
         let shader = LjAccelShader::new(n, sub);
         let r = dev.dispatch(&shader, &[&tex], n);
@@ -298,7 +303,7 @@ mod tests {
         for spec in [ScenarioSpec::default(), ScenarioSpec::morse_nvt()] {
             let sub: Substrate<f32> = spec.substrate(2.5);
             let mut dev = GpuDevice::geforce_7900gtx();
-            dev.compile(LjAccelShader::constants(6.0, 0.5, &sub));
+            dev.compile(constants(6.0, 0.5, &sub));
             let tex = Texture::from_xyz(&pts);
             let shader = LjAccelShader::new(n, sub);
             let interp = dev.dispatch(&shader, &[&tex], n);

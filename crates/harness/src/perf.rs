@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use crate::device::DeviceKind;
 use crate::error::HarnessError;
-use md_core::device::{collect_metrics, HostParallelism, MdDevice, RunOptions};
+use md_core::device::{collect_metrics, DeviceError, HostParallelism, MdDevice, RunOptions};
 use md_core::params::SimConfig;
 use md_core::trajectory::TrajectoryRecord;
 use sim_obs::RunLedger;
@@ -69,20 +69,17 @@ pub fn group_metrics(
     record: &TrajectoryRecord,
     par: HostParallelism,
 ) -> Result<Vec<RunMetrics>, HarnessError> {
-    let invalid = |k: DeviceKind| {
-        HarnessError::InvalidInput(format!(
-            "{k} does not price {:?} trajectories",
-            record.flavor()
-        ))
-    };
-    if let Some(&k) = kinds.iter().find(|k| k.flavor() != Some(record.flavor())) {
-        return Err(invalid(k));
-    }
     md_core::parallel::map_indexed(par, kinds.len(), |i| {
         let mut dev = kinds[i].build();
-        let pricer = dev.as_pricer().ok_or_else(|| invalid(kinds[i]))?;
         let mut perf = PerfMonitor::new();
-        let run = pricer.price(record, &mut perf)?;
+        let run = match dev.as_pricer() {
+            Some(pricer) => pricer.price(record, &mut perf),
+            None => Err(DeviceError::Unsupported(format!(
+                "{} prices no trajectory",
+                kinds[i]
+            ))),
+        }
+        .map_err(|e| HarnessError::InvalidInput(e.to_string()))?;
         Ok(collect_metrics(
             dev.as_ref(),
             &run,
@@ -337,7 +334,7 @@ mod tests {
                 if let Some(pricer) = dev.as_pricer() {
                     let priced = pricer.price(record, &mut PerfMonitor::new());
                     assert!(
-                        matches!(priced, Err(md_core::device::DeviceError::Unsupported(_))),
+                        matches!(priced, Err(DeviceError::Unsupported(_))),
                         "{kind:?}"
                     );
                 }

@@ -667,6 +667,11 @@ impl SoaPositionsF32 {
         soa
     }
 
+    /// The SoA of a system's positions.
+    pub fn from_positions(positions: &[Vec3<f32>]) -> Self {
+        Self::from_quads(positions.iter().map(|p| [p.x, p.y, p.z, 0.0]))
+    }
+
     pub fn len(&self) -> usize {
         self.x.len()
     }
@@ -812,7 +817,7 @@ pub fn cell_forces(
     par: HostParallelism,
 ) -> (f32, u64) {
     let (l, inv_mass) = (sys.box_len, 1.0 / sys.mass);
-    let soa = SoaPositionsF32::from_quads(sys.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]));
+    let soa = SoaPositionsF32::from_positions(&sys.positions);
     let rows = map_indexed(par, sys.n(), |i| {
         cell_stage_row(&soa, i, l, sub, inv_mass, stage)
     });
@@ -1090,7 +1095,7 @@ pub fn gpu_forces(
     par: HostParallelism,
 ) -> f64 {
     let (l, inv_mass) = (sys.box_len, 1.0 / sys.mass);
-    let soa = SoaPositionsF32::from_quads(sys.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]));
+    let soa = SoaPositionsF32::from_positions(&sys.positions);
     let n = sys.n();
     let batches = map_indexed(par, n.div_ceil(FRAGMENT_BATCH), |b| {
         let lo = b * FRAGMENT_BATCH;

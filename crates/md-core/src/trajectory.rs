@@ -145,56 +145,7 @@ impl TrajectoryRecord {
     }
 }
 
-/// The state a run ended in, in its flavor's native precision.
-#[derive(Clone, Debug)]
-enum State {
-    F64(ParticleSystem<f64>),
-    F32(ParticleSystem<f32>),
-}
-
-/// A precision a flavor integrates in, and how its state sits in [`State`].
-trait Native: Real {
-    fn wrap(sys: ParticleSystem<Self>) -> State;
-    fn unwrap(state: &State) -> Option<&ParticleSystem<Self>>;
-    fn bits(self) -> u64;
-}
-
-impl Native for f64 {
-    fn wrap(sys: ParticleSystem<f64>) -> State {
-        State::F64(sys)
-    }
-
-    fn unwrap(state: &State) -> Option<&ParticleSystem<f64>> {
-        match state {
-            State::F64(sys) => Some(sys),
-            State::F32(_) => None,
-        }
-    }
-
-    fn bits(self) -> u64 {
-        self.to_bits()
-    }
-}
-
-impl Native for f32 {
-    fn wrap(sys: ParticleSystem<f32>) -> State {
-        State::F32(sys)
-    }
-
-    fn unwrap(state: &State) -> Option<&ParticleSystem<f32>> {
-        match state {
-            State::F32(sys) => Some(sys),
-            State::F64(_) => None,
-        }
-    }
-
-    fn bits(self) -> u64 {
-        u64::from(self.to_bits())
-    }
-}
-
-/// One run: its [`TrajectoryRecord`] and the state the run ended in, in the
-/// flavor's native precision.
+/// One run: its [`TrajectoryRecord`] and the state the run ended in.
 ///
 /// It is also the resume record of the run that follows it. Each flavor's
 /// force evaluation is a pure function of the positions, box, mass and the
@@ -202,22 +153,22 @@ impl Native for f32 {
 /// A supervised run resumes each segment from the checkpoint the previous
 /// segment ended in, so the next segment's priming evaluation would
 /// recompute exactly this run's last one. [`Trajectory::drive`] takes it
-/// from here when the inputs match bit for bit ([`Trajectory::resumes`]);
-/// every cost the devices charge for it is unchanged. A checkpoint widens
-/// an f32 state to f64 exactly, so restoring it gives back this state.
+/// from here when the inputs match bit for bit in the flavor's precision
+/// ([`Trajectory::resumes`]); every cost the devices charge for it is
+/// unchanged.
 #[derive(Clone, Debug)]
 pub struct Trajectory {
     record: TrajectoryRecord,
     /// The state after the last step, accelerations from the last
-    /// evaluation.
-    state: State,
-    end_step: u64,
+    /// evaluation. A checkpoint holds an f32 state exactly.
+    end: SystemCheckpoint,
 }
 
 impl Trajectory {
-    /// Integrate `steps` velocity-Verlet steps of `sim` through `flavor`
-    /// from `start`, or from the standard lattice when `start` is `None`,
-    /// on `par` host threads (bitwise identical at any setting).
+    /// Integrate `steps` velocity-Verlet steps of `sim` through `flavor`, in
+    /// its precision, from `start`, or from the standard lattice when
+    /// `start` is `None`, on `par` host threads (bitwise identical at any
+    /// setting).
     ///
     /// `resume` is the trajectory the caller drove last, if any. When
     /// `start` is the state it ended in, the priming evaluation is taken
@@ -230,13 +181,7 @@ impl Trajectory {
         par: HostParallelism,
         resume: Option<&Trajectory>,
     ) -> Self {
-        let drive = Drive {
-            flavor,
-            sim,
-            start,
-            steps,
-            resume,
-        };
+        let resume = resume.filter(|last| last.record.flavor == flavor);
         match flavor {
             Flavor::Host => {
                 let stepper = HostStepper {
@@ -244,18 +189,20 @@ impl Trajectory {
                     topology: &BondedTopology::new(),
                     par,
                 };
-                drive.integrate(|sys| stepper.evaluate(sys))
+                integrate(flavor, sim, start, steps, resume, |sys| {
+                    stepper.evaluate(sys)
+                })
             }
             Flavor::Gpu => {
                 let sub = sim.substrate();
-                drive.integrate(|sys| EvalRecord {
+                integrate(flavor, sim, start, steps, resume, |sys| EvalRecord {
                     pe: gpu_forces(sys, &sub, par),
                     interactions: 0,
                 })
             }
             Flavor::Cell { fused } => {
                 let sub = sim.substrate();
-                drive.integrate(|sys: &mut ParticleSystem<f32>| {
+                integrate(flavor, sim, start, steps, resume, |sys| {
                     let stage = CellStage {
                         reflect_above: 0.5 * sys.box_len,
                         fused,
@@ -282,104 +229,82 @@ impl Trajectory {
 
     /// The final state, stamped with the step the run ended at.
     pub fn checkpoint(&self) -> SystemCheckpoint {
-        match &self.state {
-            State::F64(sys) => SystemCheckpoint::capture(sys, self.end_step),
-            State::F32(sys) => SystemCheckpoint::capture(sys, self.end_step),
-        }
+        self.end.clone()
     }
 
     /// Whether a run of `sim` through this run's flavor from `cp` would
     /// take its priming evaluation from this run.
     pub fn resumes(&self, cp: &SystemCheckpoint, sim: &SimConfig) -> bool {
-        let flavor = self.record.flavor;
-        match &self.state {
-            State::F64(_) => self
-                .resumed_state::<f64>(flavor, &cp.restore(), sim)
-                .is_some(),
-            State::F32(_) => self
-                .resumed_state::<f32>(flavor, &cp.restore(), sim)
-                .is_some(),
+        match self.record.flavor {
+            Flavor::Host => self.resumes_state::<f64>(&cp.restore(), sim),
+            Flavor::Gpu | Flavor::Cell { .. } => self.resumes_state::<f32>(&cp.restore(), sim),
         }
     }
 
-    /// This run's final state, when a run of `sim` through `flavor` that
-    /// starts from `sys` would recompute this run's last evaluation: the
-    /// same flavor and bitwise equality of every input of its force
-    /// evaluation, so `-0.0` and NaN miss. The config compares with `==`
-    /// (NaN fields miss) and by its `Debug` text, whose shortest round-trip
-    /// float printing tells `-0.0` from `0.0`.
-    fn resumed_state<T: Native>(
-        &self,
-        flavor: Flavor,
-        sys: &ParticleSystem<T>,
-        sim: &SimConfig,
-    ) -> Option<&ParticleSystem<T>> {
-        let own = T::unwrap(&self.state)?;
-        let bits = |v: &Vec3<T>| [v.x.bits(), v.y.bits(), v.z.bits()];
-        let same = self.record.flavor == flavor
-            && own.box_len.bits() == sys.box_len.bits()
-            && own.mass.bits() == sys.mass.bits()
+    /// Whether a run of `sim` through this run's flavor, whose precision is
+    /// `T`, that starts from `sys` would recompute this run's last
+    /// evaluation: bitwise equality of every input of its force evaluation
+    /// (widened to f64, which is exact), so `-0.0` and NaN miss. The config
+    /// compares with `==` (NaN fields miss) and by its `Debug` text, whose
+    /// shortest round-trip float printing tells `-0.0` from `0.0`.
+    fn resumes_state<T: Real>(&self, sys: &ParticleSystem<T>, sim: &SimConfig) -> bool {
+        let bits = |v: Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let own = &self.end;
+        own.box_len.to_bits() == sys.box_len.to_f64().to_bits()
+            && own.mass.to_bits() == sys.mass.to_f64().to_bits()
             && own.n() == sys.n()
             && own
                 .positions
                 .iter()
                 .zip(&sys.positions)
-                .all(|(a, b)| bits(a) == bits(b))
+                .all(|(a, b)| bits(*a) == bits(b.to_f64()))
             && self.record.sim == *sim
-            && format!("{:?}", self.record.sim) == format!("{sim:?}");
-        same.then_some(own)
+            && format!("{:?}", self.record.sim) == format!("{sim:?}")
     }
 }
 
-/// The inputs of one [`Trajectory::drive`], integrated in the precision of
-/// the evaluation [`Drive::integrate`] is given.
-struct Drive<'a> {
+/// [`Trajectory::drive`] in `flavor`'s precision `T`, whose force
+/// evaluation is `evaluate`; `resume` is of the same flavor.
+fn integrate<T: Real>(
     flavor: Flavor,
-    sim: &'a SimConfig,
-    start: Option<&'a SystemCheckpoint>,
+    sim: &SimConfig,
+    start: Option<&SystemCheckpoint>,
     steps: usize,
-    resume: Option<&'a Trajectory>,
-}
-
-impl Drive<'_> {
-    fn integrate<T: Native>(
-        self,
-        mut evaluate: impl FnMut(&mut ParticleSystem<T>) -> EvalRecord,
-    ) -> Trajectory {
-        let sim = self.sim;
-        let (mut system, start_step): (ParticleSystem<T>, u64) = match self.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        let mut evals = Vec::with_capacity(self.steps + 1);
-        let prime = self.resume.and_then(|last| {
-            let own = last.resumed_state(self.flavor, &system, sim)?;
-            Some((own, last.record.last_eval()))
-        });
-        evals.push(match prime {
-            Some((own, eval)) => {
-                system.accelerations.copy_from_slice(&own.accelerations);
-                eval
+    resume: Option<&Trajectory>,
+    mut evaluate: impl FnMut(&mut ParticleSystem<T>) -> EvalRecord,
+) -> Trajectory {
+    let (mut system, start_step): (ParticleSystem<T>, u64) = match start {
+        Some(cp) => (cp.restore(), cp.step),
+        None => (init::initialize(sim), 0),
+    };
+    let mut evals = Vec::with_capacity(steps + 1);
+    evals.push(
+        match resume.filter(|last| last.resumes_state(&system, sim)) {
+            Some(last) => {
+                let recorded = last.end.accelerations.iter();
+                for (a, &b) in system.accelerations.iter_mut().zip(recorded) {
+                    *a = Vec3::from_f64(b);
+                }
+                last.record.last_eval()
             }
             None => evaluate(&mut system),
-        });
-        let vv = VelocityVerlet::new(T::from_f64(sim.dt));
-        let sub = sim.substrate::<T>();
-        for _ in 0..self.steps {
-            evals.push(step(&vv, &sub, &mut system, &mut evaluate));
-        }
-        let last_pe = evals[evals.len() - 1].pe;
-        Trajectory {
-            record: TrajectoryRecord {
-                flavor: self.flavor,
-                sim: *sim,
-                n: system.n(),
-                evals,
-                energies: EnergyReport::measure(&system, last_pe),
-            },
-            state: T::wrap(system),
-            end_step: start_step + self.steps as u64,
-        }
+        },
+    );
+    let vv = VelocityVerlet::new(T::from_f64(sim.dt));
+    let sub = sim.substrate::<T>();
+    for _ in 0..steps {
+        evals.push(step(&vv, &sub, &mut system, &mut evaluate));
+    }
+    let last_pe = evals[evals.len() - 1].pe;
+    Trajectory {
+        record: TrajectoryRecord {
+            flavor,
+            sim: *sim,
+            n: system.n(),
+            evals,
+            energies: EnergyReport::measure(&system, last_pe),
+        },
+        end: SystemCheckpoint::capture(&system, start_step + steps as u64),
     }
 }
 
@@ -524,7 +449,7 @@ mod tests {
         let cfg = SimConfig::reduced_lj(108);
         let mut sys: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
         let record = |sim: SimConfig| {
-            let system = ParticleSystem::new(4, 10.0);
+            let system: ParticleSystem<f64> = ParticleSystem::new(4, 10.0);
             Trajectory {
                 record: TrajectoryRecord {
                     flavor: Flavor::Host,
@@ -533,15 +458,13 @@ mod tests {
                     evals: vec![EvalRecord::default()],
                     energies: EnergyReport::measure(&system, 0.0),
                 },
-                state: State::F64(system),
-                end_step: 0,
+                end: SystemCheckpoint::capture(&system, 0),
             }
         };
         let resumes = |run: Trajectory, sys: &ParticleSystem<f64>, sim: &SimConfig| {
-            run.resumed_state(Flavor::Host, sys, sim).is_some()
+            run.resumes_state(sys, sim)
         };
         assert!(resumes(record(cfg), &sys, &cfg));
-        assert!(record(cfg).resumed_state(Flavor::Gpu, &sys, &cfg).is_none());
         // `==` holds for -0.0 and 0.0, the bits differ.
         let signed = SimConfig {
             cutoff: -0.0,
