@@ -12,11 +12,12 @@
 //! `fell_back`. The recovered trajectory is bit-identical to a fault-free
 //! run on the same device (devices prime accelerations from positions at
 //! every checkpointed entry, so segment boundaries are invisible to the
-//! physics); only the simulated clock shows the recovery work. The Opteron
-//! and the MTA-2 reuse their last trajectory's final evaluation when a
-//! segment resumes from the state its previous segment ended in, so the
-//! prime costs no host time there; the charge is unchanged. The Cell and
-//! the GPU still recompute it.
+//! physics); only the simulated clock shows the recovery work. Every device
+//! that prices an md-core trajectory — the Opteron, the MTA-2, the GPU and
+//! the PPE-only baseline — reuses its last trajectory's final evaluation
+//! when a segment resumes from the state its previous segment ended in, so
+//! the prime costs no host time there; the charge is unchanged. Only the
+//! Cell SPE offload still recomputes it.
 //!
 //! The supervisor drives any [`MdDevice`] — it holds a `&mut dyn MdDevice`
 //! and never knows which architecture is underneath (DESIGN.md §11).

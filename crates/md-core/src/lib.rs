@@ -13,9 +13,10 @@
 //!   [`mod@reference`] is the f32/f64 oracle it is checked against,
 //! - workload generation: cubic/FCC lattices and Maxwell-Boltzmann velocity
 //!   initialization ([`init`]), with a deterministic RNG ([`rng`]),
-//! - the unified device run API ([`device`]), the f64 trajectory driver the
-//!   Opteron and MTA-2 price ([`trajectory`]), scenarios ([`scenario`]) and
-//!   exact checkpoints ([`checkpoint`]).
+//! - the unified device run API ([`device`]), the trajectory driver whose
+//!   host, GPU and Cell flavors the Opteron, MTA-2, GPU and PPE-only
+//!   baseline price ([`trajectory`]), scenarios ([`scenario`]) and exact
+//!   checkpoints ([`checkpoint`]).
 //!
 //! The state and the oracle are generic over [`vecmath::Real`], so they run
 //! in `f32` (the precision the paper uses on the Cell and GPU) and `f64` (the
