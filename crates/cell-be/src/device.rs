@@ -626,7 +626,7 @@ impl CellBeDevice {
         // way the n quads cross the bus costs the same DMA cycles.
         let dma_cycles = dma.transfer_cycles(n * 16);
         let (pe, stats) = compute_accelerations(
-            &SoaPositionsF32::from_positions(&sys.positions),
+            &soa_of(&sys.positions),
             0..n,
             params,
             variant,
@@ -639,6 +639,11 @@ impl CellBeDevice {
             (pe * 0.5) as f64,
         ))
     }
+}
+
+/// Positions in the f32 SoA layout the shared-eval rows read.
+fn soa_of(positions: &[Vec3<f32>]) -> SoaPositionsF32 {
+    SoaPositionsF32::from_quads(positions.iter().map(|p| [p.x, p.y, p.z, 0.0]))
 }
 
 /// Flop estimate per examined pair (minimum image + distance + cutoff test)
@@ -777,7 +782,7 @@ impl OffloadPort for Resident {
     type Shared = SoaPositionsF32;
 
     fn share(&self, positions: &[Vec3<f32>]) -> SoaPositionsF32 {
-        SoaPositionsF32::from_positions(positions)
+        soa_of(positions)
     }
 
     fn kernel(

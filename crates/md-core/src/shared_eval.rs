@@ -80,7 +80,7 @@ use crate::scenario::{PairFnUser, Substrate};
 use crate::system::ParticleSystem;
 use std::mem::MaybeUninit;
 use std::ops::{Add, Mul, Sub};
-use vecmath::{pbc, Real, Vec3};
+use vecmath::{pbc, Real};
 use vecmath::{F32x8, F64x4};
 
 /// One row's wide distance pass: runs `$body` once per group of `$w` j-atoms
@@ -667,11 +667,6 @@ impl SoaPositionsF32 {
         soa
     }
 
-    /// The SoA of a system's positions.
-    pub fn from_positions(positions: &[Vec3<f32>]) -> Self {
-        Self::from_quads(positions.iter().map(|p| [p.x, p.y, p.z, 0.0]))
-    }
-
     pub fn len(&self) -> usize {
         self.x.len()
     }
@@ -802,33 +797,6 @@ pub fn cell_stage_row(
         return unsafe { cell_row_avx2(soa, i, box_len, sub, inv_mass, stage) };
     }
     cell_row_batched(soa, i, box_len, sub, inv_mass, stage)
-}
-
-/// One Cell-flavor force evaluation over every atom of `sys`: each atom's
-/// [`cell_stage_row`] at `stage` as an order-preserving indexed map on
-/// `par`, folded serially in row order. Overwrites `sys.accelerations`;
-/// returns the row PEs summed in f32 (unhalved: each pair sits in both of
-/// its atoms' rows) and the in-cutoff (ordered) pair count. Bitwise the
-/// same at any host parallelism.
-pub fn cell_forces(
-    sys: &mut ParticleSystem<f32>,
-    sub: &Substrate<f32>,
-    stage: CellStage,
-    par: HostParallelism,
-) -> (f32, u64) {
-    let (l, inv_mass) = (sys.box_len, 1.0 / sys.mass);
-    let soa = SoaPositionsF32::from_positions(&sys.positions);
-    let rows = map_indexed(par, sys.n(), |i| {
-        cell_stage_row(&soa, i, l, sub, inv_mass, stage)
-    });
-    let mut pe = 0.0f32;
-    let mut interactions = 0u64;
-    for (a, row) in sys.accelerations.iter_mut().zip(rows) {
-        *a = Vec3::new(row.acc[0], row.acc[1], row.acc[2]);
-        pe += row.pe;
-        interactions += row.interactions;
-    }
-    (pe, interactions)
 }
 
 /// Accumulator of one cell row.
@@ -1075,40 +1043,6 @@ pub fn gpu_texel(
         return unsafe { gpu_texel_avx2(soa, i, box_len, sub, inv_mass) };
     }
     gpu_texel_batched(soa, i, box_len, sub, inv_mass)
-}
-
-/// Host-parallel dispatch granularity of [`gpu_forces`]: output texels are
-/// evaluated in fixed batches of this many fragments. The batches depend
-/// only on the output length, never on the thread count, so every batch
-/// computes the same texels no matter how they are scheduled.
-pub const FRAGMENT_BATCH: usize = 256;
-
-/// One GPU-flavor force evaluation over every atom of `sys`: each atom's
-/// [`gpu_texel`], in [`FRAGMENT_BATCH`] batches on `par`, committed in batch
-/// order. Overwrites `sys.accelerations` with the texels' xyz; returns the
-/// potential energy as the host sums the readback: the w lanes added in
-/// f64, in atom order, then halved. Bitwise the same at any host
-/// parallelism.
-pub fn gpu_forces(
-    sys: &mut ParticleSystem<f32>,
-    sub: &Substrate<f32>,
-    par: HostParallelism,
-) -> f64 {
-    let (l, inv_mass) = (sys.box_len, 1.0 / sys.mass);
-    let soa = SoaPositionsF32::from_positions(&sys.positions);
-    let n = sys.n();
-    let batches = map_indexed(par, n.div_ceil(FRAGMENT_BATCH), |b| {
-        let lo = b * FRAGMENT_BATCH;
-        let hi = (lo + FRAGMENT_BATCH).min(n);
-        (lo..hi)
-            .map(|i| gpu_texel(&soa, i, l, sub, inv_mass))
-            .collect::<Vec<_>>()
-    });
-    let texels = batches.concat();
-    for (a, t) in sys.accelerations.iter_mut().zip(&texels) {
-        *a = Vec3::new(t[0], t[1], t[2]);
-    }
-    texels.iter().map(|t| t[3] as f64).sum::<f64>() * 0.5
 }
 
 /// Accumulator of one GPU texel.

@@ -21,9 +21,10 @@ use crate::checkpoint::SystemCheckpoint;
 use crate::device::HostParallelism;
 use crate::init;
 use crate::observables::EnergyReport;
+use crate::parallel::map_indexed;
 use crate::params::SimConfig;
 use crate::scenario::Substrate;
-use crate::shared_eval::{cell_forces, gpu_forces, host_forces, CellStage};
+use crate::shared_eval::{cell_stage_row, gpu_texel, host_forces, CellStage, SoaPositionsF32};
 use crate::system::ParticleSystem;
 use crate::verlet::VelocityVerlet;
 use vecmath::{Real, Vec3};
@@ -33,10 +34,10 @@ use vecmath::{Real, Vec3};
 pub enum Flavor {
     /// [`host_forces`] in f64: the Opteron and both MTA-2 modes.
     Host,
-    /// [`gpu_forces`] in f32: `gpu_texel` rows in fragment batches, the PE
-    /// the texels' w lanes summed in f64 and halved. The GPU.
+    /// [`gpu_texel`] rows in f32, in fragment batches, the PE the texels' w
+    /// lanes summed in f64 and halved. The GPU.
     Gpu,
-    /// [`cell_forces`] in f32 at the SPE-kernel stage that reflects at
+    /// [`cell_stage_row`] in f32 at the SPE-kernel stage that reflects at
     /// `L/2` and fuses its accumulate if `fused`: the row PEs summed in row
     /// order in f32, then halved. The PPE-only baseline runs the
     /// `Original` stage, unfused.
@@ -306,6 +307,62 @@ fn integrate<T: Real>(
         },
         end: SystemCheckpoint::capture(&system, start_step + steps as u64),
     }
+}
+
+/// Host-parallel dispatch granularity of the GPU flavor: output texels are
+/// evaluated in fixed batches of this many fragments. The batches depend
+/// only on the output length, never on the thread count, so every batch
+/// computes the same texels no matter how they are scheduled.
+const FRAGMENT_BATCH: usize = 256;
+
+/// The f32 SoA of a system's positions, as both f32 flavors read them.
+fn soa(sys: &ParticleSystem<f32>) -> SoaPositionsF32 {
+    SoaPositionsF32::from_quads(sys.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]))
+}
+
+/// One GPU-flavor force evaluation: each atom's [`gpu_texel`], in
+/// [`FRAGMENT_BATCH`] batches on `par`, committed in batch order. Sets the
+/// accelerations to the texels' xyz and returns the PE as the host sums the
+/// readback: the w lanes added in f64, in atom order, then halved.
+fn gpu_forces(sys: &mut ParticleSystem<f32>, sub: &Substrate<f32>, par: HostParallelism) -> f64 {
+    let (l, inv_mass, soa) = (sys.box_len, 1.0 / sys.mass, soa(sys));
+    let n = sys.n();
+    let batches = map_indexed(par, n.div_ceil(FRAGMENT_BATCH), |b| {
+        let lo = b * FRAGMENT_BATCH;
+        let hi = (lo + FRAGMENT_BATCH).min(n);
+        (lo..hi)
+            .map(|i| gpu_texel(&soa, i, l, sub, inv_mass))
+            .collect::<Vec<_>>()
+    });
+    let texels = batches.concat();
+    for (a, t) in sys.accelerations.iter_mut().zip(&texels) {
+        *a = Vec3::new(t[0], t[1], t[2]);
+    }
+    texels.iter().map(|t| t[3] as f64).sum::<f64>() * 0.5
+}
+
+/// One Cell-flavor force evaluation: each atom's [`cell_stage_row`] at
+/// `stage` on `par`, folded in row order. Sets the accelerations and
+/// returns the row PEs summed in f32 (each pair sits in both of its atoms'
+/// rows) and the in-cutoff (ordered) pair count.
+fn cell_forces(
+    sys: &mut ParticleSystem<f32>,
+    sub: &Substrate<f32>,
+    stage: CellStage,
+    par: HostParallelism,
+) -> (f32, u64) {
+    let (l, inv_mass, soa) = (sys.box_len, 1.0 / sys.mass, soa(sys));
+    let rows = map_indexed(par, sys.n(), |i| {
+        cell_stage_row(&soa, i, l, sub, inv_mass, stage)
+    });
+    let mut pe = 0.0f32;
+    let mut interactions = 0u64;
+    for (a, row) in sys.accelerations.iter_mut().zip(rows) {
+        *a = Vec3::new(row.acc[0], row.acc[1], row.acc[2]);
+        pe += row.pe;
+        interactions += row.interactions;
+    }
+    (pe, interactions)
 }
 
 #[cfg(test)]
