@@ -1123,8 +1123,7 @@ impl md_core::device::MdDevice for CellMd {
 /// The PPE-only baseline (Table 1's 26x-slower row) as a device: the scalar
 /// `Original` kernel on the PPE with its CPI penalty, no SPEs, no DMA. The
 /// host integrates on the PPE either way, so its physics is md-core's Cell
-/// flavor at the `Original` stage ([`CellPpeMd::FLAVOR`]) and the device
-/// only prices it.
+/// flavor, the `Original` stage, and the device only prices it.
 pub struct CellPpeMd {
     pub device: CellBeDevice,
     /// The last run's trajectory, the resume record of the next run.
@@ -1132,10 +1131,6 @@ pub struct CellPpeMd {
 }
 
 impl CellPpeMd {
-    /// The Cell flavor at the `Original` stage: compare/select reflect at
-    /// `L/2`, unfused accumulate.
-    pub const FLAVOR: Flavor = Flavor::Cell { fused: false };
-
     pub fn paper_blade() -> Self {
         Self {
             device: CellBeDevice::paper_blade(),
@@ -1159,7 +1154,7 @@ impl md_core::device::MdDevice for CellPpeMd {
         sim: &SimConfig,
         opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        Ok(md_core::device::run_priced(self, sim, opts))
+        md_core::device::run_priced(self, sim, opts)
     }
 
     fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
@@ -1169,17 +1164,18 @@ impl md_core::device::MdDevice for CellPpeMd {
 
 impl Pricer for CellPpeMd {
     fn flavor(&self) -> Flavor {
-        Self::FLAVOR
+        Flavor::Cell
     }
 
     /// Per evaluation, the scalar kernel's closed-form cycles in its
     /// interaction count, scaled by the PPE's CPI; per step, two
     /// integration passes and the ensemble upkeep.
-    fn charge(
+    fn price(
         &mut self,
         record: &TrajectoryRecord,
         _perf: &mut sim_perf::PerfMonitor,
-    ) -> md_core::device::PricedRun {
+    ) -> Result<md_core::device::PricedRun, md_core::device::DeviceError> {
+        md_core::device::check_flavor(self, record)?;
         let config = &self.device.config;
         let n = record.n();
         let ppe = PpeModel::new(config);
@@ -1208,7 +1204,7 @@ impl Pricer for CellPpeMd {
             }
         }
         let clk = config.clock_hz;
-        md_core::device::DeviceRun {
+        Ok(md_core::device::DeviceRun {
             sim_seconds: b.total() / clk,
             energies: record.energies(),
             checkpoint: (),
@@ -1223,7 +1219,7 @@ impl Pricer for CellPpeMd {
             ops: pairs as f64 * FLOPS_PER_PAIR + interactions as f64 * FLOPS_PER_INTERACTION,
             bytes_moved: 0.0,
             faults: sim_fault::FaultStats::default(),
-        }
+        })
     }
 
     fn last_trajectory(&mut self) -> &mut Option<Trajectory> {
@@ -1500,14 +1496,14 @@ mod tests {
         );
     }
 
-    /// The driver runs `Flavor::Cell { fused }` at a reflect of `L/2`: that
+    /// The driver runs `Flavor::Cell` reflecting at `L/2`, unfused: that
     /// is the `Original` stage the PPE baseline's kernel charges.
     #[test]
     fn ppe_flavor_is_the_original_stage() {
         let l = workload(2048).box_len() as f32;
         let stage = SpeKernelVariant::Original.stage(l);
         assert_eq!(stage.reflect_above, 0.5 * l);
-        assert_eq!(CellPpeMd::FLAVOR, Flavor::Cell { fused: stage.fused });
+        assert!(!stage.fused);
     }
 
     #[test]

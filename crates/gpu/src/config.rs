@@ -1,5 +1,7 @@
 //! GPU timing parameters, calibrated to a GeForce 7900GTX-class part.
 
+use crate::shader::ShaderOps;
+
 /// Machine parameters of the simulated GPU and its host link.
 #[derive(Clone, Copy, Debug)]
 pub struct GpuConfig {
@@ -21,7 +23,7 @@ pub struct GpuConfig {
     pub dispatch_overhead_s: f64,
     /// One-time cost to JIT-compile the shader with its baked-in constants at
     /// program initialization ("a fraction of a second ... quickly amortized",
-    /// excluded from Figure 7's timings, tracked separately).
+    /// excluded from Figure 7's timings). No run charges it.
     pub jit_startup_s: f64,
     /// Host CPU cost per atom for the linear-time work it keeps (PE summation
     /// during readback, integration), seconds/atom/step.
@@ -66,6 +68,22 @@ impl GpuConfig {
     pub fn ops_per_second(&self) -> f64 {
         self.clock_hz * self.n_pipes as f64
     }
+
+    /// PCIe cost of moving `bytes` to the GPU, seconds.
+    pub fn upload_seconds(&self, bytes: usize) -> f64 {
+        self.transfer_latency_s + bytes as f64 / self.upload_bytes_per_sec
+    }
+
+    /// PCIe cost of reading `bytes` back, seconds.
+    pub fn readback_seconds(&self, bytes: usize) -> f64 {
+        self.transfer_latency_s + bytes as f64 / self.readback_bytes_per_sec
+    }
+
+    /// Pipeline-occupancy seconds of a fragment pass that retires `ops`
+    /// (the fixed per-dispatch driver overhead comes on top).
+    pub fn shader_seconds(&self, ops: ShaderOps) -> f64 {
+        ops.total() as f64 / self.ops_per_second()
+    }
 }
 
 impl Default for GpuConfig {
@@ -89,6 +107,8 @@ mod tests {
     fn readback_slower_than_upload() {
         let c = GpuConfig::geforce_7900gtx();
         assert!(c.readback_bytes_per_sec < c.upload_bytes_per_sec);
+        assert!(c.readback_seconds(4096 * 16) > c.upload_seconds(4096 * 16));
+        assert!(c.upload_seconds(4096 * 16) > c.upload_seconds(64 * 16));
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! Functional simulator of a 2006-era streaming GPU (paper section 3.2/5.2).
+//! Cost model of a 2006-era streaming GPU running the paper's MD port
+//! (sections 3.2 and 5.2).
 //!
-//! The programming model the paper describes — and this crate *enforces* —
-//! is the pre-CUDA, graphics-pipeline one:
+//! The host integrates and the GPU only evaluates forces, so the physics
+//! is md-core's GPU flavor ([`md_core::trajectory::Flavor::Gpu`]): each
+//! atom's output texel as the paper's predicated fragment shader computes
+//! it ([`md_core::shared_eval::gpu_texel`]), in `f32`, the PE returned in
+//! the free fourth component of the 4-component acceleration texel and
+//! summed on the CPU "for free" during readback. [`GpuMdSimulation`]
+//! prices that trajectory under the pre-CUDA, graphics-pipeline model:
 //!
-//! - GPUs are **stream processors**: "a shader program cannot read and write
-//!   to the same memory location. Arrays must be designated as either input
-//!   or output, but not both." ([`Texture`]s are read-only at dispatch time;
-//!   the output array is created by the dispatch.)
-//! - Execution is **gather-based**: "a shader program may read from any input
-//!   locations, but it has only one location in each output array to which it
-//!   may write, designated before the program begins execution." (A
-//!   [`Shader`] receives its fixed output index and returns one texel.)
-//! - There is **no communication between shader instances**, so a global sum
-//!   (the potential energy) cannot be produced in one pass; the paper's trick
-//!   — returning each atom's PE contribution in the free fourth component of
-//!   the 4-component acceleration texel and summing on the CPU "for free"
-//!   during readback — is exactly what [`mdshader::LjAccelShader`] does.
+//! - The shader is gather-only with one output location per instance and
+//!   no communication between instances, so a global sum (the potential
+//!   energy) cannot be produced in one pass; the rejected alternative, a
+//!   multi-pass GPU reduction, is priced in [`reduction`].
+//! - Predication makes the shader's cost uniform per examined pair, so a
+//!   dispatch retires a closed form in N ([`mdshader::accel_ops`]).
 //! - The CPU orchestrates everything and pays **PCIe transfer costs** each
 //!   time step (positions up, accelerations back), plus a per-dispatch driver
 //!   overhead; these O(N) and constant per-step costs are what make the GPU
 //!   *slower* than the CPU at small atom counts in Figure 7.
 //!
-//! Compute is performed for real in `f32`; a deterministic cost model
-//! calibrated to a GeForce 7900GTX-class part (24 pipelines at 650 MHz)
-//! produces simulated runtimes.
+//! The deterministic cost model is calibrated to a GeForce 7900GTX-class
+//! part (24 pipelines at 650 MHz).
 
 // Device-crate panic discipline on top of the workspace lints: a panic in a
 // device hot path escapes the cycle accounting. Float equality is never
@@ -38,17 +36,12 @@
 )]
 
 mod config;
-mod device;
 pub mod mdshader;
 pub mod reduction;
 mod runner;
 mod shader;
-mod texture;
 
 pub use config::GpuConfig;
-pub use device::{DispatchResult, GpuDevice};
-pub use mdshader::LjAccelShader;
-pub use reduction::{reduce_on_gpu, ReductionCost, ReductionStrategy, SumShader};
+pub use reduction::{multipass_seconds, ReductionStrategy};
 pub use runner::GpuMdSimulation;
-pub use shader::{Shader, ShaderConstants, ShaderOps};
-pub use texture::Texture;
+pub use shader::ShaderOps;

@@ -1,4 +1,5 @@
-//! The MD acceleration shader (paper section 5.2).
+//! The MD acceleration shader (paper section 5.2), as the cost model
+//! charges it.
 //!
 //! One shader instance per atom: it scans the entire position texture for
 //! atoms within the cutoff and accumulates their force contributions into a
@@ -6,6 +7,8 @@
 //! stored in the fourth component of the output texel, so it is "retrieved
 //! for free" by the acceleration readback and summed in linear time on the
 //! CPU — the paper's alternative to an expensive multi-pass GPU reduction.
+//! md-core's GPU flavor ([`md_core::shared_eval::gpu_texel`]) computes
+//! those texels; this module only counts what the dispatch retires.
 //!
 //! 2006 fragment pipelines had very limited dynamic branching, so the cutoff
 //! test is implemented by *predication*: the pair term is computed for every
@@ -18,12 +21,6 @@
 //! §16): the paper-faithful default is the predicated Lennard-Jones above,
 //! and alternative potentials charge extra ALU slots per pair — on this
 //! hardware a longer pair expression is simply a longer fragment program.
-//!
-//! The MD force pass computes the shader's texels through md-core's GPU
-//! flavor ([`md_core::shared_eval::gpu_texel`]) and is charged the ops
-//! [`LjAccelShader::ops`] retires. The interpretive per-pair shader they
-//! replaced, run through [`crate::GpuDevice::dispatch`], survives as the
-//! tests' oracle for both.
 
 use crate::shader::ShaderOps;
 use md_core::scenario::Substrate;
@@ -38,285 +35,48 @@ pub const ALU_PER_PAIR: u64 = 21;
 pub const FETCH_PER_PAIR: u64 = 1;
 /// Per-instance fixed ALU (own position fetch handled in fetches).
 pub const ALU_PER_INSTANCE: u64 = 6;
+/// Bytes of one 4-component f32 texel, the unit every PCIe transfer moves
+/// per atom (xyz, and the PE in w on the way back).
+pub const TEXEL_BYTES: usize = 16;
 
-/// The pair-potential acceleration shader (named for its paper-faithful
-/// Lennard-Jones default; the substrate may swap in Morse or Coulomb).
-#[derive(Clone, Copy, Debug)]
-pub struct LjAccelShader {
-    /// Number of atoms (texels in the position texture).
-    pub n_atoms: usize,
-    /// Resolved scenario physics evaluated per surviving pair.
-    pub sub: Substrate<f32>,
-    /// Extra ALU slots per examined pair for non-LJ potentials (longer
-    /// fragment program under predication — charged for every pair).
-    extra_alu: u64,
-}
-
-impl LjAccelShader {
-    pub fn new(n_atoms: usize, sub: Substrate<f32>) -> Self {
-        let mut extra_alu = 0u64;
-        let mut left = sub.extra_eval_ops();
-        while left >= 1.0 {
-            extra_alu += 1;
-            left -= 1.0;
-        }
-        Self {
-            n_atoms,
-            sub,
-            extra_alu,
-        }
+/// The ops one acceleration dispatch over `n_atoms` texels retires, in
+/// closed form. Predication makes that exact, not approximate: the shader
+/// charges every examined pair (the self-pair included) identically
+/// regardless of the cutoff outcome, so each texel retires exactly
+/// `1 + N·FETCH_PER_PAIR` fetches and
+/// `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra)` ALU slots, where `extra`
+/// is the whole ALU slots of [`Substrate::extra_eval_ops`], and N times
+/// that is exact in u64 (DESIGN.md §17).
+pub fn accel_ops(n_atoms: usize, sub: &Substrate<f32>) -> ShaderOps {
+    let mut extra_alu = 0u64;
+    let mut left = sub.extra_eval_ops();
+    while left >= 1.0 {
+        extra_alu += 1;
+        left -= 1.0;
     }
-
-    /// The ops one dispatch over all `n_atoms` texels retires, in closed
-    /// form. Predication makes that exact, not approximate: the shader
-    /// charges every examined pair identically regardless of the cutoff
-    /// outcome, so each texel retires exactly `1 + N·FETCH_PER_PAIR`
-    /// fetches and `ALU_PER_INSTANCE + N·(ALU_PER_PAIR + extra_alu)` ALU
-    /// slots, and N times that is exact in u64 (DESIGN.md §17).
-    pub fn ops(&self) -> ShaderOps {
-        let n = self.n_atoms as u64;
-        ShaderOps {
-            fetches: n * (1 + n * FETCH_PER_PAIR),
-            alu: n * (ALU_PER_INSTANCE + n * (ALU_PER_PAIR + self.extra_alu)),
-        }
+    let n = n_atoms as u64;
+    ShaderOps {
+        fetches: n * (1 + n * FETCH_PER_PAIR),
+        alu: n * (ALU_PER_INSTANCE + n * (ALU_PER_PAIR + extra_alu)),
     }
 }
 
 #[cfg(test)]
-// Tests assert *bitwise* f64 equality on purpose: identical runs must
-// produce identical results, not merely close ones (DESIGN.md §4).
-#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::device::GpuDevice;
-    use crate::shader::{Shader, ShaderConstants};
-    use crate::texture::Texture;
     use md_core::scenario::ScenarioSpec;
 
-    /// Indices of the kernel constants inside [`ShaderConstants`].
-    ///
-    /// The constant block is the shader's JIT identity: any scenario change
-    /// (potential kind or parameters) lands in these slots, so
-    /// a different scenario forces a re-JIT exactly like the paper's
-    /// constant-folding compiler would.
-    pub mod constants {
-        pub const BOX_LEN: usize = 0;
-        pub const CUTOFF2: usize = 1;
-        /// Potential discriminant (0 = LJ, 1 = Morse, 2 = cutoff-Coulomb).
-        pub const POT_KIND: usize = 2;
-        /// First potential parameter (ε, well depth, or q²).
-        pub const POT_A: usize = 3;
-        /// Second potential parameter (σ², stiffness, or unused).
-        pub const POT_B: usize = 4;
-        /// Third potential parameter (r₀ for Morse; otherwise unused).
-        pub const POT_C: usize = 5;
-        pub const INV_MASS: usize = 6;
-    }
-
-    /// Pack the kernel parameters into the JIT-baked constant block. Every
-    /// field that changes the compiled program appears here, so
-    /// [`GpuDevice::compile`] re-JITs exactly when the scenario (or
-    /// geometry) changes.
-    fn constants(box_len: f32, inv_mass: f32, sub: &Substrate<f32>) -> ShaderConstants {
-        let mut values = [0.0f32; 8];
-        values[constants::BOX_LEN] = box_len;
-        values[constants::CUTOFF2] = sub.cutoff2();
-        let (kind, a, b, c) = sub.pot_constants();
-        values[constants::POT_KIND] = kind;
-        values[constants::POT_A] = a;
-        values[constants::POT_B] = b;
-        values[constants::POT_C] = c;
-        values[constants::INV_MASS] = inv_mass;
-        ShaderConstants { values }
-    }
-
-    /// The interpretive shader: the per-pair walk the GPU flavor and
-    /// [`LjAccelShader::ops`] replaced.
-    impl Shader for LjAccelShader {
-        fn execute(
-            &self,
-            inputs: &[&Texture],
-            out_index: usize,
-            c: &ShaderConstants,
-            ops: &mut ShaderOps,
-        ) -> [f32; 4] {
-            let positions = inputs[0];
-            let l = c.values[constants::BOX_LEN];
-            let half_l = 0.5 * l;
-            let cutoff2 = self.sub.cutoff2();
-            let inv_mass = c.values[constants::INV_MASS];
-
-            let pi = positions.fetch(out_index);
-            ops.fetches += 1;
-            ops.alu += ALU_PER_INSTANCE;
-
-            let mut acc = [0.0f32; 3];
-            let mut pe = 0.0f32;
-
-            for j in 0..self.n_atoms {
-                // The shader examines every texel, including its own: the
-                // self-pair is eliminated by the predication mask, not a branch.
-                let pj = positions.fetch(j);
-                ops.fetches += FETCH_PER_PAIR;
-                ops.alu += ALU_PER_PAIR + self.extra_alu;
-
-                // Minimum image via compare/select per axis (4-wide on hardware).
-                let mut d = [0.0f32; 3];
-                for k in 0..3 {
-                    let mut dk = pi[k] - pj[k];
-                    dk += if dk > half_l { -l } else { 0.0 };
-                    dk += if dk < -half_l { l } else { 0.0 };
-                    d[k] = dk;
-                }
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-
-                // Predicated pair term: the evaluation is always *charged* (the
-                // ops were counted above regardless of the outcome), and the
-                // masked-off lanes are discarded — which is what hardware
-                // predication does with the garbage values a self-pair (r² = 0)
-                // would produce.
-                let masked = r2 < cutoff2 && r2 > 0.0;
-                if masked {
-                    let (e, f_over_r) = self.sub.energy_force(r2);
-                    pe += e;
-                    for k in 0..3 {
-                        acc[k] += d[k] * f_over_r * inv_mass;
-                    }
-                }
-            }
-            [acc[0], acc[1], acc[2], pe]
-        }
-
-        fn name(&self) -> &'static str {
-            "lj-accel"
-        }
-    }
-
-    fn dispatch(points: &[[f32; 3]], box_len: f32) -> (Texture, ShaderOps) {
-        dispatch_scenario(points, box_len, ScenarioSpec::default())
-    }
-
-    fn dispatch_scenario(
-        points: &[[f32; 3]],
-        box_len: f32,
-        spec: ScenarioSpec,
-    ) -> (Texture, ShaderOps) {
-        let n = points.len();
-        let sub: Substrate<f32> = spec.substrate(2.5);
-        let mut dev = GpuDevice::geforce_7900gtx();
-        dev.compile(constants(box_len, 1.0, &sub));
-        let tex = Texture::from_xyz(points);
-        let shader = LjAccelShader::new(n, sub);
-        let r = dev.dispatch(&shader, &[&tex], n);
-        (r.output, r.ops)
-    }
-
     #[test]
-    fn two_body_forces_and_pe() {
-        let (out, _) = dispatch(&[[1.0, 1.0, 1.0], [2.2, 1.0, 1.0]], 20.0);
-        let a0 = out.fetch(0);
-        let a1 = out.fetch(1);
-        // Attractive at 1.2σ: atom 0 pulled +x; equal and opposite.
-        assert!(a0[0] > 0.0);
-        assert!((a0[0] + a1[0]).abs() < 1e-4);
-        // PE symmetric and negative.
-        assert!(a0[3] < 0.0);
-        assert!((a0[3] - a1[3]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn self_pair_masked_no_nan() {
-        let (out, _) = dispatch(&[[5.0, 5.0, 5.0]], 20.0);
-        let a = out.fetch(0);
-        assert!(
-            a.iter().all(|v| v.is_finite()),
-            "self-pair must not produce NaN: {a:?}"
-        );
-        assert_eq!(a, [0.0; 4]);
-    }
-
-    #[test]
-    fn wraps_through_the_boundary() {
-        let (out, _) = dispatch(&[[0.5, 5.0, 5.0], [19.5, 5.0, 5.0]], 20.0);
-        let a0 = out.fetch(0);
-        // r = 1 through the wall: repulsive force 24 pushes atom 0 in +x.
-        assert!((a0[0] - 24.0).abs() < 1e-3, "got {a0:?}");
-    }
-
-    #[test]
-    fn op_count_uniform_in_pairs() {
-        let (_, ops_dense) = dispatch(&[[1.0, 1.0, 1.0], [1.5, 1.0, 1.0], [2.0, 1.0, 1.0]], 20.0);
-        let (_, ops_sparse) = dispatch(
-            &[[1.0, 1.0, 1.0], [8.0, 8.0, 8.0], [15.0, 15.0, 15.0]],
-            20.0,
-        );
-        // Predication: cost depends only on N, not on interactions.
-        assert_eq!(ops_dense.total(), ops_sparse.total());
+    fn ops_are_per_examined_pair() {
+        let lj = accel_ops(3, &ScenarioSpec::default().substrate(2.5));
         let n = 3u64;
         assert_eq!(
-            ops_dense.total(),
+            lj.total(),
             n * (1 + ALU_PER_INSTANCE) + n * n * (FETCH_PER_PAIR + ALU_PER_PAIR)
         );
-    }
-
-    #[test]
-    fn non_lj_potential_charges_extra_alu() {
-        let pts = [[1.0, 1.0, 1.0], [1.5, 1.0, 1.0], [2.0, 1.0, 1.0]];
-        let (_, lj) = dispatch(&pts, 20.0);
-        let (_, morse) = dispatch_scenario(&pts, 20.0, ScenarioSpec::morse_nvt());
-        let n = 3u64;
+        let morse = accel_ops(3, &ScenarioSpec::morse_nvt().substrate(2.5));
         let extra = morse.total() - lj.total();
         assert_eq!(extra % (n * n), 0, "extra ALU is per examined pair");
         assert!(extra > 0, "Morse pair term is longer than LJ");
-    }
-
-    #[test]
-    fn morse_two_body_attractive_past_minimum() {
-        let (out, _) = dispatch_scenario(
-            &[[1.0, 1.0, 1.0], [2.5, 1.0, 1.0]],
-            20.0,
-            ScenarioSpec::morse_nvt(),
-        );
-        let a0 = out.fetch(0);
-        // Past r₀: the Morse well pulls atom 0 toward atom 1 (+x).
-        assert!(a0[0] > 0.0, "got {a0:?}");
-        assert!(a0[3] < 0.0, "bound pair has negative PE: {a0:?}");
-    }
-
-    /// The physics-once contract at the dispatch level: md-core's GPU
-    /// flavor computes the same texels as the interpretive per-pair walk,
-    /// and the closed form retires the same ops — bit for bit — for every
-    /// scenario flavor.
-    #[test]
-    fn shared_texels_and_closed_form_ops_are_the_interpretive_dispatch() {
-        let n = 300;
-        let pts: Vec<[f32; 3]> = (0..n)
-            .map(|i| {
-                let t = i as f32;
-                [
-                    (t * 0.37).rem_euclid(6.0),
-                    (t * 0.73 + 1.1).rem_euclid(6.0),
-                    (t * 1.19 + 2.3).rem_euclid(6.0),
-                ]
-            })
-            .collect();
-        for spec in [ScenarioSpec::default(), ScenarioSpec::morse_nvt()] {
-            let sub: Substrate<f32> = spec.substrate(2.5);
-            let mut dev = GpuDevice::geforce_7900gtx();
-            dev.compile(constants(6.0, 0.5, &sub));
-            let tex = Texture::from_xyz(&pts);
-            let shader = LjAccelShader::new(n, sub);
-            let interp = dev.dispatch(&shader, &[&tex], n);
-            let soa =
-                md_core::shared_eval::SoaPositionsF32::from_quads(tex.texels().iter().copied());
-            let shared: Vec<[f32; 4]> = (0..n)
-                .map(|i| md_core::shared_eval::gpu_texel(&soa, i, 6.0, &sub, 0.5))
-                .collect();
-            assert_eq!(shared, interp.output.texels());
-            let ops = shader.ops();
-            assert_eq!(ops.alu, interp.ops.alu);
-            assert_eq!(ops.fetches, interp.ops.fetches);
-            assert_eq!(dev.shader_seconds(ops), interp.shader_seconds);
-        }
     }
 }

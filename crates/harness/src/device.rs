@@ -292,7 +292,7 @@ impl DeviceKind {
         match self {
             DeviceKind::Mta { .. } | DeviceKind::Opteron => Some(Flavor::Host),
             DeviceKind::Gpu { .. } => Some(Flavor::Gpu),
-            DeviceKind::CellPpe => Some(CellPpeMd::FLAVOR),
+            DeviceKind::CellPpe => Some(Flavor::Cell),
             DeviceKind::Cell { .. } | DeviceKind::CellAccel { .. } => None,
         }
     }

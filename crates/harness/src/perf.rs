@@ -310,7 +310,7 @@ mod tests {
         let (host, gpu, cell) = (
             record(Flavor::Host),
             record(Flavor::Gpu),
-            record(cell_be::CellPpeMd::FLAVOR),
+            record(Flavor::Cell),
         );
         for (kinds, record) in [
             (&[GPU][..], &host),

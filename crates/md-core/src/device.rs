@@ -319,38 +319,37 @@ pub trait Pricer: MdDevice {
     /// The datapath whose trajectories the device prices.
     fn flavor(&self) -> Flavor;
 
-    /// Charge `record`, a trajectory of [`Pricer::flavor`], on this device,
-    /// observing into `perf` (a fresh monitor), and report the run. The
-    /// record holds no state, so the caller attaches the checkpoint
-    /// ([`PricedRun::with_checkpoint`]). Callers outside [`run_priced`] go
-    /// through [`Pricer::price`], which checks the flavor.
-    fn charge(&mut self, record: &TrajectoryRecord, perf: &mut PerfMonitor) -> PricedRun;
-
-    /// The device's last trajectory, the resume record of its next run.
-    fn last_trajectory(&mut self) -> &mut Option<Trajectory>;
-
-    /// [`Pricer::charge`] `record` when it is of the device's flavor; a
-    /// record of another flavor is an [`DeviceError::Unsupported`] error,
-    /// never a price.
+    /// Charge `record` on this device, observing into `perf` (a fresh
+    /// monitor), and report the run. A record of another flavor than
+    /// [`Pricer::flavor`] is an error ([`check_flavor`]), never a price.
+    /// The record holds no state, so the caller attaches the checkpoint
+    /// ([`PricedRun::with_checkpoint`]).
     fn price(
         &mut self,
         record: &TrajectoryRecord,
         perf: &mut PerfMonitor,
-    ) -> Result<PricedRun, DeviceError> {
-        if record.flavor() != self.flavor() {
-            return Err(DeviceError::Unsupported(format!(
-                "{} prices {:?} trajectories, not {:?}",
-                self.label(),
-                self.flavor(),
-                record.flavor()
-            )));
-        }
-        Ok(self.charge(record, perf))
+    ) -> Result<PricedRun, DeviceError>;
+
+    /// The device's last trajectory, the resume record of its next run.
+    fn last_trajectory(&mut self) -> &mut Option<Trajectory>;
+}
+
+/// What every [`Pricer::price`] checks first: `record` is of `dev`'s
+/// flavor, else a [`DeviceError::Unsupported`] error.
+pub fn check_flavor(dev: &dyn Pricer, record: &TrajectoryRecord) -> Result<(), DeviceError> {
+    if record.flavor() == dev.flavor() {
+        return Ok(());
     }
+    Err(DeviceError::Unsupported(format!(
+        "{} prices {:?} trajectories, not {:?}",
+        dev.label(),
+        dev.flavor(),
+        record.flavor()
+    )))
 }
 
 /// The one run path of a [`Pricer`]: drive the trajectory of its flavor
-/// that `opts` asks for, resuming from the device's last one, charge its
+/// that `opts` asks for, resuming from the device's last one, price its
 /// record, attach the trajectory's final state as the run's checkpoint,
 /// record the run into the ledger, and keep the whole trajectory as the
 /// next resume record. Observes with a local monitor when `opts` brings
@@ -360,7 +359,7 @@ pub fn run_priced<D: Pricer + ?Sized>(
     dev: &mut D,
     sim: &SimConfig,
     mut opts: RunOptions<'_>,
-) -> DeviceRun {
+) -> Result<DeviceRun, DeviceError> {
     let last = dev.last_trajectory().take();
     let traj = Trajectory::drive(
         dev.flavor(),
@@ -376,13 +375,13 @@ pub fn run_priced<D: Pricer + ?Sized>(
         None => &mut local,
     };
     let run = dev
-        .charge(traj.record(), perf)
+        .price(traj.record(), perf)?
         .with_checkpoint(traj.checkpoint());
     if let Some(led) = opts.ledger.take() {
         ledger_record_run(led, &dev.label(), &run, Some(perf));
     }
     *dev.last_trajectory() = Some(traj);
-    run
+    Ok(run)
 }
 
 /// Fold one [`DeviceRun`] into the schema-versioned [`sim_perf::RunMetrics`]

@@ -37,11 +37,10 @@ pub enum Flavor {
     /// [`gpu_texel`] rows in f32, in fragment batches, the PE the texels' w
     /// lanes summed in f64 and halved. The GPU.
     Gpu,
-    /// [`cell_stage_row`] in f32 at the SPE-kernel stage that reflects at
-    /// `L/2` and fuses its accumulate if `fused`: the row PEs summed in row
-    /// order in f32, then halved. The PPE-only baseline runs the
-    /// `Original` stage, unfused.
-    Cell { fused: bool },
+    /// [`cell_stage_row`] in f32 at the `Original` SPE-kernel stage (reflect
+    /// at `L/2`, unfused accumulate), the row PEs summed in row order in
+    /// f32, then halved. The PPE-only baseline.
+    Cell,
 }
 
 /// One force evaluation, as the cost models read it.
@@ -146,7 +145,9 @@ impl TrajectoryRecord {
     }
 }
 
-/// One run: its [`TrajectoryRecord`] and the state the run ended in.
+/// One run: its [`TrajectoryRecord`] and the state the run ended in, kept
+/// in the flavor's precision; [`Trajectory::checkpoint`] is the one copy of
+/// it a run makes, and [`Trajectory::into_record`] drops it uncopied.
 ///
 /// It is also the resume record of the run that follows it. Each flavor's
 /// force evaluation is a pure function of the positions, box, mass and the
@@ -160,9 +161,47 @@ impl TrajectoryRecord {
 #[derive(Clone, Debug)]
 pub struct Trajectory {
     record: TrajectoryRecord,
-    /// The state after the last step, accelerations from the last
-    /// evaluation. A checkpoint holds an f32 state exactly.
-    end: SystemCheckpoint,
+    end: End,
+    /// The step the run ended at.
+    end_step: u64,
+}
+
+/// The state after a run's last step, in its flavor's precision,
+/// accelerations from the last evaluation.
+#[derive(Clone, Debug)]
+enum End {
+    F64(ParticleSystem<f64>),
+    F32(ParticleSystem<f32>),
+}
+
+/// A flavor's precision: how an [`End`] holds a state in it.
+trait Native: Real {
+    fn end(sys: ParticleSystem<Self>) -> End;
+    fn state(end: &End) -> Option<&ParticleSystem<Self>>;
+}
+
+impl Native for f64 {
+    fn end(sys: ParticleSystem<Self>) -> End {
+        End::F64(sys)
+    }
+    fn state(end: &End) -> Option<&ParticleSystem<Self>> {
+        match end {
+            End::F64(sys) => Some(sys),
+            End::F32(_) => None,
+        }
+    }
+}
+
+impl Native for f32 {
+    fn end(sys: ParticleSystem<Self>) -> End {
+        End::F32(sys)
+    }
+    fn state(end: &End) -> Option<&ParticleSystem<Self>> {
+        match end {
+            End::F32(sys) => Some(sys),
+            End::F64(_) => None,
+        }
+    }
 }
 
 impl Trajectory {
@@ -201,14 +240,10 @@ impl Trajectory {
                     interactions: 0,
                 })
             }
-            Flavor::Cell { fused } => {
+            Flavor::Cell => {
                 let sub = sim.substrate();
                 integrate(flavor, sim, start, steps, resume, |sys| {
-                    let stage = CellStage {
-                        reflect_above: 0.5 * sys.box_len,
-                        fused,
-                    };
-                    let (pe, interactions) = cell_forces(sys, &sub, stage, par);
+                    let (pe, interactions) = cell_forces(sys, &sub, par);
                     EvalRecord {
                         pe: f64::from(pe * 0.5),
                         interactions,
@@ -228,17 +263,21 @@ impl Trajectory {
         self.record
     }
 
-    /// The final state, stamped with the step the run ended at.
+    /// The final state, stamped with the step the run ended at (exact for
+    /// an f32 state).
     pub fn checkpoint(&self) -> SystemCheckpoint {
-        self.end.clone()
+        match &self.end {
+            End::F64(sys) => SystemCheckpoint::capture(sys, self.end_step),
+            End::F32(sys) => SystemCheckpoint::capture(sys, self.end_step),
+        }
     }
 
     /// Whether a run of `sim` through this run's flavor from `cp` would
     /// take its priming evaluation from this run.
     pub fn resumes(&self, cp: &SystemCheckpoint, sim: &SimConfig) -> bool {
-        match self.record.flavor {
-            Flavor::Host => self.resumes_state::<f64>(&cp.restore(), sim),
-            Flavor::Gpu | Flavor::Cell { .. } => self.resumes_state::<f32>(&cp.restore(), sim),
+        match self.end {
+            End::F64(_) => self.resumes_state::<f64>(&cp.restore(), sim),
+            End::F32(_) => self.resumes_state::<f32>(&cp.restore(), sim),
         }
     }
 
@@ -248,17 +287,19 @@ impl Trajectory {
     /// (widened to f64, which is exact), so `-0.0` and NaN miss. The config
     /// compares with `==` (NaN fields miss) and by its `Debug` text, whose
     /// shortest round-trip float printing tells `-0.0` from `0.0`.
-    fn resumes_state<T: Real>(&self, sys: &ParticleSystem<T>, sim: &SimConfig) -> bool {
-        let bits = |v: Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
-        let own = &self.end;
-        own.box_len.to_bits() == sys.box_len.to_f64().to_bits()
-            && own.mass.to_bits() == sys.mass.to_f64().to_bits()
+    fn resumes_state<T: Native>(&self, sys: &ParticleSystem<T>, sim: &SimConfig) -> bool {
+        let bits = |v: Vec3<T>| [v.x, v.y, v.z].map(|x| x.to_f64().to_bits());
+        let Some(own) = T::state(&self.end) else {
+            return false;
+        };
+        own.box_len.to_f64().to_bits() == sys.box_len.to_f64().to_bits()
+            && own.mass.to_f64().to_bits() == sys.mass.to_f64().to_bits()
             && own.n() == sys.n()
             && own
                 .positions
                 .iter()
                 .zip(&sys.positions)
-                .all(|(a, b)| bits(*a) == bits(b.to_f64()))
+                .all(|(&a, &b)| bits(a) == bits(b))
             && self.record.sim == *sim
             && format!("{:?}", self.record.sim) == format!("{sim:?}")
     }
@@ -266,7 +307,7 @@ impl Trajectory {
 
 /// [`Trajectory::drive`] in `flavor`'s precision `T`, whose force
 /// evaluation is `evaluate`; `resume` is of the same flavor.
-fn integrate<T: Real>(
+fn integrate<T: Native>(
     flavor: Flavor,
     sim: &SimConfig,
     start: Option<&SystemCheckpoint>,
@@ -282,9 +323,8 @@ fn integrate<T: Real>(
     evals.push(
         match resume.filter(|last| last.resumes_state(&system, sim)) {
             Some(last) => {
-                let recorded = last.end.accelerations.iter();
-                for (a, &b) in system.accelerations.iter_mut().zip(recorded) {
-                    *a = Vec3::from_f64(b);
+                if let Some(own) = T::state(&last.end) {
+                    system.accelerations.copy_from_slice(&own.accelerations);
                 }
                 last.record.last_eval()
             }
@@ -305,7 +345,8 @@ fn integrate<T: Real>(
             evals,
             energies: EnergyReport::measure(&system, last_pe),
         },
-        end: SystemCheckpoint::capture(&system, start_step + steps as u64),
+        end: T::end(system),
+        end_step: start_step + steps as u64,
     }
 }
 
@@ -341,17 +382,20 @@ fn gpu_forces(sys: &mut ParticleSystem<f32>, sub: &Substrate<f32>, par: HostPara
     texels.iter().map(|t| t[3] as f64).sum::<f64>() * 0.5
 }
 
-/// One Cell-flavor force evaluation: each atom's [`cell_stage_row`] at
-/// `stage` on `par`, folded in row order. Sets the accelerations and
-/// returns the row PEs summed in f32 (each pair sits in both of its atoms'
-/// rows) and the in-cutoff (ordered) pair count.
+/// One Cell-flavor force evaluation: each atom's [`cell_stage_row`] at the
+/// `Original` stage on `par`, folded in row order. Sets the accelerations
+/// and returns the row PEs summed in f32 (each pair sits in both of its
+/// atoms' rows) and the in-cutoff (ordered) pair count.
 fn cell_forces(
     sys: &mut ParticleSystem<f32>,
     sub: &Substrate<f32>,
-    stage: CellStage,
     par: HostParallelism,
 ) -> (f32, u64) {
     let (l, inv_mass, soa) = (sys.box_len, 1.0 / sys.mass, soa(sys));
+    let stage = CellStage {
+        reflect_above: 0.5 * l,
+        fused: false,
+    };
     let rows = map_indexed(par, sys.n(), |i| {
         cell_stage_row(&soa, i, l, sub, inv_mass, stage)
     });
@@ -372,7 +416,7 @@ fn cell_forces(
 mod tests {
     use super::*;
 
-    const FLAVORS: [Flavor; 3] = [Flavor::Host, Flavor::Gpu, Flavor::Cell { fused: false }];
+    const FLAVORS: [Flavor; 3] = [Flavor::Host, Flavor::Gpu, Flavor::Cell];
 
     fn drive(sim: &SimConfig, start: Option<&SystemCheckpoint>, steps: usize) -> Trajectory {
         drive_flavor(Flavor::Host, sim, start, steps)
@@ -406,7 +450,7 @@ mod tests {
     fn the_f32_flavors_track_the_f32_reference() {
         let sim = SimConfig::reduced_lj(256);
         let reference = crate::reference::run::<f32>(&sim, 3);
-        for flavor in [Flavor::Gpu, Flavor::Cell { fused: false }] {
+        for flavor in [Flavor::Gpu, Flavor::Cell] {
             let total = drive_flavor(flavor, &sim, None, 3)
                 .record()
                 .energies()
@@ -473,7 +517,7 @@ mod tests {
         let sim = SimConfig::reduced_lj(108);
         let gpu = drive_flavor(Flavor::Gpu, &sim, None, 2);
         let cp = gpu.checkpoint();
-        let cell = Flavor::Cell { fused: false };
+        let cell = Flavor::Cell;
         let cold = drive_flavor(cell, &sim, Some(&cp), 0);
         let warm = Trajectory::drive(
             cell,
@@ -515,7 +559,8 @@ mod tests {
                     evals: vec![EvalRecord::default()],
                     energies: EnergyReport::measure(&system, 0.0),
                 },
-                end: SystemCheckpoint::capture(&system, 0),
+                end: End::F64(system),
+                end_step: 0,
             }
         };
         let resumes = |run: Trajectory, sys: &ParticleSystem<f64>, sim: &SimConfig| {

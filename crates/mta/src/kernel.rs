@@ -389,7 +389,7 @@ impl md_core::device::MdDevice for MtaMd {
         sim: &SimConfig,
         opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        Ok(md_core::device::run_priced(self, sim, opts))
+        md_core::device::run_priced(self, sim, opts)
     }
 
     fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
@@ -402,11 +402,12 @@ impl Pricer for MtaMd {
         Flavor::Host
     }
 
-    fn charge(
+    fn price(
         &mut self,
         record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
-    ) -> md_core::device::PricedRun {
+    ) -> Result<md_core::device::PricedRun, md_core::device::DeviceError> {
+        md_core::device::check_flavor(self, record)?;
         let r = self.sim.price(record, self.mode, perf);
         let clk = self.sim.processor.config.clock_hz;
         let phantom_fraction = if r.sim_seconds == 0.0 {
@@ -419,7 +420,7 @@ impl Pricer for MtaMd {
             let occ = md_core::device::counter_total(perf, "mta.stream.occupancy_cycles");
             derived.push(("avg_stream_occupancy", occ / r.cycles));
         }
-        md_core::device::DeviceRun {
+        Ok(md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
             checkpoint: (),
@@ -434,7 +435,7 @@ impl Pricer for MtaMd {
             ops: r.instructions,
             bytes_moved: 0.0,
             faults: r.faults,
-        }
+        })
     }
 
     fn last_trajectory(&mut self) -> &mut Option<Trajectory> {

@@ -456,7 +456,7 @@ impl md_core::device::MdDevice for OpteronCpu {
         sim: &SimConfig,
         opts: md_core::device::RunOptions<'_>,
     ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        Ok(md_core::device::run_priced(self, sim, opts))
+        md_core::device::run_priced(self, sim, opts)
     }
 
     fn as_pricer(&mut self) -> Option<&mut dyn Pricer> {
@@ -469,11 +469,12 @@ impl Pricer for OpteronCpu {
         Flavor::Host
     }
 
-    fn charge(
+    fn price(
         &mut self,
         record: &TrajectoryRecord,
         perf: &mut sim_perf::PerfMonitor,
-    ) -> md_core::device::PricedRun {
+    ) -> Result<md_core::device::PricedRun, md_core::device::DeviceError> {
+        md_core::device::check_flavor(self, record)?;
         let r = self.price_run(record, perf);
         let clk = self.config.clock_hz;
         let stall_fraction = if r.sim_seconds > 0.0 {
@@ -481,7 +482,7 @@ impl Pricer for OpteronCpu {
         } else {
             0.0
         };
-        md_core::device::DeviceRun {
+        Ok(md_core::device::DeviceRun {
             sim_seconds: r.sim_seconds,
             energies: r.energies,
             checkpoint: (),
@@ -497,7 +498,7 @@ impl Pricer for OpteronCpu {
             ops: r.flops,
             bytes_moved: (r.loads + r.stores) as f64 * 8.0,
             faults: r.faults,
-        }
+        })
     }
 
     fn last_trajectory(&mut self) -> &mut Option<Trajectory> {
