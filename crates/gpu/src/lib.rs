@@ -42,6 +42,6 @@ mod runner;
 mod shader;
 
 pub use config::GpuConfig;
-pub use reduction::{multipass_seconds, ReductionStrategy};
+pub use reduction::ReductionStrategy;
 pub use runner::GpuMdSimulation;
 pub use shader::ShaderOps;
